@@ -17,6 +17,8 @@ fn main() {
     let mut h = Harness::new("field");
     h.bench("fr_mul_255b", || black_box(a) * black_box(b));
     h.bench("fq_mul_381b", || black_box(x) * black_box(y));
+    h.bench("fr_square_255b", || black_box(a).square());
+    h.bench("fq_square_381b", || black_box(x).square());
     h.bench("fr_invert_beea", || black_box(a).invert().unwrap());
     h.bench("fr_invert_fermat", || black_box(a).invert_fermat().unwrap());
     // Reuse one scratch buffer so each iteration only pays a 2 KiB copy on

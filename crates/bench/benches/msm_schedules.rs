@@ -4,11 +4,10 @@
 //!
 //! The schedules compared:
 //!
-//! * `classic`      — PR 2 baseline: unsigned windows, window-parallel,
-//!   mixed adds into projective buckets;
-//! * `signed`       — + signed-digit recoding (half the buckets);
-//! * `signed-intra` — + SZKP-style intra-window chunking;
-//! * `optimized`    — + batch-affine bucket accumulation (the default).
+//! * `classic`   — PR 2 baseline: unsigned windows, mixed adds into
+//!   projective buckets;
+//! * `signed`    — + signed-digit recoding (half the buckets);
+//! * `optimized` — + batch-affine bucket accumulation (the default).
 //!
 //! Besides the wall-clock records, the per-schedule `MsmStats::fq_muls()`
 //! counts are printed so the modmul reduction is visible alongside the
@@ -24,8 +23,7 @@
 use std::sync::Arc;
 
 use zkspeed_curve::{
-    msm_precomputed_on, msm_with_config_on, G1Affine, G1Projective, MsmConfig, MsmSchedule,
-    MultiBaseTable,
+    msm_precomputed_on, msm_with_config_on, G1Affine, G1Projective, MsmConfig, MultiBaseTable,
 };
 use zkspeed_field::Fr;
 use zkspeed_rt::bench::{black_box, Harness};
@@ -44,12 +42,6 @@ fn schedules() -> Vec<(&'static str, MsmConfig)> {
     vec![
         ("classic", MsmConfig::classic()),
         ("signed", MsmConfig::classic().with_signed_digits(true)),
-        (
-            "signed-intra",
-            MsmConfig::classic()
-                .with_signed_digits(true)
-                .with_schedule(MsmSchedule::IntraWindow { chunks: 0 }),
-        ),
         ("optimized", MsmConfig::optimized()),
     ]
 }
@@ -67,14 +59,13 @@ fn main() {
             let (_, stats) =
                 zkspeed_curve::msm_with_config(&points, &scalars, config.with_window_bits(w));
             println!(
-                "msm stats n=2^12 w={w} {name}: fq_muls={} adds={} (bucket={} affine={} agg={} \
-                 partial-combine={} combine={}) inversions={} recoded={}",
+                "msm stats n=2^12 w={w} {name}: fq_muls={} adds={} (mixed={} affine={} agg={} \
+                 combine={}) inversions={} recoded={}",
                 stats.fq_muls(),
                 stats.total_adds(),
                 stats.bucket_adds,
                 stats.affine_adds,
                 stats.aggregation_adds,
-                stats.partial_combine_adds,
                 stats.combine_adds,
                 stats.batch_inversions,
                 stats.recoded_scalars,

@@ -9,8 +9,9 @@
 //!
 //! The paper's MSM unit cost model counts one point addition (PADD) as "tens
 //! of modular multiplications"; the exact operation count of the formulas
-//! used here is exposed as [`PADD_FQ_MULS`] and [`PDBL_FQ_MULS`] so the
-//! hardware model and the functional layer agree by construction.
+//! used here is exposed as [`PADD_FQ_MULS`], [`PADD_MIXED_FQ_MULS`] and
+//! [`PDBL_FQ_MULS`], and a unit test holds each constant to what the
+//! multiplication counters read.
 
 use core::fmt;
 use core::iter::Sum;
@@ -21,34 +22,44 @@ use zkspeed_rt::codec::{DecodeError, Reader};
 use zkspeed_rt::Rng;
 
 /// Number of Fq multiplications in one complete projective point addition
-/// (Renes–Costello–Batina Algorithm 7 for a = 0: 12 mul + 2 mul-by-3b).
-pub const PADD_FQ_MULS: usize = 14;
+/// (Renes–Costello–Batina Algorithm 7 for a = 0: 12 mul; the two
+/// multiplications by `3b = 12` are addition chains).
+pub const PADD_FQ_MULS: usize = 12;
 
 /// Number of Fq multiplications in one mixed projective + affine point
-/// addition (Renes–Costello–Batina Algorithm 8 for a = 0: 11 mul +
-/// 2 mul-by-3b). One multiplication cheaper than [`PADD_FQ_MULS`] because
-/// `Z₂ = 1` folds away the `Z₁·Z₂` product.
-pub const PADD_MIXED_FQ_MULS: usize = 13;
+/// addition (Renes–Costello–Batina Algorithm 8 for a = 0: 11 mul). One
+/// multiplication cheaper than [`PADD_FQ_MULS`] because `Z₂ = 1` folds away
+/// the `Z₁·Z₂` product.
+pub const PADD_MIXED_FQ_MULS: usize = 11;
 
-/// Number of Fq multiplications attributed to one batch-affine addition:
-/// three amortized Montgomery batch-inversion multiplications plus
+/// Number of Fq multiplications of one batch-affine addition: three of the
+/// Montgomery batch inversion it shares with its batch, plus
 /// `λ = Δy·(Δx)⁻¹`, `λ²` and `λ·(x₁ − x₃)`. The shared BEEA inversion each
-/// batch round pays on top is shift/subtract-based (no multiplier use) and
-/// is tracked separately in `MsmStats::batch_inversions`.
+/// batch pays on top is shift/subtract-based (no multiplier use) and is
+/// tracked separately in `MsmStats::batch_inversions`.
 pub const BATCH_AFFINE_ADD_FQ_MULS: usize = 6;
 
 /// Number of Fq multiplications in one projective doubling
-/// (Renes–Costello–Batina Algorithm 9 for a = 0: 6 mul + 2 mul-by-3b).
+/// (Renes–Costello–Batina Algorithm 9 for a = 0: 6 mul + 2 squarings).
 pub const PDBL_FQ_MULS: usize = 8;
 
-/// The curve constant `b = 4` of BLS12-381 G1 (`y² = x³ + 4`).
-fn b() -> Fq {
-    Fq::from_u64(4)
-}
+/// The curve constant `b = 4` of BLS12-381 G1 (`y² = x³ + 4`), in
+/// Montgomery form.
+const B: Fq = Fq::from_montgomery_limbs_unchecked([
+    0xaa27_0000_000c_fff3,
+    0x53cc_0032_fc34_000a,
+    0x478f_e97a_6b0a_807f,
+    0xb1d3_7ebe_e6ba_24d7,
+    0x8ec9_733b_bf78_ab2f,
+    0x09d6_4551_3d83_de7e,
+]);
 
-/// `3·b = 12`, used by the complete formulas.
-fn b3() -> Fq {
-    Fq::from_u64(12)
+/// Multiplies by `3·b = 12` with four additions (`12x = 8x + 4x`) instead of
+/// a modular multiplication.
+#[inline]
+fn mul_by_3b(x: Fq) -> Fq {
+    let x4 = x.double().double();
+    x4.double() + x4
 }
 
 /// A point on BLS12-381 G1 in affine coordinates.
@@ -117,7 +128,7 @@ impl G1Affine {
         if self.infinity {
             return true;
         }
-        self.y.square() == self.x.square() * self.x + b()
+        self.y.square() == self.x.square() * self.x + B
     }
 
     /// Converts to projective coordinates.
@@ -287,7 +298,7 @@ impl G1Projective {
         if self.is_identity() {
             return true;
         }
-        self.y.square() * self.z == self.x.square() * self.x + b() * self.z.square() * self.z
+        self.y.square() * self.z == self.x.square() * self.x + B * self.z.square() * self.z
     }
 
     /// Converts to affine coordinates (one field inversion).
@@ -307,7 +318,6 @@ impl G1Projective {
     /// `a = 0`). Handles identity and doubling inputs without branches on
     /// secret data.
     pub fn add(&self, rhs: &Self) -> Self {
-        let b3 = b3();
         let (x1, y1, z1) = (self.x, self.y, self.z);
         let (x2, y2, z2) = (rhs.x, rhs.y, rhs.z);
 
@@ -331,10 +341,10 @@ impl G1Projective {
         y3 = x3 - y3;
         x3 = t0 + t0;
         t0 = x3 + t0;
-        t2 = b3 * t2;
+        t2 = mul_by_3b(t2);
         let mut z3 = t1 + t2;
         t1 -= t2;
-        y3 = b3 * y3;
+        y3 = mul_by_3b(y3);
         x3 = t4 * y3;
         t2 = t3 * t1;
         x3 = t2 - x3;
@@ -361,7 +371,6 @@ impl G1Projective {
         if rhs.infinity {
             return *self;
         }
-        let b3 = b3();
         let (x1, y1, z1) = (self.x, self.y, self.z);
         let (x2, y2) = (rhs.x, rhs.y);
 
@@ -378,10 +387,10 @@ impl G1Projective {
         y3 += x1;
         let mut x3 = t0 + t0;
         t0 = x3 + t0;
-        let mut t2 = b3 * z1;
+        let mut t2 = mul_by_3b(z1);
         let mut z3 = t1 + t2;
         t1 -= t2;
-        y3 = b3 * y3;
+        y3 = mul_by_3b(y3);
         x3 = t4 * y3;
         t2 = t3 * t1;
         x3 = t2 - x3;
@@ -406,16 +415,15 @@ impl G1Projective {
 
     /// Point doubling (Renes–Costello–Batina 2016, Algorithm 9 with `a = 0`).
     pub fn double(&self) -> Self {
-        let b3 = b3();
         let (x, y, z) = (self.x, self.y, self.z);
 
-        let mut t0 = y * y;
+        let mut t0 = y.square();
         let mut z3 = t0 + t0;
         z3 = z3 + z3;
         z3 = z3 + z3;
         let mut t1 = y * z;
-        let mut t2 = z * z;
-        t2 = b3 * t2;
+        let mut t2 = z.square();
+        t2 = mul_by_3b(t2);
         let mut x3 = t2 * z3;
         let mut y3 = t0 + t2;
         z3 = t1 * z3;
@@ -572,6 +580,32 @@ mod tests {
         assert!(G1Projective::generator().is_on_curve());
         assert!(G1Affine::identity().is_on_curve());
         assert!(G1Projective::identity().is_on_curve());
+    }
+
+    #[test]
+    fn curve_constants_match_their_integers() {
+        assert_eq!(B, Fq::from_u64(4));
+        let mut r = rng();
+        for x in [Fq::zero(), Fq::one(), -Fq::one(), Fq::random(&mut r)] {
+            assert_eq!(mul_by_3b(x), x * Fq::from_u64(12));
+        }
+    }
+
+    #[test]
+    fn exported_mul_counts_are_what_the_formulas_cost() {
+        use zkspeed_field::measure_modmuls;
+        let mut r = rng();
+        let p = G1Projective::random(&mut r);
+        let q = G1Projective::random(&mut r);
+        let q_affine = q.to_affine();
+        let fq_muls = |f: &dyn Fn() -> G1Projective| {
+            let (_, count) = measure_modmuls(f);
+            assert_eq!(count.fr, 0);
+            count.fq as usize
+        };
+        assert_eq!(fq_muls(&|| p + q), PADD_FQ_MULS);
+        assert_eq!(fq_muls(&|| p.add_mixed(&q_affine)), PADD_MIXED_FQ_MULS);
+        assert_eq!(fq_muls(&|| p.double()), PDBL_FQ_MULS);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! witness, so the Pippenger window doublings repeated by each commit are
 //! pure waste: with the shifted multiples `2^{w·j}·Bᵢ` of every base point
 //! precomputed once, `Σ sᵢ·Bᵢ` decomposes into the flat signed-digit bucket
-//! problem `Σᵢ Σⱼ d_{i,j}·T_{i,j}` — one bucket set of `2^{w−1}` entries,
-//! a single aggregation pass, and **zero doublings** per MSM (compare
+//! problem `Σᵢ Σⱼ d_{i,j}·T_{i,j}` — one bucket set of `2^{w−1}` entries
+//! and one aggregation pass (per job of a large MSM), and **no window
+//! doublings** (compare
 //! [`crate::FixedBaseTable`], which plays the same trick for one base in
 //! `Srs` setup). The [`MsmSchedule::Precomputed`](crate::MsmSchedule)
 //! engine in [`crate::msm_precomputed_on`] consumes these tables.
@@ -24,12 +25,12 @@ use zkspeed_rt::pool::{self, Backend};
 use crate::g1::{G1Affine, G1Projective};
 
 /// Default window width for multi-base tables. Wider than the Pippenger
-/// auto-window (7–10 bits) because the per-window aggregation pass that
-/// normally punishes wide windows is gone: the precomputed engine runs one
-/// aggregation over `2^{w−1}` buckets for the *whole* MSM, so the fill
-/// work `n·⌈255/w⌉` dominates and wider windows keep winning until the
-/// single aggregation (`2·2^{w−1}` adds) catches up around `w ≈ 12` for
-/// session-sized `n`.
+/// auto-window (8–10 bits at session sizes) because the per-window
+/// aggregation pass that normally punishes wide windows is gone: the
+/// precomputed engine aggregates `2^{w−1}` buckets once per job, not per
+/// window, so the fill work `n·⌈255/w⌉` dominates and wider windows keep
+/// winning until the aggregations (`2·2^{w−1}` adds each) catch up around
+/// `w ≈ 12` for session-sized `n`.
 pub const MULTI_BASE_DEFAULT_WINDOW_BITS: usize = 12;
 
 /// Precomputed shifted-base window table over a fixed point vector:
@@ -131,6 +132,11 @@ impl MultiBaseTable {
     pub fn entry(&self, base: usize, window: usize) -> &G1Affine {
         assert!(base < self.num_bases && window < self.num_windows);
         &self.entries[base * self.num_windows + window]
+    }
+
+    /// Every entry, row-major: `entries()[i·num_windows + j] = 2^{w·j}·Bᵢ`.
+    pub(crate) fn entries(&self) -> &[G1Affine] {
+        &self.entries
     }
 
     /// The original base point `Bᵢ` (window 0's entry).

@@ -15,15 +15,14 @@ pub const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
     (t as u64, (t >> 64) as u64)
 }
 
-/// Computes `a - (b + borrow)`, returning the result and the new borrow.
-///
-/// The borrow is either `0` or `u64::MAX` (all ones), matching the common
-/// "mask" convention so it can be used directly in conditional selects.
+/// Computes `a - (b + borrow)`, returning the result and the new borrow
+/// (0 or 1).
 #[doc(hidden)]
 #[inline(always)]
 pub const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
-    let t = (a as u128).wrapping_sub((b as u128) + ((borrow >> 63) as u128));
-    (t as u64, (t >> 64) as u64)
+    let (d, b1) = a.overflowing_sub(b);
+    let (d, b2) = d.overflowing_sub(borrow);
+    (d, (b1 | b2) as u64)
 }
 
 /// Computes `a + b * c + carry`, returning the low word and the new carry.
@@ -116,16 +115,10 @@ mod tests {
 
     #[test]
     fn sbb_borrows() {
-        let (r, b) = sbb(0, 1, 0);
-        assert_eq!(r, u64::MAX);
-        assert_eq!(b, u64::MAX);
-        let (r, b) = sbb(5, 3, 0);
-        assert_eq!(r, 2);
-        assert_eq!(b, 0);
-        // borrow flag consumed
-        let (r, b) = sbb(5, 3, u64::MAX);
-        assert_eq!(r, 1);
-        assert_eq!(b, 0);
+        assert_eq!(sbb(0, 1, 0), (u64::MAX, 1));
+        assert_eq!(sbb(5, 3, 0), (2, 0));
+        assert_eq!(sbb(5, 3, 1), (1, 0));
+        assert_eq!(sbb(0, u64::MAX, 1), (0, 1));
     }
 
     #[test]

@@ -33,6 +33,8 @@ pub mod arith;
 pub mod counters;
 mod fq;
 mod fr;
+#[cfg(test)]
+mod kernel_tests;
 mod montgomery;
 mod traits;
 

@@ -2,10 +2,10 @@
 //! field type in Montgomery representation from its constants.
 //!
 //! Both [`crate::Fr`] and [`crate::Fq`] are generated by this macro; they
-//! differ only in limb count and constants. The generated arithmetic is the
-//! classic operand-scanning multiplication followed by word-by-word
-//! Montgomery reduction — the same algorithm realized by the pipelined
-//! Montgomery multipliers that dominate zkSpeed's compute area.
+//! differ only in limb count and constants. Multiplication interleaves
+//! operand scanning with word-by-word Montgomery reduction (CIOS) — the same
+//! algorithm realized by the pipelined Montgomery multipliers that dominate
+//! zkSpeed's compute area — and squaring computes each cross product once.
 
 /// Generates a prime-field type in Montgomery form.
 ///
@@ -38,6 +38,10 @@ macro_rules! impl_montgomery_field {
         /// "modmul" throughout the zkSpeed paper.
         #[derive(Copy, Clone, Default, PartialEq, Eq, Hash)]
         pub struct $name(pub(crate) [u64; $limbs]);
+
+        // `mul` drops CIOS's extra carry word, which is only sound when the
+        // modulus leaves the top bit of its top limb free.
+        const _: () = assert!($name::MODULUS[$limbs - 1] < u64::MAX >> 1);
 
         impl $name {
             /// Number of 64-bit limbs in the representation.
@@ -186,9 +190,16 @@ macro_rules! impl_montgomery_field {
                 }
                 // montgomery_reduce computes (wide · R^{-1}) mod p; two
                 // multiplications by R² then yield (wide · R) mod p, i.e. the
-                // Montgomery form of `wide mod p`.
+                // Montgomery form of `wide mod p`. `wide` may be as large as
+                // R² − 1, which leaves the reduction below R + p: one
+                // subtraction clears the carry word, a few more bring the value
+                // below p, as `mul` requires of its operands.
                 let (lo, carry) = Self::montgomery_reduce(wide);
-                Self::reduce_once(lo, carry) * Self(Self::R2) * Self(Self::R2)
+                let mut reduced = Self::reduce_once(lo, carry).0;
+                while !$crate::arith::limbs_lt(&reduced, &Self::MODULUS) {
+                    $crate::arith::limbs_sub_assign(&mut reduced, &Self::MODULUS);
+                }
+                Self(reduced) * Self(Self::R2) * Self(Self::R2)
             }
 
             /// Samples a uniformly random field element via rejection
@@ -216,7 +227,13 @@ macro_rules! impl_montgomery_field {
                     d[i] = lo;
                     carry = c;
                 }
-                Self::reduce_once(d, carry)
+                // A sum of random elements passes `p` every other time: select
+                // with a mask, a branch would mispredict half of the time.
+                let (reduced, mask) = Self::sub_modulus(&d, carry);
+                for i in 0..$limbs {
+                    d[i] = (reduced[i] & mask) | (d[i] & !mask);
+                }
+                Self(d)
             }
 
             /// Subtracts `rhs` from this element.
@@ -229,13 +246,14 @@ macro_rules! impl_montgomery_field {
                     d[i] = lo;
                     borrow = b;
                 }
-                if borrow != 0 {
-                    let mut carry = 0u64;
-                    for i in 0..$limbs {
-                        let (lo, c) = $crate::arith::adc(d[i], Self::MODULUS[i], carry);
-                        d[i] = lo;
-                        carry = c;
-                    }
+                // Add the modulus back under the borrow mask (no branch: the
+                // borrow of random operands is a coin flip).
+                let mask = borrow.wrapping_neg();
+                let mut carry = 0u64;
+                for i in 0..$limbs {
+                    let (lo, c) = $crate::arith::adc(d[i], Self::MODULUS[i] & mask, carry);
+                    d[i] = lo;
+                    carry = c;
                 }
                 Self(d)
             }
@@ -258,27 +276,66 @@ macro_rules! impl_montgomery_field {
             }
 
             /// Multiplies two field elements (one Montgomery multiplication).
+            ///
+            /// Coarsely integrated operand scanning (CIOS): each row
+            /// `a·b[i]` is folded into the running value together with the
+            /// reduction step that clears its low limb, so the value never
+            /// outgrows `LIMBS` words. The modulus leaves the top bit of its
+            /// top limb free, which keeps the sum of the two row carries
+            /// inside one word (no extra carry limb) and the result below
+            /// `2p`.
             #[inline]
             pub fn mul(&self, rhs: &Self) -> Self {
                 $crate::counters::record($limbs);
-                let mut t = [0u64; 2 * $limbs];
+                let (a, b) = (&self.0, &rhs.0);
+                let mut t = [0u64; $limbs];
                 for i in 0..$limbs {
+                    let (lo, mut carry_ab) = $crate::arith::mac(t[0], a[0], b[i], 0);
+                    let k = lo.wrapping_mul(Self::INV);
+                    let (_, mut carry_kp) = $crate::arith::mac(lo, k, Self::MODULUS[0], 0);
+                    for j in 1..$limbs {
+                        let (lo, hi) = $crate::arith::mac(t[j], a[j], b[i], carry_ab);
+                        carry_ab = hi;
+                        let (lo, hi) = $crate::arith::mac(lo, k, Self::MODULUS[j], carry_kp);
+                        t[j - 1] = lo;
+                        carry_kp = hi;
+                    }
+                    t[$limbs - 1] = carry_ab + carry_kp;
+                }
+                Self::reduce_once(t, 0)
+            }
+
+            /// Squares this element (one Montgomery multiplication): the
+            /// `LIMBS·(LIMBS−1)/2` cross products `a[i]·a[j]`, `i < j`, are
+            /// computed once and doubled, the diagonal `a[i]²` added, and the
+            /// double-width square reduced.
+            #[inline]
+            pub fn square(&self) -> Self {
+                $crate::counters::record($limbs);
+                let a = &self.0;
+                let mut t = [0u64; 2 * $limbs];
+                for i in 0..$limbs - 1 {
                     let mut carry = 0u64;
-                    for j in 0..$limbs {
-                        let (lo, hi) = $crate::arith::mac(t[i + j], self.0[i], rhs.0[j], carry);
+                    for j in i + 1..$limbs {
+                        let (lo, hi) = $crate::arith::mac(t[i + j], a[i], a[j], carry);
                         t[i + j] = lo;
                         carry = hi;
                     }
                     t[i + $limbs] = carry;
                 }
+                for i in (1..2 * $limbs).rev() {
+                    t[i] = (t[i] << 1) | (t[i - 1] >> 63);
+                }
+                let mut carry = 0u64;
+                for i in 0..$limbs {
+                    let (lo, hi) = $crate::arith::mac(t[2 * i], a[i], a[i], carry);
+                    t[2 * i] = lo;
+                    let (lo, hi) = $crate::arith::adc(t[2 * i + 1], hi, 0);
+                    t[2 * i + 1] = lo;
+                    carry = hi;
+                }
                 let (lo, carry) = Self::montgomery_reduce(t);
                 Self::reduce_once(lo, carry)
-            }
-
-            /// Squares this element.
-            #[inline]
-            pub fn square(&self) -> Self {
-                self.mul(self)
             }
 
             /// Raises this element to a multi-precision little-endian
@@ -391,45 +448,77 @@ macro_rules! impl_montgomery_field {
                 (limbs[i / 64] >> (i % 64)) & 1 == 1
             }
 
-            #[inline]
-            fn reduce_once(limbs: [u64; $limbs], carry: u64) -> Self {
-                let mut tmp = [0u64; $limbs];
+            /// Slow reference for [`Self::mul`] and [`Self::square`]: the
+            /// schoolbook double-width product followed by a separate
+            /// reduction pass. Not counted as a modmul.
+            #[cfg(test)]
+            pub(crate) fn mul_reference(&self, rhs: &Self) -> Self {
+                let mut t = [0u64; 2 * $limbs];
+                for i in 0..$limbs {
+                    let mut carry = 0u64;
+                    for j in 0..$limbs {
+                        let (lo, hi) = $crate::arith::mac(t[i + j], self.0[i], rhs.0[j], carry);
+                        t[i + j] = lo;
+                        carry = hi;
+                    }
+                    t[i + $limbs] = carry;
+                }
+                let (lo, carry) = Self::montgomery_reduce(t);
+                Self::reduce_once(lo, carry)
+            }
+
+            /// `value − p` for the `LIMBS + 1`-word value `limbs` plus
+            /// `carry·2^(64·LIMBS)`, below `2p`; and an all-ones mask if the
+            /// value is at least `p` (the difference is then the reduced
+            /// value), zero otherwise.
+            #[inline(always)]
+            fn sub_modulus(limbs: &[u64; $limbs], carry: u64) -> ([u64; $limbs], u64) {
+                let mut d = [0u64; $limbs];
                 let mut borrow = 0u64;
                 for i in 0..$limbs {
                     let (lo, b) = $crate::arith::sbb(limbs[i], Self::MODULUS[i], borrow);
-                    tmp[i] = lo;
+                    d[i] = lo;
                     borrow = b;
                 }
-                // Use the subtracted value if the original overflowed the limb
-                // array (carry == 1) or was >= p (no borrow).
-                if carry == 1 || borrow == 0 {
-                    Self(tmp)
+                (d, (carry | (borrow ^ 1)).wrapping_neg())
+            }
+
+            /// Final subtraction of a Montgomery product. The unreduced
+            /// product of reduced operands is below `p + p²/R`, so it needs
+            /// the subtraction for few operand pairs (`p/R` is 0.10 for Fq,
+            /// 0.45 for Fr): a branch, which predicts well and keeps the
+            /// select off a dependent chain's critical path.
+            #[inline]
+            fn reduce_once(limbs: [u64; $limbs], carry: u64) -> Self {
+                let (d, reduce) = Self::sub_modulus(&limbs, carry);
+                if reduce != 0 {
+                    Self(d)
                 } else {
                     Self(limbs)
                 }
             }
 
             /// Word-by-word Montgomery reduction of a double-width value.
-            /// Returns the (possibly not fully reduced) low half and the final
-            /// carry; callers pass both to [`Self::reduce_once`].
+            /// Returns the reduced value, possibly still one `p` too large,
+            /// and its carry word; callers pass both to [`Self::reduce_once`].
             #[inline]
-            fn montgomery_reduce(mut t: [u64; 2 * $limbs]) -> ([u64; $limbs], u64) {
+            fn montgomery_reduce(t: [u64; 2 * $limbs]) -> ([u64; $limbs], u64) {
+                let mut r = [0u64; $limbs];
+                r.copy_from_slice(&t[..$limbs]);
                 let mut carry2 = 0u64;
                 for i in 0..$limbs {
-                    let k = t[i].wrapping_mul(Self::INV);
-                    let mut carry = 0u64;
-                    for j in 0..$limbs {
-                        let (lo, hi) = $crate::arith::mac(t[i + j], k, Self::MODULUS[j], carry);
-                        t[i + j] = lo;
+                    let k = r[0].wrapping_mul(Self::INV);
+                    let (_, mut carry) = $crate::arith::mac(r[0], k, Self::MODULUS[0], 0);
+                    for j in 1..$limbs {
+                        let (lo, hi) = $crate::arith::mac(r[j], k, Self::MODULUS[j], carry);
+                        r[j - 1] = lo;
                         carry = hi;
                     }
                     let (lo, c) = $crate::arith::adc(t[i + $limbs], carry2, carry);
-                    t[i + $limbs] = lo;
+                    r[$limbs - 1] = lo;
                     carry2 = c;
                 }
-                let mut out = [0u64; $limbs];
-                out.copy_from_slice(&t[$limbs..]);
-                (out, carry2)
+                (r, carry2)
             }
         }
 

@@ -11,12 +11,14 @@ use crate::params::{
 /// Scalar bit width of BLS12-381 Fr (the MSM scalars).
 const SCALAR_BITS: usize = 255;
 
-/// Fq multiplications of a mixed (projective + affine) point addition.
-const PADD_MIXED_FQ_MULS: usize = zkspeed_curve::PADD_MIXED_FQ_MULS;
+/// Fq multiplications of a mixed (projective + affine) point addition on the
+/// modelled datapath (see [`PADD_FQ_MULS`] for why these are the chip's own
+/// numbers and not the functional layer's).
+const PADD_MIXED_FQ_MULS: usize = 13;
 /// Amortized Fq multiplications of a batch-affine bucket addition.
-const BATCH_AFFINE_ADD_FQ_MULS: usize = zkspeed_curve::BATCH_AFFINE_ADD_FQ_MULS;
+const BATCH_AFFINE_ADD_FQ_MULS: usize = 6;
 /// Fq multiplications of a point doubling.
-const PDBL_FQ_MULS: usize = zkspeed_curve::PDBL_FQ_MULS;
+const PDBL_FQ_MULS: usize = 8;
 
 /// Bucket-aggregation schedule (Section 4.2.2).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -43,9 +43,12 @@ pub const MLE_COMBINE_MODMULS_SHARED: usize = 72;
 /// Modular multipliers the MLE Combine unit would need without sharing.
 pub const MLE_COMBINE_MODMULS_UNSHARED: usize = 122;
 
-/// Fq multiplications per point addition (complete formulas, matching the
-/// functional layer).
-pub const PADD_FQ_MULS: usize = zkspeed_curve::PADD_FQ_MULS;
+/// Fq multipliers of the modelled PADD datapath: the complete addition
+/// formula with its two products by `3b` on multipliers of their own. This
+/// is the Table-5 calibration point; the functional layer's software
+/// formulas replace those two products with addition chains and count
+/// `zkspeed_curve::PADD_FQ_MULS` = 12.
+pub const PADD_FQ_MULS: usize = 14;
 
 /// SHA3 unit area in mm² (5888 µm², Section 7.3.1).
 pub const SHA3_UNIT_MM2: f64 = 0.005888;

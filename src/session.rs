@@ -362,7 +362,7 @@ mod tests {
         assert!(!reverted.precompute().is_enabled());
         assert!(matches!(
             reverted.msm_config().schedule,
-            MsmSchedule::IntraWindow { chunks: 0 }
+            MsmSchedule::WindowParallel
         ));
     }
 

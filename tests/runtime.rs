@@ -133,10 +133,6 @@ fn msm_schedule_matrix() -> Vec<(&'static str, MsmConfig)> {
         ("classic", MsmConfig::classic()),
         ("signed", MsmConfig::classic().with_signed_digits(true)),
         (
-            "intra-window",
-            MsmConfig::classic().with_schedule(MsmSchedule::IntraWindow { chunks: 4 }),
-        ),
-        (
             "batch-affine",
             MsmConfig::classic().with_batch_affine_min_points(0),
         ),

@@ -19,7 +19,8 @@ fn main() {
     h.bench("fq_mul_381b", || black_box(x) * black_box(y));
     h.bench("fr_square_255b", || black_box(a).square());
     h.bench("fq_square_381b", || black_box(x).square());
-    h.bench("fr_invert_beea", || black_box(a).invert().unwrap());
+    h.bench("fr_invert", || black_box(a).invert().unwrap());
+    h.bench("fq_invert", || black_box(x).invert().unwrap());
     h.bench("fr_invert_fermat", || black_box(a).invert_fermat().unwrap());
     // Reuse one scratch buffer so each iteration only pays a 2 KiB copy on
     // top of the inversion, not an allocation.

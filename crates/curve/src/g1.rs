@@ -34,9 +34,9 @@ pub const PADD_MIXED_FQ_MULS: usize = 11;
 
 /// Number of Fq multiplications of one batch-affine addition: three of the
 /// Montgomery batch inversion it shares with its batch, plus
-/// `λ = Δy·(Δx)⁻¹`, `λ²` and `λ·(x₁ − x₃)`. The shared BEEA inversion each
-/// batch pays on top is shift/subtract-based (no multiplier use) and is
-/// tracked separately in `MsmStats::batch_inversions`.
+/// `λ = Δy·(Δx)⁻¹`, `λ²` and `λ·(x₁ − x₃)`. The shared inversion each batch
+/// pays on top is a binary GCD (no Fq multiplier use) and is tracked
+/// separately in `MsmStats::batch_inversions`.
 pub const BATCH_AFFINE_ADD_FQ_MULS: usize = 6;
 
 /// Number of Fq multiplications in one projective doubling

@@ -10,10 +10,10 @@
 //! * [`G1Affine`] / [`G1Projective`] — the group, with complete full and
 //!   mixed addition formulas (the PADD datapath);
 //! * [`msm`] / [`msm_with_config`] — Pippenger's algorithm with configurable
-//!   window size, signed-digit recoding, streaming batch-affine bucket
-//!   accumulation, and either the SZKP serial or the zkSpeed grouped bucket
-//!   aggregation schedule (Fig. 5 of the paper) — see [`MsmConfig`] and
-//!   [`MsmSchedule`];
+//!   window size, signed-digit recoding, and streaming batch-affine bucket
+//!   accumulation and aggregation (the chip's grouped aggregation schedule,
+//!   Fig. 5 of the paper, is modelled in `zkspeed_hw`) — see [`MsmConfig`]
+//!   and [`MsmSchedule`];
 //! * [`sparse_msm`] — the Sparse MSM used by the Witness Commit step;
 //! * [`MsmStats`] — per-addition-kind operation counters consumed by the
 //!   hardware cost model.
@@ -51,7 +51,7 @@ pub use g1::{
 pub use msm::{
     auto_window_bits, msm, msm_precomputed_on, msm_with_config, msm_with_config_on,
     msm_with_config_shared, naive_msm, sparse_msm, sparse_msm_on, sparse_msm_precomputed_on,
-    sparse_msm_with_config_on, Aggregation, MsmConfig, MsmSchedule, MsmStats, SparseMsmStats,
+    sparse_msm_with_config_on, MsmConfig, MsmSchedule, MsmStats, SparseMsmStats,
     BATCH_AFFINE_DEFAULT_MIN_POINTS,
 };
 pub use multi_base::{MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};

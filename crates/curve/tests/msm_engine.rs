@@ -8,7 +8,7 @@ use zkspeed_curve::{
     MsmConfig, BATCH_AFFINE_DEFAULT_MIN_POINTS,
 };
 use zkspeed_field::{measure_modmuls, Fr};
-use zkspeed_rt::pool::Serial;
+use zkspeed_rt::pool::{Backend, Serial, ThreadPool};
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::SeedableRng;
 
@@ -34,13 +34,10 @@ fn random_scalars(n: usize, rng: &mut StdRng) -> Vec<Fr> {
     (0..n).map(|_| Fr::random(rng)).collect()
 }
 
-/// Each input against [`naive_msm`] for every window size, signed and
-/// unsigned, on the forced batch-affine path and the default one.
-#[test]
-fn adversarial_inputs_match_naive_at_every_window_size() {
-    let mut r = rng();
-    let n = 24;
-    let distinct = cheap_points(n, &mut r);
+/// The inputs of `n` terms that drive the fill and the aggregation into
+/// their corners, and a uniform one.
+fn adversarial_inputs(n: usize, r: &mut StdRng) -> Vec<(&'static str, Vec<G1Affine>, Vec<Fr>)> {
+    let distinct = cheap_points(n, r);
     let g = distinct[0];
     // Every in-batch pair is a doubling.
     let equal_points = vec![g; n];
@@ -56,7 +53,7 @@ fn adversarial_inputs_match_naive_at_every_window_size() {
         .collect();
     // Every operation of a window collides on one bucket: the pending queue
     // is always full.
-    let equal_scalars = vec![Fr::random(&mut r); n];
+    let equal_scalars = vec![Fr::random(r); n];
     let edge_scalars: Vec<Fr> = (0..n)
         .map(|i| match i % 4 {
             0 => Fr::zero(),
@@ -65,34 +62,52 @@ fn adversarial_inputs_match_naive_at_every_window_size() {
             _ => Fr::from_u64(2).pow(&[(11 * i) as u64 % 255]),
         })
         .collect();
-    let random = random_scalars(n, &mut r);
-    let cases: [(&str, &[G1Affine], &[Fr]); 7] = [
-        ("equal points", &equal_points, &random),
-        ("equal points, equal scalars", &equal_points, &equal_scalars),
-        ("P, −P interleaved", &opposite, &equal_scalars),
-        ("P, −P interleaved, random scalars", &opposite, &random),
-        ("equal scalars", &distinct, &equal_scalars),
-        ("edge scalars", &distinct, &edge_scalars),
+    let random = random_scalars(n, r);
+    vec![
+        ("uniform", distinct.clone(), random.clone()),
+        ("equal points", equal_points.clone(), random.clone()),
         (
-            "identity points interleaved",
-            &with_identities,
-            &edge_scalars,
+            "equal points, equal scalars",
+            equal_points,
+            equal_scalars.clone(),
         ),
-    ];
-    for (case, points, scalars) in cases {
-        let expect = naive_msm(points, scalars);
+        ("P, −P interleaved", opposite.clone(), equal_scalars.clone()),
+        ("P, −P interleaved, random scalars", opposite, random),
+        ("equal scalars", distinct.clone(), equal_scalars),
+        ("edge scalars", distinct, edge_scalars.clone()),
+        ("identity points interleaved", with_identities, edge_scalars),
+    ]
+}
+
+/// Each input against [`naive_msm`] for every window size, signed and
+/// unsigned, on the forced batch-affine path, the default one and the
+/// projective one; and in the
+/// default configuration at every size up to 33 and around the parallel
+/// floor, where the choice of path is the engine's.
+#[test]
+fn adversarial_inputs_match_naive_at_every_window_size() {
+    let mut r = rng();
+    let n = 24;
+    for (case, points, scalars) in adversarial_inputs(n, &mut r) {
+        let expect = naive_msm(&points, &scalars);
         for w in 1..=16usize {
             for signed in [false, true] {
-                for min_points in [0, BATCH_AFFINE_DEFAULT_MIN_POINTS] {
+                for min_points in [0, BATCH_AFFINE_DEFAULT_MIN_POINTS, usize::MAX] {
                     let config = MsmConfig::optimized()
                         .with_signed_digits(signed)
                         .with_window_bits(w)
                         .with_batch_affine_min_points(min_points);
-                    let (res, stats) = msm_with_config(points, scalars, config);
+                    let (res, stats) = msm_with_config(&points, &scalars, config);
                     assert_eq!(res, expect, "{case}: {config:?}");
                     assert_eq!(stats.recoded_scalars, if signed { n as u64 } else { 0 });
                 }
             }
+        }
+    }
+    for n in (1..=33).chain([255, 256, 257]) {
+        for (case, points, scalars) in adversarial_inputs(n, &mut r) {
+            let (res, _) = msm_with_config(&points, &scalars, MsmConfig::default());
+            assert_eq!(res, naive_msm(&points, &scalars), "{case}: n = {n}");
         }
     }
 }
@@ -129,19 +144,89 @@ fn modelled_fq_muls_are_the_measured_ones() {
 }
 
 #[test]
-fn skewed_windows_fall_back_to_projective_buckets() {
-    // All scalars equal: every window has one bucket, which would absorb one
-    // addition per inversion. The default threshold routes such windows to
-    // mixed additions; uniform scalars stay batch-affine.
+fn default_config_adds_no_projective_point_per_bucket() {
+    // Uniform scalars: the fill and the aggregation go through the batched
+    // adder at every size, the one-job MSMs below 256 points included; what
+    // is projective is the running sums over the lines of the bucket grids.
+    let mut r = rng();
+    let points = cheap_points(1 << 14, &mut r);
+    let scalars = random_scalars(1 << 14, &mut r);
+    for log in 5..=14 {
+        let n = 1 << log;
+        let (_, stats) = msm_with_config(&points[..n], &scalars[..n], MsmConfig::default());
+        assert!(4 * stats.bucket_adds < stats.affine_adds, "{stats:?}");
+        if log == 14 {
+            assert!(stats.aggregation_adds <= 4_000, "{stats:?}");
+            assert!(stats.bucket_adds <= 18_000, "{stats:?}");
+            assert!(stats.batch_inversions <= 900, "{stats:?}");
+        }
+    }
+}
+
+#[test]
+fn skewed_windows_never_pay_an_inversion_per_addition() {
+    // All scalars equal: every window has one bucket, which absorbs one
+    // addition per batch. Such a window fills projective buckets with mixed
+    // additions, or — its bucket low enough in the slice — copies of it; the
+    // affine additions that remain amortize their inversions beyond the
+    // break-even, as uniform scalars' do.
     let mut r = rng();
     let n = 1 << 10;
     let points = cheap_points(n, &mut r);
     let config = MsmConfig::optimized().with_window_bits(8);
     let (_, skewed) = msm_with_config(&points, &vec![Fr::random(&mut r); n], config);
-    assert_eq!(skewed.affine_adds, 0);
-    assert_eq!(skewed.batch_inversions, 0);
-    assert!(skewed.bucket_adds > 0);
+    assert!(skewed.bucket_adds > skewed.affine_adds);
     let (_, uniform) = msm_with_config(&points, &random_scalars(n, &mut r), config);
-    assert!(uniform.batch_inversions > 0);
-    assert!(uniform.affine_adds >= 48 * uniform.batch_inversions);
+    assert!(uniform.bucket_adds == 0 && uniform.batch_inversions > 0);
+    for stats in [skewed, uniform] {
+        let min_adds = BATCH_AFFINE_DEFAULT_MIN_POINTS as u64;
+        assert!(
+            stats.affine_adds >= min_adds * stats.batch_inversions,
+            "{stats:?}"
+        );
+    }
+}
+
+#[test]
+fn aggregation_is_backend_invariant_at_every_width() {
+    // On a size that fans out: points ±P and scalars that repeat one digit
+    // in every window put P, −P, 2P and holes side by side in the buckets.
+    // The sum is a multiple of P; Serial / pool of 1 / pool of 8 agree on it
+    // and on every count.
+    let mut r = rng();
+    let n = 320;
+    let p = cheap_points(1, &mut r)[0];
+    let points: Vec<G1Affine> = (0..n)
+        .map(|i| if i % 4 == 3 { p.neg() } else { p })
+        .collect();
+    let backends: [&dyn Backend; 3] = [&Serial, &ThreadPool::new(1), &ThreadPool::new(8)];
+    for w in 1..=16usize {
+        let half = 1u64 << (w - 1);
+        let every_window =
+            (0..240 / w).fold(Fr::zero(), |acc, _| acc * Fr::from_u64(1 << w) + Fr::one());
+        let scalars: Vec<Fr> = (0..n as u64)
+            .map(|i| match i % 5 {
+                0 => Fr::zero(),
+                _ => Fr::from_u64(1 + (i / 3) % half) * every_window,
+            })
+            .collect();
+        let signed: Fr = (0..n)
+            .map(|i| if i % 4 == 3 { -scalars[i] } else { scalars[i] })
+            .sum();
+        let expect = p.to_projective().mul_scalar(&signed);
+        for signed_digits in [false, true] {
+            for min_points in [0, BATCH_AFFINE_DEFAULT_MIN_POINTS, usize::MAX] {
+                let config = MsmConfig::optimized()
+                    .with_signed_digits(signed_digits)
+                    .with_window_bits(w)
+                    .with_batch_affine_min_points(min_points);
+                let serial = msm_with_config_on(&Serial, &points, &scalars, config);
+                assert_eq!(serial.0, expect, "{config:?}");
+                for backend in backends {
+                    let other = msm_with_config_on(backend, &points, &scalars, config);
+                    assert_eq!(other, serial, "{config:?}, {backend:?}");
+                }
+            }
+        }
+    }
 }

@@ -57,24 +57,6 @@ pub fn limbs_is_zero(a: &[u64]) -> bool {
     a.iter().all(|&x| x == 0)
 }
 
-/// Returns `true` if `a` equals the multi-precision integer `1`.
-#[doc(hidden)]
-#[inline]
-pub fn limbs_is_one(a: &[u64]) -> bool {
-    a[0] == 1 && a[1..].iter().all(|&x| x == 0)
-}
-
-/// In-place logical right shift by one bit across the whole limb array.
-#[doc(hidden)]
-#[inline]
-pub fn limbs_shr1(a: &mut [u64]) {
-    let n = a.len();
-    for i in 0..n {
-        let hi = if i + 1 < n { a[i + 1] & 1 } else { 0 };
-        a[i] = (a[i] >> 1) | (hi << 63);
-    }
-}
-
 /// In-place subtraction `a -= b`; assumes `a >= b`. Panics in debug builds on
 /// underflow.
 #[doc(hidden)]
@@ -87,19 +69,6 @@ pub fn limbs_sub_assign(a: &mut [u64], b: &[u64]) {
         borrow = br;
     }
     debug_assert_eq!(borrow, 0, "limbs_sub_assign underflow");
-}
-
-/// In-place addition `a += b`, returning the final carry (0 or 1).
-#[doc(hidden)]
-#[inline]
-pub fn limbs_add_assign(a: &mut [u64], b: &[u64]) -> u64 {
-    let mut carry = 0u64;
-    for i in 0..a.len() {
-        let (d, c) = adc(a[i], b[i], carry);
-        a[i] = d;
-        carry = c;
-    }
-    carry
 }
 
 #[cfg(test)]
@@ -137,23 +106,11 @@ mod tests {
         assert!(!limbs_lt(&[3, 3], &[3, 3]));
         assert!(limbs_is_zero(&[0, 0, 0]));
         assert!(!limbs_is_zero(&[0, 1, 0]));
-        assert!(limbs_is_one(&[1, 0]));
-        assert!(!limbs_is_one(&[1, 1]));
     }
 
     #[test]
-    fn shr1_across_limbs() {
-        let mut a = [0u64, 1u64];
-        limbs_shr1(&mut a);
-        assert_eq!(a, [1u64 << 63, 0]);
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let mut a = [u64::MAX, 7];
-        let carry = limbs_add_assign(&mut a, &[1, 0]);
-        assert_eq!(carry, 0);
-        assert_eq!(a, [0, 8]);
+    fn sub_borrows_across_limbs() {
+        let mut a = [0, 8];
         limbs_sub_assign(&mut a, &[1, 0]);
         assert_eq!(a, [u64::MAX, 7]);
     }

@@ -167,26 +167,68 @@ macro_rules! kernel_tests {
                 }
             }
 
+            /// Canonical values that are mostly zero limbs: every power of
+            /// two, and one or two full limbs with zero runs around them.
+            fn sparse_operands() -> Vec<$field> {
+                let top = $limbs - 1;
+                let full = |limb| match limb {
+                    limb if limb == top => $field::MODULUS[top] >> 1,
+                    _ => u64::MAX,
+                };
+                let mut raw = Vec::new();
+                for bit in 0..$field::NUM_BITS as usize {
+                    let mut limbs = [0u64; $limbs];
+                    limbs[bit / 64] = 1 << (bit % 64);
+                    raw.push(limbs);
+                }
+                for limb in 0..$limbs {
+                    let mut limbs = [0u64; $limbs];
+                    limbs[limb] = full(limb);
+                    raw.push(limbs);
+                    limbs[0] = 1;
+                    limbs[top] = full(top);
+                    raw.push(limbs);
+                }
+                raw.into_iter().map($field::from_canonical_limbs).collect()
+            }
+
             #[test]
-            fn pow_and_inversions_round_trip() {
+            fn pow_identities_hold() {
                 let mut rng = StdRng::seed_from_u64(0x5eed_0113 + $limbs);
                 let mut xs = edge_operands();
                 xs.extend((0..32).map(|_| $field::random(&mut rng)));
                 xs.retain(|x| !x.is_zero());
                 for x in &xs {
-                    let inv = x.invert().expect("nonzero");
-                    assert_eq!(inv, x.invert_fermat().expect("nonzero"), "{x:?}");
-                    assert_eq!(inv * *x, $field::one(), "{x:?}");
                     assert_eq!(x.pow(&[5]), x.square().square() * *x, "{x:?}");
                     assert_eq!(x.pow(&[0, 1]), x.pow(&[1 << 32]).pow(&[1 << 32]), "{x:?}");
                     let k: u64 = rng.gen::<u64>() >> 1;
                     assert_eq!(x.pow(&[k]) * x.pow(&[k + 1]), x.pow(&[2 * k + 1]), "{x:?}");
+                }
+            }
+
+            #[test]
+            fn inversion_matches_the_exponentiation() {
+                // The word-stepped GCD on the edge operands, on values that
+                // are mostly zero limbs, and on 10 000 random ones.
+                let mut rng = StdRng::seed_from_u64(0x5eed_0116 + $limbs);
+                let mut xs = edge_operands();
+                xs.retain(|x| !x.is_zero());
+                xs.extend(sparse_operands());
+                xs.extend((0..10_000).map(|_| $field::random(&mut rng)));
+                for x in &xs {
+                    let (inv, muls) = measure_modmuls(|| x.invert().expect("nonzero"));
+                    assert_eq!(inv, x.invert_fermat().expect("nonzero"), "{x:?}");
+                    assert_eq!(inv * *x, $field::one(), "{x:?}");
+                    assert_eq!(inv.invert(), Some(*x), "{x:?}");
+                    assert_eq!(muls, $count, "{x:?}");
                 }
                 let mut batched = xs.clone();
                 batch_invert(&mut batched);
                 for (x, inv) in xs.iter().zip(&batched) {
                     assert_eq!(*inv, x.invert().expect("nonzero"), "{x:?}");
                 }
+                batch_invert(&mut batched);
+                assert_eq!(batched, xs);
                 assert!($field::zero().invert().is_none());
                 assert!($field::zero().invert_fermat().is_none());
             }

@@ -33,6 +33,7 @@ pub mod arith;
 pub mod counters;
 mod fq;
 mod fr;
+mod inverse;
 #[cfg(test)]
 mod kernel_tests;
 mod montgomery;

@@ -359,63 +359,21 @@ macro_rules! impl_montgomery_field {
                 self.pow(&[exp])
             }
 
-            /// Computes the multiplicative inverse using the binary extended
-            /// Euclidean algorithm (BEEA), or `None` for zero.
-            ///
-            /// This mirrors the constant-time BEEA datapath of zkSpeed's
-            /// FracMLE unit (Section 4.4.1), which runs `2W − 1` shift /
-            /// subtract iterations for `W`-bit inputs.
+            /// Computes the multiplicative inverse, or `None` for zero, with a
+            /// binary GCD that takes 62 steps on the operands' low words per
+            /// multi-limb update (Bernstein–Yang division steps, variable
+            /// time). One counted multiplication, the conversion back to
+            /// Montgomery form.
             pub fn invert(&self) -> Option<Self> {
                 if self.is_zero() {
                     return None;
                 }
-                let mut u = self.to_canonical_limbs();
-                let mut v = Self::MODULUS;
-                let mut x1 = [0u64; $limbs];
-                x1[0] = 1;
-                let mut x2 = [0u64; $limbs];
-
-                let halve_mod = |x: &mut [u64; $limbs]| {
-                    if x[0] & 1 == 0 {
-                        $crate::arith::limbs_shr1(x);
-                    } else {
-                        let carry = $crate::arith::limbs_add_assign(x, &Self::MODULUS);
-                        $crate::arith::limbs_shr1(x);
-                        if carry == 1 {
-                            x[$limbs - 1] |= 1u64 << 63;
-                        }
-                    }
-                };
-
-                while !$crate::arith::limbs_is_one(&u) && !$crate::arith::limbs_is_one(&v) {
-                    while u[0] & 1 == 0 {
-                        $crate::arith::limbs_shr1(&mut u);
-                        halve_mod(&mut x1);
-                    }
-                    while v[0] & 1 == 0 {
-                        $crate::arith::limbs_shr1(&mut v);
-                        halve_mod(&mut x2);
-                    }
-                    if $crate::arith::limbs_lt(&v, &u) {
-                        $crate::arith::limbs_sub_assign(&mut u, &v);
-                        if $crate::arith::limbs_lt(&x1, &x2) {
-                            let _ = $crate::arith::limbs_add_assign(&mut x1, &Self::MODULUS);
-                        }
-                        $crate::arith::limbs_sub_assign(&mut x1, &x2);
-                    } else {
-                        $crate::arith::limbs_sub_assign(&mut v, &u);
-                        if $crate::arith::limbs_lt(&x2, &x1) {
-                            let _ = $crate::arith::limbs_add_assign(&mut x2, &Self::MODULUS);
-                        }
-                        $crate::arith::limbs_sub_assign(&mut x2, &x1);
-                    }
-                }
-                let res = if $crate::arith::limbs_is_one(&u) {
-                    x1
-                } else {
-                    x2
-                };
-                Some(Self::from_canonical_limbs(res))
+                let inverse = $crate::inverse::invert::<$limbs, { $limbs + 1 }>(
+                    &self.to_canonical_limbs(),
+                    &Self::MODULUS,
+                    Self::INV,
+                );
+                Some(Self::from_canonical_limbs(inverse))
             }
 
             /// Computes the inverse via Fermat's little theorem (`a^{p-2}`).

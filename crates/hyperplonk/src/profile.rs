@@ -13,13 +13,16 @@
 //! reports both the measured values and an O(n) extrapolation to 2^20, since
 //! every kernel except the MSMs is linear in the number of gates).
 
-use zkspeed_field::{modmul_count, reset_modmul_count, Fr};
-use zkspeed_poly::{fraction_mle, product_mle, MultilinearPoly, VirtualPolynomial};
+use zkspeed_field::{measure_modmuls, modmul_count, reset_modmul_count, Fr};
+use zkspeed_poly::{fraction_mle, product_mle, MultilinearPoly};
+use zkspeed_rt::pool::Ambient;
 use zkspeed_rt::Rng;
-use zkspeed_sumcheck::round_polynomial;
+use zkspeed_sumcheck::{prove, prove_zerocheck};
+use zkspeed_transcript::Transcript;
 
 use crate::mock::{mock_circuit, SparsityProfile};
-use crate::prover::{GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE};
+use crate::proof::query_groups;
+use crate::prover::{construct_nd, gate_polynomial, opening_polynomial, wiring_polynomial};
 
 /// Bytes per MLE table entry (one 255-bit field element packed into 32 B).
 pub const BYTES_PER_FIELD_ELEMENT: usize = 32;
@@ -94,18 +97,10 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     // Wiring identity MSMs: dense commitments to φ and π.
     let beta = Fr::random(rng);
     let gamma = Fr::random(rng);
-    let ids = circuit.identity_mles();
     let sigmas = circuit.sigma_mles();
-    let numerator = MultilinearPoly::from_fn(num_vars, |i| {
-        (0..3)
-            .map(|j| witness.columns[j][i] + beta * ids[j][i] + gamma)
-            .product()
-    });
-    let denominator = MultilinearPoly::from_fn(num_vars, |i| {
-        (0..3)
-            .map(|j| witness.columns[j][i] + beta * sigmas[j][i] + gamma)
-            .product()
-    });
+    let (numerators, denominators) = construct_nd(&witness, &sigmas, beta, gamma);
+    let product = |t: &[MultilinearPoly]| t[0].hadamard(&t[1]).hadamard(&t[2]);
+    let (numerator, denominator) = (product(&numerators), product(&denominators));
     let phi = fraction_mle(&numerator, &denominator);
     let pi = product_mle(&phi);
 
@@ -141,75 +136,48 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
         output_bytes: 0,
     });
 
-    // --- SumCheck-round kernels --------------------------------------------
-    // One representative round at full problem size for each flavour; a full
-    // run executes μ rounds of geometrically decreasing size, i.e. ≈2× the
-    // first round, which the caller can extrapolate.
-    let challenges: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
-    let eq = MultilinearPoly::eq_mle(&challenges);
-
-    // ZeroCheck (gate identity, Eq. 3).
-    let mut f_gate = VirtualPolynomial::new(num_vars);
-    let idx: Vec<usize> = circuit
-        .selectors()
-        .iter()
-        .chain(witness.columns.iter())
-        .map(|m| f_gate.add_mle(m.clone()))
+    // --- SumCheck kernels ------------------------------------------------------
+    // The three polynomials exactly as the prover builds them, each proved
+    // in full. A table's MLE Updates over all rounds are the multiplications
+    // of evaluating it at a point; the rest of a proof's count is its rounds
+    // (for the two ZeroChecks, with the Build MLE of their `eq` table).
+    let point: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
+    let f_gate = gate_polynomial(&circuit, &witness);
+    let f_perm = wiring_polynomial(&phi, &pi, &numerators, &denominators, Fr::random(rng));
+    let groups = query_groups(&point, &point);
+    let combined: Vec<MultilinearPoly> = (0..groups.len())
+        .map(|_| MultilinearPoly::random(num_vars, rng))
         .collect();
-    let eq_idx = f_gate.add_mle(eq.clone());
-    f_gate.add_term(Fr::one(), vec![idx[0], idx[5], eq_idx]);
-    f_gate.add_term(Fr::one(), vec![idx[1], idx[6], eq_idx]);
-    f_gate.add_term(Fr::one(), vec![idx[2], idx[5], idx[6], eq_idx]);
-    f_gate.add_term(-Fr::one(), vec![idx[3], idx[7], eq_idx]);
-    f_gate.add_term(Fr::one(), vec![idx[4], eq_idx]);
-    let before = modmul_count();
-    let _ = round_polynomial(&f_gate, GATE_SUMCHECK_DEGREE);
-    rows.push(KernelProfile {
-        kernel: "ZeroCheck Rounds",
-        modmuls: 2 * modmul_count().since(&before).total(),
-        input_bytes: 2 * f_gate.table_entries() as u64 * fe,
-        output_bytes: 0,
-    });
-
-    // PermCheck (Eq. 4): ten distinct MLEs of degree up to 5.
-    let (p1, p2) = zkspeed_poly::split_even_odd(&phi, &pi);
-    let alpha = Fr::random(rng);
-    let mut f_perm = VirtualPolynomial::new(num_vars);
-    let pii = f_perm.add_mle(pi.clone());
-    let p1i = f_perm.add_mle(p1);
-    let p2i = f_perm.add_mle(p2);
-    let phii = f_perm.add_mle(phi.clone());
-    let d1 = f_perm.add_mle(denominator.clone());
-    let n1 = f_perm.add_mle(numerator.clone());
-    let eqi = f_perm.add_mle(eq.clone());
-    f_perm.add_term(Fr::one(), vec![pii, eqi]);
-    f_perm.add_term(-Fr::one(), vec![p1i, p2i, eqi]);
-    f_perm.add_term(alpha, vec![phii, d1, d1, d1, eqi]);
-    f_perm.add_term(-alpha, vec![n1, n1, n1, eqi]);
-    let before = modmul_count();
-    let _ = round_polynomial(&f_perm, PERM_SUMCHECK_DEGREE + 1);
-    rows.push(KernelProfile {
-        kernel: "PermCheck Rounds",
-        modmuls: 2 * modmul_count().since(&before).total(),
-        input_bytes: 2 * f_perm.table_entries() as u64 * fe,
-        output_bytes: 0,
-    });
-
-    // OpenCheck (Eq. 5): six degree-2 products.
-    let mut f_open = VirtualPolynomial::new(num_vars);
-    for _ in 0..6 {
-        let y = f_open.add_mle(MultilinearPoly::random(num_vars, rng));
-        let k = f_open.add_mle(eq.clone());
-        f_open.add_term(Fr::random(rng), vec![y, k]);
+    let f_open = opening_polynomial(&groups, &combined, Fr::random(rng), &Ambient);
+    let mut update_modmuls = 0;
+    let mut update_entries = 0;
+    for (kernel, f, zerocheck) in [
+        ("ZeroCheck Rounds", &f_gate, true),
+        ("PermCheck Rounds", &f_perm, true),
+        ("OpenCheck Rounds", &f_open, false),
+    ] {
+        let ((), updates) = measure_modmuls(|| {
+            for m in f.mles() {
+                let _ = m.evaluate(&point);
+            }
+        });
+        let ((), proof) = measure_modmuls(|| {
+            let mut transcript = Transcript::new(b"profile");
+            if zerocheck {
+                let _ = prove_zerocheck(f, &mut transcript);
+            } else {
+                let _ = prove(f, &mut transcript);
+            }
+        });
+        rows.push(KernelProfile {
+            kernel,
+            modmuls: proof.total() - updates.total(),
+            input_bytes: 2 * f.table_entries() as u64 * fe,
+            output_bytes: 0,
+        });
+        update_modmuls += updates.total();
+        update_entries += f.table_entries() as u64;
     }
-    let before = modmul_count();
-    let _ = round_polynomial(&f_open, OPENCHECK_DEGREE);
-    rows.push(KernelProfile {
-        kernel: "OpenCheck Rounds",
-        modmuls: 2 * modmul_count().since(&before).total(),
-        input_bytes: 2 * f_open.table_entries() as u64 * fe,
-        output_bytes: 0,
-    });
 
     // --- MLE construction kernels -------------------------------------------
     let before = modmul_count();
@@ -231,18 +199,7 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     });
 
     let before = modmul_count();
-    let _n_tables: Vec<MultilinearPoly> = (0..3)
-        .map(|j| {
-            MultilinearPoly::from_fn(num_vars, |i| {
-                witness.columns[j][i] + beta * ids[j][i] + gamma
-            })
-        })
-        .chain((0..3).map(|j| {
-            MultilinearPoly::from_fn(num_vars, |i| {
-                witness.columns[j][i] + beta * sigmas[j][i] + gamma
-            })
-        }))
-        .collect();
+    let _ = construct_nd(&witness, &sigmas, beta, gamma);
     rows.push(KernelProfile {
         kernel: "Construct N & D",
         modmuls: modmul_count().since(&before).total(),
@@ -251,7 +208,6 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     });
 
     // Batch evaluations: 21 MLE evaluations among 13 polynomials.
-    let point: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
     let before = modmul_count();
     for _ in 0..2 {
         for m in circuit.selectors().iter() {
@@ -288,23 +244,12 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
         output_bytes: 2 * n as u64 * fe,
     });
 
-    // MLE Updates: fixing one variable of every table across all three
-    // SumChecks (≈ 2× the first-round cost over all rounds).
-    let before = modmul_count();
-    for vp in [&f_gate, &f_perm, &f_open] {
-        for m in vp.mles() {
-            let _ = m.fix_first_variable(point[0]);
-        }
-    }
+    // MLE Updates: every table of all three SumChecks, over all rounds.
     rows.push(KernelProfile {
         kernel: "All MLE Updates",
-        modmuls: 2 * modmul_count().since(&before).total(),
-        input_bytes: 2
-            * (f_gate.table_entries() + f_perm.table_entries() + f_open.table_entries()) as u64
-            * fe,
-        output_bytes: (f_gate.table_entries() + f_perm.table_entries() + f_open.table_entries())
-            as u64
-            * fe,
+        modmuls: update_modmuls,
+        input_bytes: 2 * update_entries * fe,
+        output_bytes: update_entries * fe,
     });
 
     rows.sort_by(|a, b| {

@@ -5,9 +5,9 @@
 //! | Step | Kernels exercised |
 //! |---|---|
 //! | 1. Witness Commits | Sparse MSM |
-//! | 2. Gate Identity | Build MLE, SumCheck (ZeroCheck), MLE Update |
-//! | 3. Wiring Identity | Construct N&D, FracMLE, Product MLE, dense MSM, ZeroCheck |
-//! | 4. Batch Evaluations | MLE Evaluate |
+//! | 2. Gate Identity | Build MLE (half-size `eq`, a weight not an MLE), ZeroCheck, MLE Update |
+//! | 3. Wiring Identity | Construct N&D, FracMLE, Product MLE, dense MSM, ZeroCheck (as step 2) |
+//! | 4. Batch Evaluations | MLE Evaluate (only what no SumCheck already returned) |
 //! | 5. Polynomial Opening | MLE Combine, Build MLE, SumCheck (OpenCheck), halving MSMs |
 //!
 //! [`prove_with_report_on`] also returns wall-clock and operation-count
@@ -28,15 +28,16 @@ use zkspeed_rt::trace::TraceSink;
 use zkspeed_sumcheck::{prove_traced_on as sumcheck_prove_traced_on, prove_zerocheck_traced_on};
 use zkspeed_transcript::Transcript;
 
-use crate::circuit::{SatisfactionError, Witness};
+use crate::circuit::{Circuit, SatisfactionError, Witness};
 use crate::keys::ProvingKey;
-use crate::proof::{query_groups, BatchEvaluations, PolyLabel, Proof};
+use crate::proof::{query_groups, BatchEvaluations, PolyLabel, Proof, QueryGroup};
 
-/// Per-round degree of the Gate Identity ZeroCheck polynomial (Eq. 3 with the
-/// `eq` mask): `q_M·w₁·w₂·eq` has degree 4.
+/// Per-round degree of the Gate Identity ZeroCheck round polynomials: Eq. 3's
+/// `q_M·w₁·w₂` has degree 3 and the `eq` factor, which the prover multiplies
+/// in once per round, makes it 4.
 pub const GATE_SUMCHECK_DEGREE: usize = 4;
-/// Per-round degree of the Wiring Identity ZeroCheck polynomial (Eq. 4 with
-/// the `eq` mask): `φ·D₁·D₂·D₃·eq` has degree 5.
+/// Per-round degree of the Wiring Identity ZeroCheck round polynomials: Eq.
+/// 4's `φ·D₁·D₂·D₃` has degree 4, 5 with the `eq` factor.
 pub const PERM_SUMCHECK_DEGREE: usize = 5;
 /// Per-round degree of the OpenCheck polynomial (Eq. 5): `yᵢ·kᵢ` has degree 2.
 pub const OPENCHECK_DEGREE: usize = 2;
@@ -395,20 +396,7 @@ pub fn prove_unchecked_traced_on(
     // ----- Step 2: Gate Identity (ZeroCheck) ------------------------------
     let t1 = Instant::now();
     let step_span = trace.span_with("gate-identity", "prove", &[("job", job)]);
-    let mut f_gate = VirtualPolynomial::new(mu);
-    let ql = f_gate.add_mle(pk.circuit.selectors()[0].clone());
-    let qr = f_gate.add_mle(pk.circuit.selectors()[1].clone());
-    let qm = f_gate.add_mle(pk.circuit.selectors()[2].clone());
-    let qo = f_gate.add_mle(pk.circuit.selectors()[3].clone());
-    let qc = f_gate.add_mle(pk.circuit.selectors()[4].clone());
-    let w1 = f_gate.add_mle(witness.columns[0].clone());
-    let w2 = f_gate.add_mle(witness.columns[1].clone());
-    let w3 = f_gate.add_mle(witness.columns[2].clone());
-    f_gate.add_term(Fr::one(), vec![ql, w1]);
-    f_gate.add_term(Fr::one(), vec![qr, w2]);
-    f_gate.add_term(Fr::one(), vec![qm, w1, w2]);
-    f_gate.add_term(-Fr::one(), vec![qo, w3]);
-    f_gate.add_term(Fr::one(), vec![qc]);
+    let f_gate = gate_polynomial(&pk.circuit, witness);
     let gate_out =
         prove_zerocheck_traced_on(&f_gate, &mut transcript, &**backend, trace, "gate-round");
     let gate_point = gate_out.sumcheck.point.clone();
@@ -420,19 +408,11 @@ pub fn prove_unchecked_traced_on(
     let step_span = trace.span_with("wire-identity", "prove", &[("job", job)]);
     let beta = transcript.challenge_scalar(b"beta");
     let gamma = transcript.challenge_scalar(b"gamma");
-    let ids = pk.circuit.identity_mles();
     let sigmas = pk.circuit.sigma_mles();
 
     // Construct N & D: six intermediate MLEs plus their products.
     let nd_span = trace.span_with("construct-nd", "prove", &[("job", job)]);
-    let numerators: Vec<MultilinearPoly> = (0..3)
-        .map(|j| MultilinearPoly::from_fn(mu, |i| witness.columns[j][i] + beta * ids[j][i] + gamma))
-        .collect();
-    let denominators: Vec<MultilinearPoly> = (0..3)
-        .map(|j| {
-            MultilinearPoly::from_fn(mu, |i| witness.columns[j][i] + beta * sigmas[j][i] + gamma)
-        })
-        .collect();
+    let (numerators, denominators) = construct_nd(witness, &sigmas, beta, gamma);
     let n_mle = numerators[0]
         .hadamard(&numerators[1])
         .hadamard(&numerators[2]);
@@ -474,24 +454,7 @@ pub fn prove_unchecked_traced_on(
     let alpha = transcript.challenge_scalar(b"alpha");
 
     // PermCheck ZeroCheck on Eq. (4).
-    let (p1, p2) = split_even_odd(&phi, &pi);
-    let mut f_perm = VirtualPolynomial::new(mu);
-    let pi_idx = f_perm.add_mle(pi.clone());
-    let p1_idx = f_perm.add_mle(p1);
-    let p2_idx = f_perm.add_mle(p2);
-    let phi_idx = f_perm.add_mle(phi.clone());
-    let d_idx: Vec<usize> = denominators
-        .iter()
-        .map(|d| f_perm.add_mle(d.clone()))
-        .collect();
-    let n_idx: Vec<usize> = numerators
-        .iter()
-        .map(|nn| f_perm.add_mle(nn.clone()))
-        .collect();
-    f_perm.add_term(Fr::one(), vec![pi_idx]);
-    f_perm.add_term(-Fr::one(), vec![p1_idx, p2_idx]);
-    f_perm.add_term(alpha, vec![phi_idx, d_idx[0], d_idx[1], d_idx[2]]);
-    f_perm.add_term(-alpha, vec![n_idx[0], n_idx[1], n_idx[2]]);
+    let f_perm = wiring_polynomial(&phi, &pi, &numerators, &denominators, alpha);
     let perm_out =
         prove_zerocheck_traced_on(&f_perm, &mut transcript, &**backend, trace, "perm-round");
     let perm_point = perm_out.sumcheck.point.clone();
@@ -519,26 +482,37 @@ pub fn prove_unchecked_traced_on(
             PolyLabel::Pi => &pi,
         }
     };
-    // All 21 queried evaluations are independent; fan them out one job per
-    // (group, label) pair and regroup in query order.
-    let queries: Vec<(MultilinearPoly, Vec<Fr>)> = groups
-        .iter()
-        .flat_map(|g| {
-            g.labels
-                .iter()
-                .map(|label| (resolve(*label).clone(), g.point.clone()))
-        })
-        .collect();
+    // The Gate Identity SumCheck ended holding the first group's eight
+    // evaluations and the Wiring Identity one φ and π at the second group's
+    // point; only the rest are evaluated, one job per (group, label) pair.
+    let gate_evals = &gate_out.sumcheck.mle_evaluations;
+    let perm_evals = &perm_out.sumcheck.mle_evaluations;
+    let mut known = Vec::new();
+    let mut queries = Vec::new();
+    for (g, group) in groups.iter().enumerate() {
+        for (l, label) in group.labels.iter().enumerate() {
+            known.push(match (g, label) {
+                (0, _) => Some(gate_evals[l]),
+                (1, PolyLabel::Phi) => Some(perm_evals[WIRING_PHI]),
+                (1, PolyLabel::Pi) => Some(perm_evals[WIRING_PI]),
+                _ => {
+                    queries.push((resolve(*label).clone(), group.point.clone()));
+                    None
+                }
+            });
+        }
+    }
     let evaluated = pool::map_indices_on(&**backend, queries.len(), move |i| {
         let (poly, point) = &queries[i];
         zkspeed_field::measure_modmuls(|| poly.evaluate(point))
     });
-    let mut flat_values = Vec::with_capacity(evaluated.len());
-    for (value, muls) in evaluated {
+    let mut evaluated = evaluated.into_iter().map(|(value, muls)| {
         zkspeed_field::add_modmul_count(muls);
-        flat_values.push(value);
-    }
-    let mut flat_iter = flat_values.into_iter();
+        value
+    });
+    let mut flat_iter = known
+        .into_iter()
+        .map(|k| k.unwrap_or_else(|| evaluated.next().expect("one job per open query")));
     let evaluations = BatchEvaluations {
         values: groups
             .iter()
@@ -580,31 +554,15 @@ pub fn prove_unchecked_traced_on(
     // OpenCheck: Σ_i cⁱ · yᵢ(x) · kᵢ(x) summed over the hypercube equals the
     // combined claimed evaluations.
     let c = transcript.challenge_scalar(b"opencheck-combine");
-    let c_powers = powers(c, groups.len());
-    let mut f_open = VirtualPolynomial::new(mu);
-    for (group, (y, cp)) in groups
-        .iter()
-        .zip(combined_polys.iter().zip(c_powers.iter()))
-    {
-        let y_idx = f_open.add_mle(y.clone());
-        let k_idx = f_open.add_mle(MultilinearPoly::eq_mle_on(&group.point, &**backend));
-        f_open.add_term(*cp, vec![y_idx, k_idx]);
-    }
+    let f_open = opening_polynomial(&groups, &combined_polys, c, &**backend);
     let open_out =
         sumcheck_prove_traced_on(&f_open, &mut transcript, &**backend, trace, "open-round");
     let rho = open_out.point.clone();
 
-    // Claimed evaluations of the combined polynomials at ρ: one job each.
-    let eval_polys = combined_polys.clone();
-    let eval_rho = rho.clone();
-    let evaluated = pool::map_indices_on(&**backend, combined_polys.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| eval_polys[i].evaluate(&eval_rho))
-    });
-    let mut combined_evaluations = Vec::with_capacity(combined_polys.len());
-    for (value, muls) in evaluated {
-        zkspeed_field::add_modmul_count(muls);
-        combined_evaluations.push(value);
-    }
+    // The claimed evaluations yᵢ(ρ) are where the OpenCheck left its tables.
+    let combined_evaluations: Vec<Fr> = (0..groups.len())
+        .map(|i| open_out.mle_evaluations[2 * i])
+        .collect();
     transcript.append_scalars(b"combined-evaluations", &combined_evaluations);
 
     // Final combination g′ and its halving-MSM opening.
@@ -648,6 +606,94 @@ pub fn prove_unchecked_traced_on(
         },
         report,
     )
+}
+
+/// The Gate Identity polynomial of Eq. (3), `q_L·w₁ + q_R·w₂ + q_M·w₁·w₂ −
+/// q_O·w₃ + q_C`, its MLEs registered in the order of the first query
+/// group's labels (`q_L … q_C, w₁ … w₃`).
+pub(crate) fn gate_polynomial(circuit: &Circuit, witness: &Witness) -> VirtualPolynomial {
+    let mut f = VirtualPolynomial::new(circuit.num_vars());
+    let mut add = |m: &MultilinearPoly| f.add_mle(m.clone());
+    let q: Vec<usize> = circuit.selectors().iter().map(&mut add).collect();
+    let w: Vec<usize> = witness.columns.iter().map(&mut add).collect();
+    f.add_term(Fr::one(), vec![q[0], w[0]]);
+    f.add_term(Fr::one(), vec![q[1], w[1]]);
+    f.add_term(Fr::one(), vec![q[2], w[0], w[1]]);
+    f.add_term(-Fr::one(), vec![q[3], w[2]]);
+    f.add_term(Fr::one(), vec![q[4]]);
+    f
+}
+
+/// **Construct N & D**: the numerator tables `Nⱼ = wⱼ + β·idⱼ + γ` and the
+/// denominator tables `Dⱼ = wⱼ + β·σⱼ + γ` of the three columns. With
+/// `idⱼ(i) = j·n + i`, `β·idⱼ + γ` steps by `β` from entry to entry: the
+/// numerators take no table of it and no multiplication per entry.
+pub(crate) fn construct_nd(
+    witness: &Witness,
+    sigmas: &[MultilinearPoly; 3],
+    beta: Fr,
+    gamma: Fr,
+) -> (Vec<MultilinearPoly>, Vec<MultilinearPoly>) {
+    let numerator = |(j, w): (usize, &MultilinearPoly)| {
+        let mut shift = beta * Fr::from_u64((j * w.len()) as u64) + gamma - beta;
+        MultilinearPoly::from_fn(w.num_vars(), |i| {
+            shift += beta;
+            w[i] + shift
+        })
+    };
+    let denominator = |(w, s): (&MultilinearPoly, &MultilinearPoly)| {
+        MultilinearPoly::from_fn(w.num_vars(), |i| w[i] + beta * s[i] + gamma)
+    };
+    let columns = &witness.columns;
+    let numerators = columns.iter().enumerate().map(numerator).collect();
+    let denominators = columns.iter().zip(sigmas).map(denominator).collect();
+    (numerators, denominators)
+}
+
+/// Where [`wiring_polynomial`] registers `π` and `φ`.
+const WIRING_PI: usize = 0;
+const WIRING_PHI: usize = 3;
+
+/// The Wiring Identity polynomial of Eq. (4), `π − p₁·p₂ + α·(φ·D₁·D₂·D₃ −
+/// N₁·N₂·N₃)`, its MLEs registered as `π, p₁, p₂, φ, D₁…D₃, N₁…N₃`.
+pub(crate) fn wiring_polynomial(
+    phi: &MultilinearPoly,
+    pi: &MultilinearPoly,
+    numerators: &[MultilinearPoly],
+    denominators: &[MultilinearPoly],
+    alpha: Fr,
+) -> VirtualPolynomial {
+    let (p1, p2) = split_even_odd(phi, pi);
+    let mut f = VirtualPolynomial::new(phi.num_vars());
+    let pi_idx = f.add_mle(pi.clone());
+    let p1_idx = f.add_mle(p1);
+    let p2_idx = f.add_mle(p2);
+    let mut with_phi = vec![f.add_mle(phi.clone())];
+    with_phi.extend(denominators.iter().map(|d| f.add_mle(d.clone())));
+    let n_idx = numerators.iter().map(|n| f.add_mle(n.clone())).collect();
+    f.add_term(Fr::one(), vec![pi_idx]);
+    f.add_term(-Fr::one(), vec![p1_idx, p2_idx]);
+    f.add_term(alpha, with_phi);
+    f.add_term(-alpha, n_idx);
+    f
+}
+
+/// The OpenCheck polynomial of Eq. (5), `Σᵢ cⁱ·yᵢ(x)·kᵢ(x)` with `kᵢ` the
+/// `eq` table of group `i`'s point, registered as `y₀, k₀, y₁, k₁, …`: its
+/// hypercube sum is the `c`-combination of the claimed evaluations.
+pub(crate) fn opening_polynomial(
+    groups: &[QueryGroup],
+    combined: &[MultilinearPoly],
+    c: Fr,
+    backend: &dyn Backend,
+) -> VirtualPolynomial {
+    let mut f = VirtualPolynomial::new(combined[0].num_vars());
+    for ((group, y), c_power) in groups.iter().zip(combined).zip(powers(c, groups.len())) {
+        let y_idx = f.add_mle(y.clone());
+        let k_idx = f.add_mle(MultilinearPoly::eq_mle_on(&group.point, backend));
+        f.add_term(c_power, vec![y_idx, k_idx]);
+    }
+    f
 }
 
 /// Returns `[1, base, base², …]` with `count` entries.

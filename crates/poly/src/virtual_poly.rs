@@ -83,8 +83,8 @@ impl VirtualPolynomial {
     }
 
     /// The maximum per-variable degree across terms (the paper's "degree
-    /// imbalance" — e.g. 4 for the Gate Identity polynomial of Eq. 3 once
-    /// the `eq` factor is included).
+    /// imbalance" — e.g. 3 for the Gate Identity polynomial of Eq. 3; the
+    /// ZeroCheck prover adds the `eq` factor's one without a term for it).
     pub fn degree(&self) -> usize {
         self.terms.iter().map(Term::degree).max().unwrap_or(0)
     }
@@ -95,13 +95,7 @@ impl VirtualPolynomial {
     ///
     /// Panics if the MLE's variable count does not match the polynomial's.
     pub fn add_mle(&mut self, mle: MultilinearPoly) -> usize {
-        assert_eq!(
-            mle.num_vars(),
-            self.num_vars,
-            "add_mle: variable count mismatch"
-        );
-        self.mles.push(Arc::new(mle));
-        self.mles.len() - 1
+        self.add_shared_mle(Arc::new(mle))
     }
 
     /// Registers a shared MLE and returns its index.
@@ -135,24 +129,19 @@ impl VirtualPolynomial {
         });
     }
 
-    /// Convenience helper: registers the given MLEs and adds one term over
-    /// them (no deduplication).
-    pub fn add_product(&mut self, coefficient: Fr, mles: Vec<MultilinearPoly>) {
-        let indices: Vec<usize> = mles.into_iter().map(|m| self.add_mle(m)).collect();
-        self.add_term(coefficient, indices);
+    /// `Σ_k c_k · Π_j value(f_{k,j})` for a value of every MLE.
+    fn combine(&self, value: impl Fn(usize) -> Fr) -> Fr {
+        let product = |t: &Term| {
+            t.mle_indices
+                .iter()
+                .fold(t.coefficient, |p, &m| p * value(m))
+        };
+        self.terms.iter().map(product).sum()
     }
 
     /// Evaluates the virtual polynomial at one hypercube index.
     pub fn evaluate_at_index(&self, index: usize) -> Fr {
-        let mut acc = Fr::zero();
-        for term in &self.terms {
-            let mut prod = term.coefficient;
-            for &mi in &term.mle_indices {
-                prod *= self.mles[mi][index];
-            }
-            acc += prod;
-        }
-        acc
+        self.combine(|m| self.mles[m][index])
     }
 
     /// Evaluates the virtual polynomial at an arbitrary point.
@@ -167,15 +156,7 @@ impl VirtualPolynomial {
             "evaluate: point length mismatch"
         );
         let mle_evals: Vec<Fr> = self.mles.iter().map(|m| m.evaluate(point)).collect();
-        let mut acc = Fr::zero();
-        for term in &self.terms {
-            let mut prod = term.coefficient;
-            for &mi in &term.mle_indices {
-                prod *= mle_evals[mi];
-            }
-            acc += prod;
-        }
-        acc
+        self.combine(|m| mle_evals[m])
     }
 
     /// Sums the polynomial over the whole Boolean hypercube (the quantity a
@@ -204,41 +185,6 @@ impl VirtualPolynomial {
                 .iter()
                 .map(|m| Arc::new(m.fix_first_variable(r)))
                 .collect(),
-            terms: self.terms.clone(),
-        }
-    }
-
-    /// [`Self::fix_first_variable`] on an explicit execution backend: the
-    /// per-MLE halvings are independent, so each registered MLE updates in
-    /// its own job (the SumCheck **MLE Update** step fans out across the
-    /// gate/wiring polynomials). Results keep registration order, so the
-    /// output is bit-identical to the serial update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no variables remain.
-    pub fn fix_first_variable_on(&self, r: Fr, backend: &dyn zkspeed_rt::pool::Backend) -> Self {
-        /// Below this table size the per-MLE fan-out is not worth the
-        /// scheduling overhead.
-        const MIN_LEN: usize = 1 << 12;
-        assert!(self.num_vars > 0, "fix_first_variable: no variables left");
-        if backend.threads() == 1 || self.mles.len() < 2 || (1usize << self.num_vars) < MIN_LEN {
-            return self.fix_first_variable(r);
-        }
-        let mles = self.mles.clone();
-        let updated = zkspeed_rt::pool::map_indices_on(backend, mles.len(), move |i| {
-            zkspeed_field::measure_modmuls(|| Arc::new(mles[i].fix_first_variable(r)))
-        });
-        let mles = updated
-            .into_iter()
-            .map(|(mle, muls)| {
-                zkspeed_field::add_modmul_count(muls);
-                mle
-            })
-            .collect();
-        Self {
-            num_vars: self.num_vars - 1,
-            mles,
             terms: self.terms.clone(),
         }
     }
@@ -344,25 +290,6 @@ mod tests {
             expect += vp.evaluate(&point);
         }
         assert_eq!(fixed.sum_over_hypercube(), expect);
-    }
-
-    #[test]
-    fn backend_update_matches_serial() {
-        use zkspeed_rt::pool::ThreadPool;
-        let mut r = rng();
-        let mut vp = VirtualPolynomial::new(12);
-        let f = vp.add_mle(MultilinearPoly::random(12, &mut r));
-        let g = vp.add_mle(MultilinearPoly::random(12, &mut r));
-        vp.add_term(u(3), vec![f, g]);
-        vp.add_term(u(5), vec![g]);
-        let c = Fr::random(&mut r);
-        let serial = vp.fix_first_variable(c);
-        let pool = ThreadPool::new(4);
-        let parallel = vp.fix_first_variable_on(c, &pool);
-        assert_eq!(parallel.num_vars(), serial.num_vars());
-        for (a, b) in parallel.mles().iter().zip(serial.mles().iter()) {
-            assert_eq!(**a, **b);
-        }
     }
 
     #[test]

@@ -2,21 +2,32 @@
 //!
 //! One prover handles all three HyperPlonk SumCheck flavours (ZeroCheck,
 //! PermCheck, OpenCheck), mirroring zkSpeed's unified SumCheck PE (Section
-//! 4.1.4). Each round is computed exactly the way the SumCheck Round PE of
-//! Figure 4 does it:
+//! 4.1.4), which exists to *share* multipliers across terms. Every round runs
+//! one kernel, driven by a plan derived once from the term list:
 //!
-//! 1. **Per-MLE evaluations** — for every distinct MLE and every boolean
-//!    hypercube instance, evaluate the univariate restriction at
-//!    `X₁ = 0, 1, 2, …, d` by repeated addition of the slope
-//!    (`t[2i+1] − t[2i]`), so repeated polynomials are extended once, not
-//!    once per term;
-//! 2. **Per-term products** — multiply the per-MLE evaluations term by term;
-//! 3. **Sum of products** — accumulate across hypercube instances;
+//! 1. **Per-MLE extensions** — for every hypercube instance, each MLE's
+//!    restriction to `X₁ = 0, 1, …, d` (`d` the largest term degree) by
+//!    repeated addition of the slope (`t[2i+1] − t[2i]`);
+//! 2. **Shared products** — terms whose sorted factor lists share a prefix
+//!    share that product;
+//! 3. **Grouped sums** — terms whose coefficients agree up to sign are added
+//!    or subtracted per instance, and the coefficient multiplies the group's
+//!    accumulated sum once per round (never for `±1`);
 //! 4. **MLE Update** — fix the first variable to the verifier challenge
-//!    (Eq. 2) and move to the next round.
+//!    (Eq. 2), in place once the prover owns the tables.
+//!
+//! ZeroCheck does not carry `eq(X, r)` as one more MLE. Its round polynomial
+//! is `eq(r_{<i}, ρ_{<i})·eq(r_i, X)·t_i(X)` with
+//! `t_i(X) = Σ_{x'} eq(r_{>i}, x')·f(ρ_{<i}, X, x')`, so the kernel's one
+//! optional input is the half-size weight table `eq(r_{>i}, ·)`; `t_i`'s
+//! `d + 2`-th evaluation follows by finite differences and the two scalar
+//! factors multiply the round's evaluations once.
 
-use zkspeed_field::Fr;
-use zkspeed_poly::VirtualPolynomial;
+use std::ops::Range;
+use std::sync::Arc;
+
+use zkspeed_field::{add_modmul_count, measure_modmuls, Fr};
+use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::codec::{DecodeError, Reader};
 use zkspeed_rt::pool::{self, Backend};
 use zkspeed_rt::trace::TraceSink;
@@ -89,8 +100,9 @@ pub struct ProverOutput {
     pub proof: SumcheckProof,
     /// The challenge point `(r₁, …, r_μ)` fixed during the run.
     pub point: Vec<Fr>,
-    /// The evaluation of every registered MLE at `point`, in registration
-    /// order.
+    /// The evaluation of every MLE registered with the proved polynomial at
+    /// `point`, in registration order — for a ZeroCheck these are the MLEs of
+    /// the unmasked polynomial; `eq` is not among them.
     pub mle_evaluations: Vec<Fr>,
 }
 
@@ -139,6 +151,19 @@ pub fn prove_traced_on(
     trace: &TraceSink,
     round_label: &'static str,
 ) -> ProverOutput {
+    prove_rounds(poly, None, transcript, backend, trace, round_label)
+}
+
+/// The round loop of [`prove_traced_on`], and with the Build-MLE challenges
+/// `r` as `eq_point` the ZeroCheck prover's: the sum of `poly(X)·eq(X, r)`.
+pub(crate) fn prove_rounds(
+    poly: &VirtualPolynomial,
+    eq_point: Option<&[Fr]>,
+    transcript: &mut Transcript,
+    backend: &dyn Backend,
+    trace: &TraceSink,
+    round_label: &'static str,
+) -> ProverOutput {
     assert!(
         poly.num_vars() > 0,
         "sumcheck: polynomial must have variables"
@@ -149,28 +174,48 @@ pub fn prove_traced_on(
     );
 
     let num_rounds = poly.num_vars();
-    let degree = poly.degree();
-    let mut current = poly.clone();
+    let plan = Plan::new(poly, poly.degree() + 1 + usize::from(eq_point.is_some()));
+    let mut tables: Vec<Table> = poly.mles().iter().map(|m| m.shared_evaluations()).collect();
+    // `r`, `eq(r_{>i}, ·)` over the instances of round `i`, `eq(r_{<i}, ρ_{<i})`.
+    let mut eq = eq_point.map(|r| {
+        let _span = trace.span("build-mle", "sumcheck");
+        let suffix = MultilinearPoly::eq_mle_on(&r[1..], backend).shared_evaluations();
+        (r, suffix, Fr::one())
+    });
     let mut round_evaluations = Vec::with_capacity(num_rounds);
     let mut point = Vec::with_capacity(num_rounds);
 
     for round in 0..num_rounds {
         let _round_span = trace.span_with(round_label, "sumcheck", &[("round", round as u64)]);
-        let evals = round_polynomial_on(&current, degree, backend);
+        let weights = eq.as_ref().map(|(_, suffix, _)| suffix);
+        let mut evals = round_evaluations_on(&plan, &tables, weights, backend);
+        if let Some((r, _, prefix)) = &eq {
+            // `eq(r_i, X)` is linear in `X`: `1 − r_i` at 0, `r_i` at 1.
+            let mut factor = Fr::one() - r[round];
+            let step = r[round] - factor;
+            for e in &mut evals {
+                *e *= *prefix * factor;
+                factor += step;
+            }
+        }
         transcript.append_scalars(b"sumcheck-round", &evals);
         let challenge = transcript.challenge_scalar(b"sumcheck-challenge");
         point.push(challenge);
-        current = current.fix_first_variable_on(challenge, backend);
+        update_tables(&mut tables, challenge, backend);
+        if let Some((r, suffix, prefix)) = &mut eq {
+            *prefix *= MultilinearPoly::eq_eval(&r[round..=round], &[challenge]);
+            // eq(r_{i+1}, 0) + eq(r_{i+1}, 1) = 1: summing the next variable
+            // out leaves the next round's table.
+            *suffix = Arc::new(suffix.chunks_exact(2).map(|x| x[0] + x[1]).collect());
+        }
         round_evaluations.push(evals);
     }
-
-    // After fixing all variables every MLE is a single value.
-    let mle_evaluations: Vec<Fr> = current.mles().iter().map(|m| m[0]).collect();
 
     ProverOutput {
         proof: SumcheckProof { round_evaluations },
         point,
-        mle_evaluations,
+        // After fixing all variables every table is a single value.
+        mle_evaluations: tables.iter().map(|t| t[0]).collect(),
     }
 }
 
@@ -198,73 +243,217 @@ pub fn round_polynomial_on(
     degree: usize,
     backend: &dyn Backend,
 ) -> Vec<Fr> {
-    const MIN_CHUNK: usize = 256;
-    let half = 1usize << (poly.num_vars() - 1);
-    let num_points = degree + 1;
-
-    // Small rounds (the tail of every sumcheck) and serial backends stay on
-    // the calling thread, borrowing the polynomial directly.
-    if half <= MIN_CHUNK || backend.threads() == 1 {
-        return round_partial(poly.mles(), poly.terms(), 0..half, num_points);
-    }
-
-    // Jobs may run on pool workers, so they capture shared handles to the
-    // MLE list (Arc clones) and term list instead of borrowing.
-    let mles = poly.mles().to_vec();
-    let terms = poly.terms().to_vec();
-    let partials = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
-        zkspeed_field::measure_modmuls(|| round_partial(&mles, &terms, range, num_points))
-    });
-
-    let mut acc = vec![Fr::zero(); num_points];
-    for (partial, muls) in partials {
-        zkspeed_field::add_modmul_count(muls);
-        for (a, p) in acc.iter_mut().zip(partial) {
-            *a += p;
-        }
-    }
-    acc
+    let tables: Vec<Table> = poly.mles().iter().map(|m| m.shared_evaluations()).collect();
+    round_evaluations_on(&Plan::new(poly, degree + 1), &tables, None, backend)
 }
 
-/// Accumulates the round-polynomial contribution of one contiguous range of
-/// hypercube instances (the per-chunk worker body, also the whole serial
-/// sweep when the range covers everything).
-fn round_partial(
-    mles: &[std::sync::Arc<zkspeed_poly::MultilinearPoly>],
-    terms: &[zkspeed_poly::Term],
-    range: std::ops::Range<usize>,
+/// One MLE's evaluations over the hypercube instances still unfixed: shared
+/// with the caller in the first round, owned by the prover afterwards.
+type Table = Arc<Vec<Fr>>;
+
+/// What the round kernel does per hypercube instance, derived once from a
+/// polynomial's term list. A *slot* holds the evaluations at `X = 0, 1, …` of
+/// one MLE (the slot of its index) or of one product (the slots after).
+#[derive(Clone, Debug)]
+struct Plan {
+    /// Evaluations a round yields: `points` of them summed (one more than
+    /// the largest term degree), the rest extended by finite differences.
     num_points: usize,
-) -> Vec<Fr> {
-    let mut acc = vec![Fr::zero(); num_points];
-    // Scratch: per-MLE evaluations at t = 0..=degree for one hypercube
-    // instance.
-    let mut mle_evals = vec![vec![Fr::zero(); num_points]; mles.len()];
-    for i in range {
-        // Per-MLE extension: evaluations at t = 0, 1 are table reads; the
-        // rest follow by repeatedly adding the slope.
-        for (m, evals) in mles.iter().zip(mle_evals.iter_mut()) {
-            let lo = m[2 * i];
-            let hi = m[2 * i + 1];
-            let diff = hi - lo;
-            let mut v = lo;
-            evals[0] = v;
-            for e in evals.iter_mut().skip(1) {
-                v += diff;
-                *e = v;
+    points: usize,
+    /// The distinct products of two or more MLEs, each an earlier slot times
+    /// one MLE.
+    products: Vec<(usize, usize)>,
+    /// Terms whose coefficients agree up to sign: the coefficient and a
+    /// `(slot, subtracted)` per term.
+    groups: Vec<(Fr, Vec<(usize, bool)>)>,
+}
+
+impl Plan {
+    fn new(poly: &VirtualPolynomial, num_points: usize) -> Self {
+        let num_mles = poly.mles().len();
+        let mut products = Vec::new();
+        let mut groups: Vec<(Fr, Vec<(usize, bool)>)> = Vec::new();
+        for term in poly.terms().iter().filter(|t| !t.coefficient.is_zero()) {
+            // Terms whose sorted factor lists share a prefix share its slot.
+            let mut factors = term.mle_indices.clone();
+            factors.sort_unstable();
+            let mut slot = factors[0];
+            for &mle in &factors[1..] {
+                let known = products.iter().position(|p| *p == (slot, mle));
+                slot = num_mles
+                    + known.unwrap_or_else(|| {
+                        products.push((slot, mle));
+                        products.len() - 1
+                    });
+            }
+            let c = term.coefficient;
+            match groups.iter_mut().find(|g| g.0 == c || g.0 == -c) {
+                Some(group) => group.1.push((slot, group.0 != c)),
+                // A lone `−1` starts the coefficient-free group too.
+                None if c == -Fr::one() => groups.push((-c, vec![(slot, true)])),
+                None => groups.push((c, vec![(slot, false)])),
             }
         }
-        // Per-term products and accumulation.
-        for term in terms {
-            for (t, a) in acc.iter_mut().enumerate() {
-                let mut prod = term.coefficient;
-                for &mi in &term.mle_indices {
-                    prod *= mle_evals[mi][t];
+        Self {
+            num_points,
+            points: num_points.min(poly.degree() + 1),
+            products,
+            groups,
+        }
+    }
+}
+
+/// One round's evaluations at `0..plan.num_points` of `Σ_x weights[x]·P(X, x)`
+/// (every weight one without the table), fanned out over `backend` as
+/// [`round_polynomial_on`] describes.
+fn round_evaluations_on(
+    plan: &Plan,
+    tables: &[Table],
+    weights: Option<&Table>,
+    backend: &dyn Backend,
+) -> Vec<Fr> {
+    const MIN_CHUNK: usize = 256;
+    let half = tables.first().map_or(0, |t| t.len() / 2);
+    // Jobs may run on pool workers, so they capture shared handles; small
+    // rounds and serial backends make one chunk, run on the calling thread.
+    let (job_plan, job_tables, job_weights) = (plan.clone(), tables.to_vec(), weights.cloned());
+    let partials = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
+        let weights = job_weights.as_deref().map(|w| &w[..]);
+        measure_modmuls(|| round_partial(&job_plan, &job_tables, weights, range))
+    });
+
+    // Partials add in chunk order; a group's coefficient multiplies its sums.
+    let mut sums = vec![Fr::zero(); plan.groups.len() * plan.points];
+    for (partial, muls) in partials {
+        add_modmul_count(muls);
+        sums.iter_mut().zip(partial).for_each(|(s, p)| *s += p);
+    }
+    let mut evals = vec![Fr::zero(); plan.points];
+    for ((coefficient, _), sums) in plan.groups.iter().zip(sums.chunks_exact(plan.points)) {
+        let unit = *coefficient == Fr::one();
+        for (e, s) in evals.iter_mut().zip(sums) {
+            *e += if unit { *s } else { *s * *coefficient };
+        }
+    }
+    extrapolate(&mut evals, plan.num_points);
+    evals
+}
+
+/// Accumulates the sums of every group, `plan.points` each, over one
+/// contiguous range of hypercube instances (the per-chunk worker body, also
+/// the whole serial sweep when the range covers everything).
+fn round_partial(
+    plan: &Plan,
+    tables: &[Table],
+    weights: Option<&[Fr]>,
+    range: Range<usize>,
+) -> Vec<Fr> {
+    let points = plan.points;
+    let mut sums = vec![Fr::zero(); plan.groups.len() * points];
+    // One instance's slots, and one group's sum before its weight.
+    let mut slots = vec![Fr::zero(); (tables.len() + plan.products.len()) * points];
+    let mut unweighted = vec![Fr::zero(); points];
+    for i in range {
+        // Points 0 and 1 are table reads; the rest follow by adding the slope.
+        for (table, slot) in tables.iter().zip(slots.chunks_exact_mut(points)) {
+            let (lo, hi) = (table[2 * i], table[2 * i + 1]);
+            slot[0] = lo;
+            if points > 1 {
+                slot[1] = hi;
+                let (slope, mut value) = (hi - lo, hi);
+                for e in &mut slot[2..] {
+                    value += slope;
+                    *e = value;
                 }
-                *a += prod;
+            }
+        }
+        for (p, &(left, mle)) in plan.products.iter().enumerate() {
+            let (earlier, out) = slots.split_at_mut((tables.len() + p) * points);
+            let factors = earlier[left * points..]
+                .iter()
+                .zip(&earlier[mle * points..]);
+            for (o, (l, r)) in out[..points].iter_mut().zip(factors) {
+                *o = *l * *r;
+            }
+        }
+        for ((_, members), sums) in plan.groups.iter().zip(sums.chunks_exact_mut(points)) {
+            // Unweighted members go straight into the running sums.
+            let target = match weights {
+                Some(_) => {
+                    unweighted.fill(Fr::zero());
+                    &mut unweighted[..]
+                }
+                None => &mut sums[..],
+            };
+            for &(slot, subtracted) in members {
+                let values = &slots[slot * points..];
+                if subtracted {
+                    target.iter_mut().zip(values).for_each(|(t, v)| *t -= *v);
+                } else {
+                    target.iter_mut().zip(values).for_each(|(t, v)| *t += *v);
+                }
+            }
+            if let Some(weights) = weights {
+                for (s, u) in sums.iter_mut().zip(&unweighted) {
+                    *s += *u * weights[i];
+                }
             }
         }
     }
-    acc
+    sums
+}
+
+/// Extends the evaluations at `0, 1, …, n − 1` of a polynomial of degree
+/// below `n` to `total` points, by additions along the trailing edge of the
+/// forward-difference table (the `n`-th differences are zero).
+fn extrapolate(evals: &mut Vec<Fr>, total: usize) {
+    let n = evals.len();
+    // edge[i] = Δ^{n−1−i} evals[i]
+    let mut edge = evals.clone();
+    for level in 1..n {
+        for i in 0..n - level {
+            edge[i] = edge[i + 1] - edge[i];
+        }
+    }
+    while evals.len() < total {
+        for i in 1..n {
+            edge[i] = edge[i] + edge[i - 1];
+        }
+        evals.push(edge[n - 1]);
+    }
+}
+
+/// **MLE Update** (Eq. 2) of every table, `t'[i] = (t[2i+1] − t[2i])·r +
+/// t[2i]`: in place when the prover owns the table, into a fresh one while
+/// it is still the caller's (the first round) or when large tables update
+/// one job each on a parallel backend, bit-identical at any thread count.
+fn update_tables(tables: &mut [Table], r: Fr, backend: &dyn Backend) {
+    /// Below this table size the fan-out is not worth its scheduling.
+    const MIN_LEN: usize = 1 << 12;
+    let fold = move |t: &[Fr], i: usize| (t[2 * i + 1] - t[2 * i]) * r + t[2 * i];
+    let folded = move |t: &[Fr]| (0..t.len() / 2).map(|i| fold(t, i)).collect::<Vec<Fr>>();
+    if backend.threads() > 1 && tables.len() >= 2 && tables[0].len() >= MIN_LEN {
+        let shared = tables.to_vec();
+        let updated = pool::map_indices_on(backend, shared.len(), move |m| {
+            measure_modmuls(|| folded(&shared[m]))
+        });
+        for (table, (next, muls)) in tables.iter_mut().zip(updated) {
+            add_modmul_count(muls);
+            *table = Arc::new(next);
+        }
+        return;
+    }
+    for table in tables {
+        match Arc::get_mut(table) {
+            Some(own) => {
+                for i in 0..own.len() / 2 {
+                    own[i] = fold(own, i);
+                }
+                own.truncate(own.len() / 2);
+            }
+            None => *table = Arc::new(folded(table)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,17 +3,19 @@
 //!
 //! As described in Section 3.3.2 of the zkSpeed paper, summing `f(X)` alone
 //! is necessary but not sufficient, so the prover first obtains `μ` random
-//! challenges, builds the `eq(X, r)` table (**Build MLE**, Multifunction
-//! Tree unit) and runs SumCheck on `f(X)·eq(X, r)` with claimed sum zero.
-
-use std::sync::Arc;
+//! challenges `r` and runs SumCheck on `f(X)·eq(X, r)` with claimed sum
+//! zero. The prover never materialises that product: `eq` factors out of
+//! every round polynomial (see [`crate::prover`]), leaving a half-size
+//! `eq` table (**Build MLE**, Multifunction Tree unit) to weigh `f` with.
+//! [`mask_with_eq`] builds the product explicitly; it is the definition the
+//! tests hold the prover to.
 
 use zkspeed_field::Fr;
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_transcript::Transcript;
 
 use crate::error::SumcheckError;
-use crate::prover::{ProverOutput, SumcheckProof};
+use crate::prover::{prove_rounds, ProverOutput, SumcheckProof};
 use crate::verifier::{verify, SubClaim};
 
 /// A ZeroCheck proof is a SumCheck proof over the `eq`-masked polynomial.
@@ -22,8 +24,9 @@ pub type ZerocheckProof = SumcheckProof;
 /// Output of the ZeroCheck prover.
 #[derive(Clone, Debug)]
 pub struct ZerocheckProverOutput {
-    /// The underlying SumCheck output (proof, point, MLE evaluations —
-    /// including the appended `eq` MLE as the last entry).
+    /// The underlying SumCheck output: proof, point, and the evaluations of
+    /// the polynomial's own MLEs at the point (`eq` is not one of them; the
+    /// verifier recomputes `eq(point, r)` itself).
     pub sumcheck: ProverOutput,
     /// The Build-MLE challenges `r` used to construct `eq(X, r)`.
     pub build_mle_challenges: Vec<Fr>,
@@ -55,24 +58,20 @@ impl ZerocheckSubClaim {
     }
 }
 
-/// Builds the masked polynomial `f(X)·eq(X, r)` from `f` and the challenges.
+/// Builds the masked polynomial `f(X)·eq(X, r)` from `f` and the challenges:
+/// re-registers the original MLEs (shared, not cloned), appends the `eq`
+/// table, and extends every term with it.
 pub fn mask_with_eq(poly: &VirtualPolynomial, challenges: &[Fr]) -> VirtualPolynomial {
     assert_eq!(
         challenges.len(),
         poly.num_vars(),
         "mask_with_eq: challenge count must equal the number of variables"
     );
-    mask_with(poly, Arc::new(MultilinearPoly::eq_mle(challenges)))
-}
-
-/// Masks `poly` with a prebuilt `eq` MLE: re-registers the original MLEs
-/// (shared, not cloned), appends `eq`, and extends every term with it.
-fn mask_with(poly: &VirtualPolynomial, eq: Arc<MultilinearPoly>) -> VirtualPolynomial {
     let mut masked = VirtualPolynomial::new(poly.num_vars());
     for mle in poly.mles() {
         masked.add_shared_mle(mle.clone());
     }
-    let eq_index = masked.add_shared_mle(eq);
+    let eq_index = masked.add_mle(MultilinearPoly::eq_mle(challenges));
     for term in poly.terms() {
         let mut indices = term.mle_indices.clone();
         indices.push(eq_index);
@@ -81,9 +80,8 @@ fn mask_with(poly: &VirtualPolynomial, eq: Arc<MultilinearPoly>) -> VirtualPolyn
     masked
 }
 
-/// Runs the ZeroCheck prover: draws the Build-MLE challenges from the
-/// transcript, masks `poly` with `eq(X, r)` and runs SumCheck with claimed
-/// sum zero.
+/// Runs the ZeroCheck prover: draws the Build-MLE challenges `r` from the
+/// transcript and runs SumCheck on `poly(X)·eq(X, r)` with claimed sum zero.
 ///
 /// # Panics
 ///
@@ -132,14 +130,8 @@ pub fn prove_zerocheck_traced_on(
     round_label: &'static str,
 ) -> ZerocheckProverOutput {
     let challenges = transcript.challenge_scalars(b"zerocheck-r", poly.num_vars());
-    let masked = {
-        let _span = trace.span("build-mle", "sumcheck");
-        mask_with(
-            poly,
-            Arc::new(MultilinearPoly::eq_mle_on(&challenges, backend)),
-        )
-    };
-    let sumcheck = crate::prover::prove_traced_on(&masked, transcript, backend, trace, round_label);
+    let eq_point = Some(&challenges[..]);
+    let sumcheck = prove_rounds(poly, eq_point, transcript, backend, trace, round_label);
     ZerocheckProverOutput {
         sumcheck,
         build_mle_challenges: challenges,

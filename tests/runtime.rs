@@ -22,7 +22,7 @@ use zkspeed_hyperplonk::mock_circuit;
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::par::with_threads;
 use zkspeed_rt::Rng;
-use zkspeed_sumcheck::round_polynomial;
+use zkspeed_sumcheck::{prove_zerocheck, round_polynomial};
 
 // ---------------------------------------------------------------- PRNG ----
 
@@ -200,6 +200,19 @@ fn modmul_counters_are_thread_count_invariant() {
     };
     let serial = count(1);
     assert!(serial.total() > 0, "MSM must record modmuls");
+    assert_eq!(count(8), serial, "worker-side modmuls were dropped");
+
+    // The SumCheck round kernel's weighted path: a ZeroCheck large enough
+    // to chunk its rounds and to update its tables one job each.
+    let vp = random_virtual_poly(12, 0xD5EE_D014);
+    let count = |threads: usize| {
+        with_threads(threads, || {
+            let mut transcript = zkspeed_transcript::Transcript::new(b"counters");
+            zkspeed_field::measure_modmuls(|| prove_zerocheck(&vp, &mut transcript)).1
+        })
+    };
+    let serial = count(1);
+    assert!(serial.fr > 0, "ZeroCheck must record modmuls");
     assert_eq!(count(8), serial, "worker-side modmuls were dropped");
 }
 

@@ -2,8 +2,9 @@
 //! `target/bench-history/setup.json`).
 //!
 //! The proving service registers sessions at startup, which puts
-//! `Srs::try_setup` on the serving path. The setup's `2^{μ+1}` fixed-base
-//! scalar multiplications now ride a precomputed window table
+//! `Srs::try_setup` on the serving path. The setup's `2^μ` fixed-base
+//! scalar multiplications (the full-size level; the halved levels follow by
+//! additions) ride a precomputed window table
 //! ([`zkspeed_curve::FixedBaseTable`]); `baseline/*` times the old
 //! double-and-add ladder on the same scalars so the speedup is recorded in
 //! the bench history (the ROADMAP target is ≥3× at μ = 14).

@@ -144,6 +144,31 @@ fn modelled_fq_muls_are_the_measured_ones() {
 }
 
 #[test]
+fn inlined_multiplications_are_counted_like_called_ones() {
+    // The batched adder multiplies through the kernel inlined into its
+    // loops, every other formula through the out-of-line `Fq::mul`; both
+    // record. The default configuration at every size the prover's MSMs
+    // have, serial and fanned out (workers hand their counts back).
+    let mut r = rng();
+    let points = cheap_points(1 << 12, &mut r);
+    let scalars = random_scalars(1 << 12, &mut r);
+    let backends: [&dyn Backend; 2] = [&Serial, &ThreadPool::new(8)];
+    for log in 0..=12 {
+        let n = 1 << log;
+        let mut counts = Vec::new();
+        for backend in backends {
+            let ((_, stats), muls) = measure_modmuls(|| {
+                msm_with_config_on(backend, &points[..n], &scalars[..n], MsmConfig::default())
+            });
+            assert_eq!(stats.fq_muls(), muls.fq, "n = {n}, {backend:?}");
+            assert_eq!(muls.fr, 0, "n = {n}, {backend:?}");
+            counts.push(muls.fq);
+        }
+        assert_eq!(counts[0], counts[1], "n = {n}");
+    }
+}
+
+#[test]
 fn default_config_adds_no_projective_point_per_bucket() {
     // Uniform scalars: the fill and the aggregation go through the batched
     // adder at every size, the one-job MSMs below 256 points included; what

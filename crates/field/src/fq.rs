@@ -38,6 +38,15 @@ crate::impl_montgomery_field!(
 );
 
 impl Fq {
+    /// [`Fq::mul`] inlined into the caller, for a loop that issues several
+    /// multiplications on values it already holds (the batched affine adder
+    /// of `zkspeed-curve`): operands and result then stay in registers.
+    #[doc(hidden)]
+    #[inline(always)]
+    pub fn mul_inline(&self, rhs: &Self) -> Self {
+        self.mul_kernel(rhs)
+    }
+
     /// Parses a big-endian hexadecimal string (with or without a `0x`
     /// prefix) into a canonical field element.
     ///
@@ -86,6 +95,18 @@ mod tests {
         assert_eq!(Fq::from_u64(7) + Fq::from_u64(8), Fq::from_u64(15));
         assert_eq!(Fq::from_u64(7) - Fq::from_u64(8), -Fq::from_u64(1));
         assert_eq!((-Fq::one()).square(), Fq::one());
+    }
+
+    #[test]
+    fn the_inlined_entry_is_the_same_counted_multiplication() {
+        use crate::{measure_modmuls, ModmulCount};
+        let mut r = rng();
+        for _ in 0..1000 {
+            let (x, y) = (Fq::random(&mut r), Fq::random(&mut r));
+            let (product, muls) = measure_modmuls(|| x.mul_inline(&y));
+            assert_eq!(product, x.mul_reference(&y));
+            assert_eq!(muls, ModmulCount { fr: 0, fq: 1 });
+        }
     }
 
     #[test]

@@ -3,9 +3,45 @@
 //!
 //! Both [`crate::Fr`] and [`crate::Fq`] are generated by this macro; they
 //! differ only in limb count and constants. Multiplication interleaves
-//! operand scanning with word-by-word Montgomery reduction (CIOS) — the same
-//! algorithm realized by the pipelined Montgomery multipliers that dominate
-//! zkSpeed's compute area — and squaring computes each cross product once.
+//! operand scanning with word-by-word Montgomery reduction — the algorithm of
+//! the pipelined Montgomery multipliers that dominate zkSpeed's compute area
+//! — one *row* at a time: for each word `b[i]` the row `a·b[i]` and the
+//! reduction row `k·p` are added to the running value, which then moves down
+//! a word. Squaring and the reduction of a double-width value run on the
+//! same rows.
+//!
+//! How a row adds its `LIMBS` products depends on the limb count. At six
+//! limbs (`Fq`) the products are formed first as `(lo, hi)` pairs, then the
+//! low words go in on one carry chain and the high words on a second: an
+//! `add; adc; …; adc` run each, where a full-word carry threaded through
+//! every product (`arith::mac`) costs `mul; add; adc $0; add; adc $0` per
+//! word. At four limbs (`Fr`) the threaded carry is the faster form — the
+//! SumCheck round kernel ran 5–7 % slower on two-chain rows, which win only
+//! on an isolated chain — so the row is chosen by `$limbs`, inside the one
+//! kernel.
+//!
+//! Three measured conditions the code does not show (Fq, ns per
+//! multiplication on a dependent chain / on four interleaved chains, the
+//! best of 40 alternated runs):
+//!
+//! * The running value moves down a word as an array expression
+//!   (`core::array::from_fn`). The same shift as a loop over the array in
+//!   place (`t[j] = t[j + 1]`) keeps the array in memory: 73 / 69 ns against
+//!   29.5 / 28.9.
+//! * The kernel gains most where it is inlined. Behind a call the operands
+//!   and the result cross the stack limb by limb — 35 ns against 29.5 on the
+//!   chain (the previous kernel: 41 against 31) — which is why
+//!   `Fq::mul_inline` exists for a loop that issues several multiplications
+//!   on values it holds, the batched affine adder of `zkspeed-curve` (one
+//!   2^14 MSM 0.82×). The per-multiplication counter update costs nothing
+//!   there: it is hoisted out of the loop or merged.
+//! * `mul` is `#[inline]`, neither more nor less. With `#[inline(always)]`
+//!   the three SumChecks ran 3–6 % slower than the previous kernel's (code
+//!   size in the round kernel), without `#[inline]` (a call from every other
+//!   crate) 5–10 % slower; with the compiler choosing per call site they are
+//!   within 1–3 %. The same holds for `add` / `sub`, which stay on
+//!   `arith::sbb`: on `borrowing_sub` they compiled to a tidier `sbb` chain
+//!   and the SumChecks ran 4–8 % slower.
 
 /// Generates a prime-field type in Montgomery form.
 ///
@@ -229,7 +265,12 @@ macro_rules! impl_montgomery_field {
                 }
                 // A sum of random elements passes `p` every other time: select
                 // with a mask, a branch would mispredict half of the time.
-                let (reduced, mask) = Self::sub_modulus(&d, carry);
+                let mut reduced = [0u64; $limbs];
+                let mut borrow = 0u64;
+                for i in 0..$limbs {
+                    (reduced[i], borrow) = $crate::arith::sbb(d[i], Self::MODULUS[i], borrow);
+                }
+                let mask = (carry | (borrow ^ 1)).wrapping_neg();
                 for i in 0..$limbs {
                     d[i] = (reduced[i] & mask) | (d[i] & !mask);
                 }
@@ -277,65 +318,71 @@ macro_rules! impl_montgomery_field {
 
             /// Multiplies two field elements (one Montgomery multiplication).
             ///
-            /// Coarsely integrated operand scanning (CIOS): each row
-            /// `a·b[i]` is folded into the running value together with the
-            /// reduction step that clears its low limb, so the value never
-            /// outgrows `LIMBS` words. The modulus leaves the top bit of its
-            /// top limb free, which keeps the sum of the two row carries
-            /// inside one word (no extra carry limb) and the result below
-            /// `2p`.
+            /// Inlined where the compiler chooses to (see the module docs for
+            /// why neither always nor never).
             #[inline]
             pub fn mul(&self, rhs: &Self) -> Self {
-                $crate::counters::record($limbs);
-                let (a, b) = (&self.0, &rhs.0);
-                let mut t = [0u64; $limbs];
-                for i in 0..$limbs {
-                    let (lo, mut carry_ab) = $crate::arith::mac(t[0], a[0], b[i], 0);
-                    let k = lo.wrapping_mul(Self::INV);
-                    let (_, mut carry_kp) = $crate::arith::mac(lo, k, Self::MODULUS[0], 0);
-                    for j in 1..$limbs {
-                        let (lo, hi) = $crate::arith::mac(t[j], a[j], b[i], carry_ab);
-                        carry_ab = hi;
-                        let (lo, hi) = $crate::arith::mac(lo, k, Self::MODULUS[j], carry_kp);
-                        t[j - 1] = lo;
-                        carry_kp = hi;
-                    }
-                    t[$limbs - 1] = carry_ab + carry_kp;
-                }
-                Self::reduce_once(t, 0)
+                self.mul_kernel(rhs)
             }
 
-            /// Squares this element (one Montgomery multiplication): the
-            /// `LIMBS·(LIMBS−1)/2` cross products `a[i]·a[j]`, `i < j`, are
-            /// computed once and doubled, the diagonal `a[i]²` added, and the
-            /// double-width square reduced.
+            /// The body of [`Self::mul`]: for each word `rhs[i]` the row
+            /// `self·rhs[i]` and the reduction row `k·p` that clears the low
+            /// word are added to the running value, which then moves down a
+            /// word. The modulus leaves the top bit of its top limb free,
+            /// which keeps the running value below `2p` between rows (inside
+            /// `LIMBS` words, the extra word is zero) and inside `LIMBS + 1`
+            /// words within one.
+            #[inline(always)]
+            fn mul_kernel(&self, rhs: &Self) -> Self {
+                $crate::counters::record($limbs);
+                let mut t = [0u64; $limbs + 1];
+                for i in 0..$limbs {
+                    t = Self::add_row(t, &self.0, rhs.0[i]);
+                    t = Self::reduce_row(t);
+                }
+                Self::reduce_once(core::array::from_fn(|j| t[j]), 0)
+            }
+
+            /// `t + a·w`: the products `a[j]·w` are formed first, then their
+            /// low words go into `t[0..]` on one carry chain and their high
+            /// words into `t[1..]` on a second. The caller guarantees that
+            /// the sum fits `LIMBS + 1` words.
+            #[inline(always)]
+            fn add_row(mut t: [u64; $limbs + 1], a: &[u64; $limbs], w: u64) -> [u64; $limbs + 1] {
+                if $limbs <= 4 {
+                    let mut carry = 0u64;
+                    for j in 0..$limbs {
+                        (t[j], carry) = $crate::arith::mac(t[j], a[j], w, carry);
+                    }
+                    t[$limbs] += carry;
+                    return t;
+                }
+                let wide: [u128; $limbs] = core::array::from_fn(|j| (a[j] as u128) * (w as u128));
+                let mut carry = false;
+                for j in 0..$limbs {
+                    (t[j], carry) = t[j].carrying_add(wide[j] as u64, carry);
+                }
+                t[$limbs] += carry as u64;
+                carry = false;
+                for j in 0..$limbs {
+                    (t[j + 1], carry) = t[j + 1].carrying_add((wide[j] >> 64) as u64, carry);
+                }
+                debug_assert!(!carry, "row overflow");
+                t
+            }
+
+            /// `(t + k·p) / 2^64` for the `k` that clears the low word.
+            #[inline(always)]
+            fn reduce_row(t: [u64; $limbs + 1]) -> [u64; $limbs + 1] {
+                let t = Self::add_row(t, &Self::MODULUS, t[0].wrapping_mul(Self::INV));
+                // An array expression, not a loop over `t` in place (module docs).
+                core::array::from_fn(|j| if j < $limbs { t[j + 1] } else { 0 })
+            }
+
+            /// Squares this element (one Montgomery multiplication).
             #[inline]
             pub fn square(&self) -> Self {
-                $crate::counters::record($limbs);
-                let a = &self.0;
-                let mut t = [0u64; 2 * $limbs];
-                for i in 0..$limbs - 1 {
-                    let mut carry = 0u64;
-                    for j in i + 1..$limbs {
-                        let (lo, hi) = $crate::arith::mac(t[i + j], a[i], a[j], carry);
-                        t[i + j] = lo;
-                        carry = hi;
-                    }
-                    t[i + $limbs] = carry;
-                }
-                for i in (1..2 * $limbs).rev() {
-                    t[i] = (t[i] << 1) | (t[i - 1] >> 63);
-                }
-                let mut carry = 0u64;
-                for i in 0..$limbs {
-                    let (lo, hi) = $crate::arith::mac(t[2 * i], a[i], a[i], carry);
-                    t[2 * i] = lo;
-                    let (lo, hi) = $crate::arith::adc(t[2 * i + 1], hi, 0);
-                    t[2 * i + 1] = lo;
-                    carry = hi;
-                }
-                let (lo, carry) = Self::montgomery_reduce(t);
-                Self::reduce_once(lo, carry)
+                self.mul(self)
             }
 
             /// Raises this element to a multi-precision little-endian
@@ -406,50 +453,48 @@ macro_rules! impl_montgomery_field {
                 (limbs[i / 64] >> (i % 64)) & 1 == 1
             }
 
-            /// Slow reference for [`Self::mul`] and [`Self::square`]: the
-            /// schoolbook double-width product followed by a separate
-            /// reduction pass. Not counted as a modmul.
+            /// Slow reference for [`Self::mul`]: the schoolbook double-width
+            /// product, then a word-by-word reduction, both on `arith::mac` —
+            /// it shares no code with the row kernel. Not counted as a modmul.
             #[cfg(test)]
             pub(crate) fn mul_reference(&self, rhs: &Self) -> Self {
+                use $crate::arith::{adc, mac};
                 let mut t = [0u64; 2 * $limbs];
                 for i in 0..$limbs {
                     let mut carry = 0u64;
                     for j in 0..$limbs {
-                        let (lo, hi) = $crate::arith::mac(t[i + j], self.0[i], rhs.0[j], carry);
-                        t[i + j] = lo;
-                        carry = hi;
+                        (t[i + j], carry) = mac(t[i + j], self.0[i], rhs.0[j], carry);
                     }
                     t[i + $limbs] = carry;
                 }
-                let (lo, carry) = Self::montgomery_reduce(t);
-                Self::reduce_once(lo, carry)
-            }
-
-            /// `value − p` for the `LIMBS + 1`-word value `limbs` plus
-            /// `carry·2^(64·LIMBS)`, below `2p`; and an all-ones mask if the
-            /// value is at least `p` (the difference is then the reduced
-            /// value), zero otherwise.
-            #[inline(always)]
-            fn sub_modulus(limbs: &[u64; $limbs], carry: u64) -> ([u64; $limbs], u64) {
-                let mut d = [0u64; $limbs];
-                let mut borrow = 0u64;
+                let mut top = 0u64;
                 for i in 0..$limbs {
-                    let (lo, b) = $crate::arith::sbb(limbs[i], Self::MODULUS[i], borrow);
-                    d[i] = lo;
-                    borrow = b;
+                    let k = t[i].wrapping_mul(Self::INV);
+                    let mut carry = 0u64;
+                    for j in 0..$limbs {
+                        (t[i + j], carry) = mac(t[i + j], k, Self::MODULUS[j], carry);
+                    }
+                    (t[i + $limbs], top) = adc(t[i + $limbs], top, carry);
                 }
-                (d, (carry | (borrow ^ 1)).wrapping_neg())
+                Self::reduce_once(core::array::from_fn(|j| t[j + $limbs]), top)
             }
 
-            /// Final subtraction of a Montgomery product. The unreduced
-            /// product of reduced operands is below `p + p²/R`, so it needs
-            /// the subtraction for few operand pairs (`p/R` is 0.10 for Fq,
-            /// 0.45 for Fr): a branch, which predicts well and keeps the
-            /// select off a dependent chain's critical path.
+            /// Final subtraction of a Montgomery product: `value − p` if the
+            /// `LIMBS + 1`-word value `limbs` plus `carry·2^(64·LIMBS)`, below
+            /// `2p`, is at least `p`. The unreduced product of reduced
+            /// operands is below `p + p²/R`, so it needs the subtraction for
+            /// few operand pairs (`p/R` is 0.10 for Fq, 0.45 for Fr): a
+            /// branch, which predicts well and keeps the select off a
+            /// dependent chain's critical path. (`borrowing_sub` here and
+            /// `arith::sbb` in `add` / `sub`, each where it measured faster.)
             #[inline]
             fn reduce_once(limbs: [u64; $limbs], carry: u64) -> Self {
-                let (d, reduce) = Self::sub_modulus(&limbs, carry);
-                if reduce != 0 {
+                let mut d = [0u64; $limbs];
+                let mut borrow = false;
+                for i in 0..$limbs {
+                    (d[i], borrow) = limbs[i].borrowing_sub(Self::MODULUS[i], borrow);
+                }
+                if carry != 0 || !borrow {
                     Self(d)
                 } else {
                     Self(limbs)
@@ -459,24 +504,16 @@ macro_rules! impl_montgomery_field {
             /// Word-by-word Montgomery reduction of a double-width value.
             /// Returns the reduced value, possibly still one `p` too large,
             /// and its carry word; callers pass both to [`Self::reduce_once`].
-            #[inline]
             fn montgomery_reduce(t: [u64; 2 * $limbs]) -> ([u64; $limbs], u64) {
-                let mut r = [0u64; $limbs];
-                r.copy_from_slice(&t[..$limbs]);
-                let mut carry2 = 0u64;
+                let mut r: [u64; $limbs + 1] =
+                    core::array::from_fn(|j| if j < $limbs { t[j] } else { 0 });
                 for i in 0..$limbs {
-                    let k = r[0].wrapping_mul(Self::INV);
-                    let (_, mut carry) = $crate::arith::mac(r[0], k, Self::MODULUS[0], 0);
-                    for j in 1..$limbs {
-                        let (lo, hi) = $crate::arith::mac(r[j], k, Self::MODULUS[j], carry);
-                        r[j - 1] = lo;
-                        carry = hi;
-                    }
-                    let (lo, c) = $crate::arith::adc(t[i + $limbs], carry2, carry);
-                    r[$limbs - 1] = lo;
-                    carry2 = c;
+                    r = Self::reduce_row(r);
+                    let carry;
+                    (r[$limbs - 1], carry) = r[$limbs - 1].overflowing_add(t[i + $limbs]);
+                    r[$limbs] = carry as u64;
                 }
-                (r, carry2)
+                (core::array::from_fn(|j| r[j]), r[$limbs])
             }
         }
 

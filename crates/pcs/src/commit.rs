@@ -4,7 +4,7 @@
 //! Lagrange basis — exactly the operation the zkSpeed MSM unit accelerates
 //! in the Witness Commit and Wiring Identity steps.
 
-use zkspeed_curve::{G1Projective, MsmStats, SparseMsmStats};
+use zkspeed_curve::{msm, G1Projective, MsmStats, SparseMsmStats};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{DecodeError, Reader};
@@ -64,11 +64,8 @@ impl Commitment {
             commitments.len(),
             "linear_combination: length mismatch"
         );
-        let mut acc = G1Projective::identity();
-        for (c, com) in coeffs.iter().zip(commitments.iter()) {
-            acc += com.0.mul_scalar(c);
-        }
-        Self(acc)
+        let points: Vec<G1Projective> = commitments.iter().map(|com| com.0).collect();
+        Self(msm(&G1Projective::batch_to_affine(&points), coeffs))
     }
 }
 
@@ -307,6 +304,19 @@ mod tests {
         let com_combined = commit(&srs, &combined_poly);
         let com_lc = Commitment::linear_combination(&[a, b], &[commit(&srs, &f), commit(&srs, &g)]);
         assert_eq!(com_combined, com_lc);
+    }
+
+    #[test]
+    fn linear_combinations_with_identity_terms_and_no_terms() {
+        let mut r = rng();
+        let srs = Srs::setup(2, &mut r);
+        let com = commit(&srs, &MultilinearPoly::random(2, &mut r));
+        let (a, b) = (Fr::random(&mut r), Fr::random(&mut r));
+        let terms = [com, Commitment::identity(), com];
+        let lc = Commitment::linear_combination(&[a, b, Fr::zero()], &terms);
+        assert_eq!(lc.0, com.0.mul_scalar(&a));
+        let empty = Commitment::linear_combination(&[], &[]);
+        assert_eq!(empty, Commitment::identity());
     }
 
     #[test]

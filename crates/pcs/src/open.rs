@@ -169,7 +169,7 @@ pub fn open_with_tables_on(
 
 /// Verifies an opening proof.
 ///
-/// Checks `Com(f) − v·G = Σ_k (τ_k − z_k)·Com(q_k)` in G1 — the identity the
+/// Checks `Com(f) = v·G + Σ_k (τ_k − z_k)·Com(q_k)` in G1 — the identity the
 /// production pairing check enforces, evaluated with the retained trapdoor.
 pub fn verify_opening(
     srs: &Srs,
@@ -184,13 +184,14 @@ pub fn verify_opening(
     if point.len() > srs.num_vars() {
         return false;
     }
+    // One MSM over `[G, Com(q_1), …]` with scalars `[v, τ_1 − z_1, …]`, the
+    // points normalised with one shared inversion.
     let tau = &srs.trapdoor()[srs.num_vars() - point.len()..];
-    let lhs = commitment.0 - G1Projective::generator().mul_scalar(&value);
-    let mut rhs = G1Projective::identity();
-    for ((t, z), q) in tau.iter().zip(point.iter()).zip(proof.quotients.iter()) {
-        rhs += q.0.mul_scalar(&(*t - *z));
-    }
-    lhs == rhs
+    let mut points = vec![G1Projective::generator()];
+    points.extend(proof.quotients.iter().map(|q| q.0));
+    let mut scalars = vec![value];
+    scalars.extend(tau.iter().zip(point).map(|(t, z)| *t - *z));
+    commitment.0 == zkspeed_curve::msm(&G1Projective::batch_to_affine(&points), &scalars)
 }
 
 #[cfg(test)]
@@ -268,6 +269,50 @@ mod tests {
         let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
         let (value, mut proof, _) = open(&srs, &f, &point);
         proof.quotients[1] = Commitment(proof.quotients[1].0 + G1Projective::generator());
+        assert!(!verify_opening(&srs, &com, &point, value, &proof));
+    }
+
+    #[test]
+    fn one_variable_and_constant_polynomials_open() {
+        let mut r = rng();
+        let srs = Srs::setup(3, &mut r);
+        for mu in [0usize, 1] {
+            let f = MultilinearPoly::random(mu, &mut r);
+            let com = commit(&srs, &f);
+            let point: Vec<Fr> = (0..mu).map(|_| Fr::random(&mut r)).collect();
+            let (value, proof, _) = open(&srs, &f, &point);
+            assert_eq!(value, f.evaluate(&point));
+            assert!(verify_opening(&srs, &com, &point, value, &proof), "μ={mu}");
+            let wrong = value + Fr::one();
+            assert!(!verify_opening(&srs, &com, &point, wrong, &proof), "μ={mu}");
+        }
+    }
+
+    #[test]
+    fn identity_commitments_verify_only_the_zero_value() {
+        // The zero polynomial: its commitment and every quotient commitment
+        // are the identity, which the verifier's MSM has to take as a point.
+        let mut r = rng();
+        let srs = Srs::setup(3, &mut r);
+        let zero = MultilinearPoly::new(vec![Fr::zero(); 8]);
+        let com = commit(&srs, &zero);
+        assert_eq!(com, Commitment::identity());
+        let point: Vec<Fr> = (0..3).map(|_| Fr::random(&mut r)).collect();
+        let (value, proof, _) = open(&srs, &zero, &point);
+        assert!(proof.quotients.iter().all(|q| *q == Commitment::identity()));
+        assert!(verify_opening(&srs, &com, &point, value, &proof));
+        assert!(!verify_opening(&srs, &com, &point, Fr::one(), &proof));
+        // A constant polynomial has identity quotients and a commitment that
+        // is not the identity.
+        let seven = MultilinearPoly::new(vec![Fr::from_u64(7); 8]);
+        let (value, proof, _) = open(&srs, &seven, &point);
+        assert!(verify_opening(
+            &srs,
+            &commit(&srs, &seven),
+            &point,
+            value,
+            &proof
+        ));
         assert!(!verify_opening(&srs, &com, &point, value, &proof));
     }
 

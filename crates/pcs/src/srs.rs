@@ -93,6 +93,30 @@ pub struct Srs {
     tau: Vec<Fr>,
 }
 
+/// The `len` points `point(i)` of one basis level, computed in chunks over
+/// the backend's workers and normalised with one inversion per chunk; the
+/// workers' multiplication counts are handed back in chunk order.
+fn collect_level(
+    backend: &dyn Backend,
+    len: usize,
+    point: impl Fn(usize) -> G1Projective + Send + Sync + 'static,
+) -> Vec<G1Affine> {
+    /// Points per worker job at minimum.
+    const MIN_CHUNK: usize = 32;
+    let chunks = pool::map_ranges(backend, len, MIN_CHUNK, move |range| {
+        zkspeed_field::measure_modmuls(|| {
+            let points: Vec<G1Projective> = range.map(&point).collect();
+            G1Projective::batch_to_affine(&points)
+        })
+    });
+    let mut level = Vec::with_capacity(len);
+    for (chunk, muls) in chunks {
+        zkspeed_field::add_modmul_count(muls);
+        level.extend(chunk);
+    }
+    level
+}
+
 impl Srs {
     /// Runs the (mock) universal setup for polynomials of up to `num_vars`
     /// variables.
@@ -125,8 +149,9 @@ impl Srs {
     }
 
     /// [`Srs::try_setup`] on an explicit execution backend: the `2^μ` basis
-    /// scalar multiplications of each level fan out over the backend's
-    /// workers (the dominant cost of setup).
+    /// scalar multiplications of the full-size level (the dominant cost of
+    /// setup) and the additions of every halved one fan out over the
+    /// backend's workers.
     ///
     /// # Errors
     ///
@@ -176,10 +201,6 @@ impl Srs {
         tau: Vec<Fr>,
         backend: &dyn Backend,
     ) -> Result<Self, SetupError> {
-        /// Scalar multiplications per worker job at minimum; each one costs
-        /// hundreds of point operations, so even small chunks parallelize
-        /// profitably.
-        const MIN_CHUNK: usize = 32;
         if num_vars > MAX_NUM_VARS {
             return Err(SetupError::TooManyVariables {
                 requested: num_vars,
@@ -193,30 +214,26 @@ impl Srs {
             });
         }
         let g = G1Affine::generator();
-        // One fixed-base window table of the generator serves every basis
-        // point of every level: each of the 2^{μ+1} scalar multiplications
-        // becomes ⌈255/w⌉ table lookups + mixed additions instead of a full
-        // double-and-add ladder (the dominant cost of setup).
+        // Level 0 by scalar multiplication, through one fixed-base window
+        // table of the generator: ⌈255/w⌉ table lookups + mixed additions
+        // each instead of a double-and-add ladder.
         let (table, table_muls) =
             zkspeed_field::measure_modmuls(|| Arc::new(FixedBaseTable::for_generator()));
         zkspeed_field::add_modmul_count(table_muls);
-        let mut lagrange_bases = Vec::with_capacity(num_vars + 1);
-        for k in 0..=num_vars {
-            let suffix = &tau[k..];
-            let eq = MultilinearPoly::eq_mle_on(suffix, backend);
-            let scalars = eq.shared_evaluations();
-            let table = Arc::clone(&table);
-            let chunks = pool::map_ranges(backend, scalars.len(), MIN_CHUNK, move |range| {
-                zkspeed_field::measure_modmuls(|| {
-                    let points: Vec<G1Projective> = range.map(|i| table.mul(&scalars[i])).collect();
-                    G1Projective::batch_to_affine(&points)
-                })
+        let eq = MultilinearPoly::eq_mle_on(&tau, backend);
+        let scalars = eq.shared_evaluations();
+        let level = collect_level(backend, scalars.len(), move |i| table.mul(&scalars[i]));
+        let mut lagrange_bases = vec![Arc::new(level)];
+        // Every next level by one addition per point: the first variable is
+        // the index's low bit and `eq(τ_k, 0) + eq(τ_k, 1) = 1`, so
+        // `L⁽ᵏ⁺¹⁾ᵢ = L⁽ᵏ⁾₂ᵢ + L⁽ᵏ⁾₂ᵢ₊₁` — the same points as `eq(τ[k+1..], i)·G`.
+        for k in 0..num_vars {
+            let previous = Arc::clone(&lagrange_bases[k]);
+            let level = collect_level(backend, previous.len() / 2, move |i| {
+                previous[2 * i]
+                    .to_projective()
+                    .add_mixed(&previous[2 * i + 1])
             });
-            let mut level = Vec::with_capacity(1usize << (num_vars - k));
-            for (chunk, muls) in chunks {
-                zkspeed_field::add_modmul_count(muls);
-                level.extend(chunk);
-            }
             lagrange_bases.push(Arc::new(level));
         }
         Ok(Self {
@@ -433,6 +450,49 @@ mod tests {
                 G1Projective::generator().mul_scalar(&eq1[i])
             );
         }
+    }
+
+    #[test]
+    fn every_level_equals_the_direct_scalar_multiples() {
+        // Levels 1…μ come from level 0 by additions; each point must be the
+        // `eq(τ[k..], i)·G` a direct setup of that level computes — with
+        // Boolean coordinates in τ too, which put identities in the basis.
+        let mut r = rng();
+        for mu in 0..=8usize {
+            let mut tau: Vec<Fr> = (0..mu).map(|_| Fr::random(&mut r)).collect();
+            if mu >= 4 {
+                (tau[1], tau[3]) = (Fr::zero(), Fr::one());
+            }
+            let srs = Srs::setup_with_tau(mu, tau.clone());
+            for k in 0..=mu {
+                let eq = MultilinearPoly::eq_mle(&tau[k..]);
+                let direct: Vec<G1Projective> = (0..1 << (mu - k))
+                    .map(|i| G1Projective::generator().mul_scalar(&eq[i]))
+                    .collect();
+                assert_eq!(
+                    srs.lagrange_basis(k),
+                    G1Projective::batch_to_affine(&direct),
+                    "μ={mu} level {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encoding_at_six_variables_matches_the_pinned_digest() {
+        // SHA3-256 of `to_bytes()` taken on the commit before setup derived
+        // levels 1…μ by additions: the points are exact, so the bytes are.
+        let tau: Vec<Fr> = (0..6)
+            .map(|i| Fr::from_u64(1000 * i + 17).square())
+            .collect();
+        let digest: String = zkspeed_rt::Sha3_256::digest(&Srs::setup_with_tau(6, tau).to_bytes())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "74eabf9d19d682549d19abdb9e8aa16ebf1ec9be73c4027e80a2329688f09f7c"
+        );
     }
 
     #[test]

@@ -39,9 +39,10 @@
 //!   the three SumChecks ran 3–6 % slower than the previous kernel's (code
 //!   size in the round kernel), without `#[inline]` (a call from every other
 //!   crate) 5–10 % slower; with the compiler choosing per call site they are
-//!   within 1–3 %. The same holds for `add` / `sub`, which stay on
-//!   `arith::sbb`: on `borrowing_sub` they compiled to a tidier `sbb` chain
-//!   and the SumChecks ran 4–8 % slower.
+//!   within 1–3 %. `add`, `sub` and the final subtraction stay on
+//!   `arith::sbb` for the same reason: on `borrowing_sub` they compile to a
+//!   tidier `sbb` chain, and the SumChecks ran 4–8 % and a 2^14 MSM 5 %
+//!   slower.
 
 /// Generates a prime-field type in Montgomery form.
 ///
@@ -265,12 +266,7 @@ macro_rules! impl_montgomery_field {
                 }
                 // A sum of random elements passes `p` every other time: select
                 // with a mask, a branch would mispredict half of the time.
-                let mut reduced = [0u64; $limbs];
-                let mut borrow = 0u64;
-                for i in 0..$limbs {
-                    (reduced[i], borrow) = $crate::arith::sbb(d[i], Self::MODULUS[i], borrow);
-                }
-                let mask = (carry | (borrow ^ 1)).wrapping_neg();
+                let (reduced, mask) = Self::sub_modulus(&d, carry);
                 for i in 0..$limbs {
                     d[i] = (reduced[i] & mask) | (d[i] & !mask);
                 }
@@ -479,22 +475,31 @@ macro_rules! impl_montgomery_field {
                 Self::reduce_once(core::array::from_fn(|j| t[j + $limbs]), top)
             }
 
-            /// Final subtraction of a Montgomery product: `value − p` if the
-            /// `LIMBS + 1`-word value `limbs` plus `carry·2^(64·LIMBS)`, below
-            /// `2p`, is at least `p`. The unreduced product of reduced
-            /// operands is below `p + p²/R`, so it needs the subtraction for
-            /// few operand pairs (`p/R` is 0.10 for Fq, 0.45 for Fr): a
-            /// branch, which predicts well and keeps the select off a
-            /// dependent chain's critical path. (`borrowing_sub` here and
-            /// `arith::sbb` in `add` / `sub`, each where it measured faster.)
+            /// `value − p` for the `LIMBS + 1`-word value `limbs` plus
+            /// `carry·2^(64·LIMBS)`, below `2p`; and an all-ones mask if the
+            /// value is at least `p` (the difference is then the reduced
+            /// value), zero otherwise.
+            #[inline(always)]
+            fn sub_modulus(limbs: &[u64; $limbs], carry: u64) -> ([u64; $limbs], u64) {
+                let mut d = [0u64; $limbs];
+                let mut borrow = 0u64;
+                for i in 0..$limbs {
+                    let (lo, b) = $crate::arith::sbb(limbs[i], Self::MODULUS[i], borrow);
+                    d[i] = lo;
+                    borrow = b;
+                }
+                (d, (carry | (borrow ^ 1)).wrapping_neg())
+            }
+
+            /// Final subtraction of a Montgomery product. The unreduced
+            /// product of reduced operands is below `p + p²/R`, so it needs
+            /// the subtraction for few operand pairs (`p/R` is 0.10 for Fq,
+            /// 0.45 for Fr): a branch, which predicts well and keeps the
+            /// select off a dependent chain's critical path.
             #[inline]
             fn reduce_once(limbs: [u64; $limbs], carry: u64) -> Self {
-                let mut d = [0u64; $limbs];
-                let mut borrow = false;
-                for i in 0..$limbs {
-                    (d[i], borrow) = limbs[i].borrowing_sub(Self::MODULUS[i], borrow);
-                }
-                if carry != 0 || !borrow {
+                let (d, reduce) = Self::sub_modulus(&limbs, carry);
+                if reduce != 0 {
                     Self(d)
                 } else {
                     Self(limbs)

@@ -10,6 +10,11 @@
 //!
 //! The functional Rust prover in `zkspeed-hyperplonk` provides a second,
 //! measured baseline at small sizes; `zkspeed-bench` compares the two.
+//!
+//! Drift between the two: the anchors are arkworks' 255-bit Pippenger MSMs,
+//! while the functional prover's MSMs run over the GLV endomorphism (two
+//! 128-bit halves per scalar, half the windows), so its MSM kernels come in
+//! below this model at the same size. No constant here accounts for that.
 
 /// Table 3 anchors: (μ, end-to-end CPU milliseconds).
 const ANCHORS: [(usize, f64); 5] = [

@@ -54,6 +54,22 @@ const B: Fq = Fq::from_montgomery_limbs_unchecked([
     0x09d6_4551_3d83_de7e,
 ]);
 
+/// A primitive cube root of unity in Fq, in Montgomery form: `(x, y) ↦ (β·x, y)`
+/// maps the curve to itself and acts on G1 as multiplication by [`LAMBDA`].
+const BETA: Fq = Fq::from_montgomery_limbs_unchecked([
+    0xcd03_c9e4_8671_f071,
+    0x5dab_2246_1fcd_a5d2,
+    0x5870_42af_d385_1b95,
+    0x8eb6_0ebe_01ba_cb9e,
+    0x03f9_7d6e_83d0_50d2,
+    0x18f0_2065_5463_8741,
+]);
+
+/// `λ = z² − 1` for the BLS12-381 parameter `z = −0xd201000000010000`: a cube
+/// root of unity modulo the group order (`r = λ² + λ + 1`) and the eigenvalue
+/// of the endomorphism, `φ(P) = λ·P`.
+pub(crate) const LAMBDA: u128 = 0xac45_a401_0001_a402_0000_0000_ffff_ffff;
+
 /// Multiplies by `3·b = 12` with four additions (`12x = 8x + 4x`) instead of
 /// a modular multiplication.
 #[inline]
@@ -154,6 +170,15 @@ impl G1Affine {
                 y: -self.y,
                 infinity: false,
             }
+        }
+    }
+
+    /// The GLV endomorphism `φ(x, y) = (β·x, y) = λ·(x, y)`, for one Fq
+    /// multiplication. The identity keeps its flag, and maps to itself.
+    pub(crate) fn endomorphism(&self) -> Self {
+        Self {
+            x: self.x * BETA,
+            ..*self
         }
     }
 
@@ -589,6 +614,44 @@ mod tests {
         for x in [Fq::zero(), Fq::one(), -Fq::one(), Fq::random(&mut r)] {
             assert_eq!(mul_by_3b(x), x * Fq::from_u64(12));
         }
+    }
+
+    #[test]
+    fn endomorphism_is_multiplication_by_lambda() {
+        // β is a primitive cube root of unity, and λ one modulo r.
+        assert_eq!(
+            BETA,
+            Fq::from_hex_be(
+                "1a0111ea397fe699ec02408663d4de85aa0d857d89759ad4897d29650fb85f9b409427eb4f49fffd8bfd00000000aaac",
+            )
+            .expect("canonical")
+        );
+        assert!(BETA != Fq::one() && BETA.square() * BETA == Fq::one());
+        let lambda = Fr::from_u128(LAMBDA);
+        let z = Fr::from_u64(0xd201_0000_0001_0000);
+        assert_eq!(lambda, z * z - Fr::one());
+        assert!((lambda * lambda + lambda + Fr::one()).is_zero());
+        // φ(P) = λ·P on the generator, random points and the identity; the
+        // other cube root, β², acts as λ² instead.
+        let mut r = rng();
+        let mut points = vec![G1Affine::generator(), G1Affine::identity()];
+        points.extend((0..4).map(|_| G1Projective::random(&mut r).to_affine()));
+        for p in &points {
+            let image = p.endomorphism();
+            assert!(image.is_on_curve());
+            assert_eq!(image.y, p.y);
+            assert_eq!(image.to_projective(), p.to_projective().mul_scalar(&lambda));
+        }
+        let g = G1Affine::generator();
+        let other = G1Affine {
+            x: g.x * BETA.square(),
+            ..g
+        };
+        assert_eq!(
+            other.to_projective(),
+            g.to_projective().mul_scalar(&(lambda * lambda))
+        );
+        assert_eq!(G1Affine::identity().endomorphism(), G1Affine::identity());
     }
 
     #[test]

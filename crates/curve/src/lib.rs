@@ -9,11 +9,12 @@
 //!
 //! * [`G1Affine`] / [`G1Projective`] — the group, with complete full and
 //!   mixed addition formulas (the PADD datapath);
-//! * [`msm`] / [`msm_with_config`] — Pippenger's algorithm with configurable
-//!   window size, signed-digit recoding, and streaming batch-affine bucket
-//!   accumulation and aggregation (the chip's grouped aggregation schedule,
-//!   Fig. 5 of the paper, is modelled in `zkspeed_hw`) — see [`MsmConfig`]
-//!   and [`MsmSchedule`];
+//! * [`msm`] / [`msm_with_config`] — Pippenger's algorithm over the GLV
+//!   endomorphism (128-bit scalar halves over the points and their images),
+//!   with configurable window size, signed-digit recoding, and streaming
+//!   batch-affine bucket accumulation and aggregation (the chip's 255-bit
+//!   unit and its grouped aggregation schedule, Fig. 5 of the paper, are
+//!   modelled in `zkspeed_hw`) — see [`MsmConfig`] and [`MsmSchedule`];
 //! * [`sparse_msm`] — the Sparse MSM used by the Witness Commit step;
 //! * [`MsmStats`] — per-addition-kind operation counters consumed by the
 //!   hardware cost model.

@@ -6,8 +6,13 @@
 //! module provides:
 //!
 //! * [`naive_msm`] — the double-and-add reference used as a test oracle;
-//! * [`msm`] / [`msm_with_config`] — Pippenger's bucket algorithm, one unit
-//!   of parallel work per few windows, with two optimizations selected by
+//! * [`msm`] / [`msm_with_config`] — Pippenger's bucket algorithm over the
+//!   GLV endomorphism of G1: every scalar splits as `k = k₁ + λ·k₂` with
+//!   `k₁, k₂ < 2^128`, so `k·P = k₁·P + k₂·φ(P)` with `φ(x, y) = (β·x, y)`
+//!   one Fq multiplication, and the windows run over the `n` points and their
+//!   `n` images at half the scalar width — half the windows, bucket
+//!   aggregations and combine doublings of a 255-bit scalar. One unit of
+//!   parallel work per few windows, with two optimizations selected by
 //!   [`MsmConfig`]:
 //!   - **signed-digit window recoding** (digits in `[−2^{w−1}, 2^{w−1}]`,
 //!     using the free affine negation `−(x, y) = (x, −y)`), halving the
@@ -37,7 +42,7 @@ use std::sync::Arc;
 use zkspeed_field::{Fq, Fr};
 use zkspeed_rt::pool::{self, Backend};
 
-use crate::g1::{G1Affine, G1Projective};
+use crate::g1::{G1Affine, G1Projective, LAMBDA};
 use crate::multi_base::MultiBaseTable;
 
 /// Where the bucket-fill work of one MSM reads its points from, which fixes
@@ -48,7 +53,8 @@ pub enum MsmSchedule {
     /// windows' bucket sets, which share the batches of one affine adder.
     /// The run length comes from the problem size (as many windows as keep
     /// the buckets in L2, at least eight jobs for an MSM that fans out), so
-    /// parallelism is capped below `⌈255/w⌉`.
+    /// parallelism is capped below the `⌈128/w⌉ + 1` windows of a scalar
+    /// half.
     #[default]
     WindowParallel,
     /// Consume a precomputed [`MultiBaseTable`] over the fixed bases: the
@@ -71,8 +77,9 @@ pub enum MsmSchedule {
 /// Configuration for a Pippenger MSM run.
 ///
 /// [`MsmConfig::default`] is [`MsmConfig::optimized`] — signed digits and
-/// batch-affine accumulation on. [`MsmConfig::classic`] reproduces the PR 2
+/// batch-affine accumulation on. [`MsmConfig::classic`] is the first
 /// datapath (unsigned windows, mixed additions into projective buckets).
+/// Every configuration runs on the GLV scalar halves.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MsmConfig {
     /// Window (bucket index) size in bits (0 = auto from the problem size).
@@ -104,10 +111,10 @@ pub const BATCH_AFFINE_DEFAULT_MIN_POINTS: usize = INVERSION_FQ_MULS / 5;
 const INVERSION_FQ_MULS: usize = 54;
 
 impl MsmConfig {
-    /// The PR 2 datapath: unsigned windows, mixed additions into projective
+    /// The first datapath: unsigned windows, mixed additions into projective
     /// buckets. Kept as the baseline the bench suite compares against and as
-    /// the apples-to-apples counterpart of the hardware model's Pippenger
-    /// unit.
+    /// the counterpart of the hardware model's Pippenger unit, which runs
+    /// the same datapath over 255-bit scalars instead of GLV halves.
     pub fn classic() -> Self {
         Self {
             window_bits: 0,
@@ -200,7 +207,12 @@ pub struct MsmStats {
     /// Point doublings (window combine, and the aggregation's multiplication
     /// of the row term by the row length).
     pub doublings: u64,
-    /// Scalars recoded into signed window digits.
+    /// Images `φ(P) = (β·x, y)` computed, one Fq multiplication each: one
+    /// per point of a table-free MSM.
+    pub endomorphisms: u64,
+    /// Scalar halves recoded into signed window digits: two per scalar
+    /// (`k₁` and `k₂`) on the table-free engine, one on the
+    /// precomputed-table engine, which recodes whole 255-bit scalars.
     pub recoded_scalars: u64,
 }
 
@@ -211,15 +223,17 @@ impl MsmStats {
     }
 
     /// Total Fq modular multiplications of the counted operations, each
-    /// addition kind at its own price — what `measure_modmuls` reads around
-    /// the same run, up to one multiplication per batch-affine doubling and
-    /// per point normalization. Inversions and scalar recoding use no Fq
-    /// multipliers and contribute nothing here.
+    /// addition kind at its own price, and the images — what
+    /// `measure_modmuls` reads around the same run, up to one multiplication
+    /// per batch-affine doubling and per point normalization. Inversions,
+    /// the scalar split and the recoding use no Fq multipliers and
+    /// contribute nothing here.
     pub fn fq_muls(&self) -> u64 {
         self.bucket_adds * crate::g1::PADD_MIXED_FQ_MULS as u64
             + self.affine_adds * crate::g1::BATCH_AFFINE_ADD_FQ_MULS as u64
             + (self.aggregation_adds + self.combine_adds) * crate::g1::PADD_FQ_MULS as u64
             + self.doublings * crate::g1::PDBL_FQ_MULS as u64
+            + self.endomorphisms
     }
 
     /// Accumulates another stats record into this one.
@@ -230,6 +244,7 @@ impl MsmStats {
         self.aggregation_adds += other.aggregation_adds;
         self.combine_adds += other.combine_adds;
         self.doublings += other.doublings;
+        self.endomorphisms += other.endomorphisms;
         self.recoded_scalars += other.recoded_scalars;
     }
 }
@@ -260,20 +275,23 @@ pub fn naive_msm(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
 
 /// Window size by `⌈log₂ n⌉` for `n ≤ 2^14`, the sizes the prover's commits
 /// and the opening's halving MSMs hit: at each size the width that costs the
-/// default configuration least on uniform scalars, counting an inversion as
-/// the multiplications it takes the time of. The `window_sweep` test repeats
-/// the sweep and holds every entry within 3 % of its best.
-const AUTO_WINDOW_BITS: [usize; 15] = [1, 1, 1, 3, 3, 4, 5, 6, 7, 8, 8, 9, 10, 11, 11];
+/// default configuration least on uniform scalars — `2n` terms of 128 bits,
+/// the points and their images — counting an inversion as the
+/// multiplications it takes the time of. One-thread timings of the widths
+/// around each entry agree within their noise. The `window_sweep` test
+/// repeats the sweep and holds every entry within 3 % of its best.
+const AUTO_WINDOW_BITS: [usize; 15] = [2, 1, 1, 3, 4, 5, 6, 7, 8, 8, 10, 10, 11, 12, 13];
 
 /// Selects the window size from the problem size: measured up to 2^14
 /// points, and beyond that the minimum of the same cost
-/// `⌈255/w⌉·(6n + 12·2^{w−1})` (six multiplications a batch-affine addition,
-/// two of those per bucket aggregated), which `⌈log₂ n⌉ − 3` tracks.
+/// `(⌈128/w⌉ + 1)·(6·2n + 12·2^{w−1})` (six multiplications a batch-affine
+/// addition, two of those per bucket aggregated), which `⌈log₂ n⌉ − 2`
+/// tracks.
 pub fn auto_window_bits(n: usize) -> usize {
     let log = n.max(1).next_power_of_two().trailing_zeros() as usize;
     match AUTO_WINDOW_BITS.get(log) {
         Some(&w) => w,
-        None => (log - 3).min(16),
+        None => (log - 2).min(16),
     }
 }
 
@@ -354,20 +372,58 @@ const PAR_MIN_POINTS: usize = 256;
 
 // ------------------------------------------------------------- recoding ----
 
-/// Per-scalar carry bits of the signed-digit recoding, one bit per window
-/// (≤ 256 windows even at `w = 1`). Window `i`'s digit is
+/// Bits of a scalar half: `k₁, k₂ < 2^128`.
+const HALF_BITS: usize = 128;
+
+/// `⌊2^255 / λ⌋`, for dividing by λ with multiplications.
+const LAMBDA_RECIPROCAL: u128 = 0xbe35_f678_f00f_d56e_b1fb_7291_7b67_f718;
+
+/// Splits a canonical scalar `k < r` into the halves of
+/// `k = k₁ + λ·k₂` by exact division, `k₂ = ⌊k/λ⌋` and `k₁ = k mod λ`:
+/// since `r = λ² + λ + 1`, the quotient is at most `λ + 1` and both halves
+/// stay below 2^128 with no Fr arithmetic.
+fn split_scalar(k: &[u64; 4]) -> [[u64; 2]; 2] {
+    let lo = u128::from(k[0]) | u128::from(k[1]) << 64;
+    let hi = u128::from(k[2]) | u128::from(k[3]) << 64;
+    // `⌊k·⌊2^255/λ⌋ / 2^255⌋` is `⌊k/λ⌋` or one less, because `k < 2^255`.
+    let (a1, _) = mul_wide(lo, LAMBDA_RECIPROCAL);
+    let (b1, b0) = mul_wide(hi, LAMBDA_RECIPROCAL);
+    let (mid, carry) = a1.overflowing_add(b0);
+    let mut q = (b1 + u128::from(carry)) << 1 | mid >> 127;
+    // The remainder `k − q·λ` is below 2λ < 2^129: its bit 128 or its size
+    // calls for the correction.
+    let (p1, p0) = mul_wide(q, LAMBDA);
+    let (mut rem, borrow) = lo.overflowing_sub(p0);
+    if hi - p1 - u128::from(borrow) != 0 || rem >= LAMBDA {
+        q += 1;
+        rem = rem.wrapping_sub(LAMBDA);
+    }
+    let limbs = |v: u128| [v as u64, (v >> 64) as u64];
+    [limbs(rem), limbs(q)]
+}
+
+/// The 256-bit product `a·b` as `(high, low)` halves.
+fn mul_wide(a: u128, b: u128) -> (u128, u128) {
+    let (a0, a1) = (a as u64 as u128, a >> 64);
+    let (b0, b1) = (b as u64 as u128, b >> 64);
+    let (ll, lh, hl) = (a0 * b0, a0 * b1, a1 * b0);
+    let mid = (ll >> 64) + (lh as u64 as u128) + (hl as u64 as u128);
+    let high = a1 * b1 + (lh >> 64) + (hl >> 64) + (mid >> 64);
+    (high, ll as u64 as u128 | mid << 64)
+}
+
+/// Carry bits of the signed-digit recoding of an `L`-limb scalar, bit `i`
+/// the carry into window `i`. Window `i`'s digit is
 /// `c = bits[i·w .. i·w+w] + carry(i)`, mapped to `c − 2^w` (and a carry
 /// into window `i+1`) whenever `c > 2^{w−1}`, so digits lie in
 /// `[−2^{w−1}, 2^{w−1}]` and the bucket count halves. One extra top window
-/// absorbs the final carry (scalars are < 2^255 but their signed form can
-/// need 256 bits).
-type CarryMask = [u64; 4];
-
-fn recode_carries(limbs: &[u64; 4], w: usize, num_windows: usize) -> CarryMask {
-    debug_assert!(num_windows <= 256);
+/// absorbs the final carry (a value below `2^{64·L}` can need one more bit
+/// in signed form). Only `w = 1` has windows beyond the mask's bits, and its
+/// digits are the bits themselves: they never carry.
+fn recode_carries<const L: usize>(limbs: &[u64; L], w: usize, num_windows: usize) -> [u64; L] {
     let half = 1u64 << (w - 1);
     let mut carry = 0u64;
-    let mut mask = [0u64; 4];
+    let mut mask = [0u64; L];
     for i in 0..num_windows {
         if carry == 1 {
             mask[i / 64] |= 1 << (i % 64);
@@ -381,8 +437,15 @@ fn recode_carries(limbs: &[u64; 4], w: usize, num_windows: usize) -> CarryMask {
 
 /// The signed digit of `window` for a recoded scalar, in
 /// `[−2^{w−1}, 2^{w−1}]`.
-fn signed_window_digit(limbs: &[u64; 4], carries: &CarryMask, window: usize, w: usize) -> i64 {
-    let carry = (carries[window / 64] >> (window % 64)) & 1;
+fn signed_window_digit<const L: usize>(
+    limbs: &[u64; L],
+    carries: &[u64; L],
+    window: usize,
+    w: usize,
+) -> i64 {
+    let carry = carries
+        .get(window / 64)
+        .map_or(0, |bits| bits >> (window % 64) & 1);
     let c = extract_window(limbs, window * w, w) as i64 + carry as i64;
     if c > (1i64 << (w - 1)) {
         c - (1i64 << w)
@@ -393,37 +456,50 @@ fn signed_window_digit(limbs: &[u64; 4], carries: &CarryMask, window: usize, w: 
 
 // ------------------------------------------------- batched affine adder ----
 
+/// The points operations read: a slice, and for the windows of an MSM the
+/// images `φ(P)` of its points, selected by [`Op::IMAGE`].
+type Sources<'a> = [&'a [G1Affine]; 2];
+
 /// One accumulation `acc[dst] += ±src[index]`, eight bytes: the streaming
 /// engine moves these instead of points.
 #[derive(Copy, Clone)]
 struct Op {
     dst: u32,
-    /// Index of the source point; [`Op::NEGATE`] set for `−src[index]`.
+    /// Index of the source point, or-ed with [`Op::IMAGE`] for its image;
+    /// [`Op::NEGATE`] set for `−src[index]`.
     src: u32,
 }
 
 impl Op {
     const NEGATE: u32 = 1 << 31;
+    /// Reads the second of the [`Sources`].
+    const IMAGE: u32 = 1 << 30;
 
-    fn new(dst: usize, index: usize, negate: bool) -> Self {
-        debug_assert!(index < Self::NEGATE as usize);
+    /// `source` is an index, or-ed with [`Op::IMAGE`] to read the images.
+    fn new(dst: usize, source: usize, negate: bool) -> Self {
+        debug_assert!(source < Self::NEGATE as usize);
         Self {
             dst: dst as u32,
-            src: index as u32 | if negate { Self::NEGATE } else { 0 },
+            src: source as u32 | if negate { Self::NEGATE } else { 0 },
         }
     }
 
     fn index(self) -> usize {
-        (self.src & !Self::NEGATE) as usize
+        (self.src & !(Self::NEGATE | Self::IMAGE)) as usize
     }
 
     fn negated(self) -> bool {
         self.src & Self::NEGATE != 0
     }
 
+    /// The source point, without the sign.
+    fn source<'a>(self, src: Sources<'a>) -> &'a G1Affine {
+        &src[usize::from(self.src & Self::IMAGE != 0)][self.index()]
+    }
+
     /// The source point with the sign applied.
-    fn point(self, src: &[G1Affine]) -> G1Affine {
-        let point = src[self.index()];
+    fn point(self, src: Sources<'_>) -> G1Affine {
+        let point = *self.source(src);
         if self.negated() {
             point.neg()
         } else {
@@ -454,8 +530,8 @@ impl BatchAdder {
     /// operand, or `P + (−P)`) and queues it otherwise. Returns whether it
     /// was queued; until the next [`Self::flush`] no other operation may
     /// touch `acc[op.dst]`.
-    fn push(&mut self, acc: &mut [G1Affine], src: &[G1Affine], op: Op) -> bool {
-        let b = &src[op.index()];
+    fn push(&mut self, acc: &mut [G1Affine], src: Sources<'_>, op: Op) -> bool {
+        let b = op.source(src);
         let a = &mut acc[op.dst as usize];
         if b.infinity {
             return false;
@@ -475,7 +551,7 @@ impl BatchAdder {
     }
 
     /// [`Self::push`], flushing a batch that the operation filled.
-    fn add(&mut self, acc: &mut [G1Affine], src: &[G1Affine], op: Op) {
+    fn add(&mut self, acc: &mut [G1Affine], src: Sources<'_>, op: Op) {
         if self.push(acc, src, op) && self.queue.len() == BATCH {
             self.flush(acc, src);
         }
@@ -487,7 +563,7 @@ impl BatchAdder {
     /// are never zero: `Δx ≠ 0` unless the operands are equal (opposite ones
     /// never queue), and then `2y ≠ 0` because the curve has odd order,
     /// hence no 2-torsion.
-    fn flush(&mut self, acc: &mut [G1Affine], src: &[G1Affine]) {
+    fn flush(&mut self, acc: &mut [G1Affine], src: Sources<'_>) {
         if self.queue.is_empty() {
             return;
         }
@@ -495,7 +571,7 @@ impl BatchAdder {
         self.prefix.clear();
         let mut product = Fq::one();
         for (i, op) in self.queue.iter().enumerate() {
-            let (a, b) = (&acc[op.dst as usize], &src[op.index()]);
+            let (a, b) = (&acc[op.dst as usize], op.source(src));
             let mut d = if op.negated() { a.x - b.x } else { b.x - a.x };
             if d.is_zero() {
                 d = a.y.double();
@@ -508,7 +584,7 @@ impl BatchAdder {
         for (i, op) in self.queue.iter().enumerate().rev() {
             let d_inverse = inverse.mul_inline(&self.prefix[i]);
             inverse = inverse.mul_inline(&self.denominators[i]);
-            let (a, b) = (&mut acc[op.dst as usize], &src[op.index()]);
+            let (a, b) = (&mut acc[op.dst as usize], op.source(src));
             let numerator = if a.x == b.x {
                 let xx = a.x.square();
                 xx.double() + xx
@@ -536,9 +612,9 @@ impl BatchAdder {
             let half = len.div_ceil(block).div_ceil(2) * block;
             let (lower, upper) = points[..len].split_at_mut(half);
             for i in 0..upper.len() {
-                self.add(lower, upper, Op::new(i, i, false));
+                self.add(lower, [upper, &[]], Op::new(i, i, false));
             }
-            self.flush(lower, upper);
+            self.flush(lower, [upper, &[]]);
             len = half;
         }
     }
@@ -600,9 +676,9 @@ impl BucketSet {
         self.load.resize(slices * slice_len, 0);
     }
 
-    /// Records `bucket += ±points[index]`.
-    fn record(&mut self, bucket: usize, index: usize, negate: bool) {
-        self.ops.push(Op::new(bucket, index, negate));
+    /// Records `bucket += ±source`, for a source as [`Op::new`] takes it.
+    fn record(&mut self, bucket: usize, source: usize, negate: bool) {
+        self.ops.push(Op::new(bucket, source, negate));
         self.load[bucket] += 1;
     }
 
@@ -672,7 +748,7 @@ impl BucketSet {
     /// is, and deferred operations are retried first — so the order of
     /// additions into a bucket, and with it every count, depends on the
     /// operations alone.
-    fn fill(&mut self, points: &[G1Affine], min_adds_per_inversion: usize, stats: &mut MsmStats) {
+    fn fill(&mut self, points: Sources<'_>, min_adds_per_inversion: usize, stats: &mut MsmStats) {
         self.choose_paths(min_adds_per_inversion);
         // Each kind of bucket is allocated only if some slice uses it.
         let len_if = |used: bool| if used { self.load.len() } else { 0 };
@@ -716,7 +792,7 @@ impl BucketSet {
     }
 
     /// Issues `op` unless its bucket is busy; returns whether it was issued.
-    fn issue(&mut self, points: &[G1Affine], op: Op, stats: &mut MsmStats) -> bool {
+    fn issue(&mut self, points: Sources<'_>, op: Op, stats: &mut MsmStats) -> bool {
         let dst = op.dst as usize;
         match self.state[dst] {
             BucketState::Busy => return false,
@@ -774,14 +850,14 @@ impl BucketSet {
                 let (first, line) = (slice * len, slice * lines);
                 for i in step * cols..len.min((step + 1) * cols) {
                     let op = Op::new(line + i % cols, first + i, false);
-                    self.adder.add(&mut self.lines, &self.affine, op);
+                    self.adder.add(&mut self.lines, [&self.affine, &[]], op);
                 }
                 for i in (cols + step..len).step_by(cols) {
                     let op = Op::new(line + cols + i / cols, first + i, false);
-                    self.adder.add(&mut self.lines, &self.affine, op);
+                    self.adder.add(&mut self.lines, [&self.affine, &[]], op);
                 }
             }
-            self.adder.flush(&mut self.lines, &self.affine);
+            self.adder.flush(&mut self.lines, [&self.affine, &[]]);
         }
         self.adder.drain_counts(stats);
         for slice in 0..slices {
@@ -843,8 +919,10 @@ fn weighted_sum(
 /// Bytes of affine buckets one job keeps live: the windows of a job share
 /// the batches of one adder (several times fewer inversions than a window on
 /// its own, whose heaviest bucket bounds its batches), for as many windows as
-/// keep the buckets resident in L2.
-const JOB_BUCKET_BYTES: usize = 256 << 10;
+/// keep the buckets resident in L2. At 1 MiB the 2^13 and 2^14 MSMs
+/// (2^{11} and 2^{12} buckets a window) take two windows a job, not one:
+/// 913 → 554 and 943 → 609 inversions, 1–2 % of their time.
+const JOB_BUCKET_BYTES: usize = 1 << 20;
 
 /// Jobs an MSM large enough to fan out is cut into at least, so that sharing
 /// batches among windows does not starve the workers.
@@ -869,13 +947,12 @@ impl Shape {
             config.window_bits
         };
         assert!((1..=16).contains(&w), "window size out of range");
-        let num_bits = Fr::NUM_BITS as usize;
         // Signed recoding halves the buckets but needs one extra window for
         // the final carry (typically all-zero, and then it costs nothing).
         let (num_windows, num_buckets) = if config.signed_digits {
-            (num_bits.div_ceil(w) + 1, 1usize << (w - 1))
+            (HALF_BITS.div_ceil(w) + 1, 1usize << (w - 1))
         } else {
-            (num_bits.div_ceil(w), (1usize << w) - 1)
+            (HALF_BITS.div_ceil(w), (1usize << w) - 1)
         };
         let fit = JOB_BUCKET_BYTES / (num_buckets * size_of::<G1Affine>());
         let cap = if n < PAR_MIN_POINTS {
@@ -900,19 +977,22 @@ impl Shape {
 /// Immutable inputs of one MSM run, shared by every job.
 struct Windows<'a> {
     shape: Shape,
-    points: &'a [G1Affine],
-    scalar_limbs: &'a [[u64; 4]],
-    /// Signed-digit carry masks; `None` runs unsigned windows.
-    carries: Option<&'a [CarryMask]>,
+    /// The points and their images `φ(P)`.
+    sources: Sources<'a>,
+    /// The scalar halves by term: term `2i + h` is `k₁` (`h = 0`) or `k₂`
+    /// (`h = 1`) of scalar `i`.
+    halves: &'a [[u64; 2]],
+    /// Signed-digit carry masks by term; `None` runs unsigned windows.
+    carries: Option<&'a [[u64; 2]]>,
 }
 
 impl Windows<'_> {
-    /// Bucket index and sign of term `i` in `window`, or `None` for zero
+    /// Bucket index and sign of term `t` in `window`, or `None` for zero
     /// digits.
-    fn digit(&self, i: usize, window: usize) -> Option<(usize, bool)> {
-        let (limbs, w) = (&self.scalar_limbs[i], self.shape.w);
+    fn digit(&self, t: usize, window: usize) -> Option<(usize, bool)> {
+        let (limbs, w) = (&self.halves[t], self.shape.w);
         let d = match self.carries {
-            Some(carries) => signed_window_digit(limbs, &carries[i], window, w),
+            Some(carries) => signed_window_digit(limbs, &carries[t], window, w),
             None => extract_window(limbs, window * w, w) as i64,
         };
         (d != 0).then(|| (d.unsigned_abs() as usize - 1, d < 0))
@@ -936,26 +1016,32 @@ impl Windows<'_> {
             let first = job * windows_per_job;
             let windows = first..(first + windows_per_job).min(num_windows);
             set.begin(windows.len(), num_buckets);
-            for (i, point) in self.points.iter().enumerate() {
+            for (i, point) in self.sources[0].iter().enumerate() {
                 if point.infinity {
                     continue;
                 }
                 for window in windows.clone() {
-                    if let Some((bucket, negate)) = self.digit(i, window) {
-                        set.record((window - first) * num_buckets + bucket, i, negate);
+                    for half in 0..2 {
+                        if let Some((bucket, negate)) = self.digit(2 * i + half, window) {
+                            let bucket = (window - first) * num_buckets + bucket;
+                            set.record(bucket, i | (half * Op::IMAGE as usize), negate);
+                        }
                     }
                 }
             }
-            set.fill(self.points, config.batch_affine_min_points, &mut stats);
+            set.fill(self.sources, config.batch_affine_min_points, &mut stats);
             set.aggregate(&mut stats, &mut sums);
         }
         (sums, stats)
     }
 }
 
-/// The engine behind every table-free entry point. `shared` is `points`
-/// already behind an `Arc`, for callers that own one: a run that fans out
-/// clones it into the worker jobs, and copies the points only without it.
+/// The engine behind every table-free entry point: Pippenger over the `n`
+/// points and their `n` images `φ(P)`, with the scalar halves of
+/// [`split_scalar`]. `shared` is `points` already behind an `Arc`, for
+/// callers that own one: a run that fans out clones it into the worker jobs,
+/// and copies the points only without it. The images live in one buffer of
+/// `n` points for the duration of the run.
 fn msm_impl(
     backend: &dyn Backend,
     points: &[G1Affine],
@@ -970,18 +1056,23 @@ fn msm_impl(
         return (G1Projective::identity(), stats);
     }
     assert!(
-        n < Op::NEGATE as usize,
+        n < Op::IMAGE as usize,
         "more points than an operation indexes"
     );
     let shape = Shape::new(n, config);
-    let scalar_limbs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical_limbs()).collect();
-    let carries: Option<Vec<CarryMask>> = config.signed_digits.then(|| {
-        stats.recoded_scalars = n as u64;
-        scalar_limbs
+    let halves: Vec<[u64; 2]> = scalars
+        .iter()
+        .flat_map(|s| split_scalar(&s.to_canonical_limbs()))
+        .collect();
+    let carries: Option<Vec<[u64; 2]>> = config.signed_digits.then(|| {
+        stats.recoded_scalars = halves.len() as u64;
+        halves
             .iter()
-            .map(|limbs| recode_carries(limbs, shape.w, shape.num_windows))
+            .map(|half| recode_carries(half, shape.w, shape.num_windows))
             .collect()
     });
+    let images: Vec<G1Affine> = points.iter().map(G1Affine::endomorphism).collect();
+    stats.endomorphisms = n as u64;
 
     // The jobs are the same whatever the thread count, and the serial window
     // combine below consumes their sums in order, so results and operation
@@ -992,13 +1083,14 @@ fn msm_impl(
     let sums = if n >= PAR_MIN_POINTS && backend.threads() > 1 && num_jobs > 1 {
         // One pass of memcpy against hundreds of multiplications per point.
         let points = shared.map_or_else(|| Arc::new(points.to_vec()), Arc::clone);
-        let scalar_limbs = Arc::new(scalar_limbs);
+        let images = Arc::new(images);
+        let halves = Arc::new(halves);
         let carries = carries.map(Arc::new);
         let ranges = pool::map_ranges(backend, num_jobs, 1, move |range| {
             let windows = Windows {
                 shape,
-                points: &points,
-                scalar_limbs: &scalar_limbs,
+                sources: [&points, &images],
+                halves: &halves,
                 carries: carries.as_ref().map(|c| c.as_slice()),
             };
             zkspeed_field::measure_modmuls(|| windows.sums(range))
@@ -1013,8 +1105,8 @@ fn msm_impl(
     } else {
         let windows = Windows {
             shape,
-            points,
-            scalar_limbs: &scalar_limbs,
+            sources: [points, &images],
+            halves: &halves,
             carries: carries.as_deref(),
         };
         let (sums, job_stats) = windows.sums(0..num_jobs);
@@ -1216,7 +1308,7 @@ struct PrecomputedInstance {
     /// Table row of each scalar (`None` = identity mapping, the dense case).
     rows: Option<Arc<Vec<u32>>>,
     scalar_limbs: Vec<[u64; 4]>,
-    carries: Vec<CarryMask>,
+    carries: Vec<[u64; 4]>,
     windows_per_job: usize,
     config: MsmConfig,
 }
@@ -1245,7 +1337,7 @@ impl PrecomputedInstance {
         let mut stats = MsmStats::default();
         let mut sum = Vec::with_capacity(1);
         let min_adds = self.config.batch_affine_min_points;
-        set.fill(self.table.entries(), min_adds, &mut stats);
+        set.fill([self.table.entries(), &[]], min_adds, &mut stats);
         set.aggregate(&mut stats, &mut sum);
         (sum[0], stats)
     }
@@ -1264,13 +1356,13 @@ fn msm_precomputed_impl(
         return (G1Projective::identity(), stats);
     }
     assert!(
-        table.size_in_points() < Op::NEGATE as usize,
+        table.size_in_points() < Op::IMAGE as usize,
         "more table entries than an operation indexes"
     );
     let w = table.window_bits();
     let num_windows = table.num_windows();
     let scalar_limbs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical_limbs()).collect();
-    let carries: Vec<CarryMask> = scalar_limbs
+    let carries: Vec<[u64; 4]> = scalar_limbs
         .iter()
         .map(|limbs| recode_carries(limbs, w, num_windows))
         .collect();
@@ -1310,16 +1402,16 @@ fn msm_precomputed_impl(
     (acc, stats)
 }
 
-/// Extracts `width` bits starting at bit offset `offset` from a canonical
-/// 4-limb scalar.
-fn extract_window(limbs: &[u64; 4], offset: usize, width: usize) -> usize {
-    if offset >= 256 {
+/// Extracts `width` bits starting at bit offset `offset` from an `L`-limb
+/// little-endian integer (zero bits above it).
+fn extract_window<const L: usize>(limbs: &[u64; L], offset: usize, width: usize) -> usize {
+    if offset >= 64 * L {
         return 0;
     }
     let limb_idx = offset / 64;
     let bit_idx = offset % 64;
     let mut value = limbs[limb_idx] >> bit_idx;
-    if bit_idx + width > 64 && limb_idx + 1 < 4 {
+    if bit_idx + width > 64 && limb_idx + 1 < L {
         value |= limbs[limb_idx + 1] << (64 - bit_idx);
     }
     (value & ((1u64 << width) - 1)) as usize
@@ -1450,7 +1542,7 @@ mod tests {
             expect[bucket] += if negate { p.neg() } else { p };
         }
         let mut stats = MsmStats::default();
-        let ((), muls) = zkspeed_field::measure_modmuls(|| set.fill(points, 0, &mut stats));
+        let ((), muls) = zkspeed_field::measure_modmuls(|| set.fill([points, &[]], 0, &mut stats));
         // A threshold of 0 forces the batch-affine path.
         assert_eq!(set.affine.len(), num_buckets);
         for (bucket, (got, want)) in set.affine.iter().zip(&expect).enumerate() {
@@ -1574,8 +1666,50 @@ mod tests {
         // table the width keeps growing with the size, up to the engine's 16.
         assert_eq!(auto_window_bits(0), auto_window_bits(1));
         assert_eq!(auto_window_bits((1 << 13) + 1), auto_window_bits(1 << 14));
-        assert_eq!(auto_window_bits(1 << 15), 12);
+        assert_eq!(auto_window_bits(1 << 15), 13);
         assert_eq!(auto_window_bits(1 << 24), 16);
+    }
+
+    #[test]
+    fn scalar_split_is_exact_and_short() {
+        // `k = k₁ + λ·k₂` over the integers, with `k₁ < λ` and `k₂ ≤ λ + 1`
+        // (hence both below 2^128), on the scalars at the division's edges
+        // and 100 000 random ones.
+        let lambda = Fr::from_u128(LAMBDA);
+        let two_128 = Fr::from_u128(1 << 127).double();
+        let mut scalars = vec![
+            Fr::zero(),
+            Fr::one(),
+            lambda - Fr::one(),
+            lambda,
+            lambda + Fr::one(),
+            lambda.double(),
+            lambda * lambda,
+            -lambda,
+            -Fr::one(),
+            Fr::from_u128(1 << 127),
+            two_128 - Fr::one(),
+            two_128,
+            Fr::from_u64(2).pow(&[254]),
+        ];
+        let mut r = rng();
+        scalars.extend((0..100_000).map(|_| Fr::random(&mut r)));
+        let value = |limbs: [u64; 2]| u128::from(limbs[0]) | u128::from(limbs[1]) << 64;
+        for k in &scalars {
+            let [k1, k2] = split_scalar(&k.to_canonical_limbs()).map(value);
+            assert!(k1 < LAMBDA && k2 <= LAMBDA + 1, "{k}");
+            assert_eq!(Fr::from_u128(k1) + lambda * Fr::from_u128(k2), *k, "{k}");
+        }
+        // The largest quotient: r − 1 = λ² + λ = (λ + 1)·λ.
+        assert_eq!(
+            split_scalar(&(-Fr::one()).to_canonical_limbs()).map(value),
+            [0, LAMBDA + 1]
+        );
+        // The reciprocal is `⌊2^255/λ⌋`: `g·λ ≤ 2^255 < (g + 1)·λ`.
+        let two_255 = (1 << 127, 0);
+        assert!(mul_wide(LAMBDA_RECIPROCAL, LAMBDA) <= two_255);
+        assert!(mul_wide(LAMBDA_RECIPROCAL + 1, LAMBDA) > two_255);
+        assert_eq!(mul_wide(u128::MAX, u128::MAX), (u128::MAX - 1, 1));
     }
 
     #[test]
@@ -1618,7 +1752,7 @@ mod tests {
         );
         assert!(optimized.affine_adds > 0);
         assert!(optimized.batch_inversions > 0);
-        assert_eq!(optimized.recoded_scalars, n as u64);
+        assert_eq!(optimized.recoded_scalars, 2 * n as u64);
     }
 
     #[test]
@@ -1700,7 +1834,7 @@ mod tests {
                 let mut stats = MsmStats::default();
                 let mut sums = Vec::new();
                 let ((), muls) = zkspeed_field::measure_modmuls(|| {
-                    set.fill(&points, 0, &mut stats);
+                    set.fill([&points, &[]], 0, &mut stats);
                     set.aggregate(&mut stats, &mut sums);
                 });
                 assert_eq!(sums.len(), patterns.len());
@@ -1731,33 +1865,47 @@ mod tests {
         assert_eq!(extract_window(&limbs, 300, 8), 0);
     }
 
+    /// `Σ dᵢ·2^{wi}` over the signed digits of `limbs`, as an Fr Horner sum,
+    /// holding every digit to `[−2^{w−1}, 2^{w−1}]`.
+    fn recoded_value<const L: usize>(limbs: &[u64; L], w: usize, num_windows: usize) -> Fr {
+        let carries = recode_carries(limbs, w, num_windows);
+        let half = 1i64 << (w - 1);
+        let two_pow_w = Fr::from_u64(1u64 << w);
+        let mut acc = Fr::zero();
+        for i in (0..num_windows).rev() {
+            let d = signed_window_digit(limbs, &carries, i, w);
+            assert!((-half..=half).contains(&d), "w = {w}, digit {d}");
+            let magnitude = Fr::from_u64(d.unsigned_abs());
+            acc = acc * two_pow_w + if d < 0 { -magnitude } else { magnitude };
+        }
+        acc
+    }
+
     #[test]
     fn signed_recoding_reconstructs_the_scalar() {
-        // Σ dᵢ·2^{wi} recovered over the integers must equal the canonical
-        // scalar, and every digit must lie in [−2^{w−1}, 2^{w−1}].
+        // At every width, the digits must add up to the canonical scalar
+        // over its 255 bits (the table engine's windows) and to each of its
+        // halves over 128 bits (the windows of every other MSM), the
+        // all-ones half included.
         let mut r = rng();
         let mut scalars = vec![Fr::zero(), Fr::one(), -Fr::one(), -Fr::from_u64(2)];
         scalars.extend((0..4).map(|_| Fr::random(&mut r)));
-        for w in [1usize, 3, 8, 13, 16] {
-            let num_windows = (Fr::NUM_BITS as usize).div_ceil(w) + 1;
-            let half = 1i64 << (w - 1);
+        let value = |half: [u64; 2]| Fr::from_u128(u128::from(half[0]) | u128::from(half[1]) << 64);
+        for w in 1..=16usize {
+            let (windows, half_windows) = (
+                (Fr::NUM_BITS as usize).div_ceil(w) + 1,
+                HALF_BITS.div_ceil(w) + 1,
+            );
             for s in &scalars {
                 let limbs = s.to_canonical_limbs();
-                let carries = recode_carries(&limbs, w, num_windows);
-                // Reconstruct as an Fr Horner sum: Σ dᵢ·2^{wi}.
-                let two_pow_w = Fr::from_u64(1u64 << w);
-                let mut acc = Fr::zero();
-                for i in (0..num_windows).rev() {
-                    let d = signed_window_digit(&limbs, &carries, i, w);
-                    assert!((-half..=half).contains(&d), "w = {w}, digit {d}");
-                    acc *= two_pow_w;
-                    if d >= 0 {
-                        acc += Fr::from_u64(d as u64);
-                    } else {
-                        acc -= Fr::from_u64((-d) as u64);
-                    }
+                assert_eq!(recoded_value(&limbs, w, windows), *s, "w = {w}, scalar {s}");
+                for half in split_scalar(&limbs).into_iter().chain([[u64::MAX; 2]]) {
+                    assert_eq!(
+                        recoded_value(&half, w, half_windows),
+                        value(half),
+                        "w = {w}, {half:?}"
+                    );
                 }
-                assert_eq!(acc, *s, "w = {w}, scalar {s}");
             }
         }
     }

@@ -3,6 +3,12 @@
 //! compared in Figure 5 of the paper, and the datapath variants the
 //! functional layer measures (signed digits, batch-affine buckets,
 //! precomputed multi-base tables).
+//!
+//! Drift between model and software: the unit, like the paper's chip, runs
+//! Pippenger over 255-bit scalars, while the software MSM splits every
+//! scalar by the GLV endomorphism into two 128-bit halves over the points
+//! and their images (`2n` terms, half the windows). The parity tests compare
+//! the two at the software's shape; no model constant changes for it.
 
 use crate::params::{
     BEEA_LATENCY_CYCLES, BYTES_PER_POINT, MODMUL_381_MM2, PADD_FQ_MULS, PADD_LATENCY_CYCLES,
@@ -418,6 +424,18 @@ mod tests {
         );
     }
 
+    /// The model's count at the functional engine's shape. The software MSM
+    /// runs Pippenger over the GLV endomorphism: `2n` terms (the points and
+    /// their images) over the windows of a 128-bit scalar half. The model,
+    /// like the chip, keeps 255-bit scalars; its per-window cost is taken at
+    /// `2n` points and charged for the half's windows instead. (Only the
+    /// table-free datapaths, whose every term is per window.)
+    fn at_glv_shape(cfg: &MsmUnitConfig, n: usize) -> f64 {
+        let carry_window = cfg.num_windows() - SCALAR_BITS.div_ceil(cfg.window_bits);
+        let half_windows = 128usize.div_ceil(cfg.window_bits) + carry_window;
+        cfg.dense_msm_fq_muls(2 * n) * half_windows as f64 / cfg.num_windows() as f64
+    }
+
     #[test]
     fn signed_fq_muls_track_functional_stats() {
         // The signed-digit model term (ROADMAP 5b) must land within a small
@@ -441,7 +459,7 @@ mod tests {
                 datapath: MsmDatapath::Signed { batch_affine },
                 ..MsmUnitConfig::default()
             };
-            let model = cfg.dense_msm_fq_muls(n);
+            let model = at_glv_shape(&cfg, n);
             let measured = stats.fq_muls() as f64;
             assert!(
                 model > measured * 0.5 && model < measured * 2.5,
@@ -492,8 +510,8 @@ mod tests {
             "model {model} vs measured {measured}"
         );
         // Analytical speedup over the classic datapath tracks the measured
-        // speedup within 2×.
-        let model_ratio = base.dense_msm_fq_muls(n) / model;
+        // speedup within 2×, the classic one at the software's GLV shape.
+        let model_ratio = at_glv_shape(&base, n) / model;
         let measured_ratio = classic_stats.fq_muls() as f64 / measured;
         assert!(model_ratio > 1.0 && measured_ratio > 1.0);
         assert!(
@@ -525,7 +543,7 @@ mod tests {
             window_bits: 8,
             ..MsmUnitConfig::default()
         };
-        let model = cfg.dense_msm_fq_muls(n);
+        let model = at_glv_shape(&cfg, n);
         let measured = stats.fq_muls() as f64;
         assert!(
             model > measured * 0.5 && model < measured * 2.5,

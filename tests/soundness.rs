@@ -2,8 +2,10 @@
 //! witnesses or tampered proof objects must be rejected by the verifier.
 
 use zkspeed::prelude::*;
+use zkspeed_curve::G1Projective;
 use zkspeed_field::Fr;
 use zkspeed_hyperplonk::mock_circuit;
+use zkspeed_pcs::Commitment;
 
 fn setup(mu: usize, seed: u64) -> (ProverHandle, VerifierHandle, Witness) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -117,17 +119,57 @@ fn every_proof_component_is_binding() {
     let last_group = p.evaluations.values.len() - 1;
     p.evaluations.values[last_group][0] += Fr::from_u64(1);
     assert!(verifier.verify(&p).is_err());
+    // Commitments and opening quotients: `every_g1_field_of_a_proof_is_binding`.
+}
 
-    // Commitment tampering.
-    let mut p = proof.clone();
-    p.phi_commitment =
-        zkspeed_pcs::Commitment(p.phi_commitment.0 + zkspeed_curve::G1Projective::generator());
-    assert!(verifier.verify(&p).is_err());
+/// The G1 element of `proof` numbered `field`: the three witness
+/// commitments, φ, π, then the opening quotients in order.
+fn g1_field(proof: &mut Proof, field: usize) -> &mut Commitment {
+    match field {
+        0..=2 => &mut proof.witness_commitments[field],
+        3 => &mut proof.phi_commitment,
+        4 => &mut proof.pi_commitment,
+        quotient => &mut proof.gprime_opening.quotients[quotient - 5],
+    }
+}
 
-    // Opening-proof tampering.
-    let mut p = proof.clone();
-    p.gprime_opening.quotients[0] = zkspeed_pcs::Commitment(
-        p.gprime_opening.quotients[0].0 + zkspeed_curve::G1Projective::generator(),
-    );
-    assert!(verifier.verify(&p).is_err());
+#[test]
+fn every_g1_field_of_a_proof_is_binding() {
+    // Each G1 element C of a valid proof replaced by φ(C) = λ·C (same y,
+    // β·x: what the MSM engine's endomorphism produces), −C, the identity
+    // and C + G: the verifier, whose own MSM runs through the same scalar
+    // split, must reject every case at every size.
+    let z = Fr::from_u64(0xd201_0000_0001_0000);
+    let lambda = z * z - Fr::one();
+    let g = G1Projective::generator();
+    let mut cases = 0;
+    for mu in [2, 3, 8] {
+        let (prover, verifier, witness) = setup(mu, 210 + mu as u64);
+        let proof = prover.prove(&witness).expect("valid witness");
+        verifier.verify(&proof).expect("baseline proof verifies");
+        let fields = 5 + proof.gprime_opening.quotients.len();
+        for field in 0..fields {
+            let c = g1_field(&mut proof.clone(), field).0;
+            assert!(!c.is_identity(), "μ = {mu}, field {field}");
+            let image = c.mul_scalar(&lambda);
+            assert_eq!(image.to_affine().y, c.to_affine().y);
+            let replacements = [
+                ("φ(C)", image),
+                ("−C", -c),
+                ("identity", G1Projective::identity()),
+                ("C + G", c + g),
+            ];
+            for (name, replacement) in replacements {
+                let mut tampered = proof.clone();
+                g1_field(&mut tampered, field).0 = replacement;
+                assert!(
+                    verifier.verify(&tampered).is_err(),
+                    "μ = {mu}, field {field}: {name} accepted"
+                );
+                cases += 1;
+            }
+        }
+    }
+    println!("{cases} G1 replacements rejected");
+    assert_eq!(cases, 4 * (5 + 2 + 5 + 3 + 5 + 8));
 }

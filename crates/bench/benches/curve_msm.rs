@@ -4,6 +4,7 @@
 use zkspeed_curve::{msm, sparse_msm, G1Affine, G1Projective};
 use zkspeed_field::Fr;
 use zkspeed_rt::bench::{black_box, Harness};
+use zkspeed_rt::pool;
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::{Rng, SeedableRng};
 
@@ -27,8 +28,9 @@ fn main() {
 
     for log_n in [8usize, 10] {
         let (points, scalars) = setup(1 << log_n, &mut rng);
+        let shared = std::sync::Arc::new(points.clone());
         h.bench(format!("msm/dense/{}", 1 << log_n), || {
-            msm(&points, &scalars)
+            msm(&**pool::global(), &shared, &scalars)
         });
         // Witness-style sparse scalars (45% zero, 45% one, 10% dense).
         let sparse: Vec<Fr> = scalars
@@ -45,7 +47,7 @@ fn main() {
             })
             .collect();
         h.bench(format!("msm/sparse/{}", 1 << log_n), || {
-            sparse_msm(&points, &sparse)
+            sparse_msm(&**pool::global(), &points, &sparse)
         });
     }
     h.finish();

@@ -14,7 +14,7 @@
 //! timing.
 //!
 //! The `precomputed` rows sweep the table-backed fixed-base engine
-//! (`MsmSchedule::Precomputed`) against the `optimized` in-place schedule
+//! (`msm_precomputed`) against the `optimized` in-place schedule
 //! at n ∈ {2^10, 2^12, 2^14} so the crossover point is recorded in the
 //! same history file: the tables pay a one-time 255-doublings-per-base
 //! build (printed, not benchmarked — it is amortized over a session) and
@@ -23,11 +23,11 @@
 use std::sync::Arc;
 
 use zkspeed_curve::{
-    msm_precomputed_on, msm_with_config_on, G1Affine, G1Projective, MsmConfig, MultiBaseTable,
+    msm_precomputed, msm_with_config_on, G1Affine, G1Projective, MsmConfig, MultiBaseTable,
 };
 use zkspeed_field::Fr;
 use zkspeed_rt::bench::{black_box, Harness};
-use zkspeed_rt::pool::backend_with_threads;
+use zkspeed_rt::pool::{backend_with_threads, Serial};
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::SeedableRng;
 
@@ -56,8 +56,8 @@ fn main() {
     // wall-clock numbers.
     for w in [8usize, 10] {
         for (name, config) in schedules() {
-            let (_, stats) =
-                zkspeed_curve::msm_with_config(&points, &scalars, config.with_window_bits(w));
+            let config = config.with_window_bits(w);
+            let (_, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
             println!(
                 "msm stats n=2^12 w={w} {name}: fq_muls={} adds={} (mixed={} affine={} agg={} \
                  combine={}) inversions={} recoded={}",
@@ -99,17 +99,16 @@ fn main() {
         for w in [10usize, 12] {
             let build_backend = backend_with_threads(4);
             let started = std::time::Instant::now();
-            let table = Arc::new(MultiBaseTable::build_on(&shared, w, &*build_backend));
+            let table = Arc::new(MultiBaseTable::build(&shared, w, &*build_backend));
             println!(
                 "precompute build n=2^{log_n} w={w}: {} points ({} bytes) in {:.1} ms",
                 table.size_in_points(),
                 table.size_in_bytes(),
                 started.elapsed().as_secs_f64() * 1e3
             );
-            let pre_config = MsmConfig::precomputed().with_window_bits(w);
-            let (_, pre_stats) = msm_precomputed_on(&*build_backend, &table, &scalars, pre_config);
+            let (_, pre_stats) = msm_precomputed(&*build_backend, &table, &scalars);
             let base_config = MsmConfig::optimized().with_window_bits(w);
-            let (_, base_stats) = zkspeed_curve::msm_with_config(&points, &scalars, base_config);
+            let (_, base_stats) = msm_with_config_on(&Serial, &points, &scalars, base_config);
             println!(
                 "msm stats n=2^{log_n} w={w} precomputed: fq_muls={} vs optimized fq_muls={} \
                  ({:.2}x fewer)",
@@ -132,7 +131,7 @@ fn main() {
                     });
                 }
                 h.bench(format!("msm/{n}/w{w}/t{threads}/precomputed"), || {
-                    black_box(msm_precomputed_on(&*backend, &table, &scalars, pre_config))
+                    black_box(msm_precomputed(&*backend, &table, &scalars))
                 });
             }
         }

@@ -6,35 +6,34 @@
 use std::sync::Arc;
 
 use zkspeed_hyperplonk::{
-    mock_circuit, prove_batch_on, prove_on, try_preprocess_on, verify, SparsityProfile,
+    mock_circuit, prove, prove_batch, try_preprocess, verify, ExecCtx, SparsityProfile,
 };
-use zkspeed_pcs::Srs;
+use zkspeed_pcs::{PrecomputeBudget, Srs};
 use zkspeed_rt::bench::Harness;
-use zkspeed_rt::pool::{self, Backend};
+use zkspeed_rt::pool;
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::SeedableRng;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(4);
     let mut h = Harness::new("hyperplonk");
-    let backend: Arc<dyn Backend> = pool::ambient();
+    let ctx = ExecCtx {
+        backend: Arc::clone(pool::global()),
+        ..ExecCtx::default()
+    };
+    let budget = PrecomputeBudget::disabled();
     for num_vars in [6usize, 8] {
-        let srs = Srs::try_setup(num_vars, &mut rng).expect("setup fits");
+        let srs = Srs::try_setup(num_vars, &mut rng, &**pool::global()).expect("setup fits");
         let (circuit, witness) = mock_circuit(num_vars, SparsityProfile::paper_default(), &mut rng);
-        let (pk, vk) = try_preprocess_on(circuit, &srs, &backend).expect("circuit fits");
+        let (pk, vk) = try_preprocess(circuit, &srs, &*ctx.backend, &budget).expect("circuit fits");
         h.bench(format!("prove/{}", 1 << num_vars), || {
-            prove_on(&pk, &witness, &backend).expect("valid witness")
+            prove(&pk, &witness, &ctx).expect("valid witness")
         });
-        let witnesses = vec![
-            witness.clone(),
-            witness.clone(),
-            witness.clone(),
-            witness.clone(),
-        ];
+        let batch: Vec<_> = (0..4).map(|job| (job, witness.clone())).collect();
         h.bench(format!("prove_batch4/{}", 1 << num_vars), || {
-            prove_batch_on(&pk, &witnesses, &backend).expect("valid witnesses")
+            prove_batch(&pk, &batch, &ctx).expect("valid witnesses")
         });
-        let proof = prove_on(&pk, &witness, &backend).expect("valid witness");
+        let (proof, _) = prove(&pk, &witness, &ctx).expect("valid witness");
         h.bench(format!("verify/{}", 1 << num_vars), || {
             verify(&vk, &proof).expect("valid proof")
         });

@@ -41,22 +41,22 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use zkspeed_curve::MsmConfig;
 use zkspeed_hyperplonk::workloads::WorkloadSpec;
 use zkspeed_hyperplonk::Witness;
 use zkspeed_net::{ClientConfig, NetClient, NetServer, ServerConfig};
 use zkspeed_pcs::{PrecomputeBudget, Srs};
 use zkspeed_rt::bench::{history_dir, Harness};
+use zkspeed_rt::pool;
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::{SeedableRng, ToJson};
 use zkspeed_svc::{Priority, ProvingService, ServiceConfig};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(33);
-    let srs = Arc::new(Srs::try_setup(14, &mut rng).expect("μ=14 setup fits"));
+    let srs = Arc::new(Srs::try_setup(14, &mut rng, &**pool::global()).expect("μ=14 setup fits"));
     let repeat_srs = Arc::clone(&srs);
 
-    let threads = zkspeed_rt::par::current_threads();
+    let threads = zkspeed_rt::par::env_threads();
     let config = ServiceConfig::default()
         .with_shards(if threads >= 4 { 2 } else { 1 })
         .with_threads_per_shard((threads / 2).max(1))
@@ -108,7 +108,8 @@ fn main() {
     // overhead.
     let tcp_server = {
         let mut tcp_rng = StdRng::seed_from_u64(34);
-        let tcp_srs = Arc::new(Srs::try_setup(14, &mut tcp_rng).expect("μ=14 setup fits"));
+        let tcp_srs =
+            Arc::new(Srs::try_setup(14, &mut tcp_rng, &**pool::global()).expect("μ=14 setup fits"));
         let tcp_service = ProvingService::start(
             tcp_srs,
             ServiceConfig::default()
@@ -198,23 +199,14 @@ fn main() {
     // the timed region, like any session preprocess); every timed proof
     // then commits through the zero-doubling table engine.
     let (repeat_circuit, repeat_witness) = WorkloadSpec::test_suite()[0].build(&mut rng);
-    for (label, precompute, msm_config) in [
-        (
-            "precompute-off",
-            PrecomputeBudget::disabled(),
-            MsmConfig::default(),
-        ),
-        (
-            "precompute-on",
-            PrecomputeBudget::unlimited(),
-            MsmConfig::precomputed(),
-        ),
+    for (label, precompute) in [
+        ("precompute-off", PrecomputeBudget::disabled()),
+        ("precompute-on", PrecomputeBudget::unlimited()),
     ] {
         let repeat_config = ServiceConfig::default()
             .with_shards(1)
             .with_threads_per_shard(threads.max(1))
             .with_wave_size(4)
-            .with_msm_config(msm_config)
             .with_precompute(precompute);
         let repeat_svc = ProvingService::start(Arc::clone(&repeat_srs), repeat_config);
         let digest = repeat_svc

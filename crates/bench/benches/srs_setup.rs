@@ -13,6 +13,7 @@ use zkspeed_curve::{FixedBaseTable, G1Projective};
 use zkspeed_field::Fr;
 use zkspeed_pcs::Srs;
 use zkspeed_rt::bench::{black_box, Harness};
+use zkspeed_rt::pool;
 
 fn main() {
     let mut h = Harness::new("setup");
@@ -37,7 +38,8 @@ fn main() {
     for mu in [12usize, 14] {
         let tau: Vec<Fr> = (0..mu).map(|i| Fr::from_u64(2 * i as u64 + 3)).collect();
         h.bench(format!("srs/mu{mu}"), || {
-            black_box(Srs::try_setup_with_tau(mu, tau.clone()).expect("setup fits"))
+            let backend = &**pool::global();
+            black_box(Srs::try_setup_with_tau(mu, tau.clone(), backend).expect("setup fits"))
         });
     }
 

@@ -8,18 +8,22 @@
 //! timed through the backend-threaded prover entry points.
 
 use zkspeed_hyperplonk::workloads::WorkloadSpec;
-use zkspeed_hyperplonk::{prove_on, try_preprocess_on, verify, CircuitStats};
-use zkspeed_pcs::Srs;
+use zkspeed_hyperplonk::{prove, try_preprocess, verify, CircuitStats, ExecCtx};
+use zkspeed_pcs::{PrecomputeBudget, Srs};
 use zkspeed_rt::bench::{black_box, history_dir, Harness};
-use zkspeed_rt::pool::{self, Backend};
+use zkspeed_rt::pool;
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::{JsonValue, SeedableRng, ToJson};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(21);
-    let backend: std::sync::Arc<dyn Backend> = pool::ambient();
+    let ctx = ExecCtx {
+        backend: std::sync::Arc::clone(pool::global()),
+        ..ExecCtx::default()
+    };
+    let budget = PrecomputeBudget::disabled();
     // All test-scale workloads fit one μ = 14 setup.
-    let srs = Srs::try_setup(14, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(14, &mut rng, &**pool::global()).expect("setup fits");
 
     let mut h = Harness::new("workloads");
     let mut stats_docs: Vec<(String, JsonValue)> = Vec::new();
@@ -40,11 +44,11 @@ fn main() {
         );
         stats_docs.push((spec.name(), stats.to_json()));
 
-        let (pk, vk) = try_preprocess_on(circuit, &srs, &backend).expect("circuit fits");
+        let (pk, vk) = try_preprocess(circuit, &srs, &*ctx.backend, &budget).expect("circuit fits");
         h.bench(format!("prove/{}", spec.label()), || {
-            prove_on(&pk, &witness, &backend).expect("valid witness")
+            prove(&pk, &witness, &ctx).expect("valid witness")
         });
-        let proof = prove_on(&pk, &witness, &backend).expect("valid witness");
+        let (proof, _) = prove(&pk, &witness, &ctx).expect("valid witness");
         h.bench(format!("verify/{}", spec.label()), || {
             verify(&vk, &proof).expect("valid proof")
         });

@@ -6,7 +6,7 @@
 //! module provides:
 //!
 //! * [`naive_msm`] — the double-and-add reference used as a test oracle;
-//! * [`msm`] / [`msm_with_config`] — Pippenger's bucket algorithm over the
+//! * [`msm`] / [`msm_with_config_on`] — Pippenger's bucket algorithm over the
 //!   GLV endomorphism of G1: every scalar splits as `k = k₁ + λ·k₂` with
 //!   `k₁, k₂ < 2^128`, so `k·P = k₁·P + k₂·φ(P)` with `φ(x, y) = (β·x, y)`
 //!   one Fq multiplication, and the windows run over the `n` points and their
@@ -28,6 +28,8 @@
 //!     window;
 //! * [`sparse_msm`] — the Sparse MSM used for Witness Commits, where scalars
 //!   that are 0 or 1 bypass Pippenger entirely (Section 3.3.1);
+//! * [`msm_precomputed`] / [`sparse_msm_precomputed`] — the same two over a
+//!   [`MultiBaseTable`] of the fixed bases, with no window doublings;
 //! * operation counters ([`MsmStats`]) that feed the hardware cost model.
 //!
 //! Every configuration computes the same group element, and proof encodings
@@ -45,35 +47,6 @@ use zkspeed_rt::pool::{self, Backend};
 use crate::g1::{G1Affine, G1Projective, LAMBDA};
 use crate::multi_base::MultiBaseTable;
 
-/// Where the bucket-fill work of one MSM reads its points from, which fixes
-/// its units of parallel work.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum MsmSchedule {
-    /// One unit of work per run of consecutive windows: a job owns its
-    /// windows' bucket sets, which share the batches of one affine adder.
-    /// The run length comes from the problem size (as many windows as keep
-    /// the buckets in L2, at least eight jobs for an MSM that fans out), so
-    /// parallelism is capped below the `⌈128/w⌉ + 1` windows of a scalar
-    /// half.
-    #[default]
-    WindowParallel,
-    /// Consume a precomputed [`MultiBaseTable`] over the fixed bases: the
-    /// shifted multiples `2^{w·j}·Bᵢ` turn the whole MSM into a flat
-    /// signed-digit bucket problem — no window doublings and
-    /// `⌈255/w⌉ + 1` digit lookups per scalar. Work is decomposed into
-    /// size-derived runs of windows; each job fills and aggregates one
-    /// bucket set (its windows share buckets, the shift being in the
-    /// point) and the job sums add up, so results stay thread-count
-    /// invariant.
-    ///
-    /// Only table-aware entry points ([`msm_precomputed_on`],
-    /// [`sparse_msm_precomputed_on`]) can honor this schedule; the plain
-    /// `msm_with_config*` functions have no table and fall back to
-    /// [`MsmSchedule::WindowParallel`], still computing the same group
-    /// element.
-    Precomputed,
-}
-
 /// Configuration for a Pippenger MSM run.
 ///
 /// [`MsmConfig::default`] is [`MsmConfig::optimized`] — signed digits and
@@ -84,8 +57,6 @@ pub enum MsmSchedule {
 pub struct MsmConfig {
     /// Window (bucket index) size in bits (0 = auto from the problem size).
     pub window_bits: usize,
-    /// Where the bucket fill reads its points from.
-    pub schedule: MsmSchedule,
     /// Recode scalars into signed digits in `[−2^{w−1}, 2^{w−1}]`, halving
     /// the bucket count (negative digits add the negated point — free in
     /// affine coordinates).
@@ -118,7 +89,6 @@ impl MsmConfig {
     pub fn classic() -> Self {
         Self {
             window_bits: 0,
-            schedule: MsmSchedule::WindowParallel,
             signed_digits: false,
             batch_affine_min_points: usize::MAX,
         }
@@ -134,17 +104,6 @@ impl MsmConfig {
         }
     }
 
-    /// The precomputed-table schedule: signed digits into a flat bucket set
-    /// fed from a [`MultiBaseTable`]'s shifted bases — no window doublings. `window_bits` is ignored by the table engine
-    /// (the table's own width wins); callers without a table fall back to
-    /// [`MsmConfig::optimized`]'s decomposition.
-    pub fn precomputed() -> Self {
-        Self {
-            schedule: MsmSchedule::Precomputed,
-            ..Self::optimized()
-        }
-    }
-
     /// Returns the config with an explicit window size.
     pub fn with_window_bits(mut self, window_bits: usize) -> Self {
         self.window_bits = window_bits;
@@ -154,12 +113,6 @@ impl MsmConfig {
     /// Returns the config with signed-digit recoding switched on or off.
     pub fn with_signed_digits(mut self, signed: bool) -> Self {
         self.signed_digits = signed;
-        self
-    }
-
-    /// Returns the config with the given schedule.
-    pub fn with_schedule(mut self, schedule: MsmSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -295,7 +248,11 @@ pub fn auto_window_bits(n: usize) -> usize {
     }
 }
 
-/// Computes `Σ sᵢ·Pᵢ` with Pippenger's algorithm using default configuration.
+/// Computes `Σ sᵢ·Pᵢ` with Pippenger's algorithm in the default
+/// configuration, fanning its windows out over `backend`, and returns the
+/// result together with the operation counts. The points come behind an
+/// `Arc`, which the worker jobs clone: an SRS basis fans out without a
+/// copy.
 ///
 /// # Panics
 ///
@@ -304,38 +261,29 @@ pub fn auto_window_bits(n: usize) -> usize {
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use zkspeed_curve::{msm, G1Affine, G1Projective};
 /// use zkspeed_field::Fr;
+/// use zkspeed_rt::pool::Serial;
 ///
 /// let g = G1Projective::generator();
-/// let points = vec![g.to_affine(), g.double().to_affine()];
+/// let points = Arc::new(vec![g.to_affine(), g.double().to_affine()]);
 /// let scalars = vec![Fr::from_u64(3), Fr::from_u64(5)];
 /// // 3·G + 5·(2G) = 13·G
-/// assert_eq!(msm(&points, &scalars), g.mul_scalar(&Fr::from_u64(13)));
+/// let (sum, _stats) = msm(&Serial, &points, &scalars);
+/// assert_eq!(sum, g.mul_scalar(&Fr::from_u64(13)));
 /// ```
-pub fn msm(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
-    msm_with_config(points, scalars, MsmConfig::default()).0
-}
-
-/// Computes `Σ sᵢ·Pᵢ` with Pippenger's algorithm and an explicit
-/// configuration, returning the result together with operation counts.
-///
-/// Parallel fan-out follows the ambient configuration (`ZKSPEED_THREADS`,
-/// [`zkspeed_rt::par::with_threads`]); use [`msm_with_config_on`] to pin an
-/// explicit [`Backend`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn msm_with_config(
-    points: &[G1Affine],
+pub fn msm(
+    backend: &dyn Backend,
+    points: &Arc<Vec<G1Affine>>,
     scalars: &[Fr],
-    config: MsmConfig,
 ) -> (G1Projective, MsmStats) {
-    msm_with_config_on(&pool::Ambient, points, scalars, config)
+    msm_impl(backend, points, Some(points), scalars, MsmConfig::default())
 }
 
-/// [`msm_with_config`] on an explicit execution backend.
+/// [`msm`] with an explicit engine configuration: the one entry point that
+/// takes an [`MsmConfig`], for the engine's own tests and benchmarks and the
+/// hardware model. Every configuration computes the same group element.
 ///
 /// # Panics
 ///
@@ -347,22 +295,6 @@ pub fn msm_with_config_on(
     config: MsmConfig,
 ) -> (G1Projective, MsmStats) {
     msm_impl(backend, points, None, scalars, config)
-}
-
-/// [`msm_with_config`] over a shared point vector: when the backend goes
-/// parallel the `Arc` is cloned into the worker jobs instead of copying the
-/// points, so SRS-basis commitments fan out with zero point copies.
-///
-/// # Panics
-///
-/// Panics if the lengths mismatch.
-pub fn msm_with_config_shared(
-    backend: &dyn Backend,
-    points: &Arc<Vec<G1Affine>>,
-    scalars: &[Fr],
-    config: MsmConfig,
-) -> (G1Projective, MsmStats) {
-    msm_impl(backend, points, Some(points), scalars, config)
 }
 
 /// MSMs below this many points (the tail of the halving-MSM sequence, tiny
@@ -1136,35 +1068,30 @@ fn msm_impl(
 
 /// Computes a Sparse MSM as in the Witness Commit step: points whose scalar
 /// is exactly 0 are skipped, points whose scalar is exactly 1 are summed with
-/// a tree reduction, and the remaining dense scalars go through Pippenger.
+/// a tree reduction, and the remaining dense scalars go through Pippenger on
+/// `backend`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn sparse_msm(points: &[G1Affine], scalars: &[Fr]) -> (G1Projective, SparseMsmStats) {
-    sparse_msm_on(&pool::Ambient, points, scalars)
+pub fn sparse_msm(
+    backend: &dyn Backend,
+    points: &[G1Affine],
+    scalars: &[Fr],
+) -> (G1Projective, SparseMsmStats) {
+    sparse_msm_impl(backend, points, scalars, MsmConfig::default())
 }
 
-/// [`sparse_msm`] on an explicit execution backend.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
+/// [`sparse_msm`], under the name the benchmark imports.
 pub fn sparse_msm_on(
     backend: &dyn Backend,
     points: &[G1Affine],
     scalars: &[Fr],
 ) -> (G1Projective, SparseMsmStats) {
-    sparse_msm_with_config_on(backend, points, scalars, MsmConfig::default())
+    sparse_msm(backend, points, scalars)
 }
 
-/// [`sparse_msm`] on an explicit execution backend, running the dense
-/// remainder through an explicit [`MsmConfig`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sparse_msm_with_config_on(
+fn sparse_msm_impl(
     backend: &dyn Backend,
     points: &[G1Affine],
     scalars: &[Fr],
@@ -1253,26 +1180,29 @@ fn auto_precomputed_jobs(total_entries: usize, num_buckets: usize) -> usize {
 /// point of precomputing the session's bases. (A large MSM is cut into a
 /// few jobs, each with a bucket set and an aggregation of its own.)
 ///
-/// `config` supplies the batch-affine threshold; `config.window_bits` and
-/// `config.signed_digits` are ignored (the table's width wins and recoding
-/// is always signed). The result is the same group element any other
-/// schedule computes.
+/// The table's width is the window width and recoding is always signed;
+/// the result is the same group element [`msm`] computes.
 ///
 /// # Panics
 ///
 /// Panics if `scalars` is longer than the table's base count (shorter is
 /// fine: a prefix MSM, as the halving openings need).
-pub fn msm_precomputed_on(
+pub fn msm_precomputed(
     backend: &dyn Backend,
     table: &Arc<MultiBaseTable>,
     scalars: &[Fr],
-    config: MsmConfig,
 ) -> (G1Projective, MsmStats) {
     assert!(
         scalars.len() <= table.num_bases(),
         "more scalars than precomputed bases"
     );
-    msm_precomputed_impl(backend, table, None, scalars, config)
+    msm_precomputed_impl(
+        backend,
+        table,
+        None,
+        scalars,
+        BATCH_AFFINE_DEFAULT_MIN_POINTS,
+    )
 }
 
 /// The Sparse MSM of the Witness Commit step over precomputed tables:
@@ -1284,11 +1214,10 @@ pub fn msm_precomputed_on(
 /// # Panics
 ///
 /// Panics if `scalars` is longer than the table's base count.
-pub fn sparse_msm_precomputed_on(
+pub fn sparse_msm_precomputed(
     backend: &dyn Backend,
     table: &Arc<MultiBaseTable>,
     scalars: &[Fr],
-    config: MsmConfig,
 ) -> (G1Projective, SparseMsmStats) {
     assert!(
         scalars.len() <= table.num_bases(),
@@ -1298,7 +1227,13 @@ pub fn sparse_msm_precomputed_on(
     let (ones, dense_rows, dense_scalars) = split_sparse(0u32.., scalars, &mut stats);
     let ones = ones.iter().map(|&row| *table.base(row as usize)).collect();
     let dense_rows = Some(Arc::new(dense_rows));
-    let dense = msm_precomputed_impl(backend, table, dense_rows, &dense_scalars, config);
+    let dense = msm_precomputed_impl(
+        backend,
+        table,
+        dense_rows,
+        &dense_scalars,
+        BATCH_AFFINE_DEFAULT_MIN_POINTS,
+    );
     (add_ones_sum(ones, dense, &mut stats.ops), stats)
 }
 
@@ -1310,7 +1245,8 @@ struct PrecomputedInstance {
     scalar_limbs: Vec<[u64; 4]>,
     carries: Vec<[u64; 4]>,
     windows_per_job: usize,
-    config: MsmConfig,
+    /// [`MsmConfig::batch_affine_min_points`] of the fill.
+    min_adds: usize,
 }
 
 impl PrecomputedInstance {
@@ -1336,8 +1272,7 @@ impl PrecomputedInstance {
         }
         let mut stats = MsmStats::default();
         let mut sum = Vec::with_capacity(1);
-        let min_adds = self.config.batch_affine_min_points;
-        set.fill([self.table.entries(), &[]], min_adds, &mut stats);
+        set.fill([self.table.entries(), &[]], self.min_adds, &mut stats);
         set.aggregate(&mut stats, &mut sum);
         (sum[0], stats)
     }
@@ -1348,7 +1283,7 @@ fn msm_precomputed_impl(
     table: &Arc<MultiBaseTable>,
     rows: Option<Arc<Vec<u32>>>,
     scalars: &[Fr],
-    config: MsmConfig,
+    min_adds: usize,
 ) -> (G1Projective, MsmStats) {
     let n = scalars.len();
     let mut stats = MsmStats::default();
@@ -1377,7 +1312,7 @@ fn msm_precomputed_impl(
         scalar_limbs,
         carries,
         windows_per_job,
-        config,
+        min_adds,
     };
 
     // Same fan-out policy as `msm_impl`: below the parallel floor the work
@@ -1467,12 +1402,15 @@ mod tests {
     #[test]
     fn empty_msm_is_identity() {
         for (name, config) in all_configs() {
-            let (r, stats) = msm_with_config(&[], &[], config);
+            let (r, stats) = msm_with_config_on(&Serial, &[], &[], config);
             assert_eq!(r, G1Projective::identity(), "{name}");
             assert_eq!(stats, MsmStats::default(), "{name}");
         }
-        assert_eq!(msm(&[], &[]), G1Projective::identity());
-        let (r, s) = sparse_msm(&[], &[]);
+        assert_eq!(
+            msm(&Serial, &Arc::default(), &[]).0,
+            G1Projective::identity()
+        );
+        let (r, s) = sparse_msm(&Serial, &[], &[]);
         assert_eq!(r, G1Projective::identity());
         assert_eq!(s, SparseMsmStats::default());
     }
@@ -1499,7 +1437,6 @@ mod tests {
         ] {
             let (points, scalars) = (&points[..n], &scalars[..n]);
             let expect = naive_msm(points, scalars);
-            assert_eq!(msm(points, scalars), expect, "n = {n}");
             for (name, config) in all_configs() {
                 let serial = msm_with_config_on(&Serial, points, scalars, config);
                 assert_eq!(serial.0, expect, "n = {n}, {name}");
@@ -1517,15 +1454,11 @@ mod tests {
         }
         for n in [1, 2 * BATCH - 2, 2 * BATCH, 2 * BATCH + 2] {
             let ones = vec![Fr::one(); n];
-            let serial = sparse_msm_on(&Serial, &points[..n], &ones);
+            let serial = sparse_msm(&Serial, &points[..n], &ones);
             assert_eq!(serial.0, prefix_sums[n], "n = {n}");
             assert_eq!(serial.1.ops.affine_adds, n as u64 - 1);
             for backend in backends {
-                assert_eq!(
-                    sparse_msm_on(backend, &points[..n], &ones),
-                    serial,
-                    "n = {n}"
-                );
+                assert_eq!(sparse_msm(backend, &points[..n], &ones), serial, "n = {n}");
             }
         }
     }
@@ -1719,7 +1652,7 @@ mod tests {
         // All zeros: no window is ever touched, no ops are counted.
         let zeros = vec![Fr::zero(); 5];
         for (name, config) in all_configs() {
-            let (res, stats) = msm_with_config(&points, &zeros, config);
+            let (res, stats) = msm_with_config_on(&Serial, &points, &zeros, config);
             assert_eq!(res, G1Projective::identity(), "{name}");
             assert_eq!(stats.total_adds(), 0, "{name}");
             assert_eq!(stats.doublings, 0, "{name}");
@@ -1727,7 +1660,7 @@ mod tests {
         // All ones: MSM equals the plain sum.
         let ones = vec![Fr::one(); 5];
         let sum: G1Projective = points.iter().map(|p| p.to_projective()).sum();
-        assert_eq!(msm(&points, &ones), sum);
+        assert_eq!(msm(&Serial, &Arc::new(points), &ones).0, sum);
     }
 
     #[test]
@@ -1736,13 +1669,11 @@ mod tests {
         let n = 1 << 10;
         let points = cheap_points(n, &mut r);
         let scalars = random_scalars(n, &mut r);
-        let (classic_res, classic) =
-            msm_with_config(&points, &scalars, MsmConfig::classic().with_window_bits(8));
-        let (optimized_res, optimized) = msm_with_config(
-            &points,
-            &scalars,
-            MsmConfig::optimized().with_window_bits(8),
-        );
+        let run = |config: MsmConfig| {
+            msm_with_config_on(&Serial, &points, &scalars, config.with_window_bits(8))
+        };
+        let (classic_res, classic) = run(MsmConfig::classic());
+        let (optimized_res, optimized) = run(MsmConfig::optimized());
         assert_eq!(classic_res, optimized_res);
         assert!(
             optimized.fq_muls() * 10 < classic.fq_muls() * 8,
@@ -1774,14 +1705,13 @@ mod tests {
             scalars.push(s);
         }
         let expect = naive_msm(&points, &scalars);
-        let (result, stats) = sparse_msm(&points, &scalars);
+        let (result, stats) = sparse_msm(&Serial, &points, &scalars);
         assert_eq!(result, expect);
         assert_eq!(stats.zeros + stats.ones + stats.dense, n);
         assert!(stats.ones > 0);
         assert!(stats.zeros > 0);
         // An explicit config on the dense remainder agrees.
-        let (classic, _) =
-            sparse_msm_with_config_on(&Serial, &points, &scalars, MsmConfig::classic());
+        let (classic, _) = sparse_msm_impl(&Serial, &points, &scalars, MsmConfig::classic());
         assert_eq!(classic, expect);
     }
 
@@ -1921,22 +1851,20 @@ mod tests {
         scalars.extend((4..n).map(|_| Fr::random(&mut r)));
         let expect = naive_msm(&points, &scalars);
         for w in [1usize, 4, 8, 12, 16] {
-            let table = Arc::new(MultiBaseTable::build_on(&shared, w, &Serial));
+            let table = Arc::new(MultiBaseTable::build(&shared, w, &Serial));
             for min_points in [0usize, usize::MAX] {
-                let config = MsmConfig::precomputed().with_batch_affine_min_points(min_points);
-                let (res, stats) = msm_precomputed_on(&Serial, &table, &scalars, config);
+                let (res, stats) =
+                    msm_precomputed_impl(&Serial, &table, None, &scalars, min_points);
                 assert_eq!(res, expect, "w = {w}, min_points = {min_points}");
                 assert_eq!(stats.recoded_scalars, n as u64);
             }
         }
         // Prefix MSMs (fewer scalars than bases) are allowed.
-        let table = Arc::new(MultiBaseTable::build_on(&shared, 8, &Serial));
-        let (prefix, _) =
-            msm_precomputed_on(&Serial, &table, &scalars[..7], MsmConfig::precomputed());
+        let table = Arc::new(MultiBaseTable::build(&shared, 8, &Serial));
+        let (prefix, _) = msm_precomputed(&Serial, &table, &scalars[..7]);
         assert_eq!(prefix, naive_msm(&points[..7], &scalars[..7]));
         // Empty input.
-        let (empty, empty_stats) =
-            msm_precomputed_on(&Serial, &table, &[], MsmConfig::precomputed());
+        let (empty, empty_stats) = msm_precomputed(&Serial, &table, &[]);
         assert_eq!(empty, G1Projective::identity());
         assert_eq!(empty_stats, MsmStats::default());
     }
@@ -1948,13 +1876,12 @@ mod tests {
         let n = 512;
         let points = Arc::new(cheap_points(n, &mut r));
         let scalars = random_scalars(n, &mut r);
-        let table = Arc::new(MultiBaseTable::build_on(&points, 10, &Serial));
-        let config = MsmConfig::precomputed();
-        let serial = msm_precomputed_on(&Serial, &table, &scalars, config);
+        let table = Arc::new(MultiBaseTable::build(&points, 10, &Serial));
+        let serial = msm_precomputed(&Serial, &table, &scalars);
         assert_eq!(serial.0, naive_msm(&points, &scalars));
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let pooled = msm_precomputed_on(&pool, &table, &scalars, config);
+            let pooled = msm_precomputed(&pool, &table, &scalars);
             assert_eq!(
                 pooled, serial,
                 "threads = {threads}: result or stats drifted"
@@ -1976,29 +1903,12 @@ mod tests {
             })
             .collect();
         let expect = naive_msm(&points, &scalars);
-        let table = Arc::new(MultiBaseTable::build_on(&points, 9, &Serial));
-        let config = MsmConfig::precomputed();
-        let serial = sparse_msm_precomputed_on(&Serial, &table, &scalars, config);
+        let table = Arc::new(MultiBaseTable::build(&points, 9, &Serial));
+        let serial = sparse_msm_precomputed(&Serial, &table, &scalars);
         assert_eq!(serial.0, expect);
         assert!(serial.1.zeros > 0 && serial.1.ones > 0 && serial.1.dense > 0);
-        let pooled = sparse_msm_precomputed_on(&ThreadPool::new(8), &table, &scalars, config);
+        let pooled = sparse_msm_precomputed(&ThreadPool::new(8), &table, &scalars);
         assert_eq!(pooled, serial);
-    }
-
-    #[test]
-    fn precomputed_schedule_without_table_falls_back() {
-        // The plain engine has no table, so MsmSchedule::Precomputed must
-        // degrade to one job per window and still be correct.
-        let mut r = rng();
-        let n = 100;
-        let points = random_points(n, &mut r);
-        let scalars = random_scalars(n, &mut r);
-        let fallback = msm_with_config(&points, &scalars, MsmConfig::precomputed());
-        assert_eq!(fallback.0, naive_msm(&points, &scalars));
-        assert_eq!(
-            fallback,
-            msm_with_config(&points, &scalars, MsmConfig::optimized())
-        );
     }
 
     #[test]
@@ -2010,14 +1920,13 @@ mod tests {
         let n = 1 << 10;
         let points = Arc::new(cheap_points(n, &mut r));
         let scalars = random_scalars(n, &mut r);
-        let (opt_res, optimized) = msm_with_config(&points, &scalars, MsmConfig::optimized());
-        let table = Arc::new(MultiBaseTable::build_on(
+        let (opt_res, optimized) = msm(&Serial, &points, &scalars);
+        let table = Arc::new(MultiBaseTable::build(
             &points,
             crate::MULTI_BASE_DEFAULT_WINDOW_BITS,
             &Serial,
         ));
-        let (pre_res, precomputed) =
-            msm_precomputed_on(&Serial, &table, &scalars, MsmConfig::precomputed());
+        let (pre_res, precomputed) = msm_precomputed(&Serial, &table, &scalars);
         assert_eq!(pre_res, opt_res);
         assert!(
             precomputed.fq_muls() * 4 < optimized.fq_muls() * 3,

@@ -8,8 +8,8 @@
 //! and one aggregation pass (per job of a large MSM), and **no window
 //! doublings** (compare
 //! [`crate::FixedBaseTable`], which plays the same trick for one base in
-//! `Srs` setup). The [`MsmSchedule::Precomputed`](crate::MsmSchedule)
-//! engine in [`crate::msm_precomputed_on`] consumes these tables.
+//! `Srs` setup). [`crate::msm_precomputed`] and
+//! [`crate::sparse_msm_precomputed`] consume these tables.
 //!
 //! The table stores only the `⌈255/w⌉ + 1` shifted bases per point (the
 //! extra window absorbs the signed-recoding carry), not per-digit
@@ -36,10 +36,10 @@ pub const MULTI_BASE_DEFAULT_WINDOW_BITS: usize = 12;
 /// Precomputed shifted-base window table over a fixed point vector:
 /// `entry(i, j) = 2^{w·j}·Bᵢ` for every base `i` and window `j`.
 ///
-/// Built once per session with [`MultiBaseTable::build_on`] (chunked across
+/// Built once per session with [`MultiBaseTable::build`] (chunked across
 /// the backend, one batch inversion per chunk) and shared via `Arc` like
-/// the bases themselves; consumed by [`crate::msm_precomputed_on`] /
-/// [`crate::sparse_msm_precomputed_on`].
+/// the bases themselves; consumed by [`crate::msm_precomputed`] /
+/// [`crate::sparse_msm_precomputed`].
 #[derive(Clone, Debug)]
 pub struct MultiBaseTable {
     window_bits: usize,
@@ -58,7 +58,7 @@ impl MultiBaseTable {
     /// # Panics
     ///
     /// Panics if `window_bits` is 0 or greater than 16.
-    pub fn build_on(bases: &Arc<Vec<G1Affine>>, window_bits: usize, backend: &dyn Backend) -> Self {
+    pub fn build(bases: &Arc<Vec<G1Affine>>, window_bits: usize, backend: &dyn Backend) -> Self {
         assert!(
             (1..=16).contains(&window_bits),
             "multi-base window bits must be in 1..=16"
@@ -97,15 +97,6 @@ impl MultiBaseTable {
             num_bases,
             entries,
         }
-    }
-
-    /// [`MultiBaseTable::build_on`] on the ambient backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_bits` is 0 or greater than 16.
-    pub fn build(bases: &[G1Affine], window_bits: usize) -> Self {
-        Self::build_on(&Arc::new(bases.to_vec()), window_bits, &pool::Ambient)
     }
 
     /// The window width in bits.
@@ -189,7 +180,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x3u64);
         let bases = random_bases(3, &mut rng);
         for w in [1usize, 5, 12] {
-            let table = MultiBaseTable::build_on(&bases, w, &Serial);
+            let table = MultiBaseTable::build(&bases, w, &Serial);
             assert_eq!(table.window_bits(), w);
             assert_eq!(table.num_bases(), 3);
             assert_eq!(table.num_windows(), (Fr::NUM_BITS as usize).div_ceil(w) + 1);
@@ -215,8 +206,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x7u64);
         // Enough bases that map_ranges genuinely splits into chunks.
         let bases = random_bases(80, &mut rng);
-        let serial = MultiBaseTable::build_on(&bases, 10, &Serial);
-        let pooled = MultiBaseTable::build_on(&bases, 10, &ThreadPool::new(8));
+        let serial = MultiBaseTable::build(&bases, 10, &Serial);
+        let pooled = MultiBaseTable::build(&bases, 10, &ThreadPool::new(8));
         assert_eq!(serial.entries, pooled.entries);
     }
 
@@ -224,7 +215,7 @@ mod tests {
     fn size_accounting_matches_plan() {
         let mut rng = StdRng::seed_from_u64(0xbu64);
         let bases = random_bases(7, &mut rng);
-        let table = MultiBaseTable::build_on(&bases, 12, &Serial);
+        let table = MultiBaseTable::build(&bases, 12, &Serial);
         assert_eq!(
             table.size_in_points(),
             MultiBaseTable::planned_points(7, 12)
@@ -237,6 +228,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "window bits")]
     fn zero_window_bits_rejected() {
-        let _ = MultiBaseTable::build(&[], 0);
+        let _ = MultiBaseTable::build(&Arc::new(Vec::new()), 0, &Serial);
     }
 }

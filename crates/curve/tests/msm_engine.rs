@@ -3,9 +3,11 @@
 //! [`naive_msm`], and the operation counts the engine reports against the
 //! multiplications the field layer counts.
 
+use std::sync::Arc;
+
 use zkspeed_curve::{
-    msm_with_config, msm_with_config_on, naive_msm, sparse_msm_on, G1Affine, G1Projective,
-    MsmConfig, BATCH_AFFINE_DEFAULT_MIN_POINTS,
+    msm, msm_with_config_on, naive_msm, sparse_msm, G1Affine, G1Projective, MsmConfig,
+    BATCH_AFFINE_DEFAULT_MIN_POINTS,
 };
 use zkspeed_field::{measure_modmuls, Fr};
 use zkspeed_rt::pool::{Backend, Serial, ThreadPool};
@@ -119,7 +121,7 @@ fn adversarial_inputs_match_naive_at_every_window_size() {
                         .with_signed_digits(signed)
                         .with_window_bits(w)
                         .with_batch_affine_min_points(min_points);
-                    let (res, stats) = msm_with_config(&points, &scalars, config);
+                    let (res, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
                     assert_eq!(res, expect, "{case}: {config:?}");
                     let halves = if signed { 2 * n as u64 } else { 0 };
                     assert_eq!(stats.recoded_scalars, halves);
@@ -129,8 +131,9 @@ fn adversarial_inputs_match_naive_at_every_window_size() {
     }
     for n in (1..=33).chain([255, 256, 257]) {
         for (case, points, scalars) in adversarial_inputs(n, &mut r) {
-            let (res, _) = msm_with_config(&points, &scalars, MsmConfig::default());
-            assert_eq!(res, naive_msm(&points, &scalars), "{case}: n = {n}");
+            let expect = naive_msm(&points, &scalars);
+            let (res, _) = msm(&Serial, &Arc::new(points), &scalars);
+            assert_eq!(res, expect, "{case}: n = {n}");
         }
     }
 }
@@ -162,7 +165,7 @@ fn modelled_fq_muls_are_the_measured_ones() {
             _ => Fr::from_u64(i as u64 % 2),
         })
         .collect();
-    let ((_, stats), muls) = measure_modmuls(|| sparse_msm_on(&Serial, &points, &sparse));
+    let ((_, stats), muls) = measure_modmuls(|| sparse_msm(&Serial, &points, &sparse));
     assert_eq!(stats.ops.fq_muls(), muls.fq);
 }
 
@@ -201,7 +204,7 @@ fn default_config_adds_no_projective_point_per_bucket() {
     let scalars = random_scalars(1 << 14, &mut r);
     for log in 5..=14 {
         let n = 1 << log;
-        let (_, stats) = msm_with_config(&points[..n], &scalars[..n], MsmConfig::default());
+        let (_, stats) = msm(&Serial, &Arc::new(points[..n].to_vec()), &scalars[..n]);
         assert!(4 * stats.bucket_adds < stats.affine_adds, "{stats:?}");
         if log == 14 {
             // Twice the terms at half the width against 255-bit windows:
@@ -226,9 +229,9 @@ fn skewed_windows_never_pay_an_inversion_per_addition() {
     let n = 1 << 10;
     let points = cheap_points(n, &mut r);
     let config = MsmConfig::optimized().with_window_bits(8);
-    let (_, skewed) = msm_with_config(&points, &vec![Fr::random(&mut r); n], config);
+    let (_, skewed) = msm_with_config_on(&Serial, &points, &vec![Fr::random(&mut r); n], config);
     assert!(skewed.bucket_adds > skewed.affine_adds);
-    let (_, uniform) = msm_with_config(&points, &random_scalars(n, &mut r), config);
+    let (_, uniform) = msm_with_config_on(&Serial, &points, &random_scalars(n, &mut r), config);
     assert!(uniform.bucket_adds == 0 && uniform.batch_inversions > 0);
     for stats in [skewed, uniform] {
         let min_adds = BATCH_AFFINE_DEFAULT_MIN_POINTS as u64;

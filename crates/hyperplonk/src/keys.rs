@@ -9,7 +9,7 @@
 use core::fmt;
 use std::sync::Arc;
 
-use zkspeed_pcs::{commit_on, CommitTables, Commitment, PrecomputeBudget, Srs};
+use zkspeed_pcs::{commit, CommitTables, Commitment, PrecomputeBudget, Srs};
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::pool::{self, Backend, Serial};
 use zkspeed_transcript::Transcript;
@@ -56,9 +56,10 @@ pub struct ProvingKey {
     /// Commitments to `σ₁, σ₂, σ₃`.
     pub sigma_commitments: [Commitment; 3],
     /// Per-session precomputed commit tables over the SRS Lagrange bases
-    /// ([`try_preprocess_with_budget_on`] builds them within the opt-in
-    /// [`PrecomputeBudget`]; `None` keeps every commit on the table-free
-    /// engine). Proof bytes are identical either way.
+    /// ([`try_preprocess`] builds them within the opt-in
+    /// [`PrecomputeBudget`]). Every commit and opening at a level with a
+    /// table runs on it; `None` keeps them all on the table-free engine.
+    /// Proof bytes are identical either way.
     pub commit_tables: Option<Arc<CommitTables>>,
 }
 
@@ -106,8 +107,10 @@ pub fn bind_circuit_to_transcript(
     }
 }
 
-/// Validating preprocessing: turns an undersized SRS into a
-/// [`PreprocessError`] instead of panicking.
+/// Preprocessing: commits to the circuit's five selector and three wiring
+/// tables, one job each on `backend`, and builds the per-session commit
+/// tables ([`CommitTables`]) `budget` allows on the same backend. A
+/// disabled budget (the default) builds none.
 ///
 /// # Errors
 ///
@@ -115,40 +118,7 @@ pub fn bind_circuit_to_transcript(
 pub fn try_preprocess(
     circuit: Circuit,
     srs: &Srs,
-) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
-    try_preprocess_on(circuit, srs, &pool::ambient())
-}
-
-/// [`try_preprocess`] on an explicit execution backend: the eight
-/// commitments (five selectors, three wiring permutations) fan out across
-/// the backend's workers.
-///
-/// # Errors
-///
-/// Returns [`PreprocessError::SrsTooSmall`] if the circuit does not fit.
-pub fn try_preprocess_on(
-    circuit: Circuit,
-    srs: &Srs,
-    backend: &Arc<dyn Backend>,
-) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
-    try_preprocess_with_budget_on(circuit, srs, backend, &PrecomputeBudget::disabled())
-}
-
-/// [`try_preprocess_on`] additionally building per-session precomputed
-/// commit tables ([`CommitTables`]) within the given [`PrecomputeBudget`]
-/// and storing them on the [`ProvingKey`] — the one-time build that lets
-/// every subsequent proof of the session commit with the zero-doubling
-/// [`MsmSchedule::Precomputed`](zkspeed_curve::MsmSchedule) engine. A
-/// disabled budget (the default) makes this identical to
-/// [`try_preprocess_on`].
-///
-/// # Errors
-///
-/// Returns [`PreprocessError::SrsTooSmall`] if the circuit does not fit.
-pub fn try_preprocess_with_budget_on(
-    circuit: Circuit,
-    srs: &Srs,
-    backend: &Arc<dyn Backend>,
+    backend: &dyn Backend,
     budget: &PrecomputeBudget,
 ) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
     if circuit.num_vars() > srs.num_vars() {
@@ -180,8 +150,8 @@ pub fn try_preprocess_with_budget_on(
         .cloned()
         .collect();
     let job_srs = srs.clone();
-    let commitments = pool::map_indices_on(&**backend, tables.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| commit_on(&Serial, &job_srs, &tables[i]))
+    let commitments = pool::map_indices_on(backend, tables.len(), move |i| {
+        zkspeed_field::measure_modmuls(|| commit(&Serial, &job_srs, &tables[i], None).0)
     });
     let mut ordered = Vec::with_capacity(commitments.len());
     for (com, muls) in commitments {
@@ -192,7 +162,7 @@ pub fn try_preprocess_with_budget_on(
     let sigma_commitments = [0, 1, 2].map(|i| ordered[5 + i]);
     // The session's table build rides the same backend; commitments above
     // were computed table-free, which yields the same group elements.
-    let commit_tables = CommitTables::build_on(srs, budget, &**backend).map(Arc::new);
+    let commit_tables = CommitTables::build(srs, budget, backend).map(Arc::new);
     let vk = VerifyingKey {
         num_vars: circuit.num_vars(),
         srs: srs.clone(),
@@ -214,6 +184,8 @@ mod tests {
     use super::*;
     use crate::circuit::GateSelectors;
     use crate::mock::{mock_circuit, SparsityProfile};
+    use zkspeed_pcs::commit_on;
+    use zkspeed_rt::pool::ThreadPool;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -221,35 +193,45 @@ mod tests {
         StdRng::seed_from_u64(0x5eed_000f)
     }
 
-    use zkspeed_pcs::commit;
+    fn srs(mu: usize, r: &mut StdRng) -> Srs {
+        Srs::try_setup(mu, r, &Serial).unwrap()
+    }
+
+    /// Serial preprocessing without commit tables.
+    fn preprocess(
+        circuit: Circuit,
+        srs: &Srs,
+    ) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
+        try_preprocess(circuit, srs, &Serial, &PrecomputeBudget::disabled())
+    }
 
     #[test]
     fn preprocess_commits_to_circuit_tables() {
         let mut r = rng();
-        let srs = Srs::setup(4, &mut r);
+        let srs = srs(4, &mut r);
         let (circuit, _) = mock_circuit(4, SparsityProfile::paper_default(), &mut r);
-        let (pk, vk) = try_preprocess(circuit.clone(), &srs).expect("circuit fits");
+        let (pk, vk) = preprocess(circuit.clone(), &srs).expect("circuit fits");
         assert_eq!(vk.num_vars, 4);
         assert_eq!(pk.selector_commitments, vk.selector_commitments);
         // Commitments match direct commitment of the tables.
         assert_eq!(
             vk.selector_commitments[0],
-            commit(&srs, &circuit.selectors()[0])
+            commit_on(&Serial, &srs, &circuit.selectors()[0])
         );
         assert_eq!(
             vk.sigma_commitments[2],
-            commit(&srs, &circuit.sigma_mles()[2])
+            commit_on(&Serial, &srs, &circuit.sigma_mles()[2])
         );
     }
 
     #[test]
     fn different_circuits_give_different_keys() {
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = srs(3, &mut r);
         let add = Circuit::with_identity_wiring(&vec![GateSelectors::addition(); 8]);
         let mul = Circuit::with_identity_wiring(&vec![GateSelectors::multiplication(); 8]);
-        let (_, vk_add) = try_preprocess(add, &srs).unwrap();
-        let (_, vk_mul) = try_preprocess(mul, &srs).unwrap();
+        let (_, vk_add) = preprocess(add, &srs).unwrap();
+        let (_, vk_mul) = preprocess(mul, &srs).unwrap();
         assert_ne!(vk_add.selector_commitments, vk_mul.selector_commitments);
         // Binding to a transcript therefore yields different challenges.
         let mut ta = Transcript::new(b"t");
@@ -262,9 +244,9 @@ mod tests {
     #[test]
     fn undersized_srs_is_a_structured_error() {
         let mut r = rng();
-        let srs = Srs::setup(2, &mut r);
+        let srs = srs(2, &mut r);
         let (circuit, _) = mock_circuit(3, SparsityProfile::paper_default(), &mut r);
-        let err = try_preprocess(circuit, &srs).unwrap_err();
+        let err = preprocess(circuit, &srs).unwrap_err();
         assert_eq!(
             err,
             PreprocessError::SrsTooSmall {
@@ -278,17 +260,15 @@ mod tests {
     #[test]
     fn budgeted_preprocess_builds_tables_and_identical_keys() {
         let mut r = rng();
-        let srs = Srs::setup(6, &mut r);
+        let srs = srs(6, &mut r);
         let (circuit, _) = mock_circuit(6, SparsityProfile::paper_default(), &mut r);
-        let backend: Arc<dyn Backend> = Arc::new(Serial);
-        let (pk_plain, vk_plain) = try_preprocess_on(circuit.clone(), &srs, &backend).unwrap();
+        let (pk_plain, vk_plain) = preprocess(circuit.clone(), &srs).unwrap();
         assert!(
             pk_plain.commit_tables.is_none(),
-            "default budget is disabled"
+            "a disabled budget builds no tables"
         );
         let (pk, vk) =
-            try_preprocess_with_budget_on(circuit, &srs, &backend, &PrecomputeBudget::unlimited())
-                .unwrap();
+            try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::unlimited()).unwrap();
         let tables = pk.commit_tables.as_ref().expect("unlimited budget builds");
         assert!(tables.levels_covered() > 0);
         assert!(tables.size_in_bytes() > 0);
@@ -302,9 +282,9 @@ mod tests {
     #[test]
     fn undersized_circuits_preprocess_against_the_srs_prefix() {
         let mut r = rng();
-        let full = Srs::setup(6, &mut r);
+        let full = srs(6, &mut r);
         let (circuit, _) = mock_circuit(4, SparsityProfile::paper_default(), &mut r);
-        let (pk, vk) = try_preprocess(circuit.clone(), &full).expect("circuit fits");
+        let (pk, vk) = preprocess(circuit.clone(), &full).expect("circuit fits");
         // The keys hold the 4-variable view, not the 6-variable SRS …
         assert_eq!(pk.srs.num_vars(), 4);
         assert_eq!(vk.srs.num_vars(), 4);
@@ -312,9 +292,9 @@ mod tests {
         // SRS (level sharing) and an exact-size preprocess over the view.
         assert_eq!(
             vk.selector_commitments[0],
-            commit(&full, &circuit.selectors()[0])
+            commit_on(&Serial, &full, &circuit.selectors()[0])
         );
-        let (_, vk_exact) = try_preprocess(circuit, &full.prefix(4)).unwrap();
+        let (_, vk_exact) = preprocess(circuit, &full.prefix(4)).unwrap();
         assert_eq!(vk.selector_commitments, vk_exact.selector_commitments);
         assert_eq!(vk.sigma_commitments, vk_exact.sigma_commitments);
     }
@@ -322,12 +302,11 @@ mod tests {
     #[test]
     fn backend_preprocess_matches_serial() {
         let mut r = rng();
-        let srs = Srs::setup(5, &mut r);
+        let srs = srs(5, &mut r);
         let (circuit, _) = mock_circuit(5, SparsityProfile::paper_default(), &mut r);
-        let serial: Arc<dyn Backend> = Arc::new(Serial);
-        let pool: Arc<dyn Backend> = Arc::new(zkspeed_rt::pool::ThreadPool::new(4));
-        let (_, vk_a) = try_preprocess_on(circuit.clone(), &srs, &serial).unwrap();
-        let (_, vk_b) = try_preprocess_on(circuit, &srs, &pool).unwrap();
+        let budget = PrecomputeBudget::disabled();
+        let (_, vk_a) = preprocess(circuit.clone(), &srs).unwrap();
+        let (_, vk_b) = try_preprocess(circuit, &srs, &ThreadPool::new(4), &budget).unwrap();
         assert_eq!(vk_a.selector_commitments, vk_b.selector_commitments);
         assert_eq!(vk_a.sigma_commitments, vk_b.sigma_commitments);
     }

@@ -15,9 +15,9 @@
 
 use zkspeed_field::{measure_modmuls, modmul_count, reset_modmul_count, Fr};
 use zkspeed_poly::{fraction_mle, product_mle, MultilinearPoly};
-use zkspeed_rt::pool::Ambient;
+use zkspeed_rt::pool::Serial;
 use zkspeed_rt::Rng;
-use zkspeed_sumcheck::{prove, prove_zerocheck};
+use zkspeed_sumcheck::{prove_on, prove_zerocheck_on};
 use zkspeed_transcript::Transcript;
 
 use crate::mock::{mock_circuit, SparsityProfile};
@@ -85,7 +85,7 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     reset_modmul_count();
     let before = modmul_count();
     for col in &witness.columns {
-        let _ = zkspeed_curve::sparse_msm(&points, col.evaluations());
+        let _ = zkspeed_curve::sparse_msm(&Serial, &points, col.evaluations());
     }
     rows.push(KernelProfile {
         kernel: "Witness MSMs",
@@ -105,8 +105,9 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     let pi = product_mle(&phi);
 
     let before = modmul_count();
-    let _ = zkspeed_curve::msm(&points, phi.evaluations());
-    let _ = zkspeed_curve::msm(&points, pi.evaluations());
+    let shared = std::sync::Arc::new(points.clone());
+    let _ = zkspeed_curve::msm(&Serial, &shared, phi.evaluations());
+    let _ = zkspeed_curve::msm(&Serial, &shared, pi.evaluations());
     rows.push(KernelProfile {
         kernel: "Wire Identity MSMs",
         modmuls: modmul_count().since(&before).total(),
@@ -121,7 +122,8 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
         let mut offset = 0usize;
         while size >= 1 {
             let scalars: Vec<Fr> = phi.evaluations()[..size].to_vec();
-            let _ = zkspeed_curve::msm(&points[offset..offset + size], &scalars);
+            let halved = std::sync::Arc::new(points[offset..offset + size].to_vec());
+            let _ = zkspeed_curve::msm(&Serial, &halved, &scalars);
             offset = 0;
             if size == 1 {
                 break;
@@ -148,7 +150,7 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     let combined: Vec<MultilinearPoly> = (0..groups.len())
         .map(|_| MultilinearPoly::random(num_vars, rng))
         .collect();
-    let f_open = opening_polynomial(&groups, &combined, Fr::random(rng), &Ambient);
+    let f_open = opening_polynomial(&groups, &combined, Fr::random(rng), &Serial);
     let mut update_modmuls = 0;
     let mut update_entries = 0;
     for (kernel, f, zerocheck) in [
@@ -164,9 +166,9 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
         let ((), proof) = measure_modmuls(|| {
             let mut transcript = Transcript::new(b"profile");
             if zerocheck {
-                let _ = prove_zerocheck(f, &mut transcript);
+                let _ = prove_zerocheck_on(f, &mut transcript, &Serial);
             } else {
-                let _ = prove(f, &mut transcript);
+                let _ = prove_on(f, &mut transcript, &Serial);
             }
         });
         rows.push(KernelProfile {

@@ -10,22 +10,21 @@
 //! | 4. Batch Evaluations | MLE Evaluate (only what no SumCheck already returned) |
 //! | 5. Polynomial Opening | MLE Combine, Build MLE, SumCheck (OpenCheck), halving MSMs |
 //!
-//! [`prove_with_report_on`] also returns wall-clock and operation-count
-//! measurements per step; these calibrate the CPU baseline model used by the
-//! accelerator's design-space exploration. The `*_msm_on` variants
-//! additionally pin the MSM engine configuration
-//! ([`zkspeed_curve::MsmConfig`]) used by every commitment and opening.
+//! [`prove`] returns wall-clock and operation-count measurements per step
+//! with every proof; these calibrate the CPU baseline model used by the
+//! accelerator's design-space exploration. Where the work runs and where its
+//! spans go is the caller's [`ExecCtx`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use zkspeed_curve::{MsmConfig, MsmStats, SparseMsmStats};
+use zkspeed_curve::{MsmStats, SparseMsmStats};
 use zkspeed_field::Fr;
-use zkspeed_pcs::{commit_sparse_with_tables_on, commit_with_tables_on, open_with_tables_on};
+use zkspeed_pcs::{commit, commit_sparse, open};
 use zkspeed_poly::{fraction_mle, product_mle, split_even_odd, MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::pool::{self, Backend, Serial};
 use zkspeed_rt::trace::TraceSink;
-use zkspeed_sumcheck::{prove_traced_on as sumcheck_prove_traced_on, prove_zerocheck_traced_on};
+use zkspeed_sumcheck::{prove as sumcheck_prove, prove_zerocheck};
 use zkspeed_transcript::Transcript;
 
 use crate::circuit::{Circuit, SatisfactionError, Witness};
@@ -127,152 +126,76 @@ impl core::fmt::Display for ProveError {
 
 impl std::error::Error for ProveError {}
 
-/// Proves that `witness` satisfies the circuit in `pk` on an explicit
-/// execution backend.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] if the witness fails the
-/// circuit's gate or wiring constraints.
-pub fn prove_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-) -> Result<Proof, ProveError> {
-    prove_with_report_on(pk, witness, backend).map(|(proof, _)| proof)
+/// Where and how one proving call runs: the backend its parallel work fans
+/// out over, the sink its spans go to, and the job id they carry. None of
+/// the three changes a byte of the proof.
+#[derive(Clone, Debug)]
+pub struct ExecCtx {
+    /// The execution backend every MSM, SumCheck round and batch fan-out of
+    /// the call runs on.
+    pub backend: Arc<dyn Backend>,
+    /// Receives a span per protocol step, SumCheck round and MSM pass.
+    pub trace: TraceSink,
+    /// The job id the spans carry.
+    pub job: u64,
 }
 
-/// [`prove_on`], additionally returning per-step measurements.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] if the witness fails the
-/// circuit's gate or wiring constraints.
-pub fn prove_with_report_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-) -> Result<(Proof, ProverReport), ProveError> {
-    prove_with_report_msm_on(pk, witness, backend, MsmConfig::default())
+impl Default for ExecCtx {
+    /// [`Serial`], a disabled sink, job 0.
+    fn default() -> Self {
+        Self {
+            backend: Arc::new(Serial),
+            trace: TraceSink::disabled(),
+            job: 0,
+        }
+    }
 }
 
-/// [`prove_with_report_on`] with an explicit MSM engine configuration for
-/// every commitment and opening of the proof (witness commits, φ/π commits,
-/// halving opening MSMs). Every configuration produces bit-identical proof
-/// encodings; only the operation schedule (and therefore the report's
-/// counters) differs.
+/// Proves that `witness` satisfies the circuit in `pk`, returning the proof
+/// and per-step measurements.
 ///
 /// # Errors
 ///
 /// Returns [`ProveError::UnsatisfiedWitness`] if the witness fails the
 /// circuit's gate or wiring constraints.
-pub fn prove_with_report_msm_on(
+pub fn prove(
     pk: &ProvingKey,
     witness: &Witness,
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
+    ctx: &ExecCtx,
 ) -> Result<(Proof, ProverReport), ProveError> {
     pk.circuit
         .check_witness(witness)
         .map_err(ProveError::UnsatisfiedWitness)?;
-    Ok(prove_unchecked_msm_on(pk, witness, backend, msm))
+    Ok(prove_unchecked(pk, witness, ctx))
 }
 
-/// Proves every witness in `witnesses` against the same proving key,
-/// fanning the independent proofs out across the backend's worker pool.
+/// Proves every witness of `batch` against the same proving key, fanning
+/// the independent proofs out across `ctx.backend`; each proof's spans
+/// carry the job id it is paired with (in place of `ctx.job`).
 ///
 /// All witnesses are validated up front; the proofs are returned in input
-/// order and each is bit-identical to a [`prove_on`] run of the same
-/// witness on any backend.
+/// order and each is bit-identical to a [`prove`] of the same witness on
+/// any backend.
 ///
 /// # Errors
 ///
 /// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
 /// (no proving work is started in that case).
-pub fn prove_batch_on(
+pub fn prove_batch(
     pk: &ProvingKey,
-    witnesses: &[Witness],
-    backend: &Arc<dyn Backend>,
-) -> Result<Vec<Proof>, ProveError> {
-    prove_batch_msm_on(pk, witnesses, backend, MsmConfig::default())
-}
-
-/// [`prove_batch_on`] with an explicit MSM engine configuration.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
-/// (no proving work is started in that case).
-pub fn prove_batch_msm_on(
-    pk: &ProvingKey,
-    witnesses: &[Witness],
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
-) -> Result<Vec<Proof>, ProveError> {
-    Ok(
-        prove_batch_with_reports_msm_on(pk, witnesses, backend, msm)?
-            .into_iter()
-            .map(|(proof, _)| proof)
-            .collect(),
-    )
-}
-
-/// [`prove_batch_msm_on`], additionally returning each proof's per-step
-/// measurements — the proving service merges the reports' MSM statistics
-/// into its metrics rollups. Proofs are bit-identical to the report-free
-/// variant.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
-/// (no proving work is started in that case).
-pub fn prove_batch_with_reports_msm_on(
-    pk: &ProvingKey,
-    witnesses: &[Witness],
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
+    batch: &[(u64, Witness)],
+    ctx: &ExecCtx,
 ) -> Result<Vec<(Proof, ProverReport)>, ProveError> {
-    prove_batch_with_reports_traced_on(pk, witnesses, backend, msm, &TraceSink::disabled(), &[])
-}
-
-/// [`prove_batch_with_reports_msm_on`] with phase-level tracing: every
-/// protocol step, SumCheck round and MSM pass of every proof records a span
-/// into `trace`, tagged with the corresponding id from `job_ids` (pass an
-/// empty slice to tag all proofs with job id 0). Tracing observes wall time
-/// only — it never touches the transcript or the work schedule — so proofs
-/// are bit-identical with tracing on or off.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
-/// (no proving work is started in that case).
-///
-/// # Panics
-///
-/// Panics if `job_ids` is non-empty and shorter than `witnesses`.
-pub fn prove_batch_with_reports_traced_on(
-    pk: &ProvingKey,
-    witnesses: &[Witness],
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
-    trace: &TraceSink,
-    job_ids: &[u64],
-) -> Result<Vec<(Proof, ProverReport)>, ProveError> {
-    assert!(
-        job_ids.is_empty() || job_ids.len() >= witnesses.len(),
-        "job_ids must be empty or cover every witness"
-    );
-    let job_id = |i: usize| -> u64 { job_ids.get(i).copied().unwrap_or(0) };
-    for witness in witnesses {
+    for (_, witness) in batch {
         pk.circuit
             .check_witness(witness)
             .map_err(ProveError::UnsatisfiedWitness)?;
     }
-    if witnesses.len() <= 1 || backend.threads() == 1 {
-        return Ok(witnesses
+    let job_ctx = move |job| ExecCtx { job, ..ctx.clone() };
+    if batch.len() <= 1 || ctx.backend.threads() == 1 {
+        return Ok(batch
             .iter()
-            .enumerate()
-            .map(|(i, w)| prove_unchecked_traced_on(pk, w, backend, msm, trace, job_id(i)))
+            .map(|(job, w)| prove_unchecked(pk, w, &job_ctx(*job)))
             .collect());
     }
     // One job per proof; each job still hands its inner MSM / SumCheck work
@@ -280,21 +203,13 @@ pub fn prove_batch_with_reports_traced_on(
     // busy across proof boundaries. Modmul deltas are re-added in input
     // order so profiling counters match a serial batch.
     let job_pk = pk.clone();
-    let job_witnesses = witnesses.to_vec();
-    let job_tags: Vec<u64> = (0..witnesses.len()).map(job_id).collect();
-    let job_trace = trace.clone();
-    let inner = Arc::clone(backend);
-    let proofs = pool::map_indices_on(&**backend, witnesses.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| {
-            prove_unchecked_traced_on(
-                &job_pk,
-                &job_witnesses[i],
-                &inner,
-                msm,
-                &job_trace,
-                job_tags[i],
-            )
-        })
+    let jobs: Vec<(ExecCtx, Witness)> = batch
+        .iter()
+        .map(|(job, w)| (job_ctx(*job), w.clone()))
+        .collect();
+    let proofs = pool::map_indices_on(&*ctx.backend, batch.len(), move |i| {
+        let (ctx, witness) = &jobs[i];
+        zkspeed_field::measure_modmuls(|| prove_unchecked(&job_pk, witness, ctx))
     });
     Ok(proofs
         .into_iter()
@@ -309,34 +224,8 @@ pub fn prove_batch_with_reports_traced_on(
 ///
 /// Used by soundness tests (an unsatisfied witness yields a proof the
 /// verifier rejects) and by callers that have already validated the witness.
-pub fn prove_unchecked_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-) -> (Proof, ProverReport) {
-    prove_unchecked_msm_on(pk, witness, backend, MsmConfig::default())
-}
-
-/// [`prove_unchecked_on`] with an explicit MSM engine configuration.
-pub fn prove_unchecked_msm_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
-) -> (Proof, ProverReport) {
-    prove_unchecked_traced_on(pk, witness, backend, msm, &TraceSink::disabled(), 0)
-}
-
-/// [`prove_unchecked_msm_on`] with phase-level tracing (see
-/// [`prove_batch_with_reports_traced_on`] for the tracing contract).
-pub fn prove_unchecked_traced_on(
-    pk: &ProvingKey,
-    witness: &Witness,
-    backend: &Arc<dyn Backend>,
-    msm: MsmConfig,
-    trace: &TraceSink,
-    job: u64,
-) -> (Proof, ProverReport) {
+pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Proof, ProverReport) {
+    let (backend, trace, job) = (&ctx.backend, &ctx.trace, ctx.job);
     let mu = pk.circuit.num_vars();
     let mut report = ProverReport {
         num_vars: mu,
@@ -366,13 +255,7 @@ pub fn prove_unchecked_traced_on(
         let _msm_span =
             job_trace.span_with("msm-witness", "msm", &[("job", job), ("column", j as u64)]);
         zkspeed_field::measure_modmuls(|| {
-            commit_sparse_with_tables_on(
-                &Serial,
-                &job_srs,
-                &job_columns[j],
-                msm,
-                job_tables.as_deref(),
-            )
+            commit_sparse(&Serial, &job_srs, &job_columns[j], job_tables.as_deref())
         })
     });
     let mut witness_commitments = Vec::with_capacity(3);
@@ -397,8 +280,7 @@ pub fn prove_unchecked_traced_on(
     let t1 = Instant::now();
     let step_span = trace.span_with("gate-identity", "prove", &[("job", job)]);
     let f_gate = gate_polynomial(&pk.circuit, witness);
-    let gate_out =
-        prove_zerocheck_traced_on(&f_gate, &mut transcript, &**backend, trace, "gate-round");
+    let gate_out = prove_zerocheck(&f_gate, &mut transcript, &**backend, trace, "gate-round");
     let gate_point = gate_out.sumcheck.point.clone();
     drop(step_span);
     report.step_seconds[1] = t1.elapsed().as_secs_f64();
@@ -439,7 +321,7 @@ pub fn prove_unchecked_traced_on(
         let _msm_span =
             job_trace.span_with("msm-wiring", "msm", &[("job", job), ("poly", j as u64)]);
         zkspeed_field::measure_modmuls(|| {
-            commit_with_tables_on(&*inner, &job_srs, &job_polys[j], msm, job_tables.as_deref())
+            commit(&*inner, &job_srs, &job_polys[j], job_tables.as_deref())
         })
     });
     let mut wiring_iter = wiring_commitments.into_iter();
@@ -455,8 +337,7 @@ pub fn prove_unchecked_traced_on(
 
     // PermCheck ZeroCheck on Eq. (4).
     let f_perm = wiring_polynomial(&phi, &pi, &numerators, &denominators, alpha);
-    let perm_out =
-        prove_zerocheck_traced_on(&f_perm, &mut transcript, &**backend, trace, "perm-round");
+    let perm_out = prove_zerocheck(&f_perm, &mut transcript, &**backend, trace, "perm-round");
     let perm_point = perm_out.sumcheck.point.clone();
     drop(step_span);
     report.step_seconds[2] = t2.elapsed().as_secs_f64();
@@ -555,8 +436,7 @@ pub fn prove_unchecked_traced_on(
     // combined claimed evaluations.
     let c = transcript.challenge_scalar(b"opencheck-combine");
     let f_open = opening_polynomial(&groups, &combined_polys, c, &**backend);
-    let open_out =
-        sumcheck_prove_traced_on(&f_open, &mut transcript, &**backend, trace, "open-round");
+    let open_out = sumcheck_prove(&f_open, &mut transcript, &**backend, trace, "open-round");
     let rho = open_out.point.clone();
 
     // The claimed evaluations yᵢ(ρ) are where the OpenCheck left its tables.
@@ -571,12 +451,11 @@ pub fn prove_unchecked_traced_on(
         MultilinearPoly::linear_combination(&d, &combined_polys.iter().collect::<Vec<_>>());
     let (gprime_value, gprime_opening, open_stats) = {
         let _msm_span = trace.span_with("msm-opening", "msm", &[("job", job)]);
-        open_with_tables_on(
+        open(
             &**backend,
             &pk.srs,
             &gprime,
             &rho,
-            msm,
             pk.commit_tables.as_deref(),
         )
     };
@@ -690,7 +569,7 @@ pub(crate) fn opening_polynomial(
     let mut f = VirtualPolynomial::new(combined[0].num_vars());
     for ((group, y), c_power) in groups.iter().zip(combined).zip(powers(c, groups.len())) {
         let y_idx = f.add_mle(y.clone());
-        let k_idx = f.add_mle(MultilinearPoly::eq_mle_on(&group.point, backend));
+        let k_idx = f.add_mle(MultilinearPoly::eq_mle(&group.point, backend));
         f.add_term(c_power, vec![y_idx, k_idx]);
     }
     f
@@ -713,6 +592,7 @@ mod tests {
     use crate::keys::try_preprocess;
     use crate::mock::{mock_circuit, SparsityProfile};
     use zkspeed_pcs::Srs;
+    use zkspeed_rt::pool::ThreadPool;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -720,8 +600,22 @@ mod tests {
         StdRng::seed_from_u64(0x5eed_0010)
     }
 
-    fn backend() -> Arc<dyn Backend> {
-        pool::ambient()
+    /// A key and a satisfying witness at `mu` variables.
+    fn session(mu: usize) -> (ProvingKey, Witness) {
+        let mut r = rng();
+        let srs = Srs::try_setup(mu, &mut r, &Serial).unwrap();
+        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
+        let budget = zkspeed_pcs::PrecomputeBudget::disabled();
+        let (pk, _vk) = try_preprocess(circuit, &srs, &Serial, &budget).expect("circuit fits");
+        (pk, witness)
+    }
+
+    /// A pool wide enough that a batch fans out.
+    fn pooled() -> ExecCtx {
+        ExecCtx {
+            backend: Arc::new(ThreadPool::new(2)),
+            ..ExecCtx::default()
+        }
     }
 
     #[test]
@@ -741,13 +635,9 @@ mod tests {
 
     #[test]
     fn prover_produces_well_formed_proof() {
-        let mut r = rng();
         let mu = 4;
-        let srs = Srs::setup(mu, &mut r);
-        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
-        let (proof, report) =
-            prove_with_report_on(&pk, &witness, &backend()).expect("valid witness");
+        let (pk, witness) = session(mu);
+        let (proof, report) = prove(&pk, &witness, &ExecCtx::default()).expect("valid witness");
         assert_eq!(proof.gate_zerocheck.num_rounds(), mu);
         assert_eq!(proof.perm_zerocheck.num_rounds(), mu);
         assert_eq!(proof.opencheck.num_rounds(), mu);
@@ -768,93 +658,49 @@ mod tests {
 
     #[test]
     fn unsatisfied_witness_is_rejected_by_prover() {
-        let mut r = rng();
         let mu = 3;
-        let srs = Srs::setup(mu, &mut r);
-        let (circuit, mut witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
+        let (pk, mut witness) = session(mu);
         witness.columns[2].evaluations_mut()[1] += Fr::one();
+        let ctx = ExecCtx::default();
         assert!(matches!(
-            prove_on(&pk, &witness, &backend()),
+            prove(&pk, &witness, &ctx),
             Err(ProveError::UnsatisfiedWitness(_))
         ));
-        // prove_unchecked_on still produces a (bogus) proof object.
-        let (proof, _) = prove_unchecked_on(&pk, &witness, &backend());
+        // prove_unchecked still produces a (bogus) proof object.
+        let (proof, _) = prove_unchecked(&pk, &witness, &ctx);
         assert_eq!(proof.gate_zerocheck.num_rounds(), mu);
     }
 
     #[test]
     fn batch_proving_matches_individual_proofs() {
-        let mut r = rng();
-        let mu = 4;
-        let srs = Srs::setup(mu, &mut r);
-        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
-        let witnesses = vec![witness.clone(), witness.clone(), witness];
-        let batch = prove_batch_on(&pk, &witnesses, &backend()).expect("valid witnesses");
-        assert_eq!(batch.len(), 3);
-        let single = prove_on(&pk, &witnesses[0], &backend()).expect("valid witness");
-        for proof in &batch {
+        let (pk, witness) = session(4);
+        let batch: Vec<(u64, Witness)> = (0..3).map(|job| (job, witness.clone())).collect();
+        let proofs = prove_batch(&pk, &batch, &pooled()).expect("valid witnesses");
+        assert_eq!(proofs.len(), 3);
+        let (single, _) = prove(&pk, &witness, &ExecCtx::default()).expect("valid witness");
+        for (proof, _) in &proofs {
             assert_eq!(*proof, single, "batch proofs must match individual runs");
         }
         // An invalid witness anywhere in the batch fails the whole call.
-        let mut bad = witnesses.clone();
-        bad[1].columns[2].evaluations_mut()[0] += Fr::one();
+        let mut bad = batch.clone();
+        bad[1].1.columns[2].evaluations_mut()[0] += Fr::one();
         assert!(matches!(
-            prove_batch_on(&pk, &bad, &backend()),
+            prove_batch(&pk, &bad, &pooled()),
             Err(ProveError::UnsatisfiedWitness(_))
         ));
     }
 
     #[test]
-    fn msm_configs_produce_identical_proofs() {
-        let mut r = rng();
-        let mu = 4;
-        let srs = Srs::setup(mu, &mut r);
-        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
-        let (reference, _) = prove_with_report_msm_on(
-            &pk,
-            &witness,
-            &backend(),
-            zkspeed_curve::MsmConfig::classic(),
-        )
-        .expect("valid witness");
-        let (optimized, _) = prove_with_report_msm_on(
-            &pk,
-            &witness,
-            &backend(),
-            zkspeed_curve::MsmConfig::optimized(),
-        )
-        .expect("valid witness");
-        assert_eq!(optimized, reference);
-    }
-
-    #[test]
     fn tracing_produces_byte_identical_proofs() {
-        let mut r = rng();
-        let mu = 4;
-        let srs = Srs::setup(mu, &mut r);
-        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk, _vk) = try_preprocess(circuit, &srs).expect("circuit fits");
-        let witnesses = vec![witness.clone(), witness];
-        let plain = prove_batch_with_reports_msm_on(
-            &pk,
-            &witnesses,
-            &backend(),
-            zkspeed_curve::MsmConfig::default(),
-        )
-        .expect("valid witnesses");
-        let sink = zkspeed_rt::trace::TraceSink::enabled();
-        let traced = prove_batch_with_reports_traced_on(
-            &pk,
-            &witnesses,
-            &backend(),
-            zkspeed_curve::MsmConfig::default(),
-            &sink,
-            &[41, 42],
-        )
-        .expect("valid witnesses");
+        let (pk, witness) = session(4);
+        let batch = vec![(41, witness.clone()), (42, witness)];
+        let plain = prove_batch(&pk, &batch, &pooled()).expect("valid witnesses");
+        let sink = TraceSink::enabled();
+        let traced_ctx = ExecCtx {
+            trace: sink.clone(),
+            ..pooled()
+        };
+        let traced = prove_batch(&pk, &batch, &traced_ctx).expect("valid witnesses");
         for ((p, _), (t, _)) in plain.iter().zip(traced.iter()) {
             assert_eq!(
                 p.to_bytes(),

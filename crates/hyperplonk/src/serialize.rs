@@ -359,18 +359,20 @@ mod tests {
     use super::*;
     use crate::keys::try_preprocess;
     use crate::mock::{mock_circuit, SparsityProfile};
-    use crate::prover::prove_on;
+    use crate::prover::{prove, ExecCtx};
     use crate::verifier::verify;
-    use zkspeed_rt::pool;
+    use zkspeed_pcs::PrecomputeBudget;
+    use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
     fn proof_and_vk() -> (Proof, VerifyingKey) {
         let mut r = StdRng::seed_from_u64(0x5eed_0015);
-        let srs = Srs::setup(4, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         let (circuit, witness) = mock_circuit(4, SparsityProfile::paper_default(), &mut r);
-        let (pk, vk) = try_preprocess(circuit, &srs).expect("circuit fits");
-        let proof = prove_on(&pk, &witness, &pool::ambient()).expect("valid witness");
+        let budget = PrecomputeBudget::disabled();
+        let (pk, vk) = try_preprocess(circuit, &srs, &Serial, &budget).expect("circuit fits");
+        let (proof, _) = prove(&pk, &witness, &ExecCtx::default()).expect("valid witness");
         (proof, vk)
     }
 

@@ -285,15 +285,12 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::try_preprocess;
+    use crate::circuit::{Circuit, Witness};
+    use crate::keys::{try_preprocess, ProvingKey};
     use crate::mock::{mock_circuit, SparsityProfile};
-    use crate::prover::{prove_on, prove_unchecked_on};
-    use zkspeed_pcs::Srs;
-    use zkspeed_rt::pool;
-
-    fn backend() -> std::sync::Arc<dyn zkspeed_rt::pool::Backend> {
-        pool::ambient()
-    }
+    use crate::prover::{prove_unchecked, ExecCtx};
+    use zkspeed_pcs::{PrecomputeBudget, Srs};
+    use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -301,14 +298,23 @@ mod tests {
         StdRng::seed_from_u64(0x5eed_0011)
     }
 
+    fn preprocess(circuit: Circuit, srs: &Srs) -> (ProvingKey, VerifyingKey) {
+        try_preprocess(circuit, srs, &Serial, &PrecomputeBudget::disabled()).unwrap()
+    }
+
+    /// A proof on one thread, with no satisfiability check.
+    fn prove(pk: &ProvingKey, witness: &Witness) -> Proof {
+        prove_unchecked(pk, witness, &ExecCtx::default()).0
+    }
+
     #[test]
     fn honest_proof_verifies_across_sizes() {
         let mut r = rng();
         for mu in [1usize, 2, 4, 6] {
-            let srs = Srs::setup(mu, &mut r);
+            let srs = Srs::try_setup(mu, &mut r, &Serial).unwrap();
             let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-            let (pk, vk) = try_preprocess(circuit, &srs).unwrap();
-            let proof = prove_on(&pk, &witness, &backend()).expect("valid witness");
+            let (pk, vk) = preprocess(circuit, &srs);
+            let proof = prove(&pk, &witness);
             assert_eq!(verify(&vk, &proof), Ok(()), "mu = {mu}");
         }
     }
@@ -317,12 +323,12 @@ mod tests {
     fn gate_violation_is_rejected() {
         let mut r = rng();
         let mu = 4;
-        let srs = Srs::setup(mu, &mut r);
+        let srs = Srs::try_setup(mu, &mut r, &Serial).unwrap();
         let (circuit, mut witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk, vk) = try_preprocess(circuit, &srs).unwrap();
+        let (pk, vk) = preprocess(circuit, &srs);
         // Break one gate output.
         witness.columns[2].evaluations_mut()[3] += Fr::one();
-        let (proof, _) = prove_unchecked_on(&pk, &witness, &backend());
+        let proof = prove(&pk, &witness);
         assert!(verify(&vk, &proof).is_err());
     }
 
@@ -330,10 +336,10 @@ mod tests {
     fn tampered_proof_fields_are_rejected() {
         let mut r = rng();
         let mu = 3;
-        let srs = Srs::setup(mu, &mut r);
+        let srs = Srs::try_setup(mu, &mut r, &Serial).unwrap();
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk, vk) = try_preprocess(circuit, &srs).unwrap();
-        let proof = prove_on(&pk, &witness, &backend()).expect("valid witness");
+        let (pk, vk) = preprocess(circuit, &srs);
+        let proof = prove(&pk, &witness);
 
         // Tamper with a claimed evaluation.
         let mut p1 = proof.clone();
@@ -366,12 +372,12 @@ mod tests {
     fn proof_is_not_transferable_across_circuits() {
         let mut r = rng();
         let mu = 3;
-        let srs = Srs::setup(mu, &mut r);
+        let srs = Srs::try_setup(mu, &mut r, &Serial).unwrap();
         let (circuit_a, witness_a) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
         let (circuit_b, _) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let (pk_a, _vk_a) = try_preprocess(circuit_a, &srs).unwrap();
-        let (_pk_b, vk_b) = try_preprocess(circuit_b, &srs).unwrap();
-        let proof = prove_on(&pk_a, &witness_a, &backend()).expect("valid witness");
+        let (pk_a, _vk_a) = preprocess(circuit_a, &srs);
+        let (_pk_b, vk_b) = preprocess(circuit_b, &srs);
+        let proof = prove(&pk_a, &witness_a);
         assert!(verify(&vk_b, &proof).is_err());
     }
 

@@ -26,13 +26,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use zkspeed_rt::pool::Serial;
 //! use zkspeed_rt::rngs::StdRng;
 //! use zkspeed_rt::SeedableRng;
 //! use zkspeed_svc::{ProvingService, ServiceConfig};
 //! use zkspeed_net::{ClientConfig, NetClient, NetServer, ServerConfig};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let srs = Arc::new(zkspeed_pcs::Srs::try_setup(4, &mut rng)?);
+//! let srs = Arc::new(zkspeed_pcs::Srs::try_setup(4, &mut rng, &Serial)?);
 //! let service = ProvingService::start(srs, ServiceConfig::default());
 //! let server = NetServer::bind(
 //!     service,

@@ -4,13 +4,18 @@
 //! Lagrange basis — exactly the operation the zkSpeed MSM unit accelerates
 //! in the Witness Commit and Wiring Identity steps.
 
-use zkspeed_curve::{msm, G1Projective, MsmStats, SparseMsmStats};
+use std::sync::Arc;
+
+use zkspeed_curve::{
+    msm, msm_precomputed, sparse_msm, sparse_msm_precomputed, G1Projective, MsmStats,
+    SparseMsmStats,
+};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{DecodeError, Reader};
-use zkspeed_rt::pool::{Ambient, Backend};
+use zkspeed_rt::pool::{Backend, Serial};
 
-use crate::precompute::{wants_tables, CommitTables};
+use crate::precompute::CommitTables;
 use crate::srs::Srs;
 
 /// A commitment to a multilinear polynomial (one G1 point).
@@ -65,84 +70,71 @@ impl Commitment {
             "linear_combination: length mismatch"
         );
         let points: Vec<G1Projective> = commitments.iter().map(|com| com.0).collect();
-        Self(msm(&G1Projective::batch_to_affine(&points), coeffs))
+        let points = Arc::new(G1Projective::batch_to_affine(&points));
+        Self(msm(&Serial, &points, coeffs).0)
     }
 }
 
-/// Commits to a multilinear polynomial with a dense Pippenger MSM.
+/// Commits to a multilinear polynomial with one dense MSM over the SRS basis
+/// of its size, and returns the operation counts for the hardware model.
+/// The MSM runs on the zero-doubling table engine when `tables` holds a
+/// table for that level, otherwise on the table-free engine, with its
+/// windows fanned out over `backend`; the group element is the same either
+/// way.
 ///
 /// # Panics
 ///
 /// Panics if the polynomial is larger than the SRS supports.
-pub fn commit(srs: &Srs, poly: &MultilinearPoly) -> Commitment {
-    commit_on(&Ambient, srs, poly)
+pub fn commit(
+    backend: &dyn Backend,
+    srs: &Srs,
+    poly: &MultilinearPoly,
+    tables: Option<&CommitTables>,
+) -> (Commitment, MsmStats) {
+    let level = level_for(srs, poly);
+    let (point, stats) = match tables.and_then(|t| t.level(level)) {
+        Some(table) => msm_precomputed(backend, table, poly.evaluations()),
+        None => msm(
+            backend,
+            srs.shared_lagrange_basis(level),
+            poly.evaluations(),
+        ),
+    };
+    (Commitment(point), stats)
 }
 
-/// [`commit`] on an explicit execution backend. The MSM windows fan out
-/// over the backend's workers, sharing the SRS basis without copying it.
+/// [`commit`] without tables, under the name the benchmark imports.
 ///
 /// # Panics
 ///
 /// Panics if the polynomial is larger than the SRS supports.
 pub fn commit_on(backend: &dyn Backend, srs: &Srs, poly: &MultilinearPoly) -> Commitment {
-    commit_with_stats_on(backend, srs, poly).0
-}
-
-/// Commits with a dense MSM and returns the operation counts for the
-/// hardware model.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_with_stats(srs: &Srs, poly: &MultilinearPoly) -> (Commitment, MsmStats) {
-    commit_with_stats_on(&Ambient, srs, poly)
-}
-
-/// [`commit_with_stats`] on an explicit execution backend.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_with_stats_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-) -> (Commitment, MsmStats) {
-    commit_with_config_on(backend, srs, poly, zkspeed_curve::MsmConfig::default())
-}
-
-/// [`commit_with_stats_on`] with an explicit MSM engine configuration
-/// (window size, signed digits, schedule, batch-affine threshold — see
-/// [`zkspeed_curve::MsmConfig`]). Every configuration commits to the same
-/// group element; only the operation schedule differs.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_with_config_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
-) -> (Commitment, MsmStats) {
-    let basis = shared_basis_for(srs, poly);
-    let (point, stats) =
-        zkspeed_curve::msm_with_config_shared(backend, basis, poly.evaluations(), config);
-    (Commitment(point), stats)
+    commit(backend, srs, poly, None).0
 }
 
 /// Commits to a (typically sparse) witness polynomial with the Sparse MSM of
 /// Section 3.3.1: 0-valued scalars are skipped, 1-valued scalars are summed
-/// with the tree adder, and the dense remainder goes through Pippenger.
+/// with the tree adder, and the dense remainder goes through Pippenger — on
+/// a table of the level when `tables` holds one, as in [`commit`].
 ///
 /// # Panics
 ///
 /// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_sparse(srs: &Srs, poly: &MultilinearPoly) -> (Commitment, SparseMsmStats) {
-    commit_sparse_on(&Ambient, srs, poly)
+pub fn commit_sparse(
+    backend: &dyn Backend,
+    srs: &Srs,
+    poly: &MultilinearPoly,
+    tables: Option<&CommitTables>,
+) -> (Commitment, SparseMsmStats) {
+    let level = level_for(srs, poly);
+    let (point, stats) = match tables.and_then(|t| t.level(level)) {
+        Some(table) => sparse_msm_precomputed(backend, table, poly.evaluations()),
+        None => sparse_msm(backend, srs.lagrange_basis(level), poly.evaluations()),
+    };
+    (Commitment(point), stats)
 }
 
-/// [`commit_sparse`] on an explicit execution backend.
+/// [`commit_sparse`] without tables, under the name the benchmark imports.
 ///
 /// # Panics
 ///
@@ -152,84 +144,7 @@ pub fn commit_sparse_on(
     srs: &Srs,
     poly: &MultilinearPoly,
 ) -> (Commitment, SparseMsmStats) {
-    commit_sparse_with_config_on(backend, srs, poly, zkspeed_curve::MsmConfig::default())
-}
-
-/// [`commit_sparse_on`] with an explicit MSM engine configuration for the
-/// dense remainder of the sparse split.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_sparse_with_config_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
-) -> (Commitment, SparseMsmStats) {
-    let basis = shared_basis_for(srs, poly);
-    let (point, stats) = zkspeed_curve::sparse_msm_with_config_on(
-        backend,
-        basis.as_slice(),
-        poly.evaluations(),
-        config,
-    );
-    (Commitment(point), stats)
-}
-
-/// [`commit_with_config_on`] consulting per-session precomputed tables:
-/// when the configuration selects
-/// [`MsmSchedule::Precomputed`](zkspeed_curve::MsmSchedule) and the
-/// polynomial's SRS level has a built table, the commitment runs through
-/// the zero-doubling table engine; otherwise it transparently falls back
-/// to the table-free path. The group element is identical either way.
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_with_tables_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
-    tables: Option<&CommitTables>,
-) -> (Commitment, MsmStats) {
-    if wants_tables(config) {
-        if let Some(table) = tables.and_then(|t| t.level(level_for(srs, poly))) {
-            let (point, stats) =
-                zkspeed_curve::msm_precomputed_on(backend, table, poly.evaluations(), config);
-            return (Commitment(point), stats);
-        }
-    }
-    commit_with_config_on(backend, srs, poly, config)
-}
-
-/// [`commit_sparse_with_config_on`] consulting per-session precomputed
-/// tables for the dense remainder and the 1-valued tree sum (see
-/// [`commit_with_tables_on`] for the fallback rules).
-///
-/// # Panics
-///
-/// Panics if the polynomial is larger than the SRS supports.
-pub fn commit_sparse_with_tables_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    config: zkspeed_curve::MsmConfig,
-    tables: Option<&CommitTables>,
-) -> (Commitment, SparseMsmStats) {
-    if wants_tables(config) {
-        if let Some(table) = tables.and_then(|t| t.level(level_for(srs, poly))) {
-            let (point, stats) = zkspeed_curve::sparse_msm_precomputed_on(
-                backend,
-                table,
-                poly.evaluations(),
-                config,
-            );
-            return (Commitment(point), stats);
-        }
-    }
-    commit_sparse_with_config_on(backend, srs, poly, config)
+    commit_sparse(backend, srs, poly, None)
 }
 
 /// The SRS level a polynomial commits at, with the size check both the
@@ -242,14 +157,6 @@ fn level_for(srs: &Srs, poly: &MultilinearPoly) -> usize {
         srs.num_vars()
     );
     srs.num_vars() - poly.num_vars()
-}
-
-fn shared_basis_for<'a>(
-    srs: &'a Srs,
-    poly: &MultilinearPoly,
-) -> &'a std::sync::Arc<Vec<zkspeed_curve::G1Affine>> {
-    let level = level_for(srs, poly);
-    srs.shared_lagrange_basis(level)
 }
 
 #[cfg(test)]
@@ -266,9 +173,9 @@ mod tests {
     fn commitment_is_evaluation_at_tau_times_g() {
         // Com(f) = Σ f[i]·eq(τ, i)·G = f(τ)·G.
         let mut r = rng();
-        let srs = Srs::setup(4, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(4, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let expected = G1Projective::generator().mul_scalar(&f.evaluate(srs.trapdoor()));
         assert_eq!(com.0, expected);
     }
@@ -276,18 +183,18 @@ mod tests {
     #[test]
     fn sparse_and_dense_commit_agree() {
         let mut r = rng();
-        let srs = Srs::setup(5, &mut r);
+        let srs = Srs::try_setup(5, &mut r, &Serial).unwrap();
         // Witness-like sparsity: mostly 0/1 with a few dense values.
         let f = MultilinearPoly::from_fn(5, |i| match i % 10 {
             0..=3 => Fr::zero(),
             4..=8 => Fr::one(),
             _ => Fr::from_u64(i as u64 * 1_000_003),
         });
-        let dense = commit(&srs, &f);
-        let (sparse, stats) = commit_sparse(&srs, &f);
+        let dense = commit_on(&Serial, &srs, &f);
+        let (sparse, stats) = commit_sparse(&Serial, &srs, &f, None);
         assert_eq!(dense, sparse);
         assert!(stats.zeros > 0 && stats.ones > 0 && stats.dense > 0);
-        let (dense2, msm_stats) = commit_with_stats(&srs, &f);
+        let (dense2, msm_stats) = commit(&Serial, &srs, &f, None);
         assert_eq!(dense2, dense);
         assert!(msm_stats.fq_muls() > 0);
     }
@@ -295,22 +202,25 @@ mod tests {
     #[test]
     fn commitment_is_homomorphic() {
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = Srs::try_setup(3, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(3, &mut r);
         let g = MultilinearPoly::random(3, &mut r);
         let a = Fr::random(&mut r);
         let b = Fr::random(&mut r);
         let combined_poly = MultilinearPoly::linear_combination(&[a, b], &[&f, &g]);
-        let com_combined = commit(&srs, &combined_poly);
-        let com_lc = Commitment::linear_combination(&[a, b], &[commit(&srs, &f), commit(&srs, &g)]);
+        let com_combined = commit_on(&Serial, &srs, &combined_poly);
+        let com_lc = Commitment::linear_combination(
+            &[a, b],
+            &[commit_on(&Serial, &srs, &f), commit_on(&Serial, &srs, &g)],
+        );
         assert_eq!(com_combined, com_lc);
     }
 
     #[test]
     fn linear_combinations_with_identity_terms_and_no_terms() {
         let mut r = rng();
-        let srs = Srs::setup(2, &mut r);
-        let com = commit(&srs, &MultilinearPoly::random(2, &mut r));
+        let srs = Srs::try_setup(2, &mut r, &Serial).unwrap();
+        let com = commit_on(&Serial, &srs, &MultilinearPoly::random(2, &mut r));
         let (a, b) = (Fr::random(&mut r), Fr::random(&mut r));
         let terms = [com, Commitment::identity(), com];
         let lc = Commitment::linear_combination(&[a, b, Fr::zero()], &terms);
@@ -322,9 +232,9 @@ mod tests {
     #[test]
     fn smaller_polynomials_use_halved_bases() {
         let mut r = rng();
-        let srs = Srs::setup(4, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         let small = MultilinearPoly::random(2, &mut r);
-        let com = commit(&srs, &small);
+        let com = commit_on(&Serial, &srs, &small);
         // Equals the evaluation at the τ suffix times G.
         let expected = G1Projective::generator().mul_scalar(&small.evaluate(&srs.trapdoor()[2..]));
         assert_eq!(com.0, expected);
@@ -333,11 +243,11 @@ mod tests {
     #[test]
     fn transcript_bytes_distinguish_commitments() {
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = Srs::try_setup(3, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(3, &mut r);
         let g = MultilinearPoly::random(3, &mut r);
-        let cf = commit(&srs, &f);
-        let cg = commit(&srs, &g);
+        let cf = commit_on(&Serial, &srs, &f);
+        let cg = commit_on(&Serial, &srs, &g);
         assert_ne!(cf.to_transcript_bytes(), cg.to_transcript_bytes());
         assert_eq!(cf.to_transcript_bytes().len(), 97);
         assert_eq!(
@@ -349,57 +259,49 @@ mod tests {
 
     #[test]
     fn table_commits_match_table_free_commits() {
-        use crate::precompute::{CommitTables, PrecomputeBudget};
-        use zkspeed_rt::pool::Serial;
+        use crate::precompute::PrecomputeBudget;
 
         let mut r = rng();
-        let srs = Srs::setup(6, &mut r);
-        let tables = CommitTables::build_on(&srs, &PrecomputeBudget::unlimited(), &Serial)
+        let srs = Srs::try_setup(6, &mut r, &Serial).unwrap();
+        let tables = CommitTables::build(&srs, &PrecomputeBudget::unlimited(), &Serial)
             .expect("unlimited budget builds");
-        let config = zkspeed_curve::MsmConfig::precomputed();
         // Dense commit: covered level, uncovered level, and sparse commit
         // all agree with the table-free engine.
         let f = MultilinearPoly::random(6, &mut r);
-        let (plain, _) = commit_with_config_on(&Serial, &srs, &f, config);
-        let (tabled, stats) = commit_with_tables_on(&Serial, &srs, &f, config, Some(&tables));
+        let (plain, _) = commit(&Serial, &srs, &f, None);
+        let (tabled, stats) = commit(&Serial, &srs, &f, Some(&tables));
         assert_eq!(plain, tabled);
-        // No window doublings on the table path: all that doubles is the
-        // aggregation multiplying its row term by the row length of the
-        // bucket grid, 2^⌈(w−1)/2⌉.
+        // Tables present means tables used: no images of points (the
+        // table-free engine computes one per point), and no window
+        // doublings — all that doubles is the aggregation multiplying its
+        // row term by the row length of the bucket grid, 2^⌈(w−1)/2⌉.
+        assert_eq!(stats.endomorphisms, 0);
         let aggregation_doublings = (tables.window_bits() as u64 - 1).div_ceil(2);
         assert_eq!(stats.doublings, aggregation_doublings);
         let small = MultilinearPoly::random(2, &mut r); // below the table floor
-        let (plain_small, _) = commit_with_config_on(&Serial, &srs, &small, config);
-        let (tabled_small, _) = commit_with_tables_on(&Serial, &srs, &small, config, Some(&tables));
+        let (plain_small, _) = commit(&Serial, &srs, &small, None);
+        let (tabled_small, small_stats) = commit(&Serial, &srs, &small, Some(&tables));
         assert_eq!(plain_small, tabled_small);
+        assert_eq!(small_stats.endomorphisms, 4);
         let sparse = MultilinearPoly::from_fn(6, |i| match i % 10 {
             0..=3 => Fr::zero(),
             4..=8 => Fr::one(),
             _ => Fr::from_u64(i as u64 + 7),
         });
-        let (plain_sparse, _) = commit_sparse_with_config_on(&Serial, &srs, &sparse, config);
-        let (tabled_sparse, sparse_stats) =
-            commit_sparse_with_tables_on(&Serial, &srs, &sparse, config, Some(&tables));
+        let (plain_sparse, _) = commit_sparse(&Serial, &srs, &sparse, None);
+        let (tabled_sparse, sparse_stats) = commit_sparse(&Serial, &srs, &sparse, Some(&tables));
         assert_eq!(plain_sparse, tabled_sparse);
         // Six dense scalars fill projective buckets: one running sum.
         assert_eq!(sparse_stats.ops.doublings, 0);
-        // A non-precomputed schedule ignores the tables entirely.
-        let (default_com, _) = commit_with_tables_on(
-            &Serial,
-            &srs,
-            &f,
-            zkspeed_curve::MsmConfig::default(),
-            Some(&tables),
-        );
-        assert_eq!(default_com, plain);
+        assert_eq!(sparse_stats.ops.endomorphisms, 0);
     }
 
     #[test]
     #[should_panic(expected = "SRS supports at most")]
     fn oversized_polynomial_is_rejected() {
         let mut r = rng();
-        let srs = Srs::setup(2, &mut r);
+        let srs = Srs::try_setup(2, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(3, &mut r);
-        let _ = commit(&srs, &f);
+        let _ = commit_on(&Serial, &srs, &f);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The scheme follows the multilinear-KZG structure HyperPlonk uses:
 //!
-//! * **universal setup** ([`Srs::setup`]) — one ceremony, reusable by every
+//! * **universal setup** ([`Srs::try_setup`]) — one ceremony, reusable by every
 //!   circuit up to the maximum size;
 //! * **commit** ([`commit`], [`commit_sparse`]) — one MSM per polynomial
 //!   (dense Pippenger, or the Sparse MSM of the Witness Commit step);
@@ -22,14 +22,16 @@
 //! use zkspeed_field::{Field, Fr};
 //! use zkspeed_pcs::{commit, open, verify_opening, Srs};
 //! use zkspeed_poly::MultilinearPoly;
+//! use zkspeed_rt::pool::Serial;
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let srs = Srs::setup(4, &mut rng);
+//! let srs = Srs::try_setup(4, &mut rng, &Serial)?;
 //! let f = MultilinearPoly::random(4, &mut rng);
-//! let com = commit(&srs, &f);
+//! let (com, _stats) = commit(&Serial, &srs, &f, None);
 //! let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut rng)).collect();
-//! let (value, proof, _stats) = open(&srs, &f, &point);
+//! let (value, proof, _stats) = open(&Serial, &srs, &f, &point, None);
 //! assert!(verify_opening(&srs, &com, &point, value, &proof));
+//! # Ok::<(), zkspeed_pcs::SetupError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,13 +42,7 @@ mod open;
 mod precompute;
 mod srs;
 
-pub use commit::{
-    commit, commit_on, commit_sparse, commit_sparse_on, commit_sparse_with_config_on,
-    commit_sparse_with_tables_on, commit_with_config_on, commit_with_stats, commit_with_stats_on,
-    commit_with_tables_on, Commitment,
-};
-pub use open::{
-    open, open_on, open_with_config_on, open_with_tables_on, verify_opening, OpeningProof,
-};
+pub use commit::{commit, commit_on, commit_sparse, commit_sparse_on, Commitment};
+pub use open::{open, open_on, verify_opening, OpeningProof};
 pub use precompute::{CommitTables, PrecomputeBudget};
 pub use srs::{SetupError, Srs, KIND_SRS, MAX_NUM_VARS};

@@ -11,13 +11,16 @@
 //! the verifier checks the same identity a pairing check would —
 //! `Com(f) − v·G = Σ_k (τ_k − z_k)·Com(q_k)` — directly in G1.
 
-use zkspeed_curve::{G1Projective, MsmStats};
+use std::sync::Arc;
+
+use zkspeed_curve::{msm, G1Projective, MsmStats};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{DecodeError, Reader};
-use zkspeed_rt::pool::{self, Ambient, Backend};
+use zkspeed_rt::pool::{self, Backend, Serial};
 
-use crate::commit::Commitment;
+use crate::commit::{commit, Commitment};
+use crate::precompute::CommitTables;
 use crate::srs::Srs;
 
 /// An opening proof: one quotient commitment per variable.
@@ -60,72 +63,22 @@ impl OpeningProof {
 /// Opens `poly` at `point`, returning the evaluation, the proof, and the MSM
 /// operation counts of the halving commitments (for the hardware model).
 ///
-/// # Panics
-///
-/// Panics if the point length does not match the polynomial or the SRS is too
-/// small.
-pub fn open(srs: &Srs, poly: &MultilinearPoly, point: &[Fr]) -> (Fr, OpeningProof, MsmStats) {
-    open_on(&Ambient, srs, poly, point)
-}
-
-/// [`open`] on an explicit execution backend: the quotient construction,
-/// halving MSMs and MLE Updates of every round fan out over the backend's
-/// workers, bit-identical to the serial run.
+/// The quotient construction, the halving MSMs and the MLE Updates of every
+/// round fan out over `backend`'s workers. Each round's quotient commits at
+/// one level higher than the last, so rounds whose level has a table in
+/// `tables` run on the zero-doubling engine and the (tiny) tail rounds do
+/// not. The proof is the same on any backend, with or without tables.
 ///
 /// # Panics
 ///
 /// Panics if the point length does not match the polynomial or the SRS is too
 /// small.
-pub fn open_on(
+pub fn open(
     backend: &dyn Backend,
     srs: &Srs,
     poly: &MultilinearPoly,
     point: &[Fr],
-) -> (Fr, OpeningProof, MsmStats) {
-    open_with_config_on(
-        backend,
-        srs,
-        poly,
-        point,
-        zkspeed_curve::MsmConfig::default(),
-    )
-}
-
-/// [`open_on`] with an explicit MSM engine configuration for the halving
-/// quotient commitments (see [`zkspeed_curve::MsmConfig`]).
-///
-/// # Panics
-///
-/// Panics if the point length does not match the polynomial or the SRS is too
-/// small.
-pub fn open_with_config_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    point: &[Fr],
-    config: zkspeed_curve::MsmConfig,
-) -> (Fr, OpeningProof, MsmStats) {
-    open_with_tables_on(backend, srs, poly, point, config, None)
-}
-
-/// [`open_with_config_on`] consulting per-session precomputed tables for
-/// the halving quotient commitments: each round's quotient commits at one
-/// level higher than the last, so rounds whose level has a built
-/// [`CommitTables`](crate::CommitTables) table run through the
-/// zero-doubling engine and the (tiny) tail rounds fall back. Proofs are
-/// bit-identical with or without tables.
-///
-/// # Panics
-///
-/// Panics if the point length does not match the polynomial or the SRS is
-/// too small.
-pub fn open_with_tables_on(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    point: &[Fr],
-    config: zkspeed_curve::MsmConfig,
-    tables: Option<&crate::CommitTables>,
+    tables: Option<&CommitTables>,
 ) -> (Fr, OpeningProof, MsmStats) {
     /// Below this many quotient entries the construction stays serial.
     const MIN_CHUNK: usize = 1 << 12;
@@ -159,12 +112,27 @@ pub fn open_with_tables_on(
             q_evals
         };
         let q = MultilinearPoly::new(q_evals);
-        let (com, s) = crate::commit::commit_with_tables_on(backend, srs, &q, config, tables);
+        let (com, s) = commit(backend, srs, &q, tables);
         stats.merge(&s);
         quotients.push(com);
-        cur = cur.fix_first_variable_on(*z_k, backend);
+        cur = cur.fix_first_variable(*z_k, backend);
     }
     (cur[0], OpeningProof { quotients }, stats)
+}
+
+/// [`open`] without tables, under the name the benchmark imports.
+///
+/// # Panics
+///
+/// Panics if the point length does not match the polynomial or the SRS is too
+/// small.
+pub fn open_on(
+    backend: &dyn Backend,
+    srs: &Srs,
+    poly: &MultilinearPoly,
+    point: &[Fr],
+) -> (Fr, OpeningProof, MsmStats) {
+    open(backend, srs, poly, point, None)
 }
 
 /// Verifies an opening proof.
@@ -191,13 +159,14 @@ pub fn verify_opening(
     points.extend(proof.quotients.iter().map(|q| q.0));
     let mut scalars = vec![value];
     scalars.extend(tau.iter().zip(point).map(|(t, z)| *t - *z));
-    commitment.0 == zkspeed_curve::msm(&G1Projective::batch_to_affine(&points), &scalars)
+    let points = Arc::new(G1Projective::batch_to_affine(&points));
+    commitment.0 == msm(&Serial, &points, &scalars).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commit::commit;
+    use crate::commit::commit_on;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -208,11 +177,11 @@ mod tests {
     #[test]
     fn honest_opening_verifies() {
         let mut r = rng();
-        let srs = Srs::setup(5, &mut r);
+        let srs = Srs::try_setup(5, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(5, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let point: Vec<Fr> = (0..5).map(|_| Fr::random(&mut r)).collect();
-        let (value, proof, stats) = open(&srs, &f, &point);
+        let (value, proof, stats) = open_on(&Serial, &srs, &f, &point);
         assert_eq!(value, f.evaluate(&point));
         assert_eq!(proof.size_in_points(), 5);
         assert!(stats.fq_muls() > 0);
@@ -222,11 +191,11 @@ mod tests {
     #[test]
     fn opening_at_boolean_point_returns_table_entry() {
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = Srs::try_setup(3, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(3, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let point = vec![Fr::one(), Fr::zero(), Fr::one()]; // index 0b101 = 5
-        let (value, proof, _) = open(&srs, &f, &point);
+        let (value, proof, _) = open_on(&Serial, &srs, &f, &point);
         assert_eq!(value, f[5]);
         assert!(verify_opening(&srs, &com, &point, value, &proof));
     }
@@ -234,11 +203,11 @@ mod tests {
     #[test]
     fn wrong_value_is_rejected() {
         let mut r = rng();
-        let srs = Srs::setup(4, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(4, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
-        let (value, proof, _) = open(&srs, &f, &point);
+        let (value, proof, _) = open_on(&Serial, &srs, &f, &point);
         assert!(!verify_opening(
             &srs,
             &com,
@@ -251,23 +220,23 @@ mod tests {
     #[test]
     fn wrong_commitment_is_rejected() {
         let mut r = rng();
-        let srs = Srs::setup(4, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(4, &mut r);
         let g = MultilinearPoly::random(4, &mut r);
-        let com_g = commit(&srs, &g);
+        let com_g = commit_on(&Serial, &srs, &g);
         let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
-        let (value, proof, _) = open(&srs, &f, &point);
+        let (value, proof, _) = open_on(&Serial, &srs, &f, &point);
         assert!(!verify_opening(&srs, &com_g, &point, value, &proof));
     }
 
     #[test]
     fn tampered_quotient_is_rejected() {
         let mut r = rng();
-        let srs = Srs::setup(4, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(4, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
-        let (value, mut proof, _) = open(&srs, &f, &point);
+        let (value, mut proof, _) = open_on(&Serial, &srs, &f, &point);
         proof.quotients[1] = Commitment(proof.quotients[1].0 + G1Projective::generator());
         assert!(!verify_opening(&srs, &com, &point, value, &proof));
     }
@@ -275,12 +244,12 @@ mod tests {
     #[test]
     fn one_variable_and_constant_polynomials_open() {
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = Srs::try_setup(3, &mut r, &Serial).unwrap();
         for mu in [0usize, 1] {
             let f = MultilinearPoly::random(mu, &mut r);
-            let com = commit(&srs, &f);
+            let com = commit_on(&Serial, &srs, &f);
             let point: Vec<Fr> = (0..mu).map(|_| Fr::random(&mut r)).collect();
-            let (value, proof, _) = open(&srs, &f, &point);
+            let (value, proof, _) = open_on(&Serial, &srs, &f, &point);
             assert_eq!(value, f.evaluate(&point));
             assert!(verify_opening(&srs, &com, &point, value, &proof), "μ={mu}");
             let wrong = value + Fr::one();
@@ -293,22 +262,22 @@ mod tests {
         // The zero polynomial: its commitment and every quotient commitment
         // are the identity, which the verifier's MSM has to take as a point.
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = Srs::try_setup(3, &mut r, &Serial).unwrap();
         let zero = MultilinearPoly::new(vec![Fr::zero(); 8]);
-        let com = commit(&srs, &zero);
+        let com = commit_on(&Serial, &srs, &zero);
         assert_eq!(com, Commitment::identity());
         let point: Vec<Fr> = (0..3).map(|_| Fr::random(&mut r)).collect();
-        let (value, proof, _) = open(&srs, &zero, &point);
+        let (value, proof, _) = open_on(&Serial, &srs, &zero, &point);
         assert!(proof.quotients.iter().all(|q| *q == Commitment::identity()));
         assert!(verify_opening(&srs, &com, &point, value, &proof));
         assert!(!verify_opening(&srs, &com, &point, Fr::one(), &proof));
         // A constant polynomial has identity quotients and a commitment that
         // is not the identity.
         let seven = MultilinearPoly::new(vec![Fr::from_u64(7); 8]);
-        let (value, proof, _) = open(&srs, &seven, &point);
+        let (value, proof, _) = open_on(&Serial, &srs, &seven, &point);
         assert!(verify_opening(
             &srs,
-            &commit(&srs, &seven),
+            &commit_on(&Serial, &srs, &seven),
             &point,
             value,
             &proof
@@ -319,11 +288,11 @@ mod tests {
     #[test]
     fn malformed_proof_shapes_are_rejected() {
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = Srs::try_setup(3, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(3, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let point: Vec<Fr> = (0..3).map(|_| Fr::random(&mut r)).collect();
-        let (value, proof, _) = open(&srs, &f, &point);
+        let (value, proof, _) = open_on(&Serial, &srs, &f, &point);
         // Too few quotients.
         let short = OpeningProof {
             quotients: proof.quotients[..2].to_vec(),
@@ -339,36 +308,33 @@ mod tests {
 
     #[test]
     fn table_openings_are_bit_identical() {
-        use crate::{CommitTables, PrecomputeBudget};
-        use zkspeed_rt::pool::Serial;
+        use crate::PrecomputeBudget;
 
         let mut r = rng();
-        let srs = Srs::setup(6, &mut r);
+        let srs = Srs::try_setup(6, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(6, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let point: Vec<Fr> = (0..6).map(|_| Fr::random(&mut r)).collect();
-        let config = zkspeed_curve::MsmConfig::precomputed();
-        let (value, proof, _) = open_with_config_on(&Serial, &srs, &f, &point, config);
-        let tables = CommitTables::build_on(&srs, &PrecomputeBudget::unlimited(), &Serial)
+        let (value, proof, stats) = open(&Serial, &srs, &f, &point, None);
+        let tables = CommitTables::build(&srs, &PrecomputeBudget::unlimited(), &Serial)
             .expect("unlimited budget builds");
-        let (tvalue, tproof, tstats) =
-            open_with_tables_on(&Serial, &srs, &f, &point, config, Some(&tables));
+        let (tvalue, tproof, tstats) = open(&Serial, &srs, &f, &point, Some(&tables));
         assert_eq!(value, tvalue);
         assert_eq!(proof, tproof, "quotient commitments must be identical");
         assert!(verify_opening(&srs, &com, &point, tvalue, &tproof));
-        // The first rounds (levels 1..) run on tables with zero doublings;
-        // only the sub-floor tail rounds may double.
-        assert!(tstats.fq_muls() > 0);
+        // The rounds at levels with a table run on it: no images of points,
+        // which only the table-free engine computes.
+        assert!(tstats.endomorphisms < stats.endomorphisms);
     }
 
     #[test]
     fn smaller_polynomials_open_against_suffix_trapdoor() {
         let mut r = rng();
-        let srs = Srs::setup(5, &mut r);
+        let srs = Srs::try_setup(5, &mut r, &Serial).unwrap();
         let f = MultilinearPoly::random(3, &mut r);
-        let com = commit(&srs, &f);
+        let com = commit_on(&Serial, &srs, &f);
         let point: Vec<Fr> = (0..3).map(|_| Fr::random(&mut r)).collect();
-        let (value, proof, _) = open(&srs, &f, &point);
+        let (value, proof, _) = open_on(&Serial, &srs, &f, &point);
         assert_eq!(value, f.evaluate(&point));
         assert!(verify_opening(&srs, &com, &point, value, &proof));
     }

@@ -5,15 +5,16 @@
 //!
 //! A session's bases never change after `preprocess`, so the Pippenger
 //! window doublings every `commit` repeats are pure waste on the serving
-//! path. With the tables built, the [`MsmSchedule::Precomputed`] engine
-//! commits with zero doublings and a single bucket-aggregation pass. The
-//! tables cost `O(n·⌈255/w⌉)` points of memory, so they are **opt-in** via
-//! a [`PrecomputeBudget`]: small or one-shot sessions keep the default
-//! (disabled) budget and skip the build entirely.
+//! path. A commit or opening handed the tables runs every level that has
+//! one on the table engine, with zero doublings and a single
+//! bucket-aggregation pass. The tables cost `O(n·⌈255/w⌉)` points of
+//! memory, so they are **opt-in** via a [`PrecomputeBudget`]: small or
+//! one-shot sessions keep the default (disabled) budget and skip the build
+//! entirely.
 
 use std::sync::Arc;
 
-use zkspeed_curve::{MsmSchedule, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};
+use zkspeed_curve::{MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};
 use zkspeed_rt::pool::Backend;
 
 use crate::srs::Srs;
@@ -100,13 +101,11 @@ impl PrecomputeBudget {
 /// Precomputed [`MultiBaseTable`]s over a session's SRS Lagrange bases,
 /// one per covered level, `Arc`-shared like the bases themselves.
 ///
-/// Built by [`CommitTables::build_on`] within a [`PrecomputeBudget`];
-/// consumed by [`crate::commit_with_tables_on`] /
-/// [`crate::commit_sparse_with_tables_on`] / [`crate::open_with_tables_on`]
-/// whenever the MSM configuration selects
-/// [`MsmSchedule::Precomputed`]. Levels without a table (budget exhausted,
-/// or below the build floor) transparently fall back to the table-free
-/// engine.
+/// Built by [`CommitTables::build`] within a [`PrecomputeBudget`];
+/// consumed by [`crate::commit`] / [`crate::commit_sparse`] /
+/// [`crate::open`] whenever they are handed the tables. Levels without a
+/// table (budget exhausted, or below the build floor) commit on the
+/// table-free engine.
 #[derive(Clone, Debug)]
 pub struct CommitTables {
     window_bits: usize,
@@ -124,7 +123,7 @@ impl CommitTables {
     /// cumulative table size fits the budget. Returns `None` if the budget
     /// is disabled or too small for even the level-0 table — callers then
     /// keep the table-free path with zero overhead.
-    pub fn build_on(srs: &Srs, budget: &PrecomputeBudget, backend: &dyn Backend) -> Option<Self> {
+    pub fn build(srs: &Srs, budget: &PrecomputeBudget, backend: &dyn Backend) -> Option<Self> {
         if !budget.is_enabled() {
             return None;
         }
@@ -139,7 +138,7 @@ impl CommitTables {
                 continue;
             }
             spent += planned;
-            tables.push(Some(Arc::new(MultiBaseTable::build_on(bases, w, backend))));
+            tables.push(Some(Arc::new(MultiBaseTable::build(bases, w, backend))));
         }
         // A budget too small for the level-0 table precomputes nothing that
         // matters; report "no tables" so callers skip the plumbing.
@@ -174,13 +173,6 @@ impl CommitTables {
     }
 }
 
-/// Returns `true` when a commit at the given configuration should consult
-/// session tables (the schedule asks for them); used by the table-aware
-/// entry points to keep their fast path branch-free.
-pub(crate) fn wants_tables(config: zkspeed_curve::MsmConfig) -> bool {
-    config.schedule == MsmSchedule::Precomputed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,20 +182,20 @@ mod tests {
 
     fn srs() -> Srs {
         let mut rng = StdRng::seed_from_u64(0x5eed_0099);
-        Srs::setup(7, &mut rng)
+        Srs::try_setup(7, &mut rng, &Serial).unwrap()
     }
 
     #[test]
     fn disabled_budget_builds_nothing() {
         let srs = srs();
-        assert!(CommitTables::build_on(&srs, &PrecomputeBudget::default(), &Serial).is_none());
+        assert!(CommitTables::build(&srs, &PrecomputeBudget::default(), &Serial).is_none());
         assert!(!PrecomputeBudget::default().is_enabled());
     }
 
     #[test]
     fn unlimited_budget_covers_all_large_levels() {
         let srs = srs();
-        let tables = CommitTables::build_on(&srs, &PrecomputeBudget::unlimited(), &Serial)
+        let tables = CommitTables::build(&srs, &PrecomputeBudget::unlimited(), &Serial)
             .expect("unlimited budget builds");
         // Levels 0, 1, 2 have 128/64/32 bases (≥ the 32-base floor);
         // levels 3..=7 are below it.
@@ -231,20 +223,20 @@ mod tests {
         let level0 = MultiBaseTable::planned_bytes(128, w) as u64;
         // Exactly level 0 fits; level 1 would exceed the cap.
         let budget = PrecomputeBudget::disabled().with_max_bytes(level0);
-        let tables = CommitTables::build_on(&srs, &budget, &Serial).expect("level 0 fits");
+        let tables = CommitTables::build(&srs, &budget, &Serial).expect("level 0 fits");
         assert_eq!(tables.levels_covered(), 1);
         assert!(tables.level(0).is_some());
         assert!(tables.level(1).is_none());
         // A cap below the level-0 table builds nothing at all.
         let tiny = PrecomputeBudget::disabled().with_max_bytes(level0 - 1);
-        assert!(CommitTables::build_on(&srs, &tiny, &Serial).is_none());
+        assert!(CommitTables::build(&srs, &tiny, &Serial).is_none());
     }
 
     #[test]
     fn explicit_window_bits_are_honored() {
         let srs = srs();
         let budget = PrecomputeBudget::unlimited().with_window_bits(8);
-        let tables = CommitTables::build_on(&srs, &budget, &Serial).expect("builds");
+        let tables = CommitTables::build(&srs, &budget, &Serial).expect("builds");
         assert_eq!(tables.window_bits(), 8);
         assert_eq!(tables.level(0).unwrap().window_bits(), 8);
     }

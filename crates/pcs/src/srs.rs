@@ -119,39 +119,25 @@ fn collect_level(
 
 impl Srs {
     /// Runs the (mock) universal setup for polynomials of up to `num_vars`
-    /// variables.
+    /// variables, drawing τ from `rng`.
     ///
-    /// Setup cost is `O(2^μ)` group scalar multiplications; for the problem
-    /// sizes used in tests and examples (μ ≤ 12) this completes quickly,
-    /// while the paper-scale sizes (μ = 17–24) are exercised through the
-    /// analytical hardware model rather than the functional layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_vars` exceeds [`MAX_NUM_VARS`]; use [`Srs::try_setup`]
-    /// for a `Result`-returning variant.
-    pub fn setup<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Self {
-        match Self::try_setup(num_vars, rng) {
-            Ok(srs) => srs,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Validating universal setup: rejects sizes beyond [`MAX_NUM_VARS`]
-    /// instead of panicking.
+    /// Setup cost is `O(2^μ)` group scalar multiplications: the `2^μ` basis
+    /// points of the full-size level (the dominant cost) and the additions
+    /// of every halved one fan out over `backend`'s workers.
     ///
     /// # Errors
     ///
     /// Returns [`SetupError::TooManyVariables`] if the size is unsupported.
-    pub fn try_setup<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Result<Self, SetupError> {
+    pub fn try_setup<R: Rng + ?Sized>(
+        num_vars: usize,
+        rng: &mut R,
+        backend: &dyn Backend,
+    ) -> Result<Self, SetupError> {
         let tau: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
-        Self::try_setup_with_tau(num_vars, tau)
+        Self::try_setup_with_tau(num_vars, tau, backend)
     }
 
-    /// [`Srs::try_setup`] on an explicit execution backend: the `2^μ` basis
-    /// scalar multiplications of the full-size level (the dominant cost of
-    /// setup) and the additions of every halved one fan out over the
-    /// backend's workers.
+    /// [`Srs::try_setup`], under the name the benchmark imports.
     ///
     /// # Errors
     ///
@@ -161,42 +147,17 @@ impl Srs {
         rng: &mut R,
         backend: &dyn Backend,
     ) -> Result<Self, SetupError> {
-        let tau: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
-        Self::try_setup_with_tau_on(num_vars, tau, backend)
+        Self::try_setup(num_vars, rng, backend)
     }
 
-    /// Deterministic setup from an explicit τ (used by tests and by the
-    /// repository's examples so results are reproducible).
-    ///
-    /// # Panics
-    ///
-    /// Panics if τ has the wrong length or `num_vars` exceeds
-    /// [`MAX_NUM_VARS`]; use [`Srs::try_setup_with_tau`] for a
-    /// `Result`-returning variant.
-    pub fn setup_with_tau(num_vars: usize, tau: Vec<Fr>) -> Self {
-        match Self::try_setup_with_tau(num_vars, tau) {
-            Ok(srs) => srs,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Validating deterministic setup from an explicit τ.
+    /// Deterministic setup from an explicit τ (used by tests so results are
+    /// reproducible).
     ///
     /// # Errors
     ///
     /// Returns a [`SetupError`] if τ has the wrong length or the size is
     /// unsupported.
-    pub fn try_setup_with_tau(num_vars: usize, tau: Vec<Fr>) -> Result<Self, SetupError> {
-        Self::try_setup_with_tau_on(num_vars, tau, &pool::Ambient)
-    }
-
-    /// [`Srs::try_setup_with_tau`] on an explicit execution backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SetupError`] if τ has the wrong length or the size is
-    /// unsupported.
-    pub fn try_setup_with_tau_on(
+    pub fn try_setup_with_tau(
         num_vars: usize,
         tau: Vec<Fr>,
         backend: &dyn Backend,
@@ -220,7 +181,7 @@ impl Srs {
         let (table, table_muls) =
             zkspeed_field::measure_modmuls(|| Arc::new(FixedBaseTable::for_generator()));
         zkspeed_field::add_modmul_count(table_muls);
-        let eq = MultilinearPoly::eq_mle_on(&tau, backend);
+        let eq = MultilinearPoly::eq_mle(&tau, backend);
         let scalars = eq.shared_evaluations();
         let level = collect_level(backend, scalars.len(), move |i| table.mul(&scalars[i]));
         let mut lagrange_bases = vec![Arc::new(level)];
@@ -396,6 +357,7 @@ impl Srs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zkspeed_rt::pool::{Serial, ThreadPool};
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -406,7 +368,7 @@ mod tests {
     #[test]
     fn setup_shapes() {
         let mut r = rng();
-        let srs = Srs::setup(4, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         assert_eq!(srs.num_vars(), 4);
         assert_eq!(srs.lagrange_basis(0).len(), 16);
         assert_eq!(srs.lagrange_basis(1).len(), 8);
@@ -420,7 +382,7 @@ mod tests {
     fn lagrange_basis_sums_to_generator() {
         // Σ_i eq(τ, i) = 1, so the basis points sum to G.
         let mut r = rng();
-        let srs = Srs::setup(3, &mut r);
+        let srs = Srs::try_setup(3, &mut r, &Serial).unwrap();
         for level in 0..=3 {
             let sum: G1Projective = srs
                 .lagrange_basis(level)
@@ -434,8 +396,8 @@ mod tests {
     #[test]
     fn basis_encodes_eq_values() {
         let tau = vec![Fr::from_u64(3), Fr::from_u64(5)];
-        let srs = Srs::setup_with_tau(2, tau.clone());
-        let eq = MultilinearPoly::eq_mle(&tau);
+        let srs = Srs::try_setup_with_tau(2, tau.clone(), &Serial).unwrap();
+        let eq = MultilinearPoly::eq_mle(&tau, &Serial);
         for i in 0..4 {
             assert_eq!(
                 srs.lagrange_basis(0)[i].to_projective(),
@@ -443,7 +405,7 @@ mod tests {
             );
         }
         // Level 1 uses the suffix (τ₂).
-        let eq1 = MultilinearPoly::eq_mle(&tau[1..]);
+        let eq1 = MultilinearPoly::eq_mle(&tau[1..], &Serial);
         for i in 0..2 {
             assert_eq!(
                 srs.lagrange_basis(1)[i].to_projective(),
@@ -463,9 +425,9 @@ mod tests {
             if mu >= 4 {
                 (tau[1], tau[3]) = (Fr::zero(), Fr::one());
             }
-            let srs = Srs::setup_with_tau(mu, tau.clone());
+            let srs = Srs::try_setup_with_tau(mu, tau.clone(), &Serial).unwrap();
             for k in 0..=mu {
-                let eq = MultilinearPoly::eq_mle(&tau[k..]);
+                let eq = MultilinearPoly::eq_mle(&tau[k..], &Serial);
                 let direct: Vec<G1Projective> = (0..1 << (mu - k))
                     .map(|i| G1Projective::generator().mul_scalar(&eq[i]))
                     .collect();
@@ -485,7 +447,8 @@ mod tests {
         let tau: Vec<Fr> = (0..6)
             .map(|i| Fr::from_u64(1000 * i + 17).square())
             .collect();
-        let digest: String = zkspeed_rt::Sha3_256::digest(&Srs::setup_with_tau(6, tau).to_bytes())
+        let srs = Srs::try_setup_with_tau(6, tau, &Serial).unwrap();
+        let digest: String = zkspeed_rt::Sha3_256::digest(&srs.to_bytes())
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
@@ -498,27 +461,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "τ length")]
     fn setup_rejects_mismatched_tau() {
-        let _ = Srs::setup_with_tau(3, vec![Fr::one()]);
+        let _ =
+            Srs::try_setup_with_tau(3, vec![Fr::one()], &Serial).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn try_setup_surfaces_validation_errors() {
         let mut r = rng();
         assert_eq!(
-            Srs::try_setup(MAX_NUM_VARS + 1, &mut r).unwrap_err(),
+            Srs::try_setup(MAX_NUM_VARS + 1, &mut r, &Serial).unwrap_err(),
             SetupError::TooManyVariables {
                 requested: MAX_NUM_VARS + 1,
                 max: MAX_NUM_VARS
             }
         );
         assert_eq!(
-            Srs::try_setup_with_tau(3, vec![Fr::one()]).unwrap_err(),
+            Srs::try_setup_with_tau(3, vec![Fr::one()], &Serial).unwrap_err(),
             SetupError::TauLengthMismatch {
                 expected: 3,
                 found: 1
             }
         );
-        assert!(Srs::try_setup(2, &mut r).is_ok());
+        assert!(Srs::try_setup(2, &mut r, &Serial).is_ok());
         assert!(SetupError::TooManyVariables {
             requested: 99,
             max: MAX_NUM_VARS
@@ -529,14 +493,12 @@ mod tests {
 
     #[test]
     fn backend_setup_matches_ambient() {
-        use zkspeed_rt::pool::{Serial, ThreadPool};
+        // The process-wide backend `ZKSPEED_THREADS` sizes, a one-thread and
+        // a four-thread pool: the same points.
         let tau: Vec<Fr> = (0..5).map(|i| Fr::from_u64(i as u64 + 11)).collect();
-        let base = Srs::setup_with_tau(5, tau.clone());
-        for backend in [
-            &Serial as &dyn zkspeed_rt::pool::Backend,
-            &ThreadPool::new(4),
-        ] {
-            let srs = Srs::try_setup_with_tau_on(5, tau.clone(), backend).unwrap();
+        let base = Srs::try_setup_with_tau(5, tau.clone(), &**pool::global()).unwrap();
+        for backend in [&Serial as &dyn Backend, &ThreadPool::new(4)] {
+            let srs = Srs::try_setup_with_tau(5, tau.clone(), backend).unwrap();
             for level in 0..=5 {
                 assert_eq!(srs.lagrange_basis(level), base.lagrange_basis(level));
             }
@@ -546,13 +508,13 @@ mod tests {
     #[test]
     fn prefix_levels_match_a_direct_suffix_setup_and_share_points() {
         let tau: Vec<Fr> = (0..5).map(|i| Fr::from_u64(7 * i as u64 + 3)).collect();
-        let full = Srs::setup_with_tau(5, tau.clone());
+        let full = Srs::try_setup_with_tau(5, tau.clone(), &Serial).unwrap();
         for nu in 0..=5usize {
             let view = full.prefix(nu);
             assert_eq!(view.num_vars(), nu);
             assert_eq!(view.generator(), full.generator());
             assert_eq!(view.trapdoor(), &tau[5 - nu..]);
-            let direct = Srs::setup_with_tau(nu, tau[5 - nu..].to_vec());
+            let direct = Srs::try_setup_with_tau(nu, tau[5 - nu..].to_vec(), &Serial).unwrap();
             for level in 0..=nu {
                 assert_eq!(
                     view.lagrange_basis(level),
@@ -571,25 +533,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the SRS")]
     fn prefix_rejects_oversized_views() {
-        let srs = Srs::setup_with_tau(2, vec![Fr::from_u64(1), Fr::from_u64(2)]);
+        let srs =
+            Srs::try_setup_with_tau(2, vec![Fr::from_u64(1), Fr::from_u64(2)], &Serial).unwrap();
         let _ = srs.prefix(3);
     }
 
     #[test]
     fn commitments_through_a_prefix_view_match_the_full_srs() {
-        use crate::{commit, open, verify_opening};
+        use crate::{commit_on, open_on, verify_opening};
         let mut r = rng();
-        let full = Srs::setup(6, &mut r);
+        let full = Srs::try_setup(6, &mut r, &Serial).unwrap();
         let view = full.prefix(4);
         let f = MultilinearPoly::random(4, &mut r);
         // A 4-variable polynomial commits at level 2 of the full SRS and at
         // level 0 of the view — the same Lagrange basis either way.
-        let com_full = commit(&full, &f);
-        let com_view = commit(&view, &f);
+        let com_full = commit_on(&Serial, &full, &f);
+        let com_view = commit_on(&Serial, &view, &f);
         assert_eq!(com_full, com_view);
         let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
-        let (value_full, proof_full, _) = open(&full, &f, &point);
-        let (value_view, proof_view, _) = open(&view, &f, &point);
+        let (value_full, proof_full, _) = open_on(&Serial, &full, &f, &point);
+        let (value_view, proof_view, _) = open_on(&Serial, &view, &f, &point);
         assert_eq!(value_full, value_view);
         let (mut bytes_full, mut bytes_view) = (Vec::new(), Vec::new());
         proof_full.write_canonical(&mut bytes_full);
@@ -615,7 +578,7 @@ mod tests {
     #[test]
     fn srs_byte_encoding_roundtrips() {
         let tau: Vec<Fr> = vec![Fr::from_u64(3), Fr::from_u64(9), Fr::from_u64(27)];
-        let srs = Srs::setup_with_tau(3, tau);
+        let srs = Srs::try_setup_with_tau(3, tau, &Serial).unwrap();
         let bytes = srs.to_bytes();
         let back = Srs::from_bytes(&bytes).expect("valid encoding");
         assert_eq!(back.num_vars(), srs.num_vars());

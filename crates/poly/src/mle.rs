@@ -26,7 +26,7 @@ use core::ops::Index;
 use std::sync::Arc;
 
 use zkspeed_field::Fr;
-use zkspeed_rt::pool::{self, Backend};
+use zkspeed_rt::pool::{self, Backend, Serial};
 use zkspeed_rt::Rng;
 
 /// A multilinear polynomial in `μ` variables represented by its `2^μ`
@@ -157,32 +157,10 @@ impl MultilinearPoly {
     /// The construction processes one challenge per tree level, doubling the
     /// table each time, for a total of `2^{μ+1} − 4` multiplications (each
     /// level needs one multiplication per output pair because
-    /// `old·(1−r) = old − old·r`).
-    pub fn eq_mle(point: &[Fr]) -> Self {
-        let mu = point.len();
-        let mut evals = Vec::with_capacity(1 << mu);
-        evals.push(Fr::one());
-        for r in point.iter() {
-            let half = evals.len();
-            let mut next = vec![Fr::zero(); half * 2];
-            for i in 0..half {
-                let hi = evals[i] * *r;
-                next[i] = evals[i] - hi; // old·(1 − r) without a second modmul
-                next[i + half] = hi;
-            }
-            evals = next;
-        }
-        Self {
-            num_vars: mu,
-            evals: Arc::new(evals),
-        }
-    }
-
-    /// [`Self::eq_mle`] on an explicit execution backend: each doubling
-    /// level fans its index space out over the backend's workers once the
-    /// table is large enough to be worth it. Chunk results are concatenated
-    /// in order, so the table is bit-identical to the serial construction.
-    pub fn eq_mle_on(point: &[Fr], backend: &dyn Backend) -> Self {
+    /// `old·(1−r) = old − old·r`). A level large enough to be worth it fans
+    /// its index space out over `backend`'s workers; chunk results are
+    /// concatenated in order, so the table is the same on any backend.
+    pub fn eq_mle(point: &[Fr], backend: &dyn Backend) -> Self {
         /// Below this many output pairs a level stays on the calling thread.
         const MIN_CHUNK: usize = 1 << 12;
         let mu = point.len();
@@ -194,7 +172,7 @@ impl MultilinearPoly {
                 let mut next = vec![Fr::zero(); half * 2];
                 for i in 0..half {
                     let hi = evals[i] * *r;
-                    next[i] = evals[i] - hi;
+                    next[i] = evals[i] - hi; // old·(1 − r) without a second modmul
                     next[i + half] = hi;
                 }
                 evals = next;
@@ -232,6 +210,11 @@ impl MultilinearPoly {
         }
     }
 
+    /// [`Self::eq_mle`], under the name the benchmark imports.
+    pub fn eq_mle_on(point: &[Fr], backend: &dyn Backend) -> Self {
+        Self::eq_mle(point, backend)
+    }
+
     /// Evaluates `eq(x, y)` for two points of equal length.
     pub fn eq_eval(x: &[Fr], y: &[Fr]) -> Fr {
         assert_eq!(x.len(), y.len(), "eq_eval: length mismatch");
@@ -244,70 +227,49 @@ impl MultilinearPoly {
     }
 
     /// **MLE Update** (Eq. 2 of the paper): fixes the first variable to `r`,
-    /// halving the table: `t'[i] = (t[2i+1] − t[2i])·r + t[2i]`.
+    /// halving the table: `t'[i] = (t[2i+1] − t[2i])·r + t[2i]`. Large tables
+    /// fan their index space out over `backend`'s workers, with chunk results
+    /// concatenated in order (the same table at any thread count).
     ///
     /// # Panics
     ///
     /// Panics if the polynomial has no variables left.
-    pub fn fix_first_variable(&self, r: Fr) -> Self {
+    pub fn fix_first_variable(&self, r: Fr, backend: &dyn Backend) -> Self {
+        /// Below this many output entries the halving stays serial.
+        const MIN_CHUNK: usize = 1 << 12;
         assert!(self.num_vars > 0, "cannot fix a variable of a constant");
         let half = self.evals.len() / 2;
-        let mut next = Vec::with_capacity(half);
-        for i in 0..half {
-            let lo = self.evals[2 * i];
-            let hi = self.evals[2 * i + 1];
-            next.push((hi - lo) * r + lo);
-        }
+        let evals = self.shared_evaluations();
+        let fold = move |i: usize| (evals[2 * i + 1] - evals[2 * i]) * r + evals[2 * i];
+        let next = if half < MIN_CHUNK || backend.threads() == 1 {
+            (0..half).map(fold).collect()
+        } else {
+            let parts = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
+                zkspeed_field::measure_modmuls(|| range.map(&fold).collect::<Vec<Fr>>())
+            });
+            let mut next = Vec::with_capacity(half);
+            for (chunk, muls) in parts {
+                zkspeed_field::add_modmul_count(muls);
+                next.extend(chunk);
+            }
+            next
+        };
         Self {
             num_vars: self.num_vars - 1,
             evals: Arc::new(next),
         }
     }
 
-    /// [`Self::fix_first_variable`] on an explicit execution backend: large
-    /// tables fan their index space out over the backend's workers, with
-    /// chunk results concatenated in order (bit-identical to the serial
-    /// halving at any thread count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomial has no variables left.
+    /// [`Self::fix_first_variable`], under the name the benchmark imports.
     pub fn fix_first_variable_on(&self, r: Fr, backend: &dyn Backend) -> Self {
-        /// Below this many output entries the halving stays serial.
-        const MIN_CHUNK: usize = 1 << 12;
-        assert!(self.num_vars > 0, "cannot fix a variable of a constant");
-        let half = self.evals.len() / 2;
-        if half < MIN_CHUNK || backend.threads() == 1 {
-            return self.fix_first_variable(r);
-        }
-        let evals = self.shared_evaluations();
-        let parts = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
-            zkspeed_field::measure_modmuls(|| {
-                range
-                    .map(|i| {
-                        let lo = evals[2 * i];
-                        let hi = evals[2 * i + 1];
-                        (hi - lo) * r + lo
-                    })
-                    .collect::<Vec<Fr>>()
-            })
-        });
-        let mut next = Vec::with_capacity(half);
-        for (chunk, muls) in parts {
-            zkspeed_field::add_modmul_count(muls);
-            next.extend(chunk);
-        }
-        Self {
-            num_vars: self.num_vars - 1,
-            evals: Arc::new(next),
-        }
+        self.fix_first_variable(r, backend)
     }
 
     /// Fixes the first `point.len()` variables, in order.
     pub fn fix_first_variables(&self, point: &[Fr]) -> Self {
         let mut cur = self.clone();
         for r in point {
-            cur = cur.fix_first_variable(*r);
+            cur = cur.fix_first_variable(*r, &Serial);
         }
         cur
     }
@@ -535,7 +497,7 @@ mod tests {
     fn fix_first_variable_matches_formula() {
         let f = MultilinearPoly::new(vec![u(1), u(2), u(3), u(4)]);
         let r = u(5);
-        let g = f.fix_first_variable(r);
+        let g = f.fix_first_variable(r, &Serial);
         assert_eq!(g.num_vars(), 1);
         assert_eq!(g[0], (u(2) - u(1)) * r + u(1));
         assert_eq!(g[1], (u(4) - u(3)) * r + u(3));
@@ -556,7 +518,7 @@ mod tests {
     fn eq_mle_has_unit_hypercube_sum_and_point_selectivity() {
         let mut r = rng();
         let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
-        let eq = MultilinearPoly::eq_mle(&point);
+        let eq = MultilinearPoly::eq_mle(&point, &Serial);
         assert_eq!(eq.num_vars(), 4);
         // Σ_x eq(x, r) = 1.
         assert_eq!(eq.sum_over_hypercube(), Fr::one());
@@ -578,7 +540,7 @@ mod tests {
     fn eq_mle_at_boolean_point_is_indicator() {
         // At a Boolean point b the table is the indicator of index(b).
         let b = [u(1), u(0), u(1)]; // index 0b101 = 5
-        let eq = MultilinearPoly::eq_mle(&b);
+        let eq = MultilinearPoly::eq_mle(&b, &Serial);
         for i in 0..8usize {
             let expect = if i == 5 { Fr::one() } else { Fr::zero() };
             assert_eq!(eq[i], expect, "index {i}");
@@ -612,23 +574,20 @@ mod tests {
 
     #[test]
     fn backend_kernels_match_serial_bitwise() {
-        use zkspeed_rt::pool::{Serial, ThreadPool};
+        use zkspeed_rt::pool::ThreadPool;
         let mut r = rng();
         // 2^13 entries: large enough to cross the parallel threshold.
         let f = MultilinearPoly::random(13, &mut r);
         let point: Vec<Fr> = (0..13).map(|_| Fr::random(&mut r)).collect();
         let c = Fr::random(&mut r);
         let pool = ThreadPool::new(4);
-        assert_eq!(f.fix_first_variable_on(c, &Serial), f.fix_first_variable(c));
-        assert_eq!(f.fix_first_variable_on(c, &pool), f.fix_first_variable(c));
-        assert_eq!(
-            MultilinearPoly::eq_mle_on(&point, &Serial),
-            MultilinearPoly::eq_mle(&point)
-        );
-        assert_eq!(
-            MultilinearPoly::eq_mle_on(&point, &pool),
-            MultilinearPoly::eq_mle(&point)
-        );
+        let fixed = f.fix_first_variable(c, &Serial);
+        assert_eq!(f.fix_first_variable(c, &pool), fixed);
+        let shifted = [&[c], &point[1..]].concat();
+        assert_eq!(fixed.evaluate(&point[1..]), f.evaluate(&shifted));
+        let eq = MultilinearPoly::eq_mle(&point, &Serial);
+        assert_eq!(MultilinearPoly::eq_mle(&point, &pool), eq);
+        assert_eq!(eq.sum_over_hypercube(), Fr::one());
     }
 
     mod properties {
@@ -652,8 +611,8 @@ mod tests {
             for _ in 0..24 {
                 // Σ_x f(x) = Σ_y f(0, y) + Σ_y f(1, y)
                 let f = arb_mle(4, &mut r);
-                let f0 = f.fix_first_variable(Fr::zero());
-                let f1 = f.fix_first_variable(Fr::one());
+                let f0 = f.fix_first_variable(Fr::zero(), &Serial);
+                let f1 = f.fix_first_variable(Fr::one(), &Serial);
                 assert_eq!(
                     f.sum_over_hypercube(),
                     f0.sum_over_hypercube() + f1.sum_over_hypercube()
@@ -668,7 +627,7 @@ mod tests {
                 // f(r) = Σ_x f(x)·eq(x, r)
                 let f = arb_mle(3, &mut r);
                 let p = arb_point(3, &mut r);
-                let eq = MultilinearPoly::eq_mle(&p);
+                let eq = MultilinearPoly::eq_mle(&p, &Serial);
                 let inner: Fr = f
                     .evaluations()
                     .iter()

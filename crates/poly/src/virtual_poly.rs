@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use zkspeed_field::Fr;
+use zkspeed_rt::pool::Serial;
 
 use crate::mle::MultilinearPoly;
 
@@ -183,7 +184,7 @@ impl VirtualPolynomial {
             mles: self
                 .mles
                 .iter()
-                .map(|m| Arc::new(m.fix_first_variable(r)))
+                .map(|m| Arc::new(m.fix_first_variable(r, &Serial)))
                 .collect(),
             terms: self.terms.clone(),
         }

@@ -16,11 +16,11 @@
 //!   with JSON output and per-suite history files, replacing `criterion`;
 //! * [`pool`] — the pluggable execution [`pool::Backend`] (serial, reusable
 //!   std-only worker pool) behind every parallel hot path, replacing
-//!   per-call scoped-thread spawning;
-//! * [`par`] — ambient-configuration chunked parallel-map primitives with a
-//!   `ZKSPEED_THREADS` override and a serial fallback, layered on [`pool`].
-//!   Work is always split into deterministic contiguous chunks combined in
-//!   chunk order, so parallel runs are bit-identical to serial runs;
+//!   per-call scoped-thread spawning. Work is always split into
+//!   deterministic contiguous chunks combined in chunk order, so parallel
+//!   runs are bit-identical to serial runs;
+//! * [`par`] — the chunk splitting itself and the `ZKSPEED_THREADS` sizing
+//!   of [`pool::global`];
 //! * [`codec`] — the canonical byte-encoding substrate (magic + version
 //!   headers, bounds-checked reads, structured [`codec::DecodeError`]) used
 //!   by proof / key / SRS serialization;

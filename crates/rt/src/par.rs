@@ -1,31 +1,23 @@
-//! Chunked parallelism with deterministic combining, running on the shared
-//! [`crate::pool`] worker pool.
+//! Deterministic chunking, and the thread count of the process-wide pool.
 //!
-//! The primitives here split an index space into contiguous chunks, fan the
-//! chunks out over the reusable pool (no per-call thread spawning), and
-//! return the per-chunk results **in chunk order**. Callers combine chunk
-//! results left to right, so a parallel run is bit-identical to the serial
-//! run for any associative combine (exact modular field addition,
-//! elliptic-curve point accumulation, statistics counters, …).
+//! [`split_ranges`] cuts an index space into contiguous chunks;
+//! [`crate::pool::map_ranges`] fans those chunks out over an explicit
+//! [`crate::pool::Backend`] and returns the results **in chunk order**, so a
+//! parallel run is bit-identical to the serial run for any associative
+//! combine (exact modular field addition, elliptic-curve point
+//! accumulation, statistics counters, …).
 //!
-//! Thread count resolution, in priority order:
-//!
-//! 1. a thread-local override installed by [`with_threads`] (used by the
-//!    parallel-vs-serial equivalence tests);
-//! 2. the `ZKSPEED_THREADS` environment variable (`1` forces the serial
-//!    path);
-//! 3. [`std::thread::available_parallelism`].
-//!
-//! Session-oriented callers should prefer an explicit
-//! [`crate::pool::Backend`] and the [`crate::pool::map_ranges`] /
-//! [`crate::pool::map_indices_on`] helpers; the functions here are the
-//! ambient-configuration view of the same machinery.
+//! The `ZKSPEED_THREADS` environment variable ([`env_threads`]) governs one
+//! thing: the width of [`crate::pool::global`] (`1` makes it
+//! [`crate::pool::Serial`]; without it the hardware parallelism). Every
+//! other backend is passed explicitly.
 
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-pub(crate) fn env_threads() -> usize {
+/// The thread count `ZKSPEED_THREADS` asks for, or the hardware parallelism
+/// without it: the width of [`crate::pool::global`], read once per process.
+pub fn env_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
     *CACHE.get_or_init(|| {
         let hardware = || {
@@ -49,33 +41,6 @@ pub(crate) fn env_threads() -> usize {
     })
 }
 
-thread_local! {
-    static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The number of worker threads parallel primitives will use on this thread.
-pub fn current_threads() -> usize {
-    OVERRIDE
-        .with(|o| o.get())
-        .unwrap_or_else(env_threads)
-        .max(1)
-}
-
-/// Runs `f` with the thread count pinned to `threads` on the current thread
-/// (restored afterwards, even on panic). `with_threads(1, …)` forces every
-/// parallel primitive inside `f` onto the exact serial code path.
-pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    assert!(threads >= 1, "with_threads: need at least one thread");
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let _restore = Restore(OVERRIDE.with(|o| o.replace(Some(threads))));
-    f()
-}
-
 /// Splits `0..len` into at most `parts` contiguous, near-equal, non-empty
 /// ranges covering the whole index space in order.
 pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
@@ -93,42 +58,6 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         start += size;
     }
     out
-}
-
-/// Applies `f` to contiguous chunks of `0..len` and returns the chunk
-/// results in chunk order.
-///
-/// The index space is split into at most [`current_threads`] chunks, but
-/// never into chunks smaller than `min_chunk` (so tiny inputs stay serial).
-/// With one chunk the closure runs on the calling thread — the exact serial
-/// path. Multi-chunk runs execute on the shared [`crate::pool`] worker pool;
-/// workers inherit the caller's effective thread count, so a
-/// [`with_threads`] override keeps governing nested parallel calls made from
-/// inside the chunks.
-pub fn map_chunks<U, F>(len: usize, min_chunk: usize, f: F) -> Vec<U>
-where
-    U: Send + 'static,
-    F: Fn(Range<usize>) -> U + Send + Sync + 'static,
-{
-    let inherited = current_threads();
-    crate::pool::map_ranges(&crate::pool::Ambient, len, min_chunk, move |range| {
-        with_threads(inherited, || f(range))
-    })
-}
-
-/// Applies `f` to every index in `0..len` and returns the results in index
-/// order, fanning the indices out over [`current_threads`] workers.
-pub fn map_indices<U, F>(len: usize, f: F) -> Vec<U>
-where
-    U: Send + 'static,
-    F: Fn(usize) -> U + Send + Sync + 'static,
-{
-    let f = std::sync::Arc::new(f);
-    let mut chunks = map_chunks(len, 1, move |range| range.map(|i| f(i)).collect::<Vec<U>>());
-    if chunks.len() == 1 {
-        return chunks.pop().unwrap();
-    }
-    chunks.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -156,50 +85,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn map_chunks_is_thread_count_invariant() {
-        let serial = with_threads(1, || map_chunks(1000, 1, |r| r.sum::<usize>()));
-        assert_eq!(serial.len(), 1);
-        let parallel = with_threads(8, || map_chunks(1000, 1, |r| r.sum::<usize>()));
-        assert!(parallel.len() > 1);
-        assert_eq!(serial.iter().sum::<usize>(), parallel.iter().sum::<usize>());
-    }
-
-    #[test]
-    fn map_indices_preserves_order() {
-        for threads in [1usize, 2, 8] {
-            let out = with_threads(threads, || map_indices(100, |i| i * i));
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn min_chunk_forces_serial_for_small_inputs() {
-        with_threads(8, || {
-            let chunks = map_chunks(100, 1000, |r| r.len());
-            assert_eq!(chunks, vec![100]);
-        });
-    }
-
-    #[test]
-    fn override_propagates_into_workers() {
-        with_threads(2, || {
-            let seen = map_chunks(100, 1, |_range| current_threads());
-            assert_eq!(seen.len(), 2);
-            assert!(seen.iter().all(|&n| n == 2), "workers saw {seen:?}");
-        });
-    }
-
-    #[test]
-    fn with_threads_restores_previous_value() {
-        let before = current_threads();
-        with_threads(3, || assert_eq!(current_threads(), 3));
-        assert_eq!(current_threads(), before);
-        with_threads(2, || {
-            with_threads(5, || assert_eq!(current_threads(), 5));
-            assert_eq!(current_threads(), 2);
-        });
     }
 }

@@ -172,12 +172,6 @@ impl ThreadPool {
         }
     }
 
-    /// Creates a pool sized by `ZKSPEED_THREADS`, falling back to the
-    /// hardware parallelism.
-    pub fn from_env() -> Self {
-        Self::new(crate::par::env_threads())
-    }
-
     fn pop_job(&self) -> Option<Job> {
         self.shared
             .state
@@ -304,52 +298,6 @@ pub fn backend_with_threads(threads: usize) -> Arc<dyn Backend> {
     } else {
         Arc::new(ThreadPool::new(threads))
     }
-}
-
-/// A backend view that honours the thread-local [`crate::par::with_threads`]
-/// override: it splits work by [`crate::par::current_threads`] and executes
-/// on the shared [`global`] pool (inline when the effective count is one).
-///
-/// This is the backend behind the legacy free-function API; session-oriented
-/// callers hold an explicit `Arc<dyn Backend>` instead.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Ambient;
-
-impl Backend for Ambient {
-    fn name(&self) -> &'static str {
-        "ambient"
-    }
-
-    fn threads(&self) -> usize {
-        crate::par::current_threads()
-    }
-
-    fn execute(&self, jobs: Vec<Job>) {
-        if self.threads() == 1 {
-            Serial.execute(jobs);
-        } else if global().threads() > 1 {
-            global().execute(jobs);
-        } else {
-            // The environment pinned the default to serial but a
-            // `with_threads` override explicitly requested fan-out (the
-            // parallel-vs-serial equivalence tests do this): run on a small
-            // on-demand pool so the jobs genuinely cross threads.
-            override_pool().execute(jobs);
-        }
-    }
-}
-
-/// Fallback pool for `with_threads` overrides when the global backend is
-/// serial; created on first use only.
-fn override_pool() -> &'static Arc<dyn Backend> {
-    static OVERRIDE_POOL: OnceLock<Arc<dyn Backend>> = OnceLock::new();
-    OVERRIDE_POOL.get_or_init(|| Arc::new(ThreadPool::new(4)))
-}
-
-/// Returns the shared [`Ambient`] backend as an `Arc<dyn Backend>`.
-pub fn ambient() -> Arc<dyn Backend> {
-    static AMBIENT: OnceLock<Arc<dyn Backend>> = OnceLock::new();
-    AMBIENT.get_or_init(|| Arc::new(Ambient)).clone()
 }
 
 type Slots<U> = Arc<Vec<Mutex<Option<U>>>>;
@@ -595,6 +543,5 @@ mod tests {
         assert_eq!(backend_with_threads(4).name(), "thread-pool");
         assert_eq!(backend_with_threads(4).threads(), 4);
         assert!(global().threads() >= 1);
-        assert_eq!(ambient().name(), "ambient");
     }
 }

@@ -21,6 +21,8 @@
 //! ```
 //! use zkspeed_field::Fr;
 //! use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
+//! use zkspeed_rt::pool::Serial;
+//! use zkspeed_rt::trace::TraceSink;
 //! use zkspeed_sumcheck::{prove, verify};
 //! use zkspeed_transcript::Transcript;
 //!
@@ -34,7 +36,7 @@
 //! let claim = vp.sum_over_hypercube();
 //!
 //! let mut pt = Transcript::new(b"demo");
-//! let out = prove(&vp, &mut pt);
+//! let out = prove(&vp, &mut pt, &Serial, &TraceSink::disabled(), "round");
 //! let mut vt = Transcript::new(b"demo");
 //! let sub = verify(claim, 3, vp.degree(), &out.proof, &mut vt).unwrap();
 //! assert_eq!(sub.expected_evaluation, vp.evaluate(&sub.point));
@@ -52,11 +54,10 @@ mod zerocheck;
 
 pub use error::SumcheckError;
 pub use prover::{
-    prove, prove_on, prove_traced_on, round_polynomial, round_polynomial_on, ProverOutput,
-    SumcheckProof,
+    prove, prove_on, round_polynomial, round_polynomial_on, ProverOutput, SumcheckProof,
 };
 pub use verifier::{interpolate_uniform, verify, SubClaim};
 pub use zerocheck::{
-    mask_with_eq, prove_zerocheck, prove_zerocheck_on, prove_zerocheck_traced_on, verify_zerocheck,
-    ZerocheckProof, ZerocheckProverOutput, ZerocheckSubClaim,
+    mask_with_eq, prove_zerocheck, prove_zerocheck_on, verify_zerocheck, ZerocheckProof,
+    ZerocheckProverOutput, ZerocheckSubClaim,
 };

@@ -111,40 +111,15 @@ pub struct ProverOutput {
 /// Returns the proof together with the challenge point. The claimed sum is
 /// *not* appended here; callers append it (or know it to be zero, as in
 /// ZeroCheck) before invoking the prover so prover and verifier transcripts
-/// stay aligned.
+/// stay aligned. Both the round-polynomial extension and the between-round
+/// MLE Update fan out over `backend`'s workers; every round records a
+/// `round_label` span (category `"sumcheck"`, tagged with its round index)
+/// into `trace`. Neither changes a byte of the proof.
 ///
 /// # Panics
 ///
 /// Panics if `poly` has no variables or no terms.
-pub fn prove(poly: &VirtualPolynomial, transcript: &mut Transcript) -> ProverOutput {
-    prove_on(poly, transcript, &pool::Ambient)
-}
-
-/// [`prove`] on an explicit execution backend: both the round-polynomial
-/// extension and the between-round MLE Update fan out over the backend's
-/// workers, producing a proof bit-identical to the serial run.
-///
-/// # Panics
-///
-/// Panics if `poly` has no variables or no terms.
-pub fn prove_on(
-    poly: &VirtualPolynomial,
-    transcript: &mut Transcript,
-    backend: &dyn Backend,
-) -> ProverOutput {
-    prove_traced_on(poly, transcript, backend, &TraceSink::disabled(), "round")
-}
-
-/// [`prove_on`] with per-round tracing: every round records a `round_label`
-/// span (category `"sumcheck"`, tagged with its round index) into `trace`.
-/// A disabled sink makes this identical to [`prove_on`] — tracing observes
-/// wall time only and never touches the transcript, so the proof is
-/// bit-identical with tracing on or off.
-///
-/// # Panics
-///
-/// Panics if `poly` has no variables or no terms.
-pub fn prove_traced_on(
+pub fn prove(
     poly: &VirtualPolynomial,
     transcript: &mut Transcript,
     backend: &dyn Backend,
@@ -154,7 +129,16 @@ pub fn prove_traced_on(
     prove_rounds(poly, None, transcript, backend, trace, round_label)
 }
 
-/// The round loop of [`prove_traced_on`], and with the Build-MLE challenges
+/// [`prove`] untraced, under the name the benchmark imports.
+pub fn prove_on(
+    poly: &VirtualPolynomial,
+    transcript: &mut Transcript,
+    backend: &dyn Backend,
+) -> ProverOutput {
+    prove(poly, transcript, backend, &TraceSink::disabled(), "round")
+}
+
+/// The round loop of [`prove`], and with the Build-MLE challenges
 /// `r` as `eq_point` the ZeroCheck prover's: the sum of `poly(X)·eq(X, r)`.
 pub(crate) fn prove_rounds(
     poly: &VirtualPolynomial,
@@ -179,7 +163,7 @@ pub(crate) fn prove_rounds(
     // `r`, `eq(r_{>i}, ·)` over the instances of round `i`, `eq(r_{<i}, ρ_{<i})`.
     let mut eq = eq_point.map(|r| {
         let _span = trace.span("build-mle", "sumcheck");
-        let suffix = MultilinearPoly::eq_mle_on(&r[1..], backend).shared_evaluations();
+        let suffix = MultilinearPoly::eq_mle(&r[1..], backend).shared_evaluations();
         (r, suffix, Fr::one())
     });
     let mut round_evaluations = Vec::with_capacity(num_rounds);
@@ -220,31 +204,28 @@ pub(crate) fn prove_rounds(
 }
 
 /// Computes the round polynomial `g(t) = Σ_{x₂..x_v ∈ {0,1}} P(t, x₂, …)` as
-/// its evaluations at `t = 0, 1, …, degree`.
-///
-/// This is the functional model of one pass of the SumCheck Round PE.
-/// Parallel fan-out follows the ambient configuration; use
-/// [`round_polynomial_on`] to pin an explicit backend.
-pub fn round_polynomial(poly: &VirtualPolynomial, degree: usize) -> Vec<Fr> {
-    round_polynomial_on(poly, degree, &pool::Ambient)
-}
-
-/// [`round_polynomial`] on an explicit execution backend.
+/// its evaluations at `t = 0, 1, …, degree`: the functional model of one
+/// pass of the SumCheck Round PE.
 ///
 /// The hypercube instances are split into contiguous chunks that fan out
-/// over the backend's workers; each worker accumulates a local partial sum
+/// over `backend`'s workers; each worker accumulates a local partial sum
 /// and the partials are added in chunk order. Field addition is exact mod
 /// p, so any chunking is bit-identical to the serial sweep. Inputs below an
 /// internal chunk floor never leave the calling thread. Workers measure
 /// their thread-local modmul delta, rewind it, and hand it back so
 /// profiling counters see the same totals at any thread count.
+pub fn round_polynomial(poly: &VirtualPolynomial, degree: usize, backend: &dyn Backend) -> Vec<Fr> {
+    let tables: Vec<Table> = poly.mles().iter().map(|m| m.shared_evaluations()).collect();
+    round_evaluations_on(&Plan::new(poly, degree + 1), &tables, None, backend)
+}
+
+/// [`round_polynomial`], under the name the benchmark imports.
 pub fn round_polynomial_on(
     poly: &VirtualPolynomial,
     degree: usize,
     backend: &dyn Backend,
 ) -> Vec<Fr> {
-    let tables: Vec<Table> = poly.mles().iter().map(|m| m.shared_evaluations()).collect();
-    round_evaluations_on(&Plan::new(poly, degree + 1), &tables, None, backend)
+    round_polynomial(poly, degree, backend)
 }
 
 /// One MLE's evaluations over the hypercube instances still unfixed: shared
@@ -305,7 +286,7 @@ impl Plan {
 
 /// One round's evaluations at `0..plan.num_points` of `Σ_x weights[x]·P(X, x)`
 /// (every weight one without the table), fanned out over `backend` as
-/// [`round_polynomial_on`] describes.
+/// [`round_polynomial`] describes.
 fn round_evaluations_on(
     plan: &Plan,
     tables: &[Table],
@@ -460,6 +441,7 @@ fn update_tables(tables: &mut [Table], r: Fr, backend: &dyn Backend) {
 mod tests {
     use super::*;
     use zkspeed_poly::MultilinearPoly;
+    use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -490,7 +472,7 @@ mod tests {
         let mut r = rng();
         let vp = random_product_poly(4, &mut r);
         let degree = vp.degree();
-        let evals = round_polynomial(&vp, degree);
+        let evals = round_polynomial(&vp, degree, &Serial);
         assert_eq!(evals.len(), degree + 1);
         // g(0) + g(1) must equal the full hypercube sum.
         assert_eq!(evals[0] + evals[1], vp.sum_over_hypercube());
@@ -506,7 +488,7 @@ mod tests {
         let mut r = rng();
         let vp = random_product_poly(5, &mut r);
         let mut transcript = Transcript::new(b"test");
-        let out = prove(&vp, &mut transcript);
+        let out = prove_on(&vp, &mut transcript, &Serial);
         assert_eq!(out.proof.num_rounds(), 5);
         assert_eq!(out.point.len(), 5);
         assert_eq!(out.mle_evaluations.len(), 3);
@@ -523,13 +505,13 @@ mod tests {
         let vp = random_product_poly(3, &mut r);
         let mut t1 = Transcript::new(b"same");
         let mut t2 = Transcript::new(b"same");
-        let o1 = prove(&vp, &mut t1);
-        let o2 = prove(&vp, &mut t2);
+        let o1 = prove_on(&vp, &mut t1, &Serial);
+        let o2 = prove_on(&vp, &mut t2, &Serial);
         assert_eq!(o1.proof, o2.proof);
         assert_eq!(o1.point, o2.point);
         // A different transcript domain produces different challenges.
         let mut t3 = Transcript::new(b"other");
-        let o3 = prove(&vp, &mut t3);
+        let o3 = prove_on(&vp, &mut t3, &Serial);
         assert_ne!(o1.point, o3.point);
     }
 
@@ -540,6 +522,6 @@ mod tests {
         let i = vp.add_mle(MultilinearPoly::constant(u(1), 0));
         vp.add_term(u(1), vec![i]);
         let mut transcript = Transcript::new(b"t");
-        let _ = prove(&vp, &mut transcript);
+        let _ = prove_on(&vp, &mut transcript, &Serial);
     }
 }

@@ -123,8 +123,9 @@ pub fn interpolate_uniform(evals: &[Fr], x: Fr) -> Fr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prover::{prove, round_polynomial};
+    use crate::prover::{prove_on, round_polynomial};
     use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
+    use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -168,7 +169,7 @@ mod tests {
             let vp = example_poly(num_vars, &mut r);
             let claim = vp.sum_over_hypercube();
             let mut pt = Transcript::new(b"sumcheck");
-            let out = prove(&vp, &mut pt);
+            let out = prove_on(&vp, &mut pt, &Serial);
             let mut vt = Transcript::new(b"sumcheck");
             let sub = verify(claim, num_vars, vp.degree(), &out.proof, &mut vt)
                 .expect("honest proof verifies");
@@ -184,7 +185,7 @@ mod tests {
         let vp = example_poly(4, &mut r);
         let claim = vp.sum_over_hypercube() + u(1);
         let mut pt = Transcript::new(b"sumcheck");
-        let out = prove(&vp, &mut pt);
+        let out = prove_on(&vp, &mut pt, &Serial);
         let mut vt = Transcript::new(b"sumcheck");
         let err = verify(claim, 4, vp.degree(), &out.proof, &mut vt).unwrap_err();
         assert_eq!(err, SumcheckError::RoundClaimMismatch { round: 0 });
@@ -196,7 +197,7 @@ mod tests {
         let vp = example_poly(4, &mut r);
         let claim = vp.sum_over_hypercube();
         let mut pt = Transcript::new(b"sumcheck");
-        let mut out = prove(&vp, &mut pt);
+        let mut out = prove_on(&vp, &mut pt, &Serial);
         out.proof.round_evaluations[2][1] += u(1);
         let mut vt = Transcript::new(b"sumcheck");
         let err = verify(claim, 4, vp.degree(), &out.proof, &mut vt).unwrap_err();
@@ -214,7 +215,7 @@ mod tests {
         let vp = example_poly(3, &mut r);
         let claim = vp.sum_over_hypercube();
         let mut pt = Transcript::new(b"sumcheck");
-        let out = prove(&vp, &mut pt);
+        let out = prove_on(&vp, &mut pt, &Serial);
         let mut vt = Transcript::new(b"sumcheck");
         assert_eq!(
             verify(claim, 4, vp.degree(), &out.proof, &mut vt).unwrap_err(),
@@ -238,13 +239,13 @@ mod tests {
         let vp = example_poly(3, &mut r);
         let claim = vp.sum_over_hypercube();
         let mut pt = Transcript::new(b"sumcheck");
-        let out = prove(&vp, &mut pt);
+        let out = prove_on(&vp, &mut pt, &Serial);
         let mut vt = Transcript::new(b"sumcheck");
         let sub = verify(claim, 3, vp.degree(), &out.proof, &mut vt).unwrap();
         let fixed = vp
             .fix_first_variable(out.point[0])
             .fix_first_variable(out.point[1]);
-        let last_round = round_polynomial(&fixed, vp.degree());
+        let last_round = round_polynomial(&fixed, vp.degree(), &Serial);
         assert_eq!(
             sub.expected_evaluation,
             interpolate_uniform(&last_round, out.point[2])

@@ -12,6 +12,8 @@
 
 use zkspeed_field::Fr;
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
+use zkspeed_rt::pool::{Backend, Serial};
+use zkspeed_rt::trace::TraceSink;
 use zkspeed_transcript::Transcript;
 
 use crate::error::SumcheckError;
@@ -71,7 +73,7 @@ pub fn mask_with_eq(poly: &VirtualPolynomial, challenges: &[Fr]) -> VirtualPolyn
     for mle in poly.mles() {
         masked.add_shared_mle(mle.clone());
     }
-    let eq_index = masked.add_mle(MultilinearPoly::eq_mle(challenges));
+    let eq_index = masked.add_mle(MultilinearPoly::eq_mle(challenges, &Serial));
     for term in poly.terms() {
         let mut indices = term.mle_indices.clone();
         indices.push(eq_index);
@@ -82,6 +84,9 @@ pub fn mask_with_eq(poly: &VirtualPolynomial, challenges: &[Fr]) -> VirtualPolyn
 
 /// Runs the ZeroCheck prover: draws the Build-MLE challenges `r` from the
 /// transcript and runs SumCheck on `poly(X)·eq(X, r)` with claimed sum zero.
+/// The Build-MLE `eq` construction and the SumCheck rounds fan out over
+/// `backend`'s workers and record spans into `trace` as [`crate::prove`]
+/// does; the proof is the same on any backend, traced or not.
 ///
 /// # Panics
 ///
@@ -89,44 +94,8 @@ pub fn mask_with_eq(poly: &VirtualPolynomial, challenges: &[Fr]) -> VirtualPolyn
 pub fn prove_zerocheck(
     poly: &VirtualPolynomial,
     transcript: &mut Transcript,
-) -> ZerocheckProverOutput {
-    prove_zerocheck_on(poly, transcript, &zkspeed_rt::pool::Ambient)
-}
-
-/// [`prove_zerocheck`] on an explicit execution backend: the Build-MLE
-/// `eq(X, r)` construction and the SumCheck rounds all fan out over the
-/// backend's workers, bit-identical to the serial run.
-///
-/// # Panics
-///
-/// Panics if `poly` has no variables or no terms.
-pub fn prove_zerocheck_on(
-    poly: &VirtualPolynomial,
-    transcript: &mut Transcript,
-    backend: &dyn zkspeed_rt::pool::Backend,
-) -> ZerocheckProverOutput {
-    prove_zerocheck_traced_on(
-        poly,
-        transcript,
-        backend,
-        &zkspeed_rt::trace::TraceSink::disabled(),
-        "round",
-    )
-}
-
-/// [`prove_zerocheck_on`] with per-round tracing: the Build-MLE pass and
-/// every SumCheck round record spans into `trace` (see
-/// [`crate::prove_traced_on`]). Tracing observes wall time only; the proof
-/// is bit-identical with tracing on or off.
-///
-/// # Panics
-///
-/// Panics if `poly` has no variables or no terms.
-pub fn prove_zerocheck_traced_on(
-    poly: &VirtualPolynomial,
-    transcript: &mut Transcript,
-    backend: &dyn zkspeed_rt::pool::Backend,
-    trace: &zkspeed_rt::trace::TraceSink,
+    backend: &dyn Backend,
+    trace: &TraceSink,
     round_label: &'static str,
 ) -> ZerocheckProverOutput {
     let challenges = transcript.challenge_scalars(b"zerocheck-r", poly.num_vars());
@@ -136,6 +105,15 @@ pub fn prove_zerocheck_traced_on(
         sumcheck,
         build_mle_challenges: challenges,
     }
+}
+
+/// [`prove_zerocheck`] untraced, under the name the benchmark imports.
+pub fn prove_zerocheck_on(
+    poly: &VirtualPolynomial,
+    transcript: &mut Transcript,
+    backend: &dyn Backend,
+) -> ZerocheckProverOutput {
+    prove_zerocheck(poly, transcript, backend, &TraceSink::disabled(), "round")
 }
 
 /// Verifies a ZeroCheck proof for a `num_vars`-variate polynomial whose
@@ -216,7 +194,7 @@ mod tests {
         for num_vars in 2..=5usize {
             let vp = vanishing_poly(num_vars, &mut r);
             let mut pt = Transcript::new(b"zerocheck");
-            let out = prove_zerocheck(&vp, &mut pt);
+            let out = prove_zerocheck_on(&vp, &mut pt, &Serial);
             let mut vt = Transcript::new(b"zerocheck");
             let sub = verify_zerocheck(num_vars, vp.degree() + 1, &out.sumcheck.proof, &mut vt)
                 .expect("honest zerocheck verifies");
@@ -241,7 +219,7 @@ mod tests {
         assert_ne!(vp.sum_over_hypercube(), Fr::zero());
 
         let mut pt = Transcript::new(b"zerocheck");
-        let out = prove_zerocheck(&vp, &mut pt);
+        let out = prove_zerocheck_on(&vp, &mut pt, &Serial);
         let mut vt = Transcript::new(b"zerocheck");
         let result = verify_zerocheck(4, vp.degree() + 1, &out.sumcheck.proof, &mut vt);
         assert!(result.is_err(), "non-vanishing polynomial must not verify");
@@ -252,7 +230,7 @@ mod tests {
         let mut r = rng();
         let vp = vanishing_poly(3, &mut r);
         let mut pt = Transcript::new(b"zerocheck");
-        let mut out = prove_zerocheck(&vp, &mut pt);
+        let mut out = prove_zerocheck_on(&vp, &mut pt, &Serial);
         out.sumcheck.proof.round_evaluations[0][0] += u(1);
         let mut vt = Transcript::new(b"zerocheck");
         assert!(verify_zerocheck(3, vp.degree() + 1, &out.sumcheck.proof, &mut vt).is_err());

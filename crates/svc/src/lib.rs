@@ -34,12 +34,13 @@
 //! use std::sync::Arc;
 //! use zkspeed_hyperplonk::{mock_circuit, Proof, SparsityProfile};
 //! use zkspeed_pcs::Srs;
+//! use zkspeed_rt::pool::Serial;
 //! use zkspeed_rt::rngs::StdRng;
 //! use zkspeed_rt::SeedableRng;
 //! use zkspeed_svc::{Priority, ProvingService, ServiceConfig};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let srs = Arc::new(Srs::try_setup(4, &mut rng)?);
+//! let srs = Arc::new(Srs::try_setup(4, &mut rng, &Serial)?);
 //! let service = ProvingService::start(srs, ServiceConfig::default());
 //!
 //! let (circuit, witness) = mock_circuit(4, SparsityProfile::paper_default(), &mut rng);

@@ -282,14 +282,16 @@ mod tests {
     fn tiny_pk() -> Arc<ProvingKey> {
         use std::sync::OnceLock;
         use zkspeed_hyperplonk::{try_preprocess, Circuit, GateSelectors};
-        use zkspeed_pcs::Srs;
+        use zkspeed_pcs::{PrecomputeBudget, Srs};
+        use zkspeed_rt::pool::Serial;
         use zkspeed_rt::SeedableRng;
         static PK: OnceLock<Arc<ProvingKey>> = OnceLock::new();
         PK.get_or_init(|| {
             let mut rng = zkspeed_rt::rngs::StdRng::seed_from_u64(0x9_0b);
-            let srs = Srs::try_setup(1, &mut rng).expect("tiny setup");
+            let srs = Srs::try_setup(1, &mut rng, &Serial).expect("tiny setup");
             let circuit = Circuit::with_identity_wiring(&vec![GateSelectors::addition(); 2]);
-            let (pk, _) = try_preprocess(circuit, &srs).expect("fits");
+            let (pk, _) = try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::disabled())
+                .expect("fits");
             Arc::new(pk)
         })
         .clone()

@@ -13,13 +13,13 @@
 //! ```
 //!
 //! Each **shard** owns a bounded [`JobQueue`], one worker thread and a
-//! dedicated execution [`Backend`] pool, so independent sessions assigned
-//! to different shards prove on disjoint workers. Sessions are assigned to
-//! shards round-robin at registration. Within a shard, the worker pops
-//! *waves* — up to `wave_size` queued jobs of one session and priority
-//! class — and proves them through
-//! [`prove_batch_with_reports_msm_on`], which fans the independent proofs
-//! out across the shard's pool. Proofs are canonical bytes; identical
+//! dedicated execution [`Backend`](zkspeed_rt::pool::Backend) pool, so
+//! independent sessions assigned to different shards prove on disjoint
+//! workers. Sessions are assigned to shards round-robin at registration.
+//! Within a shard, the worker pops *waves* — up to `wave_size` queued jobs
+//! of one session and priority class — and proves them through
+//! [`prove_batch`], which fans the independent proofs out across the
+//! shard's pool. Proofs are canonical bytes; identical
 //! (circuit, witness) submissions produce byte-identical proofs regardless
 //! of queue order, priority or wave packing.
 //!
@@ -46,15 +46,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use zkspeed_curve::MsmConfig;
 use zkspeed_hyperplonk::{
-    prove_batch_with_reports_traced_on, try_preprocess_with_budget_on, Circuit, PreprocessError,
-    VerifyingKey, Witness,
+    prove_batch, try_preprocess, Circuit, ExecCtx, PreprocessError, VerifyingKey, Witness,
 };
 use zkspeed_pcs::{PrecomputeBudget, Srs};
 use zkspeed_rt::codec::{DecodeError, Reader};
 use zkspeed_rt::faults::{FaultPlan, WaveFault};
-use zkspeed_rt::pool::{backend_with_threads, Backend};
+use zkspeed_rt::pool::backend_with_threads;
 use zkspeed_rt::trace::{digest_tag, Histogram, TraceSink};
 use zkspeed_rt::ToJson;
 
@@ -87,12 +85,9 @@ pub struct ServiceConfig {
     /// Pops a starving class waits before it is force-served (see
     /// [`JobQueue`]).
     pub starvation_limit: u64,
-    /// MSM engine configuration used by every session's prover.
-    pub msm_config: MsmConfig,
     /// Opt-in budget for per-session precomputed commit tables, built once
-    /// at registration on the session's shard backend. Disabled by default;
-    /// pair with [`MsmSchedule::Precomputed`](zkspeed_curve::MsmSchedule)
-    /// in [`ServiceConfig::msm_config`] so the prover consumes the tables.
+    /// at registration on the session's shard backend; every proof of the
+    /// session then commits and opens on them. Disabled by default.
     pub precompute: PrecomputeBudget,
     /// Deadline applied to jobs whose [`JobSpec`] does not carry one.
     /// Measured from acceptance; an expired job fails with
@@ -132,7 +127,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let threads = zkspeed_rt::par::current_threads();
+        let threads = zkspeed_rt::par::env_threads();
         let shards = if threads >= 4 { 2 } else { 1 };
         Self {
             shards,
@@ -140,7 +135,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             wave_size: 4,
             starvation_limit: 4,
-            msm_config: MsmConfig::default(),
             precompute: PrecomputeBudget::default(),
             default_deadline: Duration::from_secs(120),
             restart_budget: 3,
@@ -182,12 +176,6 @@ impl ServiceConfig {
     /// Overrides the anti-starvation limit.
     pub fn with_starvation_limit(mut self, limit: u64) -> Self {
         self.starvation_limit = limit;
-        self
-    }
-
-    /// Overrides the MSM engine configuration.
-    pub fn with_msm_config(mut self, msm_config: MsmConfig) -> Self {
-        self.msm_config = msm_config;
         self
     }
 
@@ -360,10 +348,11 @@ impl From<PreprocessError> for ServiceError {
     }
 }
 
-/// One scheduler shard: a bounded queue plus a dedicated backend pool.
+/// One scheduler shard: a bounded queue plus the execution context of its
+/// dedicated backend pool.
 struct Shard {
     queue: JobQueue,
-    backend: Arc<dyn Backend>,
+    ctx: ExecCtx,
     /// Cleared when the shard's worker exits for good (clean shutdown or
     /// restart budget exhausted). Waiters consult it so they never block on
     /// a shard that can no longer make progress.
@@ -446,7 +435,11 @@ impl ProvingService {
         let shards = (0..config.shards.max(1))
             .map(|_| Shard {
                 queue: JobQueue::new(config.queue_capacity, config.starvation_limit),
-                backend: backend_with_threads(config.threads_per_shard),
+                ctx: ExecCtx {
+                    backend: backend_with_threads(config.threads_per_shard),
+                    trace: config.trace.clone(),
+                    job: 0,
+                },
                 alive: AtomicBool::new(true),
                 restarts: AtomicU32::new(0),
             })
@@ -529,9 +522,9 @@ impl ProvingService {
             (self.shared.next_shard.fetch_add(1, Ordering::Relaxed) as usize) % self.shard_count()
         });
         let num_vars = circuit.num_vars();
-        let backend = &self.shared.shards[shard].backend;
+        let backend = &*self.shared.shards[shard].ctx.backend;
         let preprocess_started = Instant::now();
-        let (pk, vk) = try_preprocess_with_budget_on(
+        let (pk, vk) = try_preprocess(
             circuit,
             &self.shared.srs,
             backend,
@@ -1548,17 +1541,11 @@ fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, wave: Vec<Q
         return;
     }
     shared.metrics.record_wave(valid.len());
-    let witnesses: Vec<Witness> = valid.iter().map(|j| j.witness.as_ref().clone()).collect();
-    let job_ids: Vec<u64> = valid.iter().map(|j| j.id).collect();
-    let proved = prove_batch_with_reports_traced_on(
-        &pk,
-        &witnesses,
-        &shard.backend,
-        shared.config.msm_config,
-        &shared.config.trace,
-        &job_ids,
-    )
-    .expect("wave witnesses were validated");
+    let batch: Vec<(u64, Witness)> = valid
+        .iter()
+        .map(|j| (j.id, j.witness.as_ref().clone()))
+        .collect();
+    let proved = prove_batch(&pk, &batch, &shard.ctx).expect("wave witnesses were validated");
     let mut jobs = lock(&shared.jobs);
     for (job, (proof, report)) in valid.iter().zip(proved) {
         let bytes = Arc::new(proof.to_bytes());

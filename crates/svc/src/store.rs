@@ -396,7 +396,8 @@ impl ProofCache {
 mod tests {
     use super::*;
     use zkspeed_hyperplonk::{try_preprocess, Circuit, GateSelectors};
-    use zkspeed_pcs::Srs;
+    use zkspeed_pcs::{PrecomputeBudget, Srs};
+    use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -405,9 +406,10 @@ mod tests {
         static KEYS: OnceLock<(Arc<ProvingKey>, Arc<VerifyingKey>)> = OnceLock::new();
         KEYS.get_or_init(|| {
             let mut rng = StdRng::seed_from_u64(0x5707e);
-            let srs = Srs::try_setup(1, &mut rng).expect("tiny setup");
+            let srs = Srs::try_setup(1, &mut rng, &Serial).expect("tiny setup");
             let circuit = Circuit::with_identity_wiring(&vec![GateSelectors::addition(); 2]);
-            let (pk, vk) = try_preprocess(circuit, &srs).expect("fits");
+            let (pk, vk) = try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::disabled())
+                .expect("fits");
             (Arc::new(pk), Arc::new(vk))
         })
         .clone()

@@ -8,6 +8,7 @@ use zkspeed_core::{ChipConfig, Unit, Workload};
 use zkspeed_field::Fr;
 use zkspeed_hw::params::CLOCK_HZ;
 use zkspeed_poly::{fraction_mle, product_mle, MultilinearPoly};
+use zkspeed_rt::pool::Serial;
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::SeedableRng;
 
@@ -18,7 +19,7 @@ fn main() {
     println!("== Functional kernels (2^{mu_small} entries) ==");
     // Build MLE (Multifunction Tree, forward mode).
     let challenges: Vec<Fr> = (0..mu_small).map(|_| Fr::random(&mut rng)).collect();
-    let eq = MultilinearPoly::eq_mle(&challenges);
+    let eq = MultilinearPoly::eq_mle(&challenges, &Serial);
     println!(
         "Build MLE: eq table sums to one over the hypercube: {}",
         eq.sum_over_hypercube() == Fr::one()

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.dense_fraction() * 100.0
     );
 
-    let srs = Srs::try_setup(circuit.num_vars(), &mut rng)?;
+    let srs = Srs::try_setup(circuit.num_vars(), &mut rng, &Serial)?;
     let system = ProofSystem::setup(srs);
     let (prover, verifier) = system.preprocess(circuit)?;
     let (proof, report) = prover.prove_with_report(&witness)?;

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(7);
 
     let t0 = Instant::now();
-    let srs = Srs::try_setup(14, &mut rng)?;
+    let srs = Srs::try_setup(14, &mut rng, &Serial)?;
     println!(
         "universal setup (μ = 14, fixed-base tables): {:.2} s",
         t0.elapsed().as_secs_f64()

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. One session owns the universal setup and the worker pool; a
     //    preprocessing pass per circuit yields long-lived handles.
     let mut rng = StdRng::seed_from_u64(42);
-    let srs = Srs::try_setup(circuit.num_vars(), &mut rng)?;
+    let srs = Srs::try_setup(circuit.num_vars(), &mut rng, &Serial)?;
     let system = ProofSystem::setup(srs);
     let (prover, verifier) = system.preprocess(circuit)?;
 

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // All suite circuits fit one μ = 15 setup.
     let t0 = Instant::now();
-    let srs = Srs::try_setup(15, &mut rng)?;
+    let srs = Srs::try_setup(15, &mut rng, &Serial)?;
     println!(
         "universal setup (μ = 15): {:.1} s",
         t0.elapsed().as_secs_f64()

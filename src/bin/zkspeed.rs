@@ -26,6 +26,7 @@ use zkspeed::hyperplonk::workloads::{
 };
 use zkspeed::hyperplonk::{Circuit, Proof, Witness};
 use zkspeed::pcs::Srs;
+use zkspeed::rt::pool;
 use zkspeed::rt::rngs::StdRng;
 use zkspeed::rt::trace::TraceSink;
 use zkspeed::rt::SeedableRng;
@@ -212,7 +213,7 @@ fn cmd_setup(args: &[String]) -> Result<(), String> {
     let out = flags.require("out")?;
     let seed: u64 = flags.parse_num("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let srs = Srs::try_setup(mu, &mut rng).map_err(|e| e.to_string())?;
+    let srs = Srs::try_setup(mu, &mut rng, &**pool::global()).map_err(|e| e.to_string())?;
     let bytes = srs.to_bytes();
     write_file(out, &bytes, "SRS")?;
     println!("setup: μ={mu} SRS ({} bytes) -> {out}", bytes.len());

@@ -44,7 +44,7 @@
 //! use zkspeed::prelude::*;
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let srs = Srs::try_setup(4, &mut rng)?;
+//! let srs = Srs::try_setup(4, &mut rng, &Serial)?;
 //! let system = ProofSystem::setup(srs);
 //! let (circuit, witness) = mock_circuit(4, SparsityProfile::paper_default(), &mut rng);
 //! let (prover, verifier) = system.preprocess(circuit)?;
@@ -65,7 +65,7 @@
 //! use zkspeed::prelude::*;
 //!
 //! let mut rng = StdRng::seed_from_u64(2);
-//! let srs = Srs::try_setup(3, &mut rng)?;
+//! let srs = Srs::try_setup(3, &mut rng, &Serial)?;
 //! let system = ProofSystem::setup_with_backend(srs, Arc::new(ThreadPool::new(4)));
 //! # let _ = system;
 //! # Ok::<(), zkspeed::Error>(())
@@ -133,7 +133,6 @@ pub use zkspeed_transcript as transcript;
 /// One-line import for the session API and the types most programs touch.
 pub mod prelude {
     pub use crate::{measured_workload, Error, ProofSystem, ProverHandle, VerifierHandle};
-    pub use zkspeed_curve::{MsmConfig, MsmSchedule};
     pub use zkspeed_hyperplonk::workloads::{
         HashChainSpec, MerkleSpec, StateTransitionSpec, WorkloadSpec,
     };

@@ -5,16 +5,16 @@
 //! The paper's Figure-2 pipeline is a long-lived system — one universal
 //! setup, one preprocessing pass per circuit, then many proofs. The free
 //! functions of the component crates re-derive nothing, but they force
-//! every caller to carry keys around and they spin parallelism up from the
-//! ambient configuration on every call. The session API fixes both: keys
-//! live inside the handles (`Arc`-shared, cheap to clone), and one
-//! reusable [`Backend`] worker pool serves every proof of the session.
+//! every caller to carry keys and an execution context around. The session
+//! API owns both: keys live inside the handles (`Arc`-shared, cheap to
+//! clone), and one reusable [`Backend`] worker pool serves every proof of
+//! the session.
 //!
 //! ```
 //! use zkspeed::prelude::*;
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let srs = Srs::try_setup(4, &mut rng)?;
+//! let srs = Srs::try_setup(4, &mut rng, &Serial)?;
 //! let system = ProofSystem::setup(srs);
 //! let (circuit, witness) = mock_circuit(4, SparsityProfile::paper_default(), &mut rng);
 //! let (prover, verifier) = system.preprocess(circuit)?;
@@ -30,11 +30,9 @@
 
 use std::sync::Arc;
 
-use zkspeed_curve::{MsmConfig, MsmSchedule};
 use zkspeed_hyperplonk::{
-    prove_batch_msm_on, prove_unchecked_msm_on, prove_with_report_msm_on,
-    try_preprocess_with_budget_on, verify, Circuit, Proof, ProverReport, ProvingKey, VerifyingKey,
-    Witness,
+    prove, prove_batch, prove_unchecked, try_preprocess, verify, Circuit, ExecCtx, Proof,
+    ProverReport, ProvingKey, VerifyingKey, Witness,
 };
 use zkspeed_pcs::{PrecomputeBudget, Srs};
 use zkspeed_rt::pool::{self, Backend};
@@ -43,13 +41,11 @@ use zkspeed_svc::{ProvingService, ServiceConfig};
 use crate::error::Error;
 
 /// The session entry point: owns the universal SRS plus the execution
-/// backend and MSM engine configuration every derived handle will prove
-/// with.
+/// backend every derived handle will prove with.
 #[derive(Clone, Debug)]
 pub struct ProofSystem {
     srs: Arc<Srs>,
     backend: Arc<dyn Backend>,
-    msm_config: MsmConfig,
     precompute: PrecomputeBudget,
 }
 
@@ -58,12 +54,7 @@ impl ProofSystem {
     /// shared worker pool, sized by `ZKSPEED_THREADS` (falling back to the
     /// hardware parallelism).
     pub fn setup(srs: Srs) -> Self {
-        Self {
-            srs: Arc::new(srs),
-            backend: pool::ambient(),
-            msm_config: MsmConfig::default(),
-            precompute: PrecomputeBudget::default(),
-        }
+        Self::setup_with_backend(srs, Arc::clone(pool::global()))
     }
 
     /// Wraps a universal setup with an explicit execution backend
@@ -72,7 +63,6 @@ impl ProofSystem {
         Self {
             srs: Arc::new(srs),
             backend,
-            msm_config: MsmConfig::default(),
             precompute: PrecomputeBudget::default(),
         }
     }
@@ -83,42 +73,20 @@ impl ProofSystem {
         self
     }
 
-    /// Replaces the MSM engine configuration (window size, signed digits,
-    /// work-decomposition schedule, batch-affine threshold) used by every
-    /// commitment and opening of handles derived from this session. Any
-    /// configuration produces bit-identical proof encodings; only the
-    /// operation schedule differs.
-    pub fn with_msm_config(mut self, msm_config: MsmConfig) -> Self {
-        self.msm_config = msm_config;
-        self
-    }
-
     /// Opts the session into precomputed multi-base commit tables: every
     /// subsequent [`ProofSystem::preprocess`] builds per-level window tables
     /// over the SRS Lagrange bases within `budget` and stores them on the
-    /// proving key, and the session's MSM schedule switches to
-    /// [`MsmSchedule::Precomputed`] so commits and openings consume them —
-    /// zero doublings per scalar instead of one doubling per bit. Proof
-    /// bytes are identical either way; only the operation schedule changes.
-    /// An explicitly disabled budget reverts to the default schedule.
+    /// proving key, and every commit and opening at a covered level runs on
+    /// them — zero doublings per scalar instead of one per bit. Proof bytes
+    /// are identical either way; only the operation schedule changes.
     pub fn with_precompute(mut self, budget: PrecomputeBudget) -> Self {
         self.precompute = budget;
-        self.msm_config.schedule = if budget.is_enabled() {
-            MsmSchedule::Precomputed
-        } else {
-            MsmConfig::default().schedule
-        };
         self
     }
 
     /// The precomputed-table budget applied at preprocessing.
     pub fn precompute(&self) -> PrecomputeBudget {
         self.precompute
-    }
-
-    /// The MSM engine configuration derived handles will prove with.
-    pub fn msm_config(&self) -> MsmConfig {
-        self.msm_config
     }
 
     /// The universal SRS this session proves against.
@@ -131,18 +99,14 @@ impl ProofSystem {
         &self.backend
     }
 
-    /// Starts a long-running [`ProvingService`] over this session's SRS and
-    /// MSM configuration: circuits register as sessions keyed by digest,
-    /// jobs queue with priorities and backpressure, and shard workers pack
-    /// them into `prove_batch` waves (see [`zkspeed_svc`]). The service
-    /// builds its own per-shard backend pools as configured.
+    /// Starts a long-running [`ProvingService`] over this session's SRS:
+    /// circuits register as sessions keyed by digest, jobs queue with
+    /// priorities and backpressure, and shard workers pack them into
+    /// `prove_batch` waves (see [`zkspeed_svc`]). Everything else — the
+    /// per-shard backend pools and the commit-table budget among it — is
+    /// `config`'s.
     pub fn serve(&self, config: ServiceConfig) -> ProvingService {
-        ProvingService::start(
-            Arc::clone(&self.srs),
-            config
-                .with_msm_config(self.msm_config)
-                .with_precompute(self.precompute),
-        )
+        ProvingService::start(Arc::clone(&self.srs), config)
     }
 
     /// Preprocesses (indexes) a circuit: commits to its selector and wiring
@@ -154,28 +118,28 @@ impl ProofSystem {
     /// Returns [`Error::Preprocess`] if the circuit needs more variables
     /// than the SRS supports.
     pub fn preprocess(&self, circuit: Circuit) -> Result<(ProverHandle, VerifierHandle), Error> {
-        let (pk, vk) =
-            try_preprocess_with_budget_on(circuit, &self.srs, &self.backend, &self.precompute)?;
+        let (pk, vk) = try_preprocess(circuit, &self.srs, &*self.backend, &self.precompute)?;
+        let ctx = ExecCtx {
+            backend: Arc::clone(&self.backend),
+            ..ExecCtx::default()
+        };
         Ok((
             ProverHandle {
                 pk: Arc::new(pk),
-                backend: Arc::clone(&self.backend),
-                msm_config: self.msm_config,
+                ctx,
             },
             VerifierHandle { vk: Arc::new(vk) },
         ))
     }
 }
 
-/// A long-lived prover for one circuit: owns the proving key, the execution
-/// backend and the MSM engine configuration, so each
-/// [`ProverHandle::prove`] call is pure compute with no per-call setup.
-/// Cloning the handle shares the key and backend.
+/// A long-lived prover for one circuit: owns the proving key and the
+/// execution context, so each [`ProverHandle::prove`] call is pure compute
+/// with no per-call setup. Cloning the handle shares the key and backend.
 #[derive(Clone, Debug)]
 pub struct ProverHandle {
     pk: Arc<ProvingKey>,
-    backend: Arc<dyn Backend>,
-    msm_config: MsmConfig,
+    ctx: ExecCtx,
 }
 
 impl ProverHandle {
@@ -196,12 +160,7 @@ impl ProverHandle {
     ///
     /// Returns [`Error::Prove`] if the witness is invalid.
     pub fn prove_with_report(&self, witness: &Witness) -> Result<(Proof, ProverReport), Error> {
-        Ok(prove_with_report_msm_on(
-            &self.pk,
-            witness,
-            &self.backend,
-            self.msm_config,
-        )?)
+        Ok(prove(&self.pk, witness, &self.ctx)?)
     }
 
     /// Proves a batch of witnesses, fanning the independent proofs (and the
@@ -214,24 +173,16 @@ impl ProverHandle {
     /// Returns [`Error::Prove`] for the first invalid witness; no proving
     /// work starts in that case.
     pub fn prove_batch(&self, witnesses: &[Witness]) -> Result<Vec<Proof>, Error> {
-        Ok(prove_batch_msm_on(
-            &self.pk,
-            witnesses,
-            &self.backend,
-            self.msm_config,
-        )?)
+        let batch: Vec<(u64, Witness)> = (0..).zip(witnesses.iter().cloned()).collect();
+        let proved = prove_batch(&self.pk, &batch, &self.ctx)?;
+        Ok(proved.into_iter().map(|(proof, _)| proof).collect())
     }
 
     /// Runs the prover without checking witness satisfiability first (used
     /// by soundness tests: an unsatisfied witness yields a proof the
     /// verifier rejects).
     pub fn prove_unchecked(&self, witness: &Witness) -> (Proof, ProverReport) {
-        prove_unchecked_msm_on(&self.pk, witness, &self.backend, self.msm_config)
-    }
-
-    /// The MSM engine configuration this handle proves with.
-    pub fn msm_config(&self) -> MsmConfig {
-        self.msm_config
+        prove_unchecked(&self.pk, witness, &self.ctx)
     }
 
     /// The proving key (circuit tables plus SRS).
@@ -241,7 +192,7 @@ impl ProverHandle {
 
     /// The execution backend this handle proves on.
     pub fn backend(&self) -> &Arc<dyn Backend> {
-        &self.backend
+        &self.ctx.backend
     }
 
     /// Number of variables `μ` of the underlying circuit.
@@ -302,7 +253,7 @@ mod tests {
     #[test]
     fn session_roundtrip_and_batch() {
         let mut rng = StdRng::seed_from_u64(0x5e55_0001);
-        let srs = Srs::try_setup(4, &mut rng).expect("small setup");
+        let srs = Srs::try_setup(4, &mut rng, &Serial).expect("small setup");
         let system = ProofSystem::setup_with_backend(srs, Arc::new(ThreadPool::new(4)));
         let (circuit, witness) = mock_circuit(4, SparsityProfile::paper_default(), &mut rng);
         let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
@@ -328,7 +279,7 @@ mod tests {
     #[test]
     fn precompute_session_matches_default_proofs() {
         let mut rng = StdRng::seed_from_u64(0x5e55_0004);
-        let srs = Srs::try_setup(6, &mut rng).expect("small setup");
+        let srs = Srs::try_setup(6, &mut rng, &Serial).expect("small setup");
         let (circuit, witness) = mock_circuit(6, SparsityProfile::paper_default(), &mut rng);
 
         let plain = ProofSystem::setup_with_backend(srs.clone(), Arc::new(Serial));
@@ -339,10 +290,6 @@ mod tests {
         let fast = ProofSystem::setup_with_backend(srs, Arc::new(ThreadPool::new(4)))
             .with_precompute(PrecomputeBudget::unlimited());
         assert!(fast.precompute().is_enabled());
-        assert!(matches!(
-            fast.msm_config().schedule,
-            MsmSchedule::Precomputed
-        ));
         let (prover, verifier) = fast.preprocess(circuit).expect("fits");
         let tables = prover
             .proving_key()
@@ -350,26 +297,23 @@ mod tests {
             .as_ref()
             .expect("unlimited budget builds tables");
         assert!(tables.size_in_bytes() > 0);
-        let proof = prover.prove(&witness).expect("valid witness");
+        let (proof, report) = prover.prove_with_report(&witness).expect("valid witness");
         assert_eq!(
             proof, reference,
-            "precomputed-schedule proofs must be byte-identical"
+            "proofs on the table engine must be byte-identical"
         );
         verifier.verify(&proof).expect("verifies");
+        // The tables were used: the φ/π commits computed no point images.
+        assert_eq!(report.wiring_msm.endomorphisms, 0);
 
-        // Disabling the budget reverts the schedule too.
         let reverted = fast.with_precompute(PrecomputeBudget::disabled());
         assert!(!reverted.precompute().is_enabled());
-        assert!(matches!(
-            reverted.msm_config().schedule,
-            MsmSchedule::WindowParallel
-        ));
     }
 
     #[test]
     fn session_errors_are_structured() {
         let mut rng = StdRng::seed_from_u64(0x5e55_0002);
-        let srs = Srs::try_setup(2, &mut rng).expect("small setup");
+        let srs = Srs::try_setup(2, &mut rng, &Serial).expect("small setup");
         let system = ProofSystem::setup(srs).with_backend(Arc::new(Serial));
         let (circuit, _) = mock_circuit(3, SparsityProfile::paper_default(), &mut rng);
         let err = system.preprocess(circuit).unwrap_err();
@@ -377,7 +321,7 @@ mod tests {
         assert!(err.to_string().contains("SRS supports up to 2^2"));
 
         assert!(matches!(
-            Srs::try_setup(64, &mut rng).map(ProofSystem::setup),
+            Srs::try_setup(64, &mut rng, &Serial).map(ProofSystem::setup),
             Err(SetupError::TooManyVariables { .. })
         ));
     }
@@ -385,7 +329,7 @@ mod tests {
     #[test]
     fn verifier_handle_roundtrips_through_bytes() {
         let mut rng = StdRng::seed_from_u64(0x5e55_0003);
-        let srs = Srs::try_setup(3, &mut rng).expect("small setup");
+        let srs = Srs::try_setup(3, &mut rng, &Serial).expect("small setup");
         let system = ProofSystem::setup_with_backend(srs, Arc::new(Serial));
         let (circuit, witness) = mock_circuit(3, SparsityProfile::paper_default(), &mut rng);
         let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");

@@ -25,7 +25,7 @@ fn tiny_srs() -> Arc<Srs> {
     static SRS: OnceLock<Arc<Srs>> = OnceLock::new();
     SRS.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0xc4a0_5001);
-        Arc::new(Srs::try_setup(MU, &mut rng).expect("tiny setup fits"))
+        Arc::new(Srs::try_setup(MU, &mut rng, &Serial).expect("tiny setup fits"))
     })
     .clone()
 }

@@ -183,7 +183,7 @@ fn service_answers_corrupt_frames_without_panicking() {
     // through the live service endpoint yields a decodable response frame
     // (normally Rejected), never a panic or a hang.
     let mut rng = StdRng::seed_from_u64(0x5eed);
-    let srs = std::sync::Arc::new(Srs::try_setup(4, &mut rng).expect("small setup"));
+    let srs = std::sync::Arc::new(Srs::try_setup(4, &mut rng, &Serial).expect("small setup"));
     let svc = ProvingService::start(srs, ServiceConfig::default().with_shards(1));
     let (circuit, witness) = tiny_instance();
     let digest = svc.register_circuit(circuit.clone()).expect("fits");

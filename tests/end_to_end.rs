@@ -11,7 +11,7 @@ use zkspeed_hyperplonk::{mock_circuit, ProtocolStep};
 use zkspeed_rt::codec::DecodeError;
 
 fn session(mu: usize, rng: &mut StdRng) -> (ProofSystem, ProverHandle, VerifierHandle, Witness) {
-    let srs = Srs::try_setup(mu, rng).expect("setup fits");
+    let srs = Srs::try_setup(mu, rng, &Serial).expect("setup fits");
     let system = ProofSystem::setup(srs);
     let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), rng);
     let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
@@ -45,7 +45,7 @@ fn builder_circuit_proof_roundtrip() {
     let target = builder.constant(Fr::from_u64(35));
     builder.assert_equal(lhs, target);
     let (circuit, witness) = builder.build();
-    let srs = Srs::try_setup(circuit.num_vars(), &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(circuit.num_vars(), &mut rng, &Serial).expect("setup fits");
     let system = ProofSystem::setup(srs);
     let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
     let proof = prover.prove(&witness).expect("valid witness");
@@ -58,7 +58,7 @@ fn srs_is_universal_across_circuits() {
     // universal-setup property that motivates HyperPlonk over Groth16. The
     // session owns the SRS once; each circuit gets its own handle pair.
     let mut rng = StdRng::seed_from_u64(103);
-    let srs = Srs::try_setup(6, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(6, &mut rng, &Serial).expect("setup fits");
     let system = ProofSystem::setup(srs);
     for mu in [4usize, 6] {
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
@@ -71,7 +71,7 @@ fn srs_is_universal_across_circuits() {
 #[test]
 fn oversized_circuit_is_a_structured_error() {
     let mut rng = StdRng::seed_from_u64(106);
-    let srs = Srs::try_setup(3, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(3, &mut rng, &Serial).expect("setup fits");
     let system = ProofSystem::setup(srs);
     let (circuit, _) = mock_circuit(5, SparsityProfile::paper_default(), &mut rng);
     let err = system.preprocess(circuit).unwrap_err();
@@ -98,7 +98,7 @@ fn prover_report_step_times_cover_all_steps() {
 #[test]
 fn dense_witness_circuits_also_prove() {
     let mut rng = StdRng::seed_from_u64(105);
-    let srs = Srs::try_setup(4, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(4, &mut rng, &Serial).expect("setup fits");
     let system = ProofSystem::setup_with_backend(srs, Arc::new(ThreadPool::new(2)));
     let (circuit, witness) = mock_circuit(4, SparsityProfile::dense(), &mut rng);
     let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");

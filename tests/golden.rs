@@ -17,7 +17,7 @@ fn proof_digest(
     build: impl FnOnce(&mut StdRng) -> (Circuit, Witness),
 ) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
-    let srs = Srs::try_setup(mu, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits");
     let (circuit, witness) = build(&mut rng);
     assert_eq!(
         circuit.num_vars(),

@@ -111,7 +111,7 @@ fn each_sumcheck_keeps_its_per_instance_budget() {
 #[test]
 fn a_whole_proof_keeps_its_budget() {
     let mut rng = StdRng::seed_from_u64(0xb0d6_e800);
-    let srs = Srs::try_setup(MU, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(MU, &mut rng, &Serial).expect("setup fits");
     let (circuit, witness) = mock_circuit(MU, SparsityProfile::paper_default(), &mut rng);
     let (prover, _) = ProofSystem::setup_with_backend(srs, std::sync::Arc::new(Serial))
         .preprocess(circuit)

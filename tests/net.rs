@@ -11,6 +11,7 @@ use std::time::Duration;
 use zkspeed::hyperplonk::{mock_circuit, Circuit, SparsityProfile, Witness};
 use zkspeed::net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig};
 use zkspeed::pcs::Srs;
+use zkspeed::rt::pool::Serial;
 use zkspeed::rt::rngs::StdRng;
 use zkspeed::rt::SeedableRng;
 use zkspeed::svc::{Priority, ProvingService, RejectCode, Request, Response, ServiceConfig};
@@ -25,7 +26,7 @@ fn test_circuit(seed: u64) -> (Circuit, Witness) {
 
 fn start_server(server_config: ServerConfig) -> NetServer {
     let mut rng = StdRng::seed_from_u64(1);
-    let srs = Arc::new(Srs::try_setup(MU, &mut rng).expect("tiny setup fits"));
+    let srs = Arc::new(Srs::try_setup(MU, &mut rng, &Serial).expect("tiny setup fits"));
     let service = ProvingService::start(
         srs,
         ServiceConfig::default().with_shards(1).with_wave_size(2),

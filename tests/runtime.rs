@@ -1,28 +1,28 @@
 //! Tests of the `zkspeed-rt` runtime substrate as seen by the whole stack:
 //! PRNG determinism (same seed → same stream, cross-thread independence) and
-//! backend equivalence — the same seed under `Serial`, `ThreadPool(1)` and
-//! `ThreadPool(8)` must produce bit-identical proof encodings and identical
-//! modmul counters, for single proofs and for `prove_batch`.
-//!
-//! The ambient-configuration tests pin the worker count with
-//! `zkspeed_rt::par::with_threads`, so they compare the true serial path
-//! against a genuinely fanned-out run regardless of how `ZKSPEED_THREADS` is
-//! set for the test process (the CI matrix runs them under both
-//! `ZKSPEED_THREADS=1` and `ZKSPEED_THREADS=8`).
+//! backend equivalence — where the work runs never changes what is
+//! computed. Every kernel below runs on explicit backends (`Serial`,
+//! `ThreadPool(1)`, pools of 2 and 8), whatever `ZKSPEED_THREADS` says, and
+//! the prover runs the enumerated matrix of
+//! [`backends_produce_identical_encodings_and_modmul_counters`]: proof bytes
+//! and modmul counters must not move.
 
 use std::sync::Arc;
 
 use zkspeed::prelude::*;
 use zkspeed_curve::{
-    msm_precomputed_on, msm_with_config, naive_msm, sparse_msm, G1Affine, G1Projective, MsmConfig,
-    MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
+    msm, msm_precomputed, msm_with_config_on, naive_msm, sparse_msm, G1Affine, G1Projective,
+    MsmConfig, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
 };
-use zkspeed_field::Fr;
-use zkspeed_hyperplonk::mock_circuit;
+use zkspeed_field::{measure_modmuls, Fr, ModmulCount};
+use zkspeed_hyperplonk::{
+    mock_circuit, prove, prove_batch, try_preprocess, ExecCtx, ProvingKey, VerifyingKey,
+};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
-use zkspeed_rt::par::with_threads;
+use zkspeed_rt::trace::TraceSink;
 use zkspeed_rt::Rng;
-use zkspeed_sumcheck::{prove_zerocheck, round_polynomial};
+use zkspeed_sumcheck::{prove_zerocheck_on, round_polynomial};
+use zkspeed_transcript::Transcript;
 
 // ---------------------------------------------------------------- PRNG ----
 
@@ -90,13 +90,16 @@ fn random_msm_instance(n: usize, seed: u64) -> (Vec<G1Affine>, Vec<Fr>) {
     (points, scalars)
 }
 
+/// Pools that genuinely fan out, whatever the host's core count.
+const POOL_THREADS: [usize; 2] = [2, 8];
+
 #[test]
 fn msm_parallel_matches_serial_bitwise() {
     let (points, scalars) = random_msm_instance(512, 0xD5EE_D010);
-    let config = MsmConfig::default();
-    let serial = with_threads(1, || msm_with_config(&points, &scalars, config));
-    for threads in [2usize, 8] {
-        let parallel = with_threads(threads, || msm_with_config(&points, &scalars, config));
+    let points = Arc::new(points);
+    let serial = msm(&Serial, &points, &scalars);
+    for threads in POOL_THREADS {
+        let parallel = msm(&ThreadPool::new(threads), &points, &scalars);
         assert_eq!(parallel.0, serial.0, "{threads}-thread MSM result drifted");
         assert_eq!(parallel.1, serial.1, "{threads}-thread MSM stats drifted");
     }
@@ -120,16 +123,21 @@ fn sparse_msm_parallel_matches_serial() {
             }
         })
         .collect();
-    let serial = with_threads(1, || sparse_msm(&points, &scalars));
-    let parallel = with_threads(8, || sparse_msm(&points, &scalars));
+    let serial = sparse_msm(&Serial, &points, &scalars);
+    let parallel = sparse_msm(&ThreadPool::new(8), &points, &scalars);
     assert_eq!(parallel.0, serial.0);
     assert_eq!(parallel.1, serial.1);
 }
 
-/// Every meaningfully distinct MSM engine configuration: the PR 2 baseline,
-/// each optimization alone, and all of them together.
-fn msm_schedule_matrix() -> Vec<(&'static str, MsmConfig)> {
-    vec![
+#[test]
+fn msm_schedules_agree_and_are_thread_count_invariant() {
+    // Every engine configuration must compute the naive result, and within
+    // one configuration the result AND the operation counters must not
+    // depend on the thread count (work is split by configuration, never by
+    // backend width).
+    let (points, scalars) = random_msm_instance(512, 0xD5EE_D014);
+    let expect = naive_msm(&points, &scalars);
+    for (name, config) in [
         ("classic", MsmConfig::classic()),
         ("signed", MsmConfig::classic().with_signed_digits(true)),
         (
@@ -137,21 +145,12 @@ fn msm_schedule_matrix() -> Vec<(&'static str, MsmConfig)> {
             MsmConfig::classic().with_batch_affine_min_points(0),
         ),
         ("optimized", MsmConfig::optimized()),
-    ]
-}
-
-#[test]
-fn msm_schedules_agree_and_are_thread_count_invariant() {
-    // Every schedule must compute the naive result, and within one schedule
-    // the result AND the operation counters must not depend on the thread
-    // count (work is split by configuration, never by backend width).
-    let (points, scalars) = random_msm_instance(512, 0xD5EE_D014);
-    let expect = naive_msm(&points, &scalars);
-    for (name, config) in msm_schedule_matrix() {
-        let serial = with_threads(1, || msm_with_config(&points, &scalars, config));
+    ] {
+        let serial = msm_with_config_on(&Serial, &points, &scalars, config);
         assert_eq!(serial.0, expect, "{name}: wrong result");
-        for threads in [2usize, 8] {
-            let parallel = with_threads(threads, || msm_with_config(&points, &scalars, config));
+        for threads in POOL_THREADS {
+            let pool = ThreadPool::new(threads);
+            let parallel = msm_with_config_on(&pool, &points, &scalars, config);
             assert_eq!(
                 parallel.0, serial.0,
                 "{name}: {threads}-thread result drifted"
@@ -166,21 +165,21 @@ fn msm_schedules_agree_and_are_thread_count_invariant() {
 
 #[test]
 fn precomputed_msm_results_and_stats_are_thread_count_invariant() {
-    // The precomputed engine splits work over bucket ranges, never over the
-    // backend width: result AND operation counters must be identical under
-    // Serial and any pool size.
+    // The precomputed engine splits work over runs of windows, never over
+    // the backend width: result AND operation counters must be identical
+    // under Serial and any pool size.
     let (points, scalars) = random_msm_instance(512, 0xD5EE_D015);
     let expect = naive_msm(&points, &scalars);
+    let bases = Arc::new(points);
     let table = Arc::new(MultiBaseTable::build(
-        &points,
+        &bases,
         MULTI_BASE_DEFAULT_WINDOW_BITS,
+        &Serial,
     ));
-    let config = MsmConfig::precomputed();
-    let serial = msm_precomputed_on(&Serial, &table, &scalars, config);
+    let serial = msm_precomputed(&Serial, &table, &scalars);
     assert_eq!(serial.0, expect, "precomputed MSM computed a wrong result");
     for threads in [1usize, 2, 8] {
-        let pool = ThreadPool::new(threads);
-        let parallel = msm_precomputed_on(&pool, &table, &scalars, config);
+        let parallel = msm_precomputed(&ThreadPool::new(threads), &table, &scalars);
         assert_eq!(parallel.0, serial.0, "{threads}-thread result drifted");
         assert_eq!(parallel.1, serial.1, "{threads}-thread stats drifted");
     }
@@ -191,29 +190,30 @@ fn modmul_counters_are_thread_count_invariant() {
     // The kernel profiler (Table 1) reads thread-local modmul counters;
     // parallel workers must hand their counts back to the spawning thread.
     let (points, scalars) = random_msm_instance(256, 0xD5EE_D013);
-    let count = |threads: usize| {
-        with_threads(threads, || {
-            let before = zkspeed_field::modmul_count();
-            let _ = msm_with_config(&points, &scalars, MsmConfig::default());
-            zkspeed_field::modmul_count().since(&before)
-        })
-    };
-    let serial = count(1);
+    let points = Arc::new(points);
+    let count = |backend: &dyn Backend| measure_modmuls(|| msm(backend, &points, &scalars)).1;
+    let serial = count(&Serial);
     assert!(serial.total() > 0, "MSM must record modmuls");
-    assert_eq!(count(8), serial, "worker-side modmuls were dropped");
+    assert_eq!(
+        count(&ThreadPool::new(8)),
+        serial,
+        "worker-side modmuls were dropped"
+    );
 
     // The SumCheck round kernel's weighted path: a ZeroCheck large enough
     // to chunk its rounds and to update its tables one job each.
     let vp = random_virtual_poly(12, 0xD5EE_D014);
-    let count = |threads: usize| {
-        with_threads(threads, || {
-            let mut transcript = zkspeed_transcript::Transcript::new(b"counters");
-            zkspeed_field::measure_modmuls(|| prove_zerocheck(&vp, &mut transcript)).1
-        })
+    let count = |backend: &dyn Backend| {
+        let mut transcript = Transcript::new(b"counters");
+        measure_modmuls(|| prove_zerocheck_on(&vp, &mut transcript, backend)).1
     };
-    let serial = count(1);
+    let serial = count(&Serial);
     assert!(serial.fr > 0, "ZeroCheck must record modmuls");
-    assert_eq!(count(8), serial, "worker-side modmuls were dropped");
+    assert_eq!(
+        count(&ThreadPool::new(8)),
+        serial,
+        "worker-side modmuls were dropped"
+    );
 }
 
 // -------------------------------------- parallel-vs-serial: SumCheck ----
@@ -236,9 +236,9 @@ fn round_polynomial_parallel_matches_serial_bitwise() {
     // chunks when 8 workers are active.
     let vp = random_virtual_poly(12, 0xD5EE_D020);
     let degree = vp.degree();
-    let serial = with_threads(1, || round_polynomial(&vp, degree));
-    for threads in [2usize, 8] {
-        let parallel = with_threads(threads, || round_polynomial(&vp, degree));
+    let serial = round_polynomial(&vp, degree, &Serial);
+    for threads in POOL_THREADS {
+        let parallel = round_polynomial(&vp, degree, &ThreadPool::new(threads));
         assert_eq!(
             parallel, serial,
             "{threads}-thread round polynomial drifted"
@@ -255,7 +255,7 @@ fn session_for(
     backend: Arc<dyn Backend>,
 ) -> (ProverHandle, VerifierHandle, Witness) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let srs = Srs::try_setup(mu, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits");
     let system = ProofSystem::setup_with_backend(srs, backend);
     let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
     let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
@@ -264,106 +264,124 @@ fn session_for(
 
 #[test]
 fn end_to_end_proof_is_identical_across_thread_counts() {
-    // The legacy ambient path: the same free-function pipeline pinned to
-    // one thread and to eight must agree bit for bit.
+    // The default session proves on the process-wide pool, as wide as
+    // `ZKSPEED_THREADS` (CI runs 1 and 8): the same bytes as on one thread.
     let mu = 5;
-    let (serial, parallel) = {
-        let backend: Arc<dyn Backend> = zkspeed_rt::pool::ambient();
-        let (prover, verifier, witness) = session_for(mu, 0xD5EE_D030, backend);
-        let serial = with_threads(1, || prover.prove(&witness).expect("valid witness"));
-        let parallel = with_threads(8, || prover.prove(&witness).expect("valid witness"));
-        verifier.verify(&parallel).expect("parallel proof verifies");
-        (serial, parallel)
-    };
-    // Structural equality covers every byte the proof serializes: the
-    // commitments, all sumcheck round evaluations and the opening proofs.
-    assert_eq!(parallel, serial, "proof bytes differ between thread counts");
-    assert_eq!(parallel.size_in_bytes(), serial.size_in_bytes());
-    assert_eq!(parallel.to_bytes(), serial.to_bytes());
+    let seed = 0xD5EE_D030;
+    let (serial, _, witness) = session_for(mu, seed, Arc::new(Serial));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let system = ProofSystem::setup(Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits"));
+    let (circuit, _) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
+    let (default, verifier) = system.preprocess(circuit).expect("circuit fits");
+    let reference = serial.prove(&witness).expect("valid witness");
+    let proof = default.prove(&witness).expect("valid witness");
+    verifier.verify(&proof).expect("proof verifies");
+    assert_eq!(proof.to_bytes(), reference.to_bytes());
+}
+
+/// Proving keys of one seeded μ = 5 circuit, without and with every commit
+/// table an unlimited budget builds, and its witness.
+fn matrix_keys(seed: u64) -> ([ProvingKey; 2], VerifyingKey, Witness) {
+    let mu = 5;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let srs = Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits");
+    let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
+    let keys = |budget| try_preprocess(circuit.clone(), &srs, &Serial, &budget);
+    let (plain, vk) = keys(PrecomputeBudget::disabled()).expect("circuit fits");
+    let (tabled, _) = keys(PrecomputeBudget::unlimited()).expect("circuit fits");
+    assert!(plain.commit_tables.is_none() && tabled.commit_tables.is_some());
+    ([plain, tabled], vk, witness)
 }
 
 #[test]
 fn backends_produce_identical_encodings_and_modmul_counters() {
-    // Same seed under Serial, ThreadPool(1) and ThreadPool(8): byte-identical
-    // proof encodings AND identical modmul counters (workers hand their
-    // deltas back to the submitting thread in deterministic order).
-    let mu = 6;
-    let seed = 0xD5EE_D031;
-    let backends: Vec<Arc<dyn Backend>> = vec![
-        Arc::new(Serial),
-        Arc::new(ThreadPool::new(1)),
-        Arc::new(ThreadPool::new(8)),
-    ];
-    let mut results: Vec<(Vec<u8>, zkspeed_field::ModmulCount)> = Vec::new();
-    for backend in backends {
-        let name = backend.name();
-        let (prover, verifier, witness) = session_for(mu, seed, backend);
-        let before = zkspeed_field::modmul_count();
-        let proof = prover.prove(&witness).expect("valid witness");
-        let spent = zkspeed_field::modmul_count().since(&before);
-        verifier.verify(&proof).expect("honest proof verifies");
-        assert!(spent.total() > 0, "{name}: proving must record modmuls");
-        results.push((proof.to_bytes(), spent));
-    }
-    let (reference_bytes, reference_count) = &results[0];
-    for (bytes, count) in &results[1..] {
-        assert_eq!(bytes, reference_bytes, "proof encodings drifted");
-        assert_eq!(count, reference_count, "modmul counters drifted");
-    }
-}
+    // {Serial, ThreadPool(1), ThreadPool(8)} × {no tables, unlimited tables}
+    // × {trace off, trace on} × {prove, prove_batch of 3}: every proof is
+    // byte-identical to one reference (Serial, no tables, no trace), and
+    // every case spends exactly the modmuls the Serial untraced proof with
+    // the same keys does (the table engine multiplies differently, never
+    // anything else does).
+    const BATCH: u64 = 3;
+    let (keys, vk, witness) = matrix_keys(0xD5EE_D031);
+    let single = |pk: &ProvingKey, ctx: &ExecCtx| {
+        let (proved, count) = measure_modmuls(|| prove(pk, &witness, ctx));
+        (vec![proved.expect("valid witness")], count)
+    };
+    let batch = |pk: &ProvingKey, ctx: &ExecCtx| {
+        let witnesses: Vec<(u64, Witness)> = (0..BATCH).map(|job| (job, witness.clone())).collect();
+        let (proved, count) = measure_modmuls(|| prove_batch(pk, &witnesses, ctx));
+        (proved.expect("valid witnesses"), count)
+    };
+    let serial: Vec<_> = keys
+        .iter()
+        .map(|pk| single(pk, &ExecCtx::default()))
+        .collect();
+    let reference = &serial[0].0[0].0;
+    zkspeed_hyperplonk::verify(&vk, reference).expect("the reference proof verifies");
+    let reference = reference.to_bytes();
 
-#[test]
-fn proofs_are_bit_identical_across_msm_schedules_and_backends() {
-    // Acceptance scenario of the signed-digit MSM engine: every MSM
-    // schedule, on every backend, must serialize to exactly the same proof
-    // bytes — the schedules differ only in how the same group elements are
-    // computed.
-    let mu = 5;
-    let seed = 0xD5EE_D033;
-    let mut reference: Option<Vec<u8>> = None;
-    for (name, config) in msm_schedule_matrix() {
-        let backends: Vec<Arc<dyn Backend>> = vec![Arc::new(Serial), Arc::new(ThreadPool::new(8))];
-        for backend in backends {
-            let backend_name = backend.name();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let srs = Srs::try_setup(mu, &mut rng).expect("setup fits");
-            let system = ProofSystem::setup_with_backend(srs, backend).with_msm_config(config);
-            assert_eq!(system.msm_config(), config);
-            let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
-            let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
-            let proof = prover.prove(&witness).expect("valid witness");
-            verifier.verify(&proof).expect("proof verifies");
-            let bytes = proof.to_bytes();
-            match &reference {
-                None => reference = Some(bytes),
-                Some(expected) => assert_eq!(
-                    &bytes, expected,
-                    "schedule {name} on {backend_name} drifted from the reference encoding"
-                ),
+    let backends: [(&str, Arc<dyn Backend>); 3] = [
+        ("Serial", Arc::new(Serial)),
+        ("ThreadPool(1)", Arc::new(ThreadPool::new(1))),
+        ("ThreadPool(8)", Arc::new(ThreadPool::new(8))),
+    ];
+    let mut cases = 0;
+    for (backend_name, backend) in &backends {
+        for (pk, (_, serial_count)) in keys.iter().zip(&serial) {
+            let tables = pk.commit_tables.is_some();
+            for trace in [TraceSink::disabled(), TraceSink::enabled()] {
+                let traced = trace.is_enabled();
+                let ctx = ExecCtx {
+                    backend: Arc::clone(backend),
+                    trace: trace.clone(),
+                    job: 7,
+                };
+                for (op, (proofs, count), times) in [
+                    ("prove", single(pk, &ctx), 1),
+                    ("prove_batch", batch(pk, &ctx), BATCH),
+                ] {
+                    let case = format!("{backend_name}, tables {tables}, trace {traced}, {op}");
+                    assert_eq!(proofs.len() as u64, times, "{case}");
+                    for (proof, report) in &proofs {
+                        assert_eq!(proof.to_bytes(), reference, "{case}: proof bytes drifted");
+                        // Tables present means tables used: the φ and π
+                        // commits compute no point images on the table engine.
+                        assert_eq!(report.wiring_msm.endomorphisms == 0, tables, "{case}");
+                    }
+                    let expect = ModmulCount {
+                        fr: serial_count.fr * times,
+                        fq: serial_count.fq * times,
+                    };
+                    assert_eq!(count, expect, "{case}: modmul counters drifted");
+                    assert_eq!(trace.event_count() > 0, traced, "{case}");
+                    cases += 1;
+                }
             }
         }
     }
+    println!("determinism matrix: {cases} of 24 cases identical");
+    assert_eq!(cases, 24, "the matrix shrank");
 }
 
 #[test]
 fn precomputed_sessions_reproduce_the_default_proof_bytes_on_every_backend() {
-    // Acceptance scenario of the precomputed-table commit path: a session
-    // with table precomputation enabled must serialize to exactly the bytes
-    // the default schedule produces, on Serial, ThreadPool(1) and
-    // ThreadPool(8) — the tables change how the commitments are computed,
-    // never what they are.
+    // Through the session API: a session with table precomputation enabled
+    // must serialize to exactly the bytes the table-free session produces,
+    // on Serial, ThreadPool(1) and ThreadPool(8) — the tables change how
+    // the commitments are computed, never what they are.
     let mu = 5;
     let seed = 0xD5EE_D034;
-    let reference = {
+    let session = |backend: Arc<dyn Backend>, budget| {
         let mut rng = StdRng::seed_from_u64(seed);
-        let srs = Srs::try_setup(mu, &mut rng).expect("setup fits");
-        let system = ProofSystem::setup_with_backend(srs, Arc::new(Serial));
+        let srs = Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits");
+        let system = ProofSystem::setup_with_backend(srs, backend).with_precompute(budget);
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
         let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
         let proof = prover.prove(&witness).expect("valid witness");
-        verifier.verify(&proof).expect("reference proof verifies");
+        verifier.verify(&proof).expect("proof verifies");
         proof.to_bytes()
     };
+    let reference = session(Arc::new(Serial), PrecomputeBudget::disabled());
     let backends: Vec<Arc<dyn Backend>> = vec![
         Arc::new(Serial),
         Arc::new(ThreadPool::new(1)),
@@ -371,16 +389,8 @@ fn precomputed_sessions_reproduce_the_default_proof_bytes_on_every_backend() {
     ];
     for backend in backends {
         let name = backend.name();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let srs = Srs::try_setup(mu, &mut rng).expect("setup fits");
-        let system = ProofSystem::setup_with_backend(srs, backend)
-            .with_precompute(PrecomputeBudget::unlimited());
-        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
-        let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
-        let proof = prover.prove(&witness).expect("valid witness");
-        verifier.verify(&proof).expect("precomputed proof verifies");
         assert_eq!(
-            proof.to_bytes(),
+            session(backend, PrecomputeBudget::unlimited()),
             reference,
             "{name}: precomputed proof drifted from the default encoding"
         );
@@ -395,26 +405,15 @@ fn prove_batch_is_bit_identical_to_serial_at_mu_12() {
     let seed = 0xD5EE_D032;
 
     let (serial_prover, _, witness) = session_for(mu, seed, Arc::new(Serial));
-    let witnesses = vec![
-        witness.clone(),
-        witness.clone(),
-        witness.clone(),
-        witness.clone(),
-    ];
+    let witnesses = vec![witness; 4];
     let serial_proofs = serial_prover
         .prove_batch(&witnesses)
         .expect("valid witnesses");
 
     let (pool_prover, pool_verifier, pool_witness) =
         session_for(mu, seed, Arc::new(ThreadPool::new(8)));
-    let pool_witnesses = vec![
-        pool_witness.clone(),
-        pool_witness.clone(),
-        pool_witness.clone(),
-        pool_witness,
-    ];
     let pool_proofs = pool_prover
-        .prove_batch(&pool_witnesses)
+        .prove_batch(&vec![pool_witness; 4])
         .expect("valid witnesses");
 
     assert_eq!(serial_proofs.len(), 4);

@@ -12,13 +12,15 @@ use zkspeed::svc::{JobState, Request, Response};
 use zkspeed_hyperplonk::workloads::WorkloadSpec;
 
 /// One shared μ = 14 setup for every test in this file (the dominant cost;
-/// built once thanks to the fixed-base setup tables).
+/// built once thanks to the fixed-base setup tables, on the process-wide
+/// pool).
 fn shared_srs() -> Arc<Srs> {
     use std::sync::OnceLock;
     static SRS: OnceLock<Arc<Srs>> = OnceLock::new();
     SRS.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0x5e27_1ce0);
-        Arc::new(Srs::try_setup(14, &mut rng).expect("μ=14 setup fits"))
+        let backend = &**zkspeed::rt::pool::global();
+        Arc::new(Srs::try_setup(14, &mut rng, backend).expect("μ=14 setup fits"))
     })
     .clone()
 }
@@ -324,22 +326,34 @@ fn wire_protocol_full_cycle() {
 
 #[test]
 fn precompute_accounting_flows_through_the_metrics() {
-    // A service with an opt-in precompute budget builds the session tables
-    // at registration and reports their footprint and build time, both in
-    // the in-process snapshot and over the wire Metrics frame.
-    let svc = service(
+    // A budget on the service's own config, and nothing else, builds the
+    // session tables at registration — also when `ProofSystem::serve`
+    // starts the service — reports their footprint and build time, both in
+    // the in-process snapshot and over the wire Metrics frame, and the
+    // prover runs on them: the φ/π commits compute no point images and no
+    // window doublings, and the proof bytes are those of a service without
+    // tables.
+    let system = ProofSystem::setup_with_backend((*shared_srs()).clone(), Arc::new(Serial));
+    let on = system.serve(
         ServiceConfig::default()
             .with_shards(1)
             .with_precompute(PrecomputeBudget::unlimited()),
     );
+    let off = service(ServiceConfig::default().with_shards(1));
     let (circuit, witness) = workload_instances().swap_remove(0);
-    let digest = svc.register_circuit(circuit).expect("fits");
-    let job = svc
-        .submit(&digest, witness, Priority::Normal)
-        .expect("submit");
-    svc.wait(job).expect("completes");
+    let proofs: Vec<_> = [&on, &off]
+        .iter()
+        .map(|svc| {
+            let digest = svc.register_circuit(circuit.clone()).expect("fits");
+            let job = svc
+                .submit(&digest, witness.clone(), Priority::Normal)
+                .expect("submit");
+            svc.wait(job).expect("completes")
+        })
+        .collect();
+    assert_eq!(proofs[0], proofs[1], "tables change no proof byte");
 
-    let metrics = svc.metrics();
+    let metrics = on.metrics();
     assert_eq!(metrics.sessions.len(), 1);
     let session = &metrics.sessions[0];
     assert!(
@@ -347,8 +361,16 @@ fn precompute_accounting_flows_through_the_metrics() {
         "tables were built at registration"
     );
     assert!(session.precompute_build_ms > 0.0);
+    let (tabled, plain) = (metrics.msm.wiring, off.metrics().msm.wiring);
+    assert_eq!(tabled.endomorphisms, 0, "the table engine ran");
+    assert!(plain.endomorphisms > 0 && plain.doublings > 0);
+    // What the table engine doubles is each job's aggregation multiplying
+    // its row term by the grid's row length, ⌈(w − 1)/2⌉ times.
+    let row_term = (zkspeed::curve::MULTI_BASE_DEFAULT_WINDOW_BITS as u64 - 1).div_ceil(2);
+    assert_eq!(tabled.doublings % row_term, 0);
+    assert!(tabled.doublings < plain.doublings);
 
-    match roundtrip(&svc, &Request::Metrics) {
+    match roundtrip(&on, &Request::Metrics) {
         Response::Metrics { json } => {
             assert!(json.contains("precompute_table_bytes"));
             assert!(json.contains("precompute_build_ms"));
@@ -358,9 +380,6 @@ fn precompute_accounting_flows_through_the_metrics() {
 
     // The default budget is disabled: registration builds nothing and the
     // per-session accounting stays zero.
-    let off = service(ServiceConfig::default().with_shards(1));
-    let (circuit, _) = workload_instances().swap_remove(1);
-    off.register_circuit(circuit).expect("fits");
     let metrics = off.metrics();
     assert_eq!(metrics.sessions.len(), 1);
     assert_eq!(metrics.sessions[0].precompute_table_bytes, 0);
@@ -467,8 +486,8 @@ fn failing_witness_fails_its_job_but_not_its_wavemates() {
 
 #[test]
 fn proof_system_serve_integration() {
-    // The umbrella session API spawns the service with its SRS and MSM
-    // config; proofs served over the queue match the session handles'.
+    // The umbrella session API spawns the service with its SRS; proofs
+    // served over the queue match the session handles'.
     // Srs clones share the Arc'd point tables, so this is cheap.
     let system =
         ProofSystem::setup_with_backend((*shared_srs()).clone(), Arc::new(ThreadPool::new(2)));

@@ -20,7 +20,7 @@ fn shared_srs() -> Arc<Srs> {
     static SRS: OnceLock<Arc<Srs>> = OnceLock::new();
     SRS.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0x5e55_1085);
-        Arc::new(Srs::try_setup(8, &mut rng).expect("μ=8 setup fits"))
+        Arc::new(Srs::try_setup(8, &mut rng, &Serial).expect("μ=8 setup fits"))
     })
     .clone()
 }

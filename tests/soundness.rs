@@ -9,7 +9,7 @@ use zkspeed_pcs::Commitment;
 
 fn setup(mu: usize, seed: u64) -> (ProverHandle, VerifierHandle, Witness) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let srs = Srs::try_setup(mu, &mut rng).expect("setup fits");
+    let srs = Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits");
     let system = ProofSystem::setup(srs);
     let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
     let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");

@@ -20,7 +20,7 @@ fn srs() -> &'static Srs {
     static SRS: OnceLock<Srs> = OnceLock::new();
     SRS.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0x5e70_0001);
-        Srs::try_setup(14, &mut rng).expect("setup fits")
+        Srs::try_setup(14, &mut rng, &Serial).expect("setup fits")
     })
 }
 

@@ -26,6 +26,9 @@ pub enum PreprocessError {
         /// Variables required by the circuit.
         circuit_num_vars: usize,
     },
+    /// The circuit has a single gate (`μ = 0`): the protocol's SumChecks
+    /// and shifted query points need at least one variable.
+    NoVariables,
 }
 
 impl fmt::Display for PreprocessError {
@@ -38,6 +41,12 @@ impl fmt::Display for PreprocessError {
                 f,
                 "SRS supports up to 2^{srs_num_vars} gates but the circuit has 2^{circuit_num_vars}"
             ),
+            PreprocessError::NoVariables => {
+                write!(
+                    f,
+                    "the circuit has 2^0 gates; the protocol needs at least 2^1"
+                )
+            }
         }
     }
 }
@@ -114,13 +123,17 @@ pub fn bind_circuit_to_transcript(
 ///
 /// # Errors
 ///
-/// Returns [`PreprocessError::SrsTooSmall`] if the circuit does not fit.
+/// Returns [`PreprocessError::SrsTooSmall`] if the circuit does not fit, and
+/// [`PreprocessError::NoVariables`] for a one-gate circuit.
 pub fn try_preprocess(
     circuit: Circuit,
     srs: &Srs,
     backend: &dyn Backend,
     budget: &PrecomputeBudget,
 ) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
+    if circuit.num_vars() == 0 {
+        return Err(PreprocessError::NoVariables);
+    }
     if circuit.num_vars() > srs.num_vars() {
         return Err(PreprocessError::SrsTooSmall {
             srs_num_vars: srs.num_vars(),
@@ -255,6 +268,17 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("SRS supports up to 2^2"));
+    }
+
+    #[test]
+    fn one_gate_circuit_is_a_structured_error() {
+        let mut r = rng();
+        let srs = srs(2, &mut r);
+        let circuit = Circuit::with_identity_wiring(&[GateSelectors::addition()]);
+        assert_eq!(circuit.num_vars(), 0);
+        let err = preprocess(circuit, &srs).unwrap_err();
+        assert_eq!(err, PreprocessError::NoVariables);
+        assert!(err.to_string().contains("2^0 gates"));
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl VerifyingKey {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut reader = Reader::new(bytes);
         reader.header(KIND_VERIFYING_KEY)?;
-        let num_vars = reader.u32()? as usize;
+        let num_vars = read_num_vars(&mut reader, "verifying-key num_vars")?;
         let srs_len = reader.count(1, "embedded SRS blob")?;
         let srs = Srs::from_bytes(reader.take(srs_len)?)?;
         if num_vars > srs.num_vars() {
@@ -341,9 +341,13 @@ impl Witness {
 
 /// Reads a `num_vars` field and bounds it by the largest SRS any session
 /// could serve ([`MAX_NUM_VARS`]), so a corrupt size cannot request a
-/// `2^4294967295`-entry allocation.
+/// `2^4294967295`-entry allocation. Zero is rejected too: the protocol's
+/// SumChecks and shifted query points need at least one variable.
 fn read_num_vars(reader: &mut Reader<'_>, what: &'static str) -> Result<usize, DecodeError> {
     let num_vars = reader.u32()? as usize;
+    if num_vars == 0 {
+        return Err(DecodeError::InvalidValue { what });
+    }
     if num_vars > MAX_NUM_VARS {
         return Err(DecodeError::InvalidLength {
             what,

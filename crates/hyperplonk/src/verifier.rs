@@ -9,7 +9,7 @@
 use core::fmt;
 
 use zkspeed_field::Fr;
-use zkspeed_pcs::{verify_opening, Commitment};
+use zkspeed_pcs::verify_combined_opening;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_sumcheck::{verify as sumcheck_verify, verify_zerocheck, SumcheckError};
 use zkspeed_transcript::Transcript;
@@ -40,6 +40,8 @@ pub enum VerifyError {
     CombinedEvaluationMismatch,
     /// The final polynomial-commitment opening failed.
     OpeningFailed,
+    /// The verifying key's `μ` is zero or larger than its SRS supports.
+    MalformedKey,
 }
 
 impl fmt::Display for VerifyError {
@@ -56,6 +58,9 @@ impl fmt::Display for VerifyError {
                 write!(f, "combined evaluation mismatch at the opencheck point")
             }
             VerifyError::OpeningFailed => write!(f, "polynomial opening verification failed"),
+            VerifyError::MalformedKey => {
+                write!(f, "malformed verifying key: μ must be in 1..=the SRS's")
+            }
         }
     }
 }
@@ -69,6 +74,9 @@ impl std::error::Error for VerifyError {}
 /// Returns a [`VerifyError`] describing the first check that failed.
 pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
     let mu = vk.num_vars;
+    if mu == 0 || mu > vk.srs.num_vars() {
+        return Err(VerifyError::MalformedKey);
+    }
     let n = 1u64 << mu;
     let mut transcript = Transcript::new(b"zkspeed-hyperplonk");
     vk.bind_to_transcript(&mut transcript);
@@ -198,26 +206,12 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
     }
 
     // ----- Step 5: Polynomial opening ----------------------------------------
-    // Per-group RLC challenges; combined claimed values and commitments.
-    let commitment_of = |label: PolyLabel| -> Commitment {
-        match label {
-            PolyLabel::QL => vk.selector_commitments[0],
-            PolyLabel::QR => vk.selector_commitments[1],
-            PolyLabel::QM => vk.selector_commitments[2],
-            PolyLabel::QO => vk.selector_commitments[3],
-            PolyLabel::QC => vk.selector_commitments[4],
-            PolyLabel::W1 => proof.witness_commitments[0],
-            PolyLabel::W2 => proof.witness_commitments[1],
-            PolyLabel::W3 => proof.witness_commitments[2],
-            PolyLabel::Sigma1 => vk.sigma_commitments[0],
-            PolyLabel::Sigma2 => vk.sigma_commitments[1],
-            PolyLabel::Sigma3 => vk.sigma_commitments[2],
-            PolyLabel::Phi => proof.phi_commitment,
-            PolyLabel::Pi => proof.pi_commitment,
-        }
-    };
+    // Per-group RLC challenges and combined claimed values. The combined
+    // commitments are never formed: g′ = Σ_g d_g·Σ_i e_gⁱ·f_{g,i} is folded
+    // into one scalar per polynomial below, and its commitment into the
+    // opening check's MSM.
+    let mut rlc_coeffs = Vec::with_capacity(groups.len());
     let mut combined_values = Vec::with_capacity(groups.len());
-    let mut combined_commitments = Vec::with_capacity(groups.len());
     for (gi, group) in groups.iter().enumerate() {
         let e = transcript.challenge_scalar(b"rlc-challenge");
         let coeffs = powers(e, group.labels.len());
@@ -227,8 +221,7 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
             .map(|(c, val)| *c * *val)
             .sum();
         combined_values.push(v);
-        let coms: Vec<Commitment> = group.labels.iter().map(|l| commitment_of(*l)).collect();
-        combined_commitments.push(Commitment::linear_combination(&coeffs, &coms));
+        rlc_coeffs.push(coeffs);
     }
     let c = transcript.challenge_scalar(b"opencheck-combine");
     let c_powers = powers(c, groups.len());
@@ -261,21 +254,32 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
         return Err(VerifyError::CombinedEvaluationMismatch);
     }
 
-    // Final combined polynomial g′ and its opening.
+    // Final combined polynomial g′ = Σ_l s_l·f_l, with
+    // s_l = Σ_g d_g·e_g^{i(l,g)} over the groups that query f_l, and its
+    // opening: one MSM over the 13 commitments, G and the μ quotients.
     let d = transcript.challenge_scalars(b"gprime-challenge", groups.len());
-    let gprime_commitment = Commitment::linear_combination(&d, &combined_commitments);
     let gprime_value: Fr = d
         .iter()
         .zip(proof.combined_evaluations.iter())
         .map(|(di, yi)| *di * *yi)
         .sum();
-    if !verify_opening(
-        &vk.srs,
-        &gprime_commitment,
-        &rho,
-        gprime_value,
-        &proof.gprime_opening,
-    ) {
+    // Indexed by `PolyLabel as usize`: the labels' declaration order.
+    let mut terms: Vec<(Fr, _)> = [
+        &vk.selector_commitments[..],
+        &proof.witness_commitments,
+        &vk.sigma_commitments,
+        &[proof.phi_commitment, proof.pi_commitment],
+    ]
+    .concat()
+    .into_iter()
+    .map(|com| (Fr::zero(), com))
+    .collect();
+    for ((group, coeffs), d_g) in groups.iter().zip(&rlc_coeffs).zip(&d) {
+        for (label, e_i) in group.labels.iter().zip(coeffs) {
+            terms[*label as usize].0 += *d_g * *e_i;
+        }
+    }
+    if !verify_combined_opening(&vk.srs, &terms, &rho, gprime_value, &proof.gprime_opening) {
         return Err(VerifyError::OpeningFailed);
     }
 
@@ -289,7 +293,7 @@ mod tests {
     use crate::keys::{try_preprocess, ProvingKey};
     use crate::mock::{mock_circuit, SparsityProfile};
     use crate::prover::{prove_unchecked, ExecCtx};
-    use zkspeed_pcs::{PrecomputeBudget, Srs};
+    use zkspeed_pcs::{Commitment, PrecomputeBudget, Srs};
     use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
@@ -379,6 +383,22 @@ mod tests {
         let (_pk_b, vk_b) = preprocess(circuit_b, &srs);
         let proof = prove(&pk_a, &witness_a);
         assert!(verify(&vk_b, &proof).is_err());
+    }
+
+    #[test]
+    fn keys_of_no_variables_or_beyond_their_srs_are_errors() {
+        let mut r = rng();
+        let srs = Srs::try_setup(2, &mut r, &Serial).unwrap();
+        let (circuit, witness) = mock_circuit(2, SparsityProfile::paper_default(), &mut r);
+        let (pk, vk) = preprocess(circuit, &srs);
+        let proof = prove(&pk, &witness);
+        for num_vars in [0, 3] {
+            let bad = VerifyingKey {
+                num_vars,
+                ..vk.clone()
+            };
+            assert_eq!(verify(&bad, &proof), Err(VerifyError::MalformedKey));
+        }
     }
 
     #[test]

@@ -4,16 +4,13 @@
 //! Lagrange basis — exactly the operation the zkSpeed MSM unit accelerates
 //! in the Witness Commit and Wiring Identity steps.
 
-use std::sync::Arc;
-
 use zkspeed_curve::{
     msm, msm_precomputed, sparse_msm, sparse_msm_precomputed, G1Projective, MsmStats,
     SparseMsmStats,
 };
-use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{DecodeError, Reader};
-use zkspeed_rt::pool::{Backend, Serial};
+use zkspeed_rt::pool::Backend;
 
 use crate::precompute::CommitTables;
 use crate::srs::Srs;
@@ -55,23 +52,6 @@ impl Commitment {
         Ok(Self(
             zkspeed_curve::G1Affine::read_canonical(reader)?.to_projective(),
         ))
-    }
-
-    /// Homomorphic linear combination of commitments:
-    /// `Com(Σ cᵢ·fᵢ) = Σ cᵢ·Com(fᵢ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn linear_combination(coeffs: &[Fr], commitments: &[Commitment]) -> Self {
-        assert_eq!(
-            coeffs.len(),
-            commitments.len(),
-            "linear_combination: length mismatch"
-        );
-        let points: Vec<G1Projective> = commitments.iter().map(|com| com.0).collect();
-        let points = Arc::new(G1Projective::batch_to_affine(&points));
-        Self(msm(&Serial, &points, coeffs).0)
     }
 }
 
@@ -162,6 +142,8 @@ fn level_for(srs: &Srs, poly: &MultilinearPoly) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zkspeed_field::Fr;
+    use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -209,24 +191,11 @@ mod tests {
         let b = Fr::random(&mut r);
         let combined_poly = MultilinearPoly::linear_combination(&[a, b], &[&f, &g]);
         let com_combined = commit_on(&Serial, &srs, &combined_poly);
-        let com_lc = Commitment::linear_combination(
-            &[a, b],
-            &[commit_on(&Serial, &srs, &f), commit_on(&Serial, &srs, &g)],
+        let (com_f, com_g) = (commit_on(&Serial, &srs, &f), commit_on(&Serial, &srs, &g));
+        assert_eq!(
+            com_combined.0,
+            com_f.0.mul_scalar(&a) + com_g.0.mul_scalar(&b)
         );
-        assert_eq!(com_combined, com_lc);
-    }
-
-    #[test]
-    fn linear_combinations_with_identity_terms_and_no_terms() {
-        let mut r = rng();
-        let srs = Srs::try_setup(2, &mut r, &Serial).unwrap();
-        let com = commit_on(&Serial, &srs, &MultilinearPoly::random(2, &mut r));
-        let (a, b) = (Fr::random(&mut r), Fr::random(&mut r));
-        let terms = [com, Commitment::identity(), com];
-        let lc = Commitment::linear_combination(&[a, b, Fr::zero()], &terms);
-        assert_eq!(lc.0, com.0.mul_scalar(&a));
-        let empty = Commitment::linear_combination(&[], &[]);
-        assert_eq!(empty, Commitment::identity());
     }
 
     #[test]

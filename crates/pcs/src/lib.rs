@@ -9,10 +9,13 @@
 //!   (dense Pippenger, or the Sparse MSM of the Witness Commit step);
 //! * **open** ([`open`]) — the halving MSM sequence (`2^{μ−1}`, `2^{μ−2}`, …,
 //!   1-point MSMs) of the Polynomial Opening step;
-//! * **verify** ([`verify_opening`]) — the algebraic identity the production
-//!   pairing check enforces, evaluated in G1 with the retained trapdoor (a
-//!   documented substitution: the accelerator models the prover, whose work
-//!   is unchanged).
+//! * **verify** ([`verify_combined_opening`], and [`verify_opening`] for one
+//!   commitment) — the algebraic identity the production pairing check
+//!   enforces, evaluated in G1 with the retained trapdoor (a documented
+//!   substitution: the accelerator models the prover, whose work is
+//!   unchanged). An opening of `Σ sᵢ·fᵢ` is checked against the terms
+//!   `(sᵢ, Com(fᵢ))` in the same single MSM, with no combined commitment
+//!   formed first.
 //!
 //! # Examples
 //!
@@ -20,7 +23,7 @@
 //! use zkspeed_rt::rngs::StdRng;
 //! use zkspeed_rt::SeedableRng;
 //! use zkspeed_field::{Field, Fr};
-//! use zkspeed_pcs::{commit, open, verify_opening, Srs};
+//! use zkspeed_pcs::{commit, open, verify_combined_opening, verify_opening, Srs};
 //! use zkspeed_poly::MultilinearPoly;
 //! use zkspeed_rt::pool::Serial;
 //!
@@ -31,6 +34,15 @@
 //! let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut rng)).collect();
 //! let (value, proof, _stats) = open(&Serial, &srs, &f, &point, None);
 //! assert!(verify_opening(&srs, &com, &point, value, &proof));
+//!
+//! // An opening of 3·f + 5·g, checked against the two commitments.
+//! let g = MultilinearPoly::random(4, &mut rng);
+//! let (com_g, _stats) = commit(&Serial, &srs, &g, None);
+//! let (three, five) = (Fr::from_u64(3), Fr::from_u64(5));
+//! let h = MultilinearPoly::linear_combination(&[three, five], &[&f, &g]);
+//! let (value, proof, _stats) = open(&Serial, &srs, &h, &point, None);
+//! let terms = [(three, com), (five, com_g)];
+//! assert!(verify_combined_opening(&srs, &terms, &point, value, &proof));
 //! # Ok::<(), zkspeed_pcs::SetupError>(())
 //! ```
 
@@ -43,6 +55,6 @@ mod precompute;
 mod srs;
 
 pub use commit::{commit, commit_on, commit_sparse, commit_sparse_on, Commitment};
-pub use open::{open, open_on, verify_opening, OpeningProof};
+pub use open::{open, open_on, verify_combined_opening, verify_opening, OpeningProof};
 pub use precompute::{CommitTables, PrecomputeBudget};
 pub use srs::{SetupError, Srs, KIND_SRS, MAX_NUM_VARS};

@@ -9,7 +9,9 @@
 //!
 //! Verification uses the trapdoor substitution documented in [`crate::srs`]:
 //! the verifier checks the same identity a pairing check would —
-//! `Com(f) − v·G = Σ_k (τ_k − z_k)·Com(q_k)` — directly in G1.
+//! `Com(f) − v·G = Σ_k (τ_k − z_k)·Com(q_k)` — directly in G1. When `f` is a
+//! linear combination of committed polynomials, the combination of their
+//! commitments joins the same MSM ([`verify_combined_opening`]).
 
 use std::sync::Arc;
 
@@ -139,6 +141,7 @@ pub fn open_on(
 ///
 /// Checks `Com(f) = v·G + Σ_k (τ_k − z_k)·Com(q_k)` in G1 — the identity the
 /// production pairing check enforces, evaluated with the retained trapdoor.
+/// The single-term case of [`verify_combined_opening`].
 pub fn verify_opening(
     srs: &Srs,
     commitment: &Commitment,
@@ -146,21 +149,44 @@ pub fn verify_opening(
     value: Fr,
     proof: &OpeningProof,
 ) -> bool {
-    if point.len() != proof.quotients.len() {
+    verify_combined_opening(srs, &[(Fr::one(), *commitment)], point, value, proof)
+}
+
+/// Verifies an opening proof of a linear combination `Σ_l s_l·f_l` of
+/// committed polynomials, given its terms `(s_l, Com(f_l))`.
+///
+/// The combination's commitment is `Σ_l s_l·Com(f_l)` by linearity, so the
+/// opening identity becomes one MSM over `terms.len() + 1 + μ` points,
+/// normalised with one shared inversion:
+/// `Σ_l s_l·Com(f_l) − v·G − Σ_k (τ_k − z_k)·Com(q_k) = O`.
+/// A commitment may occur in several terms, be the identity or carry a zero
+/// scalar; no terms at all is the zero polynomial.
+pub fn verify_combined_opening(
+    srs: &Srs,
+    terms: &[(Fr, Commitment)],
+    point: &[Fr],
+    value: Fr,
+    proof: &OpeningProof,
+) -> bool {
+    if point.len() != proof.quotients.len() || point.len() > srs.num_vars() {
         return false;
     }
-    if point.len() > srs.num_vars() {
-        return false;
-    }
-    // One MSM over `[G, Com(q_1), …]` with scalars `[v, τ_1 − z_1, …]`, the
-    // points normalised with one shared inversion.
     let tau = &srs.trapdoor()[srs.num_vars() - point.len()..];
-    let mut points = vec![G1Projective::generator()];
-    points.extend(proof.quotients.iter().map(|q| q.0));
-    let mut scalars = vec![value];
-    scalars.extend(tau.iter().zip(point).map(|(t, z)| *t - *z));
+    let len = terms.len() + 1 + point.len();
+    let mut points = Vec::with_capacity(len);
+    let mut scalars = Vec::with_capacity(len);
+    for (s, com) in terms {
+        points.push(com.0);
+        scalars.push(*s);
+    }
+    points.push(G1Projective::generator());
+    scalars.push(-value);
+    for ((q, t), z) in proof.quotients.iter().zip(tau).zip(point) {
+        points.push(q.0);
+        scalars.push(*z - *t);
+    }
     let points = Arc::new(G1Projective::batch_to_affine(&points));
-    commitment.0 == msm(&Serial, &points, &scalars).0
+    msm(&Serial, &points, &scalars).0.is_identity()
 }
 
 #[cfg(test)]
@@ -325,6 +351,101 @@ mod tests {
         // The rounds at levels with a table run on it: no images of points,
         // which only the table-free engine computes.
         assert!(tstats.endomorphisms < stats.endomorphisms);
+    }
+
+    /// Opens `Σ cᵢ·fᵢ` for the polynomials and coefficients given and
+    /// returns the terms `(cᵢ, Com(fᵢ))` with the opening.
+    fn open_combination(
+        srs: &Srs,
+        coeffs: &[Fr],
+        polys: &[&MultilinearPoly],
+        point: &[Fr],
+    ) -> (Vec<(Fr, Commitment)>, Fr, OpeningProof) {
+        let terms = coeffs
+            .iter()
+            .zip(polys)
+            .map(|(c, f)| (*c, commit_on(&Serial, srs, f)))
+            .collect();
+        let combined = MultilinearPoly::linear_combination(coeffs, polys);
+        let (value, proof, _) = open_on(&Serial, srs, &combined, point);
+        (terms, value, proof)
+    }
+
+    #[test]
+    fn combined_openings_with_identity_terms_repeats_and_no_terms() {
+        let mut r = rng();
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
+        let f = MultilinearPoly::random(4, &mut r);
+        let g = MultilinearPoly::random(4, &mut r);
+        let zero = MultilinearPoly::new(vec![Fr::zero(); 16]);
+        let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
+        let (a, b, c) = (Fr::random(&mut r), Fr::random(&mut r), Fr::random(&mut r));
+        // `f` twice, the zero polynomial's identity commitment, and `g` with
+        // a zero coefficient.
+        let polys = [&f, &zero, &g, &f];
+        let (terms, value, proof) = open_combination(&srs, &[a, b, Fr::zero(), c], &polys, &point);
+        assert_eq!(terms[1].1, Commitment::identity());
+        assert_eq!(value, (a + c) * f.evaluate(&point));
+        assert!(verify_combined_opening(&srs, &terms, &point, value, &proof));
+        // Equal to the single-term opening of `(a + c)·f`.
+        let com_f = terms[0].1;
+        assert!(verify_combined_opening(
+            &srs,
+            &[(a + c, com_f)],
+            &point,
+            value,
+            &proof
+        ));
+        // A term and its negation cancel to the zero polynomial, as does the
+        // empty combination.
+        let (terms, value, proof) = open_combination(&srs, &[a, -a], &[&g, &g], &point);
+        assert_eq!(value, Fr::zero());
+        assert!(verify_combined_opening(&srs, &terms, &point, value, &proof));
+        assert!(verify_combined_opening(&srs, &[], &point, value, &proof));
+        assert!(!verify_combined_opening(
+            &srs,
+            &[],
+            &point,
+            Fr::one(),
+            &proof
+        ));
+        // The shim is the one-term case.
+        let (terms, value, proof) = open_combination(&srs, &[Fr::one()], &[&g], &point);
+        assert!(verify_opening(&srs, &terms[0].1, &point, value, &proof));
+    }
+
+    #[test]
+    fn every_perturbation_of_a_combined_opening_is_rejected() {
+        let mut r = rng();
+        let srs = Srs::try_setup(5, &mut r, &Serial).unwrap();
+        let polys: Vec<MultilinearPoly> =
+            (0..4).map(|_| MultilinearPoly::random(5, &mut r)).collect();
+        let refs: Vec<&MultilinearPoly> = polys.iter().collect();
+        let coeffs: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
+        let point: Vec<Fr> = (0..5).map(|_| Fr::random(&mut r)).collect();
+        let (terms, value, proof) = open_combination(&srs, &coeffs, &refs, &point);
+        assert!(verify_combined_opening(&srs, &terms, &point, value, &proof));
+        let g = G1Projective::generator();
+        for i in 0..terms.len() {
+            let mut t = terms.clone();
+            t[i].0 += Fr::one();
+            assert!(!verify_combined_opening(&srs, &t, &point, value, &proof));
+            let mut t = terms.clone();
+            t[i].1 = Commitment(t[i].1 .0 + g);
+            assert!(!verify_combined_opening(&srs, &t, &point, value, &proof));
+        }
+        let wrong = value + Fr::one();
+        assert!(!verify_combined_opening(
+            &srs, &terms, &point, wrong, &proof
+        ));
+        for k in 0..proof.quotients.len() {
+            let mut p = proof.clone();
+            p.quotients[k] = Commitment(p.quotients[k].0 + g);
+            assert!(!verify_combined_opening(&srs, &terms, &point, value, &p));
+            let mut z = point.clone();
+            z[k] += Fr::one();
+            assert!(!verify_combined_opening(&srs, &terms, &z, value, &proof));
+        }
     }
 
     #[test]

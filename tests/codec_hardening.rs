@@ -2,7 +2,8 @@
 //! the proving service (circuit, witness, request, response frames):
 //! malformed, truncated and oversized-length inputs must come back as
 //! structured [`DecodeError`]s — never a panic, never an absurd
-//! allocation.
+//! allocation. Inputs of zero variables, which decode structurally but
+//! which the protocol cannot prove or verify, are errors on every path.
 
 use zkspeed::prelude::*;
 use zkspeed::svc::{Request, Response};
@@ -175,6 +176,78 @@ fn oversized_length_fields_fail_before_allocating() {
         Reader::new(&framed).frame(),
         Err(DecodeError::InvalidLength { .. })
     ));
+}
+
+#[test]
+fn zero_variable_inputs_are_rejected_without_panicking() {
+    use zkspeed::hyperplonk::{verify, GateSelectors, PreprocessError, VerifyError};
+    use zkspeed::poly::MultilinearPoly;
+    use zkspeed_field::Fr;
+
+    // A one-gate circuit and its witness encode, but decode as errors.
+    let one_gate = Circuit::with_identity_wiring(&[GateSelectors::addition()]);
+    assert_eq!(one_gate.num_vars(), 0);
+    assert!(matches!(
+        Circuit::from_bytes(&one_gate.to_bytes()),
+        Err(DecodeError::InvalidValue {
+            what: "circuit num_vars"
+        })
+    ));
+    let column = || MultilinearPoly::new(vec![Fr::zero()]);
+    let one_row = Witness::new(column(), column(), column());
+    assert!(matches!(
+        Witness::from_bytes(&one_row.to_bytes()),
+        Err(DecodeError::InvalidValue {
+            what: "witness num_vars"
+        })
+    ));
+
+    // Preprocessing it in memory is an error, in a session and in the
+    // service.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0000);
+    let srs = Srs::try_setup(3, &mut rng, &Serial).expect("small setup");
+    let system = ProofSystem::setup(srs.clone());
+    assert!(matches!(
+        system.preprocess(one_gate.clone()),
+        Err(Error::Preprocess(PreprocessError::NoVariables))
+    ));
+    let svc = ProvingService::start(
+        std::sync::Arc::new(srs),
+        ServiceConfig::default().with_shards(1),
+    );
+    assert!(matches!(
+        svc.register_circuit(one_gate),
+        Err(ServiceError::Preprocess(PreprocessError::NoVariables))
+    ));
+
+    // A verifying key claiming μ = 0 fails to decode; held in memory it
+    // fails to verify, against an honest proof and against one with no
+    // rounds.
+    let (circuit, witness) = tiny_instance();
+    let (prover, verifier) = system.preprocess(circuit).expect("fits");
+    let proof = prover.prove(&witness).expect("valid witness");
+    let mut bytes = verifier.verifying_key().to_bytes();
+    bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
+    assert!(matches!(
+        VerifyingKey::from_bytes(&bytes),
+        Err(DecodeError::InvalidValue {
+            what: "verifying-key num_vars"
+        })
+    ));
+    let zero = VerifyingKey {
+        num_vars: 0,
+        ..verifier.verifying_key().clone()
+    };
+    let mut empty = proof.clone();
+    empty.gate_zerocheck.round_evaluations.clear();
+    empty.perm_zerocheck.round_evaluations.clear();
+    empty.opencheck.round_evaluations.clear();
+    empty.gprime_opening.quotients.clear();
+    let empty = Proof::from_bytes(&empty.to_bytes()).expect("zero rounds decode");
+    for p in [&proof, &empty] {
+        assert_eq!(verify(&zero, p), Err(VerifyError::MalformedKey));
+    }
+    assert!(verifier.verify(&empty).is_err());
 }
 
 #[test]

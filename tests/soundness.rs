@@ -4,7 +4,7 @@
 use zkspeed::prelude::*;
 use zkspeed_curve::G1Projective;
 use zkspeed_field::Fr;
-use zkspeed_hyperplonk::mock_circuit;
+use zkspeed_hyperplonk::{mock_circuit, verify, VerifyError};
 use zkspeed_pcs::Commitment;
 
 fn setup(mu: usize, seed: u64) -> (ProverHandle, VerifierHandle, Witness) {
@@ -133,43 +133,81 @@ fn g1_field(proof: &mut Proof, field: usize) -> &mut Commitment {
     }
 }
 
+/// The G1 element of `vk` numbered `field`: the five selector commitments,
+/// then the three σ commitments.
+fn key_field(vk: &mut VerifyingKey, field: usize) -> &mut Commitment {
+    match field {
+        0..=4 => &mut vk.selector_commitments[field],
+        sigma => &mut vk.sigma_commitments[sigma - 5],
+    }
+}
+
+/// φ(C) = λ·C (same y, β·x: what the MSM engine's endomorphism produces),
+/// −C, the identity and C + G.
+fn replacements(c: G1Projective) -> [(&'static str, G1Projective); 4] {
+    let z = Fr::from_u64(0xd201_0000_0001_0000);
+    let image = c.mul_scalar(&(z * z - Fr::one()));
+    assert_eq!(image.to_affine().y, c.to_affine().y);
+    [
+        ("φ(C)", image),
+        ("−C", -c),
+        ("identity", G1Projective::identity()),
+        ("C + G", c + G1Projective::generator()),
+    ]
+}
+
 #[test]
 fn every_g1_field_of_a_proof_is_binding() {
-    // Each G1 element C of a valid proof replaced by φ(C) = λ·C (same y,
-    // β·x: what the MSM engine's endomorphism produces), −C, the identity
-    // and C + G: the verifier, whose own MSM runs through the same scalar
-    // split, must reject every case at every size.
-    let z = Fr::from_u64(0xd201_0000_0001_0000);
-    let lambda = z * z - Fr::one();
-    let g = G1Projective::generator();
-    let mut cases = 0;
+    // Each G1 element C of a valid proof and of its verifying key replaced
+    // four ways: the verifier, whose single MSM runs through the same
+    // scalar split, must reject every case at every size. The opening
+    // quotients are never absorbed into the transcript, so only that MSM
+    // can catch them: they must fail the opening check itself.
+    let (mut proof_cases, mut key_cases) = (0, 0);
     for mu in [2, 3, 8] {
-        let (prover, verifier, witness) = setup(mu, 210 + mu as u64);
+        // Seeds whose circuits use all five selectors: a selector that is
+        // zero everywhere commits to the identity, which three of the four
+        // replacements leave unchanged.
+        let (prover, verifier, witness) = setup(mu, 300 + mu as u64);
+        let vk = verifier.verifying_key();
         let proof = prover.prove(&witness).expect("valid witness");
-        verifier.verify(&proof).expect("baseline proof verifies");
+        verify(vk, &proof).expect("baseline proof verifies");
         let fields = 5 + proof.gprime_opening.quotients.len();
         for field in 0..fields {
             let c = g1_field(&mut proof.clone(), field).0;
-            assert!(!c.is_identity(), "μ = {mu}, field {field}");
-            let image = c.mul_scalar(&lambda);
-            assert_eq!(image.to_affine().y, c.to_affine().y);
-            let replacements = [
-                ("φ(C)", image),
-                ("−C", -c),
-                ("identity", G1Projective::identity()),
-                ("C + G", c + g),
-            ];
-            for (name, replacement) in replacements {
+            assert!(!c.is_identity(), "μ = {mu}, proof field {field}");
+            for (name, replacement) in replacements(c) {
                 let mut tampered = proof.clone();
                 g1_field(&mut tampered, field).0 = replacement;
+                let result = verify(vk, &tampered);
+                if field < 5 {
+                    assert!(result.is_err(), "μ = {mu}, field {field}: {name} accepted");
+                } else {
+                    assert_eq!(
+                        result,
+                        Err(VerifyError::OpeningFailed),
+                        "μ = {mu}, quotient {}: {name}",
+                        field - 5
+                    );
+                }
+                proof_cases += 1;
+            }
+        }
+        for field in 0..8 {
+            let c = key_field(&mut vk.clone(), field).0;
+            assert!(!c.is_identity(), "μ = {mu}, key field {field}");
+            for (name, replacement) in replacements(c) {
+                let mut tampered = vk.clone();
+                key_field(&mut tampered, field).0 = replacement;
                 assert!(
-                    verifier.verify(&tampered).is_err(),
-                    "μ = {mu}, field {field}: {name} accepted"
+                    verify(&tampered, &proof).is_err(),
+                    "μ = {mu}, key field {field}: {name} accepted"
                 );
-                cases += 1;
+                key_cases += 1;
             }
         }
     }
-    println!("{cases} G1 replacements rejected");
-    assert_eq!(cases, 4 * (5 + 2 + 5 + 3 + 5 + 8));
+    println!("{proof_cases} proof and {key_cases} key G1 replacements rejected");
+    assert_eq!(proof_cases, 4 * (5 + 2 + 5 + 3 + 5 + 8));
+    assert_eq!(key_cases, 4 * 8 * 3);
 }

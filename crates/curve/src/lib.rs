@@ -48,7 +48,7 @@ mod g1;
 mod msm;
 mod multi_base;
 
-pub use fixed_base::{FixedBaseTable, FIXED_BASE_DEFAULT_WINDOW_BITS};
+pub use fixed_base::{fixed_base_window_bits, pair_sums, FixedBaseTable};
 pub use g1::{
     G1Affine, G1Projective, BATCH_AFFINE_ADD_FQ_MULS, G1_ENCODED_BYTES, PADD_FQ_MULS,
     PADD_MIXED_FQ_MULS, PDBL_FQ_MULS,

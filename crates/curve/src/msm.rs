@@ -352,7 +352,11 @@ fn mul_wide(a: u128, b: u128) -> (u128, u128) {
 /// absorbs the final carry (a value below `2^{64·L}` can need one more bit
 /// in signed form). Only `w = 1` has windows beyond the mask's bits, and its
 /// digits are the bits themselves: they never carry.
-fn recode_carries<const L: usize>(limbs: &[u64; L], w: usize, num_windows: usize) -> [u64; L] {
+pub(crate) fn recode_carries<const L: usize>(
+    limbs: &[u64; L],
+    w: usize,
+    num_windows: usize,
+) -> [u64; L] {
     let half = 1u64 << (w - 1);
     let mut carry = 0u64;
     let mut mask = [0u64; L];
@@ -369,7 +373,7 @@ fn recode_carries<const L: usize>(limbs: &[u64; L], w: usize, num_windows: usize
 
 /// The signed digit of `window` for a recoded scalar, in
 /// `[−2^{w−1}, 2^{w−1}]`.
-fn signed_window_digit<const L: usize>(
+pub(crate) fn signed_window_digit<const L: usize>(
     limbs: &[u64; L],
     carries: &[u64; L],
     window: usize,
@@ -390,12 +394,12 @@ fn signed_window_digit<const L: usize>(
 
 /// The points operations read: a slice, and for the windows of an MSM the
 /// images `φ(P)` of its points, selected by [`Op::IMAGE`].
-type Sources<'a> = [&'a [G1Affine]; 2];
+pub(crate) type Sources<'a> = [&'a [G1Affine]; 2];
 
 /// One accumulation `acc[dst] += ±src[index]`, eight bytes: the streaming
 /// engine moves these instead of points.
 #[derive(Copy, Clone)]
-struct Op {
+pub(crate) struct Op {
     dst: u32,
     /// Index of the source point, or-ed with [`Op::IMAGE`] for its image;
     /// [`Op::NEGATE`] set for `−src[index]`.
@@ -408,7 +412,7 @@ impl Op {
     const IMAGE: u32 = 1 << 30;
 
     /// `source` is an index, or-ed with [`Op::IMAGE`] to read the images.
-    fn new(dst: usize, source: usize, negate: bool) -> Self {
+    pub(crate) fn new(dst: usize, source: usize, negate: bool) -> Self {
         debug_assert!(source < Self::NEGATE as usize);
         Self {
             dst: dst as u32,
@@ -442,13 +446,13 @@ impl Op {
 
 /// Additions issued per shared inversion at most: its share of an addition's
 /// six multiplications is then a twentieth of one.
-const BATCH: usize = 1024;
+pub(crate) const BATCH: usize = 1024;
 
 /// Affine additions `acc[dst] ← acc[dst] + (±src[i])` with pairwise distinct
 /// `dst`, queued so that a whole batch shares one field inversion. The
 /// scratch vectors are allocated once and reused by every batch.
 #[derive(Default)]
-struct BatchAdder {
+pub(crate) struct BatchAdder {
     queue: Vec<Op>,
     denominators: Vec<Fq>,
     /// `prefix[i]` = product of `denominators[..i]`.
@@ -483,7 +487,7 @@ impl BatchAdder {
     }
 
     /// [`Self::push`], flushing a batch that the operation filled.
-    fn add(&mut self, acc: &mut [G1Affine], src: Sources<'_>, op: Op) {
+    pub(crate) fn add(&mut self, acc: &mut [G1Affine], src: Sources<'_>, op: Op) {
         if self.push(acc, src, op) && self.queue.len() == BATCH {
             self.flush(acc, src);
         }
@@ -495,7 +499,7 @@ impl BatchAdder {
     /// are never zero: `Δx ≠ 0` unless the operands are equal (opposite ones
     /// never queue), and then `2y ≠ 0` because the curve has odd order,
     /// hence no 2-torsion.
-    fn flush(&mut self, acc: &mut [G1Affine], src: Sources<'_>) {
+    pub(crate) fn flush(&mut self, acc: &mut [G1Affine], src: Sources<'_>) {
         if self.queue.is_empty() {
             return;
         }

@@ -9,7 +9,7 @@
 use core::fmt;
 use std::sync::Arc;
 
-use zkspeed_pcs::{commit, CommitTables, Commitment, PrecomputeBudget, Srs};
+use zkspeed_pcs::{commit, commit_sparse, CommitTables, Commitment, PrecomputeBudget, Srs};
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::pool::{self, Backend, Serial};
 use zkspeed_transcript::Transcript;
@@ -156,6 +156,7 @@ pub fn try_preprocess(
     // Eight independent MSMs: one job each (the MSMs themselves stay serial
     // inside their job so eight workers split the level evenly). Results are
     // consumed in table order, so keys are identical at any thread count.
+    // The selectors, mostly 0 and 1, take the sparse MSM; σ tables are dense.
     let tables: Vec<MultilinearPoly> = circuit
         .selectors()
         .iter()
@@ -164,7 +165,10 @@ pub fn try_preprocess(
         .collect();
     let job_srs = srs.clone();
     let commitments = pool::map_indices_on(backend, tables.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| commit(&Serial, &job_srs, &tables[i], None).0)
+        zkspeed_field::measure_modmuls(|| match i {
+            0..=4 => commit_sparse(&Serial, &job_srs, &tables[i], None).0,
+            _ => commit(&Serial, &job_srs, &tables[i], None).0,
+        })
     });
     let mut ordered = Vec::with_capacity(commitments.len());
     for (com, muls) in commitments {

@@ -16,14 +16,14 @@
 //! verifier-side only and contribute nothing to the prover workload the
 //! zkSpeed accelerator models, so this reproduction keeps the toxic waste τ
 //! inside [`Srs`] and verifies the *same algebraic identity* the pairing
-//! would check, but in G1 (see `open::verify_opening`). This is documented in
-//! DESIGN.md as a substitution; all prover-side computation (the MSMs) is
-//! identical to the real scheme.
+//! would check, but in G1 (see `open::verify_opening`). All prover-side
+//! computation (the MSMs) is identical to the real scheme.
 
 use core::fmt;
+use core::ops::Range;
 use std::sync::Arc;
 
-use zkspeed_curve::{FixedBaseTable, G1Affine, G1Projective};
+use zkspeed_curve::{fixed_base_window_bits, pair_sums, FixedBaseTable, G1Affine};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{self, DecodeError, Reader};
@@ -93,21 +93,18 @@ pub struct Srs {
     tau: Vec<Fr>,
 }
 
-/// The `len` points `point(i)` of one basis level, computed in chunks over
-/// the backend's workers and normalised with one inversion per chunk; the
-/// workers' multiplication counts are handed back in chunk order.
-fn collect_level(
+/// The `len` points of one basis level, computed by `chunk` over ranges of
+/// `0..len` on the backend's workers, each chunk through a batch adder of its
+/// own; the workers' multiplication counts are handed back in chunk order.
+fn level_in_chunks(
     backend: &dyn Backend,
     len: usize,
-    point: impl Fn(usize) -> G1Projective + Send + Sync + 'static,
+    chunk: impl Fn(Range<usize>) -> Vec<G1Affine> + Send + Sync + 'static,
 ) -> Vec<G1Affine> {
     /// Points per worker job at minimum.
     const MIN_CHUNK: usize = 32;
     let chunks = pool::map_ranges(backend, len, MIN_CHUNK, move |range| {
-        zkspeed_field::measure_modmuls(|| {
-            let points: Vec<G1Projective> = range.map(&point).collect();
-            G1Projective::batch_to_affine(&points)
-        })
+        zkspeed_field::measure_modmuls(|| chunk(range))
     });
     let mut level = Vec::with_capacity(len);
     for (chunk, muls) in chunks {
@@ -121,9 +118,10 @@ impl Srs {
     /// Runs the (mock) universal setup for polynomials of up to `num_vars`
     /// variables, drawing τ from `rng`.
     ///
-    /// Setup cost is `O(2^μ)` group scalar multiplications: the `2^μ` basis
-    /// points of the full-size level (the dominant cost) and the additions
-    /// of every halved one fan out over `backend`'s workers.
+    /// Setup costs `O(2^μ)` batch-affine additions: at most `⌈256/w⌉` per
+    /// point of the full-size level, through a fixed-base table of the
+    /// generator whose width `w` grows with the level, and one per point of
+    /// every halved level; both fan out over `backend`'s workers.
     ///
     /// # Errors
     ///
@@ -175,25 +173,24 @@ impl Srs {
             });
         }
         let g = G1Affine::generator();
-        // Level 0 by scalar multiplication, through one fixed-base window
-        // table of the generator: ⌈255/w⌉ table lookups + mixed additions
-        // each instead of a double-and-add ladder.
-        let (table, table_muls) =
-            zkspeed_field::measure_modmuls(|| Arc::new(FixedBaseTable::for_generator()));
+        // Level 0 by fixed-base multiplication of the generator, its table
+        // as wide as the level's size pays for: at most ⌈256/w⌉ batch-affine
+        // additions of table entries a point.
+        let w = fixed_base_window_bits(1 << num_vars);
+        let (table, table_muls) = zkspeed_field::measure_modmuls(|| FixedBaseTable::new(w));
         zkspeed_field::add_modmul_count(table_muls);
-        let eq = MultilinearPoly::eq_mle(&tau, backend);
-        let scalars = eq.shared_evaluations();
-        let level = collect_level(backend, scalars.len(), move |i| table.mul(&scalars[i]));
+        let scalars = MultilinearPoly::eq_mle(&tau, backend).shared_evaluations();
+        let level = level_in_chunks(backend, scalars.len(), move |range| {
+            table.mul(&scalars[range])
+        });
         let mut lagrange_bases = vec![Arc::new(level)];
         // Every next level by one addition per point: the first variable is
         // the index's low bit and `eq(τ_k, 0) + eq(τ_k, 1) = 1`, so
         // `L⁽ᵏ⁺¹⁾ᵢ = L⁽ᵏ⁾₂ᵢ + L⁽ᵏ⁾₂ᵢ₊₁` — the same points as `eq(τ[k+1..], i)·G`.
         for k in 0..num_vars {
             let previous = Arc::clone(&lagrange_bases[k]);
-            let level = collect_level(backend, previous.len() / 2, move |i| {
-                previous[2 * i]
-                    .to_projective()
-                    .add_mixed(&previous[2 * i + 1])
+            let level = level_in_chunks(backend, previous.len() / 2, move |range| {
+                pair_sums(&previous[2 * range.start..2 * range.end])
             });
             lagrange_bases.push(Arc::new(level));
         }
@@ -357,6 +354,7 @@ impl Srs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zkspeed_curve::G1Projective;
     use zkspeed_rt::pool::{Serial, ThreadPool};
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
@@ -441,21 +439,30 @@ mod tests {
     }
 
     #[test]
-    fn encoding_at_six_variables_matches_the_pinned_digest() {
-        // SHA3-256 of `to_bytes()` taken on the commit before setup derived
-        // levels 1…μ by additions: the points are exact, so the bytes are.
-        let tau: Vec<Fr> = (0..6)
-            .map(|i| Fr::from_u64(1000 * i + 17).square())
-            .collect();
-        let srs = Srs::try_setup_with_tau(6, tau, &Serial).unwrap();
-        let digest: String = zkspeed_rt::Sha3_256::digest(&srs.to_bytes())
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(
-            digest,
-            "74eabf9d19d682549d19abdb9e8aa16ebf1ec9be73c4027e80a2329688f09f7c"
-        );
+    fn encoding_matches_the_pinned_digests() {
+        // SHA3-256 of `to_bytes()`, at μ = 6 taken before setup derived levels
+        // 1…μ by additions, at μ = 10 (a full block) before level 0 went
+        // through the batch-affine adder: the points are exact, so the bytes are.
+        for (mu, pinned) in [
+            (
+                6,
+                "74eabf9d19d682549d19abdb9e8aa16ebf1ec9be73c4027e80a2329688f09f7c",
+            ),
+            (
+                10,
+                "0e73d34620dab056914749f34d258275b875a1cce68dc0c90641c8585125f5e1",
+            ),
+        ] {
+            let tau: Vec<Fr> = (0..mu as u64)
+                .map(|i| Fr::from_u64(1000 * i + 17).square())
+                .collect();
+            let srs = Srs::try_setup_with_tau(mu, tau, &Serial).unwrap();
+            let digest: String = zkspeed_rt::Sha3_256::digest(&srs.to_bytes())
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(digest, pinned, "μ = {mu}");
+        }
     }
 
     #[test]

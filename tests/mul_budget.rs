@@ -2,9 +2,11 @@
 //! closed forms over counts `measure_modmuls` takes: what one hypercube
 //! instance costs in each of the three SumChecks a proof runs, and what a
 //! whole proof costs. Before the grouped kernel the per-instance figures
-//! were 75 / 84 / 30 and a 2^10 proof took 312 236.
+//! were 75 / 84 / 30 and a 2^10 proof took 312 236. The setup's Fq budget
+//! sits beside them.
 
 use zkspeed::prelude::*;
+use zkspeed_curve::{fixed_base_window_bits, BATCH_AFFINE_ADD_FQ_MULS, PDBL_FQ_MULS};
 use zkspeed_field::{measure_modmuls, Fr};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_sumcheck::{prove_on, prove_zerocheck_on};
@@ -123,4 +125,20 @@ fn a_whole_proof_keeps_its_budget() {
         "{} Fr multiplications in a 2^10 proof",
         count.fr
     );
+}
+
+#[test]
+fn a_setup_keeps_its_fq_budget() {
+    // Six Fq multiplications a batch-affine addition, a shared inversion's
+    // one included: at most ⌈256/w⌉ a level-0 point, one a point of every
+    // halved level and one a table entry; the table's windows take `w`
+    // projective doublings each and a squaring a row pass. Projective
+    // additions in any of the three break it.
+    let mut rng = StdRng::seed_from_u64(0xb0d6_e900);
+    let (_, count) = measure_modmuls(|| Srs::try_setup(MU, &mut rng, &Serial).expect("fits"));
+    let (n, w) = (1 << MU, fixed_base_window_bits(1 << MU));
+    let (add, windows) = (BATCH_AFFINE_ADD_FQ_MULS, 256usize.div_ceil(w));
+    let table = windows * (w * PDBL_FQ_MULS + w - 1) + (windows << (w - 1)) * add;
+    let budget = n * add * windows + table + add * (n - 1);
+    assert!(count.fq as usize <= budget, "{count:?} over {budget}");
 }

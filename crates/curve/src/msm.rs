@@ -83,8 +83,7 @@ const INVERSION_FQ_MULS: usize = 54;
 
 impl MsmConfig {
     /// The first datapath: unsigned windows, mixed additions into projective
-    /// buckets. Kept as the baseline the bench suite compares against and as
-    /// the counterpart of the hardware model's Pippenger unit, which runs
+    /// buckets. Kept as the engine tests' baseline and as the counterpart of the hardware model's Pippenger unit, which runs
     /// the same datapath over 255-bit scalars instead of GLV halves.
     pub fn classic() -> Self {
         Self {

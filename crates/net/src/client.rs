@@ -46,12 +46,6 @@ impl ClientConfig {
         self.io_timeout = timeout;
         self
     }
-
-    /// Overrides the transient-failure retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
 }
 
 /// A blocking connection to a [`NetServer`](crate::NetServer).

@@ -145,12 +145,6 @@ impl MultilinearPoly {
         Arc::make_mut(&mut self.evals).as_mut_slice()
     }
 
-    /// Consumes the polynomial, returning the evaluation table (copying only
-    /// if the table is still shared elsewhere).
-    pub fn into_evaluations(self) -> Vec<Fr> {
-        Arc::try_unwrap(self.evals).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Builds the `eq(X, point)` table (the paper's **Build MLE**), where
     /// `eq(x, r) = Π_j (x_j·r_j + (1−x_j)(1−r_j))`.
     ///

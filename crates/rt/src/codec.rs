@@ -446,11 +446,6 @@ impl<R: std::io::Read> FrameReader<R> {
         self.max_len
     }
 
-    /// A shared reference to the underlying transport.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-
     /// A mutable reference to the underlying transport (e.g. to write
     /// responses back over the same duplex stream).
     pub fn get_mut(&mut self) -> &mut R {

@@ -12,8 +12,6 @@
 //!   single `u64` seed;
 //! * [`JsonValue`] / [`ToJson`] — hand-rolled, stable (insertion-ordered)
 //!   JSON emission for the hardware-model report structs, replacing `serde`;
-//! * [`bench::Harness`] — a minimal warmup + median-of-N benchmark harness
-//!   with JSON output and per-suite history files, replacing `criterion`;
 //! * [`pool`] — the pluggable execution [`pool::Backend`] (serial, reusable
 //!   std-only worker pool) behind every parallel hot path, replacing
 //!   per-call scoped-thread spawning. Work is always split into
@@ -35,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod codec;
 pub mod faults;
 mod json;

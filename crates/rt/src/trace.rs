@@ -184,13 +184,6 @@ impl TraceSink {
         self.shared.is_some()
     }
 
-    /// Microseconds since the sink's epoch (0 when disabled).
-    pub fn now_micros(&self) -> u64 {
-        self.shared
-            .as_ref()
-            .map_or(0, |s| s.epoch.elapsed().as_micros() as u64)
-    }
-
     /// Events dropped because a thread's ring buffer overflowed.
     pub fn dropped_events(&self) -> u64 {
         self.shared

@@ -185,19 +185,13 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the default per-job deadline.
-    pub fn with_default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = deadline.max(Duration::from_millis(1));
-        self
-    }
-
     /// Overrides the per-shard worker restart budget.
     pub fn with_restart_budget(mut self, budget: u32) -> Self {
         self.restart_budget = budget;
         self
     }
 
-    /// Installs an explicit fault-injection plan (tests and benches;
+    /// Installs an explicit fault-injection plan (tests;
     /// production configs inherit `ZKSPEED_FAULTS` via `Default`).
     pub fn with_faults(mut self, faults: Arc<FaultPlan>) -> Self {
         self.faults = faults;
@@ -836,48 +830,6 @@ impl ProvingService {
             // Bounded wait: a missed wakeup (or a worker death) delays the
             // deadline/terminal-phase re-check by at most one poll interval.
             let timeout = (deadline_at - now).min(WAIT_POLL);
-            jobs = wait_timeout(&self.shared.job_done, jobs, timeout);
-        }
-    }
-
-    /// Blocks until **any** of the given jobs reaches a terminal outcome,
-    /// consumes that record and returns `(id, outcome)`; the other jobs
-    /// keep running and stay collectable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::UnknownJob`] when none of the ids is known
-    /// (or the slice is empty), or [`ServiceError::Deadline`] once every
-    /// known job's deadline has passed.
-    #[allow(clippy::type_complexity)]
-    pub fn wait_any(
-        &self,
-        ids: &[u64],
-    ) -> Result<(u64, Result<Arc<Vec<u8>>, ServiceError>), ServiceError> {
-        let mut jobs = lock(&self.shared.jobs);
-        loop {
-            let mut latest: Option<Instant> = None;
-            for &id in ids {
-                let Some(entry) = jobs.get(&id) else { continue };
-                if matches!(entry.phase, JobPhase::Done(_) | JobPhase::Failed(_)) {
-                    let entry = jobs.remove(&id).expect("entry present");
-                    let outcome = match entry.phase {
-                        JobPhase::Done(proof) => Ok(proof),
-                        JobPhase::Failed(msg) => Err(ServiceError::JobFailed(msg)),
-                        _ => unreachable!("terminal phase matched above"),
-                    };
-                    return Ok((id, outcome));
-                }
-                latest = Some(latest.map_or(entry.deadline_at, |l| l.max(entry.deadline_at)));
-            }
-            let Some(latest) = latest else {
-                return Err(ServiceError::UnknownJob);
-            };
-            let now = Instant::now();
-            if latest <= now {
-                return Err(ServiceError::Deadline);
-            }
-            let timeout = (latest - now).min(WAIT_POLL);
             jobs = wait_timeout(&self.shared.job_done, jobs, timeout);
         }
     }

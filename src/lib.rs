@@ -21,7 +21,7 @@
 //! The re-exported component layers:
 //!
 //! * [`rt`] — dependency-free runtime (SHA3, deterministic PRNG, JSON,
-//!   bench harness, worker-pool backends, byte-codec substrate);
+//!   worker-pool backends, byte-codec substrate, fault injection, tracing);
 //! * [`field`] / [`curve`] / [`poly`] — BLS12-381 arithmetic and multilinear
 //!   polynomials;
 //! * [`transcript`] / [`sumcheck`] / [`pcs`] / [`hyperplonk`] — the

@@ -29,9 +29,9 @@ fn service(config: ServiceConfig) -> ProvingService {
     ProvingService::start(shared_srs(), config)
 }
 
-/// The three PR 4 workload families at the smallest sizes they support, so
-/// a 36-proof service run stays fast on one core. (The `workloads` bench
-/// suite and examples exercise the full test/example-scale specs.)
+/// The three workload families at the smallest sizes they support, so a
+/// 36-proof service run stays fast on one core. (The examples exercise the
+/// full test/example-scale specs.)
 fn workload_instances() -> Vec<(Circuit, Witness)> {
     use zkspeed_hyperplonk::workloads::{HashChainSpec, MerkleSpec, StateTransitionSpec};
     let mut rng = StdRng::seed_from_u64(0xabcd);

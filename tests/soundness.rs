@@ -211,3 +211,45 @@ fn every_g1_field_of_a_proof_is_binding() {
     assert_eq!(proof_cases, 4 * (5 + 2 + 5 + 3 + 5 + 8));
     assert_eq!(key_cases, 4 * 8 * 3);
 }
+
+#[test]
+fn a_key_of_another_size_or_circuit_rejects_the_proof() {
+    // The key's non-G1 fields: μ moved by one either way, and a key of a
+    // different circuit of the same μ. Every case must be an `Err`, not a
+    // panic: the verifier reads the round counts, the opening's quotient
+    // count and the SRS level from the key, not from the proof.
+    let mut cases = 0;
+    for mu in [3, 8] {
+        let mut rng = StdRng::seed_from_u64(400 + mu as u64);
+        // One variable more than the circuits need, so that μ + 1 also has a
+        // key within its SRS.
+        let wide_srs = Srs::try_setup(mu + 1, &mut rng, &Serial).expect("setup fits");
+        let system = ProofSystem::setup(wide_srs.clone());
+        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
+        let (other_circuit, _) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
+        let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
+        let (_, other_verifier) = system.preprocess(other_circuit).expect("circuit fits");
+        let vk = verifier.verifying_key();
+        let proof = prover.prove(&witness).expect("valid witness");
+        verify(vk, &proof).expect("baseline proof verifies");
+        assert_eq!(vk.srs.num_vars(), mu, "the key holds the SRS prefix");
+
+        let resized = |num_vars: usize, srs: &Srs| {
+            let mut key = vk.clone();
+            key.num_vars = num_vars;
+            key.srs = srs.clone();
+            verify(&key, &proof)
+        };
+        let result = resized(mu - 1, &vk.srs);
+        assert!(result.is_err(), "μ = {mu}: μ − 1 accepted");
+        let result = resized(mu + 1, &vk.srs);
+        assert_eq!(result, Err(VerifyError::MalformedKey), "μ = {mu}: μ + 1");
+        let result = resized(mu + 1, &wide_srs);
+        assert!(result.is_err(), "μ = {mu}: μ + 1 within its SRS accepted");
+        let result = verify(other_verifier.verifying_key(), &proof);
+        assert!(result.is_err(), "μ = {mu}: another circuit's key accepted");
+        cases += 4;
+    }
+    println!("{cases} resized or swapped keys rejected");
+    assert_eq!(cases, 4 * 2);
+}

@@ -240,14 +240,17 @@ fn a_key_of_another_size_or_circuit_rejects_the_proof() {
             key.srs = srs.clone();
             verify(&key, &proof)
         };
-        let result = resized(mu - 1, &vk.srs);
-        assert!(result.is_err(), "μ = {mu}: μ − 1 accepted");
-        let result = resized(mu + 1, &vk.srs);
-        assert_eq!(result, Err(VerifyError::MalformedKey), "μ = {mu}: μ + 1");
-        let result = resized(mu + 1, &wide_srs);
-        assert!(result.is_err(), "μ = {mu}: μ + 1 within its SRS accepted");
-        let result = verify(other_verifier.verifying_key(), &proof);
-        assert!(result.is_err(), "μ = {mu}: another circuit's key accepted");
+        assert!(resized(mu - 1, &vk.srs).is_err(), "μ = {mu}: μ − 1");
+        assert_eq!(
+            resized(mu + 1, &vk.srs),
+            Err(VerifyError::MalformedKey),
+            "μ = {mu}: μ + 1 beyond the key's SRS"
+        );
+        assert!(resized(mu + 1, &wide_srs).is_err(), "μ = {mu}: μ + 1");
+        assert!(
+            verify(other_verifier.verifying_key(), &proof).is_err(),
+            "μ = {mu}: another circuit's key"
+        );
         cases += 4;
     }
     println!("{cases} resized or swapped keys rejected");

@@ -308,7 +308,7 @@ impl TraceSink {
         );
     }
 
-    /// Records a point-in-time marker (submit accepted, cache hit, …).
+    /// Records a point-in-time marker (submit accepted, …).
     pub fn instant(&self, name: &'static str, cat: &'static str, args: &[(&'static str, u64)]) {
         let Some(shared) = &self.shared else { return };
         let buffer = Self::buffer(shared);
@@ -746,7 +746,7 @@ mod tests {
         {
             let _s = sink.span_with("phase", "prove", &[("session", 0xabcd), ("job", 7)]);
         }
-        sink.instant("cache-hit", "service", &[]);
+        sink.instant("submit", "job", &[]);
         let json = sink.chrome_trace_json();
         for needle in [
             "\"traceEvents\"",

@@ -18,11 +18,8 @@
 //!   worker is respawned within a bounded restart budget, and every job
 //!   carries a deadline ([`JobSpec`]) so no waiter blocks forever. Session
 //!   lifecycle is fleet-scale: LRU eviction bounds the provisioned working
-//!   set ([`ServiceConfig::session_capacity`]), evicted sessions
-//!   transparently re-provision on re-registration, a bounded proof cache
-//!   answers identical resubmissions without proving
-//!   ([`ServiceConfig::proof_cache_bytes`]), and a p99-driven rebalancer
-//!   moves hot sessions off overloaded shards;
+//!   set ([`ServiceConfig::session_capacity`]) and evicted sessions
+//!   transparently re-provision on re-registration;
 //! * [`ServiceMetrics`] — queue depth, wave occupancy, per-session and
 //!   per-phase latency histograms ([`PhaseHistograms`]), per-class queue-wait
 //!   histograms, proofs/sec and MSM rollups, emitted via
@@ -62,8 +59,8 @@ mod sync;
 pub mod wire;
 
 pub use metrics::{
-    ConnectionMetrics, MsmRollup, PhaseHistograms, ProofCacheMetrics, RebalanceMetrics,
-    ServiceMetrics, SessionLifecycleMetrics, SessionMetrics, SupervisionMetrics,
+    ConnectionMetrics, MsmRollup, PhaseHistograms, ServiceMetrics, SessionLifecycleMetrics,
+    SessionMetrics, SupervisionMetrics,
 };
 pub use service::{JobSpec, ProvingService, ServiceConfig, ServiceError};
 pub use store::{SessionInfo, SessionState};

@@ -10,10 +10,7 @@
 //!
 //! Latency is tracked in log-bucketed [`Histogram`]s rather than bounded
 //! sample windows: histograms never drop samples, their counts and means
-//! are exact, quantiles carry a bounded (≤ 6.3%) relative error, and —
-//! crucial for the shard rebalancer — merging two sessions' histograms is
-//! bucket-wise addition, so a shard's merged p99 is computed over *every*
-//! completion, not whatever subset survived a sliding window.
+//! are exact, and quantiles carry a bounded (≤ 6.3%) relative error.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -162,35 +159,6 @@ pub struct SessionLifecycleMetrics {
     pub rejected_evicted: u64,
 }
 
-/// Proof-cache counters and gauges (all zero while the cache is disabled).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProofCacheMetrics {
-    /// Submissions answered from the cache without queueing.
-    pub hits: u64,
-    /// Cache lookups that missed (the job proceeded to the queue).
-    pub misses: u64,
-    /// Proofs inserted after a completed wave.
-    pub insertions: u64,
-    /// Entries LRU-evicted under the byte bound.
-    pub evictions: u64,
-    /// Entries resident right now.
-    pub entries: usize,
-    /// Proof bytes resident right now.
-    pub bytes: u64,
-    /// Configured byte bound (0 = disabled).
-    pub capacity_bytes: u64,
-}
-
-/// Shard-rebalancing counters: how often the p99-driven pass ran and how
-/// many sessions it moved off an overloaded shard.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct RebalanceMetrics {
-    /// Rebalance passes executed (periodic or explicit).
-    pub passes: u64,
-    /// Sessions reassigned to a less-loaded shard.
-    pub moves: u64,
-}
-
 /// Point-in-time gauges the service hands to [`MetricsRecorder::snapshot`]
 /// alongside the recorder's own counters.
 #[derive(Clone, Debug, Default)]
@@ -203,7 +171,6 @@ pub(crate) struct SnapshotGauges {
     pub(crate) workers_configured: usize,
     pub(crate) restart_budget_per_shard: u32,
     pub(crate) lifecycle: SessionLifecycleMetrics,
-    pub(crate) proof_cache: ProofCacheMetrics,
     /// Lifecycle rows from the session store, merged into the per-session
     /// metrics by digest.
     pub(crate) store_sessions: Vec<SessionInfo>,
@@ -229,8 +196,6 @@ pub(crate) struct MetricsRecorder {
     pub(crate) conn_bad_auth: AtomicU64,
     pub(crate) conn_over_capacity: AtomicU64,
     pub(crate) conn_idle_timeouts: AtomicU64,
-    pub(crate) rebalance_passes: AtomicU64,
-    pub(crate) rebalance_moves: AtomicU64,
     waves: AtomicU64,
     wave_jobs: AtomicU64,
     max_wave: AtomicU64,
@@ -265,8 +230,6 @@ impl MetricsRecorder {
             conn_bad_auth: AtomicU64::new(0),
             conn_over_capacity: AtomicU64::new(0),
             conn_idle_timeouts: AtomicU64::new(0),
-            rebalance_passes: AtomicU64::new(0),
-            rebalance_moves: AtomicU64::new(0),
             waves: AtomicU64::new(0),
             wave_jobs: AtomicU64::new(0),
             max_wave: AtomicU64::new(0),
@@ -311,17 +274,6 @@ impl MetricsRecorder {
         lock(&self.latencies)
             .iter()
             .map(|(digest, hist)| (*digest, hist.count()))
-            .collect()
-    }
-
-    /// A copy of every session's latency histogram (for the p99-driven
-    /// rebalancer). Histograms merge losslessly, so a shard's p99 over its
-    /// sessions' merged histograms covers every completion ever recorded —
-    /// not a bounded sample window.
-    pub(crate) fn latency_histograms(&self) -> HashMap<[u8; 32], Histogram> {
-        lock(&self.latencies)
-            .iter()
-            .map(|(digest, hist)| (*digest, hist.clone()))
             .collect()
     }
 
@@ -384,7 +336,6 @@ impl MetricsRecorder {
             workers_configured,
             restart_budget_per_shard,
             lifecycle,
-            proof_cache,
             queue_waits,
             ..
         } = gauges;
@@ -415,11 +366,6 @@ impl MetricsRecorder {
                 idle_timeouts: self.conn_idle_timeouts.load(Ordering::Relaxed),
             },
             lifecycle,
-            proof_cache,
-            rebalance: RebalanceMetrics {
-                passes: self.rebalance_passes.load(Ordering::Relaxed),
-                moves: self.rebalance_moves.load(Ordering::Relaxed),
-            },
             queue_depths,
             peak_queue_depth,
             queue_capacity,
@@ -510,10 +456,6 @@ pub struct ServiceMetrics {
     pub connections: ConnectionMetrics,
     /// Session-lifecycle counters (active/evicted sessions, LRU activity).
     pub lifecycle: SessionLifecycleMetrics,
-    /// Proof-cache counters and gauges (all zero while disabled).
-    pub proof_cache: ProofCacheMetrics,
-    /// Shard-rebalancing counters.
-    pub rebalance: RebalanceMetrics,
     /// Current queue depth per priority class (high, normal, low), summed
     /// over shards.
     pub queue_depths: [usize; 3],
@@ -665,37 +607,6 @@ impl ToJson for ServiceMetrics {
                         "rejected_evicted".into(),
                         JsonValue::UInt(self.lifecycle.rejected_evicted),
                     ),
-                ]),
-            ),
-            (
-                "proof_cache".into(),
-                JsonValue::Object(vec![
-                    ("hits".into(), JsonValue::UInt(self.proof_cache.hits)),
-                    ("misses".into(), JsonValue::UInt(self.proof_cache.misses)),
-                    (
-                        "insertions".into(),
-                        JsonValue::UInt(self.proof_cache.insertions),
-                    ),
-                    (
-                        "evictions".into(),
-                        JsonValue::UInt(self.proof_cache.evictions),
-                    ),
-                    (
-                        "entries".into(),
-                        JsonValue::UInt(self.proof_cache.entries as u64),
-                    ),
-                    ("bytes".into(), JsonValue::UInt(self.proof_cache.bytes)),
-                    (
-                        "capacity_bytes".into(),
-                        JsonValue::UInt(self.proof_cache.capacity_bytes),
-                    ),
-                ]),
-            ),
-            (
-                "rebalance".into(),
-                JsonValue::Object(vec![
-                    ("passes".into(), JsonValue::UInt(self.rebalance.passes)),
-                    ("moves".into(), JsonValue::UInt(self.rebalance.moves)),
                 ]),
             ),
             (
@@ -965,7 +876,7 @@ mod tests {
         assert_eq!(snap.sessions[1].resident_bytes, 777);
         assert_eq!(snap.lifecycle.evictions, 1);
         let json = snap.to_json().render();
-        for key in ["session_lifecycle", "proof_cache", "rebalance", "evicted"] {
+        for key in ["session_lifecycle", "evicted"] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
     }
@@ -980,12 +891,13 @@ mod tests {
         for i in 0..n {
             rec.record_completion([9u8; 32], i as f64, &ProverReport::default());
         }
-        let hists = rec.latency_histograms();
-        let hist = hists.get(&[9u8; 32]).expect("session recorded");
-        assert_eq!(hist.count(), n);
-        assert_eq!(hist.max_ms(), (n - 1) as f64);
+        let snap = rec.snapshot(SnapshotGauges::default());
+        let row = &snap.sessions[0];
+        assert_eq!(row.digest, [9u8; 32]);
+        assert_eq!(row.jobs_completed, n);
+        assert_eq!(row.max_ms, (n - 1) as f64);
         let exact_p99 = 9900.0; // nearest-rank over 0..9999
-        let p99 = hist.quantile(0.99);
+        let p99 = row.p99_ms;
         assert!(
             p99 >= exact_p99 && p99 <= exact_p99 * 1.07,
             "p99 {p99} vs exact {exact_p99}"
@@ -994,71 +906,5 @@ mod tests {
             rec.completions_by_session().get(&[9u8; 32]).copied(),
             Some(n)
         );
-    }
-
-    #[test]
-    fn rebalance_decision_is_exact_at_window_overflow() {
-        // Regression for the sliding-window rebalancer: with per-session
-        // latency capped at the most recent 4096 samples, a slow burst that
-        // scrolled out of the window became invisible and the rebalancer
-        // decided "balanced" even though the shard's true p99 was 50× the
-        // other's. Histograms keep every completion, so the decision
-        // computed from them must match the decision computed from the
-        // exact, uncapped sample lists.
-        let nearest_rank_p99 = |samples: &mut Vec<f64>| -> f64 {
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let rank = (samples.len() as f64 * 0.99).ceil() as usize;
-            samples[rank.saturating_sub(1)]
-        };
-        // Mirrors rebalance_pass's guard: the worst shard must exceed
-        // 1.25× the best shard's p99 for a move to fire.
-        let decide = |p99: [f64; 2]| -> Option<usize> {
-            let (worst, best) = if p99[0] >= p99[1] { (0, 1) } else { (1, 0) };
-            (p99[worst] > p99[best] * 1.25).then_some(worst)
-        };
-
-        let rec = MetricsRecorder::new();
-        let report = ProverReport::default();
-        let mut exact = [Vec::new(), Vec::new()];
-        // Shard 0's session: a 2000-sample slow burst, then 5000 fast
-        // completions — more than enough to scroll the burst past the old
-        // 4096-sample cap. Shard 1's session: uniformly fast.
-        for _ in 0..2000 {
-            rec.record_completion([1u8; 32], 400.0, &report);
-            exact[0].push(400.0);
-        }
-        for _ in 0..5000 {
-            rec.record_completion([1u8; 32], 8.0, &report);
-            exact[0].push(8.0);
-        }
-        for _ in 0..7000 {
-            rec.record_completion([2u8; 32], 8.0, &report);
-            exact[1].push(8.0);
-        }
-
-        // Snapshot the old window's view (most recent 4096, arrival order)
-        // before the p99 helper sorts the sample lists in place.
-        let mut windowed: Vec<f64> = exact[0][exact[0].len() - 4096..].to_vec();
-        let exact_p99s = [
-            nearest_rank_p99(&mut exact[0]),
-            nearest_rank_p99(&mut exact[1]),
-        ];
-        let hists = rec.latency_histograms();
-        let hist_p99s = [
-            hists.get(&[1u8; 32]).expect("session").quantile(0.99),
-            hists.get(&[2u8; 32]).expect("session").quantile(0.99),
-        ];
-        // The exact decision: shard 0 is hot and must shed a session.
-        assert_eq!(decide(exact_p99s), Some(0), "exact p99s {exact_p99s:?}");
-        assert_eq!(
-            decide(hist_p99s),
-            decide(exact_p99s),
-            "histogram p99s {hist_p99s:?} vs exact {exact_p99s:?}"
-        );
-        // Sanity that the regression has teeth: the old bounded window
-        // (most recent 4096 samples) saw only fast completions on shard 0
-        // and would have declined to move anything.
-        let window_p99s = [nearest_rank_p99(&mut windowed), exact_p99s[1]];
-        assert_eq!(decide(window_p99s), None, "windowed p99s {window_p99s:?}");
     }
 }

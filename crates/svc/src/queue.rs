@@ -37,13 +37,10 @@ pub struct QueuedJob {
     pub session: [u8; 32],
     /// The session's proving key, pinned at submission. A queued job proves
     /// with the key it was accepted under even if the session store evicts
-    /// or rebalances the session while the job waits.
+    /// the session while the job waits.
     pub pk: Arc<ProvingKey>,
     /// The decoded witness assignment.
     pub witness: Arc<Witness>,
-    /// Digest of the canonical witness bytes (all zeros when the proof
-    /// cache is disabled and no digest was computed).
-    pub witness_digest: [u8; 32],
     /// Scheduling class.
     pub priority: Priority,
     /// When the job entered the queue. Stamped by the constructor; the
@@ -304,7 +301,6 @@ mod tests {
             session: [session; 32],
             pk: tiny_pk(),
             witness: Arc::new(Witness::new(column(), column(), column())),
-            witness_digest: [0u8; 32],
             priority,
             enqueued_at: Instant::now(),
         }

@@ -56,11 +56,9 @@ use zkspeed_rt::pool::backend_with_threads;
 use zkspeed_rt::trace::{digest_tag, Histogram, TraceSink};
 use zkspeed_rt::ToJson;
 
-use crate::metrics::{
-    MetricsRecorder, ProofCacheMetrics, ServiceMetrics, SessionLifecycleMetrics, SnapshotGauges,
-};
+use crate::metrics::{MetricsRecorder, ServiceMetrics, SessionLifecycleMetrics, SnapshotGauges};
 use crate::queue::{JobQueue, QueuedJob};
-use crate::store::{ProofCache, SessionState, SessionStore};
+use crate::store::{SessionState, SessionStore};
 use crate::sync::{lock, wait_timeout};
 use crate::wire::{JobState, Priority, RejectCode, Request, Response, SessionRow};
 
@@ -108,13 +106,9 @@ pub struct ServiceConfig {
     /// Byte budget over the summed resident proving-key bytes of active
     /// sessions; LRU eviction keeps the total under it. 0 = unlimited.
     pub session_byte_budget: u64,
-    /// Proof-cache byte budget: identical `(circuit, witness)`
-    /// resubmissions answer from the cache without queueing. 0 disables the
-    /// cache (the default) — every submission proves.
+    /// Has no effect; kept so that existing struct literals compile.
     pub proof_cache_bytes: u64,
-    /// Interval between p99-driven shard rebalance passes; `None` (the
-    /// default) disables the background rebalancer. Tests can drive passes
-    /// deterministically through [`ProvingService::rebalance_now`].
+    /// Has no effect; kept so that existing struct literals compile.
     pub rebalance_interval: Option<Duration>,
     /// Structured-tracing sink threaded through the whole job lifecycle
     /// (submit, queue wait, wave assembly, per-phase proving, MSM passes).
@@ -207,18 +201,6 @@ impl ServiceConfig {
     /// Bounds the summed resident bytes of active sessions (0 = unlimited).
     pub fn with_session_byte_budget(mut self, bytes: u64) -> Self {
         self.session_byte_budget = bytes;
-        self
-    }
-
-    /// Enables the proof cache with the given byte budget (0 disables it).
-    pub fn with_proof_cache_bytes(mut self, bytes: u64) -> Self {
-        self.proof_cache_bytes = bytes;
-        self
-    }
-
-    /// Enables the background p99-driven shard rebalancer.
-    pub fn with_rebalance_interval(mut self, interval: Duration) -> Self {
-        self.rebalance_interval = Some(interval.max(Duration::from_millis(1)));
         self
     }
 
@@ -378,9 +360,6 @@ struct ServiceShared {
     /// Session lifecycle: active/evicted state, LRU eviction, shard
     /// assignments.
     store: SessionStore,
-    /// Bounded proof cache keyed by `(circuit digest, witness digest)`;
-    /// inert unless [`ServiceConfig::proof_cache_bytes`] is set.
-    proof_cache: ProofCache,
     /// Serializes registrations so concurrent submissions of the same
     /// circuit preprocess once (and never burn a round-robin shard slot on
     /// a discarded duplicate). Held only on the registration path — job
@@ -400,10 +379,6 @@ struct ServiceShared {
     /// service handle) because the supervisor pushes replacement workers
     /// from inside a dying worker thread.
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Set by shutdown; the background rebalancer exits on the next wake.
-    rebalance_stop: Mutex<bool>,
-    rebalance_wake: Condvar,
-    rebalance_handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// A running proving service. Dropping it (or calling
@@ -443,7 +418,6 @@ impl ProvingService {
             config: config.clone(),
             shards,
             store: SessionStore::new(config.session_capacity, config.session_byte_budget),
-            proof_cache: ProofCache::new(config.proof_cache_bytes),
             registration: Mutex::new(()),
             next_shard: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
@@ -453,15 +427,9 @@ impl ProvingService {
             draining: AtomicBool::new(false),
             metrics: MetricsRecorder::new(),
             worker_handles: Mutex::new(Vec::new()),
-            rebalance_stop: Mutex::new(false),
-            rebalance_wake: Condvar::new(),
-            rebalance_handle: Mutex::new(None),
         });
         for shard in 0..shared.shards.len() {
             spawn_worker(&shared, shard);
-        }
-        if let Some(interval) = config.rebalance_interval {
-            spawn_rebalancer(&shared, interval);
         }
         Self { shared }
     }
@@ -680,57 +648,18 @@ impl ProvingService {
                 found: witness.num_vars(),
             });
         }
-        // The witness digest keys the proof cache; computed only when the
-        // cache is on (canonical encodings round-trip byte-identically, so
-        // hashing `to_bytes` equals hashing the client's submitted blob).
-        let witness_digest = if self.shared.proof_cache.enabled() {
-            zkspeed_rt::Sha3_256::digest(&witness.to_bytes())
-        } else {
-            [0u8; 32]
-        };
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
         let submitted = Instant::now();
         let deadline = spec
             .deadline
             .unwrap_or(self.shared.config.default_deadline)
             .max(Duration::from_millis(1));
-        if let Some(proof) = self.shared.proof_cache.get(digest, &witness_digest) {
-            // Cache hit: the job is born terminal — collectable through
-            // `wait` / `JobStatus` like any other, but never queued and
-            // never counted as a completion (it burned no prover time).
-            lock(&self.shared.jobs).insert(
-                id,
-                JobEntry {
-                    phase: JobPhase::Done(proof),
-                    submitted,
-                    deadline_at: submitted + deadline,
-                    session: *digest,
-                    shard: session.shard,
-                },
-            );
-            self.shared
-                .metrics
-                .submitted
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared.job_done.notify_all();
-            self.shared.config.trace.instant(
-                "cache-hit",
-                "job",
-                &[
-                    ("job", id),
-                    ("session", digest_tag(digest)),
-                    ("shard", session.shard as u64),
-                ],
-            );
-            return Ok(id);
-        }
         let job = QueuedJob {
             id,
             session: *digest,
             witness: Arc::new(witness),
             priority: spec.priority,
             pk: Arc::clone(&session.pk),
-            witness_digest,
             enqueued_at: submitted,
         };
         // The entry must exist before the worker can complete it.
@@ -859,8 +788,6 @@ impl ProvingService {
             .filter(|s| s.alive.load(Ordering::SeqCst))
             .count();
         let store = &self.shared.store;
-        let cache = &self.shared.proof_cache;
-        let (cache_entries, cache_bytes) = cache.usage();
         let active = store.active_count();
         let total = store.total_count();
         self.shared.metrics.snapshot(SnapshotGauges {
@@ -879,15 +806,6 @@ impl ProvingService {
                 reprovisions: store.reprovisions.load(Ordering::Relaxed),
                 rejected_evicted: store.rejected_evicted.load(Ordering::Relaxed),
             },
-            proof_cache: ProofCacheMetrics {
-                hits: cache.hits.load(Ordering::Relaxed),
-                misses: cache.misses.load(Ordering::Relaxed),
-                insertions: cache.insertions.load(Ordering::Relaxed),
-                evictions: cache.evictions.load(Ordering::Relaxed),
-                entries: cache_entries,
-                bytes: cache_bytes,
-                capacity_bytes: cache.capacity_bytes(),
-            },
             store_sessions: store.snapshot(),
             queue_waits,
         })
@@ -903,14 +821,6 @@ impl ProvingService {
     /// The number of scheduler shards.
     pub fn shard_count(&self) -> usize {
         self.shared.shards.len()
-    }
-
-    /// Runs one p99-driven rebalance pass synchronously (the background
-    /// rebalancer runs the same pass on its interval). Returns the number
-    /// of sessions moved (0 or 1 — passes move at most one session so
-    /// latency windows re-settle between moves).
-    pub fn rebalance_now(&self) -> usize {
-        rebalance_pass(&self.shared)
     }
 
     /// Flips the service into drain mode: every subsequent registration or
@@ -1150,11 +1060,6 @@ impl ProvingService {
     }
 
     fn shutdown_in_place(&mut self) {
-        *lock(&self.shared.rebalance_stop) = true;
-        self.shared.rebalance_wake.notify_all();
-        if let Some(handle) = lock(&self.shared.rebalance_handle).take() {
-            let _ = handle.join();
-        }
         for shard in &self.shared.shards {
             shard.queue.close();
         }
@@ -1251,11 +1156,15 @@ fn handle_worker_death(
     shard.queue.close();
     let backlog = shard.queue.drain_all();
     if !backlog.is_empty() {
+        // `drain` may already have failed (and counted) these jobs: it
+        // fails every queued job of a shard once `alive` is cleared above.
         let mut jobs = lock(&shared.jobs);
         for job in backlog {
-            shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
             if let Some(entry) = jobs.get_mut(&job.id) {
-                entry.phase = JobPhase::Failed("shard worker restart budget exhausted".into());
+                if matches!(entry.phase, JobPhase::Queued) {
+                    entry.phase = JobPhase::Failed("shard worker restart budget exhausted".into());
+                    shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -1338,104 +1247,11 @@ fn shard_loop(shared: &ServiceShared, shard_idx: usize) {
     }
 }
 
-/// Spawns the background rebalance thread: one [`rebalance_pass`] per
-/// interval until shutdown raises the stop flag.
-fn spawn_rebalancer(shared: &Arc<ServiceShared>, interval: Duration) {
-    let worker = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name("zkspeed-svc-rebalance".into())
-        .spawn(move || loop {
-            {
-                let stopped = lock(&worker.rebalance_stop);
-                let (stopped, _) = worker
-                    .rebalance_wake
-                    .wait_timeout(stopped, interval)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                if *stopped {
-                    return;
-                }
-            }
-            rebalance_pass(&worker);
-        })
-        .expect("failed to spawn rebalance thread");
-    *lock(&shared.rebalance_handle) = Some(handle);
-}
-
-/// One p99-driven rebalance pass: when the worst shard's p99 latency
-/// exceeds 1.25× the best shard's, the hottest session (most completions
-/// recorded) moves off the worst shard. Shard p99s come from merging the
-/// sessions' latency *histograms* — bucket-wise addition over every
-/// completion ever recorded, so the decision is exact (within the
-/// histogram's ≤ 6.3% bucket error) rather than computed over whatever
-/// subset survived a bounded sliding window. Safe against in-flight
-/// waves — queued jobs carry their proving key and finish on the shard
-/// they queued on; only *future* submissions follow the new assignment.
-/// Returns the number of sessions moved (0 or 1, so latency histograms
-/// re-settle between moves).
-fn rebalance_pass(shared: &ServiceShared) -> usize {
-    shared
-        .metrics
-        .rebalance_passes
-        .fetch_add(1, Ordering::Relaxed);
-    let shard_count = shared.shards.len();
-    if shard_count < 2 {
-        return 0;
-    }
-    let sessions = shared.store.snapshot();
-    let histograms = shared.metrics.latency_histograms();
-    // Merge each session's latency histogram into its shard's (lossless).
-    let mut per_shard: Vec<Histogram> = vec![Histogram::new(); shard_count];
-    let mut active_per_shard = vec![0usize; shard_count];
-    for info in &sessions {
-        if info.state != SessionState::Active || info.shard >= shard_count {
-            continue;
-        }
-        active_per_shard[info.shard] += 1;
-        if let Some(hist) = histograms.get(&info.digest) {
-            per_shard[info.shard].merge(hist);
-        }
-    }
-    let p99s: Vec<f64> = per_shard.iter().map(|h| h.quantile(0.99)).collect();
-    let alive = |idx: usize| shared.shards[idx].alive.load(Ordering::SeqCst);
-    // Only a shard hosting at least two active sessions can shed one; a
-    // single hot session has nowhere better to be.
-    let Some(worst) = (0..shard_count)
-        .filter(|&i| active_per_shard[i] >= 2 && p99s[i] > 0.0)
-        .max_by(|&a, &b| p99s[a].partial_cmp(&p99s[b]).expect("finite"))
-    else {
-        return 0;
-    };
-    let Some(best) = (0..shard_count)
-        .filter(|&i| i != worst && alive(i))
-        .min_by(|&a, &b| p99s[a].partial_cmp(&p99s[b]).expect("finite"))
-    else {
-        return 0;
-    };
-    if p99s[worst] <= p99s[best] * 1.25 {
-        return 0;
-    }
-    // The hottest session (most completions) drives the worst shard's
-    // tail; moving it sheds the most load in one step.
-    let hottest = sessions
-        .iter()
-        .filter(|info| info.state == SessionState::Active && info.shard == worst)
-        .max_by_key(|info| histograms.get(&info.digest).map_or(0, |h| h.count()));
-    let Some(hottest) = hottest else { return 0 };
-    if !shared.store.set_shard(&hottest.digest, best) {
-        return 0;
-    }
-    shared
-        .metrics
-        .rebalance_moves
-        .fetch_add(1, Ordering::Relaxed);
-    1
-}
-
 fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, wave: Vec<QueuedJob>) {
     // Every queued job carries its own `Arc<ProvingKey>` (pinned at
-    // submission), so a wave proves correctly even if the store evicted or
-    // rebalanced its session after the jobs were queued. A wave holds jobs
-    // of exactly one session, so the first job's key serves the batch.
+    // submission), so a wave proves correctly even if the store evicted its
+    // session after the jobs were queued. A wave holds jobs of exactly one
+    // session, so the first job's key serves the batch.
     let pk = Arc::clone(&wave[0].pk);
     let wave_id = shared.next_wave_id.fetch_add(1, Ordering::Relaxed);
     let _wave_span = shared.config.trace.span_with(
@@ -1501,11 +1317,6 @@ fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, wave: Vec<Q
     let mut jobs = lock(&shared.jobs);
     for (job, (proof, report)) in valid.iter().zip(proved) {
         let bytes = Arc::new(proof.to_bytes());
-        if shared.proof_cache.enabled() {
-            shared
-                .proof_cache
-                .insert(job.session, job.witness_digest, Arc::clone(&bytes));
-        }
         if let Some(entry) = jobs.get_mut(&job.id) {
             let latency_ms = entry.submitted.elapsed().as_secs_f64() * 1e3;
             shared

@@ -1,5 +1,5 @@
 //! Fleet-scale session lifecycle: the [`SessionStore`] (LRU eviction over
-//! a capacity/byte budget) and the bounded [`ProofCache`].
+//! a capacity/byte budget).
 //!
 //! The service's original session registry was a `HashMap` that grew
 //! monotonically — every registered circuit pinned its proving key (the
@@ -11,12 +11,6 @@
 //! re-provisions it on the same shard. Jobs already queued keep proving —
 //! every queued job carries its own `Arc<ProvingKey>`, so eviction never
 //! races an in-flight wave.
-//!
-//! The proof cache closes the other reuse loop: identical resubmissions
-//! (same circuit digest, same canonical witness bytes) answer with the
-//! previously proven bytes without queueing. Keys pair the circuit digest
-//! with the witness digest, so cross-session collisions would require a
-//! SHA3-256 collision; entries are LRU-evicted under a byte bound.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,19 +151,6 @@ impl SessionStore {
         lock(&self.entries).get(digest).map(|e| e.shard)
     }
 
-    /// Reassigns a session's shard (the rebalancer's move operation). Jobs
-    /// already queued keep their original shard; only future submissions
-    /// follow the new assignment.
-    pub(crate) fn set_shard(&self, digest: &[u8; 32], shard: usize) -> bool {
-        match lock(&self.entries).get_mut(digest) {
-            Some(entry) => {
-                entry.shard = shard;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Inserts (or re-provisions) a session as active and runs the LRU
     /// eviction pass. Returns the digests evicted to make room.
     pub(crate) fn insert_active(
@@ -279,119 +260,6 @@ impl SessionStore {
     }
 }
 
-struct ProofEntry {
-    proof: Arc<Vec<u8>>,
-    last_touch: u64,
-}
-
-struct ProofCacheState {
-    entries: HashMap<([u8; 32], [u8; 32]), ProofEntry>,
-    bytes: u64,
-    clock: u64,
-}
-
-/// Bounded LRU cache of canonical proof bytes keyed by
-/// `(circuit_digest, witness_digest)`. Disabled at capacity 0: every
-/// operation is a no-op, so the default service pays nothing for it.
-pub(crate) struct ProofCache {
-    state: Mutex<ProofCacheState>,
-    capacity_bytes: u64,
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
-    pub(crate) insertions: AtomicU64,
-    pub(crate) evictions: AtomicU64,
-}
-
-impl ProofCache {
-    pub(crate) fn new(capacity_bytes: u64) -> Self {
-        Self {
-            state: Mutex::new(ProofCacheState {
-                entries: HashMap::new(),
-                bytes: 0,
-                clock: 1,
-            }),
-            capacity_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.capacity_bytes > 0
-    }
-
-    pub(crate) fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    /// Looks up a cached proof, touching its LRU stamp and counting the
-    /// hit/miss.
-    pub(crate) fn get(&self, circuit: &[u8; 32], witness: &[u8; 32]) -> Option<Arc<Vec<u8>>> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut state = lock(&self.state);
-        state.clock += 1;
-        let stamp = state.clock;
-        match state.entries.get_mut(&(*circuit, *witness)) {
-            Some(entry) => {
-                entry.last_touch = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.proof))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts a freshly proven result, evicting least-recently-used
-    /// entries while over the byte bound. Proofs larger than the whole
-    /// cache are skipped.
-    pub(crate) fn insert(&self, circuit: [u8; 32], witness: [u8; 32], proof: Arc<Vec<u8>>) {
-        if !self.enabled() || proof.len() as u64 > self.capacity_bytes {
-            return;
-        }
-        let mut state = lock(&self.state);
-        state.clock += 1;
-        let stamp = state.clock;
-        let added = proof.len() as u64;
-        let previous = state.entries.insert(
-            (circuit, witness),
-            ProofEntry {
-                proof,
-                last_touch: stamp,
-            },
-        );
-        state.bytes += added;
-        if let Some(previous) = previous {
-            state.bytes -= previous.proof.len() as u64;
-        } else {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-        while state.bytes > self.capacity_bytes {
-            let lru = *state
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_touch)
-                .map(|(k, _)| k)
-                .expect("bytes > 0 implies entries");
-            let removed = state.entries.remove(&lru).expect("key just listed");
-            state.bytes -= removed.proof.len() as u64;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current `(entries, bytes)` gauges.
-    pub(crate) fn usage(&self) -> (usize, u64) {
-        let state = lock(&self.state);
-        (state.entries.len(), state.bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,56 +344,5 @@ mod tests {
         assert_eq!(rows[1].digest, [9u8; 32]);
         assert_eq!(rows[1].state, SessionState::Evicted);
         assert_eq!(rows[1].resident_bytes, 0);
-    }
-
-    #[test]
-    fn disabled_proof_cache_is_inert() {
-        let cache = ProofCache::new(0);
-        assert!(!cache.enabled());
-        cache.insert([1; 32], [2; 32], Arc::new(vec![0; 16]));
-        assert!(cache.get(&[1; 32], &[2; 32]).is_none());
-        assert_eq!(cache.hits.load(Ordering::Relaxed), 0);
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 0);
-        assert_eq!(cache.usage(), (0, 0));
-    }
-
-    #[test]
-    fn proof_cache_hits_and_stays_bounded_under_churn() {
-        let cache = ProofCache::new(256);
-        cache.insert([1; 32], [1; 32], Arc::new(vec![0xaa; 100]));
-        assert_eq!(
-            cache.get(&[1; 32], &[1; 32]).map(|p| p.len()),
-            Some(100),
-            "inserted proof is retrievable"
-        );
-        // Churn: many distinct witnesses; the cache never exceeds its bound.
-        for w in 2..50u8 {
-            cache.insert([1; 32], [w; 32], Arc::new(vec![w; 100]));
-            let (entries, bytes) = cache.usage();
-            assert!(bytes <= 256, "cache over budget: {bytes}");
-            assert!(entries <= 2);
-        }
-        assert!(cache.evictions.load(Ordering::Relaxed) > 0);
-        // Different circuit digest, same witness digest: distinct key.
-        cache.insert([7; 32], [49; 32], Arc::new(vec![1; 8]));
-        cache.insert([8; 32], [49; 32], Arc::new(vec![2; 8]));
-        assert_eq!(cache.get(&[7; 32], &[49; 32]).map(|p| p[0]), Some(1));
-        assert_eq!(cache.get(&[8; 32], &[49; 32]).map(|p| p[0]), Some(2));
-        // Oversized proofs are skipped, not cached.
-        cache.insert([9; 32], [9; 32], Arc::new(vec![0; 1024]));
-        assert!(cache.get(&[9; 32], &[9; 32]).is_none());
-    }
-
-    #[test]
-    fn proof_cache_lru_keeps_recently_used_entries() {
-        let cache = ProofCache::new(300);
-        cache.insert([1; 32], [1; 32], Arc::new(vec![1; 100]));
-        cache.insert([1; 32], [2; 32], Arc::new(vec![2; 100]));
-        cache.insert([1; 32], [3; 32], Arc::new(vec![3; 100]));
-        // Touch entry 1 so entry 2 is the LRU victim.
-        assert!(cache.get(&[1; 32], &[1; 32]).is_some());
-        cache.insert([1; 32], [4; 32], Arc::new(vec![4; 100]));
-        assert!(cache.get(&[1; 32], &[1; 32]).is_some());
-        assert!(cache.get(&[1; 32], &[2; 32]).is_none());
     }
 }

@@ -3,7 +3,8 @@
 # one `zkspeed serve` process (tracing on), two concurrent `zkspeed submit`
 # client processes, proofs verified offline against the same circuit, the
 # span trace pulled live with `zkspeed trace`, metrics scraped over the
-# wire, then a graceful wire-requested shutdown.
+# wire, then a graceful wire-requested shutdown. Before that, `serve` must
+# refuse a flag it does not know without binding or writing its ready file.
 #
 # Usage: scripts/net_smoke.sh [workdir]   (default: a fresh temp dir)
 # Leaves scraped-metrics.json, final-metrics.json, trace.json and
@@ -23,6 +24,18 @@ echo ">> offline artifacts into ${WORKDIR}"
 "${ZK}" setup --mu 8 --out "${WORKDIR}/srs.bin" --seed 1
 "${ZK}" compile --workload state-transition --transfers 2 --balance-bits 8 \
   --out "${WORKDIR}/circuit.bin" --witness-out "${WORKDIR}/witness.bin" --seed 2
+
+echo ">> serve rejects an unknown flag before it binds"
+SERVE_RC=0
+"${ZK}" serve --srs "${WORKDIR}/srs.bin" --addr 127.0.0.1:0 \
+  --ready-file "${WORKDIR}/addr-rejected.txt" --proof-cache-bytes 1 \
+  >"${WORKDIR}/serve-rejected.log" 2>&1 || SERVE_RC=$?
+if [ "${SERVE_RC}" -eq 0 ]; then
+  echo "!! serve accepted an unknown flag"
+  exit 1
+fi
+grep -q "unknown flag" "${WORKDIR}/serve-rejected.log"
+test ! -e "${WORKDIR}/addr-rejected.txt"
 
 echo ">> starting zkspeed serve on an ephemeral port (tracing enabled)"
 "${ZK}" serve --srs "${WORKDIR}/srs.bin" --addr 127.0.0.1:0 \

@@ -56,15 +56,12 @@ SUBCOMMANDS:
   serve    --srs FILE [--addr HOST:PORT] [--auth-token T] [--ready-file FILE]
            [--max-connections N] [--idle-timeout-ms N] [--drain-grace-ms N]
            [--shards N] [--session-capacity N] [--session-byte-budget N]
-           [--proof-cache-bytes N] [--rebalance-interval-ms N]
            [--metrics-out FILE] [--trace] [--trace-out FILE]
            Host a ProvingService over TCP. With --addr 127.0.0.1:0 the bound
            address goes to --ready-file (and stdout). Runs until a client
            sends Shutdown, then drains gracefully and writes final metrics.
            --session-capacity / --session-byte-budget bound the provisioned
            session working set (LRU eviction; 0 = unlimited);
-           --proof-cache-bytes enables the resubmission proof cache;
-           --rebalance-interval-ms enables the p99-driven shard rebalancer;
            --trace records a structured span trace of every job (pull it
            live with `zkspeed trace`); --trace-out implies --trace and also
            writes the final Chrome trace-event JSON on shutdown.
@@ -86,6 +83,8 @@ SUBCOMMANDS:
            Pull the server's Chrome trace-event dump (a snapshot of every
            span recorded so far). Load the JSON in Perfetto / chrome://tracing.
            Empty-but-valid when the server runs without --trace.
+
+Every subcommand rejects a flag not listed for it.
 
 EXIT CODES:
   0  success
@@ -139,13 +138,43 @@ impl From<String> for CmdError {
     }
 }
 
+/// The flags each subcommand reads, as `USAGE` lists them.
+const FLAGS: &[(&str, &str)] = &[
+    ("setup", "mu out seed"),
+    (
+        "compile",
+        "workload out witness-out seed links rounds depth transfers balance-bits",
+    ),
+    ("prove", "srs circuit witness out"),
+    ("verify", "srs circuit proof"),
+    (
+        "serve",
+        "srs addr auth-token ready-file max-connections idle-timeout-ms drain-grace-ms shards \
+         session-capacity session-byte-budget metrics-out trace trace-out",
+    ),
+    (
+        "submit",
+        "addr circuit witness auth-token jobs priority proof-out wait-ms deadline-ms metrics \
+         metrics-out shutdown",
+    ),
+    ("sessions", "addr auth-token"),
+    ("trace", "addr auth-token out"),
+];
+
 /// Minimal `--flag value` / `--flag` parser over one subcommand's args.
 struct Flags {
     pairs: Vec<(String, Option<String>)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` of subcommand `cmd`, rejecting any flag it does not
+    /// read: a mistyped or retired flag must not be silently ignored.
+    fn parse(cmd: &str, args: &[String]) -> Result<Self, String> {
+        let known = FLAGS
+            .iter()
+            .find(|(name, _)| *name == cmd)
+            .map(|(_, flags)| *flags)
+            .expect("every subcommand lists its flags");
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
@@ -153,6 +182,12 @@ impl Flags {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{arg}`"));
             };
+            if !known.split_whitespace().any(|flag| flag == name) {
+                return Err(format!(
+                    "unknown flag `--{name}` for {cmd} (it takes --{})",
+                    known.replace(' ', ", --")
+                ));
+            }
             let value = match args.get(i + 1) {
                 Some(v) if !v.starts_with("--") => {
                     i += 1;
@@ -205,7 +240,7 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn cmd_setup(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("setup", args)?;
     let mu: usize = flags
         .require("mu")?
         .parse()
@@ -243,7 +278,7 @@ fn workload_from_flags(flags: &Flags) -> Result<WorkloadSpec, String> {
 }
 
 fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("compile", args)?;
     let spec = workload_from_flags(&flags)?;
     let out = flags.require("out")?;
     let seed: u64 = flags.parse_num("seed", 0)?;
@@ -277,7 +312,7 @@ fn load_system(flags: &Flags) -> Result<(ProofSystem, Circuit), String> {
 }
 
 fn cmd_prove(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("prove", args)?;
     let out = flags.require("out")?;
     let (system, circuit) = load_system(&flags)?;
     let witness_bytes = read_file(flags.require("witness")?, "witness")?;
@@ -292,7 +327,7 @@ fn cmd_prove(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("verify", args)?;
     let proof_bytes = read_file(flags.require("proof")?, "proof")?;
     let proof = Proof::from_bytes(&proof_bytes).map_err(|e| format!("bad proof file: {e}"))?;
     let (system, circuit) = load_system(&flags)?;
@@ -305,7 +340,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("serve", args)?;
     let srs_bytes = read_file(flags.require("srs")?, "SRS")?;
     let srs = Srs::from_bytes(&srs_bytes).map_err(|e| format!("bad SRS file: {e}"))?;
     let mut config = ServiceConfig::default();
@@ -315,12 +350,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     config = config
         .with_session_capacity(flags.parse_num("session-capacity", 0)?)
-        .with_session_byte_budget(flags.parse_num("session-byte-budget", 0)?)
-        .with_proof_cache_bytes(flags.parse_num("proof-cache-bytes", 0)?);
-    let rebalance_ms: u64 = flags.parse_num("rebalance-interval-ms", 0)?;
-    if rebalance_ms > 0 {
-        config = config.with_rebalance_interval(Duration::from_millis(rebalance_ms));
-    }
+        .with_session_byte_budget(flags.parse_num("session-byte-budget", 0)?);
     // Keep a handle on the sink so the final dump works after the server
     // (which owns the service) has shut down — TraceSink clones share state.
     let trace_sink = if flags.has("trace") || flags.has("trace-out") {
@@ -393,7 +423,7 @@ fn parse_priority(s: &str) -> Result<Priority, String> {
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), CmdError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("submit", args)?;
     let addr = flags.require("addr")?;
     let token = flags.get("auth-token").unwrap_or("");
     let mut client = NetClient::connect(addr, token.as_bytes(), ClientConfig::default())
@@ -448,7 +478,7 @@ fn cmd_submit(args: &[String]) -> Result<(), CmdError> {
 }
 
 fn cmd_sessions(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("sessions", args)?;
     let addr = flags.require("addr")?;
     let token = flags.get("auth-token").unwrap_or("");
     let mut client = NetClient::connect(addr, token.as_bytes(), ClientConfig::default())
@@ -479,7 +509,7 @@ fn cmd_sessions(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("trace", args)?;
     let addr = flags.require("addr")?;
     let token = flags.get("auth-token").unwrap_or("");
     let mut client = NetClient::connect(addr, token.as_bytes(), ClientConfig::default())
@@ -518,4 +548,68 @@ fn finish_submit(flags: &Flags, client: &mut NetClient, jobs: usize) -> Result<(
         println!("submit: {jobs} job(s) complete");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_rejects_the_retired_cache_flag() {
+        let args = ["--srs", "s.bin", "--proof-cache-bytes", "1"].map(String::from);
+        let err = Flags::parse("serve", &args)
+            .err()
+            .expect("unknown flag must be an error");
+        assert!(err.contains("unknown flag `--proof-cache-bytes`"), "{err}");
+        assert!(err.contains("for serve"), "{err}");
+    }
+
+    /// Each subcommand's `USAGE` synopsis, as `(name, flags it lists)`.
+    /// A synopsis is the block's first line and the `[--flag …]` lines
+    /// after it; the prose below may mention other subcommands' flags.
+    fn usage_blocks() -> Vec<(String, Vec<String>)> {
+        let body = USAGE
+            .split("SUBCOMMANDS:")
+            .nth(1)
+            .and_then(|rest| rest.split("EXIT CODES:").next())
+            .expect("USAGE has a SUBCOMMANDS section");
+        let mut blocks: Vec<(String, Vec<String>)> = Vec::new();
+        let mut in_synopsis = false;
+        for line in body.lines() {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                let name = line.split_whitespace().next().expect("subcommand name");
+                blocks.push((name.to_string(), Vec::new()));
+                in_synopsis = true;
+            } else if !line.trim_start().starts_with('[') {
+                in_synopsis = false;
+            }
+            let Some((_, flags)) = blocks.last_mut().filter(|_| in_synopsis) else {
+                continue;
+            };
+            for part in line.split("--").skip(1) {
+                let flag = part
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                flags.push(flag);
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_subcommand_accepts() {
+        let blocks = usage_blocks();
+        assert_eq!(blocks.len(), FLAGS.len());
+        for ((cmd, mut documented), (name, accepted)) in blocks.into_iter().zip(FLAGS) {
+            assert_eq!(cmd, *name, "USAGE and FLAGS order the subcommands alike");
+            let all: Vec<String> = documented.iter().map(|f| format!("--{f}")).collect();
+            assert!(Flags::parse(&cmd, &all).is_ok(), "{cmd} rejects its USAGE");
+            let mut accepted: Vec<&str> = accepted.split_whitespace().collect();
+            accepted.sort_unstable();
+            documented.sort_unstable();
+            documented.dedup();
+            assert_eq!(documented, accepted, "{cmd}: USAGE and FLAGS differ");
+        }
+    }
 }

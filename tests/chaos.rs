@@ -4,6 +4,9 @@
 //! `JobFailed` over the wire; a killed shard worker is respawned within
 //! its restart budget and later proofs are byte-identical to a fault-free
 //! run; no `wait` or `drain` blocks past its deadline when a worker dies.
+//! Every scenario ends with the job counters balanced: each accepted job
+//! was counted exactly once as completed or failed, and no queue holds
+//! work.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -14,6 +17,7 @@ use zkspeed::net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig};
 use zkspeed::pcs::Srs;
 use zkspeed::prelude::*;
 use zkspeed::rt::faults::FaultPlan;
+use zkspeed::svc::ServiceMetrics;
 
 const MU: usize = 4;
 const TOKEN: &[u8] = b"chaos-token";
@@ -50,6 +54,16 @@ fn faulty_service_with(
         .with_wave_size(1)
         .with_faults(Arc::new(FaultPlan::parse(spec).expect("valid spec")));
     ProvingService::start(tiny_srs(), tweak(config))
+}
+
+/// Checks the service's job accounting once no job is in flight.
+fn assert_counters_balance(metrics: &ServiceMetrics) {
+    assert_eq!(
+        metrics.submitted,
+        metrics.completed + metrics.failed,
+        "submitted != completed + failed: {metrics:?}"
+    );
+    assert_eq!(metrics.queue_depths, [0; 3], "queues not empty");
 }
 
 /// The proof the same (circuit, witness) yields on a fault-free service —
@@ -97,6 +111,7 @@ fn wave_panic_fails_only_that_wave_and_worker_survives() {
     assert_eq!(metrics.supervision.workers_alive, 1);
     assert_eq!(metrics.failed, 1);
     assert_eq!(metrics.completed, 1);
+    assert_counters_balance(&metrics);
 }
 
 #[test]
@@ -131,6 +146,9 @@ fn killed_worker_is_respawned_and_recovery_proof_is_byte_identical() {
     assert_eq!(metrics.supervision.worker_restarts, 1);
     assert_eq!(metrics.supervision.workers_alive, 1);
     assert_eq!(metrics.supervision.wave_panics, 0);
+    assert_eq!(metrics.failed, 1);
+    assert_eq!(metrics.completed, 1);
+    assert_counters_balance(&metrics);
 }
 
 #[test]
@@ -186,7 +204,9 @@ fn trace_dump_survives_worker_kill_and_respawn() {
     assert!(sink.event_count() >= 4, "events: {}", sink.event_count());
     let threads = sink.threads().len();
     assert!(threads >= 2, "threads: {threads}");
-    assert_eq!(svc.metrics().supervision.worker_restarts, 1);
+    let metrics = svc.metrics();
+    assert_eq!(metrics.supervision.worker_restarts, 1);
+    assert_counters_balance(&metrics);
 }
 
 #[test]
@@ -240,6 +260,8 @@ fn restart_budget_exhaustion_fails_backlog_and_drain_stays_bounded() {
         metrics.supervision.restart_budget_per_shard, 1,
         "snapshot should surface the configured budget"
     );
+    assert_eq!(metrics.failed, 2);
+    assert_counters_balance(&metrics);
 }
 
 #[test]
@@ -283,6 +305,8 @@ fn deadlines_bound_waits_under_a_saturated_shard() {
         metrics.failed_deadline >= 1,
         "expired job should be counted: {metrics:?}"
     );
+    assert_eq!(metrics.completed, 1);
+    assert_counters_balance(&metrics);
 }
 
 // --- TCP scenarios -------------------------------------------------------
@@ -334,7 +358,9 @@ fn wave_panic_reaches_the_client_as_job_failed_and_recovery_verifies() {
         .expect("accepted");
     let proof = client.wait(job, Duration::from_secs(60)).expect("proves");
     assert_eq!(proof, baseline, "post-panic wire proof must match");
-    server.shutdown();
+    let metrics = server.shutdown();
+    assert_eq!((metrics.completed, metrics.failed), (1, 1));
+    assert_counters_balance(&metrics);
 }
 
 #[test]
@@ -363,5 +389,5 @@ fn torn_response_surfaces_as_transport_error_without_hanging() {
         "torn response must not hang: {:?}",
         started.elapsed()
     );
-    server.shutdown();
+    assert_counters_balance(&server.shutdown());
 }

@@ -228,11 +228,11 @@ fn session_shards(svc: &ProvingService) -> Vec<([u8; 32], u32)> {
     }
 }
 
-#[test]
-fn inert_cache_and_rebalance_fields_change_nothing() {
-    // The struct-literal form the benchmark uses, with both fields set to
-    // values that once turned a proof cache and a shard rebalancer on.
-    let svc = ProvingService::start(
+/// A two-shard service started from the struct-literal form the benchmark
+/// uses, with both inert fields set to values that once turned a proof
+/// cache and a shard rebalancer on.
+fn inert_fields_service() -> ProvingService {
+    ProvingService::start(
         shared_srs(),
         ServiceConfig {
             shards: 2,
@@ -241,23 +241,49 @@ fn inert_cache_and_rebalance_fields_change_nothing() {
             rebalance_interval: Some(Duration::from_millis(1)),
             ..ServiceConfig::default()
         },
-    );
-    let instances = [mock(5, 60), mock(2, 61), mock(3, 62)];
-    let digests: Vec<[u8; 32]> = instances
-        .iter()
-        .map(|(circuit, _)| svc.register_circuit(circuit.clone()).expect("fits"))
-        .collect();
-    let shards_before = session_shards(&svc);
+    )
+}
+
+#[test]
+fn proof_cache_bytes_is_inert_and_resubmits_prove_byte_identical() {
+    // With no cache, resubmitting one witness proves it again, and the
+    // prover's determinism makes the two proofs byte-equal.
+    let svc = inert_fields_service();
+    let (circuit, witness) = mock(5, 60);
+    let digest = svc.register_circuit(circuit).expect("fits");
     let prove = || {
         let job = svc
-            .submit(&digests[0], instances[0].1.clone(), Priority::Normal)
+            .submit(&digest, witness.clone(), Priority::Normal)
             .expect("accepts");
         svc.wait(job).expect("proves")
     };
     let first = prove();
     let second = prove();
     assert_eq!(first, second, "the same witness proves to the same bytes");
-    assert_eq!(svc.metrics().completed, 2, "both submissions proved");
+    let m = svc.metrics();
+    assert_eq!(m.submitted, 2);
+    assert_eq!(m.completed, 2, "both submissions proved");
+}
+
+#[test]
+fn rebalance_interval_is_inert_and_sessions_keep_their_shard() {
+    // With no rebalancer, a hot session stays on its shard however long
+    // the 1 ms interval has had to fire.
+    let svc = inert_fields_service();
+    let instances = [mock(5, 70), mock(2, 71), mock(3, 72)];
+    let digests: Vec<[u8; 32]> = instances
+        .iter()
+        .map(|(circuit, _)| svc.register_circuit(circuit.clone()).expect("fits"))
+        .collect();
+    let shards_before = session_shards(&svc);
+    for _ in 0..3 {
+        let job = svc
+            .submit(&digests[0], instances[0].1.clone(), Priority::Normal)
+            .expect("accepts");
+        svc.wait(job).expect("proves");
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(svc.metrics().completed, 3);
     assert_eq!(
         session_shards(&svc),
         shards_before,

@@ -28,8 +28,9 @@
 //!     window;
 //! * [`sparse_msm`] — the Sparse MSM used for Witness Commits, where scalars
 //!   that are 0 or 1 bypass Pippenger entirely (Section 3.3.1);
-//! * [`msm_precomputed`] / [`sparse_msm_precomputed`] — the same two over a
-//!   [`MultiBaseTable`] of the fixed bases, with no window doublings;
+//! * [`msm_precomputed`] / [`sparse_msm_precomputed`] — the same two on the
+//!   same windows over a [`MultiBaseTable`] of the fixed bases and their
+//!   images, with no window doublings;
 //! * operation counters ([`MsmStats`]) that feed the hardware cost model.
 //!
 //! Every configuration computes the same group element, and proof encodings
@@ -163,8 +164,7 @@ pub struct MsmStats {
     /// per point of a table-free MSM.
     pub endomorphisms: u64,
     /// Scalar halves recoded into signed window digits: two per scalar
-    /// (`k₁` and `k₂`) on the table-free engine, one on the
-    /// precomputed-table engine, which recodes whole 255-bit scalars.
+    /// (`k₁` and `k₂`), with or without a table.
     pub recoded_scalars: u64,
 }
 
@@ -277,7 +277,7 @@ pub fn msm(
     points: &Arc<Vec<G1Affine>>,
     scalars: &[Fr],
 ) -> (G1Projective, MsmStats) {
-    msm_impl(backend, points, Some(points), scalars, MsmConfig::default())
+    msm_points(backend, Arc::clone(points), scalars, MsmConfig::default())
 }
 
 /// [`msm`] with an explicit engine configuration: the one entry point that
@@ -293,7 +293,7 @@ pub fn msm_with_config_on(
     scalars: &[Fr],
     config: MsmConfig,
 ) -> (G1Projective, MsmStats) {
-    msm_impl(backend, points, None, scalars, config)
+    msm_points(backend, Arc::new(points.to_vec()), scalars, config)
 }
 
 /// MSMs below this many points (the tail of the halving-MSM sequence, tiny
@@ -304,7 +304,7 @@ const PAR_MIN_POINTS: usize = 256;
 // ------------------------------------------------------------- recoding ----
 
 /// Bits of a scalar half: `k₁, k₂ < 2^128`.
-const HALF_BITS: usize = 128;
+pub(crate) const HALF_BITS: usize = 128;
 
 /// `⌊2^255 / λ⌋`, for dividing by λ with multiplications.
 const LAMBDA_RECIPROCAL: u128 = 0xbe35_f678_f00f_d56e_b1fb_7291_7b67_f718;
@@ -872,15 +872,16 @@ struct Shape {
     num_buckets: usize,
     windows_per_job: usize,
     config: MsmConfig,
+    /// The run reads a [`MultiBaseTable`]: a window's shift is in its
+    /// points, so the windows of a job share one bucket slice, and the job
+    /// sums add up with no doublings between them.
+    table: bool,
 }
 
 impl Shape {
-    fn new(n: usize, config: MsmConfig) -> Self {
-        let w = if config.window_bits == 0 {
-            auto_window_bits(n)
-        } else {
-            config.window_bits
-        };
+    /// The windows and buckets of `w`-bit windows over a scalar half, all in
+    /// one job.
+    fn with_width(w: usize, config: MsmConfig, table: bool) -> Self {
         assert!((1..=16).contains(&w), "window size out of range");
         // Signed recoding halves the buckets but needs one extra window for
         // the final carry (typically all-zero, and then it costs nothing).
@@ -889,18 +890,49 @@ impl Shape {
         } else {
             (HALF_BITS.div_ceil(w), (1usize << w) - 1)
         };
-        let fit = JOB_BUCKET_BYTES / (num_buckets * size_of::<G1Affine>());
-        let cap = if n < PAR_MIN_POINTS {
-            num_windows
-        } else {
-            num_windows.div_ceil(MIN_JOBS)
-        };
         Self {
             w,
             num_windows,
             num_buckets,
-            windows_per_job: fit.clamp(1, cap),
+            windows_per_job: num_windows,
             config,
+            table,
+        }
+    }
+
+    /// A table-free run over `n` points: as many windows a job as keep their
+    /// buckets in [`JOB_BUCKET_BYTES`], and at least [`MIN_JOBS`] jobs once
+    /// the run fans out.
+    fn new(n: usize, config: MsmConfig) -> Self {
+        let w = if config.window_bits == 0 {
+            auto_window_bits(n)
+        } else {
+            config.window_bits
+        };
+        let shape = Self::with_width(w, config, false);
+        let fit = JOB_BUCKET_BYTES / (shape.num_buckets * size_of::<G1Affine>());
+        let cap = if n < PAR_MIN_POINTS {
+            shape.num_windows
+        } else {
+            shape.num_windows.div_ceil(MIN_JOBS)
+        };
+        Self {
+            windows_per_job: fit.clamp(1, cap),
+            ..shape
+        }
+    }
+
+    /// A run of `n` scalars over a table of `w`-bit windows, in the default
+    /// configuration: each job aggregates one bucket set, so there are as
+    /// many jobs as keep ≥ 40 operations a bucket — an aggregation, 12
+    /// multiplications a bucket, then stays below a twentieth of the fill, 6
+    /// an operation — and at most [`MIN_JOBS`].
+    fn table(n: usize, w: usize) -> Self {
+        let shape = Self::with_width(w, MsmConfig::default(), true);
+        let jobs = (2 * n * shape.num_windows / (40 * shape.num_buckets)).clamp(1, MIN_JOBS);
+        Self {
+            windows_per_job: shape.num_windows.div_ceil(jobs),
+            ..shape
         }
     }
 
@@ -912,8 +944,11 @@ impl Shape {
 /// Immutable inputs of one MSM run, shared by every job.
 struct Windows<'a> {
     shape: Shape,
-    /// The points and their images `φ(P)`.
+    /// The points and their images `φ(P)`, or a table's shifted bases and
+    /// theirs.
     sources: Sources<'a>,
+    /// The table row of each scalar (`None`: scalar `i` reads row `i`).
+    rows: Option<&'a [u32]>,
     /// The scalar halves by term: term `2i + h` is `k₁` (`h = 0`) or `k₂`
     /// (`h = 1`) of scalar `i`.
     halves: &'a [[u64; 2]],
@@ -933,33 +968,45 @@ impl Windows<'_> {
         (d != 0).then(|| (d.unsigned_abs() as usize - 1, d < 0))
     }
 
-    /// The window sums of a range of jobs, lowest window first, and their
-    /// operation counts. Jobs are independent, so ranges of them fan out
-    /// over the backend's workers.
+    /// The sums of a range of jobs, lowest first — one per window, or one
+    /// per job of a table run — and their operation counts. Jobs are
+    /// independent, so ranges of them fan out over the backend's workers.
     fn sums(&self, jobs: Range<usize>) -> (Vec<G1Projective>, MsmStats) {
         let Shape {
             num_windows,
             num_buckets,
             windows_per_job,
             config,
+            table,
             ..
         } = self.shape;
+        // From one window to the next, a table-free run moves to the next
+        // bucket slice and reads the same point; a table run stays in its
+        // slice and reads the next entry of the scalar's row.
+        let (row_len, slice_step, entry_step) = if table {
+            (num_windows, 0, 1)
+        } else {
+            (1, num_buckets, 0)
+        };
         let mut set = BucketSet::default();
         let mut stats = MsmStats::default();
         let mut sums = Vec::new();
         for job in jobs {
             let first = job * windows_per_job;
             let windows = first..(first + windows_per_job).min(num_windows);
-            set.begin(windows.len(), num_buckets);
-            for (i, point) in self.sources[0].iter().enumerate() {
-                if point.infinity {
+            set.begin(if table { 1 } else { windows.len() }, num_buckets);
+            for i in 0..self.halves.len() / 2 {
+                let row = self.rows.map_or(i, |rows| rows[i] as usize) * row_len;
+                if self.sources[0][row].infinity {
                     continue;
                 }
                 for window in windows.clone() {
+                    let slice = (window - first) * slice_step;
+                    let entry = row + window * entry_step;
                     for half in 0..2 {
                         if let Some((bucket, negate)) = self.digit(2 * i + half, window) {
-                            let bucket = (window - first) * num_buckets + bucket;
-                            set.record(bucket, i | (half * Op::IMAGE as usize), negate);
+                            let source = entry | (half * Op::IMAGE as usize);
+                            set.record(slice + bucket, source, negate);
                         }
                     }
                 }
@@ -971,94 +1018,94 @@ impl Windows<'_> {
     }
 }
 
-/// The engine behind every table-free entry point: Pippenger over the `n`
-/// points and their `n` images `φ(P)`, with the scalar halves of
-/// [`split_scalar`]. `shared` is `points` already behind an `Arc`, for
-/// callers that own one: a run that fans out clones it into the worker jobs,
-/// and copies the points only without it. The images live in one buffer of
-/// `n` points for the duration of the run.
-fn msm_impl(
+/// The table-free engine: Pippenger over the `n` points and their `n`
+/// images `φ(P)`, which live in one buffer of `n` points for the duration
+/// of the run.
+fn msm_points(
     backend: &dyn Backend,
-    points: &[G1Affine],
-    shared: Option<&Arc<Vec<G1Affine>>>,
+    points: Arc<Vec<G1Affine>>,
     scalars: &[Fr],
     config: MsmConfig,
 ) -> (G1Projective, MsmStats) {
     let n = points.len();
     assert_eq!(n, scalars.len(), "length mismatch");
+    let images = Arc::new(points.iter().map(G1Affine::endomorphism).collect());
+    let shape = Shape::new(n, config);
+    let (sum, mut stats) = msm_impl(backend, shape, [points, images], None, scalars);
+    stats.endomorphisms = n as u64;
+    (sum, stats)
+}
+
+/// The engine behind every entry point: Pippenger over the GLV halves of
+/// [`split_scalar`], reading `sources` — the points and their images, or a
+/// table's shifted bases and theirs — at row `rows[i]` (row `i` without
+/// `rows`) for scalar `i`.
+fn msm_impl(
+    backend: &dyn Backend,
+    shape: Shape,
+    sources: [Arc<Vec<G1Affine>>; 2],
+    rows: Option<Vec<u32>>,
+    scalars: &[Fr],
+) -> (G1Projective, MsmStats) {
+    let n = scalars.len();
     let mut stats = MsmStats::default();
     if n == 0 {
         return (G1Projective::identity(), stats);
     }
     assert!(
-        n < Op::IMAGE as usize,
+        sources[0].len() < Op::IMAGE as usize,
         "more points than an operation indexes"
     );
-    let shape = Shape::new(n, config);
     let halves: Vec<[u64; 2]> = scalars
         .iter()
         .flat_map(|s| split_scalar(&s.to_canonical_limbs()))
         .collect();
-    let carries: Option<Vec<[u64; 2]>> = config.signed_digits.then(|| {
+    let carries: Option<Vec<[u64; 2]>> = shape.config.signed_digits.then(|| {
         stats.recoded_scalars = halves.len() as u64;
         halves
             .iter()
             .map(|half| recode_carries(half, shape.w, shape.num_windows))
             .collect()
     });
-    let images: Vec<G1Affine> = points.iter().map(G1Affine::endomorphism).collect();
-    stats.endomorphisms = n as u64;
 
-    // The jobs are the same whatever the thread count, and the serial window
+    // The jobs are the same whatever the thread count, and the serial
     // combine below consumes their sums in order, so results and operation
     // counts are bit-identical to a serial run. Workers measure their
     // thread-local modmul delta, rewind it, and hand it back so the
-    // profiling counters see the same totals everywhere.
+    // profiling counters see the same totals everywhere. Below
+    // `PAR_MIN_POINTS` every job stays on the calling thread.
     let num_jobs = shape.num_jobs();
-    let sums = if n >= PAR_MIN_POINTS && backend.threads() > 1 && num_jobs > 1 {
-        // One pass of memcpy against hundreds of multiplications per point.
-        let points = shared.map_or_else(|| Arc::new(points.to_vec()), Arc::clone);
-        let images = Arc::new(images);
-        let halves = Arc::new(halves);
-        let carries = carries.map(Arc::new);
-        let ranges = pool::map_ranges(backend, num_jobs, 1, move |range| {
-            let windows = Windows {
-                shape,
-                sources: [&points, &images],
-                halves: &halves,
-                carries: carries.as_ref().map(|c| c.as_slice()),
-            };
-            zkspeed_field::measure_modmuls(|| windows.sums(range))
-        });
-        let mut sums = Vec::with_capacity(shape.num_windows);
-        for ((range_sums, range_stats), muls) in ranges {
-            zkspeed_field::add_modmul_count(muls);
-            sums.extend(range_sums);
-            stats.merge(&range_stats);
-        }
-        sums
-    } else {
+    let (halves, carries, rows) = (Arc::new(halves), carries.map(Arc::new), rows.map(Arc::new));
+    let min_jobs = if n < PAR_MIN_POINTS { num_jobs } else { 1 };
+    let ranges = pool::map_ranges(backend, num_jobs, min_jobs, move |range| {
         let windows = Windows {
             shape,
-            sources: [points, &images],
+            sources: [&sources[0], &sources[1]],
+            rows: rows.as_deref().map(Vec::as_slice),
             halves: &halves,
-            carries: carries.as_deref(),
+            carries: carries.as_deref().map(Vec::as_slice),
         };
-        let (sums, job_stats) = windows.sums(0..num_jobs);
-        stats.merge(&job_stats);
-        sums
-    };
+        zkspeed_field::measure_modmuls(|| windows.sums(range))
+    });
+    let mut sums = Vec::with_capacity(shape.num_windows);
+    for ((range_sums, range_stats), muls) in ranges {
+        zkspeed_field::add_modmul_count(muls);
+        sums.extend(range_sums);
+        stats.merge(&range_stats);
+    }
 
-    // Serial top-down window combine: w doublings between windows (skipped
+    // Serial top-down combine: w doublings between window sums (skipped
     // while the accumulator is still the identity, so the signed recoding's
-    // empty top window costs nothing), one addition per non-empty window.
+    // empty top window costs nothing) and none between the job sums of a
+    // table run, one addition per non-empty sum.
+    let shift = if shape.table { 0 } else { shape.w };
     let mut acc = G1Projective::identity();
     for sum in sums.iter().rev() {
         if !acc.is_identity() {
-            for _ in 0..shape.w {
+            for _ in 0..shift {
                 acc = acc.double();
             }
-            stats.doublings += shape.w as u64;
+            stats.doublings += shift as u64;
         }
         if !sum.is_identity() {
             stats.combine_adds += accumulate(&mut acc, sum);
@@ -1104,14 +1151,7 @@ fn sparse_msm_impl(
     let mut stats = SparseMsmStats::default();
     let (ones, dense_points, dense_scalars) =
         split_sparse(points.iter().copied(), scalars, &mut stats);
-    let dense_points = Arc::new(dense_points);
-    let dense = msm_impl(
-        backend,
-        &dense_points,
-        Some(&dense_points),
-        &dense_scalars,
-        config,
-    );
+    let dense = msm_points(backend, Arc::new(dense_points), &dense_scalars, config);
     (add_ones_sum(ones, dense, &mut stats.ops), stats)
 }
 
@@ -1164,27 +1204,15 @@ fn add_ones_sum(
 
 // ------------------------------------------------------ precomputed MSM ----
 
-/// Selects the number of jobs of the precomputed engine from the problem
-/// size (`total_entries = n · num_windows` digit slots) — never from the
-/// backend's thread count, so results and counters are thread-count
-/// invariant. Each job fills and aggregates a bucket set of its own from a
-/// range of windows: at ≥ 40 operations per bucket an aggregation (12
-/// multiplications a bucket) stays below a twentieth of the fill (6 an
-/// operation).
-fn auto_precomputed_jobs(total_entries: usize, num_buckets: usize) -> usize {
-    (total_entries / (40 * num_buckets)).clamp(1, MIN_JOBS)
-}
-
 /// Computes `Σ sᵢ·Bᵢ` over the fixed bases covered by a precomputed
-/// [`MultiBaseTable`]: every scalar is signed-digit recoded at the table's
-/// window width, each nonzero digit contributes one shifted base
-/// `±2^{w·j}·Bᵢ` to a flat bucket set of `2^{w−1}` buckets, and an
-/// aggregation pass finishes the sum — **no window doublings**, the whole
-/// point of precomputing the session's bases. (A large MSM is cut into a
-/// few jobs, each with a bucket set and an aggregation of its own.)
+/// [`MultiBaseTable`], on the windows of [`msm`] at the table's width: each
+/// nonzero digit of a scalar half reads its window's shifted base
+/// `2^{w·j}·Bᵢ` (or, for `k₂`, that base's stored image), the windows of a
+/// job fill one bucket set of `2^{w−1}` buckets, and an aggregation pass per
+/// job finishes the sum — **no window doublings** and no images computed,
+/// the whole point of precomputing the session's bases.
 ///
-/// The table's width is the window width and recoding is always signed;
-/// the result is the same group element [`msm`] computes.
+/// The result is the same group element [`msm`] computes.
 ///
 /// # Panics
 ///
@@ -1199,20 +1227,15 @@ pub fn msm_precomputed(
         scalars.len() <= table.num_bases(),
         "more scalars than precomputed bases"
     );
-    msm_precomputed_impl(
-        backend,
-        table,
-        None,
-        scalars,
-        BATCH_AFFINE_DEFAULT_MIN_POINTS,
-    )
+    let shape = Shape::table(scalars.len(), table.window_bits());
+    msm_impl(backend, shape, table.sources(), None, scalars)
 }
 
 /// The Sparse MSM of the Witness Commit step over precomputed tables:
 /// 0-scalars are skipped, 1-scalars are tree-summed directly from the
-/// table's base entries, and the dense remainder runs through the
-/// precomputed bucket engine (the dense bases are non-contiguous, so their
-/// table rows are addressed through an index vector).
+/// table's base entries, and the dense remainder runs through
+/// [`msm_precomputed`]'s engine (the dense bases are non-contiguous, so
+/// their table rows are addressed through an index vector).
 ///
 /// # Panics
 ///
@@ -1229,115 +1252,10 @@ pub fn sparse_msm_precomputed(
     let mut stats = SparseMsmStats::default();
     let (ones, dense_rows, dense_scalars) = split_sparse(0u32.., scalars, &mut stats);
     let ones = ones.iter().map(|&row| *table.base(row as usize)).collect();
-    let dense_rows = Some(Arc::new(dense_rows));
-    let dense = msm_precomputed_impl(
-        backend,
-        table,
-        dense_rows,
-        &dense_scalars,
-        BATCH_AFFINE_DEFAULT_MIN_POINTS,
-    );
+    let shape = Shape::table(dense_scalars.len(), table.window_bits());
+    let rows = Some(dense_rows);
+    let dense = msm_impl(backend, shape, table.sources(), rows, &dense_scalars);
     (add_ones_sum(ones, dense, &mut stats.ops), stats)
-}
-
-/// Immutable inputs of one precomputed MSM run, shared by every job.
-struct PrecomputedInstance {
-    table: Arc<MultiBaseTable>,
-    /// Table row of each scalar (`None` = identity mapping, the dense case).
-    rows: Option<Arc<Vec<u32>>>,
-    scalar_limbs: Vec<[u64; 4]>,
-    carries: Vec<[u64; 4]>,
-    windows_per_job: usize,
-    /// [`MsmConfig::batch_affine_min_points`] of the fill.
-    min_adds: usize,
-}
-
-impl PrecomputedInstance {
-    /// One job: the digits of a range of windows, each selecting its
-    /// window's shifted base, fill one bucket set (the shift is in the
-    /// point, so windows share buckets), which is aggregated on the spot.
-    fn job_sum(&self, job: usize) -> (G1Projective, MsmStats) {
-        let w = self.table.window_bits();
-        let num_windows = self.table.num_windows();
-        let first = job * self.windows_per_job;
-        let windows = first..(first + self.windows_per_job).min(num_windows);
-        let mut set = BucketSet::default();
-        set.begin(1, 1 << (w - 1));
-        for (i, limbs) in self.scalar_limbs.iter().enumerate() {
-            let row = self.rows.as_ref().map_or(i, |rows| rows[i] as usize);
-            for window in windows.clone() {
-                let d = signed_window_digit(limbs, &self.carries[i], window, w);
-                if d != 0 {
-                    let bucket = d.unsigned_abs() as usize - 1;
-                    set.record(bucket, row * num_windows + window, d < 0);
-                }
-            }
-        }
-        let mut stats = MsmStats::default();
-        let mut sum = Vec::with_capacity(1);
-        set.fill([self.table.entries(), &[]], self.min_adds, &mut stats);
-        set.aggregate(&mut stats, &mut sum);
-        (sum[0], stats)
-    }
-}
-
-fn msm_precomputed_impl(
-    backend: &dyn Backend,
-    table: &Arc<MultiBaseTable>,
-    rows: Option<Arc<Vec<u32>>>,
-    scalars: &[Fr],
-    min_adds: usize,
-) -> (G1Projective, MsmStats) {
-    let n = scalars.len();
-    let mut stats = MsmStats::default();
-    if n == 0 {
-        return (G1Projective::identity(), stats);
-    }
-    assert!(
-        table.size_in_points() < Op::IMAGE as usize,
-        "more table entries than an operation indexes"
-    );
-    let w = table.window_bits();
-    let num_windows = table.num_windows();
-    let scalar_limbs: Vec<[u64; 4]> = scalars.iter().map(|s| s.to_canonical_limbs()).collect();
-    let carries: Vec<[u64; 4]> = scalar_limbs
-        .iter()
-        .map(|limbs| recode_carries(limbs, w, num_windows))
-        .collect();
-    stats.recoded_scalars = n as u64;
-
-    let total_entries = n * num_windows;
-    let windows_per_job = num_windows.div_ceil(auto_precomputed_jobs(total_entries, 1 << (w - 1)));
-    let num_jobs = num_windows.div_ceil(windows_per_job);
-    let instance = PrecomputedInstance {
-        table: Arc::clone(table),
-        rows,
-        scalar_limbs,
-        carries,
-        windows_per_job,
-        min_adds,
-    };
-
-    // Same fan-out policy as `msm_impl`: below the parallel floor the work
-    // stays on the calling thread; workers measure and hand back their
-    // modmul deltas so the profiling counters match a serial run.
-    let job_sum = move |job| zkspeed_field::measure_modmuls(|| instance.job_sum(job));
-    let sums = if total_entries >= PAR_MIN_POINTS && backend.threads() > 1 {
-        pool::map_indices_on(backend, num_jobs, job_sum)
-    } else {
-        (0..num_jobs).map(job_sum).collect()
-    };
-
-    // The shifts are in the points: the job sums simply add up.
-    let mut acc = G1Projective::identity();
-    for ((sum, job_stats), muls) in sums {
-        zkspeed_field::add_modmul_count(muls);
-        stats.merge(&job_stats);
-        if !sum.is_identity() {
-            stats.combine_adds += accumulate(&mut acc, &sum);
-        }
-    }
-    (acc, stats)
 }
 
 /// Extracts `width` bits starting at bit offset `offset` from an `L`-limb
@@ -1612,22 +1530,7 @@ mod tests {
         // (hence both below 2^128), on the scalars at the division's edges
         // and 100 000 random ones.
         let lambda = Fr::from_u128(LAMBDA);
-        let two_128 = Fr::from_u128(1 << 127).double();
-        let mut scalars = vec![
-            Fr::zero(),
-            Fr::one(),
-            lambda - Fr::one(),
-            lambda,
-            lambda + Fr::one(),
-            lambda.double(),
-            lambda * lambda,
-            -lambda,
-            -Fr::one(),
-            Fr::from_u128(1 << 127),
-            two_128 - Fr::one(),
-            two_128,
-            Fr::from_u64(2).pow(&[254]),
-        ];
+        let mut scalars = edge_scalars();
         let mut r = rng();
         scalars.extend((0..100_000).map(|_| Fr::random(&mut r)));
         let value = |limbs: [u64; 2]| u128::from(limbs[0]) | u128::from(limbs[1]) << 64;
@@ -1800,7 +1703,7 @@ mod tests {
 
     /// `Σ dᵢ·2^{wi}` over the signed digits of `limbs`, as an Fr Horner sum,
     /// holding every digit to `[−2^{w−1}, 2^{w−1}]`.
-    fn recoded_value<const L: usize>(limbs: &[u64; L], w: usize, num_windows: usize) -> Fr {
+    fn recoded_value(limbs: &[u64; 2], w: usize, num_windows: usize) -> Fr {
         let carries = recode_carries(limbs, w, num_windows);
         let half = 1i64 << (w - 1);
         let two_pow_w = Fr::from_u64(1u64 << w);
@@ -1816,25 +1719,21 @@ mod tests {
 
     #[test]
     fn signed_recoding_reconstructs_the_scalar() {
-        // At every width, the digits must add up to the canonical scalar
-        // over its 255 bits (the table engine's windows) and to each of its
-        // halves over 128 bits (the windows of every other MSM), the
-        // all-ones half included.
+        // At every width, the digits must add up to each half of a scalar
+        // over 128 bits, the all-ones half included. (The fixed-base table
+        // recodes whole scalars; its tests hold its products to
+        // double-and-add.)
         let mut r = rng();
         let mut scalars = vec![Fr::zero(), Fr::one(), -Fr::one(), -Fr::from_u64(2)];
         scalars.extend((0..4).map(|_| Fr::random(&mut r)));
         let value = |half: [u64; 2]| Fr::from_u128(u128::from(half[0]) | u128::from(half[1]) << 64);
         for w in 1..=16usize {
-            let (windows, half_windows) = (
-                (Fr::NUM_BITS as usize).div_ceil(w) + 1,
-                HALF_BITS.div_ceil(w) + 1,
-            );
+            let windows = HALF_BITS.div_ceil(w) + 1;
             for s in &scalars {
-                let limbs = s.to_canonical_limbs();
-                assert_eq!(recoded_value(&limbs, w, windows), *s, "w = {w}, scalar {s}");
-                for half in split_scalar(&limbs).into_iter().chain([[u64::MAX; 2]]) {
+                let halves = split_scalar(&s.to_canonical_limbs());
+                for half in halves.into_iter().chain([[u64::MAX; 2]]) {
                     assert_eq!(
-                        recoded_value(&half, w, half_windows),
+                        recoded_value(&half, w, windows),
                         value(half),
                         "w = {w}, {half:?}"
                     );
@@ -1843,30 +1742,59 @@ mod tests {
         }
     }
 
+    /// The scalars at the edges of the GLV split (those of
+    /// `scalar_split_is_exact_and_short`) and of the recoding carries.
+    fn edge_scalars() -> Vec<Fr> {
+        let lambda = Fr::from_u128(LAMBDA);
+        let two_128 = Fr::from_u128(1 << 127).double();
+        vec![
+            Fr::zero(),
+            Fr::one(),
+            lambda - Fr::one(),
+            lambda,
+            lambda + Fr::one(),
+            lambda.double(),
+            lambda * lambda,
+            -lambda,
+            -Fr::one(),
+            -Fr::from_u64(2),
+            Fr::from_u128(1 << 127),
+            two_128 - Fr::one(),
+            two_128,
+            Fr::from_u64(2).pow(&[254]),
+        ]
+    }
+
     #[test]
     fn precomputed_matches_naive_across_window_bits() {
+        // The split's edge scalars (r − 1 splits as [0, λ + 1]) and random
+        // ones, at every table width, dense and sparse, over the whole
+        // table and over a ragged prefix: both halves of every scalar are
+        // recoded, and no image is computed.
         let mut r = rng();
         let n = 40;
         let points = random_points(n, &mut r);
         let shared = Arc::new(points.clone());
-        // Edge scalars exercise the recoding carries; random fill the rest.
-        let mut scalars = vec![Fr::zero(), Fr::one(), -Fr::one(), -Fr::from_u64(2)];
-        scalars.extend((4..n).map(|_| Fr::random(&mut r)));
-        let expect = naive_msm(&points, &scalars);
+        let mut scalars = edge_scalars();
+        scalars.extend([Fr::one(), Fr::zero(), Fr::one()]);
+        scalars.extend((scalars.len()..n).map(|_| Fr::random(&mut r)));
         for w in [1usize, 4, 8, 12, 16] {
             let table = Arc::new(MultiBaseTable::build(&shared, w, &Serial));
-            for min_points in [0usize, usize::MAX] {
-                let (res, stats) =
-                    msm_precomputed_impl(&Serial, &table, None, &scalars, min_points);
-                assert_eq!(res, expect, "w = {w}, min_points = {min_points}");
-                assert_eq!(stats.recoded_scalars, n as u64);
+            for len in [n, 7] {
+                let (points, scalars) = (&points[..len], &scalars[..len]);
+                let expect = naive_msm(points, scalars);
+                let (res, stats) = msm_precomputed(&Serial, &table, scalars);
+                assert_eq!(res, expect, "w = {w}, {len} scalars");
+                assert_eq!(stats.recoded_scalars, 2 * len as u64);
+                assert_eq!(stats.endomorphisms, 0);
+                let (res, sparse) = sparse_msm_precomputed(&Serial, &table, scalars);
+                assert_eq!(res, expect, "w = {w}, {len} scalars, sparse");
+                assert_eq!(sparse.ops.recoded_scalars, 2 * sparse.dense as u64);
+                assert!(sparse.ones > 0 && sparse.zeros > 0);
             }
         }
-        // Prefix MSMs (fewer scalars than bases) are allowed.
-        let table = Arc::new(MultiBaseTable::build(&shared, 8, &Serial));
-        let (prefix, _) = msm_precomputed(&Serial, &table, &scalars[..7]);
-        assert_eq!(prefix, naive_msm(&points[..7], &scalars[..7]));
         // Empty input.
+        let table = Arc::new(MultiBaseTable::build(&shared, 8, &Serial));
         let (empty, empty_stats) = msm_precomputed(&Serial, &table, &[]);
         assert_eq!(empty, G1Projective::identity());
         assert_eq!(empty_stats, MsmStats::default());
@@ -1874,12 +1802,13 @@ mod tests {
 
     #[test]
     fn precomputed_is_thread_count_invariant() {
-        // Enough entries that the bucket-range jobs genuinely fan out.
+        // Enough operations a bucket that the jobs genuinely fan out.
         let mut r = rng();
-        let n = 512;
+        let (n, w) = (512, 8);
+        assert!(Shape::table(n, w).num_jobs() > 1);
         let points = Arc::new(cheap_points(n, &mut r));
         let scalars = random_scalars(n, &mut r);
-        let table = Arc::new(MultiBaseTable::build(&points, 10, &Serial));
+        let table = Arc::new(MultiBaseTable::build(&points, w, &Serial));
         let serial = msm_precomputed(&Serial, &table, &scalars);
         assert_eq!(serial.0, naive_msm(&points, &scalars));
         for threads in [1usize, 2, 8] {
@@ -1918,7 +1847,8 @@ mod tests {
     fn precomputed_engine_reduces_fq_muls() {
         // The whole point: at session sizes the table engine beats the best
         // table-free schedule on Fq multiplications (no window doublings,
-        // one aggregation for the whole MSM instead of one per window).
+        // no images, one aggregation for the whole MSM instead of one per
+        // window).
         let mut r = rng();
         let n = 1 << 10;
         let points = Arc::new(cheap_points(n, &mut r));
@@ -1942,9 +1872,13 @@ mod tests {
 
     #[test]
     fn auto_precomputed_jobs_scale_with_problem_size() {
-        assert_eq!(auto_precomputed_jobs(100, 2048), 1);
-        assert_eq!(auto_precomputed_jobs(23 << 14, 2048), 4);
-        assert_eq!(auto_precomputed_jobs(1 << 24, 2048), MIN_JOBS);
-        assert_eq!(auto_precomputed_jobs(1 << 24, 4), MIN_JOBS);
+        // One job up to 40 operations a bucket, then more, up to MIN_JOBS
+        // (the 12 windows of a 12-bit table as six jobs of two).
+        let w = crate::MULTI_BASE_DEFAULT_WINDOW_BITS;
+        assert_eq!(Shape::table(100, w).num_jobs(), 1);
+        assert_eq!(Shape::table(1 << 12, w).num_jobs(), 1);
+        assert_eq!(Shape::table(1 << 14, w).num_jobs(), 4);
+        assert_eq!(Shape::table(1 << 20, w).num_jobs(), 6);
+        assert_eq!(Shape::table(1 << 20, 3).num_jobs(), MIN_JOBS);
     }
 }

@@ -2,39 +2,42 @@
 //!
 //! A proving session commits against the *same* SRS Lagrange basis for every
 //! witness, so the Pippenger window doublings repeated by each commit are
-//! pure waste: with the shifted multiples `2^{w·j}·Bᵢ` of every base point
-//! precomputed once, `Σ sᵢ·Bᵢ` decomposes into the flat signed-digit bucket
-//! problem `Σᵢ Σⱼ d_{i,j}·T_{i,j}` — one bucket set of `2^{w−1}` entries
-//! and one aggregation pass (per job of a large MSM), and **no window
-//! doublings** (compare
-//! [`crate::FixedBaseTable`], which plays the same trick for one base in
-//! `Srs` setup). [`crate::msm_precomputed`] and
+//! pure waste. The MSM engine splits every scalar as `k = k₁ + λ·k₂` with
+//! 128-bit halves; with the shifted bases `T_{i,j} = 2^{w·j}·Bᵢ` of one half's
+//! windows and their images `φ(T_{i,j}) = (β·x, y)` precomputed once,
+//! `Σ kᵢ·Bᵢ` becomes the flat signed-digit bucket problem
+//! `Σᵢ Σⱼ (d_{i,j}·T_{i,j} + e_{i,j}·φ(T_{i,j}))` over the digits `d` of `k₁`
+//! and `e` of `k₂`: one bucket set of `2^{w−1}` entries and one aggregation
+//! pass per job of the engine, **no window doublings** and no images to
+//! compute (compare [`crate::FixedBaseTable`], which plays the same trick
+//! for one base in `Srs` setup). [`crate::msm_precomputed`] and
 //! [`crate::sparse_msm_precomputed`] consume these tables.
 //!
-//! The table stores only the `⌈255/w⌉ + 1` shifted bases per point (the
-//! extra window absorbs the signed-recoding carry), not per-digit
-//! multiples, so memory stays `O(n·⌈255/w⌉)` points — about 10 MB at
+//! A table holds `2·(⌈128/w⌉ + 1)` points per base (the extra window absorbs
+//! the signed-recoding carry), not per-digit multiples — about 10 MB at
 //! `n = 2^12` with the default 12-bit windows — and the one-time build is
-//! `~255` doublings per base plus one shared batch inversion per chunk.
+//! `w·⌈128/w⌉` doublings and `⌈128/w⌉ + 1` images per base plus one shared
+//! batch inversion per chunk.
 
 use std::sync::Arc;
 
-use zkspeed_field::Fr;
 use zkspeed_rt::pool::{self, Backend};
 
 use crate::g1::{G1Affine, G1Projective};
+use crate::msm::HALF_BITS;
 
-/// Default window width for multi-base tables. Wider than the Pippenger
+/// The window width of multi-base tables. Wider than the Pippenger
 /// auto-window (8–10 bits at session sizes) because the per-window
-/// aggregation pass that normally punishes wide windows is gone: the
-/// precomputed engine aggregates `2^{w−1}` buckets once per job, not per
-/// window, so the fill work `n·⌈255/w⌉` dominates and wider windows keep
-/// winning until the aggregations (`2·2^{w−1}` adds each) catch up around
-/// `w ≈ 12` for session-sized `n`.
+/// aggregation pass that normally punishes wide windows is gone: the table
+/// engine aggregates `2^{w−1}` buckets once per job, not per window, so the
+/// fill work `2n·⌈128/w⌉` dominates and wider windows keep winning until the
+/// aggregations (`2·2^{w−1}` adds each) catch up around `w ≈ 12` for
+/// session-sized `n`.
 pub const MULTI_BASE_DEFAULT_WINDOW_BITS: usize = 12;
 
-/// Precomputed shifted-base window table over a fixed point vector:
-/// `entry(i, j) = 2^{w·j}·Bᵢ` for every base `i` and window `j`.
+/// Precomputed shifted-base window table over a fixed point vector: for
+/// every base `i` and window `j` of a scalar half, `2^{w·j}·Bᵢ` and its
+/// image `φ(2^{w·j}·Bᵢ)`.
 ///
 /// Built once per session with [`MultiBaseTable::build`] (chunked across
 /// the backend, one batch inversion per chunk) and shared via `Arc` like
@@ -44,9 +47,10 @@ pub const MULTI_BASE_DEFAULT_WINDOW_BITS: usize = 12;
 pub struct MultiBaseTable {
     window_bits: usize,
     num_windows: usize,
-    num_bases: usize,
     /// Row-major: `entries[i·num_windows + j] = 2^{w·j}·Bᵢ`.
-    entries: Vec<G1Affine>,
+    entries: Arc<Vec<G1Affine>>,
+    /// `images[k] = φ(entries[k])`.
+    images: Arc<Vec<G1Affine>>,
 }
 
 impl MultiBaseTable {
@@ -65,69 +69,55 @@ impl MultiBaseTable {
         );
         // One extra window absorbs the signed-digit recoding carry, exactly
         // mirroring the signed Pippenger window count.
-        let num_windows = (Fr::NUM_BITS as usize).div_ceil(window_bits) + 1;
-        let num_bases = bases.len();
+        let num_windows = HALF_BITS.div_ceil(window_bits) + 1;
         // ≥ 32 bases per chunk keep the per-chunk batch-inversion overhead
         // amortized (the same floor Srs setup uses).
         const MIN_CHUNK: usize = 32;
         let job_bases = Arc::clone(bases);
-        let chunks = pool::map_ranges(backend, num_bases, MIN_CHUNK, move |range| {
+        let chunks = pool::map_ranges(backend, bases.len(), MIN_CHUNK, move |range| {
             zkspeed_field::measure_modmuls(|| {
                 let mut shifted = Vec::with_capacity(range.len() * num_windows);
                 for i in range {
                     let mut acc = job_bases[i].to_projective();
-                    for _ in 0..num_windows {
-                        shifted.push(acc);
+                    shifted.push(acc);
+                    for _ in 1..num_windows {
                         for _ in 0..window_bits {
                             acc = acc.double();
                         }
+                        shifted.push(acc);
                     }
                 }
                 G1Projective::batch_to_affine(&shifted)
             })
         });
-        let mut entries = Vec::with_capacity(num_bases * num_windows);
+        let mut entries = Vec::with_capacity(bases.len() * num_windows);
         for (chunk, muls) in chunks {
             zkspeed_field::add_modmul_count(muls);
             entries.extend(chunk);
         }
+        let images = entries.iter().map(G1Affine::endomorphism).collect();
         Self {
             window_bits,
             num_windows,
-            num_bases,
-            entries,
+            entries: Arc::new(entries),
+            images: Arc::new(images),
         }
     }
 
     /// The window width in bits.
-    pub fn window_bits(&self) -> usize {
+    pub(crate) fn window_bits(&self) -> usize {
         self.window_bits
-    }
-
-    /// Number of windows per base (`⌈255/w⌉ + 1`; the top window absorbs the
-    /// signed-recoding carry).
-    pub fn num_windows(&self) -> usize {
-        self.num_windows
     }
 
     /// Number of base points covered.
     pub fn num_bases(&self) -> usize {
-        self.num_bases
+        self.entries.len() / self.num_windows
     }
 
-    /// The precomputed shifted base `2^{w·j}·Bᵢ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` or `window` is out of range.
-    pub fn entry(&self, base: usize, window: usize) -> &G1Affine {
-        assert!(base < self.num_bases && window < self.num_windows);
-        &self.entries[base * self.num_windows + window]
-    }
-
-    /// Every entry, row-major: `entries()[i·num_windows + j] = 2^{w·j}·Bᵢ`.
-    pub(crate) fn entries(&self) -> &[G1Affine] {
-        &self.entries
+    /// The shifted bases, row-major, and their images: the two sources the
+    /// MSM engine reads.
+    pub(crate) fn sources(&self) -> [Arc<Vec<G1Affine>>; 2] {
+        [Arc::clone(&self.entries), Arc::clone(&self.images)]
     }
 
     /// The original base point `Bᵢ` (window 0's entry).
@@ -136,36 +126,19 @@ impl MultiBaseTable {
     ///
     /// Panics if `base` is out of range.
     pub fn base(&self, base: usize) -> &G1Affine {
-        self.entry(base, 0)
+        &self.entries[base * self.num_windows]
     }
 
-    /// Total number of precomputed affine points.
-    pub fn size_in_points(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// In-memory size of the precomputed entries in bytes.
+    /// In-memory size of the precomputed points in bytes.
     pub fn size_in_bytes(&self) -> usize {
-        self.entries.len() * core::mem::size_of::<G1Affine>()
-    }
-
-    /// Number of points a table over `num_bases` bases with `window_bits`-bit
-    /// windows would hold — the memory planning formula
-    /// `(⌈255/w⌉ + 1) · n`, usable without building anything.
-    pub fn planned_points(num_bases: usize, window_bits: usize) -> usize {
-        ((Fr::NUM_BITS as usize).div_ceil(window_bits) + 1) * num_bases
-    }
-
-    /// In-memory size in bytes of a planned table (see
-    /// [`MultiBaseTable::planned_points`]).
-    pub fn planned_bytes(num_bases: usize, window_bits: usize) -> usize {
-        Self::planned_points(num_bases, window_bits) * core::mem::size_of::<G1Affine>()
+        (self.entries.len() + self.images.len()) * size_of::<G1Affine>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zkspeed_field::Fr;
     use zkspeed_rt::pool::{Serial, ThreadPool};
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
@@ -177,22 +150,28 @@ mod tests {
 
     #[test]
     fn entries_are_shifted_bases() {
+        // Every entry is its base shifted by its window, and every image is
+        // the entry times λ.
         let mut rng = StdRng::seed_from_u64(0x3u64);
         let bases = random_bases(3, &mut rng);
+        let lambda = Fr::from_u128(crate::g1::LAMBDA);
         for w in [1usize, 5, 12] {
             let table = MultiBaseTable::build(&bases, w, &Serial);
             assert_eq!(table.window_bits(), w);
             assert_eq!(table.num_bases(), 3);
-            assert_eq!(table.num_windows(), (Fr::NUM_BITS as usize).div_ceil(w) + 1);
+            assert_eq!(table.num_windows, 128usize.div_ceil(w) + 1);
             for (i, base) in bases.iter().enumerate() {
                 assert_eq!(table.base(i), base, "w = {w}, base {i}");
                 let mut expect = base.to_projective();
-                for j in 0..table.num_windows() {
+                for j in 0..table.num_windows {
+                    let k = i * table.num_windows + j;
+                    let (entry, image) = (table.entries[k], table.images[k]);
                     assert_eq!(
-                        table.entry(i, j).to_projective(),
+                        entry.to_projective(),
                         expect,
                         "w = {w}, base {i}, window {j}"
                     );
+                    assert_eq!(image.to_projective(), expect.mul_scalar(&lambda));
                     for _ in 0..w {
                         expect = expect.double();
                     }
@@ -209,20 +188,19 @@ mod tests {
         let serial = MultiBaseTable::build(&bases, 10, &Serial);
         let pooled = MultiBaseTable::build(&bases, 10, &ThreadPool::new(8));
         assert_eq!(serial.entries, pooled.entries);
+        assert_eq!(serial.images, pooled.images);
     }
 
     #[test]
     fn size_accounting_matches_plan() {
+        // A 128-bit half with 12-bit windows: 11 windows + 1 carry window,
+        // each an entry and its image, `2·(⌈128/w⌉ + 1)·n` points.
         let mut rng = StdRng::seed_from_u64(0xbu64);
         let bases = random_bases(7, &mut rng);
         let table = MultiBaseTable::build(&bases, 12, &Serial);
-        assert_eq!(
-            table.size_in_points(),
-            MultiBaseTable::planned_points(7, 12)
-        );
-        assert_eq!(table.size_in_bytes(), MultiBaseTable::planned_bytes(7, 12));
-        // 255-bit scalars with 12-bit windows: 22 windows + 1 carry window.
-        assert_eq!(table.num_windows(), 23);
+        assert_eq!(table.num_windows, 12);
+        let points = 2 * (128usize.div_ceil(12) + 1) * 7;
+        assert_eq!(table.size_in_bytes(), points * size_of::<G1Affine>());
     }
 
     #[test]

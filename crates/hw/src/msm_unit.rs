@@ -41,7 +41,8 @@ pub enum AggregationSchedule {
 
 /// The bucket-accumulation datapath, mirroring the engines the functional
 /// MSM layer measures (`zkspeed_curve::msm_with_config_on`,
-/// `zkspeed_curve::msm_precomputed` and their `MsmStats` pricing).
+/// `zkspeed_curve::msm_precomputed` and their `MsmStats` pricing), over the
+/// chip's whole 255-bit scalars.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MsmDatapath {
     /// Classic unsigned Pippenger with full projective bucket additions —
@@ -410,18 +411,17 @@ mod tests {
         assert_eq!(pre.points_read_per_scalar(), pre.num_windows() as f64);
         assert_eq!(unsigned.points_read_per_scalar(), 1.0);
         assert!(pre.table_bytes(n) > 0.0);
-        // The table footprint prices exactly the points the functional
-        // layer plans to build (at the HBM point layout of 96 bytes; the
-        // in-memory `planned_bytes` additionally carries the infinity flag).
+        // The table footprint is the chip's own layout: the `⌈255/w⌉ + 1`
+        // shifted bases of a whole scalar per point, at the HBM point layout
+        // of 96 bytes. (The software's table holds the windows of a GLV
+        // half and their images instead.)
         let w = 12;
         let pre12 = MsmUnitConfig {
             window_bits: w,
             ..pre
         };
-        assert_eq!(
-            pre12.table_bytes(4096),
-            zkspeed_curve::MultiBaseTable::planned_points(4096, w) as f64 * BYTES_PER_POINT
-        );
+        let points = (255usize.div_ceil(w) + 1) * 4096;
+        assert_eq!(pre12.table_bytes(4096), points as f64 * 96.0);
     }
 
     /// The model's count at the functional engine's shape. The software MSM

@@ -65,8 +65,8 @@ pub struct ProvingKey {
     /// Commitments to `σ₁, σ₂, σ₃`.
     pub sigma_commitments: [Commitment; 3],
     /// Per-session precomputed commit tables over the SRS Lagrange bases
-    /// ([`try_preprocess`] builds them within the opt-in
-    /// [`PrecomputeBudget`]). Every commit and opening at a level with a
+    /// ([`try_preprocess`] builds them when the opt-in [`PrecomputeBudget`]
+    /// is enabled). Every commit and opening at a level with a
     /// table runs on it; `None` keeps them all on the table-free engine.
     /// Proof bytes are identical either way.
     pub commit_tables: Option<Arc<CommitTables>>,
@@ -118,8 +118,8 @@ pub fn bind_circuit_to_transcript(
 
 /// Preprocessing: commits to the circuit's five selector and three wiring
 /// tables, one job each on `backend`, and builds the per-session commit
-/// tables ([`CommitTables`]) `budget` allows on the same backend. A
-/// disabled budget (the default) builds none.
+/// tables ([`CommitTables`]) on the same backend when `budget` is enabled.
+/// A disabled budget (the default) builds none.
 ///
 /// # Errors
 ///

@@ -245,7 +245,8 @@ mod tests {
         // doublings — all that doubles is the aggregation multiplying its
         // row term by the row length of the bucket grid, 2^⌈(w−1)/2⌉.
         assert_eq!(stats.endomorphisms, 0);
-        let aggregation_doublings = (tables.window_bits() as u64 - 1).div_ceil(2);
+        let w = zkspeed_curve::MULTI_BASE_DEFAULT_WINDOW_BITS;
+        let aggregation_doublings = (w as u64 - 1).div_ceil(2);
         assert_eq!(stats.doublings, aggregation_doublings);
         let small = MultilinearPoly::random(2, &mut r); // below the table floor
         let (plain_small, _) = commit(&Serial, &srs, &small, None);

@@ -260,7 +260,7 @@ impl MetricsRecorder {
         latency_ms: f64,
         report: &ProverReport,
     ) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.completed.fetch_add(1, Ordering::Release);
         lock(&self.rollup).merge_report(report);
         lock(&self.phases).record_report(report);
         lock(&self.latencies)
@@ -280,7 +280,12 @@ impl MetricsRecorder {
     pub(crate) fn snapshot(&self, gauges: SnapshotGauges) -> ServiceMetrics {
         let waves = self.waves.load(Ordering::Relaxed);
         let wave_jobs = self.wave_jobs.load(Ordering::Relaxed);
-        let completed = self.completed.load(Ordering::Relaxed);
+        // The terminal counts before `submitted`, which counts a job before
+        // it is queued: a scrape never reads more finished jobs than
+        // submitted ones. (The increments release, these loads acquire.)
+        let completed = self.completed.load(Ordering::Acquire);
+        let failed = self.failed.load(Ordering::Acquire);
+        let submitted = self.submitted.load(Ordering::Relaxed);
         let uptime = self.started.elapsed().as_secs_f64();
         let sessions = {
             // Union-merge across three sources: a session appears once it
@@ -344,12 +349,12 @@ impl MetricsRecorder {
         ServiceMetrics {
             uptime_seconds: uptime,
             sessions_registered,
-            submitted: self.submitted.load(Ordering::Relaxed),
+            submitted,
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
             rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
             completed,
-            failed: self.failed.load(Ordering::Relaxed),
+            failed,
             failed_deadline: self.failed_deadline.load(Ordering::Relaxed),
             supervision: SupervisionMetrics {
                 workers_alive,

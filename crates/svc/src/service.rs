@@ -83,7 +83,7 @@ pub struct ServiceConfig {
     /// Pops a starving class waits before it is force-served (see
     /// [`JobQueue`]).
     pub starvation_limit: u64,
-    /// Opt-in budget for per-session precomputed commit tables, built once
+    /// Opt-in switch for per-session precomputed commit tables, built once
     /// at registration on the session's shard backend; every proof of the
     /// session then commits and opens on them. Disabled by default.
     pub precompute: PrecomputeBudget,
@@ -173,7 +173,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the precomputed-commit-table budget (disabled by default).
+    /// Switches precomputed commit tables on or off (off by default).
     pub fn with_precompute(mut self, precompute: PrecomputeBudget) -> Self {
         self.precompute = precompute;
         self
@@ -673,6 +673,10 @@ impl ProvingService {
                 shard: session.shard,
             },
         );
+        // Counted before the push: once queued, the job can complete before
+        // this thread runs again, and no scrape may see it finish unsubmitted.
+        let metrics = &self.shared.metrics;
+        metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let queue = &self.shared.shards[session.shard].queue;
         let pushed = if park {
             queue.push_blocking(job)
@@ -680,21 +684,15 @@ impl ProvingService {
             queue.try_push(job)
         };
         if pushed.is_err() {
+            metrics.submitted.fetch_sub(1, Ordering::Relaxed);
             lock(&self.shared.jobs).remove(&id);
             return if park || queue.is_closed() {
                 Err(ServiceError::Shutdown)
             } else {
-                self.shared
-                    .metrics
-                    .rejected_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
+                metrics.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
                 Err(ServiceError::QueueFull)
             };
         }
-        self.shared
-            .metrics
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
         self.shared.config.trace.instant(
             "submit",
             "job",
@@ -857,7 +855,7 @@ impl ProvingService {
                     pending = true;
                 } else {
                     entry.phase = JobPhase::Failed("shard worker is dead".into());
-                    self.shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.failed.fetch_add(1, Ordering::Release);
                     failed_here = true;
                 }
             }
@@ -1136,7 +1134,7 @@ fn handle_worker_death(
         for entry in jobs.values_mut() {
             if entry.shard == shard_idx && matches!(entry.phase, JobPhase::Running) {
                 entry.phase = JobPhase::Failed(format!("shard worker died: {reason}"));
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.failed.fetch_add(1, Ordering::Release);
             }
         }
     }
@@ -1163,7 +1161,7 @@ fn handle_worker_death(
             if let Some(entry) = jobs.get_mut(&job.id) {
                 if matches!(entry.phase, JobPhase::Queued) {
                     entry.phase = JobPhase::Failed("shard worker restart budget exhausted".into());
-                    shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.failed.fetch_add(1, Ordering::Release);
                 }
             }
         }
@@ -1237,7 +1235,7 @@ fn shard_loop(shared: &ServiceShared, shard_idx: usize) {
                 if let Some(entry) = jobs.get_mut(&id) {
                     if matches!(entry.phase, JobPhase::Running) {
                         entry.phase = JobPhase::Failed(format!("wave panicked: {reason}"));
-                        shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.failed.fetch_add(1, Ordering::Release);
                     }
                 }
             }
@@ -1275,7 +1273,7 @@ fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, wave: Vec<Q
             match jobs.get_mut(&job.id) {
                 Some(entry) if entry.deadline_at <= now => {
                     entry.phase = JobPhase::Failed("deadline exceeded before proving".into());
-                    shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.failed.fetch_add(1, Ordering::Release);
                     shared
                         .metrics
                         .failed_deadline
@@ -1296,7 +1294,7 @@ fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, wave: Vec<Q
         match pk.circuit.check_witness(&job.witness) {
             Ok(()) => valid.push(job),
             Err(e) => {
-                shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.failed.fetch_add(1, Ordering::Release);
                 let mut jobs = lock(&shared.jobs);
                 if let Some(entry) = jobs.get_mut(&job.id) {
                     entry.phase = JobPhase::Failed(e.to_string());

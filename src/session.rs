@@ -74,17 +74,18 @@ impl ProofSystem {
     }
 
     /// Opts the session into precomputed multi-base commit tables: every
-    /// subsequent [`ProofSystem::preprocess`] builds per-level window tables
-    /// over the SRS Lagrange bases within `budget` and stores them on the
-    /// proving key, and every commit and opening at a covered level runs on
-    /// them — zero doublings per scalar instead of one per bit. Proof bytes
-    /// are identical either way; only the operation schedule changes.
+    /// subsequent [`ProofSystem::preprocess`] builds, when `budget` is
+    /// enabled, window tables over the SRS levels of 32 to 2^12 Lagrange
+    /// bases and stores them on the proving key, and every commit and
+    /// opening at a covered level runs on them, with no window doublings.
+    /// Proof bytes are identical either way; only the operation schedule
+    /// changes.
     pub fn with_precompute(mut self, budget: PrecomputeBudget) -> Self {
         self.precompute = budget;
         self
     }
 
-    /// The precomputed-table budget applied at preprocessing.
+    /// Whether preprocessing builds precomputed commit tables.
     pub fn precompute(&self) -> PrecomputeBudget {
         self.precompute
     }

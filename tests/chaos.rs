@@ -8,6 +8,7 @@
 //! was counted exactly once as completed or failed, and no queue holds
 //! work.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -310,6 +311,49 @@ fn deadlines_bound_waits_under_a_saturated_shard() {
 }
 
 // --- TCP scenarios -------------------------------------------------------
+
+#[test]
+fn scrapes_mid_run_never_read_more_finished_than_submitted_jobs() {
+    // Two clients submit μ = 2 jobs while a scraper reads the metrics in a
+    // loop: at every scrape `completed + failed ≤ submitted`, and after
+    // `drain` the two sides are equal. A job is counted submitted before
+    // it is queued, and a scrape reads the terminal counts first.
+    const JOBS_PER_CLIENT: usize = 32;
+    let mut rng = StdRng::seed_from_u64(0xc4a0_5002);
+    let (circuit, witness) = mock_circuit(2, SparsityProfile::paper_default(), &mut rng);
+    let svc = faulty_service("");
+    let digest = svc.register_circuit(circuit).expect("fits");
+    let client = || -> Vec<u64> {
+        let submit = || svc.submit(&digest, witness.clone(), Priority::Normal);
+        (0..JOBS_PER_CLIENT)
+            .map(|_| submit().expect("accepted"))
+            .collect()
+    };
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let scraper = s.spawn(|| {
+            let mut scrapes = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let m = svc.metrics();
+                assert!(m.completed + m.failed <= m.submitted, "{m:?}");
+                scrapes += 1;
+            }
+            scrapes
+        });
+        let clients: Vec<_> = (0..2).map(|_| s.spawn(client)).collect();
+        for client in clients {
+            for job in client.join().expect("client") {
+                svc.wait(job).expect("proves");
+            }
+        }
+        svc.drain();
+        done.store(true, Ordering::Release);
+        assert!(scraper.join().expect("every scrape balanced") > 0);
+    });
+    let metrics = svc.metrics();
+    assert_eq!(metrics.completed, 2 * JOBS_PER_CLIENT as u64);
+    assert_counters_balance(&metrics);
+}
 
 fn faulty_server(spec: &str) -> NetServer {
     let service = ProvingService::start(

@@ -340,7 +340,10 @@ fn precompute_accounting_flows_through_the_metrics() {
             .with_precompute(PrecomputeBudget::unlimited()),
     );
     let off = service(ServiceConfig::default().with_shards(1));
-    let (circuit, witness) = workload_instances().swap_remove(0);
+    // A μ = 10 circuit: tables cover the SRS levels of 32 to 2^12 bases, so
+    // its φ/π commits run on one (the hash-chain workload circuit is μ = 14).
+    let mut rng = StdRng::seed_from_u64(0x7ab1e);
+    let (circuit, witness) = mock_circuit(10, SparsityProfile::paper_default(), &mut rng);
     let proofs: Vec<_> = [&on, &off]
         .iter()
         .map(|svc| {

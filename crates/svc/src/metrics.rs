@@ -797,22 +797,86 @@ mod tests {
         let wc = snap.phases.witness_commit.quantile(0.5);
         assert!((10.0..=10.0 * 1.07).contains(&wc), "witness commit {wc}");
 
-        // The JSON document renders with the expected top-level keys.
-        let json = snap.to_json().render();
-        for key in [
-            "uptime_seconds",
-            "jobs",
-            "queue",
-            "wait_ms",
-            "phases",
-            "prove_total",
-            "latency_ms",
-            "waves",
-            "proofs_per_second",
-            "msm",
-            "sessions",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        // The JSON document keeps every key path, in order.
+        let mut paths = Vec::new();
+        key_paths(&snap.to_json(), "", &mut paths);
+        assert_eq!(paths, KEY_PATHS.split_whitespace().collect::<Vec<_>>());
+    }
+
+    /// The metrics document's key paths, in emission order (`[]` is an
+    /// array element).
+    const KEY_PATHS: &str = "\
+        uptime_seconds sessions_registered jobs jobs.submitted jobs.rejected_queue_full
+        jobs.rejected_invalid jobs.rejected_draining jobs.completed jobs.failed jobs.failed_deadline
+        supervision supervision.workers_alive supervision.workers_configured supervision.wave_panics
+        supervision.worker_restarts supervision.restart_budget_per_shard connections
+        connections.open connections.total connections.rejected_bad_auth
+        connections.rejected_over_capacity connections.idle_timeouts session_lifecycle
+        session_lifecycle.active session_lifecycle.evicted session_lifecycle.capacity
+        session_lifecycle.evictions session_lifecycle.reprovisions
+        session_lifecycle.rejected_evicted queue queue.depth_high queue.depth_normal queue.depth_low
+        queue.peak_depth queue.capacity queue.wait_ms queue.wait_ms.high queue.wait_ms.high.count
+        queue.wait_ms.high.mean_ms queue.wait_ms.high.p50_ms queue.wait_ms.high.p90_ms
+        queue.wait_ms.high.p99_ms queue.wait_ms.high.max_ms queue.wait_ms.high.buckets
+        queue.wait_ms.normal queue.wait_ms.normal.count queue.wait_ms.normal.mean_ms
+        queue.wait_ms.normal.p50_ms queue.wait_ms.normal.p90_ms queue.wait_ms.normal.p99_ms
+        queue.wait_ms.normal.max_ms queue.wait_ms.normal.buckets queue.wait_ms.low
+        queue.wait_ms.low.count queue.wait_ms.low.mean_ms queue.wait_ms.low.p50_ms
+        queue.wait_ms.low.p90_ms queue.wait_ms.low.p99_ms queue.wait_ms.low.max_ms
+        queue.wait_ms.low.buckets phases phases.witness_commit phases.witness_commit.count
+        phases.witness_commit.mean_ms phases.witness_commit.p50_ms phases.witness_commit.p90_ms
+        phases.witness_commit.p99_ms phases.witness_commit.max_ms phases.witness_commit.buckets
+        phases.gate_identity phases.gate_identity.count phases.gate_identity.mean_ms
+        phases.gate_identity.p50_ms phases.gate_identity.p90_ms phases.gate_identity.p99_ms
+        phases.gate_identity.max_ms phases.gate_identity.buckets phases.wire_identity
+        phases.wire_identity.count phases.wire_identity.mean_ms phases.wire_identity.p50_ms
+        phases.wire_identity.p90_ms phases.wire_identity.p99_ms phases.wire_identity.max_ms
+        phases.wire_identity.buckets phases.batch_evaluation phases.batch_evaluation.count
+        phases.batch_evaluation.mean_ms phases.batch_evaluation.p50_ms
+        phases.batch_evaluation.p90_ms phases.batch_evaluation.p99_ms phases.batch_evaluation.max_ms
+        phases.batch_evaluation.buckets phases.polynomial_opening phases.polynomial_opening.count
+        phases.polynomial_opening.mean_ms phases.polynomial_opening.p50_ms
+        phases.polynomial_opening.p90_ms phases.polynomial_opening.p99_ms
+        phases.polynomial_opening.max_ms phases.polynomial_opening.buckets phases.prove_total
+        phases.prove_total.count phases.prove_total.mean_ms phases.prove_total.p50_ms
+        phases.prove_total.p90_ms phases.prove_total.p99_ms phases.prove_total.max_ms
+        phases.prove_total.buckets waves waves.count waves.mean_occupancy waves.max_occupancy
+        proofs_per_second msm msm.witness_scalars msm.witness_scalars.zeros msm.witness_scalars.ones
+        msm.witness_scalars.dense msm.witness msm.witness.total_adds msm.witness.doublings
+        msm.witness.batch_inversions msm.witness.fq_muls msm.wiring msm.wiring.total_adds
+        msm.wiring.doublings msm.wiring.batch_inversions msm.wiring.fq_muls msm.opening
+        msm.opening.total_adds msm.opening.doublings msm.opening.batch_inversions
+        msm.opening.fq_muls msm.fq_muls_total sessions sessions[].digest sessions[].num_vars
+        sessions[].state sessions[].shard sessions[].resident_bytes sessions[].jobs_completed
+        sessions[].p50_ms sessions[].p99_ms sessions[].max_ms sessions[].latency_ms
+        sessions[].latency_ms.count sessions[].latency_ms.mean_ms sessions[].latency_ms.p50_ms
+        sessions[].latency_ms.p90_ms sessions[].latency_ms.p99_ms sessions[].latency_ms.max_ms
+        sessions[].latency_ms.buckets sessions[].precompute_table_bytes
+        sessions[].precompute_build_ms";
+
+    /// Every key path of a JSON document in document order (`a.b`, `[]`
+    /// for an array element), each listed once.
+    fn key_paths(value: &JsonValue, prefix: &str, out: &mut Vec<String>) {
+        match value {
+            JsonValue::Object(fields) => {
+                for (key, field) in fields {
+                    let path = if prefix.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    if !out.contains(&path) {
+                        out.push(path.clone());
+                    }
+                    key_paths(field, &path, out);
+                }
+            }
+            JsonValue::Array(items) => {
+                for item in items {
+                    key_paths(item, &format!("{prefix}[]"), out);
+                }
+            }
+            _ => {}
         }
     }
 

@@ -10,16 +10,14 @@
 //!   artifacts;
 //! * [`queue`] — a bounded multi-producer job queue with priority classes,
 //!   backpressure and anti-starvation aging;
-//! * [`ProvingService`] — the session registry (keyed by circuit digest),
-//!   shard workers that pack queued jobs into `prove_batch` waves on
-//!   disjoint backend pools, and the in-process wire endpoint
-//!   ([`ProvingService::handle_frame`]). Shard workers run under a
-//!   supervisor: a panicking wave fails only that wave's jobs, the dead
-//!   worker is respawned within a bounded restart budget, and every job
-//!   carries a deadline ([`JobSpec`]) so no waiter blocks forever. Session
-//!   lifecycle is fleet-scale: LRU eviction bounds the provisioned working
-//!   set ([`ServiceConfig::session_capacity`]) and evicted sessions
-//!   transparently re-provision on re-registration;
+//! * [`ProvingService`] — session registration and job submission, also
+//!   served in-process through [`ProvingService::handle_frame`]. Each fact
+//!   has one owner: the session store holds every session (LRU eviction
+//!   over [`ServiceConfig::session_capacity`], transparent re-provisioning)
+//!   with its metrics row, and the job table gives every accepted job
+//!   exactly one outcome. Supervised shard workers pack queued jobs into
+//!   `prove_batch` waves on disjoint backend pools; a panicking wave fails
+//!   only its own jobs, and every job carries a deadline ([`JobSpec`]);
 //! * [`ServiceMetrics`] — queue depth, wave occupancy, per-session and
 //!   per-phase latency histograms ([`PhaseHistograms`]), per-class queue-wait
 //!   histograms, proofs/sec and MSM rollups, emitted via
@@ -51,19 +49,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod endpoint;
+mod jobs;
 mod metrics;
 pub mod queue;
 mod service;
 mod store;
 mod sync;
 pub mod wire;
+mod worker;
 
 pub use metrics::{
     ConnectionMetrics, MsmRollup, PhaseHistograms, ServiceMetrics, SessionLifecycleMetrics,
     SessionMetrics, SupervisionMetrics,
 };
 pub use service::{JobSpec, ProvingService, ServiceConfig, ServiceError};
-pub use store::{SessionInfo, SessionState};
+pub use store::SessionState;
 pub use wire::{
     JobState, Priority, RejectCode, Request, Response, SessionRow, KIND_REQUEST, KIND_RESPONSE,
 };

@@ -271,35 +271,18 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::test_keys;
     use zkspeed_field::Fr;
     use zkspeed_poly::MultilinearPoly;
-
-    /// One shared tiny proving key: queue tests exercise scheduling order,
-    /// not proving, so every job can pin the same key.
-    fn tiny_pk() -> Arc<ProvingKey> {
-        use std::sync::OnceLock;
-        use zkspeed_hyperplonk::{try_preprocess, Circuit, GateSelectors};
-        use zkspeed_pcs::{PrecomputeBudget, Srs};
-        use zkspeed_rt::pool::Serial;
-        use zkspeed_rt::SeedableRng;
-        static PK: OnceLock<Arc<ProvingKey>> = OnceLock::new();
-        PK.get_or_init(|| {
-            let mut rng = zkspeed_rt::rngs::StdRng::seed_from_u64(0x9_0b);
-            let srs = Srs::try_setup(1, &mut rng, &Serial).expect("tiny setup");
-            let circuit = Circuit::with_identity_wiring(&vec![GateSelectors::addition(); 2]);
-            let (pk, _) = try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::disabled())
-                .expect("fits");
-            Arc::new(pk)
-        })
-        .clone()
-    }
 
     fn job(id: u64, session: u8, priority: Priority) -> QueuedJob {
         let column = || MultilinearPoly::new(vec![Fr::zero(), Fr::zero()]);
         QueuedJob {
             id,
             session: [session; 32],
-            pk: tiny_pk(),
+            // Queue tests exercise scheduling order, not proving, so every
+            // job can pin the same key.
+            pk: test_keys().0,
             witness: Arc::new(Witness::new(column(), column(), column())),
             priority,
             enqueued_at: Instant::now(),

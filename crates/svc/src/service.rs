@@ -1,71 +1,38 @@
-//! The long-running proving service: session registry, shard workers, job
-//! lifecycle and the in-process wire endpoint.
+//! The proving service handle: its configuration, session registration,
+//! job submission and the shared state its shard workers run on.
 //!
-//! # Architecture
-//!
-//! ```text
-//!  clients ──frames──▶ ProvingService
-//!                        │ register: Circuit bytes ─▶ preprocess ─▶ Session (pk/vk, Arc-shared)
-//!                        │ submit:   Witness bytes ─▶ shard queue (bounded, priority, aging)
-//!                        ▼
-//!               shard 0 worker ─ pop_wave ─▶ prove_batch ─▶ proofs (canonical bytes)
-//!               shard 1 worker ─ pop_wave ─▶ prove_batch ─▶ ...
-//! ```
-//!
-//! Each **shard** owns a bounded [`JobQueue`], one worker thread and a
-//! dedicated execution [`Backend`](zkspeed_rt::pool::Backend) pool, so
-//! independent sessions assigned to different shards prove on disjoint
-//! workers. Sessions are assigned to shards round-robin at registration.
-//! Within a shard, the worker pops *waves* — up to `wave_size` queued jobs
-//! of one session and priority class — and proves them through
-//! [`prove_batch`], which fans the independent proofs out across the
-//! shard's pool. Proofs are canonical bytes; identical
-//! (circuit, witness) submissions produce byte-identical proofs regardless
-//! of queue order, priority or wave packing.
-//!
-//! # Supervision and failure
-//!
-//! Each shard worker runs under a supervisor: the wave body executes inside
-//! [`catch_unwind`](std::panic::catch_unwind), so a panicking prover fails
-//! only that wave's jobs (reported as [`ServiceError::JobFailed`] /
-//! `JobFailed` over the wire) and the worker keeps serving. A panic that
-//! escapes the wave guard kills the worker; the supervisor fails its
-//! in-flight jobs and respawns it within a bounded restart budget
-//! ([`ServiceConfig::restart_budget`]). When the budget is exhausted the
-//! shard's queue is closed and its backlog failed, so no waiter blocks on a
-//! job that can never run. Every job additionally carries a deadline
-//! ([`JobSpec`], defaulting to [`ServiceConfig::default_deadline`]):
-//! expired jobs fail without burning prover time, and `wait` / `drain`
-//! never block past it.
+//! A [`ProvingService`] owns one [`SessionStore`] (sessions and their
+//! metrics rows), one [`JobTable`] (every accepted job and its outcome),
+//! and one shard per configured queue, each served by a supervised worker
+//! ([`crate::worker`]). The wire endpoint ([`crate::endpoint`]) serves the
+//! same handle. Every job carries a deadline ([`JobSpec`], defaulting to
+//! [`ServiceConfig::default_deadline`]): expired jobs fail without burning
+//! prover time, and `wait` / `drain` never block past it.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zkspeed_hyperplonk::{
-    prove_batch, try_preprocess, Circuit, ExecCtx, PreprocessError, VerifyingKey, Witness,
+    try_preprocess, Circuit, ExecCtx, PreprocessError, VerifyingKey, Witness,
 };
 use zkspeed_pcs::{PrecomputeBudget, Srs};
-use zkspeed_rt::codec::{DecodeError, Reader};
-use zkspeed_rt::faults::{FaultPlan, WaveFault};
+use zkspeed_rt::codec::DecodeError;
+use zkspeed_rt::faults::FaultPlan;
 use zkspeed_rt::pool::backend_with_threads;
 use zkspeed_rt::trace::{digest_tag, Histogram, TraceSink};
-use zkspeed_rt::ToJson;
 
-use crate::metrics::{MetricsRecorder, ServiceMetrics, SessionLifecycleMetrics, SnapshotGauges};
+use crate::jobs::JobTable;
+use crate::metrics::{
+    bump, MetricsRecorder, ServiceMetrics, SessionLifecycleMetrics, SupervisionMetrics,
+};
 use crate::queue::{JobQueue, QueuedJob};
-use crate::store::{SessionState, SessionStore};
-use crate::sync::{lock, wait_timeout};
-use crate::wire::{JobState, Priority, RejectCode, Request, Response, SessionRow};
-
-/// How long waiters poll between predicate re-checks. Bounds the damage of
-/// any missed wakeup: a waiter is never more than one interval behind the
-/// state it is watching (a worker death, a deadline, a drained backlog).
-const WAIT_POLL: Duration = Duration::from_millis(100);
+use crate::store::{PrecomputeRecord, SessionState, SessionStore};
+use crate::sync::lock;
+use crate::wire::{JobState, Priority};
+use crate::worker::spawn_worker;
 
 /// Tuning knobs of a [`ProvingService`].
 #[derive(Clone, Debug)]
@@ -326,66 +293,55 @@ impl From<PreprocessError> for ServiceError {
 
 /// One scheduler shard: a bounded queue plus the execution context of its
 /// dedicated backend pool.
-struct Shard {
-    queue: JobQueue,
-    ctx: ExecCtx,
+pub(crate) struct Shard {
+    pub(crate) queue: JobQueue,
+    pub(crate) ctx: ExecCtx,
     /// Cleared when the shard's worker exits for good (clean shutdown or
     /// restart budget exhausted). Waiters consult it so they never block on
     /// a shard that can no longer make progress.
-    alive: AtomicBool,
+    pub(crate) alive: AtomicBool,
     /// Worker deaths charged against [`ServiceConfig::restart_budget`].
-    restarts: AtomicU32,
+    pub(crate) restarts: AtomicU32,
 }
 
-/// Job lifecycle under the jobs lock.
-enum JobPhase {
-    Queued,
-    Running,
-    Done(Arc<Vec<u8>>),
-    Failed(String),
-}
-
-struct JobEntry {
-    phase: JobPhase,
-    submitted: Instant,
-    deadline_at: Instant,
-    session: [u8; 32],
-    shard: usize,
-}
-
-struct ServiceShared {
-    srs: Arc<Srs>,
-    config: ServiceConfig,
-    shards: Vec<Shard>,
-    /// Session lifecycle: active/evicted state, LRU eviction, shard
-    /// assignments.
-    store: SessionStore,
+/// The state the service handle, the endpoint and the shard workers share.
+///
+/// Lock order: jobs → store. Nothing that holds the store lock may take
+/// the jobs lock.
+pub(crate) struct ServiceShared {
+    pub(crate) srs: Arc<Srs>,
+    pub(crate) config: ServiceConfig,
+    pub(crate) shards: Vec<Shard>,
+    /// Sessions: active/evicted state, LRU eviction, shard assignments and
+    /// each session's metrics row.
+    pub(crate) store: SessionStore,
     /// Serializes registrations so concurrent submissions of the same
     /// circuit preprocess once (and never burn a round-robin shard slot on
     /// a discarded duplicate). Held only on the registration path — job
     /// submission and proving never touch it.
     registration: Mutex<()>,
     next_shard: AtomicU64,
-    jobs: Mutex<HashMap<u64, JobEntry>>,
-    job_done: Condvar,
-    next_job_id: AtomicU64,
+    /// Every accepted, undelivered job and the counters of their outcomes.
+    pub(crate) jobs: JobTable,
     /// Service-wide wave numbering, tagged onto wave trace spans.
-    next_wave_id: AtomicU64,
+    pub(crate) next_wave_id: AtomicU64,
     /// Set by [`ProvingService::begin_drain`]: new registrations and
     /// submissions are rejected while accepted jobs run to completion.
     draining: AtomicBool,
-    metrics: MetricsRecorder,
+    pub(crate) metrics: MetricsRecorder,
+    /// When the service started: the origin of the metrics' uptime.
+    started: Instant,
     /// Shard worker join handles. Lives in the shared state (not the
     /// service handle) because the supervisor pushes replacement workers
     /// from inside a dying worker thread.
-    worker_handles: Mutex<Vec<JoinHandle<()>>>,
+    pub(crate) worker_handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running proving service. Dropping it (or calling
 /// [`ProvingService::shutdown`]) closes the queues, drains in-flight waves
 /// and joins the shard workers.
 pub struct ProvingService {
-    shared: Arc<ServiceShared>,
+    pub(crate) shared: Arc<ServiceShared>,
 }
 
 impl fmt::Debug for ProvingService {
@@ -420,12 +376,11 @@ impl ProvingService {
             store: SessionStore::new(config.session_capacity, config.session_byte_budget),
             registration: Mutex::new(()),
             next_shard: AtomicU64::new(0),
-            jobs: Mutex::new(HashMap::new()),
-            job_done: Condvar::new(),
-            next_job_id: AtomicU64::new(1),
+            jobs: JobTable::default(),
             next_wave_id: AtomicU64::new(1),
             draining: AtomicBool::new(false),
-            metrics: MetricsRecorder::new(),
+            metrics: MetricsRecorder::default(),
+            started: Instant::now(),
             worker_handles: Mutex::new(Vec::new()),
         });
         for shard in 0..shared.shards.len() {
@@ -464,10 +419,7 @@ impl ProvingService {
         digest: [u8; 32],
     ) -> Result<[u8; 32], ServiceError> {
         if self.is_draining() {
-            self.shared
-                .metrics
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.shared.metrics.rejected_draining);
             return Err(ServiceError::Draining);
         }
         // One registration at a time: preprocessing commits eight MLE
@@ -492,18 +444,12 @@ impl ProvingService {
             backend,
             &self.shared.config.precompute,
         )?;
-        let table_bytes = pk
-            .commit_tables
-            .as_ref()
-            .map_or(0, |tables| tables.size_in_bytes());
+        let table_bytes = pk.commit_tables.as_ref().map_or(0, |t| t.size_in_bytes());
         let build_ms = if table_bytes > 0 {
             preprocess_started.elapsed().as_secs_f64() * 1e3
         } else {
             0.0
         };
-        self.shared
-            .metrics
-            .record_precompute(digest, table_bytes, build_ms);
         // Resident estimate: the eight circuit MLE tables (32-byte field
         // elements over 2^μ rows each) plus any precomputed commit tables.
         let resident_bytes = table_bytes + 8 * 32 * (1u64 << num_vars);
@@ -511,9 +457,12 @@ impl ProvingService {
             digest,
             Arc::new(pk),
             Arc::new(vk),
-            num_vars,
             shard,
             resident_bytes,
+            PrecomputeRecord {
+                table_bytes,
+                build_ms,
+            },
         );
         Ok(digest)
     }
@@ -614,46 +563,35 @@ impl ProvingService {
         park: bool,
     ) -> Result<u64, ServiceError> {
         if self.is_draining() {
-            self.shared
-                .metrics
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.shared.metrics.rejected_draining);
             return Err(ServiceError::Draining);
         }
         let Some(session) = self.shared.store.get_active(digest) else {
             return Err(match self.shared.store.state(digest) {
                 Some(SessionState::Evicted) => {
-                    self.shared
-                        .store
-                        .rejected_evicted
-                        .fetch_add(1, Ordering::Relaxed);
+                    bump(&self.shared.store.rejected_evicted);
                     ServiceError::SessionEvicted
                 }
                 _ => {
-                    self.shared
-                        .metrics
-                        .rejected_invalid
-                        .fetch_add(1, Ordering::Relaxed);
+                    bump(&self.shared.metrics.rejected_invalid);
                     ServiceError::UnknownCircuit
                 }
             });
         };
         if witness.num_vars() != session.num_vars {
-            self.shared
-                .metrics
-                .rejected_invalid
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.shared.metrics.rejected_invalid);
             return Err(ServiceError::WitnessMismatch {
                 expected: session.num_vars,
                 found: witness.num_vars(),
             });
         }
-        let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
         let submitted = Instant::now();
         let deadline = spec
             .deadline
             .unwrap_or(self.shared.config.default_deadline)
             .max(Duration::from_millis(1));
+        // The entry must exist before the worker can complete it.
+        let id = self.shared.jobs.admit(session.shard, submitted + deadline);
         let job = QueuedJob {
             id,
             session: *digest,
@@ -662,21 +600,6 @@ impl ProvingService {
             pk: Arc::clone(&session.pk),
             enqueued_at: submitted,
         };
-        // The entry must exist before the worker can complete it.
-        lock(&self.shared.jobs).insert(
-            id,
-            JobEntry {
-                phase: JobPhase::Queued,
-                submitted,
-                deadline_at: submitted + deadline,
-                session: *digest,
-                shard: session.shard,
-            },
-        );
-        // Counted before the push: once queued, the job can complete before
-        // this thread runs again, and no scrape may see it finish unsubmitted.
-        let metrics = &self.shared.metrics;
-        metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let queue = &self.shared.shards[session.shard].queue;
         let pushed = if park {
             queue.push_blocking(job)
@@ -684,12 +607,11 @@ impl ProvingService {
             queue.try_push(job)
         };
         if pushed.is_err() {
-            metrics.submitted.fetch_sub(1, Ordering::Relaxed);
-            lock(&self.shared.jobs).remove(&id);
+            self.shared.jobs.withdraw(id);
             return if park || queue.is_closed() {
                 Err(ServiceError::Shutdown)
             } else {
-                metrics.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.metrics.rejected_queue_full);
                 Err(ServiceError::QueueFull)
             };
         }
@@ -710,13 +632,7 @@ impl ProvingService {
     /// including ids whose terminal outcome was already delivered through
     /// [`ProvingService::wait`] or the wire protocol.
     pub fn status(&self, job: u64) -> Option<JobState> {
-        let jobs = lock(&self.shared.jobs);
-        jobs.get(&job).map(|entry| match entry.phase {
-            JobPhase::Queued => JobState::Queued,
-            JobPhase::Running => JobState::Running,
-            JobPhase::Done(_) => JobState::Done,
-            JobPhase::Failed(_) => JobState::Failed,
-        })
+        self.shared.jobs.status(job)
     }
 
     /// Blocks until the job completes and returns its canonical proof
@@ -736,76 +652,58 @@ impl ProvingService {
     /// [`ServiceError::Deadline`] once the job's deadline passes — the
     /// record is left in place for a late collection.
     pub fn wait(&self, job: u64) -> Result<Arc<Vec<u8>>, ServiceError> {
-        let mut jobs = lock(&self.shared.jobs);
-        loop {
-            let deadline_at = match jobs.get(&job) {
-                None => return Err(ServiceError::UnknownJob),
-                Some(entry) if matches!(entry.phase, JobPhase::Done(_) | JobPhase::Failed(_)) => {
-                    let entry = jobs.remove(&job).expect("entry present");
-                    return match entry.phase {
-                        JobPhase::Done(proof) => Ok(proof),
-                        JobPhase::Failed(msg) => Err(ServiceError::JobFailed(msg)),
-                        _ => unreachable!("terminal phase matched above"),
-                    };
-                }
-                Some(entry) => entry.deadline_at,
-            };
-            let now = Instant::now();
-            if deadline_at <= now {
-                return Err(ServiceError::Deadline);
-            }
-            // Bounded wait: a missed wakeup (or a worker death) delays the
-            // deadline/terminal-phase re-check by at most one poll interval.
-            let timeout = (deadline_at - now).min(WAIT_POLL);
-            jobs = wait_timeout(&self.shared.job_done, jobs, timeout);
-        }
+        self.shared.jobs.wait(job)
     }
 
     /// A point-in-time metrics snapshot (queue gauges aggregated over
     /// shards).
     pub fn metrics(&self) -> ServiceMetrics {
+        let shards = &self.shared.shards;
+        let queues = shards.iter().map(|shard| &shard.queue);
         let mut depths = [0usize; 3];
-        let mut peak = 0usize;
-        let mut capacity = 0usize;
         let mut queue_waits: [Histogram; 3] = Default::default();
-        for shard in &self.shared.shards {
-            let d = shard.queue.depths();
-            for (total, class) in depths.iter_mut().zip(d) {
-                *total += class;
-            }
-            peak = peak.max(shard.queue.peak_depth());
-            capacity += shard.queue.capacity();
-            for (merged, waits) in queue_waits.iter_mut().zip(shard.queue.wait_histograms()) {
-                merged.merge(&waits);
+        for queue in queues.clone() {
+            let (depth, waits) = (queue.depths(), queue.wait_histograms());
+            for class in 0..3 {
+                depths[class] += depth[class];
+                queue_waits[class].merge(&waits[class]);
             }
         }
-        let workers_alive = self
-            .shared
-            .shards
-            .iter()
-            .filter(|s| s.alive.load(Ordering::SeqCst))
-            .count();
+        let workers_alive = shards.iter().filter(|s| s.alive.load(Ordering::SeqCst));
         let store = &self.shared.store;
-        let active = store.active_count();
-        let total = store.total_count();
-        self.shared.metrics.snapshot(SnapshotGauges {
-            queue_depths: depths,
-            peak_queue_depth: peak,
-            queue_capacity: capacity,
-            sessions_registered: total,
-            workers_alive,
-            workers_configured: self.shared.shards.len(),
-            restart_budget_per_shard: self.shared.config.restart_budget,
+        let sessions = store.snapshot();
+        let active = sessions
+            .iter()
+            .filter(|s| s.state == SessionState::Active)
+            .count();
+        let jobs = self.shared.jobs.counts();
+        self.shared.metrics.snapshot(ServiceMetrics {
+            uptime_seconds: self.shared.started.elapsed().as_secs_f64(),
+            sessions_registered: sessions.len(),
+            submitted: jobs.submitted,
+            completed: jobs.completed,
+            failed: jobs.failed,
+            failed_deadline: jobs.failed_deadline,
+            supervision: SupervisionMetrics {
+                workers_alive: workers_alive.count(),
+                workers_configured: shards.len(),
+                restart_budget_per_shard: self.shared.config.restart_budget,
+                ..SupervisionMetrics::default()
+            },
             lifecycle: SessionLifecycleMetrics {
                 active,
-                evicted: total - active,
+                evicted: sessions.len() - active,
                 capacity: store.capacity(),
                 evictions: store.evictions.load(Ordering::Relaxed),
                 reprovisions: store.reprovisions.load(Ordering::Relaxed),
                 rejected_evicted: store.rejected_evicted.load(Ordering::Relaxed),
             },
-            store_sessions: store.snapshot(),
+            queue_depths: depths,
+            peak_queue_depth: queues.clone().map(JobQueue::peak_depth).max().unwrap_or(0),
+            queue_capacity: queues.map(JobQueue::capacity).sum(),
             queue_waits,
+            sessions,
+            ..ServiceMetrics::default()
         })
     }
 
@@ -843,211 +741,37 @@ impl ProvingService {
     /// exhausted or clean exit) is failed here rather than waited on, so a
     /// drain never blocks on a shard that cannot make progress.
     pub fn drain(&self) {
-        let mut jobs = lock(&self.shared.jobs);
-        loop {
-            let mut pending = false;
-            let mut failed_here = false;
-            for entry in jobs.values_mut() {
-                if !matches!(entry.phase, JobPhase::Queued | JobPhase::Running) {
-                    continue;
-                }
-                if self.shared.shards[entry.shard].alive.load(Ordering::SeqCst) {
-                    pending = true;
-                } else {
-                    entry.phase = JobPhase::Failed("shard worker is dead".into());
-                    self.shared.metrics.failed.fetch_add(1, Ordering::Release);
-                    failed_here = true;
-                }
-            }
-            if failed_here {
-                self.shared.job_done.notify_all();
-            }
-            if !pending {
-                return;
-            }
-            jobs = wait_timeout(&self.shared.job_done, jobs, WAIT_POLL);
-        }
+        let shards = &self.shared.shards;
+        self.shared
+            .jobs
+            .drain(|shard| shards[shard].alive.load(Ordering::SeqCst));
     }
 
     /// Records a transport connection being accepted (transport layers call
     /// this so [`ServiceMetrics::connections`] reflects socket activity).
     pub fn record_connection_opened(&self) {
-        self.shared
-            .metrics
-            .conn_opened
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.shared.metrics.conn_opened);
     }
 
     /// Records a transport connection closing (any reason).
     pub fn record_connection_closed(&self) {
-        self.shared
-            .metrics
-            .conn_closed
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.shared.metrics.conn_closed);
     }
 
     /// Records a connection rejected for a bad auth token.
     pub fn record_connection_bad_auth(&self) {
-        self.shared
-            .metrics
-            .conn_bad_auth
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.shared.metrics.conn_bad_auth);
     }
 
     /// Records a connection rejected because the transport's connection cap
     /// was reached.
     pub fn record_connection_over_capacity(&self) {
-        self.shared
-            .metrics
-            .conn_over_capacity
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.shared.metrics.conn_over_capacity);
     }
 
     /// Records a connection closed by the per-connection idle timeout.
     pub fn record_connection_idle_timeout(&self) {
-        self.shared
-            .metrics
-            .conn_idle_timeouts
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The in-process wire endpoint: decodes one request frame, serves it,
-    /// and returns the encoded response frame. Malformed input never
-    /// panics — it answers with a `Rejected` response instead, like a
-    /// socket server would.
-    pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        self.handle_frame_inner(frame).to_frame()
-    }
-
-    fn handle_frame_inner(&self, frame: &[u8]) -> Response {
-        let mut reader = Reader::new(frame);
-        let payload = match reader.frame().and_then(|p| {
-            reader.finish()?;
-            Ok(p)
-        }) {
-            Ok(payload) => payload,
-            Err(e) => return reject(RejectCode::Malformed, &e),
-        };
-        let request = match Request::from_bytes(payload) {
-            Ok(request) => request,
-            Err(e) => return reject(RejectCode::Malformed, &e),
-        };
-        self.handle_request(request)
-    }
-
-    /// Serves one already-decoded request. Transport layers that decode
-    /// frames themselves (and intercept `Hello` for authentication) call
-    /// this directly; [`ProvingService::handle_frame`] is the whole-frame
-    /// convenience wrapper.
-    ///
-    /// `Hello` here answers unconditionally with `HelloOk` — the service
-    /// itself holds no auth secret; token checking is the transport's job.
-    /// `Shutdown` flips the service into drain mode and answers
-    /// `ShuttingDown`.
-    pub fn handle_request(&self, request: Request) -> Response {
-        match request {
-            Request::Hello { .. } => Response::HelloOk {
-                protocol: zkspeed_rt::codec::VERSION,
-                server: format!("zkspeed-svc/{}", env!("CARGO_PKG_VERSION")),
-            },
-            Request::Shutdown => {
-                self.begin_drain();
-                Response::ShuttingDown
-            }
-            Request::SubmitCircuit { circuit } => match self.register_circuit_bytes(&circuit) {
-                Ok((digest, num_vars)) => Response::CircuitRegistered {
-                    digest,
-                    num_vars: num_vars as u32,
-                },
-                Err(e @ ServiceError::Decode(_)) => reject(RejectCode::Malformed, &e),
-                Err(e @ ServiceError::Draining) => reject(RejectCode::Draining, &e),
-                Err(e) => reject(RejectCode::Unsupported, &e),
-            },
-            Request::SubmitJob {
-                circuit,
-                priority,
-                deadline_ms,
-                witness,
-            } => {
-                let witness = match Witness::from_bytes(&witness) {
-                    Ok(witness) => witness,
-                    Err(e) => return reject(RejectCode::Malformed, &e),
-                };
-                let mut spec = JobSpec::new(priority);
-                if deadline_ms > 0 {
-                    spec = spec.with_deadline(Duration::from_millis(deadline_ms));
-                }
-                match self.try_submit_spec(&circuit, witness, spec) {
-                    Ok(job) => Response::JobAccepted { job },
-                    Err(e @ ServiceError::QueueFull) => reject(RejectCode::QueueFull, &e),
-                    Err(e @ ServiceError::UnknownCircuit) => reject(RejectCode::UnknownCircuit, &e),
-                    Err(e @ ServiceError::SessionEvicted) => reject(RejectCode::SessionEvicted, &e),
-                    Err(e @ (ServiceError::Draining | ServiceError::Shutdown)) => {
-                        reject(RejectCode::Draining, &e)
-                    }
-                    Err(e) => reject(RejectCode::WitnessMismatch, &e),
-                }
-            }
-            Request::JobStatus { job } => {
-                // A finished job streams its proof back in the same
-                // request/response cycle; terminal outcomes are consumed on
-                // delivery (see [`ProvingService::wait`]) so the jobs map
-                // stays bounded over a long-running service's lifetime.
-                let taken = {
-                    let mut jobs = lock(&self.shared.jobs);
-                    match jobs.get(&job) {
-                        None => return reject(RejectCode::UnknownJob, &ServiceError::UnknownJob),
-                        Some(entry) if matches!(entry.phase, JobPhase::Queued) => {
-                            return Response::Status {
-                                job,
-                                state: JobState::Queued,
-                            }
-                        }
-                        Some(entry) if matches!(entry.phase, JobPhase::Running) => {
-                            return Response::Status {
-                                job,
-                                state: JobState::Running,
-                            }
-                        }
-                        Some(_) => jobs.remove(&job).expect("entry present").phase,
-                    }
-                };
-                // The proof-byte copy happens outside the jobs lock so one
-                // large delivery cannot stall submitters and shard workers.
-                match taken {
-                    JobPhase::Done(proof) => Response::ProofReady {
-                        job,
-                        proof: Arc::try_unwrap(proof).unwrap_or_else(|arc| (*arc).clone()),
-                    },
-                    JobPhase::Failed(reason) => Response::JobFailed { job, reason },
-                    _ => unreachable!("non-terminal phases matched above"),
-                }
-            }
-            Request::Metrics => Response::Metrics {
-                json: self.metrics().to_json().pretty(),
-            },
-            Request::ListSessions => {
-                let completions = self.shared.metrics.completions_by_session();
-                let sessions = self
-                    .shared
-                    .store
-                    .snapshot()
-                    .into_iter()
-                    .map(|info| SessionRow {
-                        digest: info.digest,
-                        num_vars: info.num_vars as u32,
-                        state: info.state,
-                        shard: info.shard as u32,
-                        resident_bytes: info.resident_bytes,
-                        jobs_completed: completions.get(&info.digest).copied().unwrap_or(0),
-                    })
-                    .collect();
-                Response::SessionList { sessions }
-            }
-            Request::GetTrace => Response::TraceDump {
-                json: self.trace_json(),
-            },
-        }
+        bump(&self.shared.metrics.conn_idle_timeouts);
     }
 
     /// Stops accepting work, drains the queued backlog, joins the shard
@@ -1082,247 +806,4 @@ impl Drop for ProvingService {
     fn drop(&mut self) {
         self.shutdown_in_place();
     }
-}
-
-fn reject(code: RejectCode, err: &dyn fmt::Display) -> Response {
-    Response::Rejected {
-        code,
-        detail: err.to_string(),
-    }
-}
-
-/// Spawns (or respawns) one shard's supervised worker thread and registers
-/// its join handle.
-fn spawn_worker(shared: &Arc<ServiceShared>, shard_idx: usize) {
-    let worker = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("zkspeed-svc-shard-{shard_idx}"))
-        .spawn(move || {
-            // `AssertUnwindSafe` is sound for the same reason the poison
-            // recovery in [`crate::sync`] is: everything the loop mutates
-            // under shared locks is updated in single consistent steps.
-            let outcome =
-                std::panic::catch_unwind(AssertUnwindSafe(|| shard_loop(&worker, shard_idx)));
-            match outcome {
-                Ok(()) => {
-                    // Clean exit: the queue closed and the backlog drained.
-                    worker.shards[shard_idx]
-                        .alive
-                        .store(false, Ordering::SeqCst);
-                    worker.job_done.notify_all();
-                }
-                Err(payload) => handle_worker_death(&worker, shard_idx, payload.as_ref()),
-            }
-        })
-        .expect("failed to spawn shard worker");
-    lock(&shared.worker_handles).push(handle);
-}
-
-/// Supervision path for a worker whose panic escaped the per-wave guard:
-/// fail its in-flight jobs, then respawn it (within the restart budget) or
-/// write the shard off (close the queue, fail the backlog).
-fn handle_worker_death(
-    shared: &Arc<ServiceShared>,
-    shard_idx: usize,
-    payload: &(dyn std::any::Any + Send),
-) {
-    let reason = panic_message(payload);
-    {
-        // Only this shard's jobs can be `Running` under a dead worker: a
-        // shard runs one wave at a time and entries record their shard.
-        let mut jobs = lock(&shared.jobs);
-        for entry in jobs.values_mut() {
-            if entry.shard == shard_idx && matches!(entry.phase, JobPhase::Running) {
-                entry.phase = JobPhase::Failed(format!("shard worker died: {reason}"));
-                shared.metrics.failed.fetch_add(1, Ordering::Release);
-            }
-        }
-    }
-    shared.job_done.notify_all();
-    let shard = &shared.shards[shard_idx];
-    let deaths = shard.restarts.fetch_add(1, Ordering::SeqCst);
-    if !shard.queue.is_closed() && deaths < shared.config.restart_budget {
-        shared
-            .metrics
-            .worker_restarts
-            .fetch_add(1, Ordering::Relaxed);
-        spawn_worker(shared, shard_idx);
-        return;
-    }
-    // Budget exhausted (or shutting down): the backlog can never prove.
-    shard.alive.store(false, Ordering::SeqCst);
-    shard.queue.close();
-    let backlog = shard.queue.drain_all();
-    if !backlog.is_empty() {
-        // `drain` may already have failed (and counted) these jobs: it
-        // fails every queued job of a shard once `alive` is cleared above.
-        let mut jobs = lock(&shared.jobs);
-        for job in backlog {
-            if let Some(entry) = jobs.get_mut(&job.id) {
-                if matches!(entry.phase, JobPhase::Queued) {
-                    entry.phase = JobPhase::Failed("shard worker restart budget exhausted".into());
-                    shared.metrics.failed.fetch_add(1, Ordering::Release);
-                }
-            }
-        }
-    }
-    shared.job_done.notify_all();
-}
-
-/// Best-effort human-readable panic payload (panics carry `&str` or
-/// `String` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// One shard's worker loop: pop a wave, consult the fault plan, prove the
-/// wave inside a panic guard, publish the outcomes.
-fn shard_loop(shared: &ServiceShared, shard_idx: usize) {
-    let shard = &shared.shards[shard_idx];
-    while let Some(wave) = shard.queue.pop_wave(shared.config.wave_size) {
-        // Each job's queue wait was measured from its enqueue instant; the
-        // trace records it as a span that ends at wave assembly.
-        for job in &wave {
-            shared.config.trace.record_complete(
-                "queue-wait",
-                "queue",
-                job.enqueued_at.elapsed(),
-                &[
-                    ("job", job.id),
-                    ("session", digest_tag(&job.session)),
-                    ("shard", shard_idx as u64),
-                    ("class", job.priority.index() as u64),
-                ],
-            );
-        }
-        // Mark the wave running before any fault can fire, so an injected
-        // death has exactly this wave in flight to fail.
-        {
-            let mut jobs = lock(&shared.jobs);
-            for job in &wave {
-                if let Some(entry) = jobs.get_mut(&job.id) {
-                    entry.phase = JobPhase::Running;
-                }
-            }
-        }
-        let (fault, delay) = shared.config.faults.on_wave(shard_idx);
-        if let Some(delay) = delay {
-            std::thread::sleep(delay);
-        }
-        if matches!(fault, WaveFault::KillWorker) {
-            // Deliberately outside the wave guard: kills the worker so the
-            // supervisor's respawn path runs.
-            panic!("injected worker kill (shard {shard_idx})");
-        }
-        let ids: Vec<u64> = wave.iter().map(|j| j.id).collect();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if matches!(fault, WaveFault::Panic) {
-                panic!("injected wave fault (shard {shard_idx})");
-            }
-            run_wave(shared, shard, shard_idx, wave);
-        }));
-        if let Err(payload) = outcome {
-            let reason = panic_message(payload.as_ref());
-            shared.metrics.wave_panics.fetch_add(1, Ordering::Relaxed);
-            let mut jobs = lock(&shared.jobs);
-            for id in ids {
-                if let Some(entry) = jobs.get_mut(&id) {
-                    if matches!(entry.phase, JobPhase::Running) {
-                        entry.phase = JobPhase::Failed(format!("wave panicked: {reason}"));
-                        shared.metrics.failed.fetch_add(1, Ordering::Release);
-                    }
-                }
-            }
-            drop(jobs);
-            shared.job_done.notify_all();
-        }
-    }
-}
-
-fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, wave: Vec<QueuedJob>) {
-    // Every queued job carries its own `Arc<ProvingKey>` (pinned at
-    // submission), so a wave proves correctly even if the store evicted its
-    // session after the jobs were queued. A wave holds jobs of exactly one
-    // session, so the first job's key serves the batch.
-    let pk = Arc::clone(&wave[0].pk);
-    let wave_id = shared.next_wave_id.fetch_add(1, Ordering::Relaxed);
-    let _wave_span = shared.config.trace.span_with(
-        "wave",
-        "service",
-        &[
-            ("wave", wave_id),
-            ("session", digest_tag(&wave[0].session)),
-            ("shard", shard_idx as u64),
-            ("jobs", wave.len() as u64),
-        ],
-    );
-    // Jobs whose deadline passed while queued fail without burning prover
-    // time; the rest proceed.
-    let mut live = Vec::with_capacity(wave.len());
-    let mut expired_any = false;
-    {
-        let mut jobs = lock(&shared.jobs);
-        let now = Instant::now();
-        for job in wave {
-            match jobs.get_mut(&job.id) {
-                Some(entry) if entry.deadline_at <= now => {
-                    entry.phase = JobPhase::Failed("deadline exceeded before proving".into());
-                    shared.metrics.failed.fetch_add(1, Ordering::Release);
-                    shared
-                        .metrics
-                        .failed_deadline
-                        .fetch_add(1, Ordering::Relaxed);
-                    expired_any = true;
-                }
-                _ => live.push(job),
-            }
-        }
-    }
-    if expired_any {
-        shared.job_done.notify_all();
-    }
-    // Witnesses that fail the circuit are failed individually so one bad
-    // submission cannot poison its wave-mates.
-    let mut valid = Vec::with_capacity(live.len());
-    for job in live {
-        match pk.circuit.check_witness(&job.witness) {
-            Ok(()) => valid.push(job),
-            Err(e) => {
-                shared.metrics.failed.fetch_add(1, Ordering::Release);
-                let mut jobs = lock(&shared.jobs);
-                if let Some(entry) = jobs.get_mut(&job.id) {
-                    entry.phase = JobPhase::Failed(e.to_string());
-                }
-                shared.job_done.notify_all();
-            }
-        }
-    }
-    if valid.is_empty() {
-        return;
-    }
-    shared.metrics.record_wave(valid.len());
-    let batch: Vec<(u64, Witness)> = valid
-        .iter()
-        .map(|j| (j.id, j.witness.as_ref().clone()))
-        .collect();
-    let proved = prove_batch(&pk, &batch, &shard.ctx).expect("wave witnesses were validated");
-    let mut jobs = lock(&shared.jobs);
-    for (job, (proof, report)) in valid.iter().zip(proved) {
-        let bytes = Arc::new(proof.to_bytes());
-        if let Some(entry) = jobs.get_mut(&job.id) {
-            let latency_ms = entry.submitted.elapsed().as_secs_f64() * 1e3;
-            shared
-                .metrics
-                .record_completion(entry.session, latency_ms, &report);
-            entry.phase = JobPhase::Done(bytes);
-        }
-    }
-    drop(jobs);
-    shared.job_done.notify_all();
 }

@@ -1,23 +1,26 @@
 //! Fleet-scale session lifecycle: the [`SessionStore`] (LRU eviction over
-//! a capacity/byte budget).
+//! a capacity/byte budget), and the owner of every session's metrics row.
 //!
-//! The service's original session registry was a `HashMap` that grew
-//! monotonically — every registered circuit pinned its proving key (the
-//! eight circuit MLE tables plus any precomputed commit tables) forever. A
-//! fleet holding millions of sessions cannot do that. The store keeps the
-//! *provisioned* working set bounded: when a session is evicted it drops
-//! its proving key and commit tables but keeps the verifying key and
-//! digest, so a later `SubmitCircuit` of the same bytes transparently
-//! re-provisions it on the same shard. Jobs already queued keep proving —
-//! every queued job carries its own `Arc<ProvingKey>`, so eviction never
-//! races an in-flight wave.
+//! The store keeps the *provisioned* working set bounded: when a session
+//! is evicted it drops its proving key and commit tables but keeps the
+//! verifying key and digest, so a later `SubmitCircuit` of the same bytes
+//! transparently re-provisions it on the same shard. Jobs already queued
+//! keep proving — every queued job carries its own `Arc<ProvingKey>`, so
+//! eviction never races an in-flight wave.
+//!
+//! An entry is never removed, and it holds its session's submit→proof
+//! latency histogram and precompute record, so [`SessionStore::snapshot`]
+//! is the whole per-session table that the metrics scrape and the wire
+//! `ListSessions` listing both read.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use zkspeed_hyperplonk::{ProvingKey, VerifyingKey};
+use zkspeed_rt::trace::Histogram;
 
+use crate::metrics::SessionMetrics;
 use crate::sync::lock;
 
 /// Lifecycle state of a registered session.
@@ -50,20 +53,13 @@ impl SessionState {
     }
 }
 
-/// Inspection row describing one session the store knows about.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionInfo {
-    /// The session's circuit digest.
-    pub digest: [u8; 32],
-    /// The circuit's `μ`.
-    pub num_vars: usize,
-    /// Current lifecycle state.
-    pub state: SessionState,
-    /// The shard the session's jobs queue on.
-    pub shard: usize,
-    /// Estimated resident bytes of the proving key (circuit MLE tables plus
-    /// precomputed commit tables); 0 once evicted.
-    pub resident_bytes: u64,
+/// What a registration's precomputed commit tables cost.
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
+pub(crate) struct PrecomputeRecord {
+    /// Bytes of the tables (0 when precomputation is off).
+    pub(crate) table_bytes: u64,
+    /// Wall time of the preprocess that built them (ms; 0 without tables).
+    pub(crate) build_ms: f64,
 }
 
 /// A provisioned session handed to the submit path. (The verifying key is
@@ -84,10 +80,24 @@ struct SessionEntry {
     resident_bytes: u64,
     /// Logical LRU stamp (monotonic counter, not wall-clock).
     last_touch: u64,
+    /// Submit→proof latency of every completed job of the session.
+    latency: Histogram,
+    /// The latest registration's precompute record.
+    precompute: PrecomputeRecord,
+}
+
+impl SessionEntry {
+    fn state(&self) -> SessionState {
+        match self.pk {
+            Some(_) => SessionState::Active,
+            None => SessionState::Evicted,
+        }
+    }
 }
 
 /// The bounded session registry. Counts and budgets apply to **active**
 /// sessions only; evicted entries cost a verifying key each.
+#[derive(Default)]
 pub(crate) struct SessionStore {
     entries: Mutex<HashMap<[u8; 32], SessionEntry>>,
     clock: AtomicU64,
@@ -103,13 +113,10 @@ pub(crate) struct SessionStore {
 impl SessionStore {
     pub(crate) fn new(capacity: usize, byte_budget: u64) -> Self {
         Self {
-            entries: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(1),
             capacity,
             byte_budget,
-            evictions: AtomicU64::new(0),
-            reprovisions: AtomicU64::new(0),
-            rejected_evicted: AtomicU64::new(0),
+            ..Self::default()
         }
     }
 
@@ -119,10 +126,7 @@ impl SessionStore {
 
     /// The session's state, or `None` for digests never registered.
     pub(crate) fn state(&self, digest: &[u8; 32]) -> Option<SessionState> {
-        lock(&self.entries).get(digest).map(|e| match e.pk {
-            Some(_) => SessionState::Active,
-            None => SessionState::Evicted,
-        })
+        lock(&self.entries).get(digest).map(SessionEntry::state)
     }
 
     /// The provisioned session under `digest`, touching its LRU stamp, or
@@ -152,34 +156,44 @@ impl SessionStore {
     }
 
     /// Inserts (or re-provisions) a session as active and runs the LRU
-    /// eviction pass. Returns the digests evicted to make room.
+    /// eviction pass. A re-provisioned session keeps its latency history.
+    /// Returns the digests evicted to make room.
     pub(crate) fn insert_active(
         &self,
         digest: [u8; 32],
         pk: Arc<ProvingKey>,
         vk: Arc<VerifyingKey>,
-        num_vars: usize,
         shard: usize,
         resident_bytes: u64,
+        precompute: PrecomputeRecord,
     ) -> Vec<[u8; 32]> {
         let stamp = self.touch();
         let mut entries = lock(&self.entries);
-        let reprovision = matches!(entries.get(&digest), Some(e) if e.pk.is_none());
+        let previous = entries.remove(&digest);
+        if previous.as_ref().is_some_and(|e| e.pk.is_none()) {
+            self.reprovisions.fetch_add(1, Ordering::Relaxed);
+        }
         entries.insert(
             digest,
             SessionEntry {
+                num_vars: pk.circuit.num_vars(),
                 pk: Some(pk),
                 vk,
-                num_vars,
                 shard,
                 resident_bytes,
                 last_touch: stamp,
+                latency: previous.map(|e| e.latency).unwrap_or_default(),
+                precompute,
             },
         );
-        if reprovision {
-            self.reprovisions.fetch_add(1, Ordering::Relaxed);
-        }
         self.evict_over_budget(&mut entries)
+    }
+
+    /// Records one completed job's submit→proof latency on its session.
+    pub(crate) fn record_latency(&self, digest: &[u8; 32], latency_ms: f64) {
+        if let Some(entry) = lock(&self.entries).get_mut(digest) {
+            entry.latency.record(latency_ms);
+        }
     }
 
     /// Evicts least-recently-used active sessions until both the capacity
@@ -189,29 +203,16 @@ impl SessionStore {
     fn evict_over_budget(&self, entries: &mut HashMap<[u8; 32], SessionEntry>) -> Vec<[u8; 32]> {
         let mut evicted = Vec::new();
         loop {
-            let active: Vec<([u8; 32], u64)> = entries
-                .iter()
-                .filter(|(_, e)| e.pk.is_some())
-                .map(|(d, e)| (*d, e.last_touch))
-                .collect();
-            if active.len() <= 1 {
+            let active = entries.iter().filter(|(_, e)| e.pk.is_some());
+            let count = active.clone().count();
+            let bytes: u64 = active.clone().map(|(_, e)| e.resident_bytes).sum();
+            let over_count = self.capacity > 0 && count > self.capacity;
+            let over_bytes = self.byte_budget > 0 && bytes > self.byte_budget;
+            if count <= 1 || !(over_count || over_bytes) {
                 return evicted;
             }
-            let over_count = self.capacity > 0 && active.len() > self.capacity;
-            let over_bytes = self.byte_budget > 0
-                && entries
-                    .values()
-                    .filter(|e| e.pk.is_some())
-                    .map(|e| e.resident_bytes)
-                    .sum::<u64>()
-                    > self.byte_budget;
-            if !over_count && !over_bytes {
-                return evicted;
-            }
-            let lru = *active
-                .iter()
-                .min_by_key(|(_, stamp)| *stamp)
-                .map(|(d, _)| d)
+            let (&lru, _) = active
+                .min_by_key(|(_, e)| e.last_touch)
                 .expect("at least two active sessions");
             let entry = entries.get_mut(&lru).expect("digest just listed");
             entry.pk = None;
@@ -221,38 +222,29 @@ impl SessionStore {
         }
     }
 
-    /// Active session count.
-    pub(crate) fn active_count(&self) -> usize {
-        lock(&self.entries)
-            .values()
-            .filter(|e| e.pk.is_some())
-            .count()
-    }
-
-    /// Total sessions known (active + evicted).
-    pub(crate) fn total_count(&self) -> usize {
-        lock(&self.entries).len()
-    }
-
     /// The configured capacity (0 = unlimited).
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Inspection rows for every known session, ordered by digest.
-    pub(crate) fn snapshot(&self) -> Vec<SessionInfo> {
+    /// The metrics row of every known session, ordered by digest.
+    pub(crate) fn snapshot(&self) -> Vec<SessionMetrics> {
         let entries = lock(&self.entries);
-        let mut rows: Vec<SessionInfo> = entries
+        let mut rows: Vec<SessionMetrics> = entries
             .iter()
-            .map(|(digest, e)| SessionInfo {
+            .map(|(digest, e)| SessionMetrics {
                 digest: *digest,
                 num_vars: e.num_vars,
-                state: match e.pk {
-                    Some(_) => SessionState::Active,
-                    None => SessionState::Evicted,
-                },
+                state: e.state(),
                 shard: e.shard,
                 resident_bytes: e.resident_bytes,
+                jobs_completed: e.latency.count(),
+                p50_ms: e.latency.quantile(0.50),
+                p99_ms: e.latency.quantile(0.99),
+                max_ms: e.latency.max_ms(),
+                latency: e.latency.clone(),
+                precompute_table_bytes: e.precompute.table_bytes,
+                precompute_build_ms: e.precompute.build_ms,
             })
             .collect();
         rows.sort_unstable_by_key(|r| r.digest);
@@ -260,32 +252,45 @@ impl SessionStore {
     }
 }
 
+/// A tiny proving and verifying key pair (μ = 1), built once per test
+/// binary.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) fn test_keys() -> (Arc<ProvingKey>, Arc<VerifyingKey>) {
+    use std::sync::OnceLock;
     use zkspeed_hyperplonk::{try_preprocess, Circuit, GateSelectors};
     use zkspeed_pcs::{PrecomputeBudget, Srs};
     use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
-    fn keys() -> (Arc<ProvingKey>, Arc<VerifyingKey>) {
-        use std::sync::OnceLock;
-        static KEYS: OnceLock<(Arc<ProvingKey>, Arc<VerifyingKey>)> = OnceLock::new();
-        KEYS.get_or_init(|| {
-            let mut rng = StdRng::seed_from_u64(0x5707e);
-            let srs = Srs::try_setup(1, &mut rng, &Serial).expect("tiny setup");
-            let circuit = Circuit::with_identity_wiring(&vec![GateSelectors::addition(); 2]);
-            let (pk, vk) = try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::disabled())
-                .expect("fits");
-            (Arc::new(pk), Arc::new(vk))
-        })
-        .clone()
+    static KEYS: OnceLock<(Arc<ProvingKey>, Arc<VerifyingKey>)> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0x5707e);
+        let srs = Srs::try_setup(1, &mut rng, &Serial).expect("tiny setup");
+        let circuit = Circuit::with_identity_wiring(&vec![GateSelectors::addition(); 2]);
+        let (pk, vk) =
+            try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::disabled()).expect("fits");
+        (Arc::new(pk), Arc::new(vk))
+    })
+    .clone()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn insert(
+        store: &SessionStore,
+        digest: u8,
+        bytes: u64,
+        precompute: PrecomputeRecord,
+    ) -> Vec<[u8; 32]> {
+        let (pk, vk) = test_keys();
+        store.insert_active([digest; 32], pk, vk, digest as usize % 2, bytes, precompute)
     }
 
     fn store_with(store: &SessionStore, digest: u8, bytes: u64) -> Vec<[u8; 32]> {
-        let (pk, vk) = keys();
-        store.insert_active([digest; 32], pk, vk, 1, digest as usize % 2, bytes)
+        insert(store, digest, bytes, PrecomputeRecord::default())
     }
 
     #[test]
@@ -301,8 +306,9 @@ mod tests {
         assert_eq!(store.state(&[1u8; 32]), Some(SessionState::Active));
         assert!(store.get_active(&[2u8; 32]).is_none());
         assert!(store.verifying_key(&[2u8; 32]).is_some(), "vk retained");
-        assert_eq!(store.active_count(), 2);
-        assert_eq!(store.total_count(), 3);
+        let rows = store.snapshot();
+        let active = rows.iter().filter(|r| r.state == SessionState::Active);
+        assert_eq!((active.count(), rows.len()), (2, 3));
         assert_eq!(store.evictions.load(Ordering::Relaxed), 1);
     }
 
@@ -344,5 +350,89 @@ mod tests {
         assert_eq!(rows[1].digest, [9u8; 32]);
         assert_eq!(rows[1].state, SessionState::Evicted);
         assert_eq!(rows[1].resident_bytes, 0);
+    }
+
+    #[test]
+    fn precompute_accounting_is_reported_per_session() {
+        // Session 1 registers with tables and completes a job; session 2
+        // registers without tables and never proves anything — it still
+        // has a row, with zeroed latency fields.
+        let store = SessionStore::new(0, 0);
+        let tables = PrecomputeRecord {
+            table_bytes: 4096,
+            build_ms: 12.5,
+        };
+        insert(&store, 1, 64, tables);
+        store_with(&store, 2, 64);
+        store.record_latency(&[1u8; 32], 20.0);
+
+        let rows = store.snapshot();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].digest, [1u8; 32]);
+        assert_eq!(rows[0].precompute_table_bytes, 4096);
+        assert!((rows[0].precompute_build_ms - 12.5).abs() < 1e-9);
+        assert_eq!(rows[0].jobs_completed, 1);
+        assert_eq!(rows[1].digest, [2u8; 32]);
+        assert_eq!(rows[1].precompute_table_bytes, 0);
+        assert_eq!(rows[1].jobs_completed, 0);
+        assert_eq!(rows[1].p50_ms, 0.0);
+    }
+
+    #[test]
+    fn evicted_sessions_keep_their_historical_rows() {
+        // Session 1 proves once and is then evicted by session 5: its row
+        // keeps the latency and precompute history beside the lifecycle
+        // state, and re-provisioning carries the latency history over.
+        let store = SessionStore::new(1, 0);
+        let tables = PrecomputeRecord {
+            table_bytes: 2048,
+            build_ms: 3.0,
+        };
+        insert(&store, 1, 64, tables);
+        store.record_latency(&[1u8; 32], 25.0);
+        assert_eq!(store_with(&store, 5, 777), vec![[1u8; 32]]);
+        let rows = store.snapshot();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].digest, [1u8; 32]);
+        assert_eq!(rows[0].state, SessionState::Evicted);
+        assert_eq!(rows[0].num_vars, 1);
+        assert_eq!(rows[0].resident_bytes, 0);
+        assert_eq!(rows[0].jobs_completed, 1);
+        assert_eq!(rows[0].precompute_table_bytes, 2048);
+        let p50 = rows[0].p50_ms;
+        assert!((25.0..=25.0 * 1.07).contains(&p50), "p50 {p50}");
+        assert_eq!(rows[1].state, SessionState::Active);
+        assert_eq!(rows[1].resident_bytes, 777);
+        assert_eq!(store.evictions.load(Ordering::Relaxed), 1);
+
+        insert(&store, 1, 64, tables);
+        store.record_latency(&[1u8; 32], 30.0);
+        let row = &store.snapshot()[0];
+        assert_eq!(row.state, SessionState::Active);
+        assert_eq!(row.jobs_completed, 2, "history survives re-provisioning");
+        assert_eq!(row.max_ms, 30.0);
+    }
+
+    #[test]
+    fn latency_histograms_never_drop_samples() {
+        // A sliding window would cap each session's samples; the histogram
+        // keeps an exact count (and bounded quantile error) however many
+        // completions a long-running session accumulates.
+        let store = SessionStore::new(0, 0);
+        store_with(&store, 9, 64);
+        let n = 10_000u64;
+        for i in 0..n {
+            store.record_latency(&[9u8; 32], i as f64);
+        }
+        let row = &store.snapshot()[0];
+        assert_eq!(row.digest, [9u8; 32]);
+        assert_eq!(row.jobs_completed, n);
+        assert_eq!(row.max_ms, (n - 1) as f64);
+        let exact_p99 = 9900.0; // nearest-rank over 0..9999
+        let p99 = row.p99_ms;
+        assert!(
+            p99 >= exact_p99 && p99 <= exact_p99 * 1.07,
+            "p99 {p99} vs exact {exact_p99}"
+        );
     }
 }

@@ -446,8 +446,27 @@ fn wire_protocol_rejects_garbage_and_unknowns() {
         }
     ));
 
+    // Garbage witness bytes for a registered circuit are rejected as
+    // malformed and counted, beside the unknown circuit above.
+    let (circuit, _) = workload_instances().swap_remove(0);
+    let digest = svc.register_circuit(circuit).expect("fits");
+    let response = roundtrip(
+        &svc,
+        &Request::SubmitJob {
+            circuit: digest,
+            priority: Priority::Normal,
+            deadline_ms: 0,
+            witness: vec![0xAB; 40],
+        },
+    );
+    let Response::Rejected { code, .. } = response else {
+        panic!("got {response:?}");
+    };
+    assert_eq!(code, wire::RejectCode::Malformed);
+
     let metrics = svc.metrics();
-    assert!(metrics.rejected_invalid >= 1);
+    assert_eq!(metrics.rejected_invalid, 2);
+    assert_eq!(metrics.submitted, 0);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zkspeed::prelude::*;
-use zkspeed::svc::{RejectCode, Request, Response, SessionState};
+use zkspeed::svc::{RejectCode, Request, Response, SessionRow, SessionState};
 use zkspeed_hyperplonk::{mock_circuit, Circuit, SparsityProfile, Witness};
 
 /// One shared μ = 8 setup for every test in this file; sessions at μ 2..8
@@ -106,7 +106,7 @@ fn mixed_mu_fleet_shares_one_srs_with_eviction_below_fleet_size() {
             .sessions
             .iter()
             .find(|s| s.digest == digests[3])
-            .and_then(|s| s.state),
+            .map(|s| s.state),
         Some(SessionState::Evicted),
         "μ=8 session was toured out"
     );
@@ -123,8 +123,9 @@ fn mixed_mu_fleet_shares_one_srs_with_eviction_below_fleet_size() {
 
 #[test]
 fn evicted_session_rows_keep_their_history_in_metrics() {
-    // Satellite (a): the metrics union-merge must keep latency and
-    // table-byte rows for sessions the store has evicted.
+    // The store owns each session's row: latency history survives
+    // eviction and re-provisioning, and the metrics scrape and
+    // `ListSessions` read the same rows.
     let svc = ProvingService::start(
         shared_srs(),
         ServiceConfig::default()
@@ -133,9 +134,12 @@ fn evicted_session_rows_keep_their_history_in_metrics() {
             .with_session_capacity(1),
     );
     let (c1, w1) = mock(3, 10);
-    let d1 = svc.register_circuit(c1).expect("fits");
-    let job = svc.submit(&d1, w1, Priority::Normal).expect("accepts");
-    svc.wait(job).expect("proves");
+    let d1 = svc.register_circuit(c1.clone()).expect("fits");
+    let prove = || {
+        let job = svc.submit(&d1, w1.clone(), Priority::Normal);
+        svc.wait(job.expect("accepts")).expect("proves")
+    };
+    prove();
     // Second registration evicts the first session.
     let (c2, _) = mock(4, 11);
     svc.register_circuit(c2).expect("fits");
@@ -145,13 +149,36 @@ fn evicted_session_rows_keep_their_history_in_metrics() {
         .iter()
         .find(|s| s.digest == d1)
         .expect("evicted session keeps its metrics row");
-    assert_eq!(row.state, Some(SessionState::Evicted));
+    assert_eq!(row.state, SessionState::Evicted);
     assert_eq!(row.jobs_completed, 1, "history survives eviction");
     assert!(row.p99_ms > 0.0, "latency window survives eviction");
     assert_eq!(row.resident_bytes, 0, "no longer resident");
     let json = m.to_json().pretty();
     assert!(json.contains("\"session_lifecycle\""));
     assert!(json.contains("\"evicted\""));
+
+    // Re-provisioned, the session proves again on top of its history.
+    svc.register_circuit(c1).expect("re-provisions");
+    prove();
+    let m = svc.metrics();
+    let Response::SessionList { sessions } = svc.handle_request(Request::ListSessions) else {
+        panic!("expected SessionList");
+    };
+    let rows: Vec<SessionRow> = m
+        .sessions
+        .iter()
+        .map(|s| SessionRow {
+            digest: s.digest,
+            num_vars: s.num_vars as u32,
+            state: s.state,
+            shard: s.shard as u32,
+            resident_bytes: s.resident_bytes,
+            jobs_completed: s.jobs_completed,
+        })
+        .collect();
+    assert_eq!(sessions, rows, "ListSessions rows equal the metrics rows");
+    let row = m.sessions.iter().find(|s| s.digest == d1).expect("row");
+    assert_eq!((row.state, row.jobs_completed), (SessionState::Active, 2));
 }
 
 #[test]

@@ -1,4 +1,9 @@
 //! The blocking client for a remote proving service.
+//!
+//! It sleeps only to back off: after a transient connect error, and after
+//! a retryable `Rejected`. [`NetClient::wait`] re-sends a `JobStatus` as
+//! soon as a pending answer arrives, because the server holds each one
+//! until the job settles or a bounded park runs out.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -14,9 +19,10 @@ use crate::error::NetError;
 pub struct ClientConfig {
     /// TCP connect timeout per attempt.
     pub connect_timeout: Duration,
-    /// Read/write timeout per socket operation. Must outlive the server's
-    /// proving latency only for [`NetClient::wait`]-style polling, not for
-    /// individual requests (every request is answered immediately).
+    /// Read/write timeout per socket operation. Every request is answered
+    /// at once except a `JobStatus`, which the server holds for at most
+    /// 100 ms while the job is pending; so this needs to cover neither
+    /// the proving latency nor a [`NetClient::wait`].
     pub io_timeout: Duration,
     /// Bounded retry budget for transient failures: connect errors, I/O
     /// timeouts and retryable `Rejected` codes (queue/connection
@@ -24,8 +30,6 @@ pub struct ClientConfig {
     pub retries: u32,
     /// Sleep between retry attempts (doubled each attempt).
     pub retry_backoff: Duration,
-    /// Poll interval of [`NetClient::wait`].
-    pub poll_interval: Duration,
 }
 
 impl Default for ClientConfig {
@@ -35,7 +39,6 @@ impl Default for ClientConfig {
             io_timeout: Duration::from_secs(10),
             retries: 3,
             retry_backoff: Duration::from_millis(50),
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
@@ -253,51 +256,48 @@ impl NetClient {
         }
     }
 
-    /// Polls one job once. `Ok(Ok(proof))` when done, `Ok(Err(state))`
-    /// while queued/running.
+    /// Waits for the job to finish and returns its canonical proof bytes.
     ///
-    /// # Errors
-    ///
-    /// [`NetError::JobFailed`] for a failed job (carrying the server's
-    /// failure reason), [`NetError::Rejected`] for unknown ids (including
-    /// already-delivered proofs).
-    pub fn poll(&mut self, job: u64) -> Result<Result<Vec<u8>, JobState>, NetError> {
-        match self.request(&Request::JobStatus { job })? {
-            Response::ProofReady { job: id, proof } if id == job => Ok(Ok(proof)),
-            Response::JobFailed { job: id, reason } if id == job => {
-                Err(NetError::JobFailed { job: id, reason })
-            }
-            Response::Status { state, .. } => match state {
-                // Pre-v3 shape; current servers answer `JobFailed` with the
-                // reason instead.
-                JobState::Failed => Err(NetError::JobFailed {
-                    job,
-                    reason: "job failed on the server".into(),
-                }),
-                other => Ok(Err(other)),
-            },
-            Response::Rejected { code, detail } => Err(NetError::Rejected { code, detail }),
-            other => Err(NetError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Polls until the job finishes and returns its canonical proof bytes.
+    /// Each `JobStatus` is held by the server until the job settles, its
+    /// deadline passes or a 100 ms park runs out; a pending answer is
+    /// re-sent at once, so the proof arrives as the job settles and the
+    /// wait overruns `deadline` by at most one park. A delivered outcome
+    /// stays on the server for a while: after a torn response, a new
+    /// connection's `wait` on the same id gets the same answer.
     ///
     /// # Errors
     ///
     /// [`NetError::TimedOut`] when `deadline` elapses first,
-    /// [`NetError::JobFailed`] when the witness failed the circuit.
+    /// [`NetError::JobFailed`] for a failed job (carrying the server's
+    /// failure reason), [`NetError::Rejected`] for unknown ids (including
+    /// outcomes the server no longer retains).
     pub fn wait(&mut self, job: u64, deadline: Duration) -> Result<Vec<u8>, NetError> {
         let until = Instant::now() + deadline;
         loop {
-            match self.poll(job)? {
-                Ok(proof) => return Ok(proof),
-                Err(_state) => {
-                    if Instant::now() >= until {
-                        return Err(NetError::TimedOut);
-                    }
-                    std::thread::sleep(self.config.poll_interval);
+            match self.request(&Request::JobStatus { job })? {
+                Response::ProofReady { job: id, proof } if id == job => return Ok(proof),
+                Response::JobFailed { job: id, reason } if id == job => {
+                    return Err(NetError::JobFailed { job: id, reason })
                 }
+                // Pre-v3 shape; current servers answer `JobFailed` with the
+                // reason instead.
+                Response::Status {
+                    state: JobState::Failed,
+                    ..
+                } => {
+                    return Err(NetError::JobFailed {
+                        job,
+                        reason: "job failed on the server".into(),
+                    })
+                }
+                Response::Status { .. } if Instant::now() >= until => {
+                    return Err(NetError::TimedOut)
+                }
+                Response::Status { .. } => {}
+                Response::Rejected { code, detail } => {
+                    return Err(NetError::Rejected { code, detail })
+                }
+                other => return Err(NetError::UnexpectedResponse(format!("{other:?}"))),
             }
         }
     }

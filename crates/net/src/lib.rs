@@ -12,10 +12,20 @@
 //!   a per-connection read timeout, and shutdown drains gracefully: stop
 //!   accepting, finish in-flight jobs, leave a grace window for clients to
 //!   collect their `ProofReady` responses, then join every thread.
-//! * [`NetClient`] — a blocking client: connect/auth/submit/poll/metrics
+//! * [`NetClient`] — a blocking client: connect/auth/submit/wait/metrics
 //!   with I/O timeouts, bounded reconnect on transient connect errors and
 //!   bounded backoff-retry on retryable `Rejected` codes (queue or
 //!   connection backpressure).
+//!
+//! Neither side sleeps to poll. The accept loop blocks in `accept()`, so a
+//! `connect` is answered at once; shutdown wakes the loop with one
+//! loopback connection. A `JobStatus` parks on the server until the job
+//! settles, its deadline passes or 100 ms run out, and
+//! [`NetClient::wait`] re-sends at once, so a proof reaches the client as
+//! its job settles. Delivered outcomes stay in the service's retention
+//! ring, so a client whose `ProofReady` or `JobFailed` was torn in
+//! transit reconnects and polls the same id again. The drain waits on a
+//! condvar for the last connection to close.
 //!
 //! Framing reuses [`zkspeed_rt::codec`] end to end — the same bytes the
 //! in-process endpoint [`zkspeed_svc::ProvingService::handle_frame`]

@@ -1,19 +1,27 @@
 //! The threaded TCP server wrapping a [`ProvingService`].
+//!
+//! Nothing here sleeps to poll. The accept loop blocks in `accept()`, and
+//! shutdown wakes it with one loopback connection. A handler blocks in its
+//! read, or in the service while a `JobStatus` parks. The drain waits on a
+//! condvar that every handler signals as it deregisters.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use zkspeed_rt::codec::FrameReader;
 use zkspeed_svc::{ProvingService, RejectCode, Request, Response, ServiceMetrics};
 
-/// How often the accept loop and the drain loop re-check their stop
-/// conditions.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after a failed `accept()` (such as
+/// `EMFILE`), instead of spinning on the same error.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Connect timeout of the loopback connection that wakes the accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Tuning knobs of a [`NetServer`].
 #[derive(Clone, Debug)]
@@ -31,8 +39,9 @@ pub struct ServerConfig {
     /// this long is closed.
     pub idle_timeout: Duration,
     /// After the job backlog drains, how long shutdown keeps established
-    /// connections open so clients can poll their remaining `ProofReady`
-    /// responses before stragglers are force-closed.
+    /// connections open so clients can collect their remaining
+    /// `ProofReady` responses before stragglers are force-closed. Shutdown
+    /// moves on as soon as the last connection closes.
     pub drain_grace: Duration,
 }
 
@@ -85,12 +94,15 @@ impl ServerConfig {
 struct ServerShared {
     service: ProvingService,
     config: ServerConfig,
-    /// Tells the accept loop to stop.
+    /// Tells the accept loop to stop; it drops whatever it accepts after.
     stop: AtomicBool,
     /// Write halves of every live connection, for force-closing stragglers
     /// at the end of the drain grace window. Keyed by connection id; a
     /// handler removes its own entry when it exits.
     conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Signalled when a handler removes its entry from `conns`: the drain
+    /// waits on it for the last connection to close.
+    conn_closed: Condvar,
     next_conn_id: AtomicU64,
     handlers: Mutex<Vec<JoinHandle<()>>>,
     /// Set when a wire `Shutdown` request arrives; see
@@ -121,13 +133,12 @@ impl NetServer {
     pub fn bind(service: ProvingService, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(config.addr.as_str())?;
         let local_addr = listener.local_addr()?;
-        // Nonblocking so the loop can observe the stop flag between polls.
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(ServerShared {
             service,
             config,
             stop: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
+            conn_closed: Condvar::new(),
             next_conn_id: AtomicU64::new(1),
             handlers: Mutex::new(Vec::new()),
             shutdown_requested: Mutex::new(false),
@@ -196,42 +207,51 @@ impl NetServer {
         self.shared.service.begin_drain();
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept_thread.take() {
-            let _ = accept.join();
+            // A loop that cannot be woken is left to exit at its next
+            // accept rather than joined; every later accept sees `stop`.
+            if wake(self.local_addr) {
+                let _ = accept.join();
+            }
         }
         // All accepted jobs run to completion before connections are
         // touched — this is the "never drop an in-flight ProofReady" half
-        // of the drain contract.
+        // of the drain contract. A `JobStatus` parked on one of them
+        // answers as it settles.
         self.shared.service.drain();
-        let deadline = Instant::now() + self.shared.config.drain_grace;
-        while Instant::now() < deadline {
-            if self
-                .shared
-                .conns
-                .lock()
-                .expect("conns lock poisoned")
-                .is_empty()
-            {
-                break;
-            }
-            std::thread::sleep(POLL_INTERVAL);
-        }
+        let conns = self.shared.conns.lock().expect("conns lock poisoned");
+        let (mut conns, _) = self
+            .shared
+            .conn_closed
+            .wait_timeout_while(conns, self.shared.config.drain_grace, |conns| {
+                !conns.is_empty()
+            })
+            .expect("conns lock poisoned");
         // Stragglers (idle clients, or peers that never read) are cut off;
         // their handler threads observe the closed socket and exit.
-        for (_, stream) in self
-            .shared
-            .conns
-            .lock()
-            .expect("conns lock poisoned")
-            .drain()
-        {
+        for (_, stream) in conns.drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
+        drop(conns);
         let handlers =
             std::mem::take(&mut *self.shared.handlers.lock().expect("handlers poisoned"));
         for handler in handlers {
             let _ = handler.join();
         }
     }
+}
+
+/// Wakes the accept loop out of its blocking `accept()` with one
+/// connection to the bound port (loopback when the server is bound to an
+/// unspecified address). Returns whether the connection was made.
+fn wake(bound: SocketAddr) -> bool {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).is_ok()
 }
 
 impl Drop for NetServer {
@@ -244,20 +264,16 @@ impl Drop for NetServer {
 
 fn accept_loop(shared: &Arc<ServerShared>, listener: TcpListener) {
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        // Once `stop` is set, the connection just accepted is the wake from
+        // `shutdown_in_place` (or a late client): dropped, never admitted
+        // or counted.
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => admit(shared, stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -266,9 +282,6 @@ fn accept_loop(shared: &Arc<ServerShared>, listener: TcpListener) {
 /// a dedicated handler thread.
 fn admit(shared: &Arc<ServerShared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    // Accepted sockets inherit the listener's nonblocking flag on some
-    // platforms; handlers want blocking reads bounded by the idle timeout.
-    let _ = stream.set_nonblocking(false);
     {
         let conns = shared.conns.lock().expect("conns lock poisoned");
         if conns.len() >= shared.config.max_connections {
@@ -307,12 +320,7 @@ fn admit(shared: &Arc<ServerShared>, mut stream: TcpStream) {
         .name(format!("zkspeed-net-conn-{id}"))
         .spawn(move || {
             serve_connection(&handler_shared, stream);
-            handler_shared
-                .conns
-                .lock()
-                .expect("conns lock poisoned")
-                .remove(&id);
-            handler_shared.service.record_connection_closed();
+            deregister(&handler_shared, id);
         });
     match handler {
         Ok(handle) => shared
@@ -320,15 +328,19 @@ fn admit(shared: &Arc<ServerShared>, mut stream: TcpStream) {
             .lock()
             .expect("handlers poisoned")
             .push(handle),
-        Err(_) => {
-            shared
-                .conns
-                .lock()
-                .expect("conns lock poisoned")
-                .remove(&id);
-            shared.service.record_connection_closed();
-        }
+        Err(_) => deregister(shared, id),
     }
+}
+
+/// Forgets connection `id`, counts it closed and wakes a waiting drain.
+fn deregister(shared: &ServerShared, id: u64) {
+    shared
+        .conns
+        .lock()
+        .expect("conns lock poisoned")
+        .remove(&id);
+    shared.service.record_connection_closed();
+    shared.conn_closed.notify_all();
 }
 
 /// Writes one response frame; returns `false` when the peer is gone.

@@ -3,7 +3,6 @@
 //! the service handle and each outcome onto a wire response.
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 use zkspeed_hyperplonk::Witness;
@@ -89,12 +88,14 @@ impl ProvingService {
                     Err(e) => reject(RejectCode::WitnessMismatch, &e),
                 }
             }
-            // A finished job streams its proof back in the same
-            // request/response cycle; terminal outcomes are consumed on
-            // delivery (see [`ProvingService::wait`]) so the job table stays
-            // bounded over a long-running service's lifetime. The proof-byte
-            // copy happens outside the jobs lock so one large delivery cannot
-            // stall submitters and shard workers.
+            // `JobStatus` parks until the job settles, its deadline passes
+            // or `WAIT_POLL` runs out, so a client re-sends at once instead
+            // of sleeping between polls. A finished job streams its proof
+            // back in the same cycle and stays in the retention ring, so a
+            // client whose answer was torn in transit polls again and gets
+            // the same bytes (see [`ProvingService::wait`]). The proof-byte
+            // copy happens outside the jobs lock so one large delivery
+            // cannot stall submitters and shard workers.
             Request::JobStatus { job } => match self.shared.jobs.poll(job) {
                 None => reject(RejectCode::UnknownJob, &ServiceError::UnknownJob),
                 Some(phase @ (JobPhase::Queued | JobPhase::Running)) => Response::Status {
@@ -103,7 +104,7 @@ impl ProvingService {
                 },
                 Some(JobPhase::Done(proof)) => Response::ProofReady {
                     job,
-                    proof: Arc::try_unwrap(proof).unwrap_or_else(|arc| (*arc).clone()),
+                    proof: proof.to_vec(),
                 },
                 Some(JobPhase::Failed(reason)) => Response::JobFailed { job, reason },
             },

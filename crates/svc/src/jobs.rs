@@ -10,10 +10,14 @@
 //! job ends in exactly one outcome, and `submitted = completed + failed +
 //! pending` at every scrape.
 //!
-//! Delivering an outcome ([`JobTable::wait`], [`JobTable::poll`]) consumes
-//! the entry, so the table holds pending and uncollected jobs only.
+//! Delivering an outcome ([`JobTable::wait`], [`JobTable::poll`]) keeps
+//! it in a retention ring, so a client whose `ProofReady` or `JobFailed`
+//! was torn in transit can poll again and get the same answer. The ring
+//! holds the last `shards × queue_capacity` delivered outcomes and evicts
+//! the oldest first; an evicted id is unknown. The table is bounded by
+//! its pending jobs, its uncollected outcomes and the ring.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -25,9 +29,11 @@ use crate::wire::JobState;
 /// How long waiters poll between predicate re-checks. Bounds the damage of
 /// any missed wakeup: a waiter is never more than one interval behind the
 /// state it is watching (a worker death, a deadline, a drained backlog).
+/// It is also the longest a [`JobTable::poll`] parks.
 const WAIT_POLL: Duration = Duration::from_millis(100);
 
 /// A job's lifecycle phase.
+#[derive(Clone)]
 pub(crate) enum JobPhase {
     Queued,
     Running,
@@ -64,6 +70,35 @@ struct JobEntry {
     phase: JobPhase,
     deadline_at: Instant,
     shard: usize,
+    /// Whether the outcome was delivered, so the id is in the ring.
+    delivered: bool,
+}
+
+/// The jobs by id, and the delivered ones in the order they were first
+/// delivered.
+#[derive(Default)]
+struct Table {
+    entries: HashMap<u64, JobEntry>,
+    /// The retention ring: delivered ids, oldest first.
+    delivered: VecDeque<u64>,
+}
+
+impl Table {
+    /// The settled job `id`'s outcome. Its first delivery puts the id in
+    /// the ring, evicting the oldest ids beyond `retain`.
+    fn deliver(&mut self, id: u64, retain: usize) -> JobPhase {
+        let entry = self.entries.get_mut(&id).expect("a settled entry");
+        let phase = entry.phase.clone();
+        if !entry.delivered {
+            entry.delivered = true;
+            self.delivered.push_back(id);
+            while self.delivered.len() > retain {
+                let oldest = self.delivered.pop_front().expect("a full ring");
+                self.entries.remove(&oldest);
+            }
+        }
+        phase
+    }
 }
 
 /// The lifetime job counters, read together by [`JobTable::counts`].
@@ -75,11 +110,12 @@ pub(crate) struct JobCounts {
     pub(crate) failed_deadline: u64,
 }
 
-/// Every job the service accepted and has not yet delivered, with the
-/// lifetime counters of their outcomes.
-#[derive(Default)]
+/// Every job the service accepted and has not yet delivered, the last
+/// delivered ones, and the lifetime counters of their outcomes.
 pub(crate) struct JobTable {
-    entries: Mutex<HashMap<u64, JobEntry>>,
+    table: Mutex<Table>,
+    /// The retention ring's capacity.
+    retain: usize,
     /// Signalled when a job settles and when a shard worker exits for good.
     done: Condvar,
     next_id: AtomicU64,
@@ -90,6 +126,21 @@ pub(crate) struct JobTable {
 }
 
 impl JobTable {
+    /// An empty table that retains the last `retain` delivered outcomes
+    /// (at least one).
+    pub(crate) fn new(retain: usize) -> Self {
+        Self {
+            table: Mutex::default(),
+            retain: retain.max(1),
+            done: Condvar::new(),
+            next_id: AtomicU64::new(0),
+            submitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
+            failed_deadline: AtomicU64::new(0),
+        }
+    }
+
     /// Admits a `Queued` job on `shard` and counts it submitted; returns
     /// its id. Call before the queue push: once queued, the job can settle
     /// before the submitting thread runs again, and no scrape may see it
@@ -100,8 +151,9 @@ impl JobTable {
             phase: JobPhase::Queued,
             deadline_at,
             shard,
+            delivered: false,
         };
-        lock(&self.entries).insert(id, entry);
+        lock(&self.table).entries.insert(id, entry);
         self.submitted.fetch_add(1, Ordering::Relaxed);
         id
     }
@@ -109,14 +161,14 @@ impl JobTable {
     /// Takes back a job its queue refused: forgets and uncounts it.
     pub(crate) fn withdraw(&self, id: u64) {
         self.submitted.fetch_sub(1, Ordering::Relaxed);
-        lock(&self.entries).remove(&id);
+        lock(&self.table).entries.remove(&id);
     }
 
     /// Marks the queued jobs among `ids` `Running`.
     pub(crate) fn start(&self, ids: impl IntoIterator<Item = u64>) {
-        let mut entries = lock(&self.entries);
+        let mut table = lock(&self.table);
         for id in ids {
-            let entry = entries.get_mut(&id);
+            let entry = table.entries.get_mut(&id);
             if let Some(entry) = entry.filter(|e| matches!(e.phase, JobPhase::Queued)) {
                 entry.phase = JobPhase::Running;
             }
@@ -125,14 +177,16 @@ impl JobTable {
 
     /// Whether job `id`'s deadline has passed by `now`.
     pub(crate) fn is_overdue(&self, id: u64, now: Instant) -> bool {
-        lock(&self.entries)
+        lock(&self.table)
+            .entries
             .get(&id)
             .is_some_and(|entry| entry.deadline_at <= now)
     }
 
     /// The ids of `shard`'s `Running` jobs.
     pub(crate) fn running_on(&self, shard: usize) -> Vec<u64> {
-        lock(&self.entries)
+        lock(&self.table)
+            .entries
             .iter()
             .filter(|(_, e)| e.shard == shard && matches!(e.phase, JobPhase::Running))
             .map(|(id, _)| *id)
@@ -145,8 +199,8 @@ impl JobTable {
     /// whether the job moved: `false` for an unknown or already settled
     /// job, which changes nothing.
     pub(crate) fn settle(&self, id: u64, outcome: Outcome) -> bool {
-        let mut entries = lock(&self.entries);
-        let Some(entry) = entries.get_mut(&id).filter(|e| e.phase.is_pending()) else {
+        let mut table = lock(&self.table);
+        let Some(entry) = table.entries.get_mut(&id).filter(|e| e.phase.is_pending()) else {
             return false;
         };
         entry.phase = match outcome {
@@ -163,7 +217,7 @@ impl JobTable {
         } else {
             self.failed.fetch_add(1, Ordering::Release);
         }
-        drop(entries);
+        drop(table);
         self.done.notify_all();
         true
     }
@@ -174,34 +228,54 @@ impl JobTable {
         self.done.notify_all();
     }
 
-    /// The job's state, or `None` for unknown or delivered ids.
+    /// The job's state, or `None` for unknown ids and ids evicted from the
+    /// retention ring.
     pub(crate) fn status(&self, id: u64) -> Option<JobState> {
-        lock(&self.entries)
+        lock(&self.table)
+            .entries
             .get(&id)
             .map(|entry| entry.phase.state())
     }
 
-    /// The job's phase without blocking, consuming the entry when it is
-    /// terminal; `None` for unknown or delivered ids.
+    /// The job's phase once it settles, its deadline passes or
+    /// [`WAIT_POLL`] runs out, whichever comes first; `None` for unknown or
+    /// evicted ids. A settled outcome is delivered into the retention ring
+    /// and stays there for a repeated poll.
     pub(crate) fn poll(&self, id: u64) -> Option<JobPhase> {
-        let mut entries = lock(&self.entries);
-        match entries.get(&id)?.phase {
-            JobPhase::Queued => Some(JobPhase::Queued),
-            JobPhase::Running => Some(JobPhase::Running),
-            _ => entries.remove(&id).map(|entry| entry.phase),
+        let mut table = lock(&self.table);
+        let now = Instant::now();
+        let deadline_at = table.entries.get(&id)?.deadline_at;
+        // An overdue job parks the whole interval: it settles when its
+        // shard pops it or finishes its wave, and a client that re-polls at
+        // once must not spin until then.
+        let until = if deadline_at > now {
+            deadline_at.min(now + WAIT_POLL)
+        } else {
+            now + WAIT_POLL
+        };
+        loop {
+            let entry = table.entries.get(&id)?;
+            if !entry.phase.is_pending() {
+                return Some(table.deliver(id, self.retain));
+            }
+            let now = Instant::now();
+            if now >= until {
+                return Some(entry.phase.clone());
+            }
+            table = wait_timeout(&self.done, table, until - now);
         }
     }
 
-    /// Blocks until the job settles and consumes its outcome, or until its
+    /// Blocks until the job settles and delivers its outcome, or until its
     /// deadline passes (the entry then stays for a late collection).
     pub(crate) fn wait(&self, id: u64) -> Result<Arc<Vec<u8>>, ServiceError> {
-        let mut entries = lock(&self.entries);
+        let mut table = lock(&self.table);
         loop {
-            let entry = entries.get(&id).ok_or(ServiceError::UnknownJob)?;
+            let entry = table.entries.get(&id).ok_or(ServiceError::UnknownJob)?;
             if !entry.phase.is_pending() {
-                return match entries.remove(&id).map(|entry| entry.phase) {
-                    Some(JobPhase::Done(proof)) => Ok(proof),
-                    Some(JobPhase::Failed(reason)) => Err(ServiceError::JobFailed(reason)),
+                return match table.deliver(id, self.retain) {
+                    JobPhase::Done(proof) => Ok(proof),
+                    JobPhase::Failed(reason) => Err(ServiceError::JobFailed(reason)),
                     _ => unreachable!("a settled entry was just found"),
                 };
             }
@@ -212,18 +286,18 @@ impl JobTable {
             // Bounded wait: a missed wakeup (or a worker death) delays the
             // deadline/outcome re-check by at most one poll interval.
             let timeout = (entry.deadline_at - now).min(WAIT_POLL);
-            entries = wait_timeout(&self.done, entries, timeout);
+            table = wait_timeout(&self.done, table, timeout);
         }
     }
 
     /// Blocks until no job is pending. A pending job whose shard is not
     /// `alive` is failed rather than waited on.
     pub(crate) fn drain(&self, alive: impl Fn(usize) -> bool) {
-        let mut entries = lock(&self.entries);
+        let mut table = lock(&self.table);
         loop {
             let mut pending = false;
             let mut stranded = Vec::new();
-            for (id, entry) in entries.iter().filter(|(_, e)| e.phase.is_pending()) {
+            for (id, entry) in table.entries.iter().filter(|(_, e)| e.phase.is_pending()) {
                 if alive(entry.shard) {
                     pending = true;
                 } else {
@@ -231,17 +305,17 @@ impl JobTable {
                 }
             }
             if !stranded.is_empty() {
-                drop(entries);
+                drop(table);
                 for id in stranded {
                     self.settle(id, Outcome::Failed("shard worker is dead".into()));
                 }
-                entries = lock(&self.entries);
+                table = lock(&self.table);
                 continue;
             }
             if !pending {
                 return;
             }
-            entries = wait_timeout(&self.done, entries, WAIT_POLL);
+            table = wait_timeout(&self.done, table, WAIT_POLL);
         }
     }
 
@@ -271,7 +345,7 @@ mod tests {
 
     #[test]
     fn a_second_settle_is_refused_and_counts_nothing() {
-        let jobs = JobTable::default();
+        let jobs = JobTable::new(8);
         let far = Instant::now() + Duration::from_secs(60);
         let proved = jobs.admit(0, far);
         let failed = jobs.admit(0, far);
@@ -300,7 +374,7 @@ mod tests {
 
     #[test]
     fn a_deadline_expiry_counts_failed_and_failed_deadline_once() {
-        let jobs = JobTable::default();
+        let jobs = JobTable::new(8);
         let now = Instant::now();
         let id = jobs.admit(0, now);
         assert!(jobs.is_overdue(id, now));
@@ -313,7 +387,7 @@ mod tests {
 
     #[test]
     fn drain_fails_jobs_of_dead_shards_once() {
-        let jobs = JobTable::default();
+        let jobs = JobTable::new(8);
         let far = Instant::now() + Duration::from_secs(60);
         let ids = [jobs.admit(0, far), jobs.admit(1, far)];
         jobs.start([ids[1]]);
@@ -324,5 +398,58 @@ mod tests {
         jobs.withdraw(withdrawn);
         assert_eq!(jobs.status(withdrawn), None);
         assert_eq!(counters(&jobs), (2, 0, 2, 0));
+    }
+
+    #[test]
+    fn the_retention_ring_holds_its_cap_and_evicts_oldest_first() {
+        let jobs = JobTable::new(2);
+        let far = Instant::now() + Duration::from_secs(60);
+        let ids: Vec<u64> = (0..4).map(|_| jobs.admit(0, far)).collect();
+        for (byte, &id) in ids.iter().enumerate() {
+            assert!(jobs.settle(id, Outcome::Proved(Arc::new(vec![byte as u8]))));
+        }
+        // Settled but undelivered outcomes are not in the ring.
+        assert!(ids
+            .iter()
+            .all(|&id| jobs.status(id) == Some(JobState::Done)));
+
+        for &id in &ids {
+            assert!(matches!(jobs.poll(id), Some(JobPhase::Done(_))));
+            // A repeated delivery answers the same and takes no second slot.
+            assert_eq!(jobs.wait(id), Ok(Arc::new(vec![(id - ids[0]) as u8])));
+            assert!(lock(&jobs.table).delivered.len() <= 2);
+        }
+        let table = lock(&jobs.table);
+        assert_eq!(table.delivered, [ids[2], ids[3]]);
+        assert_eq!(table.entries.len(), 2);
+        drop(table);
+        assert_eq!(jobs.status(ids[0]), None, "oldest evicted first");
+        assert_eq!(jobs.status(ids[1]), None);
+        assert!(jobs.poll(ids[1]).is_none());
+        assert_eq!(jobs.wait(ids[1]), Err(ServiceError::UnknownJob));
+        assert_eq!(jobs.wait(ids[3]), Ok(Arc::new(vec![3])));
+    }
+
+    #[test]
+    fn a_pending_poll_parks_at_most_one_interval() {
+        let jobs = JobTable::new(1);
+        let far = Instant::now() + Duration::from_secs(60);
+        let id = jobs.admit(0, far);
+        let started = Instant::now();
+        assert!(matches!(jobs.poll(id), Some(JobPhase::Queued)));
+        let parked = started.elapsed();
+        assert!(parked >= WAIT_POLL && parked < 10 * WAIT_POLL, "{parked:?}");
+
+        // A settle wakes a parked poll with the outcome.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                jobs.settle(id, Outcome::Failed("bad witness".into()));
+            });
+            match jobs.poll(id) {
+                Some(JobPhase::Failed(reason)) => assert_eq!(reason, "bad witness"),
+                _ => panic!("expected the failure"),
+            }
+        });
     }
 }

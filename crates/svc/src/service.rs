@@ -321,7 +321,8 @@ pub(crate) struct ServiceShared {
     /// submission and proving never touch it.
     registration: Mutex<()>,
     next_shard: AtomicU64,
-    /// Every accepted, undelivered job and the counters of their outcomes.
+    /// Every accepted job until its outcome leaves the retention ring, and
+    /// the counters of their outcomes.
     pub(crate) jobs: JobTable,
     /// Service-wide wave numbering, tagged onto wave trace spans.
     pub(crate) next_wave_id: AtomicU64,
@@ -368,7 +369,10 @@ impl ProvingService {
                 alive: AtomicBool::new(true),
                 restarts: AtomicU32::new(0),
             })
-            .collect();
+            .collect::<Vec<_>>();
+        // The retention ring holds as many delivered outcomes as the queues
+        // hold jobs.
+        let retain = shards.len() * config.queue_capacity;
         let shared = Arc::new(ServiceShared {
             srs,
             config: config.clone(),
@@ -376,7 +380,7 @@ impl ProvingService {
             store: SessionStore::new(config.session_capacity, config.session_byte_budget),
             registration: Mutex::new(()),
             next_shard: AtomicU64::new(0),
-            jobs: JobTable::default(),
+            jobs: JobTable::new(retain),
             next_wave_id: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             metrics: MetricsRecorder::default(),
@@ -629,8 +633,8 @@ impl ProvingService {
     }
 
     /// The job's current lifecycle state, or `None` for unknown ids —
-    /// including ids whose terminal outcome was already delivered through
-    /// [`ProvingService::wait`] or the wire protocol.
+    /// including delivered ids that have left the retention ring (see
+    /// [`ProvingService::wait`]).
     pub fn status(&self, job: u64) -> Option<JobState> {
         self.shared.jobs.status(job)
     }
@@ -638,19 +642,21 @@ impl ProvingService {
     /// Blocks until the job completes and returns its canonical proof
     /// bytes.
     ///
-    /// Delivery **consumes** the job record: once the outcome has been
-    /// handed over (here, or streamed as `ProofReady` / a `Failed` status
-    /// over the wire), the id is forgotten, so a long-running service does
-    /// not retain proof bytes without bound. A later lookup of the same id
-    /// reports it as unknown.
+    /// Delivery **retains** the outcome: once it has been handed over
+    /// (here, or as `ProofReady` / `JobFailed` over the wire), it stays in
+    /// a retention ring of the last `shards × queue_capacity` delivered
+    /// jobs, so a repeated `wait` or a re-poll after a torn response gets
+    /// the same answer. The ring evicts the oldest outcome first, so a
+    /// long-running service does not retain proof bytes without bound; an
+    /// evicted id is unknown.
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::UnknownJob`] for unknown (or
-    /// already-delivered) ids, [`ServiceError::JobFailed`] if the job
-    /// failed (bad witness, panicked wave, dead worker), or
-    /// [`ServiceError::Deadline`] once the job's deadline passes — the
-    /// record is left in place for a late collection.
+    /// Returns [`ServiceError::UnknownJob`] for unknown (or evicted) ids,
+    /// [`ServiceError::JobFailed`] if the job failed (bad witness, panicked
+    /// wave, dead worker), or [`ServiceError::Deadline`] once the job's
+    /// deadline passes — the record is left in place for a late
+    /// collection.
     pub fn wait(&self, job: u64) -> Result<Arc<Vec<u8>>, ServiceError> {
         self.shared.jobs.wait(job)
     }

@@ -196,7 +196,11 @@ pub enum Request {
         /// Canonical witness artifact bytes.
         witness: Vec<u8>,
     },
-    /// Polls one job's state; a `Done` job answers with `ProofReady`.
+    /// Asks for one job's outcome. The server holds the answer until the
+    /// job settles, its deadline passes or a bounded park (100 ms) runs
+    /// out: a `Done` job answers with `ProofReady`, a failed one with
+    /// `JobFailed`, a pending one with `Status`. A delivered outcome is
+    /// answered again while it stays in the service's retention ring.
     JobStatus {
         /// The job id (from `JobAccepted`).
         job: u64,
@@ -263,7 +267,7 @@ pub enum Response {
     },
     /// The job was accepted into the queue.
     JobAccepted {
-        /// Handle for `JobStatus` polling.
+        /// Handle for `JobStatus` requests.
         job: u64,
     },
     /// The request was rejected.

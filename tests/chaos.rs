@@ -3,7 +3,9 @@
 //! injected wave panic fails only that wave's jobs and is reported as
 //! `JobFailed` over the wire; a killed shard worker is respawned within
 //! its restart budget and later proofs are byte-identical to a fault-free
-//! run; no `wait` or `drain` blocks past its deadline when a worker dies.
+//! run; no `wait` or `drain` blocks past its deadline when a worker dies;
+//! a terminal answer torn in transit is answered again, unchanged, on a
+//! new connection.
 //! Every scenario ends with the job counters balanced: each accepted job
 //! was counted exactly once as completed or failed, and no queue holds
 //! work.
@@ -13,12 +15,12 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use zkspeed::hyperplonk::{mock_circuit, Circuit, SparsityProfile, Witness};
+use zkspeed::hyperplonk::{mock_circuit, verify, Circuit, SparsityProfile, Witness};
 use zkspeed::net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig};
 use zkspeed::pcs::Srs;
 use zkspeed::prelude::*;
 use zkspeed::rt::faults::FaultPlan;
-use zkspeed::svc::ServiceMetrics;
+use zkspeed::svc::{JobState, ServiceMetrics};
 
 const MU: usize = 4;
 const TOKEN: &[u8] = b"chaos-token";
@@ -434,4 +436,106 @@ fn torn_response_surfaces_as_transport_error_without_hanging() {
         started.elapsed()
     );
     assert_counters_balance(&server.shutdown());
+}
+
+/// Blocks until the in-process view of `job` reads `state`, so that the
+/// next `JobStatus` answer is the job's terminal one.
+fn await_state(server: &NetServer, job: u64, state: JobState) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.service().status(job) != Some(state) {
+        assert!(
+            Instant::now() < deadline,
+            "job {job} never reached {state:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Tears the terminal answer to `job` (response #3: register, submit,
+/// then this `JobStatus`), checks the client sees a transport error, and
+/// returns a fresh connection to re-poll on.
+fn tear_terminal_answer(server: &NetServer, client: &mut NetClient, job: u64) -> NetClient {
+    let err = client
+        .wait(job, Duration::from_secs(60))
+        .expect_err("the torn answer must not arrive");
+    assert!(
+        matches!(
+            err,
+            NetError::Io(_) | NetError::Decode(_) | NetError::Disconnected
+        ),
+        "expected a transport error, got {err:?}"
+    );
+    NetClient::connect(server.local_addr(), TOKEN, ClientConfig::default()).expect("reconnect")
+}
+
+#[test]
+fn a_torn_proof_ready_is_delivered_again_on_a_new_connection() {
+    let (circuit, witness) = instance(7);
+    let baseline = fault_free_proof(&circuit, &witness);
+
+    let server = faulty_server("conn-tear@3");
+    let mut client = NetClient::connect(server.local_addr(), TOKEN, ClientConfig::default())
+        .expect("connect + auth");
+    let (digest, _) = client
+        .register_circuit(&circuit.to_bytes())
+        .expect("register");
+    let job = client
+        .submit(digest, Priority::Normal, &witness.to_bytes())
+        .expect("accepted");
+    await_state(&server, job, JobState::Done);
+
+    let mut again = tear_terminal_answer(&server, &mut client, job);
+    let proof = again.wait(job, Duration::from_secs(60)).expect("re-poll");
+    assert_eq!(proof, baseline, "the re-delivered proof is byte-equal");
+    let vk = server.service().verifying_key(&digest).expect("registered");
+    verify(&vk, &Proof::from_bytes(&proof).expect("decodes")).expect("verifies");
+    // And once more: the retained outcome does not change.
+    assert_eq!(
+        again.wait(job, Duration::from_secs(60)).expect("3rd"),
+        proof
+    );
+    drop((client, again));
+
+    let metrics = server.shutdown();
+    assert_eq!((metrics.completed, metrics.failed), (1, 0));
+    assert_counters_balance(&metrics);
+}
+
+#[test]
+fn a_torn_job_failed_is_delivered_again_on_a_new_connection() {
+    let (circuit, witness) = instance(8);
+    // The wave sleeps 300 ms before its deadline check, so a 50 ms job
+    // always expires.
+    let server = faulty_server("conn-tear@3; shard-delay=0:300");
+    let mut client = NetClient::connect(server.local_addr(), TOKEN, ClientConfig::default())
+        .expect("connect + auth");
+    let (digest, _) = client
+        .register_circuit(&circuit.to_bytes())
+        .expect("register");
+    let job = client
+        .submit_with_deadline(digest, Priority::Normal, &witness.to_bytes(), 50)
+        .expect("accepted");
+    await_state(&server, job, JobState::Failed);
+
+    let mut again = tear_terminal_answer(&server, &mut client, job);
+    let failures: Vec<String> = (0..2)
+        .map(|_| match again.wait(job, Duration::from_secs(60)) {
+            Err(NetError::JobFailed { job: id, reason }) => {
+                assert_eq!(id, job);
+                reason
+            }
+            other => panic!("expected JobFailed again, got {other:?}"),
+        })
+        .collect();
+    assert!(failures[0].contains("deadline"), "{}", failures[0]);
+    assert_eq!(
+        failures[0], failures[1],
+        "the retained failure does not change"
+    );
+    drop((client, again));
+
+    let metrics = server.shutdown();
+    assert_eq!((metrics.completed, metrics.failed), (0, 1));
+    assert_eq!(metrics.failed_deadline, 1);
+    assert_counters_balance(&metrics);
 }

@@ -1,36 +1,59 @@
 //! Integration tests of the TCP transport: split/coalesced frame
 //! delivery, corrupt and oversized frames, auth, connection caps, idle
-//! timeouts, and graceful drain under load — all over real loopback
-//! sockets against a live server.
+//! timeouts, graceful drain under load, and the latency contracts (a
+//! prompt `connect`, a parked `JobStatus`, a prompt shutdown) — all over
+//! real loopback sockets against a live server.
 
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use zkspeed::hyperplonk::{mock_circuit, Circuit, SparsityProfile, Witness};
 use zkspeed::net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig};
 use zkspeed::pcs::Srs;
+use zkspeed::rt::faults::FaultPlan;
 use zkspeed::rt::pool::Serial;
 use zkspeed::rt::rngs::StdRng;
 use zkspeed::rt::SeedableRng;
-use zkspeed::svc::{Priority, ProvingService, RejectCode, Request, Response, ServiceConfig};
+use zkspeed::svc::{
+    JobState, Priority, ProvingService, RejectCode, Request, Response, ServiceConfig,
+};
 
 const TOKEN: &[u8] = b"test-token";
 const MU: usize = 6;
 
+/// How long the service holds a `JobStatus` for a pending job (the job
+/// table's `WAIT_POLL`).
+const PARK: Duration = Duration::from_millis(100);
+
 fn test_circuit(seed: u64) -> (Circuit, Witness) {
+    small_circuit(seed, MU)
+}
+
+fn small_circuit(seed: u64, mu: usize) -> (Circuit, Witness) {
     let mut rng = StdRng::seed_from_u64(seed);
-    mock_circuit(MU, SparsityProfile::paper_default(), &mut rng)
+    mock_circuit(mu, SparsityProfile::paper_default(), &mut rng)
+}
+
+fn service_config() -> ServiceConfig {
+    ServiceConfig::default().with_shards(1).with_wave_size(2)
+}
+
+/// [`service_config`] with every wave on shard 0 delayed by `ms`.
+fn delayed_service_config(ms: u64) -> ServiceConfig {
+    let plan = FaultPlan::parse(&format!("shard-delay=0:{ms}")).expect("valid spec");
+    service_config().with_faults(Arc::new(plan))
 }
 
 fn start_server(server_config: ServerConfig) -> NetServer {
+    start_server_with(service_config(), server_config)
+}
+
+fn start_server_with(service_config: ServiceConfig, server_config: ServerConfig) -> NetServer {
     let mut rng = StdRng::seed_from_u64(1);
     let srs = Arc::new(Srs::try_setup(MU, &mut rng, &Serial).expect("tiny setup fits"));
-    let service = ProvingService::start(
-        srs,
-        ServiceConfig::default().with_shards(1).with_wave_size(2),
-    );
+    let service = ProvingService::start(srs, service_config);
     NetServer::bind(service, server_config).expect("bind loopback")
 }
 
@@ -38,8 +61,33 @@ fn default_server() -> NetServer {
     start_server(ServerConfig::new("127.0.0.1:0").with_auth_token(TOKEN))
 }
 
+/// The server's address, with an unspecified bind mapped to loopback.
+fn loopback(server: &NetServer) -> SocketAddr {
+    let mut addr = server.local_addr();
+    if addr.ip().is_unspecified() {
+        addr.set_ip(Ipv4Addr::LOCALHOST.into());
+    }
+    addr
+}
+
 fn connect(server: &NetServer) -> NetClient {
-    NetClient::connect(server.local_addr(), TOKEN, ClientConfig::default()).expect("connect + auth")
+    NetClient::connect(loopback(server), TOKEN, ClientConfig::default()).expect("connect + auth")
+}
+
+/// Registers `circuit` and submits its witness once; returns the digest
+/// and the job id.
+fn submit_one(client: &mut NetClient, circuit: &Circuit, witness: &Witness) -> ([u8; 32], u64) {
+    let (digest, _) = client.register_circuit(&circuit.to_bytes()).unwrap();
+    let job = client
+        .submit(digest, Priority::Normal, &witness.to_bytes())
+        .unwrap();
+    (digest, job)
+}
+
+fn assert_verifies(server: &NetServer, digest: &[u8; 32], proof: &[u8]) {
+    let vk = server.service().verifying_key(digest).unwrap();
+    let proof = zkspeed::hyperplonk::Proof::from_bytes(proof).unwrap();
+    zkspeed::hyperplonk::verify(&vk, &proof).unwrap();
 }
 
 /// Raw socket helpers for byte-level delivery control.
@@ -299,11 +347,9 @@ fn proofs_round_trip_over_tcp_and_verify() {
                 .unwrap()
         })
         .collect();
-    let vk = server.service().verifying_key(&digest).unwrap();
     for job in jobs {
-        let proof_bytes = client.wait(job, Duration::from_secs(60)).unwrap();
-        let proof = zkspeed::hyperplonk::Proof::from_bytes(&proof_bytes).unwrap();
-        zkspeed::hyperplonk::verify(&vk, &proof).unwrap();
+        let proof = client.wait(job, Duration::from_secs(60)).unwrap();
+        assert_verifies(&server, &digest, &proof);
     }
 
     let metrics = server.shutdown();
@@ -357,4 +403,101 @@ fn graceful_drain_finishes_accepted_jobs_and_rejects_new_ones() {
     assert_eq!(metrics.completed, 6, "all accepted jobs finished");
     assert!(metrics.rejected_draining >= 1);
     assert_eq!(metrics.connections.open, 0);
+}
+
+// --- latency contracts: neither side sleeps to poll ----------------------
+
+#[test]
+fn sequential_connects_do_not_wait_on_the_accept_loop() {
+    let server = default_server();
+    let started = Instant::now();
+    for _ in 0..20 {
+        drop(connect(&server));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "20 connects took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn one_job_status_right_after_acceptance_answers_proof_ready() {
+    let server = default_server();
+    let (circuit, witness) = small_circuit(11, 4);
+    let mut client = connect(&server);
+    let (digest, job) = submit_one(&mut client, &circuit, &witness);
+    match client.request(&Request::JobStatus { job }).unwrap() {
+        Response::ProofReady { job: id, proof } => {
+            assert_eq!(id, job);
+            assert_verifies(&server, &digest, &proof);
+        }
+        other => panic!("a parked JobStatus should answer ProofReady, got {other:?}"),
+    }
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_job_status_on_a_delayed_shard_answers_status_after_one_park() {
+    let server = start_server_with(
+        delayed_service_config(300),
+        ServerConfig::new("127.0.0.1:0").with_auth_token(TOKEN),
+    );
+    let (circuit, witness) = small_circuit(12, 4);
+    let mut client = connect(&server);
+    let (digest, job) = submit_one(&mut client, &circuit, &witness);
+    let started = Instant::now();
+    match client.request(&Request::JobStatus { job }).unwrap() {
+        Response::Status { job: id, state } => {
+            assert_eq!(id, job);
+            assert!(matches!(state, JobState::Queued | JobState::Running));
+        }
+        other => panic!("expected Status while the shard sleeps, got {other:?}"),
+    }
+    let parked = started.elapsed();
+    assert!(
+        parked >= PARK && parked < 3 * PARK,
+        "a pending JobStatus parked {parked:?}"
+    );
+    let proof = client.wait(job, Duration::from_secs(60)).unwrap();
+    assert_verifies(&server, &digest, &proof);
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_is_prompt_on_loopback_and_unspecified_binds() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        // No waiter: one client came and went.
+        let server = start_server(ServerConfig::new(addr).with_auth_token(TOKEN));
+        drop(connect(&server));
+        let started = Instant::now();
+        server.shutdown();
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "{addr}: {elapsed:?}");
+
+        // A waiter parked on a job that settles during the drain still
+        // receives its ProofReady.
+        let server = start_server_with(
+            delayed_service_config(200),
+            ServerConfig::new(addr).with_auth_token(TOKEN),
+        );
+        let (circuit, witness) = small_circuit(13, 4);
+        let mut client = connect(&server);
+        let (digest, job) = submit_one(&mut client, &circuit, &witness);
+        let vk = server.service().verifying_key(&digest).unwrap();
+        let waiter = std::thread::spawn(move || client.wait(job, Duration::from_secs(60)));
+        std::thread::sleep(PARK / 2);
+        let started = Instant::now();
+        let metrics = server.shutdown();
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "{addr}: {elapsed:?}");
+        let proof = waiter.join().unwrap().expect("the parked waiter's proof");
+        let proof = zkspeed::hyperplonk::Proof::from_bytes(&proof).unwrap();
+        zkspeed::hyperplonk::verify(&vk, &proof).unwrap();
+        assert_eq!(metrics.completed, 1);
+        assert_eq!(metrics.connections.open, 0);
+    }
 }

@@ -492,16 +492,23 @@ fn failing_witness_fails_its_job_but_not_its_wavemates() {
         .expect("submit");
     let bad_job = svc.submit(&digest, bad, Priority::Normal).expect("submit");
 
-    assert!(svc.wait(good_job).is_ok(), "good wave-mate completes");
-    match svc.wait(bad_job) {
+    let good_proof = svc.wait(good_job).expect("good wave-mate completes");
+    let reason = match svc.wait(bad_job) {
         Err(ServiceError::JobFailed(msg)) => {
             assert!(msg.contains("constraint"), "{msg}");
+            msg
         }
         other => panic!("expected JobFailed, got {other:?}"),
+    };
+    // Delivered outcomes stay in the retention ring: both ids are
+    // delivered again, unchanged.
+    assert_eq!(svc.status(bad_job), Some(JobState::Failed));
+    assert_eq!(svc.status(good_job), Some(JobState::Done));
+    assert_eq!(svc.wait(good_job), Ok(good_proof));
+    match svc.wait(bad_job) {
+        Err(ServiceError::JobFailed(again)) => assert_eq!(again, reason),
+        other => panic!("expected the same JobFailed, got {other:?}"),
     }
-    // Terminal outcomes are consumed on delivery: the ids are forgotten.
-    assert_eq!(svc.status(bad_job), None);
-    assert_eq!(svc.status(good_job), None);
     let metrics = svc.metrics();
     assert_eq!(metrics.failed, 1);
 }

@@ -306,8 +306,9 @@ pub enum Response {
     },
     /// The server acknowledged a `Shutdown` request and began draining.
     ShuttingDown,
-    /// The job ran (or expired) and will never produce a proof. Terminal
-    /// and consumed on delivery, like `ProofReady`. Fatal for the job —
+    /// The job ran (or expired) and will never produce a proof. Terminal,
+    /// and answered again while it stays in the retention ring, like
+    /// `ProofReady`. Fatal for the job —
     /// clients must not retry the same witness expecting a different
     /// outcome unless the reason names a transient cause (a worker crash).
     JobFailed {

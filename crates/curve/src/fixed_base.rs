@@ -70,9 +70,12 @@ impl FixedBaseTable {
             }
             adder.flush(next, src);
         }
-        let entries = (0..num_windows)
-            .flat_map(|j| rows.iter().skip(j).step_by(num_windows).copied())
-            .collect();
+        // Sized up front: collecting the `flat_map` would grow it by
+        // doubling, to up to twice the entries.
+        let mut entries = Vec::with_capacity(rows.len());
+        for j in 0..num_windows {
+            entries.extend(rows.iter().skip(j).step_by(num_windows));
+        }
         Self {
             window_bits,
             entries,
@@ -191,5 +194,20 @@ mod tests {
         assert_eq!(FixedBaseTable::new(10).entries.len(), 26 << 9);
         let picks = [10, 12, 14, 16].map(|log| fixed_base_window_bits(1 << log));
         assert_eq!(picks, [8, 10, 12, 13]);
+    }
+
+    #[test]
+    fn table_holds_exactly_its_entries() {
+        // `windows · 2^{w−1}` entries, capacity included: a vector grown by
+        // doubling would hold 2^16 slots for setup's 22 windows of 2^11.
+        for w in [1, 3, 8, 12] {
+            let entries = FixedBaseTable::new(w).entries;
+            let expected = (Fr::NUM_BITS as usize + 1).div_ceil(w) << (w - 1);
+            assert_eq!(
+                (entries.len(), entries.capacity()),
+                (expected, expected),
+                "w = {w}"
+            );
+        }
     }
 }

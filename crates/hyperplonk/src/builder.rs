@@ -205,14 +205,18 @@ impl CircuitBuilder {
     /// The gate count is padded to the next power of two (minimum 2) with
     /// no-op gates, and the copy constraints are turned into a wiring
     /// permutation whose cycles rotate through each equivalence class of
-    /// connected slots.
-    pub fn build(&self) -> (Circuit, Witness) {
-        let n = self.selectors.len().next_power_of_two().max(2);
-        let mut selectors = self.selectors.clone();
+    /// connected slots, in slot order. The builder's columns become the
+    /// witness's, uncopied.
+    pub fn build(self) -> (Circuit, Witness) {
+        let Self {
+            mut selectors,
+            mut w1,
+            mut w2,
+            mut w3,
+            copies,
+        } = self;
+        let n = selectors.len().next_power_of_two().max(2);
         selectors.resize(n, GateSelectors::noop());
-        let mut w1 = self.w1.clone();
-        let mut w2 = self.w2.clone();
-        let mut w3 = self.w3.clone();
         w1.resize(n, Fr::zero());
         w2.resize(n, Fr::zero());
         w3.resize(n, Fr::zero());
@@ -232,7 +236,7 @@ impl CircuitBuilder {
             }
             root
         }
-        for (a, b) in &self.copies {
+        for (a, b) in copies {
             let sa = a.column * n + a.gate;
             let sb = b.column * n + b.gate;
             let ra = find(&mut parent, sa);
@@ -241,23 +245,23 @@ impl CircuitBuilder {
                 parent[ra] = rb;
             }
         }
-        // Group slots by class and build cyclic rotations.
-        let mut classes: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
+        // Each class's cycle, in slot order: `tail[root]` is the class's
+        // last slot so far, and the tail's σ holds the class's first slot
+        // until the next member takes its place (a singleton maps to itself).
+        let mut tail = vec![usize::MAX; 3 * n];
+        let mut sigma = vec![0; 3 * n];
         for slot in 0..3 * n {
             let root = find(&mut parent, slot);
-            classes.entry(root).or_default().push(slot);
+            sigma[slot] = match tail[root] {
+                usize::MAX => slot,
+                last => std::mem::replace(&mut sigma[last], slot),
+            };
+            tail[root] = slot;
         }
-        let mut sigma: Vec<usize> = (0..3 * n).collect();
-        for members in classes.values() {
-            if members.len() > 1 {
-                for (i, &slot) in members.iter().enumerate() {
-                    sigma[slot] = members[(i + 1) % members.len()];
-                }
-            }
-        }
+        drop((parent, tail));
 
         let circuit = Circuit::new(&selectors, sigma);
+        drop(selectors);
         let witness = Witness::new(
             MultilinearPoly::new(w1),
             MultilinearPoly::new(w2),
@@ -306,10 +310,10 @@ mod tests {
         let lhs = b.add(t, five);
         let target = b.constant(u(35));
         b.assert_equal(lhs, target);
+        assert_eq!(b.value_of(lhs), u(35));
         let (circuit, witness) = b.build();
         assert!(circuit.check_witness(&witness).is_ok());
         assert!(circuit.num_gates().is_power_of_two());
-        assert_eq!(b.value_of(lhs), u(35));
     }
 
     #[test]
@@ -347,6 +351,19 @@ mod tests {
             }
         }
         assert!(moved >= 2, "expected nontrivial wiring, moved = {moved}");
+    }
+
+    #[test]
+    fn wiring_cycles_run_through_each_class_in_slot_order() {
+        // With n = 4: x fills slots 8 (its input gate), 1, 5 and 6; y fills
+        // slots 9 and 2. Every other slot is a class of one.
+        let mut b = CircuitBuilder::new();
+        let x = b.input(u(2));
+        let y = b.mul(x, x);
+        let _ = b.add(y, x);
+        let (circuit, _) = b.build();
+        let sigma: Vec<usize> = (0..12).map(|s| circuit.sigma_slot(s / 4, s % 4)).collect();
+        assert_eq!(sigma, [0, 5, 9, 3, 4, 6, 8, 7, 1, 2, 10, 11]);
     }
 
     #[test]

@@ -22,7 +22,10 @@ use zkspeed_transcript::Transcript;
 
 use crate::mock::{mock_circuit, SparsityProfile};
 use crate::proof::query_groups;
-use crate::prover::{construct_nd, gate_polynomial, opening_polynomial, wiring_polynomial};
+use crate::prover::{
+    denominators, entrywise_product, gate_polynomial, opening_polynomial, wiring_polynomial,
+    Numerators,
+};
 
 /// Bytes per MLE table entry (one 255-bit field element packed into 32 B).
 pub const BYTES_PER_FIELD_ELEMENT: usize = 32;
@@ -98,9 +101,15 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     let beta = Fr::random(rng);
     let gamma = Fr::random(rng);
     let sigmas = circuit.sigma_mles();
-    let (numerators, denominators) = construct_nd(&witness, &sigmas, beta, gamma);
-    let product = |t: &[MultilinearPoly]| t[0].hadamard(&t[1]).hadamard(&t[2]);
-    let (numerator, denominator) = (product(&numerators), product(&denominators));
+    let construct_nd = || {
+        let numerators = Numerators::new(num_vars, beta, gamma).tables(&witness);
+        (numerators, denominators(&witness, &sigmas, beta, gamma))
+    };
+    let (numerators, denominators) = construct_nd();
+    let (numerator, denominator) = (
+        entrywise_product(&numerators),
+        entrywise_product(&denominators),
+    );
     let phi = fraction_mle(&numerator, &denominator);
     let pi = product_mle(&phi);
 
@@ -145,7 +154,7 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     // (for the two ZeroChecks, with the Build MLE of their `eq` table).
     let point: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
     let f_gate = gate_polynomial(&circuit, &witness);
-    let f_perm = wiring_polynomial(&phi, &pi, &numerators, &denominators, Fr::random(rng));
+    let f_perm = wiring_polynomial(&phi, &pi, numerators, denominators, Fr::random(rng));
     let groups = query_groups(&point, &point);
     let combined: Vec<MultilinearPoly> = (0..groups.len())
         .map(|_| MultilinearPoly::random(num_vars, rng))
@@ -201,7 +210,7 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     });
 
     let before = modmul_count();
-    let _ = construct_nd(&witness, &sigmas, beta, gamma);
+    let _ = construct_nd();
     rows.push(KernelProfile {
         kernel: "Construct N & D",
         modmuls: modmul_count().since(&before).total(),

@@ -10,6 +10,23 @@
 //! | 4. Batch Evaluations | MLE Evaluate (only what no SumCheck already returned) |
 //! | 5. Polynomial Opening | MLE Combine, Build MLE, SumCheck (OpenCheck), halving MSMs |
 //!
+//! Each table of `2^μ` Fr the prover builds lives as long as a later step
+//! reads it (the key's and the witness's tables are the caller's). A
+//! SumCheck takes its polynomial, so a table only the polynomial holds is
+//! folded in place and dies inside it:
+//!
+//! | Tables | Built in step | Die |
+//! |---|---|---|
+//! | halves of the selector and witness tables (first fold) | 2 | with the Gate Identity ZeroCheck |
+//! | σ₁…σ₃ | 3 | after MLE Combine |
+//! | D₁…D₃ | 3 | with the PermCheck |
+//! | `N₁·N₂·N₃` and `D₁·D₂·D₃` | 3 | once φ is built |
+//! | φ, π | 3 | after MLE Combine |
+//! | N₁…N₃ (after the φ/π commitments), p₁, p₂ | 3 | with the PermCheck |
+//! | the combined `yᵢ`, one per query group | 5 | once g′ is built |
+//! | the OpenCheck's `eq` tables `kᵢ` | 5 | with the OpenCheck |
+//! | g′ | 5 | with the opening |
+//!
 //! [`prove`] returns wall-clock and operation-count measurements per step
 //! with every proof; these calibrate the CPU baseline model used by the
 //! accelerator's design-space exploration. Where the work runs and where its
@@ -280,7 +297,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let t1 = Instant::now();
     let step_span = trace.span_with("gate-identity", "prove", &[("job", job)]);
     let f_gate = gate_polynomial(&pk.circuit, witness);
-    let gate_out = prove_zerocheck(&f_gate, &mut transcript, &**backend, trace, "gate-round");
+    let gate_out = prove_zerocheck(f_gate, &mut transcript, &**backend, trace, "gate-round");
     let gate_point = gate_out.sumcheck.point.clone();
     drop(step_span);
     report.step_seconds[1] = t1.elapsed().as_secs_f64();
@@ -292,20 +309,19 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let gamma = transcript.challenge_scalar(b"gamma");
     let sigmas = pk.circuit.sigma_mles();
 
-    // Construct N & D: six intermediate MLEs plus their products.
+    // Construct N & D: the D tables, and the products of the N and of the D
+    // tables. The N tables themselves wait until φ and π are committed.
     let nd_span = trace.span_with("construct-nd", "prove", &[("job", job)]);
-    let (numerators, denominators) = construct_nd(witness, &sigmas, beta, gamma);
-    let n_mle = numerators[0]
-        .hadamard(&numerators[1])
-        .hadamard(&numerators[2]);
-    let d_mle = denominators[0]
-        .hadamard(&denominators[1])
-        .hadamard(&denominators[2]);
+    let numerators = Numerators::new(mu, beta, gamma);
+    let denominators = denominators(witness, &sigmas, beta, gamma);
+    let n_mle = numerators.product(witness);
+    let d_mle = entrywise_product(&denominators);
     drop(nd_span);
 
-    // FracMLE and Product MLE.
+    // FracMLE and Product MLE; the products die once φ is built.
     let frac_span = trace.span_with("frac-prod-mle", "prove", &[("job", job)]);
     let phi = fraction_mle(&n_mle, &d_mle);
+    drop((n_mle, d_mle));
     let pi = product_mle(&phi);
     drop(frac_span);
 
@@ -335,9 +351,10 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     transcript.append_message(b"pi-commitment", &pi_commitment.to_transcript_bytes());
     let alpha = transcript.challenge_scalar(b"alpha");
 
-    // PermCheck ZeroCheck on Eq. (4).
-    let f_perm = wiring_polynomial(&phi, &pi, &numerators, &denominators, alpha);
-    let perm_out = prove_zerocheck(&f_perm, &mut transcript, &**backend, trace, "perm-round");
+    // PermCheck ZeroCheck on Eq. (4). N (rebuilt from the kept shifts by
+    // additions alone), D, p₁ and p₂ move into it and die with it.
+    let f_perm = wiring_polynomial(&phi, &pi, numerators.tables(witness), denominators, alpha);
+    let perm_out = prove_zerocheck(f_perm, &mut transcript, &**backend, trace, "perm-round");
     let perm_point = perm_out.sumcheck.point.clone();
     drop(step_span);
     report.step_seconds[2] = t2.elapsed().as_secs_f64();
@@ -432,11 +449,14 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         zkspeed_field::add_modmul_count(muls);
         combined_polys.push(poly);
     }
+    // No later step reads σ, φ or π.
+    drop((sigmas, phi, pi));
     // OpenCheck: Σ_i cⁱ · yᵢ(x) · kᵢ(x) summed over the hypercube equals the
-    // combined claimed evaluations.
+    // combined claimed evaluations. Its `eq` tables fold in place and die
+    // inside it.
     let c = transcript.challenge_scalar(b"opencheck-combine");
     let f_open = opening_polynomial(&groups, &combined_polys, c, &**backend);
-    let open_out = sumcheck_prove(&f_open, &mut transcript, &**backend, trace, "open-round");
+    let open_out = sumcheck_prove(f_open, &mut transcript, &**backend, trace, "open-round");
     let rho = open_out.point.clone();
 
     // The claimed evaluations yᵢ(ρ) are where the OpenCheck left its tables.
@@ -449,6 +469,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let d = transcript.challenge_scalars(b"gprime-challenge", groups.len());
     let gprime =
         MultilinearPoly::linear_combination(&d, &combined_polys.iter().collect::<Vec<_>>());
+    drop(combined_polys);
     let (gprime_value, gprime_opening, open_stats) = {
         let _msm_span = trace.span_with("msm-opening", "msm", &[("job", job)]);
         open(
@@ -503,30 +524,64 @@ pub(crate) fn gate_polynomial(circuit: &Circuit, witness: &Witness) -> VirtualPo
     f
 }
 
-/// **Construct N & D**: the numerator tables `Nⱼ = wⱼ + β·idⱼ + γ` and the
-/// denominator tables `Dⱼ = wⱼ + β·σⱼ + γ` of the three columns. With
-/// `idⱼ(i) = j·n + i`, `β·idⱼ + γ` steps by `β` from entry to entry: the
-/// numerators take no table of it and no multiplication per entry.
-pub(crate) fn construct_nd(
+/// **Construct N & D**, numerator half: `Nⱼ = wⱼ + β·idⱼ + γ`. With
+/// `idⱼ(i) = j·n + i`, `β·idⱼ + γ` steps by `β` from entry to entry, so a
+/// numerator takes one multiplication for its starting shift and additions
+/// after it. The starting shifts are kept: the product `N₁·N₂·N₃` is built
+/// without the tables, and the tables later, at no multiplication.
+pub(crate) struct Numerators {
+    beta: Fr,
+    /// `β·(j·n − 1) + γ`, the shift before column `j`'s first entry.
+    starts: [Fr; 3],
+}
+
+impl Numerators {
+    pub(crate) fn new(num_vars: usize, beta: Fr, gamma: Fr) -> Self {
+        let n = 1usize << num_vars;
+        let starts = [0, 1, 2].map(|j| beta * Fr::from_u64((j * n) as u64) + gamma - beta);
+        Self { beta, starts }
+    }
+
+    /// `Nⱼ[i]` for `i = 0, 1, …`, read off `wⱼ`.
+    fn column<'a>(&self, witness: &'a Witness, j: usize) -> impl Iterator<Item = Fr> + 'a {
+        let beta = self.beta;
+        let mut shift = self.starts[j];
+        witness.columns[j].evaluations().iter().map(move |w| {
+            shift += beta;
+            *w + shift
+        })
+    }
+
+    /// The tables `N₁, N₂, N₃`.
+    pub(crate) fn tables(&self, witness: &Witness) -> [MultilinearPoly; 3] {
+        [0, 1, 2].map(|j| MultilinearPoly::new(self.column(witness, j).collect()))
+    }
+
+    /// `N₁·N₂·N₃`, entry by entry, with no table of the factors.
+    pub(crate) fn product(&self, witness: &Witness) -> MultilinearPoly {
+        let columns = (self.column(witness, 0))
+            .zip(self.column(witness, 1))
+            .zip(self.column(witness, 2));
+        MultilinearPoly::new(columns.map(|((a, b), c)| a * b * c).collect())
+    }
+}
+
+/// **Construct N & D**, denominator half: `Dⱼ = wⱼ + β·σⱼ + γ`.
+pub(crate) fn denominators(
     witness: &Witness,
     sigmas: &[MultilinearPoly; 3],
     beta: Fr,
     gamma: Fr,
-) -> (Vec<MultilinearPoly>, Vec<MultilinearPoly>) {
-    let numerator = |(j, w): (usize, &MultilinearPoly)| {
-        let mut shift = beta * Fr::from_u64((j * w.len()) as u64) + gamma - beta;
-        MultilinearPoly::from_fn(w.num_vars(), |i| {
-            shift += beta;
-            w[i] + shift
-        })
-    };
-    let denominator = |(w, s): (&MultilinearPoly, &MultilinearPoly)| {
+) -> [MultilinearPoly; 3] {
+    [0, 1, 2].map(|j| {
+        let (w, s) = (&witness.columns[j], &sigmas[j]);
         MultilinearPoly::from_fn(w.num_vars(), |i| w[i] + beta * s[i] + gamma)
-    };
-    let columns = &witness.columns;
-    let numerators = columns.iter().enumerate().map(numerator).collect();
-    let denominators = columns.iter().zip(sigmas).map(denominator).collect();
-    (numerators, denominators)
+    })
+}
+
+/// `t₁·t₂·t₃`, entry by entry.
+pub(crate) fn entrywise_product([t1, t2, t3]: &[MultilinearPoly; 3]) -> MultilinearPoly {
+    MultilinearPoly::from_fn(t1.num_vars(), |i| t1[i] * t2[i] * t3[i])
 }
 
 /// Where [`wiring_polynomial`] registers `π` and `φ`.
@@ -534,12 +589,13 @@ const WIRING_PI: usize = 0;
 const WIRING_PHI: usize = 3;
 
 /// The Wiring Identity polynomial of Eq. (4), `π − p₁·p₂ + α·(φ·D₁·D₂·D₃ −
-/// N₁·N₂·N₃)`, its MLEs registered as `π, p₁, p₂, φ, D₁…D₃, N₁…N₃`.
+/// N₁·N₂·N₃)`, its MLEs registered as `π, p₁, p₂, φ, D₁…D₃, N₁…N₃`. It
+/// shares `φ` and `π` and owns the rest.
 pub(crate) fn wiring_polynomial(
     phi: &MultilinearPoly,
     pi: &MultilinearPoly,
-    numerators: &[MultilinearPoly],
-    denominators: &[MultilinearPoly],
+    numerators: [MultilinearPoly; 3],
+    denominators: [MultilinearPoly; 3],
     alpha: Fr,
 ) -> VirtualPolynomial {
     let (p1, p2) = split_even_odd(phi, pi);
@@ -548,8 +604,8 @@ pub(crate) fn wiring_polynomial(
     let p1_idx = f.add_mle(p1);
     let p2_idx = f.add_mle(p2);
     let mut with_phi = vec![f.add_mle(phi.clone())];
-    with_phi.extend(denominators.iter().map(|d| f.add_mle(d.clone())));
-    let n_idx = numerators.iter().map(|n| f.add_mle(n.clone())).collect();
+    with_phi.extend(denominators.map(|d| f.add_mle(d)));
+    let n_idx = numerators.map(|n| f.add_mle(n)).to_vec();
     f.add_term(Fr::one(), vec![pi_idx]);
     f.add_term(-Fr::one(), vec![p1_idx, p2_idx]);
     f.add_term(alpha, with_phi);

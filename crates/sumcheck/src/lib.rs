@@ -35,8 +35,11 @@
 //! vp.add_term(Fr::one(), vec![fi, gi]);
 //! let claim = vp.sum_over_hypercube();
 //!
+//! // `prove` takes the polynomial and folds the tables it alone holds in
+//! // place. This clone shares f and g with `vp`, which the check below
+//! // still reads, so the first fold copies them instead.
 //! let mut pt = Transcript::new(b"demo");
-//! let out = prove(&vp, &mut pt, &Serial, &TraceSink::disabled(), "round");
+//! let out = prove(vp.clone(), &mut pt, &Serial, &TraceSink::disabled(), "round");
 //! let mut vt = Transcript::new(b"demo");
 //! let sub = verify(claim, 3, vp.degree(), &out.proof, &mut vt).unwrap();
 //! assert_eq!(sub.expected_evaluation, vp.evaluate(&sub.point));

@@ -14,7 +14,7 @@
 //!    or subtracted per instance, and the coefficient multiplies the group's
 //!    accumulated sum once per round (never for `±1`);
 //! 4. **MLE Update** — fix the first variable to the verifier challenge
-//!    (Eq. 2), in place once the prover owns the tables.
+//!    (Eq. 2), in place for every table the prover holds alone.
 //!
 //! ZeroCheck does not carry `eq(X, r)` as one more MLE. Its round polynomial
 //! is `eq(r_{<i}, ρ_{<i})·eq(r_i, X)·t_i(X)` with
@@ -24,7 +24,7 @@
 //! factors multiply the round's evaluations once.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use zkspeed_field::{add_modmul_count, measure_modmuls, Fr};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
@@ -116,11 +116,18 @@ pub struct ProverOutput {
 /// `round_label` span (category `"sumcheck"`, tagged with its round index)
 /// into `trace`. Neither changes a byte of the proof.
 ///
+/// The prover takes the polynomial: it keeps the tables and drops the rest
+/// before the first round. A table nobody else holds is folded in place
+/// from round one and freed when the prover returns; a table the caller
+/// still shares (a clone of the polynomial shares every table) is copied,
+/// at half its size, by the first fold. [`prove_on`] borrows and so copies
+/// every table on the first fold.
+///
 /// # Panics
 ///
 /// Panics if `poly` has no variables or no terms.
 pub fn prove(
-    poly: &VirtualPolynomial,
+    poly: VirtualPolynomial,
     transcript: &mut Transcript,
     backend: &dyn Backend,
     trace: &TraceSink,
@@ -129,19 +136,26 @@ pub fn prove(
     prove_rounds(poly, None, transcript, backend, trace, round_label)
 }
 
-/// [`prove`] untraced, under the name the benchmark imports.
+/// [`prove`] untraced, under the name the benchmark imports. It proves a
+/// clone of `poly`, which shares its tables: the first fold copies them.
 pub fn prove_on(
     poly: &VirtualPolynomial,
     transcript: &mut Transcript,
     backend: &dyn Backend,
 ) -> ProverOutput {
-    prove(poly, transcript, backend, &TraceSink::disabled(), "round")
+    prove(
+        poly.clone(),
+        transcript,
+        backend,
+        &TraceSink::disabled(),
+        "round",
+    )
 }
 
 /// The round loop of [`prove`], and with the Build-MLE challenges
 /// `r` as `eq_point` the ZeroCheck prover's: the sum of `poly(X)·eq(X, r)`.
 pub(crate) fn prove_rounds(
-    poly: &VirtualPolynomial,
+    poly: VirtualPolynomial,
     eq_point: Option<&[Fr]>,
     transcript: &mut Transcript,
     backend: &dyn Backend,
@@ -158,8 +172,11 @@ pub(crate) fn prove_rounds(
     );
 
     let num_rounds = poly.num_vars();
-    let plan = Plan::new(poly, poly.degree() + 1 + usize::from(eq_point.is_some()));
+    let plan = Plan::new(&poly, poly.degree() + 1 + usize::from(eq_point.is_some()));
+    // Without the polynomial, the prover is the only holder of every table
+    // the caller handed over: those fold in place from round one.
     let mut tables: Vec<Table> = poly.mles().iter().map(|m| m.shared_evaluations()).collect();
+    drop(poly);
     // `r`, `eq(r_{>i}, ·)` over the instances of round `i`, `eq(r_{<i}, ρ_{<i})`.
     let mut eq = eq_point.map(|r| {
         let _span = trace.span("build-mle", "sumcheck");
@@ -189,8 +206,12 @@ pub(crate) fn prove_rounds(
         if let Some((r, suffix, prefix)) = &mut eq {
             *prefix *= MultilinearPoly::eq_eval(&r[round..=round], &[challenge]);
             // eq(r_{i+1}, 0) + eq(r_{i+1}, 1) = 1: summing the next variable
-            // out leaves the next round's table.
-            *suffix = Arc::new(suffix.chunks_exact(2).map(|x| x[0] + x[1]).collect());
+            // out leaves the next round's table, in place.
+            let suffix = Arc::make_mut(suffix);
+            for i in 0..suffix.len() / 2 {
+                suffix[i] = suffix[2 * i] + suffix[2 * i + 1];
+            }
+            suffix.truncate(suffix.len() / 2);
         }
         round_evaluations.push(evals);
     }
@@ -229,7 +250,8 @@ pub fn round_polynomial_on(
 }
 
 /// One MLE's evaluations over the hypercube instances still unfixed: shared
-/// with the caller in the first round, owned by the prover afterwards.
+/// with the caller until its first fold if the caller kept it, owned by the
+/// prover otherwise.
 type Table = Arc<Vec<Fr>>;
 
 /// What the round kernel does per hypercube instance, derived once from a
@@ -405,35 +427,48 @@ fn extrapolate(evals: &mut Vec<Fr>, total: usize) {
 }
 
 /// **MLE Update** (Eq. 2) of every table, `t'[i] = (t[2i+1] − t[2i])·r +
-/// t[2i]`: in place when the prover owns the table, into a fresh one while
-/// it is still the caller's (the first round) or when large tables update
-/// one job each on a parallel backend, bit-identical at any thread count.
-fn update_tables(tables: &mut [Table], r: Fr, backend: &dyn Backend) {
+/// t[2i]`: in place when the prover is the table's only holder, into a fresh
+/// half-size table while the caller still shares it. Large tables on a
+/// parallel backend move into one job each and fold there under the same
+/// rule; the result is bit-identical at any thread count.
+fn update_tables(tables: &mut Vec<Table>, r: Fr, backend: &dyn Backend) {
     /// Below this table size the fan-out is not worth its scheduling.
     const MIN_LEN: usize = 1 << 12;
-    let fold = move |t: &[Fr], i: usize| (t[2 * i + 1] - t[2 * i]) * r + t[2 * i];
-    let folded = move |t: &[Fr]| (0..t.len() / 2).map(|i| fold(t, i)).collect::<Vec<Fr>>();
     if backend.threads() > 1 && tables.len() >= 2 && tables[0].len() >= MIN_LEN {
-        let shared = tables.to_vec();
-        let updated = pool::map_indices_on(backend, shared.len(), move |m| {
-            measure_modmuls(|| folded(&shared[m]))
+        let slots: Vec<Mutex<Option<Table>>> = std::mem::take(tables)
+            .into_iter()
+            .map(|t| Mutex::new(Some(t)))
+            .collect();
+        let updated = pool::map_indices_on(backend, slots.len(), move |m| {
+            let slot = slots[m].lock().expect("table slot poisoned").take();
+            let mut table = slot.expect("each table is folded by one job");
+            let ((), muls) = measure_modmuls(|| fold_table(&mut table, r));
+            (table, muls)
         });
-        for (table, (next, muls)) in tables.iter_mut().zip(updated) {
-            add_modmul_count(muls);
-            *table = Arc::new(next);
-        }
+        *tables = updated
+            .into_iter()
+            .map(|(table, muls)| {
+                add_modmul_count(muls);
+                table
+            })
+            .collect();
         return;
     }
-    for table in tables {
-        match Arc::get_mut(table) {
-            Some(own) => {
-                for i in 0..own.len() / 2 {
-                    own[i] = fold(own, i);
-                }
-                own.truncate(own.len() / 2);
+    tables.iter_mut().for_each(|t| fold_table(t, r));
+}
+
+/// Folds one table's first variable to `r`, in place if it is the prover's
+/// alone.
+fn fold_table(table: &mut Table, r: Fr) {
+    let fold = |t: &[Fr], i: usize| (t[2 * i + 1] - t[2 * i]) * r + t[2 * i];
+    match Arc::get_mut(table) {
+        Some(own) => {
+            for i in 0..own.len() / 2 {
+                own[i] = fold(own, i);
             }
-            None => *table = Arc::new(folded(table)),
+            own.truncate(own.len() / 2);
         }
+        None => *table = Arc::new((0..table.len() / 2).map(|i| fold(table, i)).collect()),
     }
 }
 

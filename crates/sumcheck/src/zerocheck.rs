@@ -88,11 +88,16 @@ pub fn mask_with_eq(poly: &VirtualPolynomial, challenges: &[Fr]) -> VirtualPolyn
 /// `backend`'s workers and record spans into `trace` as [`crate::prove`]
 /// does; the proof is the same on any backend, traced or not.
 ///
+/// Like [`crate::prove`], it takes the polynomial: the tables only it holds
+/// fold in place from round one and die inside it, and the ones the caller
+/// shares are copied by the first fold. [`prove_zerocheck_on`] borrows and
+/// so copies every table on the first fold.
+///
 /// # Panics
 ///
 /// Panics if `poly` has no variables or no terms.
 pub fn prove_zerocheck(
-    poly: &VirtualPolynomial,
+    poly: VirtualPolynomial,
     transcript: &mut Transcript,
     backend: &dyn Backend,
     trace: &TraceSink,
@@ -107,13 +112,21 @@ pub fn prove_zerocheck(
     }
 }
 
-/// [`prove_zerocheck`] untraced, under the name the benchmark imports.
+/// [`prove_zerocheck`] untraced, under the name the benchmark imports. It
+/// proves a clone of `poly`, which shares its tables: the first fold copies
+/// them.
 pub fn prove_zerocheck_on(
     poly: &VirtualPolynomial,
     transcript: &mut Transcript,
     backend: &dyn Backend,
 ) -> ZerocheckProverOutput {
-    prove_zerocheck(poly, transcript, backend, &TraceSink::disabled(), "round")
+    prove_zerocheck(
+        poly.clone(),
+        transcript,
+        backend,
+        &TraceSink::disabled(),
+        "round",
+    )
 }
 
 /// Verifies a ZeroCheck proof for a `num_vars`-variate polynomial whose

@@ -559,7 +559,8 @@ impl Numerators {
 
     /// `N₁·N₂·N₃`, entry by entry, with no table of the factors.
     pub(crate) fn product(&self, witness: &Witness) -> MultilinearPoly {
-        let columns = (self.column(witness, 0))
+        let columns = self
+            .column(witness, 0)
             .zip(self.column(witness, 1))
             .zip(self.column(witness, 2));
         MultilinearPoly::new(columns.map(|((a, b), c)| a * b * c).collect())

@@ -11,9 +11,13 @@
 //!   `k₁, k₂ < 2^128`, so `k·P = k₁·P + k₂·φ(P)` with `φ(x, y) = (β·x, y)`
 //!   one Fq multiplication, and the windows run over the `n` points and their
 //!   `n` images at half the scalar width — half the windows, bucket
-//!   aggregations and combine doublings of a 255-bit scalar. One unit of
-//!   parallel work per few windows, with two optimizations selected by
-//!   [`MsmConfig`]:
+//!   aggregations and combine doublings of a 255-bit scalar. The work
+//!   follows the scalars: a scalar below 2^128 is its own first half, one
+//!   whose negation is below 2^128 is recoded as that negation with its
+//!   operations' signs flipped, the windows cover only the widest half, and
+//!   a run where no scalar has a second half computes no images and runs one
+//!   term a point. One unit of parallel work per few windows, with two
+//!   optimizations selected by [`MsmConfig`]:
 //!   - **signed-digit window recoding** (digits in `[−2^{w−1}, 2^{w−1}]`,
 //!     using the free affine negation `−(x, y) = (x, −y)`), halving the
 //!     bucket count and the aggregation adds per window;
@@ -161,10 +165,12 @@ pub struct MsmStats {
     /// of the row term by the row length).
     pub doublings: u64,
     /// Images `φ(P) = (β·x, y)` computed, one Fq multiplication each: one
-    /// per point of a table-free MSM.
+    /// per point of a table-free MSM in which some scalar has a second half,
+    /// none otherwise.
     pub endomorphisms: u64,
     /// Scalar halves recoded into signed window digits: two per scalar
-    /// (`k₁` and `k₂`), with or without a table.
+    /// (`k₁` and `k₂`), or one when no scalar of the run has a second half,
+    /// with or without a table.
     pub recoded_scalars: u64,
 }
 
@@ -239,6 +245,16 @@ const AUTO_WINDOW_BITS: [usize; 15] = [2, 1, 1, 3, 4, 5, 6, 7, 8, 8, 10, 10, 11,
 /// `(⌈128/w⌉ + 1)·(6·2n + 12·2^{w−1})` (six multiplications a batch-affine
 /// addition, two of those per bucket aggregated), which `⌈log₂ n⌉ − 2`
 /// tracks.
+///
+/// Narrow scalars keep this width and run fewer windows: `⌈b/w⌉ + 1` for a
+/// widest half of `b` bits. The width stays because narrow scalars are not
+/// uniform. A one-window run (±1, ±2, all-ones φ or π) piles its operations
+/// onto a few buckets, which need the slice's room for copies; and σ's slot
+/// indices, `σ(i) ≈ i + c·2^μ`, give the windows above the low one runs of
+/// `2^w` consecutive points on one bucket, which the streaming fill cannot
+/// batch: at 2^14 points and `w = 8`, where the cost above re-minimised at
+/// 16 bits lands, σ's three commits paid 6 730 inversions against 304 at
+/// this width.
 pub fn auto_window_bits(n: usize) -> usize {
     let log = n.max(1).next_power_of_two().trailing_zeros() as usize;
     match AUTO_WINDOW_BITS.get(log) {
@@ -331,6 +347,59 @@ fn split_scalar(k: &[u64; 4]) -> [[u64; 2]; 2] {
     }
     let limbs = |v: u128| [v as u64, (v >> 64) as u64];
     [limbs(rem), limbs(q)]
+}
+
+/// The scalars of one run as its windows read them.
+struct Terms {
+    /// Term `t·i + h` is half `h` of scalar `i`, for `t` [`Self::per_scalar`].
+    halves: Vec<[u64; 2]>,
+    /// Scalar `i` was recoded as its negation `r − kᵢ`: its operations flip
+    /// their signs.
+    negated: Vec<bool>,
+    /// Terms a scalar contributes: both halves, or only `k₁` when no scalar
+    /// has a second half.
+    per_scalar: usize,
+    /// Bit length of the widest half, at least 1.
+    bits: usize,
+}
+
+impl Terms {
+    /// The scalar pass: a scalar below 2^128 is its own first half, one
+    /// whose negation is below 2^128 is recoded as that negation, and every
+    /// other one is split by [`split_scalar`].
+    fn new(scalars: &[Fr]) -> Self {
+        let wide = |limbs: &[u64]| u128::from(limbs[0]) | u128::from(limbs[1]) << 64;
+        let (r_lo, r_hi) = (wide(&Fr::MODULUS[..2]), wide(&Fr::MODULUS[2..]));
+        let mut negated = vec![false; scalars.len()];
+        let mut halves = Vec::with_capacity(2 * scalars.len());
+        for (s, negated) in scalars.iter().zip(&mut negated) {
+            let k = s.to_canonical_limbs();
+            let (lo, hi) = (wide(&k[..2]), wide(&k[2..]));
+            // `k < r`, so `r − k` has no borrow out of its high half.
+            let (minus_lo, borrow) = r_lo.overflowing_sub(lo);
+            if hi == 0 {
+                halves.extend([[k[0], k[1]], [0; 2]]);
+            } else if r_hi - hi == u128::from(borrow) {
+                *negated = true;
+                halves.extend([[minus_lo as u64, (minus_lo >> 64) as u64], [0; 2]]);
+            } else {
+                halves.extend(split_scalar(&k));
+            }
+        }
+        let per_scalar = if halves.iter().skip(1).step_by(2).any(|h| *h != [0; 2]) {
+            2
+        } else {
+            halves = halves.into_iter().step_by(2).collect();
+            1
+        };
+        let widest = halves.iter().fold(0, |acc, h| acc | wide(h));
+        Self {
+            halves,
+            negated,
+            per_scalar,
+            bits: (u128::BITS - widest.leading_zeros()).max(1) as usize,
+        }
+    }
 }
 
 /// The 256-bit product `a·b` as `(high, low)` halves.
@@ -864,7 +933,7 @@ const JOB_BUCKET_BYTES: usize = 1 << 20;
 const MIN_JOBS: usize = 8;
 
 /// How one MSM run is cut into windows and jobs: a function of the problem
-/// size and the configuration alone.
+/// size, the width of its scalars and the configuration alone.
 #[derive(Copy, Clone)]
 struct Shape {
     w: usize,
@@ -876,19 +945,22 @@ struct Shape {
     /// points, so the windows of a job share one bucket slice, and the job
     /// sums add up with no doublings between them.
     table: bool,
+    /// Entries a table row holds per base: the windows of a full-width half.
+    row_len: usize,
 }
 
 impl Shape {
-    /// The windows and buckets of `w`-bit windows over a scalar half, all in
-    /// one job.
-    fn with_width(w: usize, config: MsmConfig, table: bool) -> Self {
+    /// The windows and buckets of `w`-bit windows over `bits`-bit scalar
+    /// halves, all in one job.
+    fn with_width(w: usize, bits: usize, config: MsmConfig, table: bool) -> Self {
         assert!((1..=16).contains(&w), "window size out of range");
+        debug_assert!((1..=HALF_BITS).contains(&bits));
         // Signed recoding halves the buckets but needs one extra window for
         // the final carry (typically all-zero, and then it costs nothing).
         let (num_windows, num_buckets) = if config.signed_digits {
-            (HALF_BITS.div_ceil(w) + 1, 1usize << (w - 1))
+            (bits.div_ceil(w) + 1, 1usize << (w - 1))
         } else {
-            (HALF_BITS.div_ceil(w), (1usize << w) - 1)
+            (bits.div_ceil(w), (1usize << w) - 1)
         };
         Self {
             w,
@@ -897,19 +969,21 @@ impl Shape {
             windows_per_job: num_windows,
             config,
             table,
+            row_len: HALF_BITS.div_ceil(w) + 1,
         }
     }
 
-    /// A table-free run over `n` points: as many windows a job as keep their
-    /// buckets in [`JOB_BUCKET_BYTES`], and at least [`MIN_JOBS`] jobs once
-    /// the run fans out.
-    fn new(n: usize, config: MsmConfig) -> Self {
+    /// A table-free run over `n` points with scalar halves of at most `bits`
+    /// bits: as many windows a job as keep their buckets in
+    /// [`JOB_BUCKET_BYTES`], and at least [`MIN_JOBS`] jobs once the run fans
+    /// out.
+    fn new(n: usize, bits: usize, config: MsmConfig) -> Self {
         let w = if config.window_bits == 0 {
             auto_window_bits(n)
         } else {
             config.window_bits
         };
-        let shape = Self::with_width(w, config, false);
+        let shape = Self::with_width(w, bits, config, false);
         let fit = JOB_BUCKET_BYTES / (shape.num_buckets * size_of::<G1Affine>());
         let cap = if n < PAR_MIN_POINTS {
             shape.num_windows
@@ -922,14 +996,16 @@ impl Shape {
         }
     }
 
-    /// A run of `n` scalars over a table of `w`-bit windows, in the default
-    /// configuration: each job aggregates one bucket set, so there are as
-    /// many jobs as keep ≥ 40 operations a bucket — an aggregation, 12
-    /// multiplications a bucket, then stays below a twentieth of the fill, 6
-    /// an operation — and at most [`MIN_JOBS`].
-    fn table(n: usize, w: usize) -> Self {
-        let shape = Self::with_width(w, MsmConfig::default(), true);
-        let jobs = (2 * n * shape.num_windows / (40 * shape.num_buckets)).clamp(1, MIN_JOBS);
+    /// A run of `n` scalars of `per_scalar` terms of at most `bits` bits over
+    /// a table of `w`-bit windows, in the default configuration: each job
+    /// aggregates one bucket set, so there are as many jobs as keep ≥ 40
+    /// operations a bucket — an aggregation, 12 multiplications a bucket,
+    /// then stays below a twentieth of the fill, 6 an operation — and at
+    /// most [`MIN_JOBS`].
+    fn table(n: usize, w: usize, bits: usize, per_scalar: usize) -> Self {
+        let shape = Self::with_width(w, bits, MsmConfig::default(), true);
+        let ops = per_scalar * n * shape.num_windows;
+        let jobs = (ops / (40 * shape.num_buckets)).clamp(1, MIN_JOBS);
         Self {
             windows_per_job: shape.num_windows.div_ceil(jobs),
             ..shape
@@ -949,9 +1025,8 @@ struct Windows<'a> {
     sources: Sources<'a>,
     /// The table row of each scalar (`None`: scalar `i` reads row `i`).
     rows: Option<&'a [u32]>,
-    /// The scalar halves by term: term `2i + h` is `k₁` (`h = 0`) or `k₂`
-    /// (`h = 1`) of scalar `i`.
-    halves: &'a [[u64; 2]],
+    /// The scalars' halves, term by term.
+    terms: &'a Terms,
     /// Signed-digit carry masks by term; `None` runs unsigned windows.
     carries: Option<&'a [[u64; 2]]>,
 }
@@ -960,7 +1035,7 @@ impl Windows<'_> {
     /// Bucket index and sign of term `t` in `window`, or `None` for zero
     /// digits.
     fn digit(&self, t: usize, window: usize) -> Option<(usize, bool)> {
-        let (limbs, w) = (&self.halves[t], self.shape.w);
+        let (limbs, w) = (&self.terms.halves[t], self.shape.w);
         let d = match self.carries {
             Some(carries) => signed_window_digit(limbs, &carries[t], window, w),
             None => extract_window(limbs, window * w, w) as i64,
@@ -978,16 +1053,18 @@ impl Windows<'_> {
             windows_per_job,
             config,
             table,
+            row_len,
             ..
         } = self.shape;
         // From one window to the next, a table-free run moves to the next
         // bucket slice and reads the same point; a table run stays in its
         // slice and reads the next entry of the scalar's row.
         let (row_len, slice_step, entry_step) = if table {
-            (num_windows, 0, 1)
+            (row_len, 0, 1)
         } else {
             (1, num_buckets, 0)
         };
+        let per_scalar = self.terms.per_scalar;
         let mut set = BucketSet::default();
         let mut stats = MsmStats::default();
         let mut sums = Vec::new();
@@ -995,7 +1072,7 @@ impl Windows<'_> {
             let first = job * windows_per_job;
             let windows = first..(first + windows_per_job).min(num_windows);
             set.begin(if table { 1 } else { windows.len() }, num_buckets);
-            for i in 0..self.halves.len() / 2 {
+            for (i, &negated) in self.terms.negated.iter().enumerate() {
                 let row = self.rows.map_or(i, |rows| rows[i] as usize) * row_len;
                 if self.sources[0][row].infinity {
                     continue;
@@ -1003,10 +1080,11 @@ impl Windows<'_> {
                 for window in windows.clone() {
                     let slice = (window - first) * slice_step;
                     let entry = row + window * entry_step;
-                    for half in 0..2 {
-                        if let Some((bucket, negate)) = self.digit(2 * i + half, window) {
+                    for half in 0..per_scalar {
+                        let term = per_scalar * i + half;
+                        if let Some((bucket, negate)) = self.digit(term, window) {
                             let source = entry | (half * Op::IMAGE as usize);
-                            set.record(slice + bucket, source, negate);
+                            set.record(slice + bucket, source, negate != negated);
                         }
                     }
                 }
@@ -1018,9 +1096,9 @@ impl Windows<'_> {
     }
 }
 
-/// The table-free engine: Pippenger over the `n` points and their `n`
-/// images `φ(P)`, which live in one buffer of `n` points for the duration
-/// of the run.
+/// The table-free engine: Pippenger over the `n` points and, when some
+/// scalar has a second half, their `n` images `φ(P)`, which live in one
+/// buffer of `n` points for the duration of the run.
 fn msm_points(
     backend: &dyn Backend,
     points: Arc<Vec<G1Affine>>,
@@ -1029,15 +1107,20 @@ fn msm_points(
 ) -> (G1Projective, MsmStats) {
     let n = points.len();
     assert_eq!(n, scalars.len(), "length mismatch");
-    let images = Arc::new(points.iter().map(G1Affine::endomorphism).collect());
-    let shape = Shape::new(n, config);
-    let (sum, mut stats) = msm_impl(backend, shape, [points, images], None, scalars);
-    stats.endomorphisms = n as u64;
+    let terms = Terms::new(scalars);
+    let images: Vec<G1Affine> = match terms.per_scalar {
+        2 => points.iter().map(G1Affine::endomorphism).collect(),
+        _ => Vec::new(),
+    };
+    let endomorphisms = images.len() as u64;
+    let shape = Shape::new(n, terms.bits, config);
+    let (sum, mut stats) = msm_impl(backend, shape, [points, Arc::new(images)], None, terms);
+    stats.endomorphisms = endomorphisms;
     (sum, stats)
 }
 
-/// The engine behind every entry point: Pippenger over the GLV halves of
-/// [`split_scalar`], reading `sources` — the points and their images, or a
+/// The engine behind every entry point: Pippenger over the scalar halves of
+/// [`Terms::new`], reading `sources` — the points and their images, or a
 /// table's shifted bases and theirs — at row `rows[i]` (row `i` without
 /// `rows`) for scalar `i`.
 fn msm_impl(
@@ -1045,9 +1128,9 @@ fn msm_impl(
     shape: Shape,
     sources: [Arc<Vec<G1Affine>>; 2],
     rows: Option<Vec<u32>>,
-    scalars: &[Fr],
+    terms: Terms,
 ) -> (G1Projective, MsmStats) {
-    let n = scalars.len();
+    let n = terms.negated.len();
     let mut stats = MsmStats::default();
     if n == 0 {
         return (G1Projective::identity(), stats);
@@ -1056,13 +1139,10 @@ fn msm_impl(
         sources[0].len() < Op::IMAGE as usize,
         "more points than an operation indexes"
     );
-    let halves: Vec<[u64; 2]> = scalars
-        .iter()
-        .flat_map(|s| split_scalar(&s.to_canonical_limbs()))
-        .collect();
     let carries: Option<Vec<[u64; 2]>> = shape.config.signed_digits.then(|| {
-        stats.recoded_scalars = halves.len() as u64;
-        halves
+        stats.recoded_scalars = terms.halves.len() as u64;
+        terms
+            .halves
             .iter()
             .map(|half| recode_carries(half, shape.w, shape.num_windows))
             .collect()
@@ -1075,14 +1155,14 @@ fn msm_impl(
     // profiling counters see the same totals everywhere. Below
     // `PAR_MIN_POINTS` every job stays on the calling thread.
     let num_jobs = shape.num_jobs();
-    let (halves, carries, rows) = (Arc::new(halves), carries.map(Arc::new), rows.map(Arc::new));
+    let (terms, carries, rows) = (Arc::new(terms), carries.map(Arc::new), rows.map(Arc::new));
     let min_jobs = if n < PAR_MIN_POINTS { num_jobs } else { 1 };
     let ranges = pool::map_ranges(backend, num_jobs, min_jobs, move |range| {
         let windows = Windows {
             shape,
             sources: [&sources[0], &sources[1]],
             rows: rows.as_deref().map(Vec::as_slice),
-            halves: &halves,
+            terms: &terms,
             carries: carries.as_deref().map(Vec::as_slice),
         };
         zkspeed_field::measure_modmuls(|| windows.sums(range))
@@ -1227,8 +1307,14 @@ pub fn msm_precomputed(
         scalars.len() <= table.num_bases(),
         "more scalars than precomputed bases"
     );
-    let shape = Shape::table(scalars.len(), table.window_bits());
-    msm_impl(backend, shape, table.sources(), None, scalars)
+    let terms = Terms::new(scalars);
+    let shape = Shape::table(
+        scalars.len(),
+        table.window_bits(),
+        terms.bits,
+        terms.per_scalar,
+    );
+    msm_impl(backend, shape, table.sources(), None, terms)
 }
 
 /// The Sparse MSM of the Witness Commit step over precomputed tables:
@@ -1252,9 +1338,15 @@ pub fn sparse_msm_precomputed(
     let mut stats = SparseMsmStats::default();
     let (ones, dense_rows, dense_scalars) = split_sparse(0u32.., scalars, &mut stats);
     let ones = ones.iter().map(|&row| *table.base(row as usize)).collect();
-    let shape = Shape::table(dense_scalars.len(), table.window_bits());
+    let terms = Terms::new(&dense_scalars);
+    let shape = Shape::table(
+        dense_rows.len(),
+        table.window_bits(),
+        terms.bits,
+        terms.per_scalar,
+    );
     let rows = Some(dense_rows);
-    let dense = msm_impl(backend, shape, table.sources(), rows, &dense_scalars);
+    let dense = msm_impl(backend, shape, table.sources(), rows, terms);
     (add_ones_sum(ones, dense, &mut stats.ops), stats)
 }
 
@@ -1805,7 +1897,7 @@ mod tests {
         // Enough operations a bucket that the jobs genuinely fan out.
         let mut r = rng();
         let (n, w) = (512, 8);
-        assert!(Shape::table(n, w).num_jobs() > 1);
+        assert!(Shape::table(n, w, HALF_BITS, 2).num_jobs() > 1);
         let points = Arc::new(cheap_points(n, &mut r));
         let scalars = random_scalars(n, &mut r);
         let table = Arc::new(MultiBaseTable::build(&points, w, &Serial));
@@ -1875,10 +1967,10 @@ mod tests {
         // One job up to 40 operations a bucket, then more, up to MIN_JOBS
         // (the 12 windows of a 12-bit table as six jobs of two).
         let w = crate::MULTI_BASE_DEFAULT_WINDOW_BITS;
-        assert_eq!(Shape::table(100, w).num_jobs(), 1);
-        assert_eq!(Shape::table(1 << 12, w).num_jobs(), 1);
-        assert_eq!(Shape::table(1 << 14, w).num_jobs(), 4);
-        assert_eq!(Shape::table(1 << 20, w).num_jobs(), 6);
-        assert_eq!(Shape::table(1 << 20, 3).num_jobs(), MIN_JOBS);
+        assert_eq!(Shape::table(100, w, HALF_BITS, 2).num_jobs(), 1);
+        assert_eq!(Shape::table(1 << 12, w, HALF_BITS, 2).num_jobs(), 1);
+        assert_eq!(Shape::table(1 << 14, w, HALF_BITS, 2).num_jobs(), 4);
+        assert_eq!(Shape::table(1 << 20, w, HALF_BITS, 2).num_jobs(), 6);
+        assert_eq!(Shape::table(1 << 20, 3, HALF_BITS, 2).num_jobs(), MIN_JOBS);
     }
 }

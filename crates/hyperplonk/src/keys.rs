@@ -201,6 +201,7 @@ mod tests {
     use super::*;
     use crate::circuit::GateSelectors;
     use crate::mock::{mock_circuit, SparsityProfile};
+    use zkspeed_field::Fr;
     use zkspeed_pcs::commit_on;
     use zkspeed_rt::pool::ThreadPool;
     use zkspeed_rt::rngs::StdRng;
@@ -325,6 +326,74 @@ mod tests {
         let (_, vk_exact) = preprocess(circuit, &full.prefix(4)).unwrap();
         assert_eq!(vk.selector_commitments, vk_exact.selector_commitments);
         assert_eq!(vk.sigma_commitments, vk_exact.sigma_commitments);
+    }
+
+    /// A μ = 10 circuit of one-gate bit operations over random input bits:
+    /// XOR (`q_M = −2`), AND-NOT (`q_M = −1`) and NOT (`q_L = −1`), so every
+    /// selector entry is −2, −1, 0 or 1.
+    fn bit_gadget_circuit(r: &mut StdRng) -> Circuit {
+        use crate::builder::CircuitBuilder;
+        use crate::gadgets::{and_not, not, xor};
+        use zkspeed_rt::Rng;
+        let mut b = CircuitBuilder::new();
+        let mut bits: Vec<_> = (0..64)
+            .map(|_| b.input(Fr::from_u64(r.gen::<u64>() & 1)))
+            .collect();
+        let (mut i, len) = (0, bits.len());
+        while b.num_gates() < 1000 {
+            let (x, y) = (bits[i % len], bits[(7 * i + 3) % len]);
+            let out = match i % 3 {
+                0 => xor(&mut b, x, y),
+                1 => and_not(&mut b, x, y),
+                _ => not(&mut b, x),
+            };
+            bits[i % len] = out;
+            i += 1;
+        }
+        let (circuit, _) = b.build();
+        assert_eq!(circuit.num_vars(), 10);
+        circuit
+    }
+
+    #[test]
+    fn narrow_selectors_preprocess_within_their_fq_budget() {
+        // The engine's shape, priced at six Fq multiplications a batch-affine
+        // addition. A selector entry of ±1 or −2 is its own one-window
+        // half: six per nonzero entry, plus per selector the merge of the
+        // ones-sum (a mixed addition) and the running sums over the lines
+        // of its two buckets. σ's slot indices are below 3·2^μ, so b = μ + 2
+        // bits at the auto width w: ⌈b/w⌉ windows hold digits (the top
+        // one's two bits never carry), each with one addition a point, two
+        // a bucket into its row and column sums, two projective additions
+        // a line, the row term's doublings, and the combine's w doublings
+        // and one addition. No images anywhere: no scalar has a second half.
+        use zkspeed_curve::{
+            auto_window_bits, BATCH_AFFINE_ADD_FQ_MULS as ADD, PADD_FQ_MULS as PADD,
+            PADD_MIXED_FQ_MULS as MIXED, PDBL_FQ_MULS as PDBL,
+        };
+        let mut r = rng();
+        let mu = 10;
+        let srs = srs(mu, &mut r);
+        let circuit = bit_gadget_circuit(&mut r);
+        let allowed = [-Fr::from_u64(2), -Fr::one(), Fr::zero(), Fr::one()];
+        let mut nonzero = 0;
+        for selector in circuit.selectors() {
+            for v in selector.evaluations() {
+                assert!(allowed.contains(v), "selector entry {v}");
+                nonzero += usize::from(!v.is_zero());
+            }
+        }
+        let n = 1 << mu;
+        let selectors = ADD * nonzero + 5 * (MIXED + 4 * PADD);
+        let (b, w) = (mu + 2, auto_window_bits(n));
+        let buckets = 1usize << (w - 1);
+        let cols = 1usize << buckets.ilog2().div_ceil(2);
+        let lines = cols + buckets / cols;
+        let window =
+            ADD * (n + 2 * buckets) + 2 * lines * PADD + (cols.ilog2() as usize + w) * PDBL + PADD;
+        let budget = selectors + 3 * b.div_ceil(w) * window;
+        let (_, count) = zkspeed_field::measure_modmuls(|| preprocess(circuit, &srs).unwrap());
+        assert!(count.fq as usize <= budget, "{count:?} over {budget}");
     }
 
     #[test]

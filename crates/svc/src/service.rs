@@ -427,8 +427,9 @@ impl ProvingService {
             return Err(ServiceError::Draining);
         }
         // One registration at a time: preprocessing commits eight MLE
-        // tables (seconds at μ=14), and racing duplicates would each pay it
-        // and burn a shard slot for the discarded copy.
+        // tables (0.07–0.11 s at μ=14 on one core, mock and hash-chain
+        // circuits), and racing duplicates would each pay it and burn a
+        // shard slot for the discarded copy.
         let _registering = lock(&self.shared.registration);
         if self.shared.store.state(&digest) == Some(SessionState::Active) {
             return Ok(digest);

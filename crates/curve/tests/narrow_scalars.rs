@@ -164,12 +164,11 @@ fn runs_without_second_halves_compute_no_images() {
             assert_eq!(stats.recoded_scalars, 2 * n as u64, "{case}");
         }
     }
-    // The edges without 2^128: all narrow.
-    let points = cheap_points(8, &mut r);
+    // The edges below 2^128 and their negations: all narrow.
+    let points = cheap_points(12, &mut r);
     let scalars: Vec<Fr> = edge_magnitudes()[..6]
         .iter()
         .flat_map(|&k| [k, -k])
-        .take(8)
         .collect();
     let (res, stats) = msm(&Serial, &Arc::new(points.clone()), &scalars);
     assert_eq!(res, naive_msm(&points, &scalars));

@@ -18,7 +18,7 @@ use core::iter::Sum;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 use zkspeed_field::{Fq, Fr};
-use zkspeed_rt::codec::{DecodeError, Reader};
+use zkspeed_rt::codec::{Decode, DecodeError, Encode, Reader};
 use zkspeed_rt::Rng;
 
 /// Number of Fq multiplications in one complete projective point addition
@@ -181,26 +181,30 @@ impl G1Affine {
             ..*self
         }
     }
+}
 
-    /// Appends the canonical [`G1_ENCODED_BYTES`]-byte encoding: `x` and `y`
-    /// as 48-byte little-endian canonical field elements followed by an
-    /// infinity flag byte. The identity encodes as all-zero coordinates with
-    /// the flag set, so every point has exactly one encoding.
-    pub fn write_canonical(&self, out: &mut Vec<u8>) {
+/// The canonical [`G1_ENCODED_BYTES`]-byte encoding: `x` and `y` as 48-byte
+/// little-endian canonical field elements followed by an infinity flag
+/// byte. The identity encodes as all-zero coordinates with the flag set, so
+/// every point has exactly one encoding.
+impl Encode for G1Affine {
+    fn encode(&self, out: &mut Vec<u8>) {
         if self.infinity {
             out.extend_from_slice(&[0u8; 96]);
-            out.push(1);
         } else {
-            out.extend_from_slice(&self.x.to_bytes_le());
-            out.extend_from_slice(&self.y.to_bytes_le());
-            out.push(0);
+            self.x.encode(out);
+            self.y.encode(out);
         }
+        out.push(u8::from(self.infinity));
     }
+}
 
-    /// Reads a canonical encoding produced by [`Self::write_canonical`],
-    /// rejecting non-canonical field elements, non-canonical identity
-    /// encodings, and points off the curve.
-    pub fn read_canonical(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+/// Rejects non-canonical field elements, non-canonical identity encodings
+/// and points off the curve.
+impl Decode for G1Affine {
+    const MIN_LEN: usize = G1_ENCODED_BYTES;
+
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let bytes = reader.take(G1_ENCODED_BYTES)?;
         let (x_bytes, y_bytes, flag) = (&bytes[..48], &bytes[48..96], bytes[96]);
         match flag {
@@ -238,7 +242,7 @@ impl G1Affine {
     }
 }
 
-/// Size in bytes of the canonical [`G1Affine::write_canonical`] encoding.
+/// Size in bytes of the canonical [`G1Affine`] encoding.
 pub const G1_ENCODED_BYTES: usize = 97;
 
 impl Neg for G1Affine {
@@ -796,40 +800,34 @@ mod tests {
             .collect();
         points.push(G1Affine::identity());
         for p in &points {
-            let mut bytes = Vec::new();
-            p.write_canonical(&mut bytes);
+            let bytes = p.to_bytes();
             assert_eq!(bytes.len(), G1_ENCODED_BYTES);
-            let mut reader = Reader::new(&bytes);
-            let back = G1Affine::read_canonical(&mut reader).expect("valid point");
-            assert_eq!(back, *p);
-            assert_eq!(reader.remaining(), 0);
+            assert_eq!(G1Affine::from_bytes(&bytes), Ok(*p));
         }
         // Off-curve data is rejected.
-        let mut bytes = Vec::new();
-        G1Affine::generator().write_canonical(&mut bytes);
+        let mut bytes = G1Affine::generator().to_bytes();
         bytes[0] ^= 1;
         assert!(matches!(
-            G1Affine::read_canonical(&mut Reader::new(&bytes)),
+            G1Affine::from_bytes(&bytes),
             Err(DecodeError::InvalidValue { .. })
         ));
         // A non-canonical identity (flag set, nonzero coordinates) is rejected.
-        let mut bytes = Vec::new();
-        G1Affine::generator().write_canonical(&mut bytes);
+        let mut bytes = G1Affine::generator().to_bytes();
         bytes[96] = 1;
         assert!(matches!(
-            G1Affine::read_canonical(&mut Reader::new(&bytes)),
+            G1Affine::from_bytes(&bytes),
             Err(DecodeError::InvalidValue { .. })
         ));
         // A bad flag byte is rejected.
         let mut bytes = vec![0u8; 96];
         bytes.push(7);
         assert!(matches!(
-            G1Affine::read_canonical(&mut Reader::new(&bytes)),
+            G1Affine::from_bytes(&bytes),
             Err(DecodeError::InvalidValue { .. })
         ));
         // Truncated input is rejected.
         assert!(matches!(
-            G1Affine::read_canonical(&mut Reader::new(&[0u8; 10])),
+            G1Affine::from_bytes(&[0u8; 10]),
             Err(DecodeError::UnexpectedEnd { .. })
         ));
     }

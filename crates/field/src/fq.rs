@@ -79,6 +79,7 @@ impl Fq {
 #[cfg(test)]
 mod tests {
     use super::Fq;
+    use zkspeed_rt::codec::Encode;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -162,7 +163,7 @@ mod tests {
         let mut r = rng();
         for _ in 0..10 {
             let x = Fq::random(&mut r);
-            let bytes = x.to_bytes_le();
+            let bytes = x.to_bytes();
             assert_eq!(bytes.len(), 48);
             assert_eq!(Fq::from_bytes_le(&bytes).unwrap(), x);
         }

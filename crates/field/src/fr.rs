@@ -34,6 +34,7 @@ crate::impl_montgomery_field!(
 mod tests {
     use super::Fr;
     use crate::batch_invert;
+    use zkspeed_rt::codec::Encode;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
 
@@ -122,7 +123,7 @@ mod tests {
         let mut r = rng();
         for _ in 0..10 {
             let x = Fr::random(&mut r);
-            let bytes = x.to_bytes_le();
+            let bytes = x.to_bytes();
             assert_eq!(bytes.len(), 32);
             assert_eq!(Fr::from_bytes_le(&bytes).unwrap(), x);
         }
@@ -144,7 +145,7 @@ mod tests {
         assert_eq!(reduced, Fr::from_canonical_limbs(Fr::R));
         // A value already below the modulus is unchanged.
         let x = Fr::from_u64(123_456_789);
-        assert_eq!(Fr::from_bytes_le_mod_order(&x.to_bytes_le()), x);
+        assert_eq!(Fr::from_bytes_le_mod_order(&x.to_bytes()), x);
     }
 
     #[test]
@@ -238,7 +239,7 @@ mod tests {
         #[test]
         fn bytes_roundtrip_prop() {
             for_random_triples(8, |a, _, _| {
-                assert_eq!(Fr::from_bytes_le(&a.to_bytes_le()).unwrap(), a);
+                assert_eq!(Fr::from_bytes_le(&a.to_bytes()).unwrap(), a);
             });
         }
 

@@ -199,16 +199,6 @@ macro_rules! impl_montgomery_field {
                 Some(Self(limbs) * Self(Self::R2))
             }
 
-            /// Serializes the canonical representation as little-endian bytes.
-            pub fn to_bytes_le(&self) -> Vec<u8> {
-                let limbs = self.to_canonical_limbs();
-                let mut out = Vec::with_capacity($limbs * 8);
-                for l in limbs.iter() {
-                    out.extend_from_slice(&l.to_le_bytes());
-                }
-                out
-            }
-
             /// Reduces an arbitrary little-endian byte string into the field
             /// by interpreting it as a wide integer modulo `p`.
             ///
@@ -539,6 +529,30 @@ macro_rules! impl_montgomery_field {
             }
         }
 
+        /// The canonical value as `LIMBS * 8` little-endian bytes.
+        impl zkspeed_rt::codec::Encode for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                for limb in self.to_canonical_limbs() {
+                    out.extend_from_slice(&limb.to_le_bytes());
+                }
+            }
+        }
+
+        /// Rejects a value at or above the modulus.
+        impl zkspeed_rt::codec::Decode for $name {
+            const MIN_LEN: usize = $limbs * 8;
+
+            fn decode(
+                r: &mut zkspeed_rt::codec::Reader<'_>,
+            ) -> Result<Self, zkspeed_rt::codec::DecodeError> {
+                $name::from_bytes_le(r.take($limbs * 8)?).ok_or(
+                    zkspeed_rt::codec::DecodeError::InvalidValue {
+                        what: concat!("non-canonical ", stringify!($name), " element"),
+                    },
+                )
+            }
+        }
+
         impl From<u64> for $name {
             fn from(v: u64) -> Self {
                 Self::from_u64(v)
@@ -692,9 +706,6 @@ macro_rules! impl_montgomery_field {
             }
             fn num_bits() -> u32 {
                 $name::NUM_BITS
-            }
-            fn to_bytes_le(&self) -> Vec<u8> {
-                $name::to_bytes_le(self)
             }
         }
     };

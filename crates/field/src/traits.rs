@@ -88,10 +88,6 @@ pub trait Field:
 
     /// The number of bits needed to represent the field modulus.
     fn num_bits() -> u32;
-
-    /// Serializes the canonical (non-Montgomery) representation as
-    /// little-endian bytes.
-    fn to_bytes_le(&self) -> Vec<u8>;
 }
 
 /// Inverts a slice of field elements in place using Montgomery's batch

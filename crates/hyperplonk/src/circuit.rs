@@ -98,12 +98,12 @@ impl GateSelectors {
 /// A compiled circuit: selector tables plus the wiring permutation.
 #[derive(Clone, Debug)]
 pub struct Circuit {
-    num_vars: usize,
+    pub(crate) num_vars: usize,
     /// Selector MLEs, in the order `q_L, q_R, q_M, q_O, q_C`.
-    selectors: [MultilinearPoly; 5],
+    pub(crate) selectors: [MultilinearPoly; 5],
     /// Wiring permutation over the `3·2^μ` slots: `sigma[j][i]` is the global
     /// slot index that slot `j·2^μ + i` is wired to.
-    sigma: [Vec<usize>; 3],
+    pub(crate) sigma: [Vec<usize>; 3],
 }
 
 /// An execution trace (witness assignment) for a circuit.

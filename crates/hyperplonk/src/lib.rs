@@ -69,6 +69,5 @@ pub use prover::{
     prove, prove_batch, prove_unchecked, ExecCtx, ProtocolStep, ProveError, ProverReport,
     GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE,
 };
-pub use serialize::{KIND_CIRCUIT, KIND_PROOF, KIND_VERIFYING_KEY, KIND_WITNESS};
 pub use stats::{CircuitStats, ColumnStats, GateKindCounts};
 pub use verifier::{verify, VerifyError};

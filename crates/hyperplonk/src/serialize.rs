@@ -1,278 +1,57 @@
-//! Canonical versioned byte encodings for [`Proof`] and [`VerifyingKey`].
+//! Canonical versioned byte encodings of the HyperPlonk artifacts, each
+//! declared once as a field list (see [`zkspeed_rt::codec`]).
 //!
 //! Proof bytes are what a proving service actually ships: they can be
 //! hashed, persisted, diffed across versions and replayed into a verifier
 //! on another machine. Every artifact starts with the shared
-//! `magic + version + kind` header of [`zkspeed_rt::codec`]; decoding
-//! validates the header, every group point (canonical coordinates,
-//! on-curve) and every field element (canonical, below the modulus), and
-//! rejects trailing bytes — so `Proof::from_bytes(proof.to_bytes())`
-//! round-trips exactly and corrupt inputs fail with a structured
-//! [`DecodeError`].
-//!
-//! The encodings are little-endian with `u32` length prefixes:
-//!
-//! * **Proof** (kind 1): witness commitments, gate ZeroCheck rounds, `φ`/`π`
-//!   commitments, wiring ZeroCheck rounds, batch evaluations, OpenCheck
-//!   rounds, combined evaluations, `g′` opening — exactly the field order of
-//!   [`Proof`];
-//! * **VerifyingKey** (kind 2): `num_vars`, the embedded SRS blob
-//!   (length-prefixed, self-describing), selector and sigma commitments.
+//! `magic + version + kind` header; decoding validates the header, every
+//! group point (canonical coordinates, on-curve) and every field element
+//! (canonical, below the modulus), and rejects trailing bytes — so
+//! `Proof::from_bytes(proof.to_bytes())` round-trips exactly and corrupt
+//! inputs fail with a structured [`DecodeError`].
 
 use zkspeed_field::Fr;
-use zkspeed_pcs::{Commitment, OpeningProof, Srs, MAX_NUM_VARS};
+use zkspeed_pcs::{NumVars, Srs};
 use zkspeed_poly::MultilinearPoly;
-use zkspeed_rt::codec::{self, DecodeError, Reader};
+use zkspeed_rt::codec::{Decode, DecodeError, Encode, Kind, Reader, Via};
 use zkspeed_rt::Sha3_256;
-use zkspeed_sumcheck::SumcheckProof;
 
-use crate::circuit::{Circuit, GateSelectors, Witness};
+use crate::circuit::{Circuit, Witness};
 use crate::keys::VerifyingKey;
 use crate::proof::{BatchEvaluations, Proof};
 
-/// Artifact kind tag of an encoded [`Proof`].
-pub const KIND_PROOF: u8 = codec::Kind::Proof as u8;
+zkspeed_rt::impl_codec_struct!(Proof: Kind::Proof {
+    witness_commitments,
+    gate_zerocheck,
+    phi_commitment,
+    pi_commitment,
+    perm_zerocheck,
+    evaluations,
+    opencheck,
+    combined_evaluations,
+    gprime_opening,
+});
 
-/// Artifact kind tag of an encoded [`VerifyingKey`].
-pub const KIND_VERIFYING_KEY: u8 = codec::Kind::VerifyingKey as u8;
+zkspeed_rt::impl_codec_struct!(BatchEvaluations { values });
 
-/// Artifact kind tag of an encoded [`Circuit`].
-pub const KIND_CIRCUIT: u8 = codec::Kind::Circuit as u8;
+zkspeed_rt::impl_codec_struct!(VerifyingKey: Kind::VerifyingKey {
+    num_vars: NumVars("verifying-key num_vars", 1, 0),
+    srs: KeySrs(num_vars),
+    selector_commitments,
+    sigma_commitments,
+});
 
-/// Artifact kind tag of an encoded [`Witness`].
-pub const KIND_WITNESS: u8 = codec::Kind::Witness as u8;
+zkspeed_rt::impl_codec_struct!(Circuit: Kind::Circuit {
+    num_vars: NumVars("circuit num_vars", 1, 5 * 32 + 3 * 8),
+    selectors: Tables(num_vars),
+    sigma: Permutation(num_vars),
+});
 
-fn write_fr(out: &mut Vec<u8>, value: &Fr) {
-    out.extend_from_slice(&value.to_bytes_le());
-}
-
-fn read_fr(reader: &mut Reader<'_>) -> Result<Fr, DecodeError> {
-    Fr::from_bytes_le(reader.take(32)?).ok_or(DecodeError::InvalidValue {
-        what: "non-canonical Fr element",
-    })
-}
-
-fn write_fr_list(out: &mut Vec<u8>, values: &[Fr]) {
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for v in values {
-        write_fr(out, v);
-    }
-}
-
-fn read_fr_list(reader: &mut Reader<'_>, what: &'static str) -> Result<Vec<Fr>, DecodeError> {
-    let count = reader.count(32, what)?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(read_fr(reader)?);
-    }
-    Ok(out)
-}
-
-impl Proof {
-    /// Serializes the proof into its canonical versioned byte encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.size_in_bytes() + 64);
-        codec::write_header(&mut out, KIND_PROOF);
-        for com in &self.witness_commitments {
-            com.write_canonical(&mut out);
-        }
-        self.gate_zerocheck.write_canonical(&mut out);
-        self.phi_commitment.write_canonical(&mut out);
-        self.pi_commitment.write_canonical(&mut out);
-        self.perm_zerocheck.write_canonical(&mut out);
-        out.extend_from_slice(&(self.evaluations.values.len() as u32).to_le_bytes());
-        for group in &self.evaluations.values {
-            write_fr_list(&mut out, group);
-        }
-        self.opencheck.write_canonical(&mut out);
-        write_fr_list(&mut out, &self.combined_evaluations);
-        self.gprime_opening.write_canonical(&mut out);
-        out
-    }
-
-    /// Decodes a byte string produced by [`Proof::to_bytes`].
-    ///
-    /// The decode is structural: shapes, headers, point validity and field
-    /// canonicity are enforced here, while the cryptographic validity of the
-    /// proof is established by the verifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] describing the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut reader = Reader::new(bytes);
-        reader.header(KIND_PROOF)?;
-        let witness_commitments = [
-            Commitment::read_canonical(&mut reader)?,
-            Commitment::read_canonical(&mut reader)?,
-            Commitment::read_canonical(&mut reader)?,
-        ];
-        let gate_zerocheck = SumcheckProof::read_canonical(&mut reader)?;
-        let phi_commitment = Commitment::read_canonical(&mut reader)?;
-        let pi_commitment = Commitment::read_canonical(&mut reader)?;
-        let perm_zerocheck = SumcheckProof::read_canonical(&mut reader)?;
-        let num_groups = reader.count(4, "batch-evaluation groups")?;
-        let mut values = Vec::with_capacity(num_groups);
-        for _ in 0..num_groups {
-            values.push(read_fr_list(&mut reader, "batch-evaluation group")?);
-        }
-        let opencheck = SumcheckProof::read_canonical(&mut reader)?;
-        let combined_evaluations = read_fr_list(&mut reader, "combined evaluations")?;
-        let gprime_opening = OpeningProof::read_canonical(&mut reader)?;
-        reader.finish()?;
-        Ok(Self {
-            witness_commitments,
-            gate_zerocheck,
-            phi_commitment,
-            pi_commitment,
-            perm_zerocheck,
-            evaluations: BatchEvaluations { values },
-            opencheck,
-            combined_evaluations,
-            gprime_opening,
-        })
-    }
-}
-
-impl VerifyingKey {
-    /// Serializes the verifying key (including its SRS) into the canonical
-    /// versioned byte encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let srs_blob = self.srs.to_bytes();
-        let mut out = Vec::with_capacity(srs_blob.len() + 8 * 97 + 32);
-        codec::write_header(&mut out, KIND_VERIFYING_KEY);
-        out.extend_from_slice(&(self.num_vars as u32).to_le_bytes());
-        out.extend_from_slice(&(srs_blob.len() as u32).to_le_bytes());
-        out.extend_from_slice(&srs_blob);
-        for com in &self.selector_commitments {
-            com.write_canonical(&mut out);
-        }
-        for com in &self.sigma_commitments {
-            com.write_canonical(&mut out);
-        }
-        out
-    }
-
-    /// Decodes a byte string produced by [`VerifyingKey::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] describing the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut reader = Reader::new(bytes);
-        reader.header(KIND_VERIFYING_KEY)?;
-        let num_vars = read_num_vars(&mut reader, "verifying-key num_vars")?;
-        let srs_len = reader.count(1, "embedded SRS blob")?;
-        let srs = Srs::from_bytes(reader.take(srs_len)?)?;
-        if num_vars > srs.num_vars() {
-            return Err(DecodeError::InvalidLength {
-                what: "verifying-key num_vars",
-                expected: srs.num_vars(),
-                found: num_vars,
-            });
-        }
-        let mut selectors = Vec::with_capacity(5);
-        for _ in 0..5 {
-            selectors.push(Commitment::read_canonical(&mut reader)?);
-        }
-        let mut sigmas = Vec::with_capacity(3);
-        for _ in 0..3 {
-            sigmas.push(Commitment::read_canonical(&mut reader)?);
-        }
-        reader.finish()?;
-        Ok(Self {
-            num_vars,
-            srs,
-            selector_commitments: [
-                selectors[0],
-                selectors[1],
-                selectors[2],
-                selectors[3],
-                selectors[4],
-            ],
-            sigma_commitments: [sigmas[0], sigmas[1], sigmas[2]],
-        })
-    }
-}
+zkspeed_rt::impl_codec_struct!(Witness: Kind::Witness {
+    columns: WitnessColumns,
+});
 
 impl Circuit {
-    /// Serializes the circuit into its canonical versioned byte encoding:
-    /// the shared header (kind [`KIND_CIRCUIT`]), `num_vars`, the five
-    /// selector tables `q_L, q_R, q_M, q_O, q_C` (each `2^μ` field
-    /// elements), and the three wiring-permutation columns (each `2^μ`
-    /// little-endian `u64` slot indices).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.num_gates();
-        let mut out = Vec::with_capacity(12 + n * (5 * 32 + 3 * 8));
-        codec::write_header(&mut out, KIND_CIRCUIT);
-        out.extend_from_slice(&(self.num_vars() as u32).to_le_bytes());
-        for selector in self.selectors() {
-            for v in selector.evaluations() {
-                write_fr(&mut out, v);
-            }
-        }
-        for column in 0..3 {
-            for gate in 0..n {
-                out.extend_from_slice(&(self.sigma_slot(column, gate) as u64).to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decodes a byte string produced by [`Circuit::to_bytes`], validating
-    /// the header, the size bound, every selector element's canonicity and
-    /// that the wiring columns form a permutation of the `3·2^μ` slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] describing the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut reader = Reader::new(bytes);
-        reader.header(KIND_CIRCUIT)?;
-        let num_vars = read_num_vars(&mut reader, "circuit num_vars")?;
-        let n = 1usize << num_vars;
-        // The whole payload size is implied by num_vars; reject short input
-        // before allocating gate tables.
-        let needed = n * (5 * 32 + 3 * 8);
-        if reader.remaining() < needed {
-            return Err(DecodeError::UnexpectedEnd {
-                needed,
-                remaining: reader.remaining(),
-            });
-        }
-        let mut selectors = Vec::with_capacity(5);
-        for _ in 0..5 {
-            let mut table = Vec::with_capacity(n);
-            for _ in 0..n {
-                table.push(read_fr(&mut reader)?);
-            }
-            selectors.push(table);
-        }
-        let mut sigma = Vec::with_capacity(3 * n);
-        let mut seen = vec![false; 3 * n];
-        for _ in 0..3 * n {
-            let slot = reader.u64()? as usize;
-            if slot >= 3 * n || seen[slot] {
-                return Err(DecodeError::InvalidValue {
-                    what: "wiring permutation",
-                });
-            }
-            seen[slot] = true;
-            sigma.push(slot);
-        }
-        reader.finish()?;
-        let gates: Vec<GateSelectors> = (0..n)
-            .map(|i| GateSelectors {
-                q_l: selectors[0][i],
-                q_r: selectors[1][i],
-                q_m: selectors[2][i],
-                q_o: selectors[3][i],
-                q_c: selectors[4][i],
-            })
-            .collect();
-        Ok(Circuit::new(&gates, sigma))
-    }
-
     /// The circuit's canonical digest: SHA3-256 over [`Circuit::to_bytes`].
     ///
     /// This is the key a proving service registers sessions under — two
@@ -283,79 +62,105 @@ impl Circuit {
     }
 }
 
-impl Witness {
-    /// Serializes the witness assignment into its canonical versioned byte
-    /// encoding: the shared header (kind [`KIND_WITNESS`]), `num_vars`, and
-    /// the three execution-trace columns `w₁, w₂, w₃` (each `2^μ` field
-    /// elements).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = 1usize << self.num_vars();
-        let mut out = Vec::with_capacity(12 + n * 3 * 32);
-        codec::write_header(&mut out, KIND_WITNESS);
-        out.extend_from_slice(&(self.num_vars() as u32).to_le_bytes());
-        for column in &self.columns {
-            for v in column.evaluations() {
-                write_fr(&mut out, v);
-            }
-        }
-        out
+/// A verifying key's SRS: the embedded artifact behind its `u32` byte
+/// length. Decoding checks that the SRS serves the key's `num_vars`.
+struct KeySrs;
+
+impl Via<Srs> for KeySrs {
+    type Args = (usize,);
+
+    fn encode(value: &Srs, out: &mut Vec<u8>) {
+        value.to_bytes().encode(out);
     }
 
-    /// Decodes a byte string produced by [`Witness::to_bytes`].
-    ///
-    /// Structural validation only (header, size bound, element canonicity);
-    /// whether the assignment satisfies a circuit is checked by the prover.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] describing the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut reader = Reader::new(bytes);
-        reader.header(KIND_WITNESS)?;
-        let num_vars = read_num_vars(&mut reader, "witness num_vars")?;
-        let n = 1usize << num_vars;
-        let needed = n * 3 * 32;
-        if reader.remaining() < needed {
-            return Err(DecodeError::UnexpectedEnd {
-                needed,
-                remaining: reader.remaining(),
+    fn decode(r: &mut Reader<'_>, (num_vars,): (usize,)) -> Result<Srs, DecodeError> {
+        let len = r.count(1, "embedded SRS blob")?;
+        let srs = Srs::from_bytes(r.take(len)?)?;
+        if num_vars > srs.num_vars() {
+            return Err(DecodeError::InvalidLength {
+                what: "verifying-key num_vars",
+                expected: srs.num_vars(),
+                found: num_vars,
             });
         }
-        let mut columns = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let mut table = Vec::with_capacity(n);
-            for _ in 0..n {
-                table.push(read_fr(&mut reader)?);
-            }
-            columns.push(MultilinearPoly::new(table));
-        }
-        reader.finish()?;
-        let mut iter = columns.into_iter();
-        Ok(Witness::new(
-            iter.next().expect("three columns"),
-            iter.next().expect("three columns"),
-            iter.next().expect("three columns"),
-        ))
+        Ok(srs)
     }
 }
 
-/// Reads a `num_vars` field and bounds it by the largest SRS any session
-/// could serve ([`MAX_NUM_VARS`]), so a corrupt size cannot request a
-/// `2^4294967295`-entry allocation. Zero is rejected too: the protocol's
-/// SumChecks and shifted query points need at least one variable.
-fn read_num_vars(reader: &mut Reader<'_>, what: &'static str) -> Result<usize, DecodeError> {
-    let num_vars = reader.u32()? as usize;
-    if num_vars == 0 {
-        return Err(DecodeError::InvalidValue { what });
+/// `N` tables of `2^μ` field elements each, with no length prefixes.
+struct Tables;
+
+impl<const N: usize> Via<[MultilinearPoly; N]> for Tables {
+    type Args = (usize,);
+
+    fn encode(value: &[MultilinearPoly; N], out: &mut Vec<u8>) {
+        for table in value {
+            Fr::encode_slice(table.evaluations(), out);
+        }
     }
-    if num_vars > MAX_NUM_VARS {
-        return Err(DecodeError::InvalidLength {
-            what,
-            expected: MAX_NUM_VARS,
-            found: num_vars,
-        });
+
+    fn decode(
+        r: &mut Reader<'_>,
+        (num_vars,): (usize,),
+    ) -> Result<[MultilinearPoly; N], DecodeError> {
+        let tables = (0..N)
+            .map(|_| Ok(MultilinearPoly::new(Fr::decode_vec(r, 1 << num_vars)?)))
+            .collect::<Result<Vec<_>, DecodeError>>()?;
+        Ok(tables
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("N tables")))
     }
-    Ok(num_vars)
+}
+
+/// A witness's `num_vars`, then its three [`Tables`].
+struct WitnessColumns;
+
+impl Via<[MultilinearPoly; 3]> for WitnessColumns {
+    type Args = ();
+
+    fn encode(value: &[MultilinearPoly; 3], out: &mut Vec<u8>) {
+        NumVars::encode(&value[0].num_vars(), out);
+        Tables::encode(value, out);
+    }
+
+    fn decode(r: &mut Reader<'_>, (): ()) -> Result<[MultilinearPoly; 3], DecodeError> {
+        let num_vars = NumVars::decode(r, ("witness num_vars", 1, 3 * 32))?;
+        Tables::decode(r, (num_vars,))
+    }
+}
+
+/// The three wiring-permutation columns, `2^μ` little-endian `u64` slot
+/// indices each. Decoding checks that they permute the `3·2^μ` slots.
+struct Permutation;
+
+impl Via<[Vec<usize>; 3]> for Permutation {
+    type Args = (usize,);
+
+    fn encode(value: &[Vec<usize>; 3], out: &mut Vec<u8>) {
+        for &slot in value.iter().flatten() {
+            (slot as u64).encode(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>, (num_vars,): (usize,)) -> Result<[Vec<usize>; 3], DecodeError> {
+        let n = 1usize << num_vars;
+        let mut seen = vec![false; 3 * n];
+        let mut columns: [Vec<usize>; 3] = Default::default();
+        for column in &mut columns {
+            column.reserve_exact(n);
+            for _ in 0..n {
+                let slot = u64::decode(r)? as usize;
+                if slot >= 3 * n || seen[slot] {
+                    return Err(DecodeError::InvalidValue {
+                        what: "wiring permutation",
+                    });
+                }
+                seen[slot] = true;
+                column.push(slot);
+            }
+        }
+        Ok(columns)
+    }
 }
 
 #[cfg(test)]
@@ -427,8 +232,8 @@ mod tests {
         assert!(matches!(
             Proof::from_bytes(&vk.to_bytes()),
             Err(DecodeError::WrongKind {
-                expected: KIND_PROOF,
-                found: KIND_VERIFYING_KEY
+                expected: 1,
+                found: 2
             })
         ));
 
@@ -531,8 +336,8 @@ mod tests {
         assert!(matches!(
             Circuit::from_bytes(&witness.to_bytes()),
             Err(DecodeError::WrongKind {
-                expected: KIND_CIRCUIT,
-                found: KIND_WITNESS
+                expected: 4,
+                found: 5
             })
         ));
 

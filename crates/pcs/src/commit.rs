@@ -5,11 +5,11 @@
 //! in the Witness Commit and Wiring Identity steps.
 
 use zkspeed_curve::{
-    msm, msm_precomputed, sparse_msm, sparse_msm_precomputed, G1Projective, MsmStats,
+    msm, msm_precomputed, sparse_msm, sparse_msm_precomputed, G1Affine, G1Projective, MsmStats,
     SparseMsmStats,
 };
 use zkspeed_poly::MultilinearPoly;
-use zkspeed_rt::codec::{DecodeError, Reader};
+use zkspeed_rt::codec::{Decode, DecodeError, Encode, Reader};
 use zkspeed_rt::pool::Backend;
 
 use crate::precompute::CommitTables;
@@ -30,28 +30,25 @@ impl Commitment {
     pub fn to_transcript_bytes(&self) -> Vec<u8> {
         let affine = self.0.to_affine();
         let mut bytes = Vec::with_capacity(97);
-        bytes.extend_from_slice(&affine.x.to_bytes_le());
-        bytes.extend_from_slice(&affine.y.to_bytes_le());
+        affine.x.encode(&mut bytes);
+        affine.y.encode(&mut bytes);
         bytes.push(u8::from(affine.infinity));
         bytes
     }
+}
 
-    /// Appends the canonical 97-byte encoding (affine coordinates plus an
-    /// infinity flag, see [`zkspeed_curve::G1Affine::write_canonical`]).
-    pub fn write_canonical(&self, out: &mut Vec<u8>) {
-        self.0.to_affine().write_canonical(out);
+/// The point's canonical 97-byte affine encoding (see [`G1Affine`]).
+impl Encode for Commitment {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.to_affine().encode(out);
     }
+}
 
-    /// Reads a canonical encoding, rejecting off-curve or non-canonical
-    /// points.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the bytes are not a valid point.
-    pub fn read_canonical(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Self(
-            zkspeed_curve::G1Affine::read_canonical(reader)?.to_projective(),
-        ))
+impl Decode for Commitment {
+    const MIN_LEN: usize = G1Affine::MIN_LEN;
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Self(G1Affine::decode(r)?.to_projective()))
     }
 }
 

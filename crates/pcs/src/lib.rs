@@ -57,4 +57,4 @@ mod srs;
 pub use commit::{commit, commit_on, commit_sparse, commit_sparse_on, Commitment};
 pub use open::{open, open_on, verify_combined_opening, verify_opening, OpeningProof};
 pub use precompute::{CommitTables, PrecomputeBudget};
-pub use srs::{SetupError, Srs, KIND_SRS, MAX_NUM_VARS};
+pub use srs::{NumVars, SetupError, Srs, MAX_NUM_VARS};

@@ -18,7 +18,6 @@ use std::sync::Arc;
 use zkspeed_curve::{msm, G1Projective, MsmStats};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
-use zkspeed_rt::codec::{DecodeError, Reader};
 use zkspeed_rt::pool::{self, Backend, Serial};
 
 use crate::commit::{commit, Commitment};
@@ -37,30 +36,9 @@ impl OpeningProof {
     pub fn size_in_points(&self) -> usize {
         self.quotients.len()
     }
-
-    /// Appends the canonical encoding: a `u32` quotient count followed by
-    /// the canonical commitment encodings.
-    pub fn write_canonical(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.quotients.len() as u32).to_le_bytes());
-        for q in &self.quotients {
-            q.write_canonical(out);
-        }
-    }
-
-    /// Reads a canonical encoding produced by [`Self::write_canonical`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if a count or point is malformed.
-    pub fn read_canonical(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let count = reader.count(97, "opening-proof quotients")?;
-        let mut quotients = Vec::with_capacity(count);
-        for _ in 0..count {
-            quotients.push(Commitment::read_canonical(reader)?);
-        }
-        Ok(Self { quotients })
-    }
 }
+
+zkspeed_rt::impl_codec_struct!(OpeningProof { quotients });
 
 /// Opens `poly` at `point`, returning the evaluation, the proof, and the MSM
 /// operation counts of the halving commitments (for the hardware model).

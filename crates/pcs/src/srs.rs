@@ -26,12 +26,9 @@ use std::sync::Arc;
 use zkspeed_curve::{fixed_base_window_bits, pair_sums, FixedBaseTable, G1Affine};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
-use zkspeed_rt::codec::{self, DecodeError, Reader};
+use zkspeed_rt::codec::{Decode, DecodeError, Encode, Fixed, Kind, Reader, Via};
 use zkspeed_rt::pool::{self, Backend};
 use zkspeed_rt::Rng;
-
-/// Artifact kind tag of an encoded [`Srs`] (see [`zkspeed_rt::codec`]).
-pub const KIND_SRS: u8 = codec::Kind::Srs as u8;
 
 /// The largest `num_vars` a setup will accept: `2^{MAX_NUM_VARS+1}` G1
 /// points must fit in memory, and the paper-scale sizes beyond this are
@@ -272,82 +269,90 @@ impl Srs {
     pub fn size_in_points(&self) -> usize {
         self.lagrange_bases.iter().map(|b| b.len()).sum()
     }
+}
 
-    /// Canonical versioned byte encoding: the shared header (kind
-    /// [`KIND_SRS`]), `num_vars`, τ, the generator, and every Lagrange-basis
-    /// level in order.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.size_in_points() * 97);
-        codec::write_header(&mut out, KIND_SRS);
-        out.extend_from_slice(&(self.num_vars as u32).to_le_bytes());
-        for t in &self.tau {
-            out.extend_from_slice(&t.to_bytes_le());
-        }
-        self.g.write_canonical(&mut out);
-        for level in &self.lagrange_bases {
-            out.extend_from_slice(&(level.len() as u32).to_le_bytes());
-            for p in level.iter() {
-                p.write_canonical(&mut out);
-            }
-        }
-        out
+// The canonical encoding: `num_vars`, τ, the generator, then every
+// Lagrange-basis level with its `u32` point count.
+zkspeed_rt::impl_codec_struct!(Srs: Kind::Srs {
+    num_vars: NumVars("SRS num_vars", 0, 0),
+    tau: Fixed(num_vars),
+    g,
+    lagrange_bases: Levels(num_vars),
+});
+
+/// A `num_vars` field: a little-endian `u32`, bounded by [`MAX_NUM_VARS`]
+/// so a corrupt size cannot request a `2^4294967295`-entry allocation.
+/// Decoding takes what is being decoded, the smallest `μ` the artifact
+/// accepts (a proof's SumChecks and shifted query points need one
+/// variable), and the bytes each of the `2^μ` rows that follow takes, so
+/// input too short for the whole payload fails before any table is
+/// allocated.
+pub struct NumVars;
+
+impl Via<usize> for NumVars {
+    type Args = (&'static str, usize, usize);
+
+    fn encode(value: &usize, out: &mut Vec<u8>) {
+        (*value as u32).encode(out);
     }
 
-    /// Decodes a byte string produced by [`Srs::to_bytes`], validating the
-    /// header, every point (canonical coordinates, on-curve) and the
-    /// level-size structure.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] describing the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut reader = Reader::new(bytes);
-        let srs = Self::read_canonical(&mut reader)?;
-        reader.finish()?;
-        Ok(srs)
-    }
-
-    fn read_canonical(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        reader.header(KIND_SRS)?;
-        let num_vars = reader.u32()? as usize;
+    fn decode(
+        r: &mut Reader<'_>,
+        (what, min, row_bytes): Self::Args,
+    ) -> Result<usize, DecodeError> {
+        let num_vars = u32::decode(r)? as usize;
+        if num_vars < min {
+            return Err(DecodeError::InvalidValue { what });
+        }
         if num_vars > MAX_NUM_VARS {
             return Err(DecodeError::InvalidLength {
-                what: "SRS num_vars",
+                what,
                 expected: MAX_NUM_VARS,
                 found: num_vars,
             });
         }
-        let mut tau = Vec::with_capacity(num_vars);
-        for _ in 0..num_vars {
-            let t = Fr::from_bytes_le(reader.take(32)?).ok_or(DecodeError::InvalidValue {
-                what: "non-canonical τ coordinate",
-            })?;
-            tau.push(t);
+        let needed = row_bytes << num_vars;
+        if r.remaining() < needed {
+            return Err(DecodeError::UnexpectedEnd {
+                needed,
+                remaining: r.remaining(),
+            });
         }
-        let g = G1Affine::read_canonical(reader)?;
-        let mut lagrange_bases = Vec::with_capacity(num_vars + 1);
-        for k in 0..=num_vars {
-            let len = reader.count(97, "SRS basis level")?;
-            let expected = 1usize << (num_vars - k);
-            if len != expected {
-                return Err(DecodeError::InvalidLength {
-                    what: "SRS basis level",
-                    expected,
-                    found: len,
-                });
-            }
-            let mut level = Vec::with_capacity(len);
-            for _ in 0..len {
-                level.push(G1Affine::read_canonical(reader)?);
-            }
-            lagrange_bases.push(Arc::new(level));
+        Ok(num_vars)
+    }
+}
+
+/// The `μ + 1` Lagrange-basis levels, each a `u32` point count and the
+/// points; level `k` must hold exactly `2^{μ−k}`.
+struct Levels;
+
+impl Via<Vec<Arc<Vec<G1Affine>>>> for Levels {
+    type Args = (usize,);
+
+    fn encode(value: &Vec<Arc<Vec<G1Affine>>>, out: &mut Vec<u8>) {
+        for level in value {
+            level.encode(out);
         }
-        Ok(Self {
-            num_vars,
-            g,
-            lagrange_bases,
-            tau,
-        })
+    }
+
+    fn decode(
+        r: &mut Reader<'_>,
+        (num_vars,): (usize,),
+    ) -> Result<Vec<Arc<Vec<G1Affine>>>, DecodeError> {
+        (0..=num_vars)
+            .map(|k| {
+                let len = r.count(G1Affine::MIN_LEN, "SRS basis level")?;
+                let expected = 1usize << (num_vars - k);
+                if len != expected {
+                    return Err(DecodeError::InvalidLength {
+                        what: "SRS basis level",
+                        expected,
+                        found: len,
+                    });
+                }
+                Ok(Arc::new(G1Affine::decode_vec(r, len)?))
+            })
+            .collect()
     }
 }
 
@@ -561,10 +566,7 @@ mod tests {
         let (value_full, proof_full, _) = open_on(&Serial, &full, &f, &point);
         let (value_view, proof_view, _) = open_on(&Serial, &view, &f, &point);
         assert_eq!(value_full, value_view);
-        let (mut bytes_full, mut bytes_view) = (Vec::new(), Vec::new());
-        proof_full.write_canonical(&mut bytes_full);
-        proof_view.write_canonical(&mut bytes_view);
-        assert_eq!(bytes_full, bytes_view);
+        assert_eq!(proof_full.to_bytes(), proof_view.to_bytes());
         // Proofs verify against either SRS.
         assert!(verify_opening(
             &view,

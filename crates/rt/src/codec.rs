@@ -1,24 +1,37 @@
-//! Canonical byte-encoding substrate: a shared `magic + version + kind`
-//! header, a bounds-checked little-endian [`Reader`], and the structured
-//! [`DecodeError`] surfaced by every `from_bytes` in the workspace.
+//! Canonical byte-encoding substrate: the [`Encode`] / [`Decode`] trait
+//! pair every artifact and wire message implements, a shared
+//! `magic + version + kind` header, a bounds-checked little-endian
+//! [`Reader`], and the structured [`DecodeError`] surfaced by every
+//! `from_bytes` in the workspace.
 //!
-//! Each serializable artifact (proof, verifying key, SRS) starts with the
-//! same 8-byte header:
+//! Each top-level artifact (proof, verifying key, SRS, circuit, witness,
+//! service request and response) starts with the same 8-byte header:
 //!
 //! | bytes | meaning |
 //! |---|---|
 //! | 0–3 | magic `b"zksp"` |
 //! | 4–5 | format version, little-endian `u16` (currently 5) |
-//! | 6 | artifact kind tag |
+//! | 6 | artifact kind tag ([`Kind`]) |
 //! | 7 | reserved, must be zero |
 //!
-//! Payload encodings are defined next to the types they serialize (in
-//! `zkspeed-curve`, `zkspeed-sumcheck`, `zkspeed-pcs`, `zkspeed-hyperplonk`);
-//! all of them use little-endian integers and `u32` length prefixes read
-//! through [`Reader::count`], which rejects lengths that could not possibly
-//! fit in the remaining input before allocating.
+//! Every format is declared once, as a field list, with
+//! [`impl_codec_struct!`](crate::impl_codec_struct) or
+//! [`impl_codec_enum!`](crate::impl_codec_enum) next to the type it
+//! encodes (in `zkspeed-sumcheck`, `zkspeed-pcs`, `zkspeed-hyperplonk` and
+//! `zkspeed-svc`); the one declaration derives both the writer and the
+//! reader. The primitives are little-endian integers, fixed arrays, and
+//! `u32`-length-prefixed sequences, byte blobs and UTF-8 strings, whose
+//! lengths are read through [`Reader::count`], which rejects lengths that
+//! could not possibly fit in the remaining input before allocating. A
+//! field whose encoding depends on an earlier one (tables sized by `μ`)
+//! names a [`Via`] adapter, which is also where a format's checks that a
+//! field list cannot express live.
 
 use core::fmt;
+
+mod impls;
+
+pub use impls::{min_len_of, Fixed};
 
 /// The four magic bytes every encoded artifact starts with.
 pub const MAGIC: [u8; 4] = *b"zksp";
@@ -49,10 +62,9 @@ pub const VERSION: u16 = 5;
 
 /// The registry of artifact kind tags (byte 6 of the canonical header).
 ///
-/// Each serializable type picks one tag; the decoder checks it via
+/// Each top-level artifact picks one tag; the decoder checks it via
 /// [`Reader::header`], so a proof blob can never be misread as a witness.
-/// Payload encodings live next to the types they serialize; this enum is
-/// the single place a new artifact claims its tag.
+/// This enum is the single place a new artifact claims its tag.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Kind {
@@ -86,38 +98,112 @@ impl Kind {
         Kind::Request,
         Kind::Response,
     ];
-
-    /// Looks a tag byte up in the registry.
-    pub fn from_u8(tag: u8) -> Option<Kind> {
-        Kind::ALL.into_iter().find(|k| *k as u8 == tag)
-    }
 }
+
+crate::impl_codec_enum!(Kind {
+    Proof,
+    VerifyingKey,
+    Srs,
+    Circuit,
+    Witness,
+    Request,
+    Response,
+});
 
 /// Upper bound on one wire-protocol frame. Large enough for a μ = 20
 /// circuit submission (hundreds of MB), small enough that a corrupt length
 /// prefix cannot request an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
 
-/// Appends one wire frame: a little-endian `u32` payload length followed by
+/// Builds one wire frame: a little-endian `u32` payload length followed by
 /// the payload bytes (which carry their own canonical artifact header).
 ///
 /// # Panics
 ///
 /// Panics if the payload exceeds [`MAX_FRAME_LEN`].
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub fn frame(payload: &[u8]) -> Vec<u8> {
     assert!(
         payload.len() <= MAX_FRAME_LEN,
         "frame payload exceeds MAX_FRAME_LEN"
     );
+    let mut out = Vec::with_capacity(payload.len() + 4);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
+    out
 }
 
-/// Builds a single-frame byte string (see [`write_frame`]).
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    write_frame(&mut out, payload);
-    out
+/// A type with a canonical byte encoding: implemented once for the
+/// primitives, and declared for every composite format with
+/// [`impl_codec_struct!`](crate::impl_codec_struct) or
+/// [`impl_codec_enum!`](crate::impl_codec_enum), so that a format's writer
+/// and reader come from one field list.
+pub trait Encode {
+    /// Appends the canonical encoding of `self`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Appends the encodings of `items` back to back, with no length
+    /// prefix. Byte slices override this with one copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// The canonical encoding of `self` as a fresh byte string.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode(&mut out);
+        out
+    }
+}
+
+/// A type that can be read back from its canonical [`Encode`] encoding,
+/// validating every field (canonical field elements, points on the curve,
+/// known tags, lengths that fit the input) as it goes.
+pub trait Decode: Sized {
+    /// The fewest bytes any encoding of `Self` takes. A `Vec<Self>` checks
+    /// its element count against this before it allocates.
+    const MIN_LEN: usize;
+
+    /// Reads one value, or the [`DecodeError`] of its first malformed field.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// Reads exactly `n` values written back to back. Byte vectors override
+    /// this with one copy.
+    fn decode_vec(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, DecodeError> {
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(Self::decode(r)?);
+        }
+        Ok(items)
+    }
+
+    /// Decodes a whole byte string, rejecting trailing bytes.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let value = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+}
+
+/// How a field of type `T` is encoded when its plain [`Encode`] /
+/// [`Decode`] does not fit the format: its length follows from an earlier
+/// field, or decoding it needs a check the field list cannot express. The
+/// declaration macros call [`Via::encode`] as is and pass [`Via::decode`]
+/// the arguments written beside the field, which may name earlier fields.
+pub trait Via<T> {
+    /// What decoding needs to know beyond the bytes (a tuple).
+    type Args;
+
+    /// Appends the encoding of `value`.
+    fn encode(value: &T, out: &mut Vec<u8>);
+
+    /// Reads one value, or the [`DecodeError`] of its first malformed field.
+    fn decode(r: &mut Reader<'_>, args: Self::Args) -> Result<T, DecodeError>;
 }
 
 /// Why a byte string failed to decode.
@@ -208,10 +294,10 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Writes the canonical artifact header.
-pub fn write_header(out: &mut Vec<u8>, kind: u8) {
+pub fn write_header(out: &mut Vec<u8>, kind: Kind) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(kind);
+    out.push(kind as u8);
     out.push(0);
 }
 
@@ -246,36 +332,11 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        let mut limb = [0u8; 8];
-        limb.copy_from_slice(b);
-        Ok(u64::from_le_bytes(limb))
-    }
-
     /// Reads a `u32` element count and checks that `count · elem_size` bytes
     /// could still fit in the input, so corrupt lengths fail fast instead of
     /// triggering huge allocations.
     pub fn count(&mut self, elem_size: usize, what: &'static str) -> Result<usize, DecodeError> {
-        let count = self.u32()? as usize;
+        let count = u32::decode(self)? as usize;
         let needed = count.checked_mul(elem_size.max(1));
         match needed {
             Some(n) if n <= self.remaining() => Ok(count),
@@ -288,25 +349,25 @@ impl<'a> Reader<'a> {
     }
 
     /// Checks the canonical header and the artifact kind tag.
-    pub fn header(&mut self, expected_kind: u8) -> Result<(), DecodeError> {
+    pub fn header(&mut self, expected: Kind) -> Result<(), DecodeError> {
         let magic = self.take(4)?;
         if magic != MAGIC {
             let mut found = [0u8; 4];
             found.copy_from_slice(magic);
             return Err(DecodeError::BadMagic { found });
         }
-        let version = self.u16()?;
+        let version = u16::decode(self)?;
         if version != VERSION {
             return Err(DecodeError::UnsupportedVersion { found: version });
         }
-        let kind = self.u8()?;
-        if kind != expected_kind {
+        let kind = u8::decode(self)?;
+        if kind != expected as u8 {
             return Err(DecodeError::WrongKind {
-                expected: expected_kind,
+                expected: expected as u8,
                 found: kind,
             });
         }
-        let reserved = self.u8()?;
+        let reserved = u8::decode(self)?;
         if reserved != 0 {
             return Err(DecodeError::InvalidValue {
                 what: "reserved header byte",
@@ -315,12 +376,12 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// Reads one wire frame (see [`write_frame`]): a `u32` length prefix
+    /// Reads one wire frame (see [`frame`]): a `u32` length prefix
     /// followed by that many payload bytes. The length is bounds-checked
     /// against both the remaining input and [`MAX_FRAME_LEN`] before any
     /// allocation or copy can happen.
     pub fn frame(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.u32()? as usize;
+        let len = u32::decode(self)? as usize;
         if len > MAX_FRAME_LEN || len > self.remaining() {
             return Err(DecodeError::InvalidLength {
                 what: "wire frame",
@@ -512,36 +573,36 @@ mod tests {
     #[test]
     fn header_roundtrip() {
         let mut out = Vec::new();
-        write_header(&mut out, 7);
+        write_header(&mut out, Kind::Response);
         assert_eq!(out.len(), 8);
         let mut r = Reader::new(&out);
-        r.header(7).expect("valid header");
+        r.header(Kind::Response).expect("valid header");
         r.finish().expect("no trailing bytes");
     }
 
     #[test]
     fn header_rejects_corruption() {
         let mut out = Vec::new();
-        write_header(&mut out, 7);
+        write_header(&mut out, Kind::Response);
 
         let mut bad_magic = out.clone();
         bad_magic[0] ^= 0xff;
         assert!(matches!(
-            Reader::new(&bad_magic).header(7),
+            Reader::new(&bad_magic).header(Kind::Response),
             Err(DecodeError::BadMagic { .. })
         ));
 
         let mut bad_version = out.clone();
         bad_version[4] = 0xfe;
         assert!(matches!(
-            Reader::new(&bad_version).header(7),
+            Reader::new(&bad_version).header(Kind::Response),
             Err(DecodeError::UnsupportedVersion { .. })
         ));
 
         assert!(matches!(
-            Reader::new(&out).header(8),
+            Reader::new(&out).header(Kind::Request),
             Err(DecodeError::WrongKind {
-                expected: 8,
+                expected: 6,
                 found: 7
             })
         ));
@@ -549,12 +610,12 @@ mod tests {
         let mut bad_reserved = out.clone();
         bad_reserved[7] = 1;
         assert!(matches!(
-            Reader::new(&bad_reserved).header(7),
+            Reader::new(&bad_reserved).header(Kind::Response),
             Err(DecodeError::InvalidValue { .. })
         ));
 
         assert!(matches!(
-            Reader::new(&out[..5]).header(7),
+            Reader::new(&out[..5]).header(Kind::Response),
             Err(DecodeError::UnexpectedEnd { .. })
         ));
     }
@@ -567,11 +628,17 @@ mod tests {
         out.extend_from_slice(&0xdead_beefu32.to_le_bytes());
         out.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
         let mut r = Reader::new(&out);
-        assert_eq!(r.u8().unwrap(), 0xab);
-        assert_eq!(r.u16().unwrap(), 0x1234);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(u8::decode(&mut r).unwrap(), 0xab);
+        assert_eq!(u16::decode(&mut r).unwrap(), 0x1234);
+        assert_eq!(u32::decode(&mut r).unwrap(), 0xdead_beef);
+        assert_eq!(u64::decode(&mut r).unwrap(), 0x0102_0304_0506_0708);
         r.finish().unwrap();
+        let mut again = Vec::new();
+        0xabu8.encode(&mut again);
+        0x1234u16.encode(&mut again);
+        0xdead_beefu32.encode(&mut again);
+        0x0102_0304_0506_0708u64.encode(&mut again);
+        assert_eq!(again, out);
     }
 
     #[test]
@@ -595,7 +662,7 @@ mod tests {
     fn trailing_bytes_are_reported() {
         let data = [1u8, 2, 3];
         let mut r = Reader::new(&data);
-        let _ = r.u8().unwrap();
+        let _ = u8::decode(&mut r).unwrap();
         assert_eq!(r.finish(), Err(DecodeError::TrailingBytes { count: 2 }));
         assert_eq!(r.remaining(), 2);
     }
@@ -603,10 +670,10 @@ mod tests {
     #[test]
     fn kind_registry_is_consistent() {
         for kind in Kind::ALL {
-            assert_eq!(Kind::from_u8(kind as u8), Some(kind));
+            assert_eq!(Kind::from_bytes(&[kind as u8]), Ok(kind));
         }
-        assert_eq!(Kind::from_u8(0), None);
-        assert_eq!(Kind::from_u8(0xff), None);
+        assert!(Kind::from_bytes(&[0]).is_err());
+        assert!(Kind::from_bytes(&[0xff]).is_err());
         // Tags are unique.
         for (i, a) in Kind::ALL.iter().enumerate() {
             for b in &Kind::ALL[i + 1..] {
@@ -617,10 +684,7 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_and_reject_bad_lengths() {
-        let mut out = Vec::new();
-        write_frame(&mut out, b"hello");
-        write_frame(&mut out, b"");
-        write_frame(&mut out, b"world!");
+        let out = [frame(b"hello"), frame(b""), frame(b"world!")].concat();
         let mut r = Reader::new(&out);
         assert_eq!(r.frame().unwrap(), b"hello");
         assert_eq!(r.frame().unwrap(), b"");
@@ -670,10 +734,7 @@ mod tests {
 
     #[test]
     fn frame_reader_is_split_invariant() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, b"hello");
-        write_frame(&mut stream, b"");
-        write_frame(&mut stream, &[0xaa; 300]);
+        let stream = [frame(b"hello"), frame(b""), frame(&[0xaa; 300])].concat();
 
         // Whole-buffer, byte-at-a-time and 7-byte-chunk delivery must all
         // produce the identical frame sequence.
@@ -701,8 +762,7 @@ mod tests {
     #[test]
     fn frame_reader_reports_clean_and_torn_eof() {
         // Clean EOF at a frame boundary → None.
-        let mut ok = Vec::new();
-        write_frame(&mut ok, b"x");
+        let ok = frame(b"x");
         let mut reader = FrameReader::new(std::io::Cursor::new(ok));
         assert_eq!(reader.next_frame().unwrap(), Some(b"x".to_vec()));
         assert!(reader.next_frame().unwrap().is_none());
@@ -718,8 +778,7 @@ mod tests {
         ));
 
         // EOF inside the payload.
-        let mut torn = Vec::new();
-        write_frame(&mut torn, b"hello");
+        let mut torn = frame(b"hello");
         torn.truncate(6);
         let mut reader = FrameReader::new(std::io::Cursor::new(torn));
         assert!(matches!(

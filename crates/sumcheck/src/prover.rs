@@ -28,7 +28,6 @@ use std::sync::{Arc, Mutex};
 
 use zkspeed_field::{add_modmul_count, measure_modmuls, Fr};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
-use zkspeed_rt::codec::{DecodeError, Reader};
 use zkspeed_rt::pool::{self, Backend};
 use zkspeed_rt::trace::TraceSink;
 use zkspeed_transcript::Transcript;
@@ -52,44 +51,11 @@ impl SumcheckProof {
     pub fn size_in_field_elements(&self) -> usize {
         self.round_evaluations.iter().map(Vec::len).sum()
     }
-
-    /// Appends the canonical encoding: a `u32` round count, then per round a
-    /// `u32` evaluation count followed by 32-byte little-endian canonical
-    /// field elements.
-    pub fn write_canonical(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.round_evaluations.len() as u32).to_le_bytes());
-        for round in &self.round_evaluations {
-            out.extend_from_slice(&(round.len() as u32).to_le_bytes());
-            for e in round {
-                out.extend_from_slice(&e.to_bytes_le());
-            }
-        }
-    }
-
-    /// Reads a canonical encoding produced by [`Self::write_canonical`],
-    /// rejecting non-canonical field elements.
-    pub fn read_canonical(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let rounds = reader.count(4, "sumcheck rounds")?;
-        let mut round_evaluations = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            let evals = reader.count(32, "sumcheck round evaluations")?;
-            let mut round = Vec::with_capacity(evals);
-            for _ in 0..evals {
-                round.push(read_fr(reader)?);
-            }
-            round_evaluations.push(round);
-        }
-        Ok(Self { round_evaluations })
-    }
 }
 
-/// Reads one canonical 32-byte little-endian field element.
-pub(crate) fn read_fr(reader: &mut Reader<'_>) -> Result<Fr, DecodeError> {
-    let bytes = reader.take(32)?;
-    Fr::from_bytes_le(bytes).ok_or(DecodeError::InvalidValue {
-        what: "non-canonical Fr element",
-    })
-}
+// A `u32` round count, then per round a `u32` evaluation count and the
+// evaluations.
+zkspeed_rt::impl_codec_struct!(SumcheckProof { round_evaluations });
 
 /// Everything the prover produces: the proof, the verifier challenges bound
 /// into the transcript, and the per-MLE evaluations at the final point (which

@@ -65,6 +65,4 @@ pub use metrics::{
 };
 pub use service::{JobSpec, ProvingService, ServiceConfig, ServiceError};
 pub use store::SessionState;
-pub use wire::{
-    JobState, Priority, RejectCode, Request, Response, SessionRow, KIND_REQUEST, KIND_RESPONSE,
-};
+pub use wire::{JobState, Priority, RejectCode, Request, Response, SessionRow};

@@ -34,16 +34,9 @@ pub enum SessionState {
     Evicted = 1,
 }
 
-impl SessionState {
-    /// Decodes a session-state tag byte.
-    pub fn from_u8(tag: u8) -> Option<SessionState> {
-        match tag {
-            0 => Some(SessionState::Active),
-            1 => Some(SessionState::Evicted),
-            _ => None,
-        }
-    }
+zkspeed_rt::impl_codec_enum!(SessionState { Active, Evicted });
 
+impl SessionState {
     /// Lower-case label used in metrics JSON and CLI listings.
     pub fn label(&self) -> &'static str {
         match self {

@@ -2,37 +2,14 @@
 //! service.
 //!
 //! Every message travels as one **frame**: a little-endian `u32` payload
-//! length ([`zkspeed_rt::codec::write_frame`]) followed by a canonical
+//! length ([`zkspeed_rt::codec::frame`]) followed by a canonical
 //! artifact — the shared `magic + version + kind` header (kind
-//! [`KIND_REQUEST`] or [`KIND_RESPONSE`]), a one-byte message tag, and the
-//! tag-specific body. Embedded artifacts (circuits, witnesses, proofs) ride
-//! inside requests/responses as length-prefixed blobs carrying their own
-//! canonical headers, so each layer validates independently.
-//!
-//! | request tag | message | body |
-//! |---|---|---|
-//! | 1 | `SubmitCircuit` | `u32` len + circuit artifact |
-//! | 2 | `SubmitJob` | 32-byte circuit digest, `u8` priority, `u64` deadline ms (0 = server default), `u32` len + witness artifact |
-//! | 3 | `JobStatus` | `u64` job id |
-//! | 4 | `Metrics` | (empty) |
-//! | 5 | `Hello` | `u32` len + auth token bytes |
-//! | 6 | `Shutdown` | (empty) |
-//! | 7 | `ListSessions` | (empty) |
-//! | 8 | `GetTrace` | (empty) |
-//!
-//! | response tag | message | body |
-//! |---|---|---|
-//! | 1 | `CircuitRegistered` | 32-byte digest, `u32` num_vars |
-//! | 2 | `JobAccepted` | `u64` job id |
-//! | 3 | `Rejected` | `u8` reject code, `u32` len + UTF-8 detail |
-//! | 4 | `Status` | `u64` job id, `u8` job state |
-//! | 5 | `ProofReady` | `u64` job id, `u32` len + proof artifact |
-//! | 6 | `Metrics` | `u32` len + UTF-8 JSON |
-//! | 7 | `HelloOk` | `u16` protocol version, `u32` len + UTF-8 server id |
-//! | 8 | `ShuttingDown` | (empty) |
-//! | 9 | `JobFailed` | `u64` job id, `u32` len + UTF-8 failure reason |
-//! | 10 | `SessionList` | `u32` count, then per session: 32-byte digest, `u32` num_vars, `u8` state, `u32` shard, `u64` resident bytes, `u64` jobs completed |
-//! | 11 | `TraceDump` | `u32` len + UTF-8 Chrome trace-event JSON |
+//! `Request` or `Response`), a one-byte message tag, and the tag-specific
+//! body. Each message's tag and field order are declared once, beside the
+//! types below (README's "Wire protocol" table renders them). Embedded
+//! artifacts (circuits, witnesses, proofs) ride inside requests/responses
+//! as length-prefixed blobs carrying their own canonical headers, so each
+//! layer validates independently.
 //!
 //! The same encode/decode pair serves the in-process endpoint
 //! ([`crate::ProvingService::handle_frame`]) and the `zkspeed-net` socket
@@ -43,15 +20,9 @@
 //! server to drain gracefully; subsequent submissions answer
 //! `Rejected`/[`RejectCode::Draining`] while in-flight jobs finish.
 
-use zkspeed_rt::codec::{self, DecodeError, Kind, Reader};
+use zkspeed_rt::codec::{self, Kind};
 
 use crate::store::SessionState;
-
-/// Artifact kind tag of an encoded [`Request`].
-pub const KIND_REQUEST: u8 = Kind::Request as u8;
-
-/// Artifact kind tag of an encoded [`Response`].
-pub const KIND_RESPONSE: u8 = Kind::Response as u8;
 
 /// Scheduling priority class of a proof job. Lower discriminant = more
 /// urgent.
@@ -71,16 +42,13 @@ impl Priority {
     /// All classes, most urgent first.
     pub const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
 
-    /// Decodes a priority tag byte.
-    pub fn from_u8(tag: u8) -> Option<Priority> {
-        Priority::ALL.into_iter().find(|p| *p as u8 == tag)
-    }
-
     /// Class index (0 = high).
     pub fn index(&self) -> usize {
         *self as usize
     }
 }
+
+zkspeed_rt::impl_codec_enum!(Priority { High, Normal, Low });
 
 /// Why a request was rejected.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -118,25 +86,6 @@ pub enum RejectCode {
 }
 
 impl RejectCode {
-    /// Every code, in tag order.
-    pub const ALL: [RejectCode; 10] = [
-        RejectCode::QueueFull,
-        RejectCode::UnknownCircuit,
-        RejectCode::Malformed,
-        RejectCode::WitnessMismatch,
-        RejectCode::UnknownJob,
-        RejectCode::Unsupported,
-        RejectCode::BadAuth,
-        RejectCode::Draining,
-        RejectCode::OverCapacity,
-        RejectCode::SessionEvicted,
-    ];
-
-    /// Decodes a reject-code tag byte.
-    pub fn from_u8(tag: u8) -> Option<RejectCode> {
-        RejectCode::ALL.into_iter().find(|c| *c as u8 == tag)
-    }
-
     /// Whether a client may usefully retry the same request against the
     /// same server after a backoff. Queue and connection backpressure are
     /// transient; everything else (bad bytes, bad auth, unknown ids, a
@@ -145,6 +94,19 @@ impl RejectCode {
         matches!(self, RejectCode::QueueFull | RejectCode::OverCapacity)
     }
 }
+
+zkspeed_rt::impl_codec_enum!(RejectCode {
+    QueueFull,
+    UnknownCircuit,
+    Malformed,
+    WitnessMismatch,
+    UnknownJob,
+    Unsupported,
+    BadAuth,
+    Draining,
+    OverCapacity,
+    SessionEvicted,
+});
 
 /// Lifecycle state of a submitted job, as reported over the wire.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -160,19 +122,12 @@ pub enum JobState {
     Failed = 3,
 }
 
-impl JobState {
-    /// Decodes a job-state tag byte.
-    pub fn from_u8(tag: u8) -> Option<JobState> {
-        [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Done,
-            JobState::Failed,
-        ]
-        .into_iter()
-        .find(|s| *s as u8 == tag)
-    }
-}
+zkspeed_rt::impl_codec_enum!(JobState {
+    Queued,
+    Running,
+    Done,
+    Failed
+});
 
 /// A client-to-service message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -228,14 +183,23 @@ pub enum Request {
     GetTrace,
 }
 
-const REQ_SUBMIT_CIRCUIT: u8 = 1;
-const REQ_SUBMIT_JOB: u8 = 2;
-const REQ_JOB_STATUS: u8 = 3;
-const REQ_METRICS: u8 = 4;
-const REQ_HELLO: u8 = 5;
-const REQ_SHUTDOWN: u8 = 6;
-const REQ_LIST_SESSIONS: u8 = 7;
-const REQ_GET_TRACE: u8 = 8;
+zkspeed_rt::impl_codec_enum!(Request: Kind::Request {
+    1 => SubmitCircuit { circuit },
+    2 => SubmitJob { circuit, priority, deadline_ms, witness },
+    3 => JobStatus { job },
+    4 => Metrics,
+    5 => Hello { token },
+    6 => Shutdown,
+    7 => ListSessions,
+    8 => GetTrace,
+});
+
+impl Request {
+    /// Serializes the request as one wire frame (length prefix included).
+    pub fn to_frame(&self) -> Vec<u8> {
+        codec::frame(&self.to_bytes())
+    }
+}
 
 /// One session row of a `SessionList` response.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -253,6 +217,15 @@ pub struct SessionRow {
     /// Proofs completed for this session over the server's lifetime.
     pub jobs_completed: u64,
 }
+
+zkspeed_rt::impl_codec_struct!(SessionRow {
+    digest,
+    num_vars,
+    state,
+    shard,
+    resident_bytes,
+    jobs_completed,
+});
 
 /// A service-to-client message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -330,287 +303,31 @@ pub enum Response {
     },
 }
 
-const RESP_CIRCUIT_REGISTERED: u8 = 1;
-const RESP_JOB_ACCEPTED: u8 = 2;
-const RESP_REJECTED: u8 = 3;
-const RESP_STATUS: u8 = 4;
-const RESP_PROOF_READY: u8 = 5;
-const RESP_METRICS: u8 = 6;
-const RESP_HELLO_OK: u8 = 7;
-const RESP_SHUTTING_DOWN: u8 = 8;
-const RESP_JOB_FAILED: u8 = 9;
-const RESP_SESSION_LIST: u8 = 10;
-const RESP_TRACE_DUMP: u8 = 11;
-
-fn write_blob(out: &mut Vec<u8>, blob: &[u8]) {
-    out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-    out.extend_from_slice(blob);
-}
-
-fn read_blob(reader: &mut Reader<'_>, what: &'static str) -> Result<Vec<u8>, DecodeError> {
-    let len = reader.count(1, what)?;
-    Ok(reader.take(len)?.to_vec())
-}
-
-fn read_string(reader: &mut Reader<'_>, what: &'static str) -> Result<String, DecodeError> {
-    let bytes = read_blob(reader, what)?;
-    String::from_utf8(bytes).map_err(|_| DecodeError::InvalidValue { what })
-}
-
-fn read_digest(reader: &mut Reader<'_>) -> Result<[u8; 32], DecodeError> {
-    let mut digest = [0u8; 32];
-    digest.copy_from_slice(reader.take(32)?);
-    Ok(digest)
-}
-
-impl Request {
-    /// Serializes the request into its canonical message encoding (header +
-    /// tag + body, **without** the outer frame).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        codec::write_header(&mut out, KIND_REQUEST);
-        match self {
-            Request::SubmitCircuit { circuit } => {
-                out.push(REQ_SUBMIT_CIRCUIT);
-                write_blob(&mut out, circuit);
-            }
-            Request::SubmitJob {
-                circuit,
-                priority,
-                deadline_ms,
-                witness,
-            } => {
-                out.push(REQ_SUBMIT_JOB);
-                out.extend_from_slice(circuit);
-                out.push(*priority as u8);
-                out.extend_from_slice(&deadline_ms.to_le_bytes());
-                write_blob(&mut out, witness);
-            }
-            Request::JobStatus { job } => {
-                out.push(REQ_JOB_STATUS);
-                out.extend_from_slice(&job.to_le_bytes());
-            }
-            Request::Metrics => out.push(REQ_METRICS),
-            Request::Hello { token } => {
-                out.push(REQ_HELLO);
-                write_blob(&mut out, token);
-            }
-            Request::Shutdown => out.push(REQ_SHUTDOWN),
-            Request::ListSessions => out.push(REQ_LIST_SESSIONS),
-            Request::GetTrace => out.push(REQ_GET_TRACE),
-        }
-        out
-    }
-
-    /// Serializes the request as one wire frame (length prefix included).
-    pub fn to_frame(&self) -> Vec<u8> {
-        codec::frame(&self.to_bytes())
-    }
-
-    /// Decodes a message produced by [`Request::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] describing the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut reader = Reader::new(bytes);
-        reader.header(KIND_REQUEST)?;
-        let request = match reader.u8()? {
-            REQ_SUBMIT_CIRCUIT => Request::SubmitCircuit {
-                circuit: read_blob(&mut reader, "embedded circuit blob")?,
-            },
-            REQ_SUBMIT_JOB => {
-                let circuit = read_digest(&mut reader)?;
-                let priority =
-                    Priority::from_u8(reader.u8()?).ok_or(DecodeError::InvalidValue {
-                        what: "job priority",
-                    })?;
-                let deadline_ms = reader.u64()?;
-                let witness = read_blob(&mut reader, "embedded witness blob")?;
-                Request::SubmitJob {
-                    circuit,
-                    priority,
-                    deadline_ms,
-                    witness,
-                }
-            }
-            REQ_JOB_STATUS => Request::JobStatus { job: reader.u64()? },
-            REQ_METRICS => Request::Metrics,
-            REQ_HELLO => Request::Hello {
-                token: read_blob(&mut reader, "auth token blob")?,
-            },
-            REQ_SHUTDOWN => Request::Shutdown,
-            REQ_LIST_SESSIONS => Request::ListSessions,
-            REQ_GET_TRACE => Request::GetTrace,
-            _ => {
-                return Err(DecodeError::InvalidValue {
-                    what: "request message tag",
-                })
-            }
-        };
-        reader.finish()?;
-        Ok(request)
-    }
-}
+zkspeed_rt::impl_codec_enum!(Response: Kind::Response {
+    1 => CircuitRegistered { digest, num_vars },
+    2 => JobAccepted { job },
+    3 => Rejected { code, detail },
+    4 => Status { job, state },
+    5 => ProofReady { job, proof },
+    6 => Metrics { json },
+    7 => HelloOk { protocol, server },
+    8 => ShuttingDown,
+    9 => JobFailed { job, reason },
+    10 => SessionList { sessions },
+    11 => TraceDump { json },
+});
 
 impl Response {
-    /// Serializes the response into its canonical message encoding (header +
-    /// tag + body, **without** the outer frame).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        codec::write_header(&mut out, KIND_RESPONSE);
-        match self {
-            Response::CircuitRegistered { digest, num_vars } => {
-                out.push(RESP_CIRCUIT_REGISTERED);
-                out.extend_from_slice(digest);
-                out.extend_from_slice(&num_vars.to_le_bytes());
-            }
-            Response::JobAccepted { job } => {
-                out.push(RESP_JOB_ACCEPTED);
-                out.extend_from_slice(&job.to_le_bytes());
-            }
-            Response::Rejected { code, detail } => {
-                out.push(RESP_REJECTED);
-                out.push(*code as u8);
-                write_blob(&mut out, detail.as_bytes());
-            }
-            Response::Status { job, state } => {
-                out.push(RESP_STATUS);
-                out.extend_from_slice(&job.to_le_bytes());
-                out.push(*state as u8);
-            }
-            Response::ProofReady { job, proof } => {
-                out.push(RESP_PROOF_READY);
-                out.extend_from_slice(&job.to_le_bytes());
-                write_blob(&mut out, proof);
-            }
-            Response::Metrics { json } => {
-                out.push(RESP_METRICS);
-                write_blob(&mut out, json.as_bytes());
-            }
-            Response::HelloOk { protocol, server } => {
-                out.push(RESP_HELLO_OK);
-                out.extend_from_slice(&protocol.to_le_bytes());
-                write_blob(&mut out, server.as_bytes());
-            }
-            Response::ShuttingDown => out.push(RESP_SHUTTING_DOWN),
-            Response::JobFailed { job, reason } => {
-                out.push(RESP_JOB_FAILED);
-                out.extend_from_slice(&job.to_le_bytes());
-                write_blob(&mut out, reason.as_bytes());
-            }
-            Response::SessionList { sessions } => {
-                out.push(RESP_SESSION_LIST);
-                out.extend_from_slice(&(sessions.len() as u32).to_le_bytes());
-                for row in sessions {
-                    out.extend_from_slice(&row.digest);
-                    out.extend_from_slice(&row.num_vars.to_le_bytes());
-                    out.push(row.state as u8);
-                    out.extend_from_slice(&row.shard.to_le_bytes());
-                    out.extend_from_slice(&row.resident_bytes.to_le_bytes());
-                    out.extend_from_slice(&row.jobs_completed.to_le_bytes());
-                }
-            }
-            Response::TraceDump { json } => {
-                out.push(RESP_TRACE_DUMP);
-                write_blob(&mut out, json.as_bytes());
-            }
-        }
-        out
-    }
-
     /// Serializes the response as one wire frame (length prefix included).
     pub fn to_frame(&self) -> Vec<u8> {
         codec::frame(&self.to_bytes())
-    }
-
-    /// Decodes a message produced by [`Response::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] describing the first malformed field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut reader = Reader::new(bytes);
-        reader.header(KIND_RESPONSE)?;
-        let response = match reader.u8()? {
-            RESP_CIRCUIT_REGISTERED => Response::CircuitRegistered {
-                digest: read_digest(&mut reader)?,
-                num_vars: reader.u32()?,
-            },
-            RESP_JOB_ACCEPTED => Response::JobAccepted { job: reader.u64()? },
-            RESP_REJECTED => {
-                let code = RejectCode::from_u8(reader.u8()?).ok_or(DecodeError::InvalidValue {
-                    what: "reject code",
-                })?;
-                Response::Rejected {
-                    code,
-                    detail: read_string(&mut reader, "reject detail")?,
-                }
-            }
-            RESP_STATUS => {
-                let job = reader.u64()?;
-                let state = JobState::from_u8(reader.u8()?)
-                    .ok_or(DecodeError::InvalidValue { what: "job state" })?;
-                Response::Status { job, state }
-            }
-            RESP_PROOF_READY => Response::ProofReady {
-                job: reader.u64()?,
-                proof: read_blob(&mut reader, "embedded proof blob")?,
-            },
-            RESP_METRICS => Response::Metrics {
-                json: read_string(&mut reader, "metrics JSON")?,
-            },
-            RESP_HELLO_OK => Response::HelloOk {
-                protocol: reader.u16()?,
-                server: read_string(&mut reader, "server id")?,
-            },
-            RESP_SHUTTING_DOWN => Response::ShuttingDown,
-            RESP_JOB_FAILED => Response::JobFailed {
-                job: reader.u64()?,
-                reason: read_string(&mut reader, "job failure reason")?,
-            },
-            RESP_SESSION_LIST => {
-                // Each row is 32 + 4 + 1 + 4 + 8 + 8 = 57 bytes.
-                let count = reader.count(57, "session list")?;
-                let mut sessions = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let digest = read_digest(&mut reader)?;
-                    let num_vars = reader.u32()?;
-                    let state =
-                        SessionState::from_u8(reader.u8()?).ok_or(DecodeError::InvalidValue {
-                            what: "session state",
-                        })?;
-                    let shard = reader.u32()?;
-                    let resident_bytes = reader.u64()?;
-                    let jobs_completed = reader.u64()?;
-                    sessions.push(SessionRow {
-                        digest,
-                        num_vars,
-                        state,
-                        shard,
-                        resident_bytes,
-                        jobs_completed,
-                    });
-                }
-                Response::SessionList { sessions }
-            }
-            RESP_TRACE_DUMP => Response::TraceDump {
-                json: read_string(&mut reader, "trace dump JSON")?,
-            },
-            _ => {
-                return Err(DecodeError::InvalidValue {
-                    what: "response message tag",
-                })
-            }
-        };
-        reader.finish()?;
-        Ok(response)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zkspeed_rt::codec::{Decode, DecodeError, Encode, Reader};
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -735,8 +452,8 @@ mod tests {
         assert!(matches!(
             Response::from_bytes(&req),
             Err(DecodeError::WrongKind {
-                expected: KIND_RESPONSE,
-                found: KIND_REQUEST
+                expected: 7,
+                found: 6
             })
         ));
         let resp = Response::JobAccepted { job: 1 }.to_bytes();
@@ -795,15 +512,19 @@ mod tests {
 
     #[test]
     fn enums_reject_unknown_tags() {
-        assert_eq!(Priority::from_u8(9), None);
-        assert_eq!(RejectCode::from_u8(0), None);
-        assert_eq!(RejectCode::from_u8(11), None);
-        assert_eq!(JobState::from_u8(17), None);
+        assert!(Priority::from_bytes(&[9]).is_err());
+        assert!(RejectCode::from_bytes(&[0]).is_err());
+        assert!(RejectCode::from_bytes(&[11]).is_err());
+        assert!(JobState::from_bytes(&[17]).is_err());
         for p in Priority::ALL {
-            assert_eq!(Priority::from_u8(p as u8), Some(p));
+            assert_eq!(Priority::from_bytes(&[p as u8]), Ok(p));
         }
-        for c in RejectCode::ALL {
-            assert_eq!(RejectCode::from_u8(c as u8), Some(c));
+        let codes: Vec<RejectCode> = (0..=u8::MAX)
+            .filter_map(|tag| RejectCode::from_bytes(&[tag]).ok())
+            .collect();
+        assert_eq!(codes.len(), 10);
+        for code in codes {
+            assert_eq!(code.to_bytes(), [code as u8]);
         }
     }
 

@@ -9,6 +9,7 @@
 
 use zkspeed_field::Fr;
 
+use zkspeed_rt::codec::Encode;
 use zkspeed_rt::Sha3_256;
 
 /// A SHA3-based Fiat–Shamir transcript.
@@ -63,15 +64,13 @@ impl Transcript {
 
     /// Appends a scalar field element.
     pub fn append_scalar(&mut self, label: &[u8], scalar: &Fr) {
-        self.append_message(label, &scalar.to_bytes_le());
+        self.append_scalars(label, std::slice::from_ref(scalar));
     }
 
     /// Appends a slice of scalar field elements.
     pub fn append_scalars(&mut self, label: &[u8], scalars: &[Fr]) {
         let mut bytes = Vec::with_capacity(scalars.len() * 32);
-        for s in scalars {
-            bytes.extend_from_slice(&s.to_bytes_le());
-        }
+        Fr::encode_slice(scalars, &mut bytes);
         self.append_message(label, &bytes);
     }
 
@@ -99,7 +98,7 @@ impl Transcript {
 
         // Fold the challenge back into the state so subsequent challenges
         // differ even with identical labels.
-        self.append_message(b"challenge", &challenge.to_bytes_le());
+        self.append_scalar(b"challenge", &challenge);
         challenge
     }
 

@@ -1,23 +1,26 @@
-//! Deterministic corruption sweeps over every artifact kind introduced for
-//! the proving service (circuit, witness, request, response frames):
-//! malformed, truncated and oversized-length inputs must come back as
-//! structured [`DecodeError`]s — never a panic, never an absurd
-//! allocation. Inputs of zero variables, which decode structurally but
-//! which the protocol cannot prove or verify, are errors on every path.
+//! Deterministic corruption sweeps over every decodable format: the
+//! circuit, witness, proof, verifying-key and SRS artifacts, and every
+//! request and response message. Malformed, truncated and oversized-length
+//! inputs must come back as structured [`DecodeError`]s — never a panic,
+//! never an absurd allocation. Inputs of zero variables, which decode
+//! structurally but which the protocol cannot prove or verify, are errors
+//! on every path.
 
 use zkspeed::prelude::*;
-use zkspeed::svc::{Request, Response};
-use zkspeed_rt::codec::{frame, DecodeError, Kind, Reader};
+use zkspeed::svc::{JobState, RejectCode, Request, Response, SessionRow, SessionState};
+use zkspeed_rt::codec::{frame, Decode, DecodeError, Kind, Reader};
 
 fn tiny_instance() -> (Circuit, Witness) {
     let mut rng = StdRng::seed_from_u64(0xc0de);
     mock_circuit(3, SparsityProfile::paper_default(), &mut rng)
 }
 
-/// Flip-one-byte / truncate-everywhere sweep driver: `decode` must return
-/// without panicking on every mutation, and must reject every truncation.
-fn sweep(bytes: &[u8], what: &str, decode: &dyn Fn(&[u8]) -> Result<(), DecodeError>) {
-    decode(bytes).unwrap_or_else(|e| panic!("{what}: pristine bytes rejected: {e}"));
+/// Flip-one-byte / truncate-everywhere sweep of one encoding of a `T`:
+/// decoding must return without panicking on every mutation, and must
+/// reject every truncation. Returns the number of decodes it ran.
+fn sweep<T: Decode>(bytes: &[u8], what: &str) -> usize {
+    T::from_bytes(bytes).unwrap_or_else(|e| panic!("{what}: pristine bytes rejected: {e}"));
+    let mut cases = 1;
     for i in 0..bytes.len() {
         for pattern in [0x01u8, 0x80, 0xff] {
             let mut bad = bytes.to_vec();
@@ -25,31 +28,48 @@ fn sweep(bytes: &[u8], what: &str, decode: &dyn Fn(&[u8]) -> Result<(), DecodeEr
             // Any outcome but a panic is acceptable: some single-bit flips
             // produce a different valid value (e.g. another selector
             // element), and structural damage must surface as an error.
-            let _ = decode(&bad);
+            let _ = T::from_bytes(&bad);
+            cases += 1;
         }
     }
     for len in 0..bytes.len() {
         assert!(
-            decode(&bytes[..len]).is_err(),
+            T::from_bytes(&bytes[..len]).is_err(),
             "{what}: truncation to {len} bytes was accepted"
         );
+        cases += 1;
     }
+    cases
 }
 
 #[test]
 fn circuit_bytes_survive_corruption_sweep() {
     let (circuit, _) = tiny_instance();
-    sweep(&circuit.to_bytes(), "circuit", &|b| {
-        Circuit::from_bytes(b).map(|_| ())
-    });
+    let cases = sweep::<Circuit>(&circuit.to_bytes(), "circuit");
+    println!("circuit sweep: {cases} decodes");
 }
 
 #[test]
 fn witness_bytes_survive_corruption_sweep() {
     let (_, witness) = tiny_instance();
-    sweep(&witness.to_bytes(), "witness", &|b| {
-        Witness::from_bytes(b).map(|_| ())
-    });
+    let cases = sweep::<Witness>(&witness.to_bytes(), "witness");
+    println!("witness sweep: {cases} decodes");
+}
+
+#[test]
+fn proof_key_and_srs_bytes_survive_corruption_sweep() {
+    let (circuit, witness) = tiny_instance();
+    let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
+    let srs = Srs::try_setup(3, &mut rng, &Serial).expect("small setup");
+    let (prover, verifier) = ProofSystem::setup(srs)
+        .preprocess(circuit)
+        .expect("circuit fits");
+    let proof = prover.prove(&witness).expect("valid witness");
+    let small_srs = Srs::try_setup(2, &mut rng, &Serial).expect("small setup");
+    let cases = sweep::<Proof>(&proof.to_bytes(), "proof")
+        + sweep::<VerifyingKey>(&verifier.verifying_key().to_bytes(), "verifying key")
+        + sweep::<Srs>(&small_srs.to_bytes(), "μ = 2 SRS");
+    println!("proof, verifying-key and SRS sweeps: {cases} decodes");
 }
 
 #[test]
@@ -67,31 +87,67 @@ fn request_and_response_frames_survive_corruption_sweep() {
         },
         Request::JobStatus { job: 7 },
         Request::Metrics,
+        Request::Hello {
+            token: b"token".to_vec(),
+        },
+        Request::Shutdown,
+        Request::ListSessions,
+        Request::GetTrace,
     ];
-    for request in &requests {
-        sweep(&request.to_bytes(), "request", &|b| {
-            Request::from_bytes(b).map(|_| ())
-        });
-    }
     let responses = [
         Response::CircuitRegistered {
             digest: circuit.digest(),
             num_vars: circuit.num_vars() as u32,
         },
+        Response::JobAccepted { job: 7 },
+        Response::Rejected {
+            code: RejectCode::QueueFull,
+            detail: "queue at capacity".into(),
+        },
+        Response::Status {
+            job: 7,
+            state: JobState::Queued,
+        },
         Response::ProofReady {
             job: 7,
             proof: vec![0x5a; 64],
         },
+        Response::Metrics { json: "{}".into() },
+        Response::HelloOk {
+            protocol: zkspeed_rt::codec::VERSION,
+            server: "zkspeed".into(),
+        },
+        Response::ShuttingDown,
         Response::JobFailed {
             job: 11,
             reason: "wave panicked: injected wave fault (shard 0)".into(),
         },
+        Response::SessionList {
+            sessions: vec![SessionRow {
+                digest: circuit.digest(),
+                num_vars: 3,
+                state: SessionState::Evicted,
+                shard: 1,
+                resident_bytes: 0,
+                jobs_completed: 2,
+            }],
+        },
+        Response::TraceDump {
+            json: "{\"traceEvents\":[]}".into(),
+        },
     ];
-    for response in &responses {
-        sweep(&response.to_bytes(), "response", &|b| {
-            Response::from_bytes(b).map(|_| ())
-        });
+    let mut cases = 0;
+    for request in &requests {
+        cases += sweep::<Request>(&request.to_bytes(), "request");
     }
+    for response in &responses {
+        cases += sweep::<Response>(&response.to_bytes(), "response");
+    }
+    println!(
+        "{} requests and {} responses: {cases} decodes",
+        requests.len(),
+        responses.len()
+    );
 }
 
 #[test]

@@ -13,7 +13,11 @@
 use core::fmt;
 
 use zkspeed_field::Fr;
+use zkspeed_pcs::NumVars;
 use zkspeed_poly::MultilinearPoly;
+use zkspeed_rt::codec::Kind;
+
+use crate::serialize::{Permutation, Tables};
 
 /// Identifies one of the three witness columns.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -98,13 +102,22 @@ impl GateSelectors {
 /// A compiled circuit: selector tables plus the wiring permutation.
 #[derive(Clone, Debug)]
 pub struct Circuit {
-    pub(crate) num_vars: usize,
+    num_vars: usize,
     /// Selector MLEs, in the order `q_L, q_R, q_M, q_O, q_C`.
-    pub(crate) selectors: [MultilinearPoly; 5],
+    selectors: [MultilinearPoly; 5],
     /// Wiring permutation over the `3·2^μ` slots: `sigma[j][i]` is the global
     /// slot index that slot `j·2^μ + i` is wired to.
-    pub(crate) sigma: [Vec<usize>; 3],
+    sigma: [Vec<usize>; 3],
 }
+
+// The canonical encoding (kind 4): `num_vars`, the five selector tables
+// and the three wiring columns. Short input fails before any table is
+// allocated, and the columns must permute the `3·2^μ` slots.
+zkspeed_rt::impl_codec_struct!(Circuit: Kind::Circuit {
+    num_vars: NumVars("circuit num_vars", 1, 5 * 32 + 3 * 8),
+    selectors: Tables(num_vars),
+    sigma: Permutation(num_vars),
+});
 
 /// An execution trace (witness assignment) for a circuit.
 #[derive(Clone, Debug)]

@@ -1,5 +1,7 @@
 //! Canonical versioned byte encodings of the HyperPlonk artifacts, each
-//! declared once as a field list (see [`zkspeed_rt::codec`]).
+//! declared once as a field list (see [`zkspeed_rt::codec`]): the proof,
+//! verifying-key and witness formats here, the circuit's beside its private
+//! fields in `circuit.rs`, and the field adapters they share.
 //!
 //! Proof bytes are what a proving service actually ships: they can be
 //! hashed, persisted, diffed across versions and replayed into a verifier
@@ -39,12 +41,6 @@ zkspeed_rt::impl_codec_struct!(VerifyingKey: Kind::VerifyingKey {
     srs: KeySrs(num_vars),
     selector_commitments,
     sigma_commitments,
-});
-
-zkspeed_rt::impl_codec_struct!(Circuit: Kind::Circuit {
-    num_vars: NumVars("circuit num_vars", 1, 5 * 32 + 3 * 8),
-    selectors: Tables(num_vars),
-    sigma: Permutation(num_vars),
 });
 
 zkspeed_rt::impl_codec_struct!(Witness: Kind::Witness {
@@ -88,7 +84,7 @@ impl Via<Srs> for KeySrs {
 }
 
 /// `N` tables of `2^μ` field elements each, with no length prefixes.
-struct Tables;
+pub(crate) struct Tables;
 
 impl<const N: usize> Via<[MultilinearPoly; N]> for Tables {
     type Args = (usize,);
@@ -131,7 +127,7 @@ impl Via<[MultilinearPoly; 3]> for WitnessColumns {
 
 /// The three wiring-permutation columns, `2^μ` little-endian `u64` slot
 /// indices each. Decoding checks that they permute the `3·2^μ` slots.
-struct Permutation;
+pub(crate) struct Permutation;
 
 impl Via<[Vec<usize>; 3]> for Permutation {
     type Args = (usize,);

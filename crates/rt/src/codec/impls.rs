@@ -76,7 +76,7 @@ impl<T: Decode> Decode for Vec<T> {
     const MIN_LEN: usize = 4;
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = r.count(T::MIN_LEN, "sequence length")?;
+        let n = r.count(T::MIN_LEN, "element count")?;
         T::decode_vec(r, n)
     }
 }

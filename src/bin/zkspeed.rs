@@ -26,6 +26,7 @@ use zkspeed::hyperplonk::workloads::{
 };
 use zkspeed::hyperplonk::{Circuit, Proof, Witness};
 use zkspeed::pcs::Srs;
+use zkspeed::rt::codec::Decode;
 use zkspeed::rt::pool;
 use zkspeed::rt::rngs::StdRng;
 use zkspeed::rt::trace::TraceSink;
@@ -231,6 +232,12 @@ fn read_file(path: &str, what: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("cannot read {what} from {path}: {e}"))
 }
 
+/// Reads and decodes the artifact file the `--<flag>` option names.
+fn load<T: Decode>(flags: &Flags, flag: &str, what: &str) -> Result<T, String> {
+    let bytes = read_file(flags.require(flag)?, what)?;
+    T::from_bytes(&bytes).map_err(|e| format!("bad {what} file: {e}"))
+}
+
 fn write_file(path: &str, bytes: &[u8], what: &str) -> Result<(), String> {
     std::fs::write(path, bytes).map_err(|e| format!("cannot write {what} to {path}: {e}"))
 }
@@ -303,11 +310,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 }
 
 fn load_system(flags: &Flags) -> Result<(ProofSystem, Circuit), String> {
-    let srs_bytes = read_file(flags.require("srs")?, "SRS")?;
-    let srs = Srs::from_bytes(&srs_bytes).map_err(|e| format!("bad SRS file: {e}"))?;
-    let circuit_bytes = read_file(flags.require("circuit")?, "circuit")?;
-    let circuit =
-        Circuit::from_bytes(&circuit_bytes).map_err(|e| format!("bad circuit file: {e}"))?;
+    let srs: Srs = load(flags, "srs", "SRS")?;
+    let circuit: Circuit = load(flags, "circuit", "circuit")?;
     Ok((ProofSystem::setup(srs), circuit))
 }
 
@@ -315,9 +319,7 @@ fn cmd_prove(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("prove", args)?;
     let out = flags.require("out")?;
     let (system, circuit) = load_system(&flags)?;
-    let witness_bytes = read_file(flags.require("witness")?, "witness")?;
-    let witness =
-        Witness::from_bytes(&witness_bytes).map_err(|e| format!("bad witness file: {e}"))?;
+    let witness: Witness = load(&flags, "witness", "witness")?;
     let (prover, _verifier) = system.preprocess(circuit).map_err(|e| e.to_string())?;
     let proof = prover.prove(&witness).map_err(|e| e.to_string())?;
     let bytes = proof.to_bytes();
@@ -328,8 +330,7 @@ fn cmd_prove(args: &[String]) -> Result<(), String> {
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("verify", args)?;
-    let proof_bytes = read_file(flags.require("proof")?, "proof")?;
-    let proof = Proof::from_bytes(&proof_bytes).map_err(|e| format!("bad proof file: {e}"))?;
+    let proof: Proof = load(&flags, "proof", "proof")?;
     let (system, circuit) = load_system(&flags)?;
     let (_prover, verifier) = system.preprocess(circuit).map_err(|e| e.to_string())?;
     verifier
@@ -341,8 +342,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("serve", args)?;
-    let srs_bytes = read_file(flags.require("srs")?, "SRS")?;
-    let srs = Srs::from_bytes(&srs_bytes).map_err(|e| format!("bad SRS file: {e}"))?;
+    let srs: Srs = load(&flags, "srs", "SRS")?;
     let mut config = ServiceConfig::default();
     let default_shards = config.shards;
     if flags.get("shards").is_some() {

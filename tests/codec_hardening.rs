@@ -358,7 +358,7 @@ fn every_registered_kind_rejects_every_other_kinds_header() {
     // header stamped with any other registered kind must fail WrongKind.
     let (circuit, _) = tiny_instance();
     let bytes = circuit.to_bytes();
-    for kind in Kind::ALL {
+    for kind in (0..=u8::MAX).filter_map(|tag| Kind::from_bytes(&[tag]).ok()) {
         if kind == Kind::Circuit {
             continue;
         }

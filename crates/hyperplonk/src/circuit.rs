@@ -110,9 +110,8 @@ pub struct Circuit {
     sigma: [Vec<usize>; 3],
 }
 
-// The canonical encoding (kind 4): `num_vars`, the five selector tables
-// and the three wiring columns. Short input fails before any table is
-// allocated, and the columns must permute the `3·2^μ` slots.
+// Short input fails before any table is allocated, and the wiring columns
+// must permute the `3·2^μ` slots.
 zkspeed_rt::impl_codec_struct!(Circuit: Kind::Circuit {
     num_vars: NumVars("circuit num_vars", 1, 5 * 32 + 3 * 8),
     selectors: Tables(num_vars),

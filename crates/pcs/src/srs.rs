@@ -271,8 +271,7 @@ impl Srs {
     }
 }
 
-// The canonical encoding: `num_vars`, τ, the generator, then every
-// Lagrange-basis level with its `u32` point count.
+// Each basis level carries its `u32` point count, which must match `μ`.
 zkspeed_rt::impl_codec_struct!(Srs: Kind::Srs {
     num_vars: NumVars("SRS num_vars", 0, 0),
     tau: Fixed(num_vars),

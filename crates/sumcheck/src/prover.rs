@@ -53,8 +53,6 @@ impl SumcheckProof {
     }
 }
 
-// A `u32` round count, then per round a `u32` evaluation count and the
-// evaluations.
 zkspeed_rt::impl_codec_struct!(SumcheckProof { round_evaluations });
 
 /// Everything the prover produces: the proof, the verifier challenges bound

@@ -42,5 +42,5 @@ fn main() {
     }
     println!();
     println!("Paper shape check: the three MSM kernels must have the highest arithmetic");
-    println!("intensity and 'All MLE Updates' the lowest — see EXPERIMENTS.md.");
+    println!("intensity and 'All MLE Updates' the lowest.");
 }

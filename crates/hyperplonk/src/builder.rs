@@ -81,52 +81,36 @@ impl CircuitBuilder {
 
     /// Adds an addition gate computing `a + b`.
     pub fn add(&mut self, a: Variable, b: Variable) -> Variable {
-        let va = self.value_of(a);
-        let vb = self.value_of(b);
-        let out = self.push_gate(GateSelectors::addition(), va, vb, va + vb);
-        self.copy_output_to(a, out.gate, 0);
-        self.copy_output_to(b, out.gate, 1);
-        out
+        self.solved(GateSelectors::addition(), a, Some(b))
     }
 
     /// Adds a multiplication gate computing `a · b`.
     pub fn mul(&mut self, a: Variable, b: Variable) -> Variable {
-        let va = self.value_of(a);
-        let vb = self.value_of(b);
-        let out = self.push_gate(GateSelectors::multiplication(), va, vb, va * vb);
-        self.copy_output_to(a, out.gate, 0);
-        self.copy_output_to(b, out.gate, 1);
-        out
+        self.solved(GateSelectors::multiplication(), a, Some(b))
     }
 
     /// Adds a gate computing `a + c` for a constant `c`.
     pub fn add_constant(&mut self, a: Variable, c: Fr) -> Variable {
-        let va = self.value_of(a);
         let selectors = GateSelectors {
             q_l: Fr::one(),
             q_o: Fr::one(),
             q_c: c,
             ..GateSelectors::default()
         };
-        let out = self.push_gate(selectors, va, Fr::zero(), va + c);
-        self.copy_output_to(a, out.gate, 0);
-        out
+        self.solved(selectors, a, None)
     }
 
     /// Adds a gate computing `a · c` for a constant `c`.
     pub fn mul_constant(&mut self, a: Variable, c: Fr) -> Variable {
-        let va = self.value_of(a);
         let selectors = GateSelectors {
             q_l: c,
             q_o: Fr::one(),
             ..GateSelectors::default()
         };
-        let out = self.push_gate(selectors, va, Fr::zero(), va * c);
-        self.copy_output_to(a, out.gate, 0);
-        out
+        self.solved(selectors, a, None)
     }
 
-    /// Adds a general Eq. (1) gate computing
+    /// Adds a general gate computing
     /// `out = q_l·a + q_r·b + q_m·a·b + q_c` (with `q_O = 1`), the
     /// primitive the gadget layer builds single-gate XOR, AND-NOT and
     /// scaled-accumulate operations from.
@@ -139,8 +123,6 @@ impl CircuitBuilder {
         q_m: Fr,
         q_c: Fr,
     ) -> Variable {
-        let va = self.value_of(a);
-        let vb = self.value_of(b);
         let selectors = GateSelectors {
             q_l,
             q_r,
@@ -148,10 +130,19 @@ impl CircuitBuilder {
             q_o: Fr::one(),
             q_c,
         };
-        let value = q_l * va + q_r * vb + q_m * va * vb + q_c;
-        let out = self.push_gate(selectors, va, vb, value);
+        self.solved(selectors, a, Some(b))
+    }
+
+    /// A gate with `q_O = 1` whose output is the gate identity solved for
+    /// `w₃`, its inputs wired to `a` and to `b` (zero without one).
+    fn solved(&mut self, selectors: GateSelectors, a: Variable, b: Option<Variable>) -> Variable {
+        let va = self.value_of(a);
+        let vb = b.map_or(Fr::zero(), |b| self.value_of(b));
+        let out = self.push_gate(selectors, va, vb, selectors.constraint(va, vb, Fr::zero()));
         self.copy_output_to(a, out.gate, 0);
-        self.copy_output_to(b, out.gate, 1);
+        if let Some(b) = b {
+            self.copy_output_to(b, out.gate, 1);
+        }
         out
     }
 

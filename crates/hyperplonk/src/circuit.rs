@@ -4,7 +4,7 @@
 //! A circuit with `2^μ` gates is described by:
 //!
 //! * five **selector** MLEs `q_L, q_R, q_M, q_O, q_C` defining each gate's
-//!   operation via Eq. (1): `q_L·w₁ + q_R·w₂ + q_M·w₁·w₂ − q_O·w₃ + q_C = 0`;
+//!   operation via the gate identity declared in [`crate::constraints`];
 //! * three **wiring permutation** MLEs `σ₁, σ₂, σ₃` over the `3·2^μ` wire
 //!   slots, which force gate outputs to be routed correctly to downstream
 //!   inputs (the Wiring Identity of Section 3.3.3);
@@ -17,6 +17,7 @@ use zkspeed_pcs::NumVars;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::Kind;
 
+use crate::constraints::GATE;
 use crate::serialize::{Permutation, Tables};
 
 /// Identifies one of the three witness columns.
@@ -93,9 +94,10 @@ impl GateSelectors {
         }
     }
 
-    /// Evaluates the gate constraint for the given witness values.
+    /// Evaluates the gate constraint ([`GATE`]) for the given witness values.
     pub fn constraint(&self, w1: Fr, w2: Fr, w3: Fr) -> Fr {
-        self.q_l * w1 + self.q_r * w2 + self.q_m * w1 * w2 - self.q_o * w3 + self.q_c
+        let row = [self.q_l, self.q_r, self.q_m, self.q_o, self.q_c, w1, w2, w3];
+        GATE.evaluate(Fr::zero(), |label| row[label as usize], &[])
     }
 }
 

@@ -5,6 +5,9 @@
 //!
 //! * [`CircuitBuilder`] / [`Circuit`] — the Plonk gate encoding of Eq. (1)
 //!   and the wiring permutation;
+//! * [`constraints`] — the Gate and Wiring Identities of Eqs. (3) and (4),
+//!   each declared once and read by the prover, the verifier and the
+//!   witness check;
 //! * [`try_preprocess`] — universal-setup indexing (commitments to selectors
 //!   and wiring);
 //! * [`prove`] / [`prove_batch`] — the five protocol steps (Witness
@@ -46,6 +49,7 @@
 
 mod builder;
 mod circuit;
+pub mod constraints;
 pub mod gadgets;
 mod keys;
 mod mock;

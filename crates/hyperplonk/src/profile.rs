@@ -14,18 +14,16 @@
 //! every kernel except the MSMs is linear in the number of gates).
 
 use zkspeed_field::{measure_modmuls, modmul_count, reset_modmul_count, Fr};
-use zkspeed_poly::{fraction_mle, product_mle, MultilinearPoly};
+use zkspeed_poly::{fraction_mle, product_mle, split_even_odd, MultilinearPoly};
 use zkspeed_rt::pool::Serial;
 use zkspeed_rt::Rng;
 use zkspeed_sumcheck::{prove_on, prove_zerocheck_on};
 use zkspeed_transcript::Transcript;
 
+use crate::constraints::{GATE, WIRING};
 use crate::mock::{mock_circuit, SparsityProfile};
-use crate::proof::query_groups;
-use crate::prover::{
-    denominators, entrywise_product, gate_polynomial, opening_polynomial, wiring_polynomial,
-    Numerators,
-};
+use crate::proof::{query_groups, PolyLabel};
+use crate::prover::{denominators, entrywise_product, opening_polynomial, Numerators};
 
 /// Bytes per MLE table entry (one 255-bit field element packed into 32 B).
 pub const BYTES_PER_FIELD_ELEMENT: usize = 32;
@@ -153,8 +151,16 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     // of evaluating it at a point; the rest of a proof's count is its rounds
     // (for the two ZeroChecks, with the Build MLE of their `eq` table).
     let point: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
-    let f_gate = gate_polynomial(&circuit, &witness);
-    let f_perm = wiring_polynomial(&phi, &pi, numerators, denominators, Fr::random(rng));
+    let committed: Vec<&MultilinearPoly> = (circuit.selectors().iter())
+        .chain(&witness.columns)
+        .chain(&sigmas)
+        .chain([&phi, &pi])
+        .collect();
+    let table = |label: PolyLabel| committed[label as usize].clone();
+    let f_gate = GATE.polynomial(num_vars, Fr::zero(), table, []);
+    let (p1, p2) = split_even_odd(&phi, &pi);
+    let derived = numerators.into_iter().chain(denominators).chain([p1, p2]);
+    let f_perm = WIRING.polynomial(num_vars, Fr::random(rng), table, derived);
     let groups = query_groups(&point, &point);
     let combined: Vec<MultilinearPoly> = (0..groups.len())
         .map(|_| MultilinearPoly::random(num_vars, rng))

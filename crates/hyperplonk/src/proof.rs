@@ -6,6 +6,8 @@ use zkspeed_pcs::{Commitment, OpeningProof};
 use zkspeed_poly::grand_product_point;
 use zkspeed_sumcheck::SumcheckProof;
 
+use crate::constraints::{shifted_point, GATE, SHIFTED, WIRING};
+
 /// Identifies one of the thirteen polynomials the verifier queries during
 /// Batch Evaluation (Section 3.3.4 of the paper: "22 total evaluations ...
 /// among 13 polynomials using 6 distinct points").
@@ -55,57 +57,21 @@ pub struct QueryGroup {
 ///
 /// The groups are:
 ///
-/// 1. all Eq.-(1) polynomials at `a`;
-/// 2. witnesses, wiring permutations, `φ` and `π` at `s`;
+/// 1. the labels the Gate Identity reads, at `a`;
+/// 2. the labels the Wiring Identity reads, at `s`;
 /// 3. `φ`, `π` at the shifted point `(0, s₁, …, s_{μ−1})` (for `p₁`);
 /// 4. `φ`, `π` at the shifted point `(1, s₁, …, s_{μ−1})` (for `p₂`);
 /// 5. `π` at the fixed grand-product point `(0, 1, …, 1)`.
 pub fn query_groups(gate_point: &[Fr], perm_point: &[Fr]) -> Vec<QueryGroup> {
     let mu = gate_point.len();
     assert_eq!(mu, perm_point.len(), "query_groups: point length mismatch");
-    let mut shift0 = vec![Fr::zero()];
-    shift0.extend_from_slice(&perm_point[..mu - 1]);
-    let mut shift1 = vec![Fr::one()];
-    shift1.extend_from_slice(&perm_point[..mu - 1]);
+    let group = |point: Vec<Fr>, labels: Vec<PolyLabel>| QueryGroup { point, labels };
     vec![
-        QueryGroup {
-            point: gate_point.to_vec(),
-            labels: vec![
-                PolyLabel::QL,
-                PolyLabel::QR,
-                PolyLabel::QM,
-                PolyLabel::QO,
-                PolyLabel::QC,
-                PolyLabel::W1,
-                PolyLabel::W2,
-                PolyLabel::W3,
-            ],
-        },
-        QueryGroup {
-            point: perm_point.to_vec(),
-            labels: vec![
-                PolyLabel::W1,
-                PolyLabel::W2,
-                PolyLabel::W3,
-                PolyLabel::Sigma1,
-                PolyLabel::Sigma2,
-                PolyLabel::Sigma3,
-                PolyLabel::Phi,
-                PolyLabel::Pi,
-            ],
-        },
-        QueryGroup {
-            point: shift0,
-            labels: vec![PolyLabel::Phi, PolyLabel::Pi],
-        },
-        QueryGroup {
-            point: shift1,
-            labels: vec![PolyLabel::Phi, PolyLabel::Pi],
-        },
-        QueryGroup {
-            point: grand_product_point(mu),
-            labels: vec![PolyLabel::Pi],
-        },
+        group(gate_point.to_vec(), GATE.labels()),
+        group(perm_point.to_vec(), WIRING.labels()),
+        group(shifted_point(perm_point, Fr::zero()), SHIFTED.to_vec()),
+        group(shifted_point(perm_point, Fr::one()), SHIFTED.to_vec()),
+        group(grand_product_point(mu), vec![PolyLabel::Pi]),
     ]
 }
 
@@ -152,23 +118,6 @@ pub struct Proof {
     /// Opening proof of the final combined polynomial `g′` at the OpenCheck
     /// point (the halving-MSM sequence).
     pub gprime_opening: OpeningProof,
-}
-
-impl Proof {
-    /// Approximate proof size in bytes (32 bytes per field element, 96 bytes
-    /// per uncompressed-ish G1 point), used to reproduce the "Proof Size" row
-    /// of Table 4.
-    pub fn size_in_bytes(&self) -> usize {
-        let field_elements = self.gate_zerocheck.size_in_field_elements()
-            + self.perm_zerocheck.size_in_field_elements()
-            + self.opencheck.size_in_field_elements()
-            + self.evaluations.total()
-            + self.combined_evaluations.len();
-        let group_points = 3 // witness commitments
-            + 2 // phi, pi
-            + self.gprime_opening.size_in_points();
-        field_elements * 32 + group_points * 96
-    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,9 @@
 //! | 4. Batch Evaluations | MLE Evaluate (only what no SumCheck already returned) |
 //! | 5. Polynomial Opening | MLE Combine, Build MLE, SumCheck (OpenCheck), halving MSMs |
 //!
+//! Steps 2 and 3 prove the identities [`crate::constraints`] declares, over
+//! polynomials built from those declarations.
+//!
 //! Each table of `2^μ` Fr the prover builds lives as long as a later step
 //! reads it (the key's and the witness's tables are the caller's). A
 //! SumCheck takes its polynomial, so a table only the polynomial holds is
@@ -44,17 +47,15 @@ use zkspeed_rt::trace::TraceSink;
 use zkspeed_sumcheck::{prove as sumcheck_prove, prove_zerocheck};
 use zkspeed_transcript::Transcript;
 
-use crate::circuit::{Circuit, SatisfactionError, Witness};
+use crate::circuit::{SatisfactionError, Witness};
+use crate::constraints::{wiring_factor, GATE, WIRING};
 use crate::keys::ProvingKey;
 use crate::proof::{query_groups, BatchEvaluations, PolyLabel, Proof, QueryGroup};
 
-/// Per-round degree of the Gate Identity ZeroCheck round polynomials: Eq. 3's
-/// `q_M·w₁·w₂` has degree 3 and the `eq` factor, which the prover multiplies
-/// in once per round, makes it 4.
-pub const GATE_SUMCHECK_DEGREE: usize = 4;
-/// Per-round degree of the Wiring Identity ZeroCheck round polynomials: Eq.
-/// 4's `φ·D₁·D₂·D₃` has degree 4, 5 with the `eq` factor.
-pub const PERM_SUMCHECK_DEGREE: usize = 5;
+/// Per-round degree of the Gate Identity ZeroCheck round polynomials (4).
+pub const GATE_SUMCHECK_DEGREE: usize = GATE.zerocheck_degree();
+/// Per-round degree of the Wiring Identity ZeroCheck round polynomials (5).
+pub const PERM_SUMCHECK_DEGREE: usize = WIRING.zerocheck_degree();
 /// Per-round degree of the OpenCheck polynomial (Eq. 5): `yᵢ·kᵢ` has degree 2.
 pub const OPENCHECK_DEGREE: usize = 2;
 
@@ -296,7 +297,16 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     // ----- Step 2: Gate Identity (ZeroCheck) ------------------------------
     let t1 = Instant::now();
     let step_span = trace.span_with("gate-identity", "prove", &[("job", job)]);
-    let f_gate = gate_polynomial(&pk.circuit, witness);
+    // The committed tables, indexed by `PolyLabel as usize`: the labels'
+    // declaration order (σ, φ and π join in step 3).
+    let mut committed: Vec<&MultilinearPoly> = pk
+        .circuit
+        .selectors()
+        .iter()
+        .chain(&witness.columns)
+        .collect();
+    let table = |label: PolyLabel| committed[label as usize].clone();
+    let f_gate = GATE.polynomial(mu, Fr::zero(), table, []);
     let gate_out = prove_zerocheck(f_gate, &mut transcript, &**backend, trace, "gate-round");
     let gate_point = gate_out.sumcheck.point.clone();
     drop(step_span);
@@ -353,7 +363,11 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
 
     // PermCheck ZeroCheck on Eq. (4). N (rebuilt from the kept shifts by
     // additions alone), D, p₁ and p₂ move into it and die with it.
-    let f_perm = wiring_polynomial(&phi, &pi, numerators.tables(witness), denominators, alpha);
+    committed.extend(sigmas.iter().chain([&phi, &pi]));
+    let table = |label: PolyLabel| committed[label as usize].clone();
+    let (p1, p2) = split_even_odd(&phi, &pi);
+    let derived = (numerators.tables(witness).into_iter()).chain(denominators);
+    let f_perm = WIRING.polynomial(mu, alpha, table, derived.chain([p1, p2]));
     let perm_out = prove_zerocheck(f_perm, &mut transcript, &**backend, trace, "perm-round");
     let perm_point = perm_out.sumcheck.point.clone();
     drop(step_span);
@@ -363,41 +377,25 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let t3 = Instant::now();
     let step_span = trace.span_with("batch-evaluation", "prove", &[("job", job)]);
     let groups = query_groups(&gate_point, &perm_point);
-    let resolve = |label: PolyLabel| -> &MultilinearPoly {
-        match label {
-            PolyLabel::QL => &pk.circuit.selectors()[0],
-            PolyLabel::QR => &pk.circuit.selectors()[1],
-            PolyLabel::QM => &pk.circuit.selectors()[2],
-            PolyLabel::QO => &pk.circuit.selectors()[3],
-            PolyLabel::QC => &pk.circuit.selectors()[4],
-            PolyLabel::W1 => &witness.columns[0],
-            PolyLabel::W2 => &witness.columns[1],
-            PolyLabel::W3 => &witness.columns[2],
-            PolyLabel::Sigma1 => &sigmas[0],
-            PolyLabel::Sigma2 => &sigmas[1],
-            PolyLabel::Sigma3 => &sigmas[2],
-            PolyLabel::Phi => &phi,
-            PolyLabel::Pi => &pi,
-        }
-    };
-    // The Gate Identity SumCheck ended holding the first group's eight
-    // evaluations and the Wiring Identity one φ and π at the second group's
-    // point; only the rest are evaluated, one job per (group, label) pair.
+    let resolve = |label: PolyLabel| committed[label as usize];
+    // The two ZeroChecks ended holding their identities' tables at the
+    // first two groups' points; only the rest are evaluated, one job per
+    // (group, label) pair.
     let gate_evals = &gate_out.sumcheck.mle_evaluations;
     let perm_evals = &perm_out.sumcheck.mle_evaluations;
     let mut known = Vec::new();
     let mut queries = Vec::new();
     for (g, group) in groups.iter().enumerate() {
-        for (l, label) in group.labels.iter().enumerate() {
-            known.push(match (g, label) {
-                (0, _) => Some(gate_evals[l]),
-                (1, PolyLabel::Phi) => Some(perm_evals[WIRING_PHI]),
-                (1, PolyLabel::Pi) => Some(perm_evals[WIRING_PI]),
-                _ => {
-                    queries.push((resolve(*label).clone(), group.point.clone()));
-                    None
-                }
-            });
+        for label in &group.labels {
+            let registered = match g {
+                0 => GATE.position(*label).map(|i| gate_evals[i]),
+                1 => WIRING.position(*label).map(|i| perm_evals[i]),
+                _ => None,
+            };
+            if registered.is_none() {
+                queries.push((resolve(*label).clone(), group.point.clone()));
+            }
+            known.push(registered);
         }
     }
     let evaluated = pool::map_indices_on(&**backend, queries.len(), move |i| {
@@ -508,22 +506,6 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     )
 }
 
-/// The Gate Identity polynomial of Eq. (3), `q_L·w₁ + q_R·w₂ + q_M·w₁·w₂ −
-/// q_O·w₃ + q_C`, its MLEs registered in the order of the first query
-/// group's labels (`q_L … q_C, w₁ … w₃`).
-pub(crate) fn gate_polynomial(circuit: &Circuit, witness: &Witness) -> VirtualPolynomial {
-    let mut f = VirtualPolynomial::new(circuit.num_vars());
-    let mut add = |m: &MultilinearPoly| f.add_mle(m.clone());
-    let q: Vec<usize> = circuit.selectors().iter().map(&mut add).collect();
-    let w: Vec<usize> = witness.columns.iter().map(&mut add).collect();
-    f.add_term(Fr::one(), vec![q[0], w[0]]);
-    f.add_term(Fr::one(), vec![q[1], w[1]]);
-    f.add_term(Fr::one(), vec![q[2], w[0], w[1]]);
-    f.add_term(-Fr::one(), vec![q[3], w[2]]);
-    f.add_term(Fr::one(), vec![q[4]]);
-    f
-}
-
 /// **Construct N & D**, numerator half: `Nⱼ = wⱼ + β·idⱼ + γ`. With
 /// `idⱼ(i) = j·n + i`, `β·idⱼ + γ` steps by `β` from entry to entry, so a
 /// numerator takes one multiplication for its starting shift and additions
@@ -567,7 +549,8 @@ impl Numerators {
     }
 }
 
-/// **Construct N & D**, denominator half: `Dⱼ = wⱼ + β·σⱼ + γ`.
+/// **Construct N & D**, denominator half: `Dⱼ = wⱼ + β·σⱼ + γ`
+/// ([`wiring_factor`]).
 pub(crate) fn denominators(
     witness: &Witness,
     sigmas: &[MultilinearPoly; 3],
@@ -576,42 +559,13 @@ pub(crate) fn denominators(
 ) -> [MultilinearPoly; 3] {
     [0, 1, 2].map(|j| {
         let (w, s) = (&witness.columns[j], &sigmas[j]);
-        MultilinearPoly::from_fn(w.num_vars(), |i| w[i] + beta * s[i] + gamma)
+        MultilinearPoly::from_fn(w.num_vars(), |i| wiring_factor(w[i], beta, s[i], gamma))
     })
 }
 
 /// `t₁·t₂·t₃`, entry by entry.
 pub(crate) fn entrywise_product([t1, t2, t3]: &[MultilinearPoly; 3]) -> MultilinearPoly {
     MultilinearPoly::from_fn(t1.num_vars(), |i| t1[i] * t2[i] * t3[i])
-}
-
-/// Where [`wiring_polynomial`] registers `π` and `φ`.
-const WIRING_PI: usize = 0;
-const WIRING_PHI: usize = 3;
-
-/// The Wiring Identity polynomial of Eq. (4), `π − p₁·p₂ + α·(φ·D₁·D₂·D₃ −
-/// N₁·N₂·N₃)`, its MLEs registered as `π, p₁, p₂, φ, D₁…D₃, N₁…N₃`. It
-/// shares `φ` and `π` and owns the rest.
-pub(crate) fn wiring_polynomial(
-    phi: &MultilinearPoly,
-    pi: &MultilinearPoly,
-    numerators: [MultilinearPoly; 3],
-    denominators: [MultilinearPoly; 3],
-    alpha: Fr,
-) -> VirtualPolynomial {
-    let (p1, p2) = split_even_odd(phi, pi);
-    let mut f = VirtualPolynomial::new(phi.num_vars());
-    let pi_idx = f.add_mle(pi.clone());
-    let p1_idx = f.add_mle(p1);
-    let p2_idx = f.add_mle(p2);
-    let mut with_phi = vec![f.add_mle(phi.clone())];
-    with_phi.extend(denominators.map(|d| f.add_mle(d)));
-    let n_idx = numerators.map(|n| f.add_mle(n)).to_vec();
-    f.add_term(Fr::one(), vec![pi_idx]);
-    f.add_term(-Fr::one(), vec![p1_idx, p2_idx]);
-    f.add_term(alpha, with_phi);
-    f.add_term(-alpha, n_idx);
-    f
 }
 
 /// The OpenCheck polynomial of Eq. (5), `Σᵢ cⁱ·yᵢ(x)·kᵢ(x)` with `kᵢ` the
@@ -700,8 +654,8 @@ mod tests {
         assert_eq!(proof.opencheck.num_rounds(), mu);
         assert_eq!(proof.evaluations.total(), 21);
         assert_eq!(proof.combined_evaluations.len(), 5);
-        assert_eq!(proof.gprime_opening.size_in_points(), mu);
-        assert!(proof.size_in_bytes() > 0);
+        assert_eq!(proof.gprime_opening.quotients.len(), mu);
+        assert!(!proof.to_bytes().is_empty());
         // Report sanity.
         assert_eq!(report.num_vars, mu);
         assert!(report.total_seconds() > 0.0);

@@ -14,6 +14,7 @@ use zkspeed_poly::MultilinearPoly;
 use zkspeed_sumcheck::{verify as sumcheck_verify, verify_zerocheck, SumcheckError};
 use zkspeed_transcript::Transcript;
 
+use crate::constraints::{derived_at, GATE, SHIFTED, WIRING};
 use crate::keys::VerifyingKey;
 use crate::proof::{query_groups, PolyLabel, Proof};
 use crate::prover::{powers, GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE};
@@ -77,7 +78,6 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
     if mu == 0 || mu > vk.srs.num_vars() {
         return Err(VerifyError::MalformedKey);
     }
-    let n = 1u64 << mu;
     let mut transcript = Transcript::new(b"zkspeed-hyperplonk");
     vk.bind_to_transcript(&mut transcript);
 
@@ -94,7 +94,6 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
         &mut transcript,
     )
     .map_err(VerifyError::GateZerocheck)?;
-    let gate_point = gate_sub.point.clone();
 
     // ----- Step 3: Wiring Identity ------------------------------------------
     let beta = transcript.challenge_scalar(b"beta");
@@ -112,10 +111,9 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
         &mut transcript,
     )
     .map_err(VerifyError::PermZerocheck)?;
-    let perm_point = perm_sub.point.clone();
 
     // ----- Step 4: Batch evaluations ----------------------------------------
-    let groups = query_groups(&gate_point, &perm_point);
+    let groups = query_groups(&gate_sub.point, &perm_sub.point);
     if proof.evaluations.values.len() != groups.len()
         || proof
             .evaluations
@@ -137,66 +135,28 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
         proof.evaluations.values[group][idx]
     };
 
-    // Gate Identity sub-claim: f_gate(a) · eq(a, r_gate) must equal the
-    // zerocheck's expected evaluation.
-    {
-        let ql = eval_of(0, PolyLabel::QL);
-        let qr = eval_of(0, PolyLabel::QR);
-        let qm = eval_of(0, PolyLabel::QM);
-        let qo = eval_of(0, PolyLabel::QO);
-        let qc = eval_of(0, PolyLabel::QC);
-        let w1 = eval_of(0, PolyLabel::W1);
-        let w2 = eval_of(0, PolyLabel::W2);
-        let w3 = eval_of(0, PolyLabel::W3);
-        let f_gate = ql * w1 + qr * w2 + qm * w1 * w2 - qo * w3 + qc;
-        let eq = MultilinearPoly::eq_eval(&gate_point, &gate_sub.build_mle_challenges);
-        if f_gate * eq != gate_sub.expected_evaluation {
-            return Err(VerifyError::GateIdentityMismatch);
-        }
-    }
-
-    // Wiring Identity sub-claim: Eq. (4) evaluated at s.
-    {
-        let w = [
-            eval_of(1, PolyLabel::W1),
-            eval_of(1, PolyLabel::W2),
-            eval_of(1, PolyLabel::W3),
-        ];
-        let sigma = [
-            eval_of(1, PolyLabel::Sigma1),
-            eval_of(1, PolyLabel::Sigma2),
-            eval_of(1, PolyLabel::Sigma3),
-        ];
-        let phi_s = eval_of(1, PolyLabel::Phi);
-        let pi_s = eval_of(1, PolyLabel::Pi);
-        // The identity MLE id_j evaluates to j·2^μ + Σ_k 2^k·s_k.
-        let index_eval: Fr = perm_point
-            .iter()
-            .enumerate()
-            .map(|(k, s_k)| Fr::from_u64(1u64 << k) * *s_k)
-            .sum();
-        let mut d_eval = [Fr::zero(); 3];
-        let mut n_eval = [Fr::zero(); 3];
-        for j in 0..3 {
-            let id_j = Fr::from_u64(j as u64 * n) + index_eval;
-            n_eval[j] = w[j] + beta * id_j + gamma;
-            d_eval[j] = w[j] + beta * sigma[j] + gamma;
-        }
-        // p1(s), p2(s) from the shifted-point evaluations of φ and π.
-        let s_last = *perm_point.last().expect("μ ≥ 1");
-        let phi_s0 = eval_of(2, PolyLabel::Phi);
-        let pi_s0 = eval_of(2, PolyLabel::Pi);
-        let phi_s1 = eval_of(3, PolyLabel::Phi);
-        let pi_s1 = eval_of(3, PolyLabel::Pi);
-        let one = Fr::one();
-        let p1_s = (one - s_last) * phi_s0 + s_last * pi_s0;
-        let p2_s = (one - s_last) * phi_s1 + s_last * pi_s1;
-        let f_perm = pi_s - p1_s * p2_s
-            + alpha
-                * (phi_s * d_eval[0] * d_eval[1] * d_eval[2] - n_eval[0] * n_eval[1] * n_eval[2]);
-        let eq = MultilinearPoly::eq_eval(&perm_point, &perm_sub.build_mle_challenges);
-        if f_perm * eq != perm_sub.expected_evaluation {
-            return Err(VerifyError::PermIdentityMismatch);
+    // The Gate and Wiring Identity sub-claims: each identity at the batch
+    // evaluations, the derived wiring columns by their rules at `s`, times
+    // `eq` at its ZeroCheck's point must be that ZeroCheck's expected
+    // evaluation.
+    let shifted = [2, 3].map(|g| SHIFTED.map(|label| eval_of(g, label)));
+    let derived = derived_at(&perm_sub.point, beta, gamma, |l| eval_of(1, l), shifted);
+    let claims = [
+        (
+            GATE.evaluate(alpha, |l| eval_of(0, l), &[]),
+            &gate_sub,
+            VerifyError::GateIdentityMismatch,
+        ),
+        (
+            WIRING.evaluate(alpha, |l| eval_of(1, l), &derived),
+            &perm_sub,
+            VerifyError::PermIdentityMismatch,
+        ),
+    ];
+    for (value, sub, mismatch) in claims {
+        let eq = MultilinearPoly::eq_eval(&sub.point, &sub.build_mle_challenges);
+        if value * eq != sub.expected_evaluation {
+            return Err(mismatch);
         }
     }
 

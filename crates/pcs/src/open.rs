@@ -31,13 +31,6 @@ pub struct OpeningProof {
     pub quotients: Vec<Commitment>,
 }
 
-impl OpeningProof {
-    /// Proof size in G1 points.
-    pub fn size_in_points(&self) -> usize {
-        self.quotients.len()
-    }
-}
-
 zkspeed_rt::impl_codec_struct!(OpeningProof { quotients });
 
 /// Opens `poly` at `point`, returning the evaluation, the proof, and the MSM
@@ -187,7 +180,7 @@ mod tests {
         let point: Vec<Fr> = (0..5).map(|_| Fr::random(&mut r)).collect();
         let (value, proof, stats) = open_on(&Serial, &srs, &f, &point);
         assert_eq!(value, f.evaluate(&point));
-        assert_eq!(proof.size_in_points(), 5);
+        assert_eq!(proof.quotients.len(), 5);
         assert!(stats.fq_muls() > 0);
         assert!(verify_opening(&srs, &com, &point, value, &proof));
     }

@@ -264,11 +264,6 @@ impl Srs {
             tau: self.tau[skip..].to_vec(),
         }
     }
-
-    /// Total number of G1 points stored in the SRS.
-    pub fn size_in_points(&self) -> usize {
-        self.lagrange_bases.iter().map(|b| b.len()).sum()
-    }
 }
 
 // Each basis level carries its `u32` point count, which must match `μ`.
@@ -376,7 +371,8 @@ mod tests {
         assert_eq!(srs.lagrange_basis(1).len(), 8);
         assert_eq!(srs.lagrange_basis(4).len(), 1);
         // 16 + 8 + 4 + 2 + 1
-        assert_eq!(srs.size_in_points(), 31);
+        let points: usize = (0..=4).map(|k| srs.lagrange_basis(k).len()).sum();
+        assert_eq!(points, 31);
         assert_eq!(srs.trapdoor().len(), 4);
     }
 

@@ -27,7 +27,7 @@ fn mock_circuit_proof_roundtrip_multiple_sizes() {
         verifier.verify(&proof).expect("honest proof verifies");
         // Succinctness: proof is tiny compared to the witness.
         let witness_bytes = 3 * (1 << mu) * 32;
-        assert!(proof.size_in_bytes() < witness_bytes.max(6000) * 4);
+        assert!(proof.to_bytes().len() < witness_bytes.max(6000) * 4);
     }
 }
 

@@ -8,22 +8,18 @@
 use zkspeed::prelude::*;
 use zkspeed_curve::{fixed_base_window_bits, BATCH_AFFINE_ADD_FQ_MULS, PDBL_FQ_MULS};
 use zkspeed_field::{measure_modmuls, Fr};
+use zkspeed_hyperplonk::constraints::{Column, Identity, GATE, WIRING};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_sumcheck::{prove_on, prove_zerocheck_on};
 use zkspeed_transcript::Transcript;
 
 const MU: usize = 10;
 
-/// `terms` over `mles` random tables: the shape is all the count depends on.
-fn shape(mles: usize, terms: &[(Fr, &[usize])], rng: &mut StdRng) -> VirtualPolynomial {
-    let mut f = VirtualPolynomial::new(MU);
-    for _ in 0..mles {
-        f.add_mle(MultilinearPoly::random(MU, rng));
-    }
-    for (coefficient, factors) in terms {
-        f.add_term(*coefficient, factors.to_vec());
-    }
-    f
+/// `identity` over random tables: the shape is all the count depends on.
+fn shape(identity: &Identity, alpha: Fr, rng: &mut StdRng) -> VirtualPolynomial {
+    let derived = (identity.columns.iter()).filter(|c| !matches!(c, Column::Committed(_)));
+    let derived: Vec<_> = derived.map(|_| MultilinearPoly::random(MU, rng)).collect();
+    identity.polynomial(MU, alpha, |_| MultilinearPoly::random(MU, rng), derived)
 }
 
 /// Fr multiplications of one SumCheck over `f`, split as the closed form
@@ -66,46 +62,27 @@ fn each_sumcheck_keeps_its_per_instance_budget() {
 
     // Gate Identity, Eq. (3): 8 tables, one ±1 group of degree 3. Per
     // instance 4 points × (5 products + 1 weight) = 24, plus 8 updates.
-    let gate = shape(
-        8,
-        &[
-            (one, &[0, 5]),
-            (one, &[1, 6]),
-            (one, &[2, 5, 6]),
-            (-one, &[3, 7]),
-            (one, &[4]),
-        ],
-        &mut rng,
-    );
+    let gate = shape(&GATE, alpha, &mut rng);
     let gate_cost = per_instance(&gate, true, 2 * challenge + 2 * 5 + 3, build_mle);
     assert_eq!(gate_cost, 24 + 8);
 
     // Wiring Identity, Eq. (4): 10 tables, a ±1 group of degree 2 and an α
     // group of degree 4. Per instance 5 points × (6 products + 2 weights) =
     // 40, plus 10 updates.
-    let perm = shape(
-        10,
-        &[
-            (one, &[0]),
-            (-one, &[1, 2]),
-            (alpha, &[3, 4, 5, 6]),
-            (-alpha, &[7, 8, 9]),
-        ],
-        &mut rng,
-    );
+    let perm = shape(&WIRING, alpha, &mut rng);
     let perm_cost = per_instance(&perm, true, 2 * challenge + 2 * 6 + 3 + 5, build_mle);
     assert_eq!(perm_cost, 40 + 10);
 
     // OpenCheck, Eq. (5): 5 products of 2 tables under 1, c, …, c⁴. Per
     // instance 3 points × 5 products = 15, plus 10 updates.
-    let mut open_terms = Vec::new();
-    let pairs: Vec<[usize; 2]> = (0..5).map(|i| [2 * i, 2 * i + 1]).collect();
+    let mut open = VirtualPolynomial::new(MU);
     let mut power = one;
-    for pair in &pairs {
-        open_terms.push((power, &pair[..]));
+    for _ in 0..5 {
+        let y = open.add_mle(MultilinearPoly::random(MU, &mut rng));
+        let k = open.add_mle(MultilinearPoly::random(MU, &mut rng));
+        open.add_term(power, vec![y, k]);
         power *= c;
     }
-    let open = shape(10, &open_terms, &mut rng);
     let open_cost = per_instance(&open, false, challenge + 4 * 3, 0);
     assert_eq!(open_cost, 15 + 10);
 }

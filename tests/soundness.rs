@@ -47,6 +47,7 @@ fn wiring_violating_witness_is_rejected() {
                 let new_val = tampered.columns[col][i] + Fr::from_u64(1);
                 tampered.columns[col].evaluations_mut()[i] = new_val;
                 // Repair the gate constraint by recomputing the output.
+                // Hand-written on purpose: independent of `constraints::GATE`.
                 let g = prover.proving_key().circuit.gate(i);
                 let w1 = tampered.columns[0][i];
                 let w2 = tampered.columns[1][i];

@@ -440,7 +440,7 @@ pub struct ChipSimulation {
     /// Problem size `μ`.
     pub num_vars: usize,
     /// Latency of each protocol step, in seconds, in
-    /// [`zkspeed_hyperplonk::ProtocolStep::ALL`] order.
+    /// `zkspeed_hyperplonk::ProtocolStep::ALL` order.
     pub step_seconds: [f64; 5],
     /// Per-kernel latencies (Figure 14 grouping).
     pub kernels: KernelSeconds,

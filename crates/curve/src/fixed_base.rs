@@ -70,15 +70,12 @@ impl FixedBaseTable {
             }
             adder.flush(next, src);
         }
-        // Sized up front: collecting the `flat_map` would grow it by
-        // doubling, to up to twice the entries.
-        let mut entries = Vec::with_capacity(rows.len());
-        for j in 0..num_windows {
-            entries.extend(rows.iter().skip(j).step_by(num_windows));
-        }
+        // Window-major, in place: a transposed copy would hold the table
+        // twice.
+        transpose(&mut rows, num_windows);
         Self {
             window_bits,
-            entries,
+            entries: rows,
         }
     }
 
@@ -109,6 +106,26 @@ impl FixedBaseTable {
             }
         }
         points
+    }
+}
+
+/// Reorders a row-major matrix of `columns` columns into column-major order
+/// in place, moving each cycle of the permutation once: the entry at
+/// `i = r·columns + c` goes to `c·rows + r`, which is `i·rows` modulo
+/// `len − 1` for every `i` but the last.
+fn transpose<T: Copy>(matrix: &mut [T], columns: usize) {
+    let Some(last) = matrix.len().checked_sub(1) else {
+        return;
+    };
+    let rows = matrix.len() / columns;
+    let mut moved = vec![false; matrix.len()];
+    for start in 0..last {
+        let (mut i, mut carried) = (start, matrix[start]);
+        while !moved[start] {
+            i = i * rows % last;
+            std::mem::swap(&mut matrix[i], &mut carried);
+            moved[i] = true;
+        }
     }
 }
 
@@ -194,6 +211,18 @@ mod tests {
         assert_eq!(FixedBaseTable::new(10).entries.len(), 26 << 9);
         let picks = [10, 12, 14, 16].map(|log| fixed_base_window_bits(1 << log));
         assert_eq!(picks, [8, 10, 12, 13]);
+    }
+
+    #[test]
+    fn transpose_moves_every_entry_once() {
+        for (rows, columns) in [(1, 1), (1, 7), (7, 1), (2, 3), (4, 22), (9, 6)] {
+            let mut matrix: Vec<usize> = (0..rows * columns).collect();
+            transpose(&mut matrix, columns);
+            let expected: Vec<usize> = (0..columns)
+                .flat_map(|c| (0..rows).map(move |r| r * columns + c))
+                .collect();
+            assert_eq!(matrix, expected, "{rows} × {columns}");
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct MsmConfig {
 }
 
 /// Default [`MsmConfig::batch_affine_min_points`]: one Fq inversion takes the
-/// time of [`INVERSION_FQ_MULS`] multiplications and a batch-affine addition
+/// time of `INVERSION_FQ_MULS` multiplications and a batch-affine addition
 /// saves 5 over a mixed one, so below 10 additions per inversion the
 /// projective path wins.
 pub const BATCH_AFFINE_DEFAULT_MIN_POINTS: usize = INVERSION_FQ_MULS / 5;

@@ -52,7 +52,7 @@ pub const PADD_FQ_MULS: usize = 14;
 
 /// SHA3 unit area in mm² (5888 µm², Section 7.3.1).
 pub const SHA3_UNIT_MM2: f64 = 0.005888;
-/// Keccak-f[1600] permutation latency in cycles (24 rounds, one per cycle).
+/// Keccak-f\[1600\] permutation latency in cycles (24 rounds, one per cycle).
 pub const SHA3_PERMUTATION_CYCLES: u64 = 24;
 
 /// SRAM density in mm² per MiB at 7 nm (calibrated so the highlighted design

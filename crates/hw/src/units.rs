@@ -258,7 +258,7 @@ impl Sha3UnitConfig {
         self.permutation_cycles(bytes.div_ceil(136).max(1))
     }
 
-    /// Cycles for `permutations` Keccak-f[1600] invocations (24 cycles
+    /// Cycles for `permutations` Keccak-f\[1600\] invocations (24 cycles
     /// each on the OpenCores core). The functional layer counts real
     /// permutations (`Sha3_256::permutation_count`, and the in-circuit
     /// Keccak workloads), so measured counts can drive the unit directly

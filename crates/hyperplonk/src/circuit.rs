@@ -247,13 +247,6 @@ impl Circuit {
         })
     }
 
-    /// The identity MLEs `id₁, id₂, id₃` (`id_j[i] = (j)·2^μ + i`).
-    pub fn identity_mles(&self) -> [MultilinearPoly; 3] {
-        let n = self.num_gates() as u64;
-        [0u64, 1, 2]
-            .map(|j| MultilinearPoly::from_fn(self.num_vars, |i| Fr::from_u64(j * n + i as u64)))
-    }
-
     /// Checks that a witness satisfies every gate and wiring constraint.
     ///
     /// # Errors
@@ -402,14 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn sigma_and_identity_mles_encode_slots() {
+    fn sigma_mles_encode_slots() {
         let (circuit, _) = tiny_circuit();
         let sigmas = circuit.sigma_mles();
-        let ids = circuit.identity_mles();
-        // Identity: id_j[i] = j·4 + i.
-        assert_eq!(ids[0][3], u(3));
-        assert_eq!(ids[1][0], u(4));
-        assert_eq!(ids[2][2], u(10));
         // The swap 8 <-> 5 shows up in the sigma MLEs.
         assert_eq!(sigmas[1][1], u(8));
         assert_eq!(sigmas[2][0], u(5));

@@ -9,6 +9,7 @@
 use zkspeed_field::Fr;
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 
+use crate::circuit::{Circuit, Witness};
 use crate::proof::PolyLabel;
 use Coefficient::*;
 use Column::*;
@@ -198,6 +199,66 @@ pub(crate) fn wiring_factor(w: Fr, beta: Fr, x: Fr, gamma: Fr) -> Fr {
     w + beta * x + gamma
 }
 
+/// [`wiring_factor`] over the hypercube: the shift table `S[k] = β·k + γ`,
+/// `k < 3·2^μ`, built by additions only, from which `Nⱼ[i] = wⱼ[i] +
+/// S[idⱼ(i)]` and `Dⱼ[i] = wⱼ[i] + S[σⱼ(i)]`, `σⱼ` read off the circuit's
+/// permutation. It is held as three tables of `2^μ` Fr, `S[j·2^μ + i]` in
+/// the `j`-th, the size of every other table a proof allocates.
+pub(crate) struct Shifts {
+    num_vars: usize,
+    tables: [Vec<Fr>; 3],
+}
+
+impl Shifts {
+    pub(crate) fn new(num_vars: usize, beta: Fr, gamma: Fr) -> Self {
+        let mut steps = std::iter::successors(Some(gamma), |s| Some(*s + beta));
+        let tables = [0, 1, 2].map(|_| (&mut steps).take(1 << num_vars).collect());
+        Self { num_vars, tables }
+    }
+
+    fn at(&self, k: usize) -> Fr {
+        self.tables[k >> self.num_vars][k & ((1 << self.num_vars) - 1)]
+    }
+
+    /// The entries of `N(j)` or `D(j)`.
+    fn factor<'a>(
+        &'a self,
+        column: Column,
+        witness: &'a Witness,
+        circuit: &'a Circuit,
+    ) -> impl Iterator<Item = Fr> + 'a {
+        let (j, permuted) = match column {
+            N(j) => (j, false),
+            D(j) => (j, true),
+            c => unreachable!("{c:?} is not a wiring factor"),
+        };
+        let w = witness.columns[j].evaluations().iter().enumerate();
+        w.map(move |(i, w)| {
+            let shift = if permuted {
+                self.at(circuit.sigma_slot(j, i))
+            } else {
+                self.tables[j][i]
+            };
+            *w + shift
+        })
+    }
+
+    /// The tables `N₁…N₃, D₁…D₃`, in [`Column`] order.
+    pub(crate) fn tables(&self, witness: &Witness, circuit: &Circuit) -> [MultilinearPoly; 6] {
+        [N(0), N(1), N(2), D(0), D(1), D(2)]
+            .map(|c| MultilinearPoly::new(self.factor(c, witness, circuit).collect()))
+    }
+
+    /// `N₁·N₂·N₃` and `D₁·D₂·D₃`, entry by entry, with no table of the
+    /// factors.
+    pub(crate) fn products(&self, witness: &Witness, circuit: &Circuit) -> [MultilinearPoly; 2] {
+        [N, D].map(|column: fn(usize) -> Column| {
+            let [a, b, c] = [0, 1, 2].map(|j| self.factor(column(j), witness, circuit));
+            MultilinearPoly::new(a.zip(b).zip(c).map(|((a, b), c)| a * b * c).collect())
+        })
+    }
+}
+
 /// `(b, s₁, …, s_{μ−1})`, where `p₁` (`b = 0`) and `p₂` (`b = 1`) read `φ`
 /// and `π` for their value at `s`: `(1 − s_μ)·φ + s_μ·π` there.
 pub(crate) fn shifted_point(s: &[Fr], b: Fr) -> Vec<Fr> {
@@ -229,11 +290,10 @@ pub(crate) fn derived_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{Circuit, GateSelectors, Witness};
-    use crate::prover::{denominators, Numerators};
+    use crate::circuit::GateSelectors;
     use zkspeed_poly::split_even_odd;
     use zkspeed_rt::rngs::StdRng;
-    use zkspeed_rt::SeedableRng;
+    use zkspeed_rt::{Rng, SeedableRng};
 
     fn random_witness(mu: usize, rng: &mut StdRng) -> Witness {
         let [w1, w2, w3] = [0, 1, 2].map(|_| MultilinearPoly::random(mu, rng));
@@ -244,27 +304,73 @@ mod tests {
         (0..mu).map(|_| Fr::random(rng)).collect()
     }
 
+    /// Random selectors over a random permutation of the `3·2^μ` slots, or
+    /// over the identity one.
+    fn random_circuit(mu: usize, permuted: bool, rng: &mut StdRng) -> Circuit {
+        let gates: Vec<GateSelectors> = (0..1 << mu)
+            .map(|_| {
+                let [q_l, q_r, q_m, q_o, q_c] = [0; 5].map(|_| Fr::random(rng));
+                GateSelectors {
+                    q_l,
+                    q_r,
+                    q_m,
+                    q_o,
+                    q_c,
+                }
+            })
+            .collect();
+        let mut sigma: Vec<usize> = (0..3 << mu).collect();
+        for i in (1..sigma.len()).rev().filter(|_| permuted) {
+            sigma.swap(i, rng.gen_range(0..(i + 1) as u64) as usize);
+        }
+        Circuit::new(&gates, sigma)
+    }
+
+    /// The shift table's `N` and `D`, tables and products, against
+    /// [`wiring_factor`] at `idⱼ(i)` and `σⱼ(i)`, entry by entry; under the
+    /// identity permutation `D = N`.
+    #[test]
+    fn shift_table_factors_follow_the_wiring_rule() {
+        let mut rng = StdRng::seed_from_u64(0xc0de_0037);
+        for mu in [1, 2, 5] {
+            for permuted in [true, false] {
+                let circuit = random_circuit(mu, permuted, &mut rng);
+                let witness = random_witness(mu, &mut rng);
+                let [beta, gamma] = [0; 2].map(|_| Fr::random(&mut rng));
+                let shifts = Shifts::new(mu, beta, gamma);
+                let [n1, n2, n3, d1, d2, d3] = shifts.tables(&witness, &circuit);
+                let [n_product, d_product] = shifts.products(&witness, &circuit);
+                let n = circuit.num_gates();
+                for (j, (n_j, d_j)) in [(&n1, &d1), (&n2, &d2), (&n3, &d3)].into_iter().enumerate()
+                {
+                    let w = &witness.columns[j];
+                    for i in 0..n {
+                        let id = Fr::from_u64((j * n + i) as u64);
+                        let sigma = Fr::from_u64(circuit.sigma_slot(j, i) as u64);
+                        assert_eq!(n_j[i], wiring_factor(w[i], beta, id, gamma));
+                        assert_eq!(d_j[i], wiring_factor(w[i], beta, sigma, gamma));
+                    }
+                }
+                for i in 0..n {
+                    assert_eq!(n_product[i], n1[i] * n2[i] * n3[i]);
+                    assert_eq!(d_product[i], d1[i] * d2[i] * d3[i]);
+                }
+                if !permuted {
+                    assert_eq!([&d1, &d2, &d3, &d_product], [&n1, &n2, &n3, &n_product]);
+                }
+            }
+        }
+    }
+
     /// The prover's polynomial, its tables evaluated at `r`, against the
     /// verifier's evaluator fed the committed evaluations at `r`.
     #[test]
     fn prover_and_verifier_read_each_identity_alike() {
         let mut rng = StdRng::seed_from_u64(0xc0de_0036);
         for mu in [1, 2, 5] {
-            let gates: Vec<GateSelectors> = (0..1 << mu)
-                .map(|_| {
-                    let [q_l, q_r, q_m, q_o, q_c] = [0; 5].map(|_| Fr::random(&mut rng));
-                    GateSelectors {
-                        q_l,
-                        q_r,
-                        q_m,
-                        q_o,
-                        q_c,
-                    }
-                })
-                .collect();
-            let circuit = Circuit::with_identity_wiring(&gates);
+            let circuit = random_circuit(mu, true, &mut rng);
             let witness = random_witness(mu, &mut rng);
-            let sigmas = [0, 1, 2].map(|_| MultilinearPoly::random(mu, &mut rng));
+            let sigmas = circuit.sigma_mles();
             let [phi, pi] = [0, 1].map(|_| MultilinearPoly::random(mu, &mut rng));
             let [beta, gamma, alpha] = [0; 3].map(|_| Fr::random(&mut rng));
             let r = random_point(mu, &mut rng);
@@ -286,10 +392,9 @@ mod tests {
             let gate = GATE.evaluate(alpha, |l| at_r[l as usize], &[]);
             assert_eq!(f_gate.evaluate(&r), gate, "gate, μ = {mu}");
 
-            let numerators = Numerators::new(mu, beta, gamma).tables(&witness);
-            let denominators = denominators(&witness, &sigmas, beta, gamma);
+            let factors = Shifts::new(mu, beta, gamma).tables(&witness, &circuit);
             let (p1, p2) = split_even_odd(&phi, &pi);
-            let derived = numerators.into_iter().chain(denominators).chain([p1, p2]);
+            let derived = factors.into_iter().chain([p1, p2]);
             let f = WIRING.polynomial(mu, alpha, table, derived);
             let shifted = [Fr::zero(), Fr::one()].map(|b| {
                 let at_shift = at(&shifted_point(&r, b));

@@ -3,7 +3,7 @@
 //! The zkSpeed paper evaluates on synthetic circuits; this module provides
 //! the building blocks for **real** ones: single-gate boolean algebra
 //! (XOR / AND-NOT via the general Eq. (1) gate form), 64-bit lane words
-//! with free rotations, the Keccak-f[1600] permutation (the θ/ρ/π/χ/ι
+//! with free rotations, the Keccak-f\[1600\] permutation (the θ/ρ/π/χ/ι
 //! decomposition of FIPS 202, bit-compatible with the native
 //! [`zkspeed_rt::keccak_f1600`]), a sponge-style 256-bit hash compression,
 //! and range / conditional-select gadgets. The workload suite
@@ -215,7 +215,7 @@ pub fn cond_swap_words(
     (first, second)
 }
 
-/// The 5×5-lane Keccak-f[1600] state, indexed `lanes[x + 5·y]` as in
+/// The 5×5-lane Keccak-f\[1600\] state, indexed `lanes[x + 5·y]` as in
 /// FIPS 202 (and the native `zkspeed_rt` implementation).
 #[derive(Copy, Clone, Debug)]
 pub struct KeccakState {
@@ -285,7 +285,7 @@ impl KeccakState {
         out
     }
 
-    /// Applies the first `rounds` rounds of Keccak-f[1600]
+    /// Applies the first `rounds` rounds of Keccak-f\[1600\]
     /// (`rounds == 24` is the full permutation), bit-compatible with
     /// [`zkspeed_rt::keccak_f1600_rounds`].
     ///

@@ -20,10 +20,10 @@ use zkspeed_rt::Rng;
 use zkspeed_sumcheck::{prove_on, prove_zerocheck_on};
 use zkspeed_transcript::Transcript;
 
-use crate::constraints::{GATE, WIRING};
+use crate::constraints::{Shifts, GATE, WIRING};
 use crate::mock::{mock_circuit, SparsityProfile};
 use crate::proof::{query_groups, PolyLabel};
-use crate::prover::{denominators, entrywise_product, opening_polynomial, Numerators};
+use crate::prover::{opening_polynomial, zerocheck_position};
 
 /// Bytes per MLE table entry (one 255-bit field element packed into 32 B).
 pub const BYTES_PER_FIELD_ELEMENT: usize = 32;
@@ -98,16 +98,14 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     // Wiring identity MSMs: dense commitments to φ and π.
     let beta = Fr::random(rng);
     let gamma = Fr::random(rng);
-    let sigmas = circuit.sigma_mles();
+    // Construct N & D makes what the chip's unit makes: the two products
+    // and the six factor tables, all read off one shift table.
     let construct_nd = || {
-        let numerators = Numerators::new(num_vars, beta, gamma).tables(&witness);
-        (numerators, denominators(&witness, &sigmas, beta, gamma))
+        let shifts = Shifts::new(num_vars, beta, gamma);
+        let [numerator, denominator] = shifts.products(&witness, &circuit);
+        (numerator, denominator, shifts.tables(&witness, &circuit))
     };
-    let (numerators, denominators) = construct_nd();
-    let (numerator, denominator) = (
-        entrywise_product(&numerators),
-        entrywise_product(&denominators),
-    );
+    let (numerator, denominator, factors) = construct_nd();
     let phi = fraction_mle(&numerator, &denominator);
     let pi = product_mle(&phi);
 
@@ -151,6 +149,7 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     // of evaluating it at a point; the rest of a proof's count is its rounds
     // (for the two ZeroChecks, with the Build MLE of their `eq` table).
     let point: Vec<Fr> = (0..num_vars).map(|_| Fr::random(rng)).collect();
+    let sigmas = circuit.sigma_mles();
     let committed: Vec<&MultilinearPoly> = (circuit.selectors().iter())
         .chain(&witness.columns)
         .chain(&sigmas)
@@ -159,7 +158,7 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
     let table = |label: PolyLabel| committed[label as usize].clone();
     let f_gate = GATE.polynomial(num_vars, Fr::zero(), table, []);
     let (p1, p2) = split_even_odd(&phi, &pi);
-    let derived = numerators.into_iter().chain(denominators).chain([p1, p2]);
+    let derived = factors.into_iter().chain([p1, p2]);
     let f_perm = WIRING.polynomial(num_vars, Fr::random(rng), table, derived);
     let groups = query_groups(&point, &point);
     let combined: Vec<MultilinearPoly> = (0..groups.len())
@@ -224,23 +223,23 @@ pub fn profile_kernels<R: Rng + ?Sized>(num_vars: usize, rng: &mut R) -> Vec<Ker
         output_bytes: 8 * n as u64 * fe,
     });
 
-    // Batch evaluations: 21 MLE evaluations among 13 polynomials.
+    // Batch evaluations: of the 21 queries, the 11 neither ZeroCheck
+    // returned (W₁…W₃ and σ₁…σ₃ at the PermCheck point, φ and π at the two
+    // shifted points, π at the grand-product point), each reading its table.
     let before = modmul_count();
-    for _ in 0..2 {
-        for m in circuit.selectors().iter() {
-            let _ = m.evaluate(&point);
+    let mut evaluated = 0;
+    for (g, group) in query_groups(&point, &point).iter().enumerate() {
+        for label in &group.labels {
+            if zerocheck_position(g, *label).is_none() {
+                let _ = committed[*label as usize].evaluate(&group.point);
+                evaluated += 1;
+            }
         }
-        for m in witness.columns.iter() {
-            let _ = m.evaluate(&point);
-        }
-        let _ = phi.evaluate(&point);
-        let _ = pi.evaluate(&point);
-        let _ = sigmas[0].evaluate(&point);
     }
     rows.push(KernelProfile {
         kernel: "Batch Evaluations",
         modmuls: modmul_count().since(&before).total(),
-        input_bytes: 13 * n as u64 * fe / 4,
+        input_bytes: evaluated * n as u64 * fe,
         output_bytes: 0,
     });
 
@@ -288,6 +287,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5eed_0012);
         let rows = profile_kernels(7, &mut rng);
         assert_eq!(rows.len(), 12);
+        // Batch Evaluations reads one table per query step 4 evaluates.
+        let batch = rows.iter().find(|r| r.kernel == "Batch Evaluations");
+        let table = (1 << 7) * BYTES_PER_FIELD_ELEMENT as u64;
+        assert_eq!(batch.unwrap().input_bytes, 11 * table);
         // Every kernel does real work.
         for row in &rows {
             assert!(row.modmuls > 0, "{} has zero modmuls", row.kernel);

@@ -21,11 +21,12 @@
 //! | Tables | Built in step | Die |
 //! |---|---|---|
 //! | halves of the selector and witness tables (first fold) | 2 | with the Gate Identity ZeroCheck |
-//! | σ₁…σ₃ | 3 | after MLE Combine |
-//! | D₁…D₃ | 3 | with the PermCheck |
+//! | the shift table `S` (three tables' worth) | 3 | once `N₁·N₂·N₃` and `D₁·D₂·D₃` are built |
 //! | `N₁·N₂·N₃` and `D₁·D₂·D₃` | 3 | once φ is built |
 //! | φ, π | 3 | after MLE Combine |
-//! | N₁…N₃ (after the φ/π commitments), p₁, p₂ | 3 | with the PermCheck |
+//! | `S` again (after the φ/π commitments) | 3 | once N₁…N₃ and D₁…D₃ are built |
+//! | N₁…N₃, D₁…D₃, p₁, p₂ | 3 | with the PermCheck |
+//! | σ₁…σ₃ | 4 | after MLE Combine |
 //! | the combined `yᵢ`, one per query group | 5 | once g′ is built |
 //! | the OpenCheck's `eq` tables `kᵢ` | 5 | with the OpenCheck |
 //! | g′ | 5 | with the opening |
@@ -48,7 +49,7 @@ use zkspeed_sumcheck::{prove as sumcheck_prove, prove_zerocheck};
 use zkspeed_transcript::Transcript;
 
 use crate::circuit::{SatisfactionError, Witness};
-use crate::constraints::{wiring_factor, GATE, WIRING};
+use crate::constraints::{Shifts, GATE, WIRING};
 use crate::keys::ProvingKey;
 use crate::proof::{query_groups, BatchEvaluations, PolyLabel, Proof, QueryGroup};
 
@@ -317,15 +318,12 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let step_span = trace.span_with("wire-identity", "prove", &[("job", job)]);
     let beta = transcript.challenge_scalar(b"beta");
     let gamma = transcript.challenge_scalar(b"gamma");
-    let sigmas = pk.circuit.sigma_mles();
 
-    // Construct N & D: the D tables, and the products of the N and of the D
-    // tables. The N tables themselves wait until φ and π are committed.
+    // Construct N & D: the products of the N and of the D tables, read off
+    // the witness and a shift table that dies with this statement. The N
+    // and D tables themselves wait until φ and π are committed.
     let nd_span = trace.span_with("construct-nd", "prove", &[("job", job)]);
-    let numerators = Numerators::new(mu, beta, gamma);
-    let denominators = denominators(witness, &sigmas, beta, gamma);
-    let n_mle = numerators.product(witness);
-    let d_mle = entrywise_product(&denominators);
+    let [n_mle, d_mle] = Shifts::new(mu, beta, gamma).products(witness, &pk.circuit);
     drop(nd_span);
 
     // FracMLE and Product MLE; the products die once φ is built.
@@ -361,13 +359,17 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     transcript.append_message(b"pi-commitment", &pi_commitment.to_transcript_bytes());
     let alpha = transcript.challenge_scalar(b"alpha");
 
-    // PermCheck ZeroCheck on Eq. (4). N (rebuilt from the kept shifts by
-    // additions alone), D, p₁ and p₂ move into it and die with it.
-    committed.extend(sigmas.iter().chain([&phi, &pi]));
-    let table = |label: PolyLabel| committed[label as usize].clone();
+    // PermCheck ZeroCheck on Eq. (4). N and D, rebuilt from a new shift
+    // table by additions alone, p₁ and p₂ move into it and die with it.
+    let table = |label: PolyLabel| match label {
+        PolyLabel::Phi => phi.clone(),
+        PolyLabel::Pi => pi.clone(),
+        _ => committed[label as usize].clone(),
+    };
+    let factors = Shifts::new(mu, beta, gamma).tables(witness, &pk.circuit);
     let (p1, p2) = split_even_odd(&phi, &pi);
-    let derived = (numerators.tables(witness).into_iter()).chain(denominators);
-    let f_perm = WIRING.polynomial(mu, alpha, table, derived.chain([p1, p2]));
+    let derived = factors.into_iter().chain([p1, p2]);
+    let f_perm = WIRING.polynomial(mu, alpha, table, derived);
     let perm_out = prove_zerocheck(f_perm, &mut transcript, &**backend, trace, "perm-round");
     let perm_point = perm_out.sumcheck.point.clone();
     drop(step_span);
@@ -376,22 +378,22 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     // ----- Step 4: Batch Evaluations ---------------------------------------
     let t3 = Instant::now();
     let step_span = trace.span_with("batch-evaluation", "prove", &[("job", job)]);
+    // Only this step's evaluations and MLE Combine read σ.
+    let sigmas = pk.circuit.sigma_mles();
+    committed.extend(sigmas.iter().chain([&phi, &pi]));
     let groups = query_groups(&gate_point, &perm_point);
     let resolve = |label: PolyLabel| committed[label as usize];
-    // The two ZeroChecks ended holding their identities' tables at the
-    // first two groups' points; only the rest are evaluated, one job per
+    // Only what neither ZeroCheck returned is evaluated, one job per
     // (group, label) pair.
-    let gate_evals = &gate_out.sumcheck.mle_evaluations;
-    let perm_evals = &perm_out.sumcheck.mle_evaluations;
+    let returned = [
+        &gate_out.sumcheck.mle_evaluations,
+        &perm_out.sumcheck.mle_evaluations,
+    ];
     let mut known = Vec::new();
     let mut queries = Vec::new();
     for (g, group) in groups.iter().enumerate() {
         for label in &group.labels {
-            let registered = match g {
-                0 => GATE.position(*label).map(|i| gate_evals[i]),
-                1 => WIRING.position(*label).map(|i| perm_evals[i]),
-                _ => None,
-            };
+            let registered = zerocheck_position(g, *label).map(|i| returned[g][i]);
             if registered.is_none() {
                 queries.push((resolve(*label).clone(), group.point.clone()));
             }
@@ -506,66 +508,15 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     )
 }
 
-/// **Construct N & D**, numerator half: `Nⱼ = wⱼ + β·idⱼ + γ`. With
-/// `idⱼ(i) = j·n + i`, `β·idⱼ + γ` steps by `β` from entry to entry, so a
-/// numerator takes one multiplication for its starting shift and additions
-/// after it. The starting shifts are kept: the product `N₁·N₂·N₃` is built
-/// without the tables, and the tables later, at no multiplication.
-pub(crate) struct Numerators {
-    beta: Fr,
-    /// `β·(j·n − 1) + γ`, the shift before column `j`'s first entry.
-    starts: [Fr; 3],
-}
-
-impl Numerators {
-    pub(crate) fn new(num_vars: usize, beta: Fr, gamma: Fr) -> Self {
-        let n = 1usize << num_vars;
-        let starts = [0, 1, 2].map(|j| beta * Fr::from_u64((j * n) as u64) + gamma - beta);
-        Self { beta, starts }
+/// Where a ZeroCheck left `label`'s evaluation at query group `g`'s point,
+/// if one did: the two identities' ZeroChecks end holding their tables at
+/// the first two groups' points. Step 4 evaluates every other query.
+pub(crate) fn zerocheck_position(g: usize, label: PolyLabel) -> Option<usize> {
+    match g {
+        0 => GATE.position(label),
+        1 => WIRING.position(label),
+        _ => None,
     }
-
-    /// `Nⱼ[i]` for `i = 0, 1, …`, read off `wⱼ`.
-    fn column<'a>(&self, witness: &'a Witness, j: usize) -> impl Iterator<Item = Fr> + 'a {
-        let beta = self.beta;
-        let mut shift = self.starts[j];
-        witness.columns[j].evaluations().iter().map(move |w| {
-            shift += beta;
-            *w + shift
-        })
-    }
-
-    /// The tables `N₁, N₂, N₃`.
-    pub(crate) fn tables(&self, witness: &Witness) -> [MultilinearPoly; 3] {
-        [0, 1, 2].map(|j| MultilinearPoly::new(self.column(witness, j).collect()))
-    }
-
-    /// `N₁·N₂·N₃`, entry by entry, with no table of the factors.
-    pub(crate) fn product(&self, witness: &Witness) -> MultilinearPoly {
-        let columns = self
-            .column(witness, 0)
-            .zip(self.column(witness, 1))
-            .zip(self.column(witness, 2));
-        MultilinearPoly::new(columns.map(|((a, b), c)| a * b * c).collect())
-    }
-}
-
-/// **Construct N & D**, denominator half: `Dⱼ = wⱼ + β·σⱼ + γ`
-/// ([`wiring_factor`]).
-pub(crate) fn denominators(
-    witness: &Witness,
-    sigmas: &[MultilinearPoly; 3],
-    beta: Fr,
-    gamma: Fr,
-) -> [MultilinearPoly; 3] {
-    [0, 1, 2].map(|j| {
-        let (w, s) = (&witness.columns[j], &sigmas[j]);
-        MultilinearPoly::from_fn(w.num_vars(), |i| wiring_factor(w[i], beta, s[i], gamma))
-    })
-}
-
-/// `t₁·t₂·t₃`, entry by entry.
-pub(crate) fn entrywise_product([t1, t2, t3]: &[MultilinearPoly; 3]) -> MultilinearPoly {
-    MultilinearPoly::from_fn(t1.num_vars(), |i| t1[i] * t2[i] * t3[i])
 }
 
 /// The OpenCheck polynomial of Eq. (5), `Σᵢ cⁱ·yᵢ(x)·kᵢ(x)` with `kᵢ` the
@@ -642,6 +593,30 @@ mod tests {
             ]
         );
         assert!(powers(Fr::one(), 0).is_empty());
+    }
+
+    #[test]
+    fn step_four_evaluates_what_no_zerocheck_returned() {
+        use PolyLabel::*;
+        let point = vec![Fr::from_u64(2); 3];
+        let open: Vec<(usize, PolyLabel)> = (query_groups(&point, &point).iter().enumerate())
+            .flat_map(|(g, group)| group.labels.iter().map(move |l| (g, *l)))
+            .filter(|(g, l)| zerocheck_position(*g, *l).is_none())
+            .collect();
+        let expected = [
+            (1, W1),
+            (1, W2),
+            (1, W3),
+            (1, Sigma1),
+            (1, Sigma2),
+            (1, Sigma3),
+            (2, Phi),
+            (2, Pi),
+            (3, Phi),
+            (3, Pi),
+            (4, Pi),
+        ];
+        assert_eq!(open, expected);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! module ships three end-to-end workloads:
 //!
 //! * [`hash_chain_circuit`] — `links` chained (reduced-round)
-//!   Keccak-f[1600] permutations, the SHA3 hash-chain shape;
+//!   Keccak-f\[1600\] permutations, the SHA3 hash-chain shape;
 //! * [`merkle_membership_circuit`] — depth-`d` Merkle path verification
 //!   with sponge-compression hashing and conditional swaps;
 //! * [`state_transition_circuit`] — rollup-style balance updates with

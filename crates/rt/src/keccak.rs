@@ -1,4 +1,4 @@
-//! A from-scratch implementation of the Keccak-f[1600] permutation and the
+//! A from-scratch implementation of the Keccak-f\[1600\] permutation and the
 //! SHA3-256 hash function (FIPS 202).
 //!
 //! HyperPlonk is rendered non-interactive with the Fiat–Shamir transform:
@@ -47,14 +47,14 @@ const RHO: [[u32; 5]; 5] = [
     [27, 20, 39, 8, 14],
 ];
 
-/// Applies the Keccak-f[1600] permutation in place.
+/// Applies the Keccak-f\[1600\] permutation in place.
 ///
 /// The state is a 5×5 array of 64-bit lanes, indexed `state[x + 5 * y]`.
 pub fn keccak_f1600(state: &mut [u64; 25]) {
     keccak_f1600_rounds(state, KECCAK_ROUND_CONSTANTS.len());
 }
 
-/// Applies the first `rounds` rounds of Keccak-f[1600] in place.
+/// Applies the first `rounds` rounds of Keccak-f\[1600\] in place.
 ///
 /// `rounds == 24` is the full permutation; smaller counts are the
 /// reduced-round variants the in-circuit Keccak gadget uses to keep test
@@ -201,7 +201,7 @@ impl Sha3_256 {
         h.finalize()
     }
 
-    /// Returns the number of Keccak-f[1600] permutations applied so far.
+    /// Returns the number of Keccak-f\[1600\] permutations applied so far.
     pub fn permutation_count(&self) -> u64 {
         self.permutations
     }

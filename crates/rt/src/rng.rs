@@ -96,7 +96,7 @@ pub trait SeedableRng: Sized {
 }
 
 /// The workspace's standard deterministic PRNG: a SHAKE-style XOF over the
-/// Keccak-f[1600] sponge, seeded with 32 bytes.
+/// Keccak-f\[1600\] sponge, seeded with 32 bytes.
 ///
 /// # Examples
 ///

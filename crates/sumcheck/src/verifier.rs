@@ -81,7 +81,7 @@ const TABLED_NODES: usize = 6;
 /// Uses the barycentric form over uniform nodes; for the small degrees that
 /// occur in HyperPlonk (≤ 4) this costs a handful of modmuls, matching the
 /// "fixed interpolation step" the paper adds at the end of each round. The
-/// weights of up to [`TABLED_NODES`] nodes are computed once and read from a
+/// weights of up to `TABLED_NODES` nodes are computed once and read from a
 /// table; more nodes compute theirs on every call.
 pub fn interpolate_uniform(evals: &[Fr], x: Fr) -> Fr {
     let n = evals.len();

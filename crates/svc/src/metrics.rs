@@ -135,7 +135,7 @@ pub struct ConnectionMetrics {
     pub idle_timeouts: u64,
 }
 
-/// Session-lifecycle counters from the [`crate::store::SessionStore`]:
+/// Session-lifecycle counters from the `SessionStore`:
 /// how many sessions are provisioned vs evicted, and how often the LRU
 /// budget forced an eviction or a resubmitted circuit re-provisioned one.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]

@@ -36,7 +36,7 @@
 //!   threaded frame server with connection caps and graceful drain, the
 //!   blocking [`NetClient`](net::NetClient), and the `zkspeed` operator
 //!   CLI binary;
-//! * [`bench`] — helpers shared by the figure/table reproduction binaries.
+//! * [`bench`](mod@bench) — helpers shared by the figure/table reproduction binaries.
 //!
 //! # Quickstart
 //!

@@ -4,8 +4,8 @@
 //! modmul count and arithmetic intensity. Because every field multiplication
 //! in this repository funnels through the Montgomery multipliers generated by
 //! [`impl_montgomery_field!`], counting them here gives exact per-kernel
-//! modmul counts: the profiling harness resets the counters around each
-//! protocol step and reads them back afterwards.
+//! modmul counts: the prover reads them before and after each kernel it
+//! runs and reports the differences with every proof (its `ProverReport`).
 //!
 //! The counters are thread-local, so concurrent tests do not interfere.
 //!
@@ -62,24 +62,6 @@ pub fn modmul_count() -> ModmulCount {
     }
 }
 
-/// Resets the current thread's counters to zero.
-pub fn reset_modmul_count() {
-    FR_MULS.with(|c| c.set(0));
-    FQ_MULS.with(|c| c.set(0));
-}
-
-/// Restores the current thread's counters to an earlier snapshot.
-///
-/// Together with [`add_modmul_count`] this lets parallel helpers transfer
-/// counts from scoped worker threads to the spawning thread: each worker
-/// measures its own delta, rewinds its thread-local counter, and returns the
-/// delta for the caller to merge — so totals are identical whether the work
-/// ran inline or fanned out.
-pub fn set_modmul_count(snapshot: ModmulCount) {
-    FR_MULS.with(|c| c.set(snapshot.fr));
-    FQ_MULS.with(|c| c.set(snapshot.fq));
-}
-
 /// Adds a delta (measured on another thread) into this thread's counters.
 pub fn add_modmul_count(delta: ModmulCount) {
     FR_MULS.with(|c| c.set(c.get() + delta.fr));
@@ -98,7 +80,8 @@ pub fn measure_modmuls<T>(f: impl FnOnce() -> T) -> (T, ModmulCount) {
     let before = modmul_count();
     let out = f();
     let delta = modmul_count().since(&before);
-    set_modmul_count(before);
+    FR_MULS.with(|c| c.set(before.fr));
+    FQ_MULS.with(|c| c.set(before.fq));
     (out, delta)
 }
 
@@ -109,7 +92,6 @@ mod tests {
 
     #[test]
     fn counters_track_multiplications() {
-        reset_modmul_count();
         let before = modmul_count();
         let a = Fr::from_u64(3); // from_u64 costs one Fr mul (by R²)
         let b = Fr::from_u64(5);
@@ -121,7 +103,5 @@ mod tests {
         assert!(delta.fr >= 3, "expected ≥3 Fr muls, got {}", delta.fr);
         assert!(delta.fq >= 2, "expected ≥2 Fq muls, got {}", delta.fq);
         assert_eq!(delta.total(), delta.fr + delta.fq);
-        reset_modmul_count();
-        assert_eq!(modmul_count(), ModmulCount::default());
     }
 }

@@ -11,8 +11,8 @@
 //! Elements are held in Montgomery form, so every field multiplication is a
 //! single Montgomery multiplication. This is precisely the operation the
 //! zkSpeed paper counts as a "modmul" when sizing its accelerator units
-//! (Table 1, Table 4), which lets the profiling layer of this repository
-//! count modmuls by construction rather than by estimate.
+//! (Table 1, Table 4), which lets the prover of this repository count its
+//! modmuls by construction rather than by estimate.
 //!
 //! # Examples
 //!
@@ -39,10 +39,7 @@ mod kernel_tests;
 mod montgomery;
 mod traits;
 
-pub use counters::{
-    add_modmul_count, measure_modmuls, modmul_count, reset_modmul_count, set_modmul_count,
-    ModmulCount,
-};
+pub use counters::{add_modmul_count, measure_modmuls, modmul_count, ModmulCount};
 pub use fq::Fq;
 pub use fr::Fr;
 pub use traits::{batch_invert, Field};

@@ -17,7 +17,7 @@ use zkspeed_pcs::NumVars;
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::Kind;
 
-use crate::constraints::GATE;
+use crate::constraints::{Shifts, GATE};
 use crate::serialize::{Permutation, Tables};
 
 /// Identifies one of the three witness columns.
@@ -240,11 +240,12 @@ impl Circuit {
         self.sigma[column][gate]
     }
 
-    /// The permutation MLEs `σ₁, σ₂, σ₃` (slot indices embedded into `Fr`).
+    /// The permutation MLEs `σ₁, σ₂, σ₃`: slot indices embedded into `Fr`,
+    /// read off the shift table `S[k] = k`, which additions build.
     pub fn sigma_mles(&self) -> [MultilinearPoly; 3] {
-        [0, 1, 2].map(|j| {
-            MultilinearPoly::from_fn(self.num_vars, |i| Fr::from_u64(self.sigma[j][i] as u64))
-        })
+        let slots = Shifts::new(self.num_vars, Fr::one(), Fr::zero());
+        [0, 1, 2]
+            .map(|j| MultilinearPoly::new(self.sigma[j].iter().map(|&k| slots.at(k)).collect()))
     }
 
     /// Checks that a witness satisfies every gate and wiring constraint.

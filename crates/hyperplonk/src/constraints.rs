@@ -216,7 +216,8 @@ impl Shifts {
         Self { num_vars, tables }
     }
 
-    fn at(&self, k: usize) -> Fr {
+    /// `S[k]`.
+    pub(crate) fn at(&self, k: usize) -> Fr {
         self.tables[k >> self.num_vars][k & ((1 << self.num_vars) - 1)]
     }
 

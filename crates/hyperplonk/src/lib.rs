@@ -13,12 +13,11 @@
 //! * [`prove`] / [`prove_batch`] — the five protocol steps (Witness
 //!   Commits, Gate Identity, Wiring Identity, Batch Evaluations, Polynomial
 //!   Opening), each exercising the kernels the accelerator builds units for,
-//!   run where an [`ExecCtx`] says: its backend, trace sink and job id;
+//!   run where an [`ExecCtx`] says: its backend, trace sink and job id.
+//!   Each proof's [`ProverReport`] counts its modmuls by Table 1 kernel;
 //! * [`verify`] — the succinct verifier;
 //! * [`mock_circuit`] / [`NAMED_WORKLOADS`] — the synthetic workloads the
-//!   paper evaluates on (Table 3);
-//! * [`profile_kernels`] — measured modmul counts and arithmetic intensities
-//!   per kernel (Table 1).
+//!   paper evaluates on (Table 3).
 //!
 //! # Examples
 //!
@@ -53,7 +52,6 @@ pub mod constraints;
 pub mod gadgets;
 mod keys;
 mod mock;
-mod profile;
 mod proof;
 mod prover;
 mod serialize;
@@ -67,11 +65,10 @@ pub use keys::{
     bind_circuit_to_transcript, try_preprocess, PreprocessError, ProvingKey, VerifyingKey,
 };
 pub use mock::{mock_circuit, NamedWorkload, SparsityProfile, NAMED_WORKLOADS};
-pub use profile::{profile_kernels, KernelProfile, BYTES_PER_FIELD_ELEMENT, BYTES_PER_G1_POINT};
 pub use proof::{query_groups, BatchEvaluations, PolyLabel, Proof, QueryGroup};
 pub use prover::{
-    prove, prove_batch, prove_unchecked, ExecCtx, ProtocolStep, ProveError, ProverReport,
-    GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE,
+    prove, prove_batch, prove_unchecked, ExecCtx, KernelRow, ProtocolStep, ProveError,
+    ProverReport, GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE,
 };
 pub use stats::{CircuitStats, ColumnStats, GateKindCounts};
 pub use verifier::{verify, VerifyError};

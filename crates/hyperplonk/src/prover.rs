@@ -26,6 +26,7 @@
 //! | φ, π | 3 | after MLE Combine |
 //! | `S` again (after the φ/π commitments) | 3 | once N₁…N₃ and D₁…D₃ are built |
 //! | N₁…N₃, D₁…D₃, p₁, p₂ | 3 | with the PermCheck |
+//! | the table `S[k] = k` (three tables' worth) | 4 | once σ₁…σ₃ are built |
 //! | σ₁…σ₃ | 4 | after MLE Combine |
 //! | the combined `yᵢ`, one per query group | 5 | once g′ is built |
 //! | the OpenCheck's `eq` tables `kᵢ` | 5 | with the OpenCheck |
@@ -40,7 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use zkspeed_curve::{MsmStats, SparseMsmStats};
-use zkspeed_field::Fr;
+use zkspeed_field::{modmul_count, Fr};
 use zkspeed_pcs::{commit, commit_sparse, open};
 use zkspeed_poly::{fraction_mle, product_mle, split_even_odd, MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::pool::{self, Backend, Serial};
@@ -113,6 +114,27 @@ pub struct ProverReport {
     pub opening_msm: MsmStats,
     /// Number of SHA3 transcript invocations over the whole proof.
     pub transcript_hashes: u64,
+    /// The proof's modmuls by Table 1 kernel, the three MSM rows first and
+    /// the MLE Updates last. What no row holds is the opening's folds, the transcript's
+    /// reductions and the normalisation of the commitments it absorbs.
+    pub kernels: [KernelRow; 12],
+}
+
+/// One Table 1 kernel as a proof ran it: its modular multiplications and
+/// the tables of `2^μ` entries it moved. A SumCheck reads each of its
+/// tables at `2^μ + 2^{μ−1} + …` entries, so it counts two reads a table.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct KernelRow {
+    /// The paper's row label.
+    pub kernel: &'static str,
+    /// Modular multiplications, 255- and 381-bit.
+    pub modmuls: u64,
+    /// Tables of `2^μ` Fr read.
+    pub reads: u32,
+    /// Tables of `2^μ` Fr written.
+    pub writes: u32,
+    /// Tables of `2^μ` G1 bases read: one for each MSM row.
+    pub bases: u32,
 }
 
 impl ProverReport {
@@ -278,8 +300,10 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         })
     });
     let mut witness_commitments = Vec::with_capacity(3);
+    let mut witness_msm_fq = 0;
     for ((com, stats), muls) in column_commitments {
         zkspeed_field::add_modmul_count(muls);
+        witness_msm_fq += muls.fq;
         report.witness_msm.zeros += stats.zeros;
         report.witness_msm.ones += stats.ones;
         report.witness_msm.dense += stats.dense;
@@ -307,8 +331,10 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         .chain(&witness.columns)
         .collect();
     let table = |label: PolyLabel| committed[label as usize].clone();
+    let before = modmul_count();
     let f_gate = GATE.polynomial(mu, Fr::zero(), table, []);
     let gate_out = prove_zerocheck(f_gate, &mut transcript, &**backend, trace, "gate-round");
+    let gate_rounds = modmul_count().since(&before).total() - gate_out.sumcheck.update_modmuls;
     let gate_point = gate_out.sumcheck.point.clone();
     drop(step_span);
     report.step_seconds[1] = t1.elapsed().as_secs_f64();
@@ -323,14 +349,20 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     // the witness and a shift table that dies with this statement. The N
     // and D tables themselves wait until φ and π are committed.
     let nd_span = trace.span_with("construct-nd", "prove", &[("job", job)]);
+    let before = modmul_count();
     let [n_mle, d_mle] = Shifts::new(mu, beta, gamma).products(witness, &pk.circuit);
+    let mut nd_muls = modmul_count().since(&before).total();
     drop(nd_span);
 
     // FracMLE and Product MLE; the products die once φ is built.
     let frac_span = trace.span_with("frac-prod-mle", "prove", &[("job", job)]);
+    let before = modmul_count();
     let phi = fraction_mle(&n_mle, &d_mle);
     drop((n_mle, d_mle));
+    let before_pi = modmul_count();
     let pi = product_mle(&phi);
+    let frac_muls = before_pi.since(&before).total();
+    let prod_muls = modmul_count().since(&before_pi).total();
     drop(frac_span);
 
     // Commit φ and π (dense MSMs on the critical path): two independent
@@ -366,11 +398,15 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         PolyLabel::Pi => pi.clone(),
         _ => committed[label as usize].clone(),
     };
+    let before = modmul_count();
     let factors = Shifts::new(mu, beta, gamma).tables(witness, &pk.circuit);
+    nd_muls += modmul_count().since(&before).total();
+    let before = modmul_count();
     let (p1, p2) = split_even_odd(&phi, &pi);
     let derived = factors.into_iter().chain([p1, p2]);
     let f_perm = WIRING.polynomial(mu, alpha, table, derived);
     let perm_out = prove_zerocheck(f_perm, &mut transcript, &**backend, trace, "perm-round");
+    let perm_rounds = modmul_count().since(&before).total() - perm_out.sumcheck.update_modmuls;
     let perm_point = perm_out.sumcheck.point.clone();
     drop(step_span);
     report.step_seconds[2] = t2.elapsed().as_secs_f64();
@@ -378,6 +414,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     // ----- Step 4: Batch Evaluations ---------------------------------------
     let t3 = Instant::now();
     let step_span = trace.span_with("batch-evaluation", "prove", &[("job", job)]);
+    let before = modmul_count();
     // Only this step's evaluations and MLE Combine read σ.
     let sigmas = pk.circuit.sigma_mles();
     committed.extend(sigmas.iter().chain([&phi, &pi]));
@@ -400,6 +437,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
             known.push(registered);
         }
     }
+    let num_queries = queries.len() as u32;
     let evaluated = pool::map_indices_on(&**backend, queries.len(), move |i| {
         let (poly, point) = &queries[i];
         zkspeed_field::measure_modmuls(|| poly.evaluate(point))
@@ -418,6 +456,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
             .collect(),
     };
     transcript.append_scalars(b"batch-evaluations", &evaluations.flatten());
+    let batch_muls = modmul_count().since(&before).total();
     drop(step_span);
     report.step_seconds[3] = t3.elapsed().as_secs_f64();
 
@@ -426,27 +465,30 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let step_span = trace.span_with("polynomial-opening", "prove", &[("job", job)]);
     // Per-group linear combinations (MLE Combine) of the queried MLEs. The
     // transcript challenges must be drawn serially in group order, but the
-    // combinations themselves fan out one job per group.
-    let combine_inputs: Vec<(Vec<Fr>, Vec<MultilinearPoly>)> = groups
+    // combinations themselves, their powers included, fan out one job per
+    // group.
+    let combine_inputs: Vec<(Fr, Vec<MultilinearPoly>)> = groups
         .iter()
         .map(|group| {
             let e = transcript.challenge_scalar(b"rlc-challenge");
-            let coeffs = powers(e, group.labels.len());
-            let polys: Vec<MultilinearPoly> =
-                group.labels.iter().map(|l| resolve(*l).clone()).collect();
-            (coeffs, polys)
+            (
+                e,
+                group.labels.iter().map(|l| resolve(*l).clone()).collect(),
+            )
         })
         .collect();
     let combined = pool::map_indices_on(&**backend, combine_inputs.len(), move |i| {
-        let (coeffs, polys) = &combine_inputs[i];
+        let (e, polys) = &combine_inputs[i];
         zkspeed_field::measure_modmuls(|| {
             let refs: Vec<&MultilinearPoly> = polys.iter().collect();
-            MultilinearPoly::linear_combination(coeffs, &refs)
+            MultilinearPoly::linear_combination(&powers(*e, polys.len()), &refs)
         })
     });
     let mut combined_polys = Vec::with_capacity(groups.len());
+    let mut combine_muls = 0;
     for (poly, muls) in combined {
         zkspeed_field::add_modmul_count(muls);
+        combine_muls += muls.total();
         combined_polys.push(poly);
     }
     // No later step reads σ, φ or π.
@@ -455,8 +497,10 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     // combined claimed evaluations. Its `eq` tables fold in place and die
     // inside it.
     let c = transcript.challenge_scalar(b"opencheck-combine");
+    let before = modmul_count();
     let f_open = opening_polynomial(&groups, &combined_polys, c, &**backend);
     let open_out = sumcheck_prove(f_open, &mut transcript, &**backend, trace, "open-round");
+    let open_rounds = modmul_count().since(&before).total() - open_out.update_modmuls;
     let rho = open_out.point.clone();
 
     // The claimed evaluations yᵢ(ρ) are where the OpenCheck left its tables.
@@ -467,9 +511,12 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
 
     // Final combination g′ and its halving-MSM opening.
     let d = transcript.challenge_scalars(b"gprime-challenge", groups.len());
+    let before = modmul_count();
     let gprime =
         MultilinearPoly::linear_combination(&d, &combined_polys.iter().collect::<Vec<_>>());
+    combine_muls += modmul_count().since(&before).total();
     drop(combined_polys);
+    let before = modmul_count();
     let (gprime_value, gprime_opening, open_stats) = {
         let _msm_span = trace.span_with("msm-opening", "msm", &[("job", job)]);
         open(
@@ -480,6 +527,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
             pk.commit_tables.as_deref(),
         )
     };
+    let open_msm_fq = modmul_count().since(&before).fq;
     report.opening_msm.merge(&open_stats);
     debug_assert_eq!(
         gprime_value,
@@ -491,6 +539,43 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     drop(step_span);
     report.step_seconds[4] = t4.elapsed().as_secs_f64();
     report.transcript_hashes = transcript.hash_invocations();
+
+    let sumchecks = [&gate_out.sumcheck, &perm_out.sumcheck, &open_out];
+    // A SumCheck ends holding one evaluation a table.
+    let tables = sumchecks.map(|out| out.mle_evaluations.len() as u32);
+    let all_tables = tables.iter().sum();
+    let updates = sumchecks.iter().map(|out| out.update_modmuls).sum();
+    let labels = groups.iter().map(|g| g.labels.len() as u32).sum::<u32>();
+    let num_groups = groups.len() as u32;
+    let row = |kernel, modmuls, [reads, writes, bases]: [u32; 3]| KernelRow {
+        kernel,
+        modmuls,
+        reads,
+        writes,
+        bases,
+    };
+    report.kernels = [
+        row("Witness MSMs", witness_msm_fq, [3, 0, 1]),
+        row("Wire Identity MSMs", phi_muls.fq + pi_muls.fq, [2, 0, 1]),
+        // The quotients' `2^{μ−1} + … + 1` scalars and bases.
+        row("Poly Open MSMs", open_msm_fq, [1, 0, 1]),
+        row("ZeroCheck Rounds", gate_rounds, [2 * tables[0], 0, 0]),
+        row("PermCheck Rounds", perm_rounds, [2 * tables[1], 0, 0]),
+        row("OpenCheck Rounds", open_rounds, [2 * tables[2], 0, 0]),
+        // φ from the products N₁N₂N₃ and D₁D₂D₃, π from φ.
+        row("Fraction MLE", frac_muls, [2, 1, 0]),
+        row("Product MLE", prod_muls, [1, 1, 0]),
+        // The witness in; the two products and N₁…N₃, D₁…D₃ out.
+        row("Construct N & D", nd_muls, [3, 8, 0]),
+        row("Batch Evaluations", batch_muls, [num_queries, 0, 0]),
+        // Each group's queried tables into its `yᵢ`, the `yᵢ` into g′.
+        row(
+            "Linear Combine",
+            combine_muls,
+            [labels + num_groups, num_groups + 1, 0],
+        ),
+        row("All MLE Updates", updates, [2 * all_tables, all_tables, 0]),
+    ];
 
     (
         Proof {
@@ -511,7 +596,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
 /// Where a ZeroCheck left `label`'s evaluation at query group `g`'s point,
 /// if one did: the two identities' ZeroChecks end holding their tables at
 /// the first two groups' points. Step 4 evaluates every other query.
-pub(crate) fn zerocheck_position(g: usize, label: PolyLabel) -> Option<usize> {
+fn zerocheck_position(g: usize, label: PolyLabel) -> Option<usize> {
     match g {
         0 => GATE.position(label),
         1 => WIRING.position(label),
@@ -522,7 +607,7 @@ pub(crate) fn zerocheck_position(g: usize, label: PolyLabel) -> Option<usize> {
 /// The OpenCheck polynomial of Eq. (5), `Σᵢ cⁱ·yᵢ(x)·kᵢ(x)` with `kᵢ` the
 /// `eq` table of group `i`'s point, registered as `y₀, k₀, y₁, k₁, …`: its
 /// hypercube sum is the `c`-combination of the claimed evaluations.
-pub(crate) fn opening_polynomial(
+fn opening_polynomial(
     groups: &[QueryGroup],
     combined: &[MultilinearPoly],
     c: Fr,
@@ -715,6 +800,44 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.args.as_slice().contains(&("job", 42))));
+    }
+
+    #[test]
+    fn the_kernel_rows_hold_all_but_folds_reductions_and_normalisations() {
+        for mu in [4, 8] {
+            let (pk, witness) = session(mu);
+            let ctx = ExecCtx::default();
+            let proved = zkspeed_field::measure_modmuls(|| prove_unchecked(&pk, &witness, &ctx));
+            let ((_, report), total) = proved;
+            let (msms, rest) = report.kernels.split_at(3);
+            let sum = |rows: &[KernelRow]| rows.iter().map(|k| k.modmuls).sum::<u64>();
+            // Fr outside the rows: the opening folds g′ once a round
+            // (2^{μ−1} + … + 1); the transcript reduces each challenge drawn
+            // outside a SumCheck with two (β, γ, α, c, and the five MLE
+            // Combine and five g′ challenges); a debug build checks g′(ρ)
+            // against the five combined evaluations.
+            let folds = (1 << mu) - 1;
+            let reductions = 2 * 14;
+            let check = if cfg!(debug_assertions) { 5 } else { 0 };
+            assert_eq!(total.fr - sum(rest), folds + reductions + check, "μ = {mu}");
+            // MLE Update folds each of the three SumChecks' 28 tables once a
+            // round, as the opening folds g′.
+            assert_eq!(report.kernels[11].modmuls, 28 * folds, "μ = {mu}");
+            // Fq outside the rows: an inversion and two multiplications
+            // normalise each commitment the transcript absorbs (the key's
+            // eight, the witness's three, φ and π).
+            let normalisations = 3 * 13;
+            assert_eq!(total.fq - sum(msms), normalisations, "μ = {mu}");
+        }
+    }
+
+    #[test]
+    fn the_kernel_rows_do_not_depend_on_the_thread_count() {
+        // At 2^12 the MLE Updates, rounds and opening folds fan out too.
+        let (pk, witness) = session(12);
+        let (_, serial) = prove_unchecked(&pk, &witness, &ExecCtx::default());
+        let (_, pooled) = prove_unchecked(&pk, &witness, &pooled());
+        assert_eq!(serial.kernels, pooled.kernels);
     }
 
     #[test]

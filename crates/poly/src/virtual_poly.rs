@@ -189,12 +189,6 @@ impl VirtualPolynomial {
             terms: self.terms.clone(),
         }
     }
-
-    /// Total number of MLE table entries referenced (input size in field
-    /// elements), used by the profiling layer.
-    pub fn table_entries(&self) -> usize {
-        self.mles.len() * (1usize << self.num_vars)
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +219,6 @@ mod tests {
         assert_eq!(vp.terms().len(), 1);
         let expect: Fr = (0..8).map(|i| f[i] * g[i]).sum();
         assert_eq!(vp.sum_over_hypercube(), expect);
-        assert_eq!(vp.table_entries(), 16);
     }
 
     #[test]

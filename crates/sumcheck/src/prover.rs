@@ -26,7 +26,7 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use zkspeed_field::{add_modmul_count, measure_modmuls, Fr};
+use zkspeed_field::{add_modmul_count, measure_modmuls, modmul_count, Fr};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::pool::{self, Backend};
 use zkspeed_rt::trace::TraceSink;
@@ -63,6 +63,9 @@ pub struct ProverOutput {
     /// `point`, in registration order — for a ZeroCheck these are the MLEs of
     /// the unmasked polynomial; `eq` is not among them.
     pub mle_evaluations: Vec<Fr>,
+    /// The Fr multiplications of the run's MLE Updates, all rounds and
+    /// tables: the share of its count the rounds themselves did not spend.
+    pub update_modmuls: u64,
 }
 
 /// Runs the SumCheck prover on `poly`, binding messages to `transcript`.
@@ -144,6 +147,7 @@ pub(crate) fn prove_rounds(
     });
     let mut round_evaluations = Vec::with_capacity(num_rounds);
     let mut point = Vec::with_capacity(num_rounds);
+    let mut update_modmuls = 0;
 
     for round in 0..num_rounds {
         let _round_span = trace.span_with(round_label, "sumcheck", &[("round", round as u64)]);
@@ -161,7 +165,9 @@ pub(crate) fn prove_rounds(
         transcript.append_scalars(b"sumcheck-round", &evals);
         let challenge = transcript.challenge_scalar(b"sumcheck-challenge");
         point.push(challenge);
+        let before = modmul_count();
         update_tables(&mut tables, challenge, backend);
+        update_modmuls += modmul_count().since(&before).fr;
         if let Some((r, suffix, prefix)) = &mut eq {
             *prefix *= MultilinearPoly::eq_eval(&r[round..=round], &[challenge]);
             // eq(r_{i+1}, 0) + eq(r_{i+1}, 1) = 1: summing the next variable
@@ -180,6 +186,7 @@ pub(crate) fn prove_rounds(
         point,
         // After fixing all variables every table is a single value.
         mle_evaluations: tables.iter().map(|t| t[0]).collect(),
+        update_modmuls,
     }
 }
 

@@ -98,7 +98,7 @@ fn a_whole_proof_keeps_its_budget() {
     let (proof, count) = measure_modmuls(|| prover.prove(&witness));
     proof.expect("valid witness");
     assert!(
-        count.fr <= 205_000,
+        count.fr <= 201_928,
         "{} Fr multiplications in a 2^10 proof",
         count.fr
     );

@@ -69,13 +69,9 @@ fn table1(report: &ProverReport) -> Vec<Row> {
     let n = (1u64 << report.num_vars) as f64;
     let mut rows: Vec<Row> = (report.kernels.iter())
         .map(|k| {
-            let input = k.reads as f64 * BYTES_PER_FR + k.bases as f64 * BYTES_PER_POINT;
-            (
-                k.kernel,
-                k.modmuls,
-                n * input,
-                n * k.writes as f64 * BYTES_PER_FR,
-            )
+            let input = n * (k.reads as f64 * BYTES_PER_FR + k.bases as f64 * BYTES_PER_POINT);
+            let output = n * k.writes as f64 * BYTES_PER_FR;
+            (k.kernel, k.modmuls, input, output)
         })
         .collect();
     rows.sort_by(|a, b| intensity(b).total_cmp(&intensity(a)));

@@ -181,8 +181,8 @@ impl MsmStats {
     }
 
     /// Total Fq modular multiplications of the counted operations, each
-    /// addition kind at its own price, and the images — what
-    /// `measure_modmuls` reads around the same run, up to one multiplication
+    /// addition kind at its own price, and the images — what the modmul
+    /// counters read around the same run, up to one multiplication
     /// per batch-affine doubling and per point normalization. Inversions,
     /// the scalar split and the recoding use no Fq multipliers and
     /// contribute nothing here.
@@ -1150,10 +1150,9 @@ fn msm_impl(
 
     // The jobs are the same whatever the thread count, and the serial
     // combine below consumes their sums in order, so results and operation
-    // counts are bit-identical to a serial run. Workers measure their
-    // thread-local modmul delta, rewind it, and hand it back so the
-    // profiling counters see the same totals everywhere. Below
-    // `PAR_MIN_POINTS` every job stays on the calling thread.
+    // counts are bit-identical to a serial run. The closure needs no
+    // counting code; the pool carries its modmuls. Below `PAR_MIN_POINTS`
+    // every job stays on the calling thread.
     let num_jobs = shape.num_jobs();
     let (terms, carries, rows) = (Arc::new(terms), carries.map(Arc::new), rows.map(Arc::new));
     let min_jobs = if n < PAR_MIN_POINTS { num_jobs } else { 1 };
@@ -1165,11 +1164,10 @@ fn msm_impl(
             terms: &terms,
             carries: carries.as_deref().map(Vec::as_slice),
         };
-        zkspeed_field::measure_modmuls(|| windows.sums(range))
+        windows.sums(range)
     });
     let mut sums = Vec::with_capacity(shape.num_windows);
-    for ((range_sums, range_stats), muls) in ranges {
-        zkspeed_field::add_modmul_count(muls);
+    for (range_sums, range_stats) in ranges {
         sums.extend(range_sums);
         stats.merge(&range_stats);
     }

@@ -55,9 +55,9 @@ pub struct MultiBaseTable {
 
 impl MultiBaseTable {
     /// Precomputes the shifted-base table for `bases` with `window_bits`-wide
-    /// windows, fanning the per-base doubling chains out across the backend
-    /// (each chunk shares one batch inversion; results and modmul counters
-    /// are identical at any thread count).
+    /// windows, fanning chunks of the per-base doubling chains out across
+    /// the backend (each chunk shares one batch inversion; results and
+    /// modmul counts are identical at any thread count).
     ///
     /// # Panics
     ///
@@ -70,31 +70,27 @@ impl MultiBaseTable {
         // One extra window absorbs the signed-digit recoding carry, exactly
         // mirroring the signed Pippenger window count.
         let num_windows = HALF_BITS.div_ceil(window_bits) + 1;
-        // ≥ 32 bases per chunk keep the per-chunk batch-inversion overhead
-        // amortized (the same floor Srs setup uses).
-        const MIN_CHUNK: usize = 32;
+        // Chunks of 32 bases keep the per-chunk batch inversion amortized
+        // (the same floor Srs setup uses). Their number depends on the bases
+        // alone, so the inversions, and the modmuls, do too.
+        const CHUNK: usize = 32;
         let job_bases = Arc::clone(bases);
-        let chunks = pool::map_ranges(backend, bases.len(), MIN_CHUNK, move |range| {
-            zkspeed_field::measure_modmuls(|| {
-                let mut shifted = Vec::with_capacity(range.len() * num_windows);
-                for i in range {
-                    let mut acc = job_bases[i].to_projective();
-                    shifted.push(acc);
-                    for _ in 1..num_windows {
-                        for _ in 0..window_bits {
-                            acc = acc.double();
-                        }
-                        shifted.push(acc);
+        let chunks = pool::map_indices_on(backend, bases.len().div_ceil(CHUNK), move |c| {
+            let range = c * CHUNK..job_bases.len().min((c + 1) * CHUNK);
+            let mut shifted = Vec::with_capacity(range.len() * num_windows);
+            for i in range {
+                let mut acc = job_bases[i].to_projective();
+                shifted.push(acc);
+                for _ in 1..num_windows {
+                    for _ in 0..window_bits {
+                        acc = acc.double();
                     }
+                    shifted.push(acc);
                 }
-                G1Projective::batch_to_affine(&shifted)
-            })
+            }
+            G1Projective::batch_to_affine(&shifted)
         });
-        let mut entries = Vec::with_capacity(bases.len() * num_windows);
-        for (chunk, muls) in chunks {
-            zkspeed_field::add_modmul_count(muls);
-            entries.extend(chunk);
-        }
+        let entries = chunks.concat();
         let images = entries.iter().map(G1Affine::endomorphism).collect();
         Self {
             window_bits,
@@ -183,7 +179,7 @@ mod tests {
     #[test]
     fn build_is_backend_invariant() {
         let mut rng = StdRng::seed_from_u64(0x7u64);
-        // Enough bases that map_ranges genuinely splits into chunks.
+        // Enough bases for three chunks.
         let bases = random_bases(80, &mut rng);
         let serial = MultiBaseTable::build(&bases, 10, &Serial);
         let pooled = MultiBaseTable::build(&bases, 10, &ThreadPool::new(8));

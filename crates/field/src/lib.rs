@@ -30,7 +30,6 @@
 
 #[doc(hidden)]
 pub mod arith;
-pub mod counters;
 mod fq;
 mod fr;
 mod inverse;
@@ -39,7 +38,9 @@ mod kernel_tests;
 mod montgomery;
 mod traits;
 
-pub use counters::{add_modmul_count, measure_modmuls, modmul_count, ModmulCount};
+// The modmul counters live beside the pool that carries them across
+// threads; `counters::record` is what `impl_montgomery_field!` calls.
 pub use fq::Fq;
 pub use fr::Fr;
 pub use traits::{batch_invert, Field};
+pub use zkspeed_rt::counters::{self, *};

@@ -164,19 +164,12 @@ pub fn try_preprocess(
         .cloned()
         .collect();
     let job_srs = srs.clone();
-    let commitments = pool::map_indices_on(backend, tables.len(), move |i| {
-        zkspeed_field::measure_modmuls(|| match i {
-            0..=4 => commit_sparse(&Serial, &job_srs, &tables[i], None).0,
-            _ => commit(&Serial, &job_srs, &tables[i], None).0,
-        })
+    let commitments = pool::map_indices_on(backend, tables.len(), move |i| match i {
+        0..=4 => commit_sparse(&Serial, &job_srs, &tables[i], None).0,
+        _ => commit(&Serial, &job_srs, &tables[i], None).0,
     });
-    let mut ordered = Vec::with_capacity(commitments.len());
-    for (com, muls) in commitments {
-        zkspeed_field::add_modmul_count(muls);
-        ordered.push(com);
-    }
-    let selector_commitments = [0, 1, 2, 3, 4].map(|i| ordered[i]);
-    let sigma_commitments = [0, 1, 2].map(|i| ordered[5 + i]);
+    let selector_commitments = [0, 1, 2, 3, 4].map(|i| commitments[i]);
+    let sigma_commitments = [0, 1, 2].map(|i| commitments[5 + i]);
     // The session's table build rides the same backend; commitments above
     // were computed table-free, which yields the same group elements.
     let commit_tables = CommitTables::build(srs, budget, backend).map(Arc::new);

@@ -33,9 +33,9 @@
 //! | g′ | 5 | with the opening |
 //!
 //! [`prove`] returns wall-clock and operation-count measurements per step
-//! with every proof; these calibrate the CPU baseline model used by the
-//! accelerator's design-space exploration. Where the work runs and where its
-//! spans go is the caller's [`ExecCtx`].
+//! with every proof; the service's `PhaseHistograms` and `MsmRollup`,
+//! `table1_profile` and `zkbench` read them. Where the work runs and where
+//! its spans go is the caller's [`ExecCtx`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -241,24 +241,16 @@ pub fn prove_batch(
     }
     // One job per proof; each job still hands its inner MSM / SumCheck work
     // to the same pool, and the pool's helping scheduler keeps every thread
-    // busy across proof boundaries. Modmul deltas are re-added in input
-    // order so profiling counters match a serial batch.
+    // busy across proof boundaries.
     let job_pk = pk.clone();
     let jobs: Vec<(ExecCtx, Witness)> = batch
         .iter()
         .map(|(job, w)| (job_ctx(*job), w.clone()))
         .collect();
-    let proofs = pool::map_indices_on(&*ctx.backend, batch.len(), move |i| {
+    Ok(pool::map_indices_on(&*ctx.backend, batch.len(), move |i| {
         let (ctx, witness) = &jobs[i];
-        zkspeed_field::measure_modmuls(|| prove_unchecked(&job_pk, witness, ctx))
-    });
-    Ok(proofs
-        .into_iter()
-        .map(|(proved, muls)| {
-            zkspeed_field::add_modmul_count(muls);
-            proved
-        })
-        .collect())
+        prove_unchecked(&job_pk, witness, ctx)
+    }))
 }
 
 /// Runs the prover without checking witness satisfiability first.
@@ -292,18 +284,15 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let job_columns = witness.columns.clone();
     let job_tables = pk.commit_tables.clone();
     let job_trace = trace.clone();
+    let before = modmul_count();
     let column_commitments = pool::map_indices_on(&**backend, 3, move |j| {
         let _msm_span =
             job_trace.span_with("msm-witness", "msm", &[("job", job), ("column", j as u64)]);
-        zkspeed_field::measure_modmuls(|| {
-            commit_sparse(&Serial, &job_srs, &job_columns[j], job_tables.as_deref())
-        })
+        commit_sparse(&Serial, &job_srs, &job_columns[j], job_tables.as_deref())
     });
+    let witness_msm_fq = modmul_count().since(&before).fq;
     let mut witness_commitments = Vec::with_capacity(3);
-    let mut witness_msm_fq = 0;
-    for ((com, stats), muls) in column_commitments {
-        zkspeed_field::add_modmul_count(muls);
-        witness_msm_fq += muls.fq;
+    for (com, stats) in column_commitments {
         report.witness_msm.zeros += stats.zeros;
         report.witness_msm.ones += stats.ones;
         report.witness_msm.dense += stats.dense;
@@ -373,18 +362,15 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let job_tables = pk.commit_tables.clone();
     let job_trace = trace.clone();
     let inner = Arc::clone(backend);
+    let before = modmul_count();
     let wiring_commitments = pool::map_indices_on(&**backend, 2, move |j| {
         let _msm_span =
             job_trace.span_with("msm-wiring", "msm", &[("job", job), ("poly", j as u64)]);
-        zkspeed_field::measure_modmuls(|| {
-            commit(&*inner, &job_srs, &job_polys[j], job_tables.as_deref())
-        })
+        commit(&*inner, &job_srs, &job_polys[j], job_tables.as_deref())
     });
-    let mut wiring_iter = wiring_commitments.into_iter();
-    let ((phi_commitment, phi_stats), phi_muls) = wiring_iter.next().expect("two jobs");
-    let ((pi_commitment, pi_stats), pi_muls) = wiring_iter.next().expect("two jobs");
-    zkspeed_field::add_modmul_count(phi_muls);
-    zkspeed_field::add_modmul_count(pi_muls);
+    let wiring_msm_fq = modmul_count().since(&before).fq;
+    let [(phi_commitment, phi_stats), (pi_commitment, pi_stats)] =
+        <[_; 2]>::try_from(wiring_commitments).expect("two jobs");
     report.wiring_msm.merge(&phi_stats);
     report.wiring_msm.merge(&pi_stats);
     transcript.append_message(b"phi-commitment", &phi_commitment.to_transcript_bytes());
@@ -440,12 +426,9 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let num_queries = queries.len() as u32;
     let evaluated = pool::map_indices_on(&**backend, queries.len(), move |i| {
         let (poly, point) = &queries[i];
-        zkspeed_field::measure_modmuls(|| poly.evaluate(point))
+        poly.evaluate(point)
     });
-    let mut evaluated = evaluated.into_iter().map(|(value, muls)| {
-        zkspeed_field::add_modmul_count(muls);
-        value
-    });
+    let mut evaluated = evaluated.into_iter();
     let mut flat_iter = known
         .into_iter()
         .map(|k| k.unwrap_or_else(|| evaluated.next().expect("one job per open query")));
@@ -477,20 +460,13 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
             )
         })
         .collect();
-    let combined = pool::map_indices_on(&**backend, combine_inputs.len(), move |i| {
+    let before = modmul_count();
+    let combined_polys = pool::map_indices_on(&**backend, combine_inputs.len(), move |i| {
         let (e, polys) = &combine_inputs[i];
-        zkspeed_field::measure_modmuls(|| {
-            let refs: Vec<&MultilinearPoly> = polys.iter().collect();
-            MultilinearPoly::linear_combination(&powers(*e, polys.len()), &refs)
-        })
+        let refs: Vec<&MultilinearPoly> = polys.iter().collect();
+        MultilinearPoly::linear_combination(&powers(*e, polys.len()), &refs)
     });
-    let mut combined_polys = Vec::with_capacity(groups.len());
-    let mut combine_muls = 0;
-    for (poly, muls) in combined {
-        zkspeed_field::add_modmul_count(muls);
-        combine_muls += muls.total();
-        combined_polys.push(poly);
-    }
+    let mut combine_muls = modmul_count().since(&before).total();
     // No later step reads σ, φ or π.
     drop((sigmas, phi, pi));
     // OpenCheck: Σ_i cⁱ · yᵢ(x) · kᵢ(x) summed over the hypercube equals the
@@ -556,7 +532,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     };
     report.kernels = [
         row("Witness MSMs", witness_msm_fq, [3, 0, 1]),
-        row("Wire Identity MSMs", phi_muls.fq + pi_muls.fq, [2, 0, 1]),
+        row("Wire Identity MSMs", wiring_msm_fq, [2, 0, 1]),
         // The quotients' `2^{μ−1} + … + 1` scalars and bases.
         row("Poly Open MSMs", open_msm_fq, [1, 0, 1]),
         row("ZeroCheck Rounds", gate_rounds, [2 * tables[0], 0, 0]),

@@ -92,7 +92,7 @@ pub struct Srs {
 
 /// The `len` points of one basis level, computed by `chunk` over ranges of
 /// `0..len` on the backend's workers, each chunk through a batch adder of its
-/// own; the workers' multiplication counts are handed back in chunk order.
+/// own.
 fn level_in_chunks(
     backend: &dyn Backend,
     len: usize,
@@ -100,15 +100,7 @@ fn level_in_chunks(
 ) -> Vec<G1Affine> {
     /// Points per worker job at minimum.
     const MIN_CHUNK: usize = 32;
-    let chunks = pool::map_ranges(backend, len, MIN_CHUNK, move |range| {
-        zkspeed_field::measure_modmuls(|| chunk(range))
-    });
-    let mut level = Vec::with_capacity(len);
-    for (chunk, muls) in chunks {
-        zkspeed_field::add_modmul_count(muls);
-        level.extend(chunk);
-    }
-    level
+    pool::map_ranges(backend, len, MIN_CHUNK, chunk).concat()
 }
 
 impl Srs {
@@ -174,8 +166,7 @@ impl Srs {
         // as wide as the level's size pays for: at most ⌈256/w⌉ batch-affine
         // additions of table entries a point.
         let w = fixed_base_window_bits(1 << num_vars);
-        let (table, table_muls) = zkspeed_field::measure_modmuls(|| FixedBaseTable::new(w));
-        zkspeed_field::add_modmul_count(table_muls);
+        let table = FixedBaseTable::new(w);
         let scalars = MultilinearPoly::eq_mle(&tau, backend).shared_evaluations();
         let level = level_in_chunks(backend, scalars.len(), move |range| {
             table.mul(&scalars[range])

@@ -174,28 +174,17 @@ impl MultilinearPoly {
                 let cur = Arc::new(std::mem::take(&mut evals));
                 let r = *r;
                 let parts = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
-                    zkspeed_field::measure_modmuls(|| {
-                        let mut lo = Vec::with_capacity(range.len());
-                        let mut hi = Vec::with_capacity(range.len());
-                        for i in range {
-                            let h = cur[i] * r;
-                            lo.push(cur[i] - h);
-                            hi.push(h);
-                        }
-                        (lo, hi)
-                    })
+                    let mut lo = Vec::with_capacity(range.len());
+                    let mut hi = Vec::with_capacity(range.len());
+                    for i in range {
+                        let h = cur[i] * r;
+                        lo.push(cur[i] - h);
+                        hi.push(h);
+                    }
+                    (lo, hi)
                 });
-                let mut next = Vec::with_capacity(half * 2);
-                let mut highs = Vec::with_capacity(half);
-                for ((lo, hi), muls) in parts {
-                    zkspeed_field::add_modmul_count(muls);
-                    next.extend(lo);
-                    highs.push(hi);
-                }
-                for hi in highs {
-                    next.extend(hi);
-                }
-                evals = next;
+                let (lows, highs): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+                evals = lows.into_iter().chain(highs).collect::<Vec<_>>().concat();
             }
         }
         Self {
@@ -239,14 +228,9 @@ impl MultilinearPoly {
             (0..half).map(fold).collect()
         } else {
             let parts = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
-                zkspeed_field::measure_modmuls(|| range.map(&fold).collect::<Vec<Fr>>())
+                range.map(&fold).collect::<Vec<Fr>>()
             });
-            let mut next = Vec::with_capacity(half);
-            for (chunk, muls) in parts {
-                zkspeed_field::add_modmul_count(muls);
-                next.extend(chunk);
-            }
-            next
+            parts.concat()
         };
         Self {
             num_vars: self.num_vars - 1,

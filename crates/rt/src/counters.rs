@@ -1,15 +1,15 @@
-//! Global (thread-local) modular-multiplication counters.
+//! Thread-local modular-multiplication counters.
 //!
 //! Table 1 of the zkSpeed paper characterizes every HyperPlonk kernel by its
-//! modmul count and arithmetic intensity. Because every field multiplication
-//! in this repository funnels through the Montgomery multipliers generated by
-//! [`impl_montgomery_field!`], counting them here gives exact per-kernel
-//! modmul counts: the prover reads them before and after each kernel it
-//! runs and reports the differences with every proof (its `ProverReport`).
+//! modmul count and arithmetic intensity. Every field multiplication funnels
+//! through the Montgomery multipliers of `zkspeed_field`, which call
+//! [`record`], so the prover counts each kernel exactly: it reads the
+//! counters around each kernel it runs and reports the differences with
+//! every proof (its `ProverReport`).
 //!
-//! The counters are thread-local, so concurrent tests do not interfere.
-//!
-//! [`impl_montgomery_field!`]: crate::impl_montgomery_field
+//! The counters are thread-local, so concurrent callers do not interfere. A
+//! closure given to `map_ranges` / `map_indices_on` needs no counting code;
+//! the pool carries its modmuls ([`crate::pool`] says how).
 
 use core::cell::Cell;
 
@@ -63,19 +63,13 @@ pub fn modmul_count() -> ModmulCount {
 }
 
 /// Adds a delta (measured on another thread) into this thread's counters.
-pub fn add_modmul_count(delta: ModmulCount) {
+pub(crate) fn add_modmul_count(delta: ModmulCount) {
     FR_MULS.with(|c| c.set(c.get() + delta.fr));
     FQ_MULS.with(|c| c.set(c.get() + delta.fq));
 }
 
 /// Runs `f`, returning its result together with the modmuls it recorded, and
 /// rewinds this thread's counters to their prior state.
-///
-/// This is the worker half of the parallel counting protocol: run the chunk
-/// under `measure_modmuls`, ship the delta back with the chunk result, and
-/// let the spawning thread [`add_modmul_count`] the deltas in chunk order —
-/// totals then match a serial run at any thread count, whether the closure
-/// ran inline or on a scoped worker.
 pub fn measure_modmuls<T>(f: impl FnOnce() -> T) -> (T, ModmulCount) {
     let before = modmul_count();
     let out = f();
@@ -88,20 +82,20 @@ pub fn measure_modmuls<T>(f: impl FnOnce() -> T) -> (T, ModmulCount) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fq, Fr};
 
     #[test]
     fn counters_track_multiplications() {
         let before = modmul_count();
-        let a = Fr::from_u64(3); // from_u64 costs one Fr mul (by R²)
-        let b = Fr::from_u64(5);
-        let _ = a * b;
-        let x = Fq::from_u64(7);
-        let _ = x * x;
-        let after = modmul_count();
-        let delta = after.since(&before);
-        assert!(delta.fr >= 3, "expected ≥3 Fr muls, got {}", delta.fr);
-        assert!(delta.fq >= 2, "expected ≥2 Fq muls, got {}", delta.fq);
-        assert_eq!(delta.total(), delta.fr + delta.fq);
+        (0..3).for_each(|_| record(4));
+        (0..2).for_each(|_| record(6));
+        let delta = modmul_count().since(&before);
+        assert_eq!(delta, ModmulCount { fr: 3, fq: 2 });
+        assert_eq!(delta.total(), 5);
+
+        let ((), inner) = measure_modmuls(|| record(4));
+        assert_eq!(inner, ModmulCount { fr: 1, fq: 0 });
+        assert_eq!(modmul_count().since(&before), delta, "measuring rewinds");
+        add_modmul_count(inner);
+        assert_eq!(modmul_count().since(&before), ModmulCount { fr: 4, fq: 2 });
     }
 }

@@ -19,6 +19,8 @@
 //!   runs are bit-identical to serial runs;
 //! * [`par`] — the chunk splitting itself and the `ZKSPEED_THREADS` sizing
 //!   of [`pool::global`];
+//! * [`counters`] — the thread-local modmul counters every field
+//!   multiplication records into, which the pool carries across threads;
 //! * [`codec`] — the canonical byte-encoding substrate (magic + version
 //!   headers, bounds-checked reads, structured [`codec::DecodeError`]) used
 //!   by proof / key / SRS serialization;
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod counters;
 pub mod faults;
 mod json;
 mod keccak;

@@ -5,7 +5,8 @@
 //! [`crate::pool::Backend`] and returns the results **in chunk order**, so a
 //! parallel run is bit-identical to the serial run for any associative
 //! combine (exact modular field addition, elliptic-curve point
-//! accumulation, statistics counters, …).
+//! accumulation, statistics counters, …). A closure given to `map_ranges` /
+//! `map_indices_on` needs no counting code; the pool carries its modmuls.
 //!
 //! The `ZKSPEED_THREADS` environment variable ([`env_threads`]) governs one
 //! thing: the width of [`crate::pool::global`] (`1` makes it

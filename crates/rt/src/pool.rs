@@ -16,6 +16,12 @@
 //! left-to-right combine of exact arithmetic is bit-identical across
 //! [`Serial`], `ThreadPool::new(1)` and `ThreadPool::new(64)`.
 //!
+//! The modmul counters ([`crate::counters`]) are thread-local, and the same
+//! holds for them: a closure given to `map_ranges` / `map_indices_on` needs
+//! no counting code; the pool carries its modmuls. [`map_ranges`] measures
+//! each chunk it hands to the backend on the thread that runs it and adds
+//! the deltas to the calling thread's counters in chunk order.
+//!
 //! # Nesting
 //!
 //! [`ThreadPool::execute`] lets the submitting thread help drain the queue
@@ -300,14 +306,15 @@ pub fn backend_with_threads(threads: usize) -> Arc<dyn Backend> {
     }
 }
 
-type Slots<U> = Arc<Vec<Mutex<Option<U>>>>;
+type Slots<U> = Arc<Vec<Mutex<Option<(U, crate::counters::ModmulCount)>>>>;
 
 /// Applies `f` to contiguous chunks of `0..len` on `backend` and returns the
 /// chunk results **in chunk order**.
 ///
 /// The index space is split into at most [`Backend::threads`] chunks, never
 /// smaller than `min_chunk` (tiny inputs stay on the calling thread). With a
-/// single chunk the closure runs inline — the exact serial path.
+/// single chunk the closure runs inline — the exact serial path; otherwise
+/// the pool carries each chunk's modmuls back to the calling thread.
 pub fn map_ranges<U, F>(backend: &dyn Backend, len: usize, min_chunk: usize, f: F) -> Vec<U>
 where
     U: Send + 'static,
@@ -335,7 +342,7 @@ where
             let f = Arc::clone(&f);
             let slots = Arc::clone(&slots);
             Box::new(move || {
-                let value = f(range);
+                let value = crate::counters::measure_modmuls(|| f(range));
                 *slots[i].lock().expect("pool slot poisoned") = Some(value);
             }) as Job
         })
@@ -344,10 +351,13 @@ where
     slots
         .iter()
         .map(|slot| {
-            slot.lock()
+            let (value, muls) = slot
+                .lock()
                 .expect("pool slot poisoned")
                 .take()
-                .expect("pool job completed without storing a result")
+                .expect("pool job completed without storing a result");
+            crate::counters::add_modmul_count(muls);
+            value
         })
         .collect()
 }
@@ -372,7 +382,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{self, measure_modmuls, ModmulCount};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn serial_runs_jobs_in_order() {
@@ -535,6 +547,98 @@ mod tests {
         let pool = ThreadPool::new(8);
         let chunks = map_ranges(&pool, 100, 1000, |r| r.len());
         assert_eq!(chunks, vec![100]);
+    }
+
+    /// Records `i + 1` Fr and one Fq multiplication for each index `i` of
+    /// `range`, once `barrier` lets the chunk through.
+    fn counted(barrier: &Barrier, range: Range<usize>) -> usize {
+        barrier.wait();
+        for i in range.clone() {
+            (0..=i).for_each(|_| counters::record(4));
+            counters::record(6);
+        }
+        range.len()
+    }
+
+    #[test]
+    fn the_pool_carries_each_chunks_modmuls_to_the_caller() {
+        // A `Barrier(N)` passes only when N chunks wait on it at once, so on
+        // `ThreadPool::new(N)` every chunk runs on a thread of its own.
+        const N: usize = 4;
+        let count = |backend: &dyn Backend, barrier: Barrier| {
+            let barrier = Arc::new(barrier);
+            let b = Arc::clone(&barrier);
+            let ranges = measure_modmuls(|| map_ranges(backend, N, 1, move |r| counted(&b, r)));
+            let indices = measure_modmuls(|| {
+                map_indices_on(backend, N, move |i| counted(&barrier, i..i + 1))
+            });
+            assert_eq!(ranges.0.iter().sum::<usize>(), N);
+            assert_eq!(indices.0, vec![1; N]);
+            [ranges.1, indices.1]
+        };
+        let serial = count(&Serial, Barrier::new(1));
+        assert_eq!(serial[0], ModmulCount { fr: 10, fq: 4 });
+        assert_eq!(count(&ThreadPool::new(N), Barrier::new(N)), serial);
+    }
+
+    #[test]
+    fn nested_fan_out_carries_its_modmuls_through_every_level() {
+        const N: usize = 4;
+        let count = |backend: Arc<dyn Backend>, barrier: Barrier| {
+            let barrier = Arc::new(barrier);
+            let inner = Arc::clone(&backend);
+            let nested = move |range: Range<usize>| {
+                counted(&barrier, range.clone());
+                for _ in range {
+                    map_indices_on(&*inner, 8, |i| counted(&Barrier::new(1), i..i + 1));
+                }
+            };
+            measure_modmuls(|| map_ranges(&*backend, N, 1, nested)).1
+        };
+        let serial = count(Arc::new(Serial), Barrier::new(1));
+        assert_eq!(
+            serial,
+            ModmulCount {
+                fr: 10 + 4 * 36,
+                fq: 4 + 4 * 8
+            }
+        );
+        assert_eq!(count(Arc::new(ThreadPool::new(N)), Barrier::new(N)), serial);
+    }
+
+    #[test]
+    fn callers_sharing_a_pool_each_read_their_own_modmuls() {
+        // A third caller's two jobs hold the pool's one worker and that
+        // caller's thread, so only the two callers' threads are free. Each
+        // caller's two chunks wait on a `Barrier(2)`, so every pair needs
+        // both threads: each caller runs one chunk of the other's while it
+        // waits, and neither count may move.
+        let pool = ThreadPool::new(2);
+        let (started, release) = (Arc::new(Barrier::new(3)), Arc::new(Barrier::new(3)));
+        let hold = || {
+            let (started, release) = (Arc::clone(&started), Arc::clone(&release));
+            Box::new(move || {
+                started.wait();
+                release.wait();
+            }) as Job
+        };
+        let count = |backend: &dyn Backend, scale: usize, barrier: Barrier| {
+            let barrier = Arc::new(barrier);
+            let chunk = move |r: Range<usize>| counted(&barrier, scale * r.start..scale * r.end);
+            measure_modmuls(|| map_ranges(backend, 2, 1, chunk)).1
+        };
+        let expected = [1, 3].map(|scale| count(&Serial, scale, Barrier::new(1)));
+        let counts = std::thread::scope(|s| {
+            let pool = &pool;
+            let held = s.spawn(|| pool.execute(vec![hold(), hold()]));
+            started.wait();
+            let callers = [1, 3].map(|scale| s.spawn(move || count(pool, scale, Barrier::new(2))));
+            let counts = callers.map(|caller| caller.join());
+            release.wait();
+            held.join().expect("holding jobs");
+            counts.map(|count| count.expect("caller"))
+        });
+        assert_eq!(counts, expected);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use zkspeed_field::{add_modmul_count, measure_modmuls, modmul_count, Fr};
+use zkspeed_field::{modmul_count, Fr};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::pool::{self, Backend};
 use zkspeed_rt::trace::TraceSink;
@@ -288,13 +288,12 @@ fn round_evaluations_on(
     let (job_plan, job_tables, job_weights) = (plan.clone(), tables.to_vec(), weights.cloned());
     let partials = pool::map_ranges(backend, half, MIN_CHUNK, move |range| {
         let weights = job_weights.as_deref().map(|w| &w[..]);
-        measure_modmuls(|| round_partial(&job_plan, &job_tables, weights, range))
+        round_partial(&job_plan, &job_tables, weights, range)
     });
 
     // Partials add in chunk order; a group's coefficient multiplies its sums.
     let mut sums = vec![Fr::zero(); plan.groups.len() * plan.points];
-    for (partial, muls) in partials {
-        add_modmul_count(muls);
+    for partial in partials {
         sums.iter_mut().zip(partial).for_each(|(s, p)| *s += p);
     }
     let mut evals = vec![Fr::zero(); plan.points];
@@ -405,19 +404,12 @@ fn update_tables(tables: &mut Vec<Table>, r: Fr, backend: &dyn Backend) {
             .into_iter()
             .map(|t| Mutex::new(Some(t)))
             .collect();
-        let updated = pool::map_indices_on(backend, slots.len(), move |m| {
+        *tables = pool::map_indices_on(backend, slots.len(), move |m| {
             let slot = slots[m].lock().expect("table slot poisoned").take();
             let mut table = slot.expect("each table is folded by one job");
-            let ((), muls) = measure_modmuls(|| fold_table(&mut table, r));
-            (table, muls)
+            fold_table(&mut table, r);
+            table
         });
-        *tables = updated
-            .into_iter()
-            .map(|(table, muls)| {
-                add_modmul_count(muls);
-                table
-            })
-            .collect();
         return;
     }
     tables.iter_mut().for_each(|t| fold_table(t, r));

@@ -185,35 +185,62 @@ fn precomputed_msm_results_and_stats_are_thread_count_invariant() {
     }
 }
 
+/// Asserts that what `run` records, read on the calling thread, is the same
+/// on `Serial` as on an eight-thread pool, and is not nothing.
+fn assert_same_modmuls<T>(site: &str, run: impl Fn(&dyn Backend) -> T) {
+    let serial = measure_modmuls(|| run(&Serial)).1;
+    assert!(serial.total() > 0, "{site} must record modmuls");
+    assert_eq!(
+        measure_modmuls(|| run(&ThreadPool::new(8))).1,
+        serial,
+        "{site}: worker-side modmuls were dropped"
+    );
+}
+
 #[test]
 fn modmul_counters_are_thread_count_invariant() {
-    // The kernel profiler (Table 1) reads thread-local modmul counters;
-    // parallel workers must hand their counts back to the spawning thread.
+    // The prover's Table 1 rows read thread-local modmul counters around
+    // each kernel; the pool carries its workers' counts back to the caller.
     let (points, scalars) = random_msm_instance(256, 0xD5EE_D013);
     let points = Arc::new(points);
-    let count = |backend: &dyn Backend| measure_modmuls(|| msm(backend, &points, &scalars)).1;
-    let serial = count(&Serial);
-    assert!(serial.total() > 0, "MSM must record modmuls");
-    assert_eq!(
-        count(&ThreadPool::new(8)),
-        serial,
-        "worker-side modmuls were dropped"
-    );
+    assert_same_modmuls("MSM", |backend| msm(backend, &points, &scalars));
 
     // The SumCheck round kernel's weighted path: a ZeroCheck large enough
     // to chunk its rounds and to update its tables one job each.
     let vp = random_virtual_poly(12, 0xD5EE_D014);
-    let count = |backend: &dyn Backend| {
-        let mut transcript = Transcript::new(b"counters");
-        measure_modmuls(|| prove_zerocheck_on(&vp, &mut transcript, backend)).1
+    assert_same_modmuls("ZeroCheck", |backend| {
+        prove_zerocheck_on(&vp, &mut Transcript::new(b"counters"), backend)
+    });
+
+    // Setup's level chunks, and preprocessing's eight key commitments and
+    // commit-table build.
+    let mu = 8;
+    let setup = |backend: &dyn Backend| {
+        let mut rng = StdRng::seed_from_u64(0xD5EE_D015);
+        Srs::try_setup_on(mu, &mut rng, backend).expect("setup fits")
     };
-    let serial = count(&Serial);
-    assert!(serial.fr > 0, "ZeroCheck must record modmuls");
-    assert_eq!(
-        count(&ThreadPool::new(8)),
-        serial,
-        "worker-side modmuls were dropped"
-    );
+    assert_same_modmuls("Srs setup", setup);
+    let srs = setup(&Serial);
+    let mut rng = StdRng::seed_from_u64(0xD5EE_D016);
+    let (circuit, _) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
+    assert_same_modmuls("preprocessing", |backend| {
+        try_preprocess(
+            circuit.clone(),
+            &srs,
+            backend,
+            &PrecomputeBudget::unlimited(),
+        )
+        .expect("circuit fits")
+    });
+
+    // Both MLE kernels at 2^15, where their 2^12-entry chunks fan out.
+    let point: Vec<Fr> = (0..15).map(|_| Fr::random(&mut rng)).collect();
+    assert_same_modmuls("eq_mle", |backend| MultilinearPoly::eq_mle(&point, backend));
+    let table = MultilinearPoly::random(15, &mut rng);
+    let r = Fr::random(&mut rng);
+    assert_same_modmuls("fix_first_variable", |backend| {
+        table.fix_first_variable(r, backend)
+    });
 }
 
 // -------------------------------------- parallel-vs-serial: SumCheck ----

@@ -38,9 +38,10 @@ mod kernel_tests;
 mod montgomery;
 mod traits;
 
-// The modmul counters live beside the pool that carries them across
-// threads; `counters::record` is what `impl_montgomery_field!` calls.
 pub use fq::Fq;
 pub use fr::Fr;
 pub use traits::{batch_invert, Field};
+
+// The modmul counters live beside the pool that carries them across
+// threads; `counters::record` is what `impl_montgomery_field!` calls.
 pub use zkspeed_rt::counters::{self, *};

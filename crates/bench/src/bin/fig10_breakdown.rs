@@ -2,7 +2,7 @@
 //! (A-D), one per bandwidth class, at 2^20 gates.
 
 use zkspeed_bench::{banner, ms, pct, section};
-use zkspeed_core::{explore, pareto_frontier, ChipConfig, DesignSpace, Workload};
+use zkspeed_core::{explore, pareto_frontier, ChipConfig, DesignSpace, Kernel, Workload};
 
 fn breakdown(label: &str, config: &ChipConfig, workload: &Workload) {
     section(label);
@@ -24,17 +24,11 @@ fn breakdown(label: &str, config: &ChipConfig, workload: &Workload) {
     );
     let sim = config.simulate(workload);
     let t = sim.total_seconds();
-    println!(
-        "  runtime {:.3} ms; %: WitnessMSM {:.1}  WiringMSM {:.1}  PolyOpenMSM {:.1}  ZeroCheck {:.1}  PermCheck {:.1}  OpenCheck {:.1}  FinalEval {:.1}",
-        ms(t),
-        pct(sim.kernels.witness_msm / t),
-        pct(sim.kernels.wiring_msm / t),
-        pct(sim.kernels.polyopen_msm / t),
-        pct(sim.kernels.zerocheck / t),
-        pct(sim.kernels.permcheck / t),
-        pct(sim.kernels.opencheck / t),
-        pct(sim.kernels.final_eval / t),
-    );
+    let shares: Vec<String> = Kernel::ALL
+        .iter()
+        .map(|k| format!("{} {:.1}", k.name(), pct(sim.kernels[*k] / t)))
+        .collect();
+    println!("  runtime {:.3} ms; %: {}", ms(t), shares.join("  "));
 }
 
 fn main() {

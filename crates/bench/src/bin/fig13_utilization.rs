@@ -14,12 +14,12 @@ fn main() {
         "{:<22} {:>14} {:>16}",
         "Unit", "Utilization", "Area share (AU)"
     );
-    for (i, unit) in Unit::ALL.iter().enumerate() {
+    for unit in Unit::ALL {
         println!(
             "{:<22} {:>13.1}% {:>15.2}%",
             unit.name(),
-            pct(util[i]),
-            pct(shares[i])
+            pct(util[unit]),
+            pct(shares[unit])
         );
     }
     println!();

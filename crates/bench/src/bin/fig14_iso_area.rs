@@ -4,17 +4,20 @@
 use zkspeed_bench::banner;
 use zkspeed_core::{
     explore, geomean, pareto_frontier, pick_iso_area, speedup_from_simulation, CpuModel,
-    DesignSpace, Workload,
+    DesignSpace, Kernel, Workload,
 };
 
 fn main() {
     banner("Figure 14 reproduction: iso-CPU-area speedups, 2^17 - 2^23 gates");
-    println!(
-        "{:>6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "mu", "Area", "Total", "WitMSM", "WireMSM", "OpenMSM", "ZeroChk", "PermChk", "OpenChk"
-    );
+    // Figure 14's kernels: the MSMs and the SumChecks.
+    let kernels = [Kernel::MSMS, Kernel::SUMCHECKS].concat();
+    print!("{:>6} {:>10} {:>9}", "mu", "Area", "Total");
+    for k in &kernels {
+        print!(" {:>13}", k.name());
+    }
+    println!();
     let mut totals = Vec::new();
-    let mut per_kernel: Vec<Vec<f64>> = vec![Vec::new(); 6];
+    let mut per_kernel: Vec<Vec<f64>> = vec![Vec::new(); kernels.len()];
     for mu in 17..=23usize {
         let workload = Workload::standard(mu);
         // Pick a Pareto-optimal design close to the EPYC core area (296 mm^2),
@@ -33,47 +36,20 @@ fn main() {
         let pick = pick_iso_area(&adjusted, CpuModel::CORE_AREA_MM2).expect("non-empty frontier");
         let sim = pick.config.simulate(&workload);
         let r = speedup_from_simulation(&sim, mu);
-        println!(
-            "{:>6} {:>10.1} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0}",
-            mu,
-            pick.area_mm2,
-            r.total,
-            r.witness_msm,
-            r.wiring_msm,
-            r.polyopen_msm,
-            r.zerocheck,
-            r.permcheck,
-            r.opencheck
-        );
-        totals.push(r.total);
-        for (v, bucket) in [
-            r.witness_msm,
-            r.wiring_msm,
-            r.polyopen_msm,
-            r.zerocheck,
-            r.permcheck,
-            r.opencheck,
-        ]
-        .iter()
-        .zip(per_kernel.iter_mut())
-        {
-            bucket.push(*v);
+        print!("{:>6} {:>10.1} {:>9.0}", mu, pick.area_mm2, r.total);
+        for (k, bucket) in kernels.iter().zip(per_kernel.iter_mut()) {
+            print!(" {:>13.0}", r.kernels[*k]);
+            bucket.push(r.kernels[*k]);
         }
+        println!();
+        totals.push(r.total);
     }
     println!();
     println!(
         "geomean total speedup: {:.0}x  (paper: 801x; >=2 orders of magnitude expected)",
         geomean(&totals)
     );
-    let names = [
-        "Witness MSMs",
-        "Wiring MSMs",
-        "PolyOpen MSMs",
-        "ZeroCheck",
-        "PermCheck",
-        "OpenCheck",
-    ];
-    for (name, vals) in names.iter().zip(per_kernel.iter()) {
-        println!("geomean {name}: {:.0}x", geomean(vals));
+    for (k, vals) in kernels.iter().zip(per_kernel.iter()) {
+        println!("geomean {}: {:.0}x", k.name(), geomean(vals));
     }
 }

@@ -4,25 +4,24 @@
 
 use zkspeed_hw::{MsmUnitConfig, SumcheckUnitConfig};
 
-use crate::chip::{ChipConfig, ChipSimulation};
-use crate::cpu_model::{CpuKernelSeconds, CpuModel};
+use crate::chip::{ChipConfig, ChipSimulation, Kernel};
+use crate::cpu_model::CpuModel;
 use crate::workload::Workload;
 
 /// Speedups of the accelerator over the CPU baseline, total and per kernel
 /// (the Figure 14 grouping).
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
-#[allow(missing_docs)]
 pub struct SpeedupReport {
+    /// Problem size `μ`.
     pub num_vars: usize,
+    /// End-to-end CPU proving time in seconds.
     pub cpu_seconds: f64,
+    /// End-to-end accelerator proving time in seconds.
     pub zkspeed_seconds: f64,
+    /// End-to-end speedup.
     pub total: f64,
-    pub witness_msm: f64,
-    pub wiring_msm: f64,
-    pub polyopen_msm: f64,
-    pub zerocheck: f64,
-    pub permcheck: f64,
-    pub opencheck: f64,
+    /// Speedup of each kernel, indexed by [`Kernel`].
+    pub kernels: [f64; 7],
 }
 
 /// Computes the speedup report of a chip configuration on a workload,
@@ -34,19 +33,14 @@ pub fn speedup_report(chip: &ChipConfig, workload: &Workload) -> SpeedupReport {
 
 /// Computes the speedup report from an existing simulation result.
 pub fn speedup_from_simulation(sim: &ChipSimulation, num_vars: usize) -> SpeedupReport {
-    let cpu: CpuKernelSeconds = CpuModel::kernel_seconds(num_vars);
-    let k = &sim.kernels;
+    let cpu = CpuModel::kernel_seconds(num_vars);
+    let cpu_seconds = CpuModel::total_seconds(num_vars);
     SpeedupReport {
         num_vars,
-        cpu_seconds: cpu.total(),
+        cpu_seconds,
         zkspeed_seconds: sim.total_seconds(),
-        total: cpu.total() / sim.total_seconds(),
-        witness_msm: cpu.witness_msm / k.witness_msm,
-        wiring_msm: cpu.wiring_msm / k.wiring_msm,
-        polyopen_msm: cpu.polyopen_msm / k.polyopen_msm,
-        zerocheck: cpu.zerocheck / k.zerocheck,
-        permcheck: cpu.permcheck / k.permcheck,
-        opencheck: cpu.opencheck / k.opencheck,
+        total: cpu_seconds / sim.total_seconds(),
+        kernels: Kernel::ALL.map(|k| cpu[k] / sim.kernels[k]),
     }
 }
 
@@ -78,12 +72,9 @@ pub struct ScalingStudy {
     pub sumcheck: Vec<ScalingPoint>,
 }
 
-fn msm_kernel_seconds(sim: &ChipSimulation) -> f64 {
-    sim.kernels.witness_msm + sim.kernels.wiring_msm + sim.kernels.polyopen_msm
-}
-
-fn sumcheck_kernel_seconds(sim: &ChipSimulation) -> f64 {
-    sim.kernels.zerocheck + sim.kernels.permcheck + sim.kernels.opencheck
+/// Seconds `sim` spends in `kernels`.
+fn kernels_seconds(sim: &ChipSimulation, kernels: [Kernel; 3]) -> f64 {
+    kernels.iter().map(|k| sim.kernels[*k]).sum()
 }
 
 /// Runs the Figure 11 scaling study for the given PE counts and bandwidths.
@@ -112,8 +103,8 @@ pub fn scaling_study(
         ..base
     }
     .with_bandwidth(512.0);
-    let msm_base = msm_kernel_seconds(&msm_base_cfg.simulate(workload));
-    let sc_base = sumcheck_kernel_seconds(&sc_base_cfg.simulate(workload));
+    let msm_base = kernels_seconds(&msm_base_cfg.simulate(workload), Kernel::MSMS);
+    let sc_base = kernels_seconds(&sc_base_cfg.simulate(workload), Kernel::SUMCHECKS);
 
     let mut study = ScalingStudy {
         msm: Vec::new(),
@@ -130,7 +121,7 @@ pub fn scaling_study(
                 ..base
             }
             .with_bandwidth(bw);
-            let t = msm_kernel_seconds(&msm_cfg.simulate(workload));
+            let t = kernels_seconds(&msm_cfg.simulate(workload), Kernel::MSMS);
             study.msm.push(ScalingPoint {
                 pes,
                 bandwidth_gbps: bw,
@@ -146,7 +137,7 @@ pub fn scaling_study(
                 ..base
             }
             .with_bandwidth(bw);
-            let t = sumcheck_kernel_seconds(&sc_cfg.simulate(workload));
+            let t = kernels_seconds(&sc_cfg.simulate(workload), Kernel::SUMCHECKS);
             study.sumcheck.push(ScalingPoint {
                 pes,
                 bandwidth_gbps: bw,
@@ -262,8 +253,8 @@ mod tests {
             );
             // MSM kernels enjoy larger speedups than SumCheck kernels
             // (Figure 14's observation).
-            let msm_gm = geomean(&[report.witness_msm, report.wiring_msm, report.polyopen_msm]);
-            let sc_gm = geomean(&[report.zerocheck, report.permcheck, report.opencheck]);
+            let msm_gm = geomean(&Kernel::MSMS.map(|k| report.kernels[k]));
+            let sc_gm = geomean(&Kernel::SUMCHECKS.map(|k| report.kernels[k]));
             assert!(msm_gm > sc_gm, "μ = {mu}: msm {msm_gm} vs sumcheck {sc_gm}");
             totals.push(report.total);
         }
@@ -322,35 +313,3 @@ mod tests {
         assert!((zkspeed.chip_area_mm2 - 366.0).abs() < 80.0);
     }
 }
-
-zkspeed_rt::impl_to_json_struct!(SpeedupReport {
-    num_vars,
-    cpu_seconds,
-    zkspeed_seconds,
-    total,
-    witness_msm,
-    wiring_msm,
-    polyopen_msm,
-    zerocheck,
-    permcheck,
-    opencheck,
-});
-zkspeed_rt::impl_to_json_struct!(ScalingPoint {
-    pes,
-    bandwidth_gbps,
-    speedup,
-});
-zkspeed_rt::impl_to_json_struct!(ScalingStudy { msm, sumcheck });
-zkspeed_rt::impl_to_json_struct!(AcceleratorComparison {
-    name,
-    protocol,
-    main_kernels,
-    encoding,
-    proof_size_bytes,
-    setup,
-    cpu_prover_seconds,
-    hw_prover_ms,
-    verifier_ms,
-    chip_area_mm2,
-    power_w,
-});

@@ -8,6 +8,8 @@ use zkspeed_hw::{
     MsmUnitConfig, MtuConfig, Sha3UnitConfig, SramModel, SumcheckUnitConfig,
 };
 
+use zkspeed_hyperplonk::ProtocolStep;
+
 use crate::workload::Workload;
 
 /// Bytes per 255-bit field element moved over HBM.
@@ -64,6 +66,66 @@ impl Unit {
         }
     }
 }
+
+// Per-unit values are indexed by unit: `busy[Unit::Msm]`.
+zkspeed_rt::impl_index_by!(Unit, 8);
+
+/// The kernels a proof's time is grouped into for the speedup analysis
+/// (Figures 10 and 14): three MSM groups, three SumChecks and the batch
+/// evaluations.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// The three Sparse MSMs of the witness commitments (step 1).
+    WitnessMsm,
+    /// The dense MSMs committing φ and π (step 3).
+    WiringMsm,
+    /// The halving MSMs of the polynomial opening (step 5).
+    PolyOpenMsm,
+    /// The Gate Identity ZeroCheck rounds (step 2).
+    ZeroCheck,
+    /// The PermCheck rounds (step 3); on the CPU also the creation of its
+    /// MLEs.
+    PermCheck,
+    /// The OpenCheck rounds (step 5).
+    OpenCheck,
+    /// The batch evaluations (step 4); on the CPU also MLE Combine.
+    FinalEval,
+}
+
+impl Kernel {
+    /// All kernels in reporting order.
+    pub const ALL: [Kernel; 7] = [
+        Kernel::WitnessMsm,
+        Kernel::WiringMsm,
+        Kernel::PolyOpenMsm,
+        Kernel::ZeroCheck,
+        Kernel::PermCheck,
+        Kernel::OpenCheck,
+        Kernel::FinalEval,
+    ];
+
+    /// The MSM kernels (Figure 11's MSM scaling).
+    pub const MSMS: [Kernel; 3] = [Kernel::WitnessMsm, Kernel::WiringMsm, Kernel::PolyOpenMsm];
+
+    /// The SumCheck kernels (Figure 11's SumCheck scaling).
+    pub const SUMCHECKS: [Kernel; 3] = [Kernel::ZeroCheck, Kernel::PermCheck, Kernel::OpenCheck];
+
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Kernel::WitnessMsm => "Witness MSMs",
+            Kernel::WiringMsm => "Wiring MSMs",
+            Kernel::PolyOpenMsm => "PolyOpen MSMs",
+            Kernel::ZeroCheck => "ZeroCheck",
+            Kernel::PermCheck => "PermCheck",
+            Kernel::OpenCheck => "OpenCheck",
+            Kernel::FinalEval => "Final Eval",
+        }
+    }
+}
+
+// Per-kernel values are indexed by kernel: `kernels[Kernel::ZeroCheck]`.
+zkspeed_rt::impl_index_by!(Kernel, 7);
 
 /// A complete zkSpeed chip configuration (every Table 2 knob plus the
 /// memory system and the maximum supported problem size).
@@ -196,7 +258,10 @@ impl ChipConfig {
         let mem = |bytes: f64| self.memory.transfer_seconds(bytes);
         let secs = |cycles: f64| cycles / clk;
 
-        let mut sim = ChipSimulation::new(mu);
+        let mut sim = ChipSimulation {
+            num_vars: mu,
+            ..ChipSimulation::default()
+        };
 
         // ---- Step 1: Witness Commits (three serial Sparse MSMs) ----------
         // Each witness column gets its own measured zero/one/dense split
@@ -211,18 +276,18 @@ impl ChipConfig {
                 * POINT_BYTES
                 + dense as f64 * FR_BYTES;
             step1 += compute.max(mem(traffic));
-            sim.busy[0] += compute;
+            sim.busy[Unit::Msm] += compute;
         }
-        sim.kernels.witness_msm = step1;
-        sim.step_seconds[0] = step1;
+        sim.kernels[Kernel::WitnessMsm] = step1;
+        sim.step_seconds[ProtocolStep::WitnessCommit] = step1;
 
         // ---- Step 2: Gate Identity (Build MLE + ZeroCheck rounds) --------
         let build = secs(self.mtu.tree_pass_cycles(mu));
-        sim.busy[3] += build;
+        sim.busy[Unit::MultifunctionTree] += build;
         let step2_build = build.max(mem(n * FR_BYTES));
         let zerocheck = self.sumcheck_phase(mu, 9, true, &mut sim);
-        sim.kernels.zerocheck = zerocheck;
-        sim.step_seconds[1] = step2_build + zerocheck;
+        sim.kernels[Kernel::ZeroCheck] = zerocheck;
+        sim.step_seconds[ProtocolStep::GateIdentity] = step2_build + zerocheck;
 
         // ---- Step 3: Wiring Identity --------------------------------------
         // Pipelined Construct N&D → FracMLE → ProdMLE → MSM chain.
@@ -238,40 +303,41 @@ impl ChipConfig {
             .max(prod)
             .max(wiring_msm)
             .max(mem(stream_traffic));
-        sim.busy[4] += construct;
-        sim.busy[5] += frac;
-        sim.busy[3] += prod;
-        sim.busy[0] += msm_compute;
-        sim.kernels.wiring_msm = wiring_msm;
+        sim.busy[Unit::ConstructNd] += construct;
+        sim.busy[Unit::FracMle] += frac;
+        sim.busy[Unit::MultifunctionTree] += prod;
+        sim.busy[Unit::Msm] += msm_compute;
+        sim.kernels[Kernel::WiringMsm] = wiring_msm;
         // PermCheck: Build MLE + ZeroCheck rounds over 11 tables.
         let build = secs(self.mtu.tree_pass_cycles(mu));
-        sim.busy[3] += build;
+        sim.busy[Unit::MultifunctionTree] += build;
         let permcheck = self.sumcheck_phase(mu, 11, false, &mut sim);
-        sim.kernels.permcheck = permcheck;
-        sim.step_seconds[2] = phase_a + build.max(mem(n * FR_BYTES)) + permcheck;
+        sim.kernels[Kernel::PermCheck] = permcheck;
+        sim.step_seconds[ProtocolStep::WireIdentity] =
+            phase_a + build.max(mem(n * FR_BYTES)) + permcheck;
 
         // ---- Step 4: Batch Evaluations -------------------------------------
         // 22 MLE Evaluates on the Multifunction Tree; only φ and π live
         // off-chip (the compression of Section 4.6 keeps the rest on-chip).
         let evals_compute = secs(22.0 * self.mtu.tree_pass_cycles(mu));
-        sim.busy[3] += evals_compute;
+        sim.busy[Unit::MultifunctionTree] += evals_compute;
         let evals = evals_compute.max(mem(4.0 * n * FR_BYTES));
-        sim.kernels.final_eval = evals;
-        sim.step_seconds[3] = evals;
+        sim.kernels[Kernel::FinalEval] = evals;
+        sim.step_seconds[ProtocolStep::BatchEvaluation] = evals;
 
         // ---- Step 5: Polynomial Opening -------------------------------------
         // MLE Combine into the OpenCheck inputs + Build the k_i MLEs.
         let combine = secs(self.mle_combine.combine_cycles(13, n as usize));
         let build_k = secs(6.0 * self.mtu.tree_pass_cycles(mu));
-        sim.busy[6] += combine;
-        sim.busy[3] += build_k;
+        sim.busy[Unit::MleCombine] += combine;
+        sim.busy[Unit::MultifunctionTree] += build_k;
         let phase_5a = combine.max(build_k).max(mem(8.0 * n * FR_BYTES));
         // OpenCheck rounds over 12 tables.
         let opencheck = self.sumcheck_phase(mu, 12, false, &mut sim);
-        sim.kernels.opencheck = opencheck;
+        sim.kernels[Kernel::OpenCheck] = opencheck;
         // Final combine + the serial halving MSM sequence.
         let final_combine = secs(self.mle_combine.combine_cycles(6, n as usize));
-        sim.busy[6] += final_combine;
+        sim.busy[Unit::MleCombine] += final_combine;
         let mut halving_cycles = 0.0;
         let mut size = workload.num_gates() / 2;
         while size >= 1 {
@@ -282,17 +348,18 @@ impl ChipConfig {
             size /= 2;
         }
         let halving_compute = secs(halving_cycles);
-        sim.busy[0] += halving_compute;
+        sim.busy[Unit::Msm] += halving_compute;
         let polyopen_msm = halving_compute.max(mem(
             n * (self.msm.points_read_per_scalar() * POINT_BYTES + FR_BYTES)
         ));
-        sim.kernels.polyopen_msm = polyopen_msm;
-        sim.step_seconds[4] = phase_5a + opencheck + final_combine.max(polyopen_msm);
+        sim.kernels[Kernel::PolyOpenMsm] = polyopen_msm;
+        sim.step_seconds[ProtocolStep::PolynomialOpening] =
+            phase_5a + opencheck + final_combine.max(polyopen_msm);
 
         // SHA3 transcript maintenance between steps (negligible but tracked).
         let sha3 = secs(self.sha3.hash_cycles(64 * (3 * mu as u64 + 40)));
-        sim.busy[7] += sha3;
-        sim.step_seconds[4] += sha3;
+        sim.busy[Unit::Sha3] += sha3;
+        sim.step_seconds[ProtocolStep::PolynomialOpening] += sha3;
 
         sim
     }
@@ -324,8 +391,8 @@ impl ChipConfig {
             let write = (tables * entries / 2) as f64 * FR_BYTES;
             let traffic = self.memory.transfer_seconds(read + write);
             total += sc.max(upd).max(traffic);
-            sim.busy[1] += sc;
-            sim.busy[2] += upd;
+            sim.busy[Unit::Sumcheck] += sc;
+            sim.busy[Unit::MleUpdate] += upd;
         }
         total
     }
@@ -421,43 +488,21 @@ impl PowerBreakdown {
     }
 }
 
-/// Per-kernel accelerator latencies (the Figure 14 kernel grouping).
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-#[allow(missing_docs)]
-pub struct KernelSeconds {
-    pub witness_msm: f64,
-    pub wiring_msm: f64,
-    pub polyopen_msm: f64,
-    pub zerocheck: f64,
-    pub permcheck: f64,
-    pub opencheck: f64,
-    pub final_eval: f64,
-}
-
 /// The result of simulating one proof generation on one chip configuration.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChipSimulation {
     /// Problem size `μ`.
     pub num_vars: usize,
-    /// Latency of each protocol step, in seconds, in
-    /// `zkspeed_hyperplonk::ProtocolStep::ALL` order.
+    /// Latency of each protocol step, in seconds, indexed by
+    /// [`ProtocolStep`].
     pub step_seconds: [f64; 5],
-    /// Per-kernel latencies (Figure 14 grouping).
-    pub kernels: KernelSeconds,
-    /// Per-unit busy time in seconds, in [`Unit::ALL`] order.
+    /// Latency of each kernel, in seconds, indexed by [`Kernel`].
+    pub kernels: [f64; 7],
+    /// Per-unit busy time in seconds, indexed by [`Unit`].
     pub busy: [f64; 8],
 }
 
 impl ChipSimulation {
-    fn new(num_vars: usize) -> Self {
-        Self {
-            num_vars,
-            step_seconds: [0.0; 5],
-            kernels: KernelSeconds::default(),
-            busy: [0.0; 8],
-        }
-    }
-
     /// Total proving latency in seconds.
     pub fn total_seconds(&self) -> f64 {
         self.step_seconds.iter().sum()
@@ -467,11 +512,7 @@ impl ChipSimulation {
     /// order.
     pub fn utilization(&self) -> [f64; 8] {
         let t = self.total_seconds();
-        let mut u = [0.0; 8];
-        for (ui, b) in u.iter_mut().zip(self.busy.iter()) {
-            *ui = (b / t).min(1.0);
-        }
-        u
+        self.busy.map(|b| (b / t).min(1.0))
     }
 }
 
@@ -536,9 +577,9 @@ mod tests {
         let s_fast = fast.simulate(&w);
         assert!(s_fast.total_seconds() < s_slow.total_seconds());
         // SumCheck phases are memory bound: they speed up markedly.
-        assert!(s_fast.kernels.permcheck < s_slow.kernels.permcheck * 0.6);
+        assert!(s_fast.kernels[Kernel::PermCheck] < s_slow.kernels[Kernel::PermCheck] * 0.6);
         // MSMs are compute bound: they barely change.
-        assert!(s_fast.kernels.witness_msm > s_slow.kernels.witness_msm * 0.8);
+        assert!(s_fast.kernels[Kernel::WitnessMsm] > s_slow.kernels[Kernel::WitnessMsm] * 0.8);
     }
 
     #[test]
@@ -570,10 +611,11 @@ mod tests {
         let sim_measured = chip.simulate(&measured);
         let sim_standard = chip.simulate(&standard);
         assert!(
-            sim_measured.kernels.witness_msm < 0.5 * sim_standard.kernels.witness_msm,
+            sim_measured.kernels[Kernel::WitnessMsm]
+                < 0.5 * sim_standard.kernels[Kernel::WitnessMsm],
             "measured {} vs standard {}",
-            sim_measured.kernels.witness_msm,
-            sim_standard.kernels.witness_msm
+            sim_measured.kernels[Kernel::WitnessMsm],
+            sim_standard.kernels[Kernel::WitnessMsm]
         );
         // Only step 1 depends on the witness split; the rest is identical.
         for i in 1..5 {
@@ -581,7 +623,10 @@ mod tests {
         }
         // A fully dense measured circuit is strictly slower than 45/45/10.
         let dense = Workload::new(20, 0.0, 0.0).unwrap();
-        assert!(chip.simulate(&dense).kernels.witness_msm > sim_standard.kernels.witness_msm);
+        assert!(
+            chip.simulate(&dense).kernels[Kernel::WitnessMsm]
+                > sim_standard.kernels[Kernel::WitnessMsm]
+        );
     }
 
     #[test]
@@ -599,20 +644,13 @@ mod tests {
         assert!(small.power().total_w() < big.power().total_w());
         // A 1-PE MSM is much slower on the MSM-heavy kernels.
         let w = Workload::standard(18);
-        assert!(small.simulate(&w).kernels.wiring_msm > 4.0 * big.simulate(&w).kernels.wiring_msm);
+        assert!(
+            small.simulate(&w).kernels[Kernel::WiringMsm]
+                > 4.0 * big.simulate(&w).kernels[Kernel::WiringMsm]
+        );
     }
 }
 
-zkspeed_rt::impl_to_json_enum!(Unit {
-    Msm,
-    Sumcheck,
-    MleUpdate,
-    MultifunctionTree,
-    ConstructNd,
-    FracMle,
-    MleCombine,
-    Sha3,
-});
 zkspeed_rt::impl_to_json_struct!(ChipConfig {
     msm,
     sumcheck,
@@ -649,19 +687,4 @@ zkspeed_rt::impl_to_json_struct!(PowerBreakdown {
     other,
     sram,
     memory,
-});
-zkspeed_rt::impl_to_json_struct!(KernelSeconds {
-    witness_msm,
-    wiring_msm,
-    polyopen_msm,
-    zerocheck,
-    permcheck,
-    opencheck,
-    final_eval,
-});
-zkspeed_rt::impl_to_json_struct!(ChipSimulation {
-    num_vars,
-    step_seconds,
-    kernels,
-    busy,
 });

@@ -16,6 +16,8 @@
 //! 128-bit halves per scalar, half the windows), so its MSM kernels come in
 //! below this model at the same size. No constant here accounts for that.
 
+use crate::chip::Kernel;
+
 /// Table 3 anchors: (μ, end-to-end CPU milliseconds).
 const ANCHORS: [(usize, f64); 5] = [
     (17, 1429.0),
@@ -25,84 +27,20 @@ const ANCHORS: [(usize, f64); 5] = [
     (23, 74052.0),
 ];
 
-/// Figure 12a: CPU runtime share per kernel at 2^20 gates.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct CpuKernelShares {
-    /// Sparse (witness) MSMs.
-    pub sparse_msms: f64,
-    /// Gate Identity (ZeroCheck).
-    pub gate_identity: f64,
-    /// Creation of the PermCheck MLEs (Construct N&D, FracMLE, ProdMLE).
-    pub create_permcheck_mles: f64,
-    /// PermCheck dense MSMs (φ and π commitments).
-    pub permcheck_dense_msms: f64,
-    /// PermCheck SumCheck rounds.
-    pub permcheck: f64,
-    /// Batch evaluations.
-    pub batch_evals: f64,
-    /// MLE Combine.
-    pub mle_combine: f64,
-    /// OpenCheck SumCheck rounds.
-    pub opencheck: f64,
-    /// Polynomial-opening dense MSMs.
-    pub polyopen_dense_msms: f64,
-}
-
-impl CpuKernelShares {
-    /// The Figure 12a breakdown.
-    pub fn paper() -> Self {
-        Self {
-            sparse_msms: 0.088,
-            gate_identity: 0.056,
-            create_permcheck_mles: 0.012,
-            permcheck_dense_msms: 0.436,
-            permcheck: 0.062,
-            batch_evals: 0.025,
-            mle_combine: 0.033,
-            opencheck: 0.041,
-            polyopen_dense_msms: 0.246,
-        }
-    }
-
-    /// Sum of the shares (≈ 1.0, the remainder is miscellaneous glue).
-    pub fn total(&self) -> f64 {
-        self.sparse_msms
-            + self.gate_identity
-            + self.create_permcheck_mles
-            + self.permcheck_dense_msms
-            + self.permcheck
-            + self.batch_evals
-            + self.mle_combine
-            + self.opencheck
-            + self.polyopen_dense_msms
-    }
-}
-
-/// Per-kernel CPU times in seconds (Figure 14 kernel grouping).
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-#[allow(missing_docs)]
-pub struct CpuKernelSeconds {
-    pub witness_msm: f64,
-    pub wiring_msm: f64,
-    pub polyopen_msm: f64,
-    pub zerocheck: f64,
-    pub permcheck: f64,
-    pub opencheck: f64,
-    pub other: f64,
-}
-
-impl CpuKernelSeconds {
-    /// Total CPU proving time.
-    pub fn total(&self) -> f64 {
-        self.witness_msm
-            + self.wiring_msm
-            + self.polyopen_msm
-            + self.zerocheck
-            + self.permcheck
-            + self.opencheck
-            + self.other
-    }
-}
+/// Figure 12a: the CPU's runtime share per kernel at 2^20 gates, each row
+/// with its label and the Figure 14 [`Kernel`] it folds into. The shares
+/// sum to 0.999; the rest is glue that no kernel holds.
+pub const FIG12A_SHARES: [(&str, f64, Kernel); 9] = [
+    ("Sparse MSMs", 0.088, Kernel::WitnessMsm),
+    ("Gate Identity", 0.056, Kernel::ZeroCheck),
+    ("Create PermCheck MLEs", 0.012, Kernel::PermCheck),
+    ("PermCheck dense MSMs", 0.436, Kernel::WiringMsm),
+    ("PermCheck", 0.062, Kernel::PermCheck),
+    ("Batch Evals", 0.025, Kernel::FinalEval),
+    ("MLE Combine", 0.033, Kernel::FinalEval),
+    ("OpenCheck", 0.041, Kernel::OpenCheck),
+    ("PolyOpen dense MSMs", 0.246, Kernel::PolyOpenMsm),
+];
 
 /// The calibrated CPU baseline model.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
@@ -137,20 +75,15 @@ impl CpuModel {
         pg * n
     }
 
-    /// Per-kernel CPU times (Figure 14 grouping) for `2^num_vars` gates,
-    /// applying the Figure 12a shares to the end-to-end time.
-    pub fn kernel_seconds(num_vars: usize) -> CpuKernelSeconds {
-        let total = Self::total_seconds(num_vars);
-        let s = CpuKernelShares::paper();
-        CpuKernelSeconds {
-            witness_msm: total * s.sparse_msms,
-            wiring_msm: total * s.permcheck_dense_msms,
-            polyopen_msm: total * s.polyopen_dense_msms,
-            zerocheck: total * s.gate_identity,
-            permcheck: total * (s.permcheck + s.create_permcheck_mles),
-            opencheck: total * s.opencheck,
-            other: total * (s.batch_evals + s.mle_combine) + total * (1.0 - s.total()),
+    /// Per-kernel CPU times in seconds for `2^num_vars` gates, indexed by
+    /// [`Kernel`]: the end-to-end time split by [`FIG12A_SHARES`].
+    pub fn kernel_seconds(num_vars: usize) -> [f64; 7] {
+        let mut shares = [0.0; 7];
+        for (_, share, kernel) in FIG12A_SHARES {
+            shares[kernel] += share;
         }
+        let total = Self::total_seconds(num_vars);
+        shares.map(|share| total * share)
     }
 
     /// The CPU die's core area in mm² (used for the iso-area comparison).
@@ -187,34 +120,13 @@ mod tests {
 
     #[test]
     fn kernel_shares_sum_to_one() {
-        let shares = CpuKernelShares::paper();
-        assert!((shares.total() - 0.999).abs() < 0.01, "{}", shares.total());
+        let shares: f64 = FIG12A_SHARES.iter().map(|(_, share, _)| share).sum();
+        assert!((shares - 0.999).abs() < 0.01, "{shares}");
+        let total = CpuModel::total_seconds(20);
         let kernels = CpuModel::kernel_seconds(20);
-        assert!((kernels.total() - CpuModel::total_seconds(20)).abs() < 1e-6);
+        assert!((kernels.iter().sum::<f64>() - shares * total).abs() < 1e-6);
         // MSMs dominate the CPU runtime (the paper's key observation).
-        let msm_time = kernels.witness_msm + kernels.wiring_msm + kernels.polyopen_msm;
-        assert!(msm_time / kernels.total() > 0.7);
+        let msm_time: f64 = Kernel::MSMS.map(|k| kernels[k]).iter().sum();
+        assert!(msm_time / total > 0.7);
     }
 }
-
-zkspeed_rt::impl_to_json_struct!(CpuKernelShares {
-    sparse_msms,
-    gate_identity,
-    create_permcheck_mles,
-    permcheck_dense_msms,
-    permcheck,
-    batch_evals,
-    mle_combine,
-    opencheck,
-    polyopen_dense_msms,
-});
-zkspeed_rt::impl_to_json_struct!(CpuKernelSeconds {
-    witness_msm,
-    wiring_msm,
-    polyopen_msm,
-    zerocheck,
-    permcheck,
-    opencheck,
-    other,
-});
-zkspeed_rt::impl_to_json_struct!(CpuModel {});

@@ -321,21 +321,3 @@ mod tests {
         assert!(pick_iso_area(&[], 100.0).is_none());
     }
 }
-
-zkspeed_rt::impl_to_json_struct!(DesignSpace {
-    msm_cores,
-    msm_pes_per_core,
-    msm_window_bits,
-    msm_points_per_pe,
-    fracmle_pes,
-    sumcheck_pes,
-    mle_update_pes,
-    mle_update_modmuls,
-    bandwidths_gbps,
-    msm_datapaths,
-});
-zkspeed_rt::impl_to_json_struct!(DesignPoint {
-    config,
-    area_mm2,
-    runtime_seconds,
-});

@@ -8,13 +8,16 @@
 //! * [`ChipConfig::simulate`] — the protocol scheduler that maps HyperPlonk's
 //!   five steps onto the units under an off-chip bandwidth constraint,
 //!   producing per-step latencies, per-kernel latencies and per-unit
-//!   utilizations (Figures 10, 12b, 13);
+//!   utilizations (Figures 10, 12b, 13). Each list is an enum and every
+//!   array is indexed by it: steps by `zkspeed_hyperplonk::ProtocolStep`,
+//!   the Figure 14 kernel grouping by [`Kernel`], units by [`Unit`];
 //! * [`ChipConfig::area`] / [`ChipConfig::power`] — the Table 5 area and
 //!   power breakdowns;
 //! * [`DesignSpace`] / [`explore`] / [`pareto_frontier`] — the Table 2
 //!   design-space exploration and Figure 9 Pareto analysis;
 //! * [`CpuModel`] — the CPU baseline calibrated against the paper's Table 3
-//!   and Figure 12a;
+//!   and Figure 12a ([`FIG12A_SHARES`]: each of the nine shares with its
+//!   label and the [`Kernel`] it folds into);
 //! * [`speedup_report`], [`scaling_study`], [`comparison_table`] — the
 //!   Figure 11/14 and Table 3/4 analyses.
 //!
@@ -43,7 +46,7 @@ pub use analysis::{
     comparison_table, geomean, scaling_study, speedup_from_simulation, speedup_report,
     AcceleratorComparison, ScalingPoint, ScalingStudy, SpeedupReport,
 };
-pub use chip::{AreaBreakdown, ChipConfig, ChipSimulation, KernelSeconds, PowerBreakdown, Unit};
-pub use cpu_model::{CpuKernelSeconds, CpuKernelShares, CpuModel};
+pub use chip::{AreaBreakdown, ChipConfig, ChipSimulation, Kernel, PowerBreakdown, Unit};
+pub use cpu_model::{CpuModel, FIG12A_SHARES};
 pub use dse::{explore, pareto_frontier, pick_iso_area, DesignPoint, DesignSpace};
 pub use workload::{ColumnSplit, Workload, WorkloadError};

@@ -351,13 +351,3 @@ mod tests {
         assert!((ColumnSplit::new(0.25, 0.5).unwrap().dense_fraction() - 0.25).abs() < 1e-12);
     }
 }
-
-zkspeed_rt::impl_to_json_struct!(ColumnSplit {
-    zero_fraction,
-    one_fraction,
-});
-zkspeed_rt::impl_to_json_struct!(Workload {
-    num_vars,
-    zero_fraction,
-    one_fraction,
-});

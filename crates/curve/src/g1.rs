@@ -330,10 +330,18 @@ impl G1Projective {
         self.y.square() * self.z == self.x.square() * self.x + B * self.z.square() * self.z
     }
 
-    /// Converts to affine coordinates (one field inversion).
+    /// Converts to affine coordinates: one field inversion, none for a
+    /// point already normalised (`Z = 1`).
     pub fn to_affine(&self) -> G1Affine {
         if self.is_identity() {
             return G1Affine::identity();
+        }
+        if self.z.is_one() {
+            return G1Affine {
+                x: self.x,
+                y: self.y,
+                infinity: false,
+            };
         }
         let zinv = self.z.invert().expect("nonzero z");
         G1Affine {

@@ -164,9 +164,15 @@ pub fn try_preprocess(
         .cloned()
         .collect();
     let job_srs = srs.clone();
-    let commitments = pool::map_indices_on(backend, tables.len(), move |i| match i {
-        0..=4 => commit_sparse(&Serial, &job_srs, &tables[i], None).0,
-        _ => commit(&Serial, &job_srs, &tables[i], None).0,
+    // Each commitment is stored normalised (Z = 1), as a decoded key's are,
+    // so binding the key into every proof's and every verification's
+    // transcript inverts nothing.
+    let commitments = pool::map_indices_on(backend, tables.len(), move |i| {
+        let commitment = match i {
+            0..=4 => commit_sparse(&Serial, &job_srs, &tables[i], None).0,
+            _ => commit(&Serial, &job_srs, &tables[i], None).0,
+        };
+        Commitment(commitment.0.to_affine().to_projective())
     });
     let selector_commitments = [0, 1, 2, 3, 4].map(|i| commitments[i]);
     let sigma_commitments = [0, 1, 2].map(|i| commitments[5 + i]);

@@ -32,10 +32,13 @@
 //! | the OpenCheck's `eq` tables `kᵢ` | 5 | with the OpenCheck |
 //! | g′ | 5 | with the opening |
 //!
-//! [`prove`] returns wall-clock and operation-count measurements per step
-//! with every proof; the service's `PhaseHistograms` and `MsmRollup`,
-//! `table1_profile` and `zkbench` read them. Where the work runs and where
-//! its spans go is the caller's [`ExecCtx`].
+//! Each step is a [`ProtocolStep`], named once in [`ProtocolStep::TABLE`]:
+//! a display name, a trace span name and a metrics key. [`prove`] opens,
+//! closes and times every step through that table, and returns wall-clock
+//! and operation-count measurements per step with every proof; the
+//! service's `PhaseHistograms` and `MsmRollup`, `table1_profile`, the chip
+//! model and `zkbench` read them by step. Where the work runs and where its
+//! spans go is the caller's [`ExecCtx`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,7 +48,7 @@ use zkspeed_field::{modmul_count, Fr};
 use zkspeed_pcs::{commit, commit_sparse, open};
 use zkspeed_poly::{fraction_mle, product_mle, split_even_odd, MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::pool::{self, Backend, Serial};
-use zkspeed_rt::trace::TraceSink;
+use zkspeed_rt::trace::{Span, TraceSink};
 use zkspeed_sumcheck::{prove as sumcheck_prove, prove_zerocheck};
 use zkspeed_transcript::Transcript;
 
@@ -61,7 +64,10 @@ pub const PERM_SUMCHECK_DEGREE: usize = WIRING.zerocheck_degree();
 /// Per-round degree of the OpenCheck polynomial (Eq. 5): `yᵢ·kᵢ` has degree 2.
 pub const OPENCHECK_DEGREE: usize = 2;
 
-/// The protocol steps, in execution order.
+/// The protocol steps, in execution order. Each is named once, in
+/// [`ProtocolStep::TABLE`], for all three of its readers: the figures
+/// print its display name, `prove` opens its trace span and the service's
+/// metrics document keys its histogram.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolStep {
     /// Step 1: Sparse-MSM commitments to the witness columns.
@@ -87,24 +93,42 @@ impl ProtocolStep {
         ProtocolStep::PolynomialOpening,
     ];
 
+    /// Per step, in [`Self::ALL`] order: its display name, its trace span
+    /// name and its metrics key.
+    pub const TABLE: [[&'static str; 3]; 5] = [
+        ["Witness Commits", "witness-commit", "witness_commit"],
+        ["Gate Identity", "gate-identity", "gate_identity"],
+        ["Wire Identity", "wire-identity", "wire_identity"],
+        ["Batch Evals", "batch-evaluation", "batch_evaluation"],
+        ["Poly Open", "polynomial-opening", "polynomial_opening"],
+    ];
+
     /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolStep::WitnessCommit => "Witness Commits",
-            ProtocolStep::GateIdentity => "Gate Identity",
-            ProtocolStep::WireIdentity => "Wire Identity",
-            ProtocolStep::BatchEvaluation => "Batch Evals",
-            ProtocolStep::PolynomialOpening => "Poly Open",
-        }
+    pub fn name(self) -> &'static str {
+        Self::TABLE[self as usize][0]
+    }
+
+    /// The name of the trace span [`prove`] opens around the step.
+    pub fn span(self) -> &'static str {
+        Self::TABLE[self as usize][1]
+    }
+
+    /// The step's key in the service's metrics document.
+    pub fn key(self) -> &'static str {
+        Self::TABLE[self as usize][2]
     }
 }
+
+// Per-step values are indexed by step: `step_seconds[ProtocolStep::GateIdentity]`.
+zkspeed_rt::impl_index_by!(ProtocolStep, 5);
 
 /// Wall-clock and operation-count measurements from one proving run.
 #[derive(Clone, Debug, Default)]
 pub struct ProverReport {
     /// Problem size `μ`.
     pub num_vars: usize,
-    /// Seconds spent in each protocol step, indexed by [`ProtocolStep::ALL`].
+    /// Seconds spent in each protocol step, in [`ProtocolStep::ALL`] order
+    /// (`step_seconds[step]` reads one).
     pub step_seconds: [f64; 5],
     /// Sparse-MSM statistics of the Witness Commit step (all three columns).
     pub witness_msm: SparseMsmStats,
@@ -145,8 +169,7 @@ impl ProverReport {
 
     /// Seconds spent in a given step.
     pub fn seconds(&self, step: ProtocolStep) -> f64 {
-        let idx = ProtocolStep::ALL.iter().position(|s| *s == step).unwrap();
-        self.step_seconds[idx]
+        self.step_seconds[step]
     }
 }
 
@@ -273,13 +296,18 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         &pk.sigma_commitments,
     );
 
-    // ----- Step 1: Witness Commits (Sparse MSMs) -------------------------
+    let mut steps = Steps {
+        trace,
+        job,
+        seconds: [0.0; 5],
+        running: None,
+    };
+
+    steps.start(ProtocolStep::WitnessCommit);
     // The three column commitments are independent, so they fan out as one
     // job per column (each sparse MSM stays serial inside its job); results
     // are folded into the transcript in column order, so the proof is
     // bit-identical to a serial run.
-    let t0 = Instant::now();
-    let step_span = trace.span_with("witness-commit", "prove", &[("job", job)]);
     let job_srs = pk.srs.clone();
     let job_columns = witness.columns.clone();
     let job_tables = pk.commit_tables.clone();
@@ -305,12 +333,8 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         witness_commitments[1],
         witness_commitments[2],
     ];
-    drop(step_span);
-    report.step_seconds[0] = t0.elapsed().as_secs_f64();
 
-    // ----- Step 2: Gate Identity (ZeroCheck) ------------------------------
-    let t1 = Instant::now();
-    let step_span = trace.span_with("gate-identity", "prove", &[("job", job)]);
+    steps.start(ProtocolStep::GateIdentity);
     // The committed tables, indexed by `PolyLabel as usize`: the labels'
     // declaration order (σ, φ and π join in step 3).
     let mut committed: Vec<&MultilinearPoly> = pk
@@ -325,12 +349,8 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let gate_out = prove_zerocheck(f_gate, &mut transcript, &**backend, trace, "gate-round");
     let gate_rounds = modmul_count().since(&before).total() - gate_out.sumcheck.update_modmuls;
     let gate_point = gate_out.sumcheck.point.clone();
-    drop(step_span);
-    report.step_seconds[1] = t1.elapsed().as_secs_f64();
 
-    // ----- Step 3: Wiring Identity ----------------------------------------
-    let t2 = Instant::now();
-    let step_span = trace.span_with("wire-identity", "prove", &[("job", job)]);
+    steps.start(ProtocolStep::WireIdentity);
     let beta = transcript.challenge_scalar(b"beta");
     let gamma = transcript.challenge_scalar(b"gamma");
 
@@ -394,12 +414,8 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let perm_out = prove_zerocheck(f_perm, &mut transcript, &**backend, trace, "perm-round");
     let perm_rounds = modmul_count().since(&before).total() - perm_out.sumcheck.update_modmuls;
     let perm_point = perm_out.sumcheck.point.clone();
-    drop(step_span);
-    report.step_seconds[2] = t2.elapsed().as_secs_f64();
 
-    // ----- Step 4: Batch Evaluations ---------------------------------------
-    let t3 = Instant::now();
-    let step_span = trace.span_with("batch-evaluation", "prove", &[("job", job)]);
+    steps.start(ProtocolStep::BatchEvaluation);
     let before = modmul_count();
     // Only this step's evaluations and MLE Combine read σ.
     let sigmas = pk.circuit.sigma_mles();
@@ -440,12 +456,8 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     };
     transcript.append_scalars(b"batch-evaluations", &evaluations.flatten());
     let batch_muls = modmul_count().since(&before).total();
-    drop(step_span);
-    report.step_seconds[3] = t3.elapsed().as_secs_f64();
 
-    // ----- Step 5: Polynomial Opening --------------------------------------
-    let t4 = Instant::now();
-    let step_span = trace.span_with("polynomial-opening", "prove", &[("job", job)]);
+    steps.start(ProtocolStep::PolynomialOpening);
     // Per-group linear combinations (MLE Combine) of the queried MLEs. The
     // transcript challenges must be drawn serially in group order, but the
     // combinations themselves, their powers included, fan out one job per
@@ -512,8 +524,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
             .map(|(di, yi)| *di * *yi)
             .sum::<Fr>()
     );
-    drop(step_span);
-    report.step_seconds[4] = t4.elapsed().as_secs_f64();
+    report.step_seconds = steps.finish();
     report.transcript_hashes = transcript.hash_invocations();
 
     let sumchecks = [&gate_out.sumcheck, &perm_out.sumcheck, &open_out];
@@ -567,6 +578,40 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         },
         report,
     )
+}
+
+/// Opens, closes and times the protocol steps of one proof, each under its
+/// span name from [`ProtocolStep::TABLE`]: starting a step ends the one
+/// running.
+struct Steps<'a> {
+    trace: &'a TraceSink,
+    job: u64,
+    seconds: [f64; 5],
+    running: Option<(ProtocolStep, Instant, Span<'a>)>,
+}
+
+impl<'a> Steps<'a> {
+    fn start(&mut self, step: ProtocolStep) {
+        self.stop();
+        let clock = Instant::now();
+        let span = self
+            .trace
+            .span_with(step.span(), "prove", &[("job", self.job)]);
+        self.running = Some((step, clock, span));
+    }
+
+    fn stop(&mut self) {
+        if let Some((step, clock, span)) = self.running.take() {
+            drop(span);
+            self.seconds[step] = clock.elapsed().as_secs_f64();
+        }
+    }
+
+    /// Ends the running step and returns every step's seconds.
+    fn finish(mut self) -> [f64; 5] {
+        self.stop();
+        self.seconds
+    }
 }
 
 /// Where a ZeroCheck left `label`'s evaluation at query group `g`'s point,
@@ -758,19 +803,16 @@ mod tests {
         // The recording actually covers the span tree: protocol steps,
         // sumcheck rounds and MSM passes, tagged with the job ids.
         let events: Vec<_> = sink.threads().into_iter().flat_map(|t| t.events).collect();
-        for name in [
-            "witness-commit",
-            "gate-identity",
-            "wire-identity",
-            "batch-evaluation",
-            "polynomial-opening",
+        let steps = ProtocolStep::ALL.map(ProtocolStep::span);
+        let inner = [
             "gate-round",
             "perm-round",
             "open-round",
             "msm-witness",
             "msm-wiring",
             "msm-opening",
-        ] {
+        ];
+        for name in steps.into_iter().chain(inner) {
             assert!(events.iter().any(|e| e.name == name), "missing span {name}");
         }
         assert!(events
@@ -800,9 +842,9 @@ mod tests {
             // round, as the opening folds g′.
             assert_eq!(report.kernels[11].modmuls, 28 * folds, "μ = {mu}");
             // Fq outside the rows: an inversion and two multiplications
-            // normalise each commitment the transcript absorbs (the key's
-            // eight, the witness's three, φ and π).
-            let normalisations = 3 * 13;
+            // normalise each commitment the transcript absorbs but the
+            // key's eight, stored normalised (the witness's three, φ and π).
+            let normalisations = 3 * 5;
             assert_eq!(total.fq - sum(msms), normalisations, "μ = {mu}");
         }
     }

@@ -9,7 +9,6 @@
 //! (see `zkspeed::measured_workload` in the umbrella crate).
 
 use zkspeed_field::Fr;
-use zkspeed_rt::{JsonValue, ToJson};
 
 use crate::circuit::{Circuit, GateSelectors, Witness};
 
@@ -181,42 +180,6 @@ impl CircuitStats {
     }
 }
 
-impl ToJson for ColumnStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("zeros".into(), JsonValue::UInt(self.zeros as u64)),
-            ("ones".into(), JsonValue::UInt(self.ones as u64)),
-            ("dense".into(), JsonValue::UInt(self.dense as u64)),
-            ("zero_fraction".into(), self.zero_fraction().to_json()),
-            ("one_fraction".into(), self.one_fraction().to_json()),
-        ])
-    }
-}
-
-zkspeed_rt::impl_to_json_struct!(GateKindCounts {
-    additions,
-    multiplications,
-    constants,
-    linear,
-    nonlinear,
-    noops,
-});
-
-impl ToJson for CircuitStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("num_vars".into(), JsonValue::UInt(self.num_vars as u64)),
-            ("num_gates".into(), JsonValue::UInt(self.num_gates as u64)),
-            ("columns".into(), self.columns.to_json()),
-            ("selector_density".into(), self.selector_density.to_json()),
-            ("gate_kinds".into(), self.gate_kinds.to_json()),
-            ("zero_fraction".into(), self.zero_fraction().to_json()),
-            ("one_fraction".into(), self.one_fraction().to_json()),
-            ("sparsity".into(), self.sparsity().to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,9 +218,6 @@ mod tests {
         );
         // q_O is the densest selector in this circuit.
         assert!(stats.selector_density[3] >= stats.selector_density[2]);
-        // JSON emission works.
-        let json = stats.to_json().pretty();
-        assert!(json.contains("selector_density"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Hand-rolled JSON emission with a stable field order.
 //!
-//! The hardware-model and DSE report structs need a machine-readable dump
-//! (for figure regeneration scripts and benchmark trajectories) without a
-//! `serde` dependency. [`JsonValue`] is an owned JSON tree whose objects
+//! Two documents are rendered: the Table 5 chip configuration with its area
+//! and power breakdowns (`table5_area_power --json`) and the proving
+//! service's metrics, without a `serde` dependency. [`JsonValue`] is an
+//! owned JSON tree whose objects
 //! preserve insertion order, so the same struct always serializes to the
 //! same byte string; [`ToJson`] converts report types into it, usually via
 //! the [`impl_to_json_struct!`](crate::impl_to_json_struct) /
@@ -161,18 +162,6 @@ pub trait ToJson {
     fn to_json(&self) -> JsonValue;
 }
 
-impl ToJson for JsonValue {
-    fn to_json(&self) -> JsonValue {
-        self.clone()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Bool(*self)
-    }
-}
-
 macro_rules! impl_to_json_uint {
     ($($t:ty),* $(,)?) => {$(
         impl ToJson for $t {
@@ -185,27 +174,9 @@ macro_rules! impl_to_json_uint {
 
 impl_to_json_uint!(u8, u16, u32, u64, usize);
 
-macro_rules! impl_to_json_int {
-    ($($t:ty),* $(,)?) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> JsonValue {
-                JsonValue::Int(*self as i64)
-            }
-        }
-    )*};
-}
-
-impl_to_json_int!(i8, i16, i32, i64, isize);
-
 impl ToJson for f64 {
     fn to_json(&self) -> JsonValue {
         JsonValue::Float(*self)
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Float(*self as f64)
     }
 }
 
@@ -221,34 +192,7 @@ impl ToJson for String {
     }
 }
 
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> JsonValue {
-        (**self).to_json()
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            Some(v) => v.to_json(),
-            None => JsonValue::Null,
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> JsonValue {
         JsonValue::Array(self.iter().map(ToJson::to_json).collect())
     }

@@ -11,7 +11,9 @@
 //!   squeezing), so every test, example and benchmark is reproducible from a
 //!   single `u64` seed;
 //! * [`JsonValue`] / [`ToJson`] — hand-rolled, stable (insertion-ordered)
-//!   JSON emission for the hardware-model report structs, replacing `serde`;
+//!   JSON emission for the chip configuration dump and the service's
+//!   metrics, replacing `serde`;
+//! * [`impl_index_by!`] — arrays indexed by the enum that numbers them;
 //! * [`pool`] — the pluggable execution [`pool::Backend`] (serial, reusable
 //!   std-only worker pool) behind every parallel hot path, replacing
 //!   per-call scoped-thread spawning. Work is always split into
@@ -50,6 +52,28 @@ pub use keccak::{
     keccak_f1600, keccak_f1600_rounds, Sha3_256, KECCAK_ROUND_CONSTANTS, SHA3_256_RATE,
 };
 pub use rng::{FromRng, Rng, SampleUniform, SeedableRng, StdRng};
+
+/// Indexes arrays of `$len` values by the fieldless enum `$enum`, whose
+/// `$len` variants number them in declaration order: with
+/// `impl_index_by!(Step, 5)`, `seconds[Step::Open]` reads `seconds[4]`.
+#[macro_export]
+macro_rules! impl_index_by {
+    ($enum:ty, $len:literal) => {
+        impl<T> ::core::ops::Index<$enum> for [T; $len] {
+            type Output = T;
+
+            fn index(&self, i: $enum) -> &T {
+                &self[i as usize]
+            }
+        }
+
+        impl<T> ::core::ops::IndexMut<$enum> for [T; $len] {
+            fn index_mut(&mut self, i: $enum) -> &mut T {
+                &mut self[i as usize]
+            }
+        }
+    };
+}
 
 /// `rand`-style module alias so call sites can keep the familiar
 /// `use zkspeed_rt::rngs::StdRng;` import shape.

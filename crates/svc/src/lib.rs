@@ -19,7 +19,8 @@
 //!   `prove_batch` waves on disjoint backend pools; a panicking wave fails
 //!   only its own jobs, and every job carries a deadline ([`JobSpec`]);
 //! * [`ServiceMetrics`] — queue depth, wave occupancy, per-session and
-//!   per-phase latency histograms ([`PhaseHistograms`]), per-class queue-wait
+//!   per-phase latency histograms ([`PhaseHistograms`], indexed by
+//!   `ProtocolStep` and keyed by its metrics key), per-class queue-wait
 //!   histograms, proofs/sec and MSM rollups, emitted via
 //!   [`ToJson`](zkspeed_rt::ToJson).
 //!

@@ -20,49 +20,40 @@ use crate::store::SessionState;
 use crate::sync::lock;
 
 use zkspeed_curve::MsmStats;
-use zkspeed_hyperplonk::ProverReport;
+use zkspeed_hyperplonk::{ProtocolStep, ProverReport};
 use zkspeed_rt::trace::Histogram;
 use zkspeed_rt::{JsonValue, ToJson};
 
 /// Per-phase prove-time histograms (milliseconds), one per protocol step
 /// plus the whole-proof total. Filled from each completion's
-/// [`ProverReport`] step timings.
+/// [`ProverReport`] step timings; the JSON document keys each step's
+/// histogram by [`ProtocolStep::key`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseHistograms {
-    /// Step 1: sparse-MSM witness commits.
-    pub witness_commit: Histogram,
-    /// Step 2: Gate Identity ZeroCheck.
-    pub gate_identity: Histogram,
-    /// Step 3: Wire Identity (N&D, Frac/Prod MLEs, φ/π commits, PermCheck).
-    pub wire_identity: Histogram,
-    /// Step 4: the batched polynomial evaluations.
-    pub batch_evaluation: Histogram,
-    /// Step 5: polynomial opening (MLE Combine, OpenCheck, halving MSMs).
-    pub polynomial_opening: Histogram,
+    /// One per step, in [`ProtocolStep::ALL`] order (`steps[step]` reads
+    /// one).
+    pub steps: [Histogram; 5],
     /// Whole-proof wall time (sum of the five steps).
     pub prove_total: Histogram,
 }
 
 impl PhaseHistograms {
     fn record_report(&mut self, report: &ProverReport) {
-        let ms = |s: f64| s * 1e3;
-        self.witness_commit.record(ms(report.step_seconds[0]));
-        self.gate_identity.record(ms(report.step_seconds[1]));
-        self.wire_identity.record(ms(report.step_seconds[2]));
-        self.batch_evaluation.record(ms(report.step_seconds[3]));
-        self.polynomial_opening.record(ms(report.step_seconds[4]));
-        self.prove_total.record(ms(report.total_seconds()));
+        for (histogram, seconds) in self.steps.iter_mut().zip(report.step_seconds) {
+            histogram.record(seconds * 1e3);
+        }
+        self.prove_total.record(report.total_seconds() * 1e3);
     }
 }
 
-zkspeed_rt::impl_to_json_struct!(PhaseHistograms {
-    witness_commit,
-    gate_identity,
-    wire_identity,
-    batch_evaluation,
-    polynomial_opening,
-    prove_total,
-});
+impl ToJson for PhaseHistograms {
+    fn to_json(&self) -> JsonValue {
+        let steps =
+            ProtocolStep::ALL.map(|step| (step.key().to_string(), self.steps[step].to_json()));
+        let total = ("prove_total".to_string(), self.prove_total.to_json());
+        JsonValue::Object(steps.into_iter().chain([total]).collect())
+    }
+}
 
 /// Rolled-up MSM operation counts across every proof the service produced.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -529,8 +520,9 @@ mod tests {
 
         // The per-phase histograms saw every completion.
         assert_eq!(snap.phases.prove_total.count(), 3);
-        assert_eq!(snap.phases.witness_commit.count(), 3);
-        let wc = snap.phases.witness_commit.quantile(0.5);
+        let witness_commit = &snap.phases.steps[ProtocolStep::WitnessCommit];
+        assert_eq!(witness_commit.count(), 3);
+        let wc = witness_commit.quantile(0.5);
         assert!((10.0..=10.0 * 1.07).contains(&wc), "witness commit {wc}");
 
         // The JSON document keeps every key path, in order.

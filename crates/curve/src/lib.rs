@@ -10,11 +10,12 @@
 //! * [`G1Affine`] / [`G1Projective`] — the group, with complete full and
 //!   mixed addition formulas (the PADD datapath);
 //! * [`msm`] / [`msm_with_config_on`] — Pippenger's algorithm over the GLV
-//!   endomorphism (128-bit scalar halves over the points and their images),
-//!   with configurable window size, signed-digit recoding, and streaming
-//!   batch-affine bucket accumulation and aggregation (the chip's 255-bit
-//!   unit and its grouped aggregation schedule, Fig. 5 of the paper, are
-//!   modelled in `zkspeed_hw`) — see [`MsmConfig`];
+//!   endomorphism (128-bit scalar halves over the points and their images)
+//!   on one datapath: signed-digit windows, and streaming batch-affine
+//!   bucket accumulation and aggregation wherever a window's operations
+//!   fill the batches; [`MsmConfig`] sets only the window width. (The
+//!   chip's 255-bit unit and its grouped aggregation schedule, Fig. 5 of
+//!   the paper, are modelled in `zkspeed_hw`.)
 //! * [`sparse_msm`] — the Sparse MSM used by the Witness Commit step;
 //! * [`msm_precomputed`] / [`sparse_msm_precomputed`] — both over a
 //!   [`MultiBaseTable`] of fixed bases, with no window doublings;
@@ -56,6 +57,6 @@ pub use g1::{
 pub use msm::{
     auto_window_bits, msm, msm_precomputed, msm_with_config_on, naive_msm, sparse_msm,
     sparse_msm_on, sparse_msm_precomputed, MsmConfig, MsmStats, SparseMsmStats,
-    BATCH_AFFINE_DEFAULT_MIN_POINTS,
+    BATCH_AFFINE_MIN_ADDS,
 };
 pub use multi_base::{MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};

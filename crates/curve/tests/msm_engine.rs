@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use zkspeed_curve::{
     msm, msm_with_config_on, naive_msm, sparse_msm, G1Affine, G1Projective, MsmConfig,
-    BATCH_AFFINE_DEFAULT_MIN_POINTS,
+    BATCH_AFFINE_MIN_ADDS,
 };
 use zkspeed_field::{measure_modmuls, Fr};
 use zkspeed_rt::pool::{Backend, Serial, ThreadPool};
@@ -103,11 +103,9 @@ fn adversarial_inputs(n: usize, r: &mut StdRng) -> Vec<(&'static str, Vec<G1Affi
     ]
 }
 
-/// Each input against [`naive_msm`] for every window size, signed and
-/// unsigned, on the forced batch-affine path, the default one and the
-/// projective one; and in the
-/// default configuration at every size up to 33 and around the parallel
-/// floor, where the choice of path is the engine's.
+/// Each input against [`naive_msm`] at every window size, and at the
+/// automatic width at every size up to 33 and around the parallel floor; the
+/// engine chooses each window's path from its operations.
 #[test]
 fn adversarial_inputs_match_naive_at_every_window_size() {
     let mut r = rng();
@@ -115,18 +113,10 @@ fn adversarial_inputs_match_naive_at_every_window_size() {
     for (case, points, scalars) in adversarial_inputs(n, &mut r) {
         let expect = naive_msm(&points, &scalars);
         for w in 1..=16usize {
-            for signed in [false, true] {
-                for min_points in [0, BATCH_AFFINE_DEFAULT_MIN_POINTS, usize::MAX] {
-                    let config = MsmConfig::optimized()
-                        .with_signed_digits(signed)
-                        .with_window_bits(w)
-                        .with_batch_affine_min_points(min_points);
-                    let (res, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
-                    assert_eq!(res, expect, "{case}: {config:?}");
-                    let halves = if signed { 2 * n as u64 } else { 0 };
-                    assert_eq!(stats.recoded_scalars, halves);
-                }
-            }
+            let config = MsmConfig::default().with_window_bits(w);
+            let (res, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
+            assert_eq!(res, expect, "{case}: w = {w}");
+            assert_eq!(stats.recoded_scalars, 2 * n as u64, "{case}: w = {w}");
         }
     }
     for n in (1..=33).chain([255, 256, 257]) {
@@ -142,23 +132,26 @@ fn adversarial_inputs_match_naive_at_every_window_size() {
 fn modelled_fq_muls_are_the_measured_ones() {
     // `MsmStats::fq_muls` against the field layer's counters around the same
     // run: equal up to one multiplication per batch-affine doubling, which
-    // uniform inputs do not produce.
+    // distinct points do not produce. Uniform scalars take the batch-affine
+    // path, equal ones mostly the projective one, and narrow ones (±1, ±2)
+    // one window spread over copies of its buckets; at two widths each.
     let mut r = rng();
     let n = 1 << 10;
     let points = cheap_points(n, &mut r);
-    let scalars = random_scalars(n, &mut r);
-    let forced = |config: MsmConfig| config.with_batch_affine_min_points(0);
-    for (name, config) in [
-        ("classic", MsmConfig::classic()),
-        ("signed", MsmConfig::classic().with_signed_digits(true)),
-        ("batch-affine", forced(MsmConfig::classic())),
-        ("optimized", MsmConfig::optimized()),
-        ("optimized-forced", forced(MsmConfig::optimized())),
+    let narrow = [Fr::one(), -Fr::one(), Fr::from_u64(2), -Fr::from_u64(2)];
+    for (name, scalars) in [
+        ("uniform", random_scalars(n, &mut r)),
+        ("equal scalars", vec![Fr::random(&mut r); n]),
+        ("narrow", (0..n).map(|i| narrow[i % 4]).collect()),
     ] {
-        let ((_, stats), muls) =
-            measure_modmuls(|| msm_with_config_on(&Serial, &points, &scalars, config));
-        assert_eq!(stats.fq_muls(), muls.fq, "{name}");
+        for w in [0, 8] {
+            let config = MsmConfig::default().with_window_bits(w);
+            let ((_, stats), muls) =
+                measure_modmuls(|| msm_with_config_on(&Serial, &points, &scalars, config));
+            assert_eq!(stats.fq_muls(), muls.fq, "{name}, w = {w}");
+        }
     }
+    let scalars = random_scalars(n, &mut r);
     let sparse: Vec<Fr> = (0..n)
         .map(|i| match i % 3 {
             0 => scalars[i],
@@ -228,13 +221,13 @@ fn skewed_windows_never_pay_an_inversion_per_addition() {
     let mut r = rng();
     let n = 1 << 10;
     let points = cheap_points(n, &mut r);
-    let config = MsmConfig::optimized().with_window_bits(8);
+    let config = MsmConfig::default().with_window_bits(8);
     let (_, skewed) = msm_with_config_on(&Serial, &points, &vec![Fr::random(&mut r); n], config);
     assert!(skewed.bucket_adds > skewed.affine_adds);
     let (_, uniform) = msm_with_config_on(&Serial, &points, &random_scalars(n, &mut r), config);
     assert!(uniform.bucket_adds == 0 && uniform.batch_inversions > 0);
     for stats in [skewed, uniform] {
-        let min_adds = BATCH_AFFINE_DEFAULT_MIN_POINTS as u64;
+        let min_adds = BATCH_AFFINE_MIN_ADDS as u64;
         assert!(
             stats.affine_adds >= min_adds * stats.batch_inversions,
             "{stats:?}"
@@ -269,19 +262,12 @@ fn aggregation_is_backend_invariant_at_every_width() {
             .map(|i| if i % 4 == 3 { -scalars[i] } else { scalars[i] })
             .sum();
         let expect = p.to_projective().mul_scalar(&signed);
-        for signed_digits in [false, true] {
-            for min_points in [0, BATCH_AFFINE_DEFAULT_MIN_POINTS, usize::MAX] {
-                let config = MsmConfig::optimized()
-                    .with_signed_digits(signed_digits)
-                    .with_window_bits(w)
-                    .with_batch_affine_min_points(min_points);
-                let serial = msm_with_config_on(&Serial, &points, &scalars, config);
-                assert_eq!(serial.0, expect, "{config:?}");
-                for backend in backends {
-                    let other = msm_with_config_on(backend, &points, &scalars, config);
-                    assert_eq!(other, serial, "{config:?}, {backend:?}");
-                }
-            }
+        let config = MsmConfig::default().with_window_bits(w);
+        let serial = msm_with_config_on(&Serial, &points, &scalars, config);
+        assert_eq!(serial.0, expect, "w = {w}");
+        for backend in backends {
+            let other = msm_with_config_on(backend, &points, &scalars, config);
+            assert_eq!(other, serial, "w = {w}, {backend:?}");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The MSM unit model: Pippenger's algorithm on a pipelined point adder,
 //! with the Sparse-MSM tree mode, the two bucket-aggregation schedules
 //! compared in Figure 5 of the paper, and the datapath variants the
-//! functional layer measures (signed digits, batch-affine buckets,
-//! precomputed multi-base tables).
+//! functional layer runs (signed digits with batch-affine or projective
+//! buckets, precomputed multi-base tables).
 //!
 //! Drift between model and software: the unit, like the paper's chip, runs
 //! Pippenger over 255-bit scalars, while the software MSM splits every
@@ -39,10 +39,13 @@ pub enum AggregationSchedule {
     },
 }
 
-/// The bucket-accumulation datapath, mirroring the engines the functional
-/// MSM layer measures (`zkspeed_curve::msm_with_config_on`,
-/// `zkspeed_curve::msm_precomputed` and their `MsmStats` pricing), over the
-/// chip's whole 255-bit scalars.
+/// The bucket-accumulation datapath, over the chip's whole 255-bit scalars.
+/// `Signed` prices the two bucket paths the functional engine
+/// (`zkspeed_curve::msm`) chooses between window by window — batch-affine
+/// buckets, or projective ones for a window piled onto a few buckets — and
+/// `Precomputed` its table engine (`zkspeed_curve::msm_precomputed`), both
+/// at the `MsmStats` pricing. `Unsigned` is the paper's datapath, which the
+/// software does not run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MsmDatapath {
     /// Classic unsigned Pippenger with full projective bucket additions —
@@ -436,25 +439,41 @@ mod tests {
         cfg.dense_msm_fq_muls(2 * n) * half_windows as f64 / cfg.num_windows() as f64
     }
 
-    #[test]
-    fn signed_fq_muls_track_functional_stats() {
-        // The signed-digit model term (ROADMAP 5b) must land within a small
-        // band of the functional engine's counted operations.
+    /// The functional engine's counts at `w`-bit windows on `n` random
+    /// points, for uniform scalars and for all-equal ones, each with the
+    /// bucket path the engine took for it: uniform scalars fill batch-affine
+    /// buckets (`true`), all-equal ones pile each window onto one or two
+    /// buckets and fill projective ones (`false`).
+    fn engine_counts(n: usize, w: usize, seed: u64) -> [(bool, zkspeed_curve::MsmStats); 2] {
         use zkspeed_curve::{msm_with_config_on, G1Projective, MsmConfig};
         use zkspeed_field::Fr;
         use zkspeed_rt::pool::Serial;
         use zkspeed_rt::rngs::StdRng;
         use zkspeed_rt::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(21);
-        let n = 256;
+        let mut rng = StdRng::seed_from_u64(seed);
         let points: Vec<_> = (0..n)
             .map(|_| G1Projective::random(&mut rng).to_affine())
             .collect();
-        let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        for (min_points, batch_affine) in [(usize::MAX, false), (0, true)] {
-            let mut config = MsmConfig::optimized().with_window_bits(8);
-            config.batch_affine_min_points = min_points;
-            let (_, stats) = msm_with_config_on(&Serial, &points, &scalars, config);
+        let uniform: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+        let equal = vec![uniform[0]; n];
+        let config = MsmConfig::default().with_window_bits(w);
+        let run = |scalars: &[Fr]| msm_with_config_on(&Serial, &points, scalars, config).1;
+        let (uniform, equal) = (run(&uniform), run(&equal));
+        assert!(uniform.bucket_adds == 0, "uniform: {uniform:?}");
+        assert!(
+            equal.bucket_adds > equal.affine_adds,
+            "all-equal: {equal:?}"
+        );
+        [(true, uniform), (false, equal)]
+    }
+
+    #[test]
+    fn signed_fq_muls_track_functional_stats() {
+        // The signed-digit model term (ROADMAP 5b) must land within a small
+        // band of the functional engine's counted operations, on each
+        // bucket path.
+        let n = 256;
+        for (batch_affine, stats) in engine_counts(n, 8, 21) {
             let cfg = MsmUnitConfig {
                 window_bits: 8,
                 datapath: MsmDatapath::Signed { batch_affine },
@@ -473,11 +492,10 @@ mod tests {
     fn precomputed_fq_muls_track_functional_stats() {
         // The precomputed-table model must track `msm_precomputed`'s
         // measured operations, including the measured speedup over the
-        // classic datapath.
+        // table-free engine on the same uniform scalars.
         use std::sync::Arc;
-        use zkspeed_curve::{
-            msm_precomputed, msm_with_config_on, G1Projective, MsmConfig, MultiBaseTable,
-        };
+        use zkspeed_curve::MultiBaseTable;
+        use zkspeed_curve::{msm_precomputed, msm_with_config_on, G1Projective, MsmConfig};
         use zkspeed_field::Fr;
         use zkspeed_rt::pool::Serial;
         use zkspeed_rt::rngs::StdRng;
@@ -491,16 +509,21 @@ mod tests {
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
         let table = Arc::new(MultiBaseTable::build(&Arc::new(points.clone()), w, &Serial));
         let (_, pre_stats) = msm_precomputed(&Serial, &table, &scalars);
-        let classic = MsmConfig::classic().with_window_bits(w);
-        let (_, classic_stats) = msm_with_config_on(&Serial, &points, &scalars, classic);
+        let config = MsmConfig::default().with_window_bits(w);
+        let (_, engine_stats) = msm_with_config_on(&Serial, &points, &scalars, config);
+        assert_eq!(
+            engine_stats.bucket_adds, 0,
+            "batch-affine path: {engine_stats:?}"
+        );
 
-        let base = MsmUnitConfig {
+        let engine_cfg = MsmUnitConfig {
             window_bits: w,
+            datapath: MsmDatapath::Signed { batch_affine: true },
             ..MsmUnitConfig::default()
         };
         let pre_cfg = MsmUnitConfig {
             datapath: MsmDatapath::Precomputed { batch_affine: true },
-            ..base
+            ..engine_cfg
         };
         let model = pre_cfg.dense_msm_fq_muls(n);
         let measured = pre_stats.fq_muls() as f64;
@@ -508,10 +531,11 @@ mod tests {
             model > measured * 0.5 && model < measured * 2.5,
             "model {model} vs measured {measured}"
         );
-        // Analytical speedup over the classic datapath tracks the measured
-        // speedup within 2×, the classic one at the software's GLV shape.
-        let model_ratio = at_glv_shape(&base, n) / model;
-        let measured_ratio = classic_stats.fq_muls() as f64 / measured;
+        // Analytical speedup over the table-free datapath tracks the
+        // measured speedup within 2×, the table-free one at the software's
+        // GLV shape.
+        let model_ratio = at_glv_shape(&engine_cfg, n) / model;
+        let measured_ratio = engine_stats.fq_muls() as f64 / measured;
         assert!(model_ratio > 1.0 && measured_ratio > 1.0);
         assert!(
             model_ratio > measured_ratio * 0.5 && model_ratio < measured_ratio * 2.0,
@@ -521,34 +545,23 @@ mod tests {
 
     #[test]
     fn fq_mul_count_is_consistent_with_functional_stats() {
-        // The analytic count should be within 2× of the functional layer's
-        // counted operations for the same window size (the functional layer
-        // skips zero-valued windows, the model does not).
-        use zkspeed_curve::{msm_with_config_on, G1Projective, MsmConfig};
-        use zkspeed_field::Fr;
-        use zkspeed_rt::pool::Serial;
-        use zkspeed_rt::rngs::StdRng;
-        use zkspeed_rt::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = 64;
-        let points: Vec<_> = (0..n)
-            .map(|_| G1Projective::random(&mut rng).to_affine())
-            .collect();
-        let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        // The classic schedule (unsigned windows, mixed additions) is the
-        // functional counterpart of the modeled Pippenger unit.
-        let classic = MsmConfig::classic().with_window_bits(8);
-        let (_, stats) = msm_with_config_on(&Serial, &points, &scalars, classic);
-        let cfg = MsmUnitConfig {
-            window_bits: 8,
-            ..MsmUnitConfig::default()
-        };
-        let model = at_glv_shape(&cfg, n);
-        let measured = stats.fq_muls() as f64;
-        assert!(
-            model > measured * 0.5 && model < measured * 2.5,
-            "model {model} vs measured {measured}"
-        );
+        // At the highlighted design's window width, the analytic count
+        // should be within the band of the functional layer's counted
+        // operations on each bucket path (the functional layer skips
+        // zero-valued windows, the model does not).
+        let (n, w) = (512, MsmUnitConfig::default().window_bits);
+        for (batch_affine, stats) in engine_counts(n, w, 7) {
+            let cfg = MsmUnitConfig {
+                datapath: MsmDatapath::Signed { batch_affine },
+                ..MsmUnitConfig::default()
+            };
+            let model = at_glv_shape(&cfg, n);
+            let measured = stats.fq_muls() as f64;
+            assert!(
+                model > measured * 0.5 && model < measured * 2.5,
+                "batch_affine={batch_affine}: model {model} vs measured {measured}"
+            );
+        }
     }
 }
 

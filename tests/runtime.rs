@@ -12,7 +12,7 @@ use std::sync::Arc;
 use zkspeed::prelude::*;
 use zkspeed_curve::{
     msm, msm_precomputed, msm_with_config_on, naive_msm, sparse_msm, G1Affine, G1Projective,
-    MsmConfig, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
+    MsmConfig, MsmStats, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
 };
 use zkspeed_field::{measure_modmuls, Fr, ModmulCount};
 use zkspeed_hyperplonk::{
@@ -130,35 +130,49 @@ fn sparse_msm_parallel_matches_serial() {
 }
 
 #[test]
-fn msm_schedules_agree_and_are_thread_count_invariant() {
-    // Every engine configuration must compute the naive result, and within
-    // one configuration the result AND the operation counters must not
-    // depend on the thread count (work is split by configuration, never by
-    // backend width).
-    let (points, scalars) = random_msm_instance(512, 0xD5EE_D014);
-    let expect = naive_msm(&points, &scalars);
-    for (name, config) in [
-        ("classic", MsmConfig::classic()),
-        ("signed", MsmConfig::classic().with_signed_digits(true)),
+fn msm_inputs_take_their_paths_and_are_thread_count_invariant() {
+    // The engine has one datapath and chooses, window by window, between
+    // batch-affine and projective buckets from the operations it sees. For
+    // each input: the path it took (read from the operation counts), the
+    // naive result, and the result AND the counters at every thread count
+    // (work is split by the problem, never by backend width).
+    let (points, uniform) = random_msm_instance(512, 0xD5EE_D014);
+    let n = points.len();
+    let narrow = [Fr::one(), -Fr::one(), Fr::from_u64(2), -Fr::from_u64(2)];
+    let p = points[0];
+    let signed_p: Vec<G1Affine> = (0..n)
+        .map(|i| if i % 3 == 2 { p.neg() } else { p })
+        .collect();
+    let holes: Vec<Fr> = (0..n)
+        .map(|i| if i % 5 == 0 { Fr::zero() } else { uniform[i] })
+        .collect();
+    type Path = fn(&MsmStats) -> bool;
+    let batch_affine: Path = |s| s.bucket_adds == 0 && s.affine_adds > 0;
+    let projective: Path = |s| s.bucket_adds > s.affine_adds;
+    let cases: [(&str, &[G1Affine], Vec<Fr>, Path); 4] = [
+        ("uniform", &points, uniform.clone(), batch_affine),
+        ("all-equal", &points, vec![uniform[0]; n], projective),
         (
-            "batch-affine",
-            MsmConfig::classic().with_batch_affine_min_points(0),
+            "narrow",
+            &points,
+            (0..n).map(|i| narrow[i % 4]).collect(),
+            batch_affine,
         ),
-        ("optimized", MsmConfig::optimized()),
-    ] {
-        let serial = msm_with_config_on(&Serial, &points, &scalars, config);
-        assert_eq!(serial.0, expect, "{name}: wrong result");
+        ("±P with holes", &signed_p, holes, batch_affine),
+    ];
+    for (name, points, scalars, path) in cases {
+        let config = MsmConfig::default();
+        let serial = msm_with_config_on(&Serial, points, &scalars, config);
+        assert_eq!(
+            serial.0,
+            naive_msm(points, &scalars),
+            "{name}: wrong result"
+        );
+        assert!(path(&serial.1), "{name}: wrong path, {:?}", serial.1);
         for threads in POOL_THREADS {
             let pool = ThreadPool::new(threads);
-            let parallel = msm_with_config_on(&pool, &points, &scalars, config);
-            assert_eq!(
-                parallel.0, serial.0,
-                "{name}: {threads}-thread result drifted"
-            );
-            assert_eq!(
-                parallel.1, serial.1,
-                "{name}: {threads}-thread stats drifted"
-            );
+            let parallel = msm_with_config_on(&pool, points, &scalars, config);
+            assert_eq!(parallel, serial, "{name}: {threads}-thread run drifted");
         }
     }
 }

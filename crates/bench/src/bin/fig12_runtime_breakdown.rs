@@ -9,7 +9,7 @@ fn main() {
 
     section("a) CPU (calibrated model, Figure 12a shares)");
     println!("total {:.0} ms", ms(CpuModel::total_seconds(20)));
-    for (label, share, kernel) in FIG12A_SHARES {
+    for (label, share, _, kernel) in FIG12A_SHARES {
         println!("  {label:<24} {:>5.1}%  ({})", pct(share), kernel.name());
     }
 

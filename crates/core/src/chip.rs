@@ -8,7 +8,7 @@ use zkspeed_hw::{
     MsmUnitConfig, MtuConfig, Sha3UnitConfig, SramModel, SumcheckUnitConfig,
 };
 
-use zkspeed_hyperplonk::ProtocolStep;
+use zkspeed_hyperplonk::{Kernel as Table1, ProtocolStep};
 
 use crate::workload::Workload;
 
@@ -17,93 +17,60 @@ const FR_BYTES: f64 = 32.0;
 /// Bytes per elliptic-curve point moved over HBM.
 const POINT_BYTES: f64 = 96.0;
 
-/// The accelerator units, in the order used for utilization reporting
-/// (Figure 13).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Unit {
-    /// MSM unit.
-    Msm,
-    /// SumCheck unit.
-    Sumcheck,
-    /// MLE Update unit.
-    MleUpdate,
-    /// Multifunction Tree unit.
-    MultifunctionTree,
-    /// Construct N&D unit.
-    ConstructNd,
-    /// FracMLE unit.
-    FracMle,
-    /// MLE Combine unit.
-    MleCombine,
-    /// SHA3 unit.
-    Sha3,
-}
-
-impl Unit {
-    /// All units in reporting order.
-    pub const ALL: [Unit; 8] = [
-        Unit::Msm,
-        Unit::Sumcheck,
-        Unit::MleUpdate,
-        Unit::MultifunctionTree,
-        Unit::ConstructNd,
-        Unit::FracMle,
-        Unit::MleCombine,
-        Unit::Sha3,
-    ];
-
-    /// Display name matching the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Unit::Msm => "MSM",
-            Unit::Sumcheck => "SumCheck",
-            Unit::MleUpdate => "MLE Update",
-            Unit::MultifunctionTree => "Multifunction Tree",
-            Unit::ConstructNd => "Construct N&D",
-            Unit::FracMle => "FracMLE",
-            Unit::MleCombine => "MLE Combine",
-            Unit::Sha3 => "SHA3",
-        }
+zkspeed_rt::table_enum! {
+    /// The accelerator units, in the order used for utilization reporting
+    /// (Figure 13), each with its display name.
+    pub enum Unit: &'static str {
+        /// MSM unit.
+        Msm = "MSM",
+        /// SumCheck unit.
+        Sumcheck = "SumCheck",
+        /// MLE Update unit.
+        MleUpdate = "MLE Update",
+        /// Multifunction Tree unit.
+        MultifunctionTree = "Multifunction Tree",
+        /// Construct N&D unit.
+        ConstructNd = "Construct N&D",
+        /// FracMLE unit.
+        FracMle = "FracMLE",
+        /// MLE Combine unit.
+        MleCombine = "MLE Combine",
+        /// SHA3 unit.
+        Sha3 = "SHA3",
     }
 }
 
-// Per-unit values are indexed by unit: `busy[Unit::Msm]`.
-zkspeed_rt::impl_index_by!(Unit, 8);
+impl Unit {
+    /// Display name matching the paper's figures.
+    pub fn name(&self) -> &'static str {
+        Self::TABLE[*self as usize]
+    }
+}
 
-/// The kernels a proof's time is grouped into for the speedup analysis
-/// (Figures 10 and 14): three MSM groups, three SumChecks and the batch
-/// evaluations.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// The three Sparse MSMs of the witness commitments (step 1).
-    WitnessMsm,
-    /// The dense MSMs committing φ and π (step 3).
-    WiringMsm,
-    /// The halving MSMs of the polynomial opening (step 5).
-    PolyOpenMsm,
-    /// The Gate Identity ZeroCheck rounds (step 2).
-    ZeroCheck,
-    /// The PermCheck rounds (step 3); on the CPU also the creation of its
-    /// MLEs.
-    PermCheck,
-    /// The OpenCheck rounds (step 5).
-    OpenCheck,
-    /// The batch evaluations (step 4); on the CPU also MLE Combine.
-    FinalEval,
+zkspeed_rt::table_enum! {
+    /// The kernels a proof's time is grouped into for the speedup analysis
+    /// (Figures 10 and 14), each with its display name: three MSM groups,
+    /// three SumChecks and the final evaluations.
+    pub enum Kernel: &'static str {
+        /// The Sparse MSMs of the witness commitments (step 1): one Table 1 row.
+        WitnessMsm = Table1::WitnessMsm.label(),
+        /// The dense MSMs committing φ and π (step 3).
+        WiringMsm = "Wiring MSMs",
+        /// The halving MSMs of the polynomial opening (step 5).
+        PolyOpenMsm = "PolyOpen MSMs",
+        /// The Gate Identity ZeroCheck rounds (step 2).
+        ZeroCheck = "ZeroCheck",
+        /// The PermCheck rounds (step 3); on the CPU also the creation of
+        /// its MLEs.
+        PermCheck = "PermCheck",
+        /// The OpenCheck rounds (step 5).
+        OpenCheck = "OpenCheck",
+        /// The batch evaluations (step 4) and MLE Combine (step 5).
+        FinalEval = "Final Eval",
+    }
 }
 
 impl Kernel {
-    /// All kernels in reporting order.
-    pub const ALL: [Kernel; 7] = [
-        Kernel::WitnessMsm,
-        Kernel::WiringMsm,
-        Kernel::PolyOpenMsm,
-        Kernel::ZeroCheck,
-        Kernel::PermCheck,
-        Kernel::OpenCheck,
-        Kernel::FinalEval,
-    ];
-
     /// The MSM kernels (Figure 11's MSM scaling).
     pub const MSMS: [Kernel; 3] = [Kernel::WitnessMsm, Kernel::WiringMsm, Kernel::PolyOpenMsm];
 
@@ -112,20 +79,9 @@ impl Kernel {
 
     /// Display name.
     pub fn name(&self) -> &'static str {
-        match self {
-            Kernel::WitnessMsm => "Witness MSMs",
-            Kernel::WiringMsm => "Wiring MSMs",
-            Kernel::PolyOpenMsm => "PolyOpen MSMs",
-            Kernel::ZeroCheck => "ZeroCheck",
-            Kernel::PermCheck => "PermCheck",
-            Kernel::OpenCheck => "OpenCheck",
-            Kernel::FinalEval => "Final Eval",
-        }
+        Self::TABLE[*self as usize]
     }
 }
-
-// Per-kernel values are indexed by kernel: `kernels[Kernel::ZeroCheck]`.
-zkspeed_rt::impl_index_by!(Kernel, 7);
 
 /// A complete zkSpeed chip configuration (every Table 2 knob plus the
 /// memory system and the maximum supported problem size).
@@ -330,6 +286,7 @@ impl ChipConfig {
         let combine = secs(self.mle_combine.combine_cycles(13, n as usize));
         let build_k = secs(6.0 * self.mtu.tree_pass_cycles(mu));
         sim.busy[Unit::MleCombine] += combine;
+        sim.kernels[Kernel::FinalEval] += combine;
         sim.busy[Unit::MultifunctionTree] += build_k;
         let phase_5a = combine.max(build_k).max(mem(8.0 * n * FR_BYTES));
         // OpenCheck rounds over 12 tables.
@@ -338,6 +295,7 @@ impl ChipConfig {
         // Final combine + the serial halving MSM sequence.
         let final_combine = secs(self.mle_combine.combine_cycles(6, n as usize));
         sim.busy[Unit::MleCombine] += final_combine;
+        sim.kernels[Kernel::FinalEval] += final_combine;
         let mut halving_cycles = 0.0;
         let mut size = workload.num_gates() / 2;
         while size >= 1 {

@@ -12,7 +12,8 @@ const TOLERANCE: f64 = 1e-12;
 
 /// One problem size's pinned values. Kernels are in the Figure 14 order:
 /// witness, wiring and opening MSMs, then the ZeroCheck, PermCheck and
-/// OpenCheck rounds; the chip adds its batch evaluations last.
+/// OpenCheck rounds; the chip adds its batch evaluations and MLE Combine
+/// last.
 struct Pin {
     mu: usize,
     steps: [f64; 5],
@@ -38,7 +39,7 @@ const PINS: [Pin; 3] = [
             6.614750000000002e-5,
             6.795150000000002e-5,
             7.402350000000001e-5,
-            9.3104e-5,
+            0.00012776444444444443,
         ],
         cpu: [
             0.125752,
@@ -73,7 +74,7 @@ const PINS: [Pin; 3] = [
             0.0005250074999999998,
             0.0005410394999999998,
             0.0005901194999999998,
-            0.000724416,
+            0.0010011955555555556,
         ],
         cpu: [
             0.7584719999999999,
@@ -108,7 +109,7 @@ const PINS: [Pin; 3] = [
             0.0041951315,
             0.0043257435000000006,
             0.0047188874999999995,
-            0.005771216,
+            0.007984948444444443,
         ],
         cpu: [
             6.516576000000001,

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Enumerated tests of the Montgomery multiplication kernel of both fields
 //! (`square` is `mul` of an element by itself): every pair of edge operands
 //! plus seeded random pairs against the slow schoolbook reference, and the

@@ -14,7 +14,7 @@
 //!   Commits, Gate Identity, Wiring Identity, Batch Evaluations, Polynomial
 //!   Opening), each exercising the kernels the accelerator builds units for,
 //!   run where an [`ExecCtx`] says: its backend, trace sink and job id.
-//!   Each proof's [`ProverReport`] counts its modmuls by Table 1 kernel;
+//!   Each proof's [`ProverReport`] counts its modmuls by Table 1 [`Kernel`];
 //! * [`verify`] — the succinct verifier;
 //! * [`mock_circuit`] / [`NAMED_WORKLOADS`] — the synthetic workloads the
 //!   paper evaluates on (Table 3).
@@ -54,6 +54,7 @@ mod keys;
 mod mock;
 mod proof;
 mod prover;
+mod report;
 mod serialize;
 mod stats;
 mod verifier;
@@ -67,8 +68,9 @@ pub use keys::{
 pub use mock::{mock_circuit, NamedWorkload, SparsityProfile, NAMED_WORKLOADS};
 pub use proof::{query_groups, BatchEvaluations, PolyLabel, Proof, QueryGroup};
 pub use prover::{
-    prove, prove_batch, prove_unchecked, ExecCtx, KernelRow, ProtocolStep, ProveError,
-    ProverReport, GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE,
+    prove, prove_batch, prove_unchecked, ExecCtx, ProveError, GATE_SUMCHECK_DEGREE,
+    OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE,
 };
+pub use report::{Kernel, KernelRow, ProtocolStep, ProverReport};
 pub use stats::{CircuitStats, ColumnStats, GateKindCounts};
 pub use verifier::{verify, VerifyError};

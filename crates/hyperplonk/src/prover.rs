@@ -32,23 +32,18 @@
 //! | the OpenCheck's `eq` tables `kᵢ` | 5 | with the OpenCheck |
 //! | g′ | 5 | with the opening |
 //!
-//! Each step is a [`ProtocolStep`], named once in [`ProtocolStep::TABLE`]:
-//! a display name, a trace span name and a metrics key. [`prove`] opens,
-//! closes and times every step through that table, and returns wall-clock
-//! and operation-count measurements per step with every proof; the
-//! service's `PhaseHistograms` and `MsmRollup`, `table1_profile`, the chip
-//! model and `zkbench` read them by step. Where the work runs and where its
-//! spans go is the caller's [`ExecCtx`].
+//! [`prove`] runs each [`ProtocolStep`] and each Table 1 [`Kernel`] region
+//! through one meter, which opens their spans, times the steps, counts the
+//! kernels and returns them in the [`ProverReport`] of every proof. Where
+//! the work runs and where its spans go is the caller's [`ExecCtx`].
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use zkspeed_curve::{MsmStats, SparseMsmStats};
-use zkspeed_field::{modmul_count, Fr};
+use zkspeed_field::Fr;
 use zkspeed_pcs::{commit, commit_sparse, open};
 use zkspeed_poly::{fraction_mle, product_mle, split_even_odd, MultilinearPoly, VirtualPolynomial};
 use zkspeed_rt::pool::{self, Backend, Serial};
-use zkspeed_rt::trace::{Span, TraceSink};
+use zkspeed_rt::trace::TraceSink;
 use zkspeed_sumcheck::{prove as sumcheck_prove, prove_zerocheck};
 use zkspeed_transcript::Transcript;
 
@@ -56,6 +51,7 @@ use crate::circuit::{SatisfactionError, Witness};
 use crate::constraints::{Shifts, GATE, WIRING};
 use crate::keys::ProvingKey;
 use crate::proof::{query_groups, BatchEvaluations, PolyLabel, Proof, QueryGroup};
+use crate::report::{Kernel, Meter, ProtocolStep, ProverReport};
 
 /// Per-round degree of the Gate Identity ZeroCheck round polynomials (4).
 pub const GATE_SUMCHECK_DEGREE: usize = GATE.zerocheck_degree();
@@ -63,115 +59,6 @@ pub const GATE_SUMCHECK_DEGREE: usize = GATE.zerocheck_degree();
 pub const PERM_SUMCHECK_DEGREE: usize = WIRING.zerocheck_degree();
 /// Per-round degree of the OpenCheck polynomial (Eq. 5): `yᵢ·kᵢ` has degree 2.
 pub const OPENCHECK_DEGREE: usize = 2;
-
-/// The protocol steps, in execution order. Each is named once, in
-/// [`ProtocolStep::TABLE`], for all three of its readers: the figures
-/// print its display name, `prove` opens its trace span and the service's
-/// metrics document keys its histogram.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum ProtocolStep {
-    /// Step 1: Sparse-MSM commitments to the witness columns.
-    WitnessCommit,
-    /// Step 2: Gate Identity ZeroCheck.
-    GateIdentity,
-    /// Step 3: Wiring Identity (Construct N&D, FracMLE, ProdMLE, MSMs,
-    /// PermCheck).
-    WireIdentity,
-    /// Step 4: Batch evaluations of the queried MLEs.
-    BatchEvaluation,
-    /// Step 5: Polynomial opening (MLE Combine, OpenCheck, halving MSMs).
-    PolynomialOpening,
-}
-
-impl ProtocolStep {
-    /// All steps in execution order.
-    pub const ALL: [ProtocolStep; 5] = [
-        ProtocolStep::WitnessCommit,
-        ProtocolStep::GateIdentity,
-        ProtocolStep::WireIdentity,
-        ProtocolStep::BatchEvaluation,
-        ProtocolStep::PolynomialOpening,
-    ];
-
-    /// Per step, in [`Self::ALL`] order: its display name, its trace span
-    /// name and its metrics key.
-    pub const TABLE: [[&'static str; 3]; 5] = [
-        ["Witness Commits", "witness-commit", "witness_commit"],
-        ["Gate Identity", "gate-identity", "gate_identity"],
-        ["Wire Identity", "wire-identity", "wire_identity"],
-        ["Batch Evals", "batch-evaluation", "batch_evaluation"],
-        ["Poly Open", "polynomial-opening", "polynomial_opening"],
-    ];
-
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        Self::TABLE[self as usize][0]
-    }
-
-    /// The name of the trace span [`prove`] opens around the step.
-    pub fn span(self) -> &'static str {
-        Self::TABLE[self as usize][1]
-    }
-
-    /// The step's key in the service's metrics document.
-    pub fn key(self) -> &'static str {
-        Self::TABLE[self as usize][2]
-    }
-}
-
-// Per-step values are indexed by step: `step_seconds[ProtocolStep::GateIdentity]`.
-zkspeed_rt::impl_index_by!(ProtocolStep, 5);
-
-/// Wall-clock and operation-count measurements from one proving run.
-#[derive(Clone, Debug, Default)]
-pub struct ProverReport {
-    /// Problem size `μ`.
-    pub num_vars: usize,
-    /// Seconds spent in each protocol step, in [`ProtocolStep::ALL`] order
-    /// (`step_seconds[step]` reads one).
-    pub step_seconds: [f64; 5],
-    /// Sparse-MSM statistics of the Witness Commit step (all three columns).
-    pub witness_msm: SparseMsmStats,
-    /// Dense-MSM statistics of the Wiring Identity step (`φ` and `π`).
-    pub wiring_msm: MsmStats,
-    /// MSM statistics of the Polynomial Opening step (halving MSMs).
-    pub opening_msm: MsmStats,
-    /// Number of SHA3 transcript invocations over the whole proof.
-    pub transcript_hashes: u64,
-    /// The proof's modmuls by Table 1 kernel, the three MSM rows first and
-    /// the MLE Updates last. What no row holds is the opening's folds, the transcript's
-    /// reductions and the normalisation of the commitments it absorbs.
-    pub kernels: [KernelRow; 12],
-}
-
-/// One Table 1 kernel as a proof ran it: its modular multiplications and
-/// the tables of `2^μ` entries it moved. A SumCheck reads each of its
-/// tables at `2^μ + 2^{μ−1} + …` entries, so it counts two reads a table.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct KernelRow {
-    /// The paper's row label.
-    pub kernel: &'static str,
-    /// Modular multiplications, 255- and 381-bit.
-    pub modmuls: u64,
-    /// Tables of `2^μ` Fr read.
-    pub reads: u32,
-    /// Tables of `2^μ` Fr written.
-    pub writes: u32,
-    /// Tables of `2^μ` G1 bases read: one for each MSM row.
-    pub bases: u32,
-}
-
-impl ProverReport {
-    /// Total proving time in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.step_seconds.iter().sum()
-    }
-
-    /// Seconds spent in a given step.
-    pub fn seconds(&self, step: ProtocolStep) -> f64 {
-        self.step_seconds[step]
-    }
-}
 
 /// Errors returned by the prover.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -198,7 +85,7 @@ pub struct ExecCtx {
     /// The execution backend every MSM, SumCheck round and batch fan-out of
     /// the call runs on.
     pub backend: Arc<dyn Backend>,
-    /// Receives a span per protocol step, SumCheck round and MSM pass.
+    /// Receives a span per protocol step and kernel region.
     pub trace: TraceSink,
     /// The job id the spans carry.
     pub job: u64,
@@ -296,14 +183,9 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         &pk.sigma_commitments,
     );
 
-    let mut steps = Steps {
-        trace,
-        job,
-        seconds: [0.0; 5],
-        running: None,
-    };
+    let mut meter = Meter::new(trace, job);
 
-    steps.start(ProtocolStep::WitnessCommit);
+    meter.start(ProtocolStep::WitnessCommit);
     // The three column commitments are independent, so they fan out as one
     // job per column (each sparse MSM stays serial inside its job); results
     // are folded into the transcript in column order, so the proof is
@@ -312,13 +194,13 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let job_columns = witness.columns.clone();
     let job_tables = pk.commit_tables.clone();
     let job_trace = trace.clone();
-    let before = modmul_count();
-    let column_commitments = pool::map_indices_on(&**backend, 3, move |j| {
-        let _msm_span =
-            job_trace.span_with("msm-witness", "msm", &[("job", job), ("column", j as u64)]);
-        commit_sparse(&Serial, &job_srs, &job_columns[j], job_tables.as_deref())
+    let column_commitments = meter.msm(Kernel::WitnessMsm, 3, || {
+        pool::map_indices_on(&**backend, 3, move |j| {
+            let name = Kernel::WitnessMsm.span_name();
+            let _msm_span = job_trace.span_with(name, "msm", &[("job", job), ("column", j as u64)]);
+            commit_sparse(&Serial, &job_srs, &job_columns[j], job_tables.as_deref())
+        })
     });
-    let witness_msm_fq = modmul_count().since(&before).fq;
     let mut witness_commitments = Vec::with_capacity(3);
     for (com, stats) in column_commitments {
         report.witness_msm.zeros += stats.zeros;
@@ -328,13 +210,9 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         transcript.append_message(b"witness-commitment", &com.to_transcript_bytes());
         witness_commitments.push(com);
     }
-    let witness_commitments = [
-        witness_commitments[0],
-        witness_commitments[1],
-        witness_commitments[2],
-    ];
+    let witness_commitments: [_; 3] = witness_commitments.try_into().expect("three columns");
 
-    steps.start(ProtocolStep::GateIdentity);
+    meter.start(ProtocolStep::GateIdentity);
     // The committed tables, indexed by `PolyLabel as usize`: the labels'
     // declaration order (σ, φ and π join in step 3).
     let mut committed: Vec<&MultilinearPoly> = pk
@@ -344,35 +222,29 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         .chain(&witness.columns)
         .collect();
     let table = |label: PolyLabel| committed[label as usize].clone();
-    let before = modmul_count();
-    let f_gate = GATE.polynomial(mu, Fr::zero(), table, []);
-    let gate_out = prove_zerocheck(f_gate, &mut transcript, &**backend, trace, "gate-round");
-    let gate_rounds = modmul_count().since(&before).total() - gate_out.sumcheck.update_modmuls;
-    let gate_point = gate_out.sumcheck.point.clone();
+    let gate_out = meter.sumcheck(Kernel::ZeroCheck, || {
+        let f_gate = GATE.polynomial(mu, Fr::zero(), table, []);
+        let name = Kernel::ZeroCheck.span_name();
+        prove_zerocheck(f_gate, &mut transcript, &**backend, trace, name).sumcheck
+    });
 
-    steps.start(ProtocolStep::WireIdentity);
+    meter.start(ProtocolStep::WireIdentity);
     let beta = transcript.challenge_scalar(b"beta");
     let gamma = transcript.challenge_scalar(b"gamma");
 
     // Construct N & D: the products of the N and of the D tables, read off
     // the witness and a shift table that dies with this statement. The N
     // and D tables themselves wait until φ and π are committed.
-    let nd_span = trace.span_with("construct-nd", "prove", &[("job", job)]);
-    let before = modmul_count();
-    let [n_mle, d_mle] = Shifts::new(mu, beta, gamma).products(witness, &pk.circuit);
-    let mut nd_muls = modmul_count().since(&before).total();
-    drop(nd_span);
+    let [n_mle, d_mle] = meter.kernel(Kernel::ConstructNd, [3, 2, 0], || {
+        Shifts::new(mu, beta, gamma).products(witness, &pk.circuit)
+    });
 
     // FracMLE and Product MLE; the products die once φ is built.
-    let frac_span = trace.span_with("frac-prod-mle", "prove", &[("job", job)]);
-    let before = modmul_count();
-    let phi = fraction_mle(&n_mle, &d_mle);
+    let phi = meter.kernel(Kernel::FractionMle, [2, 1, 0], || {
+        fraction_mle(&n_mle, &d_mle)
+    });
     drop((n_mle, d_mle));
-    let before_pi = modmul_count();
-    let pi = product_mle(&phi);
-    let frac_muls = before_pi.since(&before).total();
-    let prod_muls = modmul_count().since(&before_pi).total();
-    drop(frac_span);
+    let pi = meter.kernel(Kernel::ProductMle, [1, 1, 0], || product_mle(&phi));
 
     // Commit φ and π (dense MSMs on the critical path): two independent
     // jobs, each splitting its windows over half the pool via the shared
@@ -382,13 +254,13 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let job_tables = pk.commit_tables.clone();
     let job_trace = trace.clone();
     let inner = Arc::clone(backend);
-    let before = modmul_count();
-    let wiring_commitments = pool::map_indices_on(&**backend, 2, move |j| {
-        let _msm_span =
-            job_trace.span_with("msm-wiring", "msm", &[("job", job), ("poly", j as u64)]);
-        commit(&*inner, &job_srs, &job_polys[j], job_tables.as_deref())
+    let wiring_commitments = meter.msm(Kernel::WiringMsm, 2, || {
+        pool::map_indices_on(&**backend, 2, move |j| {
+            let name = Kernel::WiringMsm.span_name();
+            let _msm_span = job_trace.span_with(name, "msm", &[("job", job), ("poly", j as u64)]);
+            commit(&*inner, &job_srs, &job_polys[j], job_tables.as_deref())
+        })
     });
-    let wiring_msm_fq = modmul_count().since(&before).fq;
     let [(phi_commitment, phi_stats), (pi_commitment, pi_stats)] =
         <[_; 2]>::try_from(wiring_commitments).expect("two jobs");
     report.wiring_msm.merge(&phi_stats);
@@ -404,30 +276,26 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         PolyLabel::Pi => pi.clone(),
         _ => committed[label as usize].clone(),
     };
-    let before = modmul_count();
-    let factors = Shifts::new(mu, beta, gamma).tables(witness, &pk.circuit);
-    nd_muls += modmul_count().since(&before).total();
-    let before = modmul_count();
-    let (p1, p2) = split_even_odd(&phi, &pi);
-    let derived = factors.into_iter().chain([p1, p2]);
-    let f_perm = WIRING.polynomial(mu, alpha, table, derived);
-    let perm_out = prove_zerocheck(f_perm, &mut transcript, &**backend, trace, "perm-round");
-    let perm_rounds = modmul_count().since(&before).total() - perm_out.sumcheck.update_modmuls;
-    let perm_point = perm_out.sumcheck.point.clone();
+    let factors = meter.kernel(Kernel::ConstructNd, [0, 6, 0], || {
+        Shifts::new(mu, beta, gamma).tables(witness, &pk.circuit)
+    });
+    let perm_out = meter.sumcheck(Kernel::PermCheck, || {
+        let (p1, p2) = split_even_odd(&phi, &pi);
+        let derived = factors.into_iter().chain([p1, p2]);
+        let f_perm = WIRING.polynomial(mu, alpha, table, derived);
+        let name = Kernel::PermCheck.span_name();
+        prove_zerocheck(f_perm, &mut transcript, &**backend, trace, name).sumcheck
+    });
 
-    steps.start(ProtocolStep::BatchEvaluation);
-    let before = modmul_count();
+    meter.start(ProtocolStep::BatchEvaluation);
     // Only this step's evaluations and MLE Combine read σ.
     let sigmas = pk.circuit.sigma_mles();
     committed.extend(sigmas.iter().chain([&phi, &pi]));
-    let groups = query_groups(&gate_point, &perm_point);
+    let groups = query_groups(&gate_out.point, &perm_out.point);
     let resolve = |label: PolyLabel| committed[label as usize];
     // Only what neither ZeroCheck returned is evaluated, one job per
     // (group, label) pair.
-    let returned = [
-        &gate_out.sumcheck.mle_evaluations,
-        &perm_out.sumcheck.mle_evaluations,
-    ];
+    let returned = [&gate_out.mle_evaluations, &perm_out.mle_evaluations];
     let mut known = Vec::new();
     let mut queries = Vec::new();
     for (g, group) in groups.iter().enumerate() {
@@ -439,25 +307,25 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
             known.push(registered);
         }
     }
-    let num_queries = queries.len() as u32;
-    let evaluated = pool::map_indices_on(&**backend, queries.len(), move |i| {
-        let (poly, point) = &queries[i];
-        poly.evaluate(point)
+    let evaluations = meter.kernel(Kernel::BatchEval, [queries.len() as u32, 0, 0], || {
+        let evaluated = pool::map_indices_on(&**backend, queries.len(), move |i| {
+            let (poly, point) = &queries[i];
+            poly.evaluate(point)
+        });
+        let mut evaluated = evaluated.into_iter();
+        let mut flat_iter = known
+            .into_iter()
+            .map(|k| k.unwrap_or_else(|| evaluated.next().expect("one job per open query")));
+        BatchEvaluations {
+            values: groups
+                .iter()
+                .map(|g| (&mut flat_iter).take(g.labels.len()).collect())
+                .collect(),
+        }
     });
-    let mut evaluated = evaluated.into_iter();
-    let mut flat_iter = known
-        .into_iter()
-        .map(|k| k.unwrap_or_else(|| evaluated.next().expect("one job per open query")));
-    let evaluations = BatchEvaluations {
-        values: groups
-            .iter()
-            .map(|g| (&mut flat_iter).take(g.labels.len()).collect())
-            .collect(),
-    };
     transcript.append_scalars(b"batch-evaluations", &evaluations.flatten());
-    let batch_muls = modmul_count().since(&before).total();
 
-    steps.start(ProtocolStep::PolynomialOpening);
+    meter.start(ProtocolStep::PolynomialOpening);
     // Per-group linear combinations (MLE Combine) of the queried MLEs. The
     // transcript challenges must be drawn serially in group order, but the
     // combinations themselves, their powers included, fan out one job per
@@ -466,29 +334,30 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         .iter()
         .map(|group| {
             let e = transcript.challenge_scalar(b"rlc-challenge");
-            (
-                e,
-                group.labels.iter().map(|l| resolve(*l).clone()).collect(),
-            )
+            let polys = group.labels.iter().map(|l| resolve(*l).clone());
+            (e, polys.collect())
         })
         .collect();
-    let before = modmul_count();
-    let combined_polys = pool::map_indices_on(&**backend, combine_inputs.len(), move |i| {
-        let (e, polys) = &combine_inputs[i];
-        let refs: Vec<&MultilinearPoly> = polys.iter().collect();
-        MultilinearPoly::linear_combination(&powers(*e, polys.len()), &refs)
+    let num_groups = groups.len() as u32;
+    let queried = groups.iter().map(|g| g.labels.len() as u32).sum();
+    let combined_polys = meter.kernel(Kernel::LinearCombine, [queried, num_groups, 0], || {
+        pool::map_indices_on(&**backend, combine_inputs.len(), move |i| {
+            let (e, polys) = &combine_inputs[i];
+            let refs: Vec<&MultilinearPoly> = polys.iter().collect();
+            MultilinearPoly::linear_combination(&powers(*e, polys.len()), &refs)
+        })
     });
-    let mut combine_muls = modmul_count().since(&before).total();
     // No later step reads σ, φ or π.
     drop((sigmas, phi, pi));
     // OpenCheck: Σ_i cⁱ · yᵢ(x) · kᵢ(x) summed over the hypercube equals the
     // combined claimed evaluations. Its `eq` tables fold in place and die
     // inside it.
     let c = transcript.challenge_scalar(b"opencheck-combine");
-    let before = modmul_count();
-    let f_open = opening_polynomial(&groups, &combined_polys, c, &**backend);
-    let open_out = sumcheck_prove(f_open, &mut transcript, &**backend, trace, "open-round");
-    let open_rounds = modmul_count().since(&before).total() - open_out.update_modmuls;
+    let open_out = meter.sumcheck(Kernel::OpenCheck, || {
+        let f_open = opening_polynomial(&groups, &combined_polys, c, &**backend);
+        let name = Kernel::OpenCheck.span_name();
+        sumcheck_prove(f_open, &mut transcript, &**backend, trace, name)
+    });
     let rho = open_out.point.clone();
 
     // The claimed evaluations yᵢ(ρ) are where the OpenCheck left its tables.
@@ -499,23 +368,16 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
 
     // Final combination g′ and its halving-MSM opening.
     let d = transcript.challenge_scalars(b"gprime-challenge", groups.len());
-    let before = modmul_count();
-    let gprime =
-        MultilinearPoly::linear_combination(&d, &combined_polys.iter().collect::<Vec<_>>());
-    combine_muls += modmul_count().since(&before).total();
+    let gprime = meter.kernel(Kernel::LinearCombine, [num_groups, 1, 0], || {
+        MultilinearPoly::linear_combination(&d, &combined_polys.iter().collect::<Vec<_>>())
+    });
     drop(combined_polys);
-    let before = modmul_count();
-    let (gprime_value, gprime_opening, open_stats) = {
-        let _msm_span = trace.span_with("msm-opening", "msm", &[("job", job)]);
-        open(
-            &**backend,
-            &pk.srs,
-            &gprime,
-            &rho,
-            pk.commit_tables.as_deref(),
-        )
-    };
-    let open_msm_fq = modmul_count().since(&before).fq;
+    let (gprime_value, gprime_opening, open_stats) = meter.msm(Kernel::OpeningMsm, 1, || {
+        let name = Kernel::OpeningMsm.span_name();
+        let _msm_span = trace.span_with(name, "msm", &[("job", job)]);
+        let tables = pk.commit_tables.as_deref();
+        open(&**backend, &pk.srs, &gprime, &rho, tables)
+    });
     report.opening_msm.merge(&open_stats);
     debug_assert_eq!(
         gprime_value,
@@ -524,53 +386,16 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
             .map(|(di, yi)| *di * *yi)
             .sum::<Fr>()
     );
-    report.step_seconds = steps.finish();
+    (report.step_seconds, report.kernels) = meter.finish();
     report.transcript_hashes = transcript.hash_invocations();
-
-    let sumchecks = [&gate_out.sumcheck, &perm_out.sumcheck, &open_out];
-    // A SumCheck ends holding one evaluation a table.
-    let tables = sumchecks.map(|out| out.mle_evaluations.len() as u32);
-    let all_tables = tables.iter().sum();
-    let updates = sumchecks.iter().map(|out| out.update_modmuls).sum();
-    let labels = groups.iter().map(|g| g.labels.len() as u32).sum::<u32>();
-    let num_groups = groups.len() as u32;
-    let row = |kernel, modmuls, [reads, writes, bases]: [u32; 3]| KernelRow {
-        kernel,
-        modmuls,
-        reads,
-        writes,
-        bases,
-    };
-    report.kernels = [
-        row("Witness MSMs", witness_msm_fq, [3, 0, 1]),
-        row("Wire Identity MSMs", wiring_msm_fq, [2, 0, 1]),
-        // The quotients' `2^{μ−1} + … + 1` scalars and bases.
-        row("Poly Open MSMs", open_msm_fq, [1, 0, 1]),
-        row("ZeroCheck Rounds", gate_rounds, [2 * tables[0], 0, 0]),
-        row("PermCheck Rounds", perm_rounds, [2 * tables[1], 0, 0]),
-        row("OpenCheck Rounds", open_rounds, [2 * tables[2], 0, 0]),
-        // φ from the products N₁N₂N₃ and D₁D₂D₃, π from φ.
-        row("Fraction MLE", frac_muls, [2, 1, 0]),
-        row("Product MLE", prod_muls, [1, 1, 0]),
-        // The witness in; the two products and N₁…N₃, D₁…D₃ out.
-        row("Construct N & D", nd_muls, [3, 8, 0]),
-        row("Batch Evaluations", batch_muls, [num_queries, 0, 0]),
-        // Each group's queried tables into its `yᵢ`, the `yᵢ` into g′.
-        row(
-            "Linear Combine",
-            combine_muls,
-            [labels + num_groups, num_groups + 1, 0],
-        ),
-        row("All MLE Updates", updates, [2 * all_tables, all_tables, 0]),
-    ];
 
     (
         Proof {
             witness_commitments,
-            gate_zerocheck: gate_out.sumcheck.proof,
+            gate_zerocheck: gate_out.proof,
             phi_commitment,
             pi_commitment,
-            perm_zerocheck: perm_out.sumcheck.proof,
+            perm_zerocheck: perm_out.proof,
             evaluations,
             opencheck: open_out.proof,
             combined_evaluations,
@@ -578,40 +403,6 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
         },
         report,
     )
-}
-
-/// Opens, closes and times the protocol steps of one proof, each under its
-/// span name from [`ProtocolStep::TABLE`]: starting a step ends the one
-/// running.
-struct Steps<'a> {
-    trace: &'a TraceSink,
-    job: u64,
-    seconds: [f64; 5],
-    running: Option<(ProtocolStep, Instant, Span<'a>)>,
-}
-
-impl<'a> Steps<'a> {
-    fn start(&mut self, step: ProtocolStep) {
-        self.stop();
-        let clock = Instant::now();
-        let span = self
-            .trace
-            .span_with(step.span(), "prove", &[("job", self.job)]);
-        self.running = Some((step, clock, span));
-    }
-
-    fn stop(&mut self) {
-        if let Some((step, clock, span)) = self.running.take() {
-            drop(span);
-            self.seconds[step] = clock.elapsed().as_secs_f64();
-        }
-    }
-
-    /// Ends the running step and returns every step's seconds.
-    fn finish(mut self) -> [f64; 5] {
-        self.stop();
-        self.seconds
-    }
 }
 
 /// Where a ZeroCheck left `label`'s evaluation at query group `g`'s point,
@@ -800,19 +591,13 @@ mod tests {
                 "tracing must not perturb the proof"
             );
         }
-        // The recording actually covers the span tree: protocol steps,
-        // sumcheck rounds and MSM passes, tagged with the job ids.
+        // The recording actually covers the span tree: protocol steps and
+        // every kernel's regions, SumCheck rounds and MSM passes, tagged
+        // with the job ids.
         let events: Vec<_> = sink.threads().into_iter().flat_map(|t| t.events).collect();
         let steps = ProtocolStep::ALL.map(ProtocolStep::span);
-        let inner = [
-            "gate-round",
-            "perm-round",
-            "open-round",
-            "msm-witness",
-            "msm-wiring",
-            "msm-opening",
-        ];
-        for name in steps.into_iter().chain(inner) {
+        let kernels = Kernel::ALL.into_iter().filter_map(Kernel::span);
+        for name in steps.into_iter().chain(kernels) {
             assert!(events.iter().any(|e| e.name == name), "missing span {name}");
         }
         assert!(events
@@ -827,8 +612,13 @@ mod tests {
             let ctx = ExecCtx::default();
             let proved = zkspeed_field::measure_modmuls(|| prove_unchecked(&pk, &witness, &ctx));
             let ((_, report), total) = proved;
-            let (msms, rest) = report.kernels.split_at(3);
-            let sum = |rows: &[KernelRow]| rows.iter().map(|k| k.modmuls).sum::<u64>();
+            // The modmuls of the MSM rows, or of the rest.
+            let sum = |msm: bool| -> u64 {
+                (Kernel::ALL.into_iter())
+                    .filter(|k| Kernel::MSMS.contains(k) == msm)
+                    .map(|k| report.kernels[k].modmuls)
+                    .sum()
+            };
             // Fr outside the rows: the opening folds g′ once a round
             // (2^{μ−1} + … + 1); the transcript reduces each challenge drawn
             // outside a SumCheck with two (β, γ, α, c, and the five MLE
@@ -837,15 +627,23 @@ mod tests {
             let folds = (1 << mu) - 1;
             let reductions = 2 * 14;
             let check = if cfg!(debug_assertions) { 5 } else { 0 };
-            assert_eq!(total.fr - sum(rest), folds + reductions + check, "μ = {mu}");
+            assert_eq!(
+                total.fr - sum(false),
+                folds + reductions + check,
+                "μ = {mu}"
+            );
             // MLE Update folds each of the three SumChecks' 28 tables once a
             // round, as the opening folds g′.
-            assert_eq!(report.kernels[11].modmuls, 28 * folds, "μ = {mu}");
+            assert_eq!(
+                report.kernels[Kernel::MleUpdate].modmuls,
+                28 * folds,
+                "μ = {mu}"
+            );
             // Fq outside the rows: an inversion and two multiplications
             // normalise each commitment the transcript absorbs but the
             // key's eight, stored normalised (the witness's three, φ and π).
             let normalisations = 3 * 5;
-            assert_eq!(total.fq - sum(msms), normalisations, "μ = {mu}");
+            assert_eq!(total.fq - sum(true), normalisations, "μ = {mu}");
         }
     }
 

@@ -13,7 +13,8 @@
 //! * [`JsonValue`] / [`ToJson`] — hand-rolled, stable (insertion-ordered)
 //!   JSON emission for the chip configuration dump and the service's
 //!   metrics, replacing `serde`;
-//! * [`impl_index_by!`] — arrays indexed by the enum that numbers them;
+//! * [`table_enum!`] / [`impl_index_by!`] — an enum declared with its
+//!   table, one row beside each variant, and arrays indexed by the enum;
 //! * [`pool`] — the pluggable execution [`pool::Backend`] (serial, reusable
 //!   std-only worker pool) behind every parallel hot path, replacing
 //!   per-call scoped-thread spawning. Work is always split into
@@ -58,7 +59,7 @@ pub use rng::{FromRng, Rng, SampleUniform, SeedableRng, StdRng};
 /// `impl_index_by!(Step, 5)`, `seconds[Step::Open]` reads `seconds[4]`.
 #[macro_export]
 macro_rules! impl_index_by {
-    ($enum:ty, $len:literal) => {
+    ($enum:ty, $len:expr) => {
         impl<T> ::core::ops::Index<$enum> for [T; $len] {
             type Output = T;
 
@@ -72,6 +73,50 @@ macro_rules! impl_index_by {
                 &mut self[i as usize]
             }
         }
+    };
+}
+
+/// Declares a fieldless enum whose variants each carry one row of a table,
+/// written beside the variant: the enum gains `ALL`, its variants in
+/// declaration order, and `TABLE`, their rows in the same order, and
+/// arrays of its length are indexed by it ([`impl_index_by!`]).
+///
+/// ```
+/// zkspeed_rt::table_enum! {
+///     /// Two steps, each with its display name.
+///     pub enum Step: &'static str {
+///         /// The first step.
+///         Commit = "Commit",
+///         /// The second step.
+///         Open = "Open",
+///     }
+/// }
+/// assert_eq!(Step::TABLE[Step::Open as usize], "Open");
+/// assert_eq!(Step::ALL.map(|step| [0.5, 2.0][step]), [0.5, 2.0]);
+/// ```
+#[macro_export]
+macro_rules! table_enum {
+    (
+        $(#[$doc:meta])*
+        $vis:vis enum $name:ident: $row:ty {
+            $($(#[$variant_doc:meta])* $variant:ident = $value:expr,)*
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+        $vis enum $name {
+            $($(#[$variant_doc])* $variant,)*
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$(stringify!($variant)),*].len()] = [$($name::$variant),*];
+
+            /// Each variant's row, in [`Self::ALL`] order.
+            pub const TABLE: [$row; [$(stringify!($variant)),*].len()] = [$($value),*];
+        }
+
+        $crate::impl_index_by!($name, [$(stringify!($variant)),*].len());
     };
 }
 

@@ -14,7 +14,7 @@ use zkspeed_hw::params::{BYTES_PER_FR, BYTES_PER_POINT};
 use zkspeed_hyperplonk::{
     mock_circuit, prove, try_preprocess, ExecCtx, Kernel, ProverReport, SparsityProfile,
 };
-use zkspeed_pcs::{PrecomputeBudget, Srs};
+use zkspeed_pcs::Srs;
 use zkspeed_rt::pool::Serial;
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::SeedableRng;
@@ -57,8 +57,7 @@ fn mock_proof_report(num_vars: usize, seed: u64) -> ProverReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let srs = Srs::try_setup(num_vars, &mut rng, &Serial).expect("setup fits");
     let (circuit, witness) = mock_circuit(num_vars, SparsityProfile::paper_default(), &mut rng);
-    let budget = PrecomputeBudget::disabled();
-    let (pk, _) = try_preprocess(circuit, &srs, &Serial, &budget).expect("circuit fits");
+    let (pk, _) = try_preprocess(circuit, &srs, &Serial).expect("circuit fits");
     prove(&pk, &witness, &ExecCtx::default())
         .expect("valid witness")
         .1

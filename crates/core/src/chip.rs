@@ -58,12 +58,14 @@ zkspeed_rt::table_enum! {
         WiringMsm = "Wiring MSMs",
         /// The halving MSMs of the polynomial opening (step 5).
         PolyOpenMsm = "PolyOpen MSMs",
-        /// The Gate Identity ZeroCheck rounds (step 2).
+        /// The Gate Identity ZeroCheck (step 2): its Build MLE pass and its
+        /// rounds.
         ZeroCheck = "ZeroCheck",
-        /// The PermCheck rounds (step 3); on the CPU also the creation of
-        /// its MLEs.
+        /// The PermCheck (step 3): its Build MLE pass and its rounds; on the
+        /// CPU also the creation of its MLEs.
         PermCheck = "PermCheck",
-        /// The OpenCheck rounds (step 5).
+        /// The OpenCheck (step 5): its rounds, and its `kᵢ` builds where
+        /// they outlast MLE Combine.
         OpenCheck = "OpenCheck",
         /// The batch evaluations (step 4) and MLE Combine (step 5).
         FinalEval = "Final Eval",
@@ -241,9 +243,9 @@ impl ChipConfig {
         let build = secs(self.mtu.tree_pass_cycles(mu));
         sim.busy[Unit::MultifunctionTree] += build;
         let step2_build = build.max(mem(n * FR_BYTES));
-        let zerocheck = self.sumcheck_phase(mu, 9, true, &mut sim);
+        let zerocheck = step2_build + self.sumcheck_phase(mu, 9, true, &mut sim);
         sim.kernels[Kernel::ZeroCheck] = zerocheck;
-        sim.step_seconds[ProtocolStep::GateIdentity] = step2_build + zerocheck;
+        sim.step_seconds[ProtocolStep::GateIdentity] = zerocheck;
 
         // ---- Step 3: Wiring Identity --------------------------------------
         // Pipelined Construct N&D → FracMLE → ProdMLE → MSM chain.
@@ -267,10 +269,9 @@ impl ChipConfig {
         // PermCheck: Build MLE + ZeroCheck rounds over 11 tables.
         let build = secs(self.mtu.tree_pass_cycles(mu));
         sim.busy[Unit::MultifunctionTree] += build;
-        let permcheck = self.sumcheck_phase(mu, 11, false, &mut sim);
+        let permcheck = build.max(mem(n * FR_BYTES)) + self.sumcheck_phase(mu, 11, false, &mut sim);
         sim.kernels[Kernel::PermCheck] = permcheck;
-        sim.step_seconds[ProtocolStep::WireIdentity] =
-            phase_a + build.max(mem(n * FR_BYTES)) + permcheck;
+        sim.step_seconds[ProtocolStep::WireIdentity] = phase_a + permcheck;
 
         // ---- Step 4: Batch Evaluations -------------------------------------
         // 22 MLE Evaluates on the Multifunction Tree; only φ and π live
@@ -289,9 +290,10 @@ impl ChipConfig {
         sim.kernels[Kernel::FinalEval] += combine;
         sim.busy[Unit::MultifunctionTree] += build_k;
         let phase_5a = combine.max(build_k).max(mem(8.0 * n * FR_BYTES));
-        // OpenCheck rounds over 12 tables.
+        // OpenCheck rounds over 12 tables, after what of the k_i builds
+        // outlasts MLE Combine.
         let opencheck = self.sumcheck_phase(mu, 12, false, &mut sim);
-        sim.kernels[Kernel::OpenCheck] = opencheck;
+        sim.kernels[Kernel::OpenCheck] = phase_5a - combine + opencheck;
         // Final combine + the serial halving MSM sequence.
         let final_combine = secs(self.mle_combine.combine_cycles(6, n as usize));
         sim.busy[Unit::MleCombine] += final_combine;
@@ -524,6 +526,30 @@ mod tests {
         let util = sim.utilization();
         assert!(util[0] > util[4] && util[0] > util[7]);
         assert!(util.iter().all(|u| *u <= 1.0));
+    }
+
+    #[test]
+    fn build_mle_passes_are_charged_to_their_sumchecks() {
+        // The CPU's Gate Identity, PermCheck and OpenCheck shares hold their
+        // Build MLE passes, so the chip's kernels hold them too: step 2 is
+        // its ZeroCheck, and step 3's PermCheck covers a build beyond the
+        // rounds alone.
+        let chip = ChipConfig::table5_design();
+        for mu in [17, 20, 23] {
+            let sim = chip.simulate(&Workload::standard(mu));
+            assert_eq!(
+                sim.step_seconds[ProtocolStep::GateIdentity],
+                sim.kernels[Kernel::ZeroCheck],
+                "μ = {mu}"
+            );
+            let mut rounds = sim.clone();
+            let permcheck_rounds = chip.sumcheck_phase(mu, 11, false, &mut rounds);
+            let build = chip.mtu.tree_pass_cycles(mu) / CLOCK_HZ;
+            assert!(
+                sim.kernels[Kernel::PermCheck] >= permcheck_rounds + build,
+                "μ = {mu}"
+            );
+        }
     }
 
     #[test]

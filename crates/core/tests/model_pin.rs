@@ -12,8 +12,8 @@ const TOLERANCE: f64 = 1e-12;
 
 /// One problem size's pinned values. Kernels are in the Figure 14 order:
 /// witness, wiring and opening MSMs, then the ZeroCheck, PermCheck and
-/// OpenCheck rounds; the chip adds its batch evaluations and MLE Combine
-/// last.
+/// OpenCheck, each with its Build MLE passes; the chip adds its batch
+/// evaluations and MLE Combine last.
 struct Pin {
     mu: usize,
     steps: [f64; 5],
@@ -36,9 +36,9 @@ const PINS: [Pin; 3] = [
             9.26075625e-5,
             0.00048038875,
             0.0002822145625,
-            6.614750000000002e-5,
-            6.795150000000002e-5,
-            7.402350000000001e-5,
+            7.037950000000002e-5,
+            7.218350000000002e-5,
+            7.571372222222224e-5,
             0.00012776444444444443,
         ],
         cpu: [
@@ -53,9 +53,9 @@ const PINS: [Pin; 3] = [
             1357.902061184258,
             1296.9579325077868,
             1245.6267206267926,
-            1209.7811708681352,
-            1556.1981707541402,
-            791.4918910886406,
+            1137.0356424811198,
+            1464.9608289983164,
+            773.8227401902046,
         ],
     },
     Pin {
@@ -71,9 +71,9 @@ const PINS: [Pin; 3] = [
             0.0006693680625,
             0.00380634075,
             0.0019530696875,
-            0.0005250074999999998,
-            0.0005410394999999998,
-            0.0005901194999999998,
+            0.0005579354999999998,
+            0.0005739674999999998,
+            0.0005983252777777776,
             0.0010011955555555556,
         ],
         cpu: [
@@ -88,9 +88,9 @@ const PINS: [Pin; 3] = [
             1133.1165056892746,
             987.2694660876065,
             1085.6110325044403,
-            919.3468664733364,
-            1178.8529303313346,
-            598.826169953713,
+            865.0892441868283,
+            1111.2231964353384,
+            590.6135226518836,
         ],
     },
     Pin {
@@ -106,9 +106,9 @@ const PINS: [Pin; 3] = [
             0.0052802745,
             0.03041395675,
             0.0152647568125,
-            0.0041951315,
-            0.0043257435000000006,
-            0.0047188874999999995,
+            0.0044574595,
+            0.004588071500000001,
+            0.0047782097222222215,
             0.007984948444444443,
         ],
         cpu: [
@@ -123,9 +123,9 @@ const PINS: [Pin; 3] = [
             1234.135838960645,
             1061.5742063879934,
             1193.3889431558214,
-            988.5058430230376,
-            1266.7991063270395,
-            643.3999539086279,
+            930.33083082415,
+            1194.3684835774682,
+            635.4120426903266,
         ],
     },
 ];

@@ -17,8 +17,6 @@
 //!   chip's 255-bit unit and its grouped aggregation schedule, Fig. 5 of
 //!   the paper, are modelled in `zkspeed_hw`.)
 //! * [`sparse_msm`] — the Sparse MSM used by the Witness Commit step;
-//! * [`msm_precomputed`] / [`sparse_msm_precomputed`] — both over a
-//!   [`MultiBaseTable`] of fixed bases, with no window doublings;
 //! * [`MsmStats`] — per-addition-kind operation counters consumed by the
 //!   hardware cost model.
 //!
@@ -47,7 +45,6 @@
 mod fixed_base;
 mod g1;
 mod msm;
-mod multi_base;
 
 pub use fixed_base::{fixed_base_window_bits, pair_sums, FixedBaseTable};
 pub use g1::{
@@ -55,8 +52,6 @@ pub use g1::{
     PADD_MIXED_FQ_MULS, PDBL_FQ_MULS,
 };
 pub use msm::{
-    auto_window_bits, msm, msm_precomputed, msm_with_config_on, naive_msm, sparse_msm,
-    sparse_msm_on, sparse_msm_precomputed, MsmConfig, MsmStats, SparseMsmStats,
-    BATCH_AFFINE_MIN_ADDS,
+    auto_window_bits, msm, msm_with_config_on, naive_msm, sparse_msm, sparse_msm_on, MsmConfig,
+    MsmStats, SparseMsmStats, BATCH_AFFINE_MIN_ADDS,
 };
-pub use multi_base::{MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS};

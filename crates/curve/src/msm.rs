@@ -23,9 +23,6 @@
 //!   instead, chosen from its operations ([`bucket`]);
 //! * [`sparse_msm`] — the Sparse MSM used for Witness Commits, where scalars
 //!   that are 0 or 1 bypass Pippenger entirely (Section 3.3.1);
-//! * [`msm_precomputed`] / [`sparse_msm_precomputed`] — the same two on the
-//!   same windows over a [`MultiBaseTable`] of the fixed bases and their
-//!   images, with no window doublings;
 //! * operation counters ([`MsmStats`]) that feed the hardware cost model.
 //!
 //! Every window width and path computes the same group element, and proof
@@ -41,7 +38,6 @@ use zkspeed_field::Fr;
 use zkspeed_rt::pool::{self, Backend};
 
 use crate::g1::{G1Affine, G1Projective};
-use crate::multi_base::MultiBaseTable;
 
 mod adder;
 mod bucket;
@@ -195,69 +191,36 @@ struct Shape {
     num_windows: usize,
     num_buckets: usize,
     windows_per_job: usize,
-    /// The run reads a [`MultiBaseTable`]: a window's shift is in its
-    /// points, so the windows of a job share one bucket slice, and the job
-    /// sums add up with no doublings between them.
-    table: bool,
-    /// Entries a table row holds per base: the windows of a full-width half.
-    row_len: usize,
 }
 
 impl Shape {
-    /// The windows and buckets of `w`-bit windows over `bits`-bit scalar
-    /// halves, all in one job: signed digits need `2^{w−1}` buckets and one
-    /// extra window for the final carry (typically all-zero, and then it
-    /// costs nothing).
-    fn with_width(w: usize, bits: usize, table: bool) -> Self {
-        assert!((1..=16).contains(&w), "window size out of range");
-        debug_assert!((1..=HALF_BITS).contains(&bits));
-        let num_windows = bits.div_ceil(w) + 1;
-        Self {
-            w,
-            num_windows,
-            num_buckets: 1 << (w - 1),
-            windows_per_job: num_windows,
-            table,
-            row_len: HALF_BITS.div_ceil(w) + 1,
-        }
-    }
-
-    /// A table-free run over `n` points with scalar halves of at most `bits`
-    /// bits, at `window_bits` (0: [`auto_window_bits`]): as many windows a
-    /// job as keep their buckets in [`JOB_BUCKET_BYTES`], and at least
-    /// [`MIN_JOBS`] jobs once the run fans out.
+    /// A run over `n` points with scalar halves of at most `bits` bits, at
+    /// `window_bits` (0: [`auto_window_bits`]): signed digits need
+    /// `2^{w−1}` buckets and one extra window for the final carry (typically
+    /// all-zero, and then it costs nothing); as many windows a job as keep
+    /// their buckets in [`JOB_BUCKET_BYTES`], and at least [`MIN_JOBS`] jobs
+    /// once the run fans out.
     fn new(n: usize, bits: usize, window_bits: usize) -> Self {
         let w = if window_bits == 0 {
             auto_window_bits(n)
         } else {
             window_bits
         };
-        let shape = Self::with_width(w, bits, false);
-        let fit = JOB_BUCKET_BYTES / (shape.num_buckets * size_of::<G1Affine>());
+        assert!((1..=16).contains(&w), "window size out of range");
+        debug_assert!((1..=HALF_BITS).contains(&bits));
+        let num_windows = bits.div_ceil(w) + 1;
+        let num_buckets = 1 << (w - 1);
+        let fit = JOB_BUCKET_BYTES / (num_buckets * size_of::<G1Affine>());
         let cap = if n < PAR_MIN_POINTS {
-            shape.num_windows
+            num_windows
         } else {
-            shape.num_windows.div_ceil(MIN_JOBS)
+            num_windows.div_ceil(MIN_JOBS)
         };
         Self {
+            w,
+            num_windows,
+            num_buckets,
             windows_per_job: fit.clamp(1, cap),
-            ..shape
-        }
-    }
-
-    /// A run of `n` scalars of `per_scalar` terms of at most `bits` bits over
-    /// a table of `w`-bit windows: each job
-    /// aggregates one bucket set, so there are as many jobs as keep ≥ 40
-    /// operations a bucket — an aggregation, 12 multiplications a bucket,
-    /// then stays below a twentieth of the fill, 6 an operation — and at
-    /// most [`MIN_JOBS`].
-    fn table(n: usize, w: usize, bits: usize, per_scalar: usize) -> Self {
-        let shape = Self::with_width(w, bits, true);
-        let ops = per_scalar * n * shape.num_windows;
-        let jobs = (ops / (40 * shape.num_buckets)).clamp(1, MIN_JOBS);
-        Self {
-            windows_per_job: shape.num_windows.div_ceil(jobs),
-            ..shape
         }
     }
 
@@ -269,11 +232,8 @@ impl Shape {
 /// Immutable inputs of one MSM run, shared by every job.
 struct Windows<'a> {
     shape: Shape,
-    /// The points and their images `φ(P)`, or a table's shifted bases and
-    /// theirs.
+    /// The points and their images `φ(P)`.
     sources: Sources<'a>,
-    /// The table row of each scalar (`None`: scalar `i` reads row `i`).
-    rows: Option<&'a [u32]>,
     /// The scalars' halves, term by term.
     terms: &'a Terms,
     /// Signed-digit carry masks by term.
@@ -289,26 +249,16 @@ impl Windows<'_> {
         (d != 0).then(|| (d.unsigned_abs() as usize - 1, d < 0))
     }
 
-    /// The sums of a range of jobs, lowest first — one per window, or one
-    /// per job of a table run — and their operation counts. Jobs are
-    /// independent, so ranges of them fan out over the backend's workers.
+    /// The sums of a range of jobs, one per window, lowest first, and their
+    /// operation counts. Jobs are independent, so ranges of them fan out
+    /// over the backend's workers.
     fn sums(&self, jobs: Range<usize>) -> (Vec<G1Projective>, MsmStats) {
         let Shape {
             num_windows,
             num_buckets,
             windows_per_job,
-            table,
-            row_len,
             ..
         } = self.shape;
-        // From one window to the next, a table-free run moves to the next
-        // bucket slice and reads the same point; a table run stays in its
-        // slice and reads the next entry of the scalar's row.
-        let (row_len, slice_step, entry_step) = if table {
-            (row_len, 0, 1)
-        } else {
-            (1, num_buckets, 0)
-        };
         let per_scalar = self.terms.per_scalar;
         let mut set = BucketSet::default();
         let mut stats = MsmStats::default();
@@ -316,19 +266,17 @@ impl Windows<'_> {
         for job in jobs {
             let first = job * windows_per_job;
             let windows = first..(first + windows_per_job).min(num_windows);
-            set.begin(if table { 1 } else { windows.len() }, num_buckets);
+            set.begin(windows.len(), num_buckets);
             for (i, &negated) in self.terms.negated.iter().enumerate() {
-                let row = self.rows.map_or(i, |rows| rows[i] as usize) * row_len;
-                if self.sources[0][row].infinity {
+                if self.sources[0][i].infinity {
                     continue;
                 }
                 for window in windows.clone() {
-                    let slice = (window - first) * slice_step;
-                    let entry = row + window * entry_step;
+                    let slice = (window - first) * num_buckets;
                     for half in 0..per_scalar {
                         let term = per_scalar * i + half;
                         if let Some((bucket, negate)) = self.digit(term, window) {
-                            let source = entry | (half * Op::IMAGE as usize);
+                            let source = i | (half * Op::IMAGE as usize);
                             set.record(slice + bucket, source, negate != negated);
                         }
                     }
@@ -341,9 +289,10 @@ impl Windows<'_> {
     }
 }
 
-/// The table-free engine: Pippenger over the `n` points and, when some
-/// scalar has a second half, their `n` images `φ(P)`, which live in one
-/// buffer of `n` points for the duration of the run.
+/// The engine behind every entry point: Pippenger over the scalar halves of
+/// [`Terms::new`], reading the `n` points and, when some scalar has a second
+/// half, their `n` images `φ(P)`, which live in one buffer of `n` points for
+/// the duration of the run.
 fn msm_points(
     backend: &dyn Backend,
     points: Arc<Vec<G1Affine>>,
@@ -357,34 +306,18 @@ fn msm_points(
         2 => points.iter().map(G1Affine::endomorphism).collect(),
         _ => Vec::new(),
     };
-    let endomorphisms = images.len() as u64;
     let shape = Shape::new(n, terms.bits, window_bits);
-    let (sum, mut stats) = msm_impl(backend, shape, [points, Arc::new(images)], None, terms);
-    stats.endomorphisms = endomorphisms;
-    (sum, stats)
-}
-
-/// The engine behind every entry point: Pippenger over the scalar halves of
-/// [`Terms::new`], reading `sources` — the points and their images, or a
-/// table's shifted bases and theirs — at row `rows[i]` (row `i` without
-/// `rows`) for scalar `i`.
-fn msm_impl(
-    backend: &dyn Backend,
-    shape: Shape,
-    sources: [Arc<Vec<G1Affine>>; 2],
-    rows: Option<Vec<u32>>,
-    terms: Terms,
-) -> (G1Projective, MsmStats) {
-    let n = terms.negated.len();
     let mut stats = MsmStats::default();
     if n == 0 {
         return (G1Projective::identity(), stats);
     }
     assert!(
-        sources[0].len() < Op::IMAGE as usize,
+        n < Op::IMAGE as usize,
         "more points than an operation indexes"
     );
+    stats.endomorphisms = images.len() as u64;
     stats.recoded_scalars = terms.halves.len() as u64;
+    let sources = [points, Arc::new(images)];
     let carries: Vec<[u64; 2]> = terms
         .halves
         .iter()
@@ -397,13 +330,12 @@ fn msm_impl(
     // counting code; the pool carries its modmuls. Below `PAR_MIN_POINTS`
     // every job stays on the calling thread.
     let num_jobs = shape.num_jobs();
-    let (terms, carries, rows) = (Arc::new(terms), Arc::new(carries), rows.map(Arc::new));
+    let (terms, carries) = (Arc::new(terms), Arc::new(carries));
     let min_jobs = if n < PAR_MIN_POINTS { num_jobs } else { 1 };
     let ranges = pool::map_ranges(backend, num_jobs, min_jobs, move |range| {
         let windows = Windows {
             shape,
             sources: [&sources[0], &sources[1]],
-            rows: rows.as_deref().map(Vec::as_slice),
             terms: &terms,
             carries: &carries,
         };
@@ -417,16 +349,14 @@ fn msm_impl(
 
     // Serial top-down combine: w doublings between window sums (skipped
     // while the accumulator is still the identity, so the signed recoding's
-    // empty top window costs nothing) and none between the job sums of a
-    // table run, one addition per non-empty sum.
-    let shift = if shape.table { 0 } else { shape.w };
+    // empty top window costs nothing), one addition per non-empty sum.
     let mut acc = G1Projective::identity();
     for sum in sums.iter().rev() {
         if !acc.is_identity() {
-            for _ in 0..shift {
+            for _ in 0..shape.w {
                 acc = acc.double();
             }
-            stats.doublings += shift as u64;
+            stats.doublings += shape.w as u64;
         }
         if !sum.is_identity() {
             stats.combine_adds += accumulate(&mut acc, sum);
@@ -452,10 +382,37 @@ pub fn sparse_msm(
 ) -> (G1Projective, SparseMsmStats) {
     assert_eq!(points.len(), scalars.len(), "length mismatch");
     let mut stats = SparseMsmStats::default();
-    let (ones, dense_points, dense_scalars) =
-        split_sparse(points.iter().copied(), scalars, &mut stats);
-    let dense = msm_points(backend, Arc::new(dense_points), &dense_scalars, 0);
-    (add_ones_sum(ones, dense, &mut stats.ops), stats)
+    let (zero, one) = (Fr::zero(), Fr::one());
+    let (mut ones, mut dense_points, mut dense_scalars) = (Vec::new(), Vec::new(), Vec::new());
+    for (point, s) in points.iter().zip(scalars) {
+        if *s == zero {
+            stats.zeros += 1;
+        } else if *s == one {
+            stats.ones += 1;
+            ones.push(*point);
+        } else {
+            stats.dense += 1;
+            dense_points.push(*point);
+            dense_scalars.push(*s);
+        }
+    }
+    let (mut total, dense_stats) = msm_points(backend, Arc::new(dense_points), &dense_scalars, 0);
+
+    // The 1-scalars' points go through the batched affine adder (the
+    // pipelined PADD tree of the MSM unit's sparse mode), and their sum
+    // joins the dense remainder's.
+    let mut adder = BatchAdder::default();
+    adder.fold(&mut ones, 1);
+    let ones_sum = ones.first().copied().unwrap_or_default();
+    adder.drain_counts(&mut stats.ops);
+    stats.ops.merge(&dense_stats);
+    if total.is_identity() {
+        total = ones_sum.to_projective();
+    } else if !ones_sum.infinity {
+        total = total.add_mixed(&ones_sum);
+        stats.ops.bucket_adds += 1;
+    }
+    (total, stats)
 }
 
 /// [`sparse_msm`], under the name the benchmark imports.
@@ -467,114 +424,8 @@ pub fn sparse_msm_on(
     sparse_msm(backend, points, scalars)
 }
 
-/// Splits the terms of a sparse MSM by scalar, counting each class: zeros
-/// are dropped, the tags of ones and of dense terms are returned, the latter
-/// with their scalars.
-fn split_sparse<T>(
-    tags: impl Iterator<Item = T>,
-    scalars: &[Fr],
-    stats: &mut SparseMsmStats,
-) -> (Vec<T>, Vec<T>, Vec<Fr>) {
-    let (zero, one) = (Fr::zero(), Fr::one());
-    let (mut ones, mut dense, mut dense_scalars) = (Vec::new(), Vec::new(), Vec::new());
-    for (tag, s) in tags.zip(scalars) {
-        if *s == zero {
-            stats.zeros += 1;
-        } else if *s == one {
-            stats.ones += 1;
-            ones.push(tag);
-        } else {
-            stats.dense += 1;
-            dense.push(tag);
-            dense_scalars.push(*s);
-        }
-    }
-    (ones, dense, dense_scalars)
-}
-
-/// Sums the 1-scalars' points through the batched affine adder (the
-/// pipelined PADD tree of the MSM unit's sparse mode) and adds the sum to
-/// the dense remainder's result, accounting for both in `stats`.
-fn add_ones_sum(
-    mut ones_points: Vec<G1Affine>,
-    (mut total, dense_stats): (G1Projective, MsmStats),
-    stats: &mut MsmStats,
-) -> G1Projective {
-    let mut adder = BatchAdder::default();
-    adder.fold(&mut ones_points, 1);
-    let ones_sum = ones_points.first().copied().unwrap_or_default();
-    adder.drain_counts(stats);
-    stats.merge(&dense_stats);
-    if total.is_identity() {
-        total = ones_sum.to_projective();
-    } else if !ones_sum.infinity {
-        total = total.add_mixed(&ones_sum);
-        stats.bucket_adds += 1;
-    }
-    total
-}
-
-// ------------------------------------------------------ precomputed MSM ----
-
-/// Computes `Σ sᵢ·Bᵢ` over the fixed bases covered by a precomputed
-/// [`MultiBaseTable`], on the windows of [`msm`] at the table's width: each
-/// nonzero digit of a scalar half reads its window's shifted base
-/// `2^{w·j}·Bᵢ` (or, for `k₂`, that base's stored image), the windows of a
-/// job fill one bucket set of `2^{w−1}` buckets, and an aggregation pass per
-/// job finishes the sum — **no window doublings** and no images computed,
-/// the whole point of precomputing the session's bases.
-///
-/// The result is the same group element [`msm`] computes.
-///
-/// # Panics
-///
-/// Panics if `scalars` is longer than the table's base count (shorter is
-/// fine: a prefix MSM, as the halving openings need).
-pub fn msm_precomputed(
-    backend: &dyn Backend,
-    table: &Arc<MultiBaseTable>,
-    scalars: &[Fr],
-) -> (G1Projective, MsmStats) {
-    assert!(
-        scalars.len() <= table.num_bases(),
-        "more scalars than precomputed bases"
-    );
-    let (terms, w) = (Terms::new(scalars), table.window_bits());
-    let shape = Shape::table(scalars.len(), w, terms.bits, terms.per_scalar);
-    msm_impl(backend, shape, table.sources(), None, terms)
-}
-
-/// The Sparse MSM of the Witness Commit step over precomputed tables:
-/// 0-scalars are skipped, 1-scalars are tree-summed directly from the
-/// table's base entries, and the dense remainder runs through
-/// [`msm_precomputed`]'s engine (the dense bases are non-contiguous, so
-/// their table rows are addressed through an index vector).
-///
-/// # Panics
-///
-/// Panics if `scalars` is longer than the table's base count.
-pub fn sparse_msm_precomputed(
-    backend: &dyn Backend,
-    table: &Arc<MultiBaseTable>,
-    scalars: &[Fr],
-) -> (G1Projective, SparseMsmStats) {
-    assert!(
-        scalars.len() <= table.num_bases(),
-        "more scalars than precomputed bases"
-    );
-    let mut stats = SparseMsmStats::default();
-    let (ones, dense_rows, dense_scalars) = split_sparse(0u32.., scalars, &mut stats);
-    let ones = ones.iter().map(|&row| *table.base(row as usize)).collect();
-    let (terms, w) = (Terms::new(&dense_scalars), table.window_bits());
-    let shape = Shape::table(dense_rows.len(), w, terms.bits, terms.per_scalar);
-    let rows = Some(dense_rows);
-    let dense = msm_impl(backend, shape, table.sources(), rows, terms);
-    (add_ones_sum(ones, dense, &mut stats.ops), stats)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::recode::tests::edge_scalars;
     use super::*;
     use zkspeed_rt::pool::{Serial, ThreadPool};
     use zkspeed_rt::rngs::StdRng;
@@ -781,116 +632,5 @@ mod tests {
         assert_eq!(stats.zeros + stats.ones + stats.dense, n);
         assert!(stats.ones > 0);
         assert!(stats.zeros > 0);
-    }
-
-    #[test]
-    fn precomputed_matches_naive_across_window_bits() {
-        // The split's edge scalars (r − 1 splits as [0, λ + 1]) and random
-        // ones, at every table width, dense and sparse, over the whole
-        // table and over a ragged prefix: both halves of every scalar are
-        // recoded, and no image is computed.
-        let mut r = rng();
-        let n = 40;
-        let points = random_points(n, &mut r);
-        let shared = Arc::new(points.clone());
-        let mut scalars = edge_scalars();
-        scalars.extend([Fr::one(), Fr::zero(), Fr::one()]);
-        scalars.extend((scalars.len()..n).map(|_| Fr::random(&mut r)));
-        for w in [1usize, 4, 8, 12, 16] {
-            let table = Arc::new(MultiBaseTable::build(&shared, w, &Serial));
-            for len in [n, 7] {
-                let (points, scalars) = (&points[..len], &scalars[..len]);
-                let expect = naive_msm(points, scalars);
-                let (res, stats) = msm_precomputed(&Serial, &table, scalars);
-                assert_eq!(res, expect, "w = {w}, {len} scalars");
-                assert_eq!(stats.recoded_scalars, 2 * len as u64);
-                assert_eq!(stats.endomorphisms, 0);
-                let (res, sparse) = sparse_msm_precomputed(&Serial, &table, scalars);
-                assert_eq!(res, expect, "w = {w}, {len} scalars, sparse");
-                assert_eq!(sparse.ops.recoded_scalars, 2 * sparse.dense as u64);
-                assert!(sparse.ones > 0 && sparse.zeros > 0);
-            }
-        }
-        // Empty input.
-        let table = Arc::new(MultiBaseTable::build(&shared, 8, &Serial));
-        let (empty, empty_stats) = msm_precomputed(&Serial, &table, &[]);
-        assert_eq!(empty, G1Projective::identity());
-        assert_eq!(empty_stats, MsmStats::default());
-    }
-
-    #[test]
-    fn precomputed_is_thread_count_invariant() {
-        // Enough operations a bucket that the jobs genuinely fan out.
-        let mut r = rng();
-        let (n, w) = (512, 8);
-        assert!(Shape::table(n, w, HALF_BITS, 2).num_jobs() > 1);
-        let points = Arc::new(cheap_points(n, &mut r));
-        let scalars = random_scalars(n, &mut r);
-        let table = Arc::new(MultiBaseTable::build(&points, w, &Serial));
-        let serial = msm_precomputed(&Serial, &table, &scalars);
-        assert_eq!(serial.0, naive_msm(&points, &scalars));
-        for threads in [1usize, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let pooled = msm_precomputed(&pool, &table, &scalars);
-            assert_eq!(pooled, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn sparse_precomputed_matches_dense_reference() {
-        let mut r = rng();
-        let n = 300;
-        let points = Arc::new(cheap_points(n, &mut r));
-        // Witness-like sparsity so all three classes are populated.
-        let scalars: Vec<Fr> = (0..n)
-            .map(|i| match i % 10 {
-                0..=3 => Fr::zero(),
-                4..=8 => Fr::one(),
-                _ => Fr::random(&mut r),
-            })
-            .collect();
-        let expect = naive_msm(&points, &scalars);
-        let table = Arc::new(MultiBaseTable::build(&points, 9, &Serial));
-        let serial = sparse_msm_precomputed(&Serial, &table, &scalars);
-        assert_eq!(serial.0, expect);
-        assert!(serial.1.zeros > 0 && serial.1.ones > 0 && serial.1.dense > 0);
-        let pooled = sparse_msm_precomputed(&ThreadPool::new(8), &table, &scalars);
-        assert_eq!(pooled, serial);
-    }
-
-    #[test]
-    fn precomputed_engine_reduces_fq_muls() {
-        // The whole point: at session sizes the table engine beats the best
-        // table-free schedule on Fq multiplications (no window doublings,
-        // no images, one aggregation for the whole MSM instead of one per
-        // window).
-        let mut r = rng();
-        let n = 1 << 10;
-        let points = Arc::new(cheap_points(n, &mut r));
-        let scalars = random_scalars(n, &mut r);
-        let (opt_res, optimized) = msm(&Serial, &points, &scalars);
-        let w = crate::MULTI_BASE_DEFAULT_WINDOW_BITS;
-        let table = Arc::new(MultiBaseTable::build(&points, w, &Serial));
-        let (pre_res, precomputed) = msm_precomputed(&Serial, &table, &scalars);
-        assert_eq!(pre_res, opt_res);
-        assert!(
-            precomputed.fq_muls() * 4 < optimized.fq_muls() * 3,
-            "expected ≥25% fewer Fq muls: optimized {} vs precomputed {}",
-            optimized.fq_muls(),
-            precomputed.fq_muls()
-        );
-        assert!(precomputed.affine_adds > 0);
-    }
-
-    #[test]
-    fn auto_precomputed_jobs_scale_with_problem_size() {
-        // One job up to 40 operations a bucket, then more, up to MIN_JOBS
-        // (the 12 windows of a 12-bit table as six jobs of two).
-        let w = crate::MULTI_BASE_DEFAULT_WINDOW_BITS;
-        assert_eq!(Shape::table(100, w, HALF_BITS, 2).num_jobs(), 1);
-        assert_eq!(Shape::table(1 << 12, w, HALF_BITS, 2).num_jobs(), 1);
-        assert_eq!(Shape::table(1 << 14, w, HALF_BITS, 2).num_jobs(), 4);
-        assert_eq!(Shape::table(1 << 20, w, HALF_BITS, 2).num_jobs(), 6);
-        assert_eq!(Shape::table(1 << 20, 3, HALF_BITS, 2).num_jobs(), MIN_JOBS);
     }
 }

@@ -167,7 +167,7 @@ pub(super) mod tests {
 
     /// The scalars at the edges of the GLV split (those of
     /// `scalar_split_is_exact_and_short`) and of the recoding carries.
-    pub(in crate::msm) fn edge_scalars() -> Vec<Fr> {
+    fn edge_scalars() -> Vec<Fr> {
         let lambda = Fr::from_u128(LAMBDA);
         let two_128 = Fr::from_u128(1 << 127).double();
         vec![

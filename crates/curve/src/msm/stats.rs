@@ -32,12 +32,11 @@ pub struct MsmStats {
     /// of the row term by the row length).
     pub doublings: u64,
     /// Images `φ(P) = (β·x, y)` computed, one Fq multiplication each: one
-    /// per point of a table-free MSM in which some scalar has a second half,
-    /// none otherwise.
+    /// per point of an MSM in which some scalar has a second half, none
+    /// otherwise.
     pub endomorphisms: u64,
     /// Scalar halves recoded into signed window digits: two per scalar
-    /// (`k₁` and `k₂`), or one when no scalar of the run has a second half,
-    /// with or without a table.
+    /// (`k₁` and `k₂`), or one when no scalar of the run has a second half.
     pub recoded_scalars: u64,
 }
 

@@ -7,9 +7,8 @@
 //! HyperPlonk over Groth16 in the zkSpeed paper's introduction.
 
 use core::fmt;
-use std::sync::Arc;
 
-use zkspeed_pcs::{commit, commit_sparse, CommitTables, Commitment, PrecomputeBudget, Srs};
+use zkspeed_pcs::{commit, commit_sparse, Commitment, Srs};
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::pool::{self, Backend, Serial};
 use zkspeed_transcript::Transcript;
@@ -64,12 +63,6 @@ pub struct ProvingKey {
     pub selector_commitments: [Commitment; 5],
     /// Commitments to `σ₁, σ₂, σ₃`.
     pub sigma_commitments: [Commitment; 3],
-    /// Per-session precomputed commit tables over the SRS Lagrange bases
-    /// ([`try_preprocess`] builds them when the opt-in [`PrecomputeBudget`]
-    /// is enabled). Every commit and opening at a level with a
-    /// table runs on it; `None` keeps them all on the table-free engine.
-    /// Proof bytes are identical either way.
-    pub commit_tables: Option<Arc<CommitTables>>,
 }
 
 /// The verifier's key: circuit commitments plus the SRS.
@@ -117,9 +110,7 @@ pub fn bind_circuit_to_transcript(
 }
 
 /// Preprocessing: commits to the circuit's five selector and three wiring
-/// tables, one job each on `backend`, and builds the per-session commit
-/// tables ([`CommitTables`]) on the same backend when `budget` is enabled.
-/// A disabled budget (the default) builds none.
+/// tables, one job each on `backend`.
 ///
 /// # Errors
 ///
@@ -129,7 +120,6 @@ pub fn try_preprocess(
     circuit: Circuit,
     srs: &Srs,
     backend: &dyn Backend,
-    budget: &PrecomputeBudget,
 ) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
     if circuit.num_vars() == 0 {
         return Err(PreprocessError::NoVariables);
@@ -143,8 +133,7 @@ pub fn try_preprocess(
     // A smaller circuit preprocesses against the prefix view of the shared
     // SRS: the same Arc-shared point levels, scoped to the circuit's μ.
     // Commitments and proofs are byte-identical to an exact-size setup with
-    // the matching τ suffix, and any precomputed commit tables below cover
-    // the session's own levels instead of the full SRS's.
+    // the matching τ suffix.
     let prefix_view;
     let srs = if circuit.num_vars() < srs.num_vars() {
         prefix_view = srs.prefix(circuit.num_vars());
@@ -169,16 +158,13 @@ pub fn try_preprocess(
     // transcript inverts nothing.
     let commitments = pool::map_indices_on(backend, tables.len(), move |i| {
         let commitment = match i {
-            0..=4 => commit_sparse(&Serial, &job_srs, &tables[i], None).0,
-            _ => commit(&Serial, &job_srs, &tables[i], None).0,
+            0..=4 => commit_sparse(&Serial, &job_srs, &tables[i]).0,
+            _ => commit(&Serial, &job_srs, &tables[i]).0,
         };
         Commitment(commitment.0.to_affine().to_projective())
     });
     let selector_commitments = [0, 1, 2, 3, 4].map(|i| commitments[i]);
     let sigma_commitments = [0, 1, 2].map(|i| commitments[5 + i]);
-    // The session's table build rides the same backend; commitments above
-    // were computed table-free, which yields the same group elements.
-    let commit_tables = CommitTables::build(srs, budget, backend).map(Arc::new);
     let vk = VerifyingKey {
         num_vars: circuit.num_vars(),
         srs: srs.clone(),
@@ -190,7 +176,6 @@ pub fn try_preprocess(
         srs: srs.clone(),
         selector_commitments,
         sigma_commitments,
-        commit_tables,
     };
     Ok((pk, vk))
 }
@@ -214,12 +199,12 @@ mod tests {
         Srs::try_setup(mu, r, &Serial).unwrap()
     }
 
-    /// Serial preprocessing without commit tables.
+    /// Serial preprocessing.
     fn preprocess(
         circuit: Circuit,
         srs: &Srs,
     ) -> Result<(ProvingKey, VerifyingKey), PreprocessError> {
-        try_preprocess(circuit, srs, &Serial, &PrecomputeBudget::disabled())
+        try_preprocess(circuit, srs, &Serial)
     }
 
     #[test]
@@ -283,28 +268,6 @@ mod tests {
         let err = preprocess(circuit, &srs).unwrap_err();
         assert_eq!(err, PreprocessError::NoVariables);
         assert!(err.to_string().contains("2^0 gates"));
-    }
-
-    #[test]
-    fn budgeted_preprocess_builds_tables_and_identical_keys() {
-        let mut r = rng();
-        let srs = srs(6, &mut r);
-        let (circuit, _) = mock_circuit(6, SparsityProfile::paper_default(), &mut r);
-        let (pk_plain, vk_plain) = preprocess(circuit.clone(), &srs).unwrap();
-        assert!(
-            pk_plain.commit_tables.is_none(),
-            "a disabled budget builds no tables"
-        );
-        let (pk, vk) =
-            try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::unlimited()).unwrap();
-        let tables = pk.commit_tables.as_ref().expect("unlimited budget builds");
-        assert!(tables.levels_covered() > 0);
-        assert!(tables.size_in_bytes() > 0);
-        // Tables change nothing about the keys themselves.
-        assert_eq!(pk.selector_commitments, pk_plain.selector_commitments);
-        assert_eq!(pk.sigma_commitments, pk_plain.sigma_commitments);
-        assert_eq!(vk.selector_commitments, vk_plain.selector_commitments);
-        assert_eq!(vk.sigma_commitments, vk_plain.sigma_commitments);
     }
 
     #[test]
@@ -400,9 +363,8 @@ mod tests {
         let mut r = rng();
         let srs = srs(5, &mut r);
         let (circuit, _) = mock_circuit(5, SparsityProfile::paper_default(), &mut r);
-        let budget = PrecomputeBudget::disabled();
         let (_, vk_a) = preprocess(circuit.clone(), &srs).unwrap();
-        let (_, vk_b) = try_preprocess(circuit, &srs, &ThreadPool::new(4), &budget).unwrap();
+        let (_, vk_b) = try_preprocess(circuit, &srs, &ThreadPool::new(4)).unwrap();
         assert_eq!(vk_a.selector_commitments, vk_b.selector_commitments);
         assert_eq!(vk_a.sigma_commitments, vk_b.sigma_commitments);
     }

@@ -28,12 +28,12 @@
 //! use zkspeed_hyperplonk::{
 //!     mock_circuit, prove, try_preprocess, verify, ExecCtx, SparsityProfile,
 //! };
-//! use zkspeed_pcs::{PrecomputeBudget, Srs};
+//! use zkspeed_pcs::Srs;
 //!
 //! let mut rng = StdRng::seed_from_u64(42);
 //! let srs = Srs::try_setup(4, &mut rng, &Serial)?;
 //! let (circuit, witness) = mock_circuit(4, SparsityProfile::paper_default(), &mut rng);
-//! let (pk, vk) = try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::disabled())?;
+//! let (pk, vk) = try_preprocess(circuit, &srs, &Serial)?;
 //! let (proof, _report) = prove(&pk, &witness, &ExecCtx::default())?;
 //! verify(&vk, &proof)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -122,45 +122,37 @@ pub fn prove(
 
 /// Proves every witness of `batch` against the same proving key, fanning
 /// the independent proofs out across `ctx.backend`; each proof's spans
-/// carry the job id it is paired with (in place of `ctx.job`).
+/// carry the job id it is paired with (in place of `ctx.job`). The
+/// witnesses come behind an `Arc`, which the proof jobs share, not copy.
 ///
-/// All witnesses are validated up front; the proofs are returned in input
-/// order and each is bit-identical to a [`prove`] of the same witness on
-/// any backend.
-///
-/// # Errors
-///
-/// Returns [`ProveError::UnsatisfiedWitness`] for the first invalid witness
-/// (no proving work is started in that case).
+/// Returns one result per witness, in input order: what [`prove`] returns
+/// for it, bit-identical on any backend. Each witness is checked once, in
+/// its own job, and one that fails the circuit fails alone: the others are
+/// still proved.
 pub fn prove_batch(
     pk: &ProvingKey,
-    batch: &[(u64, Witness)],
+    batch: &[(u64, Arc<Witness>)],
     ctx: &ExecCtx,
-) -> Result<Vec<(Proof, ProverReport)>, ProveError> {
-    for (_, witness) in batch {
-        pk.circuit
-            .check_witness(witness)
-            .map_err(ProveError::UnsatisfiedWitness)?;
-    }
+) -> Vec<Result<(Proof, ProverReport), ProveError>> {
     let job_ctx = move |job| ExecCtx { job, ..ctx.clone() };
     if batch.len() <= 1 || ctx.backend.threads() == 1 {
-        return Ok(batch
+        return batch
             .iter()
-            .map(|(job, w)| prove_unchecked(pk, w, &job_ctx(*job)))
-            .collect());
+            .map(|(job, w)| prove(pk, w, &job_ctx(*job)))
+            .collect();
     }
     // One job per proof; each job still hands its inner MSM / SumCheck work
     // to the same pool, and the pool's helping scheduler keeps every thread
     // busy across proof boundaries.
     let job_pk = pk.clone();
-    let jobs: Vec<(ExecCtx, Witness)> = batch
+    let jobs: Vec<(ExecCtx, Arc<Witness>)> = batch
         .iter()
-        .map(|(job, w)| (job_ctx(*job), w.clone()))
+        .map(|(job, w)| (job_ctx(*job), Arc::clone(w)))
         .collect();
-    Ok(pool::map_indices_on(&*ctx.backend, batch.len(), move |i| {
+    pool::map_indices_on(&*ctx.backend, batch.len(), move |i| {
         let (ctx, witness) = &jobs[i];
-        prove_unchecked(&job_pk, witness, ctx)
-    }))
+        prove(&job_pk, witness, ctx)
+    })
 }
 
 /// Runs the prover without checking witness satisfiability first.
@@ -192,13 +184,12 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     // bit-identical to a serial run.
     let job_srs = pk.srs.clone();
     let job_columns = witness.columns.clone();
-    let job_tables = pk.commit_tables.clone();
     let job_trace = trace.clone();
     let column_commitments = meter.msm(Kernel::WitnessMsm, 3, || {
         pool::map_indices_on(&**backend, 3, move |j| {
             let name = Kernel::WitnessMsm.span_name();
             let _msm_span = job_trace.span_with(name, "msm", &[("job", job), ("column", j as u64)]);
-            commit_sparse(&Serial, &job_srs, &job_columns[j], job_tables.as_deref())
+            commit_sparse(&Serial, &job_srs, &job_columns[j])
         })
     });
     let mut witness_commitments = Vec::with_capacity(3);
@@ -251,14 +242,13 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     // helping scheduler.
     let job_srs = pk.srs.clone();
     let job_polys = [phi.clone(), pi.clone()];
-    let job_tables = pk.commit_tables.clone();
     let job_trace = trace.clone();
     let inner = Arc::clone(backend);
     let wiring_commitments = meter.msm(Kernel::WiringMsm, 2, || {
         pool::map_indices_on(&**backend, 2, move |j| {
             let name = Kernel::WiringMsm.span_name();
             let _msm_span = job_trace.span_with(name, "msm", &[("job", job), ("poly", j as u64)]);
-            commit(&*inner, &job_srs, &job_polys[j], job_tables.as_deref())
+            commit(&*inner, &job_srs, &job_polys[j])
         })
     });
     let [(phi_commitment, phi_stats), (pi_commitment, pi_stats)] =
@@ -375,8 +365,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
     let (gprime_value, gprime_opening, open_stats) = meter.msm(Kernel::OpeningMsm, 1, || {
         let name = Kernel::OpeningMsm.span_name();
         let _msm_span = trace.span_with(name, "msm", &[("job", job)]);
-        let tables = pk.commit_tables.as_deref();
-        open(&**backend, &pk.srs, &gprime, &rho, tables)
+        open(&**backend, &pk.srs, &gprime, &rho)
     });
     report.opening_msm.merge(&open_stats);
     debug_assert_eq!(
@@ -464,8 +453,7 @@ mod tests {
         let mut r = rng();
         let srs = Srs::try_setup(mu, &mut r, &Serial).unwrap();
         let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
-        let budget = zkspeed_pcs::PrecomputeBudget::disabled();
-        let (pk, _vk) = try_preprocess(circuit, &srs, &Serial, &budget).expect("circuit fits");
+        let (pk, _vk) = try_preprocess(circuit, &srs, &Serial).expect("circuit fits");
         (pk, witness)
     }
 
@@ -557,33 +545,44 @@ mod tests {
     #[test]
     fn batch_proving_matches_individual_proofs() {
         let (pk, witness) = session(4);
-        let batch: Vec<(u64, Witness)> = (0..3).map(|job| (job, witness.clone())).collect();
-        let proofs = prove_batch(&pk, &batch, &pooled()).expect("valid witnesses");
+        let shared = Arc::new(witness.clone());
+        let batch: Vec<(u64, Arc<Witness>)> =
+            (0..3).map(|job| (job, Arc::clone(&shared))).collect();
+        let proofs = prove_batch(&pk, &batch, &pooled());
         assert_eq!(proofs.len(), 3);
         let (single, _) = prove(&pk, &witness, &ExecCtx::default()).expect("valid witness");
-        for (proof, _) in &proofs {
+        for proved in &proofs {
+            let (proof, _) = proved.as_ref().expect("valid witness");
             assert_eq!(*proof, single, "batch proofs must match individual runs");
         }
-        // An invalid witness anywhere in the batch fails the whole call.
-        let mut bad = batch.clone();
-        bad[1].1.columns[2].evaluations_mut()[0] += Fr::one();
-        assert!(matches!(
-            prove_batch(&pk, &bad, &pooled()),
-            Err(ProveError::UnsatisfiedWitness(_))
-        ));
+        // An invalid witness fails alone; its batch-mates are still proved.
+        let mut bad = witness;
+        bad.columns[2].evaluations_mut()[0] += Fr::one();
+        let mut mixed = batch;
+        mixed[1].1 = Arc::new(bad);
+        let proved = prove_batch(&pk, &mixed, &pooled());
+        assert!(matches!(proved[1], Err(ProveError::UnsatisfiedWitness(_))));
+        for i in [0, 2] {
+            assert_eq!(proved[i].as_ref().expect("valid witness").0, single);
+        }
     }
 
     #[test]
     fn tracing_produces_byte_identical_proofs() {
         let (pk, witness) = session(4);
-        let batch = vec![(41, witness.clone()), (42, witness)];
-        let plain = prove_batch(&pk, &batch, &pooled()).expect("valid witnesses");
+        let witness = Arc::new(witness);
+        let batch = vec![(41, Arc::clone(&witness)), (42, witness)];
+        let proved = |ctx: &ExecCtx| -> Vec<_> {
+            let proofs = prove_batch(&pk, &batch, ctx).into_iter();
+            proofs.map(|p| p.expect("valid witness")).collect()
+        };
+        let plain = proved(&pooled());
         let sink = TraceSink::enabled();
         let traced_ctx = ExecCtx {
             trace: sink.clone(),
             ..pooled()
         };
-        let traced = prove_batch(&pk, &batch, &traced_ctx).expect("valid witnesses");
+        let traced = proved(&traced_ctx);
         for ((p, _), (t, _)) in plain.iter().zip(traced.iter()) {
             assert_eq!(
                 p.to_bytes(),

@@ -166,7 +166,6 @@ mod tests {
     use crate::mock::{mock_circuit, SparsityProfile};
     use crate::prover::{prove, ExecCtx};
     use crate::verifier::verify;
-    use zkspeed_pcs::PrecomputeBudget;
     use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
@@ -175,8 +174,7 @@ mod tests {
         let mut r = StdRng::seed_from_u64(0x5eed_0015);
         let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
         let (circuit, witness) = mock_circuit(4, SparsityProfile::paper_default(), &mut r);
-        let budget = PrecomputeBudget::disabled();
-        let (pk, vk) = try_preprocess(circuit, &srs, &Serial, &budget).expect("circuit fits");
+        let (pk, vk) = try_preprocess(circuit, &srs, &Serial).expect("circuit fits");
         let (proof, _) = prove(&pk, &witness, &ExecCtx::default()).expect("valid witness");
         (proof, vk)
     }

@@ -253,7 +253,7 @@ mod tests {
     use crate::keys::{try_preprocess, ProvingKey};
     use crate::mock::{mock_circuit, SparsityProfile};
     use crate::prover::{prove_unchecked, ExecCtx};
-    use zkspeed_pcs::{Commitment, PrecomputeBudget, Srs};
+    use zkspeed_pcs::{Commitment, Srs};
     use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
@@ -263,7 +263,7 @@ mod tests {
     }
 
     fn preprocess(circuit: Circuit, srs: &Srs) -> (ProvingKey, VerifyingKey) {
-        try_preprocess(circuit, srs, &Serial, &PrecomputeBudget::disabled()).unwrap()
+        try_preprocess(circuit, srs, &Serial).unwrap()
     }
 
     /// A proof on one thread, with no satisfiability check.

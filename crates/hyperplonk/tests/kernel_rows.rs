@@ -5,7 +5,7 @@
 //! totals that `prover::tests` hold would still pass.
 
 use zkspeed_hyperplonk::{mock_circuit, prove_unchecked, try_preprocess, ExecCtx, SparsityProfile};
-use zkspeed_pcs::{PrecomputeBudget, Srs};
+use zkspeed_pcs::Srs;
 use zkspeed_rt::pool::Serial;
 use zkspeed_rt::rngs::StdRng;
 use zkspeed_rt::SeedableRng;
@@ -55,8 +55,7 @@ fn rows(mu: usize) -> Rows {
     let mut rng = StdRng::seed_from_u64(0x5eed_0010);
     let srs = Srs::try_setup(mu, &mut rng, &Serial).unwrap();
     let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
-    let budget = PrecomputeBudget::disabled();
-    let (pk, _vk) = try_preprocess(circuit, &srs, &Serial, &budget).expect("circuit fits");
+    let (pk, _vk) = try_preprocess(circuit, &srs, &Serial).expect("circuit fits");
     let (_, report) = prove_unchecked(&pk, &witness, &ExecCtx::default());
     report
         .kernels

@@ -4,15 +4,11 @@
 //! Lagrange basis — exactly the operation the zkSpeed MSM unit accelerates
 //! in the Witness Commit and Wiring Identity steps.
 
-use zkspeed_curve::{
-    msm, msm_precomputed, sparse_msm, sparse_msm_precomputed, G1Affine, G1Projective, MsmStats,
-    SparseMsmStats,
-};
+use zkspeed_curve::{msm, sparse_msm, G1Affine, G1Projective, MsmStats, SparseMsmStats};
 use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::codec::{Decode, DecodeError, Encode, Reader};
 use zkspeed_rt::pool::Backend;
 
-use crate::precompute::CommitTables;
 use crate::srs::Srs;
 
 /// A commitment to a multilinear polynomial (one G1 point).
@@ -53,46 +49,30 @@ impl Decode for Commitment {
 }
 
 /// Commits to a multilinear polynomial with one dense MSM over the SRS basis
-/// of its size, and returns the operation counts for the hardware model.
-/// The MSM runs on the zero-doubling table engine when `tables` holds a
-/// table for that level, otherwise on the table-free engine, with its
-/// windows fanned out over `backend`; the group element is the same either
-/// way.
+/// of its size, its windows fanned out over `backend`, and returns the
+/// operation counts for the hardware model.
 ///
 /// # Panics
 ///
 /// Panics if the polynomial is larger than the SRS supports.
-pub fn commit(
-    backend: &dyn Backend,
-    srs: &Srs,
-    poly: &MultilinearPoly,
-    tables: Option<&CommitTables>,
-) -> (Commitment, MsmStats) {
-    let level = level_for(srs, poly);
-    let (point, stats) = match tables.and_then(|t| t.level(level)) {
-        Some(table) => msm_precomputed(backend, table, poly.evaluations()),
-        None => msm(
-            backend,
-            srs.shared_lagrange_basis(level),
-            poly.evaluations(),
-        ),
-    };
+pub fn commit(backend: &dyn Backend, srs: &Srs, poly: &MultilinearPoly) -> (Commitment, MsmStats) {
+    let basis = srs.shared_lagrange_basis(level_for(srs, poly));
+    let (point, stats) = msm(backend, basis, poly.evaluations());
     (Commitment(point), stats)
 }
 
-/// [`commit`] without tables, under the name the benchmark imports.
+/// [`commit`] without its counts, under the name the benchmark imports.
 ///
 /// # Panics
 ///
 /// Panics if the polynomial is larger than the SRS supports.
 pub fn commit_on(backend: &dyn Backend, srs: &Srs, poly: &MultilinearPoly) -> Commitment {
-    commit(backend, srs, poly, None).0
+    commit(backend, srs, poly).0
 }
 
 /// Commits to a (typically sparse) witness polynomial with the Sparse MSM of
 /// Section 3.3.1: 0-valued scalars are skipped, 1-valued scalars are summed
-/// with the tree adder, and the dense remainder goes through Pippenger — on
-/// a table of the level when `tables` holds one, as in [`commit`].
+/// with the tree adder, and the dense remainder goes through Pippenger.
 ///
 /// # Panics
 ///
@@ -101,17 +81,13 @@ pub fn commit_sparse(
     backend: &dyn Backend,
     srs: &Srs,
     poly: &MultilinearPoly,
-    tables: Option<&CommitTables>,
 ) -> (Commitment, SparseMsmStats) {
-    let level = level_for(srs, poly);
-    let (point, stats) = match tables.and_then(|t| t.level(level)) {
-        Some(table) => sparse_msm_precomputed(backend, table, poly.evaluations()),
-        None => sparse_msm(backend, srs.lagrange_basis(level), poly.evaluations()),
-    };
+    let basis = srs.lagrange_basis(level_for(srs, poly));
+    let (point, stats) = sparse_msm(backend, basis, poly.evaluations());
     (Commitment(point), stats)
 }
 
-/// [`commit_sparse`] without tables, under the name the benchmark imports.
+/// [`commit_sparse`], under the name the benchmark imports.
 ///
 /// # Panics
 ///
@@ -121,11 +97,11 @@ pub fn commit_sparse_on(
     srs: &Srs,
     poly: &MultilinearPoly,
 ) -> (Commitment, SparseMsmStats) {
-    commit_sparse(backend, srs, poly, None)
+    commit_sparse(backend, srs, poly)
 }
 
-/// The SRS level a polynomial commits at, with the size check both the
-/// table and table-free paths share.
+/// The SRS level a polynomial commits at, with the size check both commits
+/// share.
 fn level_for(srs: &Srs, poly: &MultilinearPoly) -> usize {
     assert!(
         poly.num_vars() <= srs.num_vars(),
@@ -170,10 +146,10 @@ mod tests {
             _ => Fr::from_u64(i as u64 * 1_000_003),
         });
         let dense = commit_on(&Serial, &srs, &f);
-        let (sparse, stats) = commit_sparse(&Serial, &srs, &f, None);
+        let (sparse, stats) = commit_sparse(&Serial, &srs, &f);
         assert_eq!(dense, sparse);
         assert!(stats.zeros > 0 && stats.ones > 0 && stats.dense > 0);
-        let (dense2, msm_stats) = commit(&Serial, &srs, &f, None);
+        let (dense2, msm_stats) = commit(&Serial, &srs, &f);
         assert_eq!(dense2, dense);
         assert!(msm_stats.fq_muls() > 0);
     }
@@ -221,46 +197,6 @@ mod tests {
             1,
             "identity commitment marks the infinity flag"
         );
-    }
-
-    #[test]
-    fn table_commits_match_table_free_commits() {
-        use crate::precompute::PrecomputeBudget;
-
-        let mut r = rng();
-        let srs = Srs::try_setup(6, &mut r, &Serial).unwrap();
-        let tables = CommitTables::build(&srs, &PrecomputeBudget::unlimited(), &Serial)
-            .expect("unlimited budget builds");
-        // Dense commit: covered level, uncovered level, and sparse commit
-        // all agree with the table-free engine.
-        let f = MultilinearPoly::random(6, &mut r);
-        let (plain, _) = commit(&Serial, &srs, &f, None);
-        let (tabled, stats) = commit(&Serial, &srs, &f, Some(&tables));
-        assert_eq!(plain, tabled);
-        // Tables present means tables used: no images of points (the
-        // table-free engine computes one per point), and no window
-        // doublings — all that doubles is the aggregation multiplying its
-        // row term by the row length of the bucket grid, 2^⌈(w−1)/2⌉.
-        assert_eq!(stats.endomorphisms, 0);
-        let w = zkspeed_curve::MULTI_BASE_DEFAULT_WINDOW_BITS;
-        let aggregation_doublings = (w as u64 - 1).div_ceil(2);
-        assert_eq!(stats.doublings, aggregation_doublings);
-        let small = MultilinearPoly::random(2, &mut r); // below the table floor
-        let (plain_small, _) = commit(&Serial, &srs, &small, None);
-        let (tabled_small, small_stats) = commit(&Serial, &srs, &small, Some(&tables));
-        assert_eq!(plain_small, tabled_small);
-        assert_eq!(small_stats.endomorphisms, 4);
-        let sparse = MultilinearPoly::from_fn(6, |i| match i % 10 {
-            0..=3 => Fr::zero(),
-            4..=8 => Fr::one(),
-            _ => Fr::from_u64(i as u64 + 7),
-        });
-        let (plain_sparse, _) = commit_sparse(&Serial, &srs, &sparse, None);
-        let (tabled_sparse, sparse_stats) = commit_sparse(&Serial, &srs, &sparse, Some(&tables));
-        assert_eq!(plain_sparse, tabled_sparse);
-        // Six dense scalars fill projective buckets: one running sum.
-        assert_eq!(sparse_stats.ops.doublings, 0);
-        assert_eq!(sparse_stats.ops.endomorphisms, 0);
     }
 
     #[test]

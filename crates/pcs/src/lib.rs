@@ -30,17 +30,17 @@
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let srs = Srs::try_setup(4, &mut rng, &Serial)?;
 //! let f = MultilinearPoly::random(4, &mut rng);
-//! let (com, _stats) = commit(&Serial, &srs, &f, None);
+//! let (com, _stats) = commit(&Serial, &srs, &f);
 //! let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut rng)).collect();
-//! let (value, proof, _stats) = open(&Serial, &srs, &f, &point, None);
+//! let (value, proof, _stats) = open(&Serial, &srs, &f, &point);
 //! assert!(verify_opening(&srs, &com, &point, value, &proof));
 //!
 //! // An opening of 3·f + 5·g, checked against the two commitments.
 //! let g = MultilinearPoly::random(4, &mut rng);
-//! let (com_g, _stats) = commit(&Serial, &srs, &g, None);
+//! let (com_g, _stats) = commit(&Serial, &srs, &g);
 //! let (three, five) = (Fr::from_u64(3), Fr::from_u64(5));
 //! let h = MultilinearPoly::linear_combination(&[three, five], &[&f, &g]);
-//! let (value, proof, _stats) = open(&Serial, &srs, &h, &point, None);
+//! let (value, proof, _stats) = open(&Serial, &srs, &h, &point);
 //! let terms = [(three, com), (five, com_g)];
 //! assert!(verify_combined_opening(&srs, &terms, &point, value, &proof));
 //! # Ok::<(), zkspeed_pcs::SetupError>(())
@@ -56,5 +56,5 @@ mod srs;
 
 pub use commit::{commit, commit_on, commit_sparse, commit_sparse_on, Commitment};
 pub use open::{open, open_on, verify_combined_opening, verify_opening, OpeningProof};
-pub use precompute::{CommitTables, PrecomputeBudget};
+pub use precompute::PrecomputeBudget;
 pub use srs::{NumVars, SetupError, Srs, MAX_NUM_VARS};

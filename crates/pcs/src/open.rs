@@ -21,7 +21,6 @@ use zkspeed_poly::MultilinearPoly;
 use zkspeed_rt::pool::{self, Backend, Serial};
 
 use crate::commit::{commit, Commitment};
-use crate::precompute::CommitTables;
 use crate::srs::Srs;
 
 /// An opening proof: one quotient commitment per variable.
@@ -37,10 +36,8 @@ zkspeed_rt::impl_codec_struct!(OpeningProof { quotients });
 /// operation counts of the halving commitments (for the hardware model).
 ///
 /// The quotient construction, the halving MSMs and the MLE Updates of every
-/// round fan out over `backend`'s workers. Each round's quotient commits at
-/// one level higher than the last, so rounds whose level has a table in
-/// `tables` run on the zero-doubling engine and the (tiny) tail rounds do
-/// not. The proof is the same on any backend, with or without tables.
+/// round fan out over `backend`'s workers. The proof is the same on any
+/// backend.
 ///
 /// # Panics
 ///
@@ -51,7 +48,6 @@ pub fn open(
     srs: &Srs,
     poly: &MultilinearPoly,
     point: &[Fr],
-    tables: Option<&CommitTables>,
 ) -> (Fr, OpeningProof, MsmStats) {
     /// Below this many quotient entries the construction stays serial.
     const MIN_CHUNK: usize = 1 << 12;
@@ -85,7 +81,7 @@ pub fn open(
             q_evals
         };
         let q = MultilinearPoly::new(q_evals);
-        let (com, s) = commit(backend, srs, &q, tables);
+        let (com, s) = commit(backend, srs, &q);
         stats.merge(&s);
         quotients.push(com);
         cur = cur.fix_first_variable(*z_k, backend);
@@ -93,7 +89,7 @@ pub fn open(
     (cur[0], OpeningProof { quotients }, stats)
 }
 
-/// [`open`] without tables, under the name the benchmark imports.
+/// [`open`], under the name the benchmark imports.
 ///
 /// # Panics
 ///
@@ -105,7 +101,7 @@ pub fn open_on(
     poly: &MultilinearPoly,
     point: &[Fr],
 ) -> (Fr, OpeningProof, MsmStats) {
-    open(backend, srs, poly, point, None)
+    open(backend, srs, poly, point)
 }
 
 /// Verifies an opening proof.
@@ -304,24 +300,35 @@ mod tests {
     }
 
     #[test]
-    fn table_openings_are_bit_identical() {
-        use crate::PrecomputeBudget;
+    fn srs_bytes_hand_a_prover_tau_to_forge_openings_with() {
+        // The encoded SRS carries the trapdoor the verifier substitutes for
+        // a pairing. Whoever reads the file can open any commitment `C` to
+        // any value `v′`: the quotient `(τ₁ − z₁)⁻¹·(C − v′·G)`, every other
+        // quotient the identity, satisfies the opening identity. Once the
+        // prover's parameters encode no τ, this test must decode none.
+        use zkspeed_rt::codec::{Decode, Kind, Reader};
 
         let mut r = rng();
-        let srs = Srs::try_setup(6, &mut r, &Serial).unwrap();
-        let f = MultilinearPoly::random(6, &mut r);
+        let srs = Srs::try_setup(4, &mut r, &Serial).unwrap();
+        let bytes = srs.to_bytes();
+        let mut reader = Reader::new(&bytes);
+        reader.header(Kind::Srs).expect("an SRS header");
+        let mu = u32::decode(&mut reader).expect("num_vars") as usize;
+        let tau: Vec<Fr> = (0..mu)
+            .map(|_| Fr::decode(&mut reader).expect("a τ coordinate"))
+            .collect();
+        assert_eq!(tau, srs.trapdoor());
+
+        let f = MultilinearPoly::random(4, &mut r);
         let com = commit_on(&Serial, &srs, &f);
-        let point: Vec<Fr> = (0..6).map(|_| Fr::random(&mut r)).collect();
-        let (value, proof, stats) = open(&Serial, &srs, &f, &point, None);
-        let tables = CommitTables::build(&srs, &PrecomputeBudget::unlimited(), &Serial)
-            .expect("unlimited budget builds");
-        let (tvalue, tproof, tstats) = open(&Serial, &srs, &f, &point, Some(&tables));
-        assert_eq!(value, tvalue);
-        assert_eq!(proof, tproof, "quotient commitments must be identical");
-        assert!(verify_opening(&srs, &com, &point, tvalue, &tproof));
-        // The rounds at levels with a table run on it: no images of points,
-        // which only the table-free engine computes.
-        assert!(tstats.endomorphisms < stats.endomorphisms);
+        let point: Vec<Fr> = (0..4).map(|_| Fr::random(&mut r)).collect();
+        let forged_value = f.evaluate(&point) + Fr::one();
+        let g = srs.generator().to_projective();
+        let scale = (tau[0] - point[0]).invert().expect("τ₁ ≠ z₁");
+        let mut quotients = vec![Commitment::identity(); 4];
+        quotients[0] = Commitment((com.0 - g.mul_scalar(&forged_value)).mul_scalar(&scale));
+        let forged = OpeningProof { quotients };
+        assert!(verify_opening(&srs, &com, &point, forged_value, &forged));
     }
 
     /// Opens `Σ cᵢ·fᵢ` for the polynomials and coefficients given and

@@ -278,13 +278,6 @@ pub struct SessionMetrics {
     /// The full submit→proof latency histogram (every completion, never
     /// sampled or windowed).
     pub latency: Histogram,
-    /// Bytes of precomputed commit tables built for this session at
-    /// registration (0 when precomputation was disabled or the budget built
-    /// nothing).
-    pub precompute_table_bytes: u64,
-    /// Wall-clock time of the registration preprocess that included the
-    /// one-time table build (ms); 0 when no tables were built.
-    pub precompute_build_ms: f64,
 }
 
 /// A point-in-time service metrics snapshot.
@@ -379,11 +372,6 @@ impl ToJson for SessionMetrics {
             ("p99_ms", self.p99_ms.to_json()),
             ("max_ms", self.max_ms.to_json()),
             ("latency_ms", self.latency.to_json()),
-            (
-                "precompute_table_bytes",
-                self.precompute_table_bytes.to_json(),
-            ),
-            ("precompute_build_ms", self.precompute_build_ms.to_json()),
         ])
     }
 }
@@ -466,7 +454,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use crate::store::{test_keys, PrecomputeRecord, SessionStore};
+    use crate::store::{test_keys, SessionStore};
 
     #[test]
     fn recorder_rolls_up_and_snapshots() {
@@ -486,7 +474,7 @@ mod tests {
         let (pk, vk) = test_keys();
         for digest in [[1u8; 32], [2u8; 32]] {
             let (pk, vk) = (Arc::clone(&pk), Arc::clone(&vk));
-            store.insert_active(digest, pk, vk, 0, 64, PrecomputeRecord::default());
+            store.insert_active(digest, pk, vk, 0, 64);
         }
         store.record_latency(&[1u8; 32], 12.0);
         let sessions = store.snapshot();
@@ -579,8 +567,7 @@ mod tests {
         sessions[].p50_ms sessions[].p99_ms sessions[].max_ms sessions[].latency_ms
         sessions[].latency_ms.count sessions[].latency_ms.mean_ms sessions[].latency_ms.p50_ms
         sessions[].latency_ms.p90_ms sessions[].latency_ms.p99_ms sessions[].latency_ms.max_ms
-        sessions[].latency_ms.buckets sessions[].precompute_table_bytes
-        sessions[].precompute_build_ms";
+        sessions[].latency_ms.buckets";
 
     /// Every key path of a JSON document in document order (`a.b`, `[]`
     /// for an array element), each listed once.

@@ -29,7 +29,7 @@ use crate::metrics::{
     bump, MetricsRecorder, ServiceMetrics, SessionLifecycleMetrics, SupervisionMetrics,
 };
 use crate::queue::{JobQueue, QueuedJob};
-use crate::store::{PrecomputeRecord, SessionState, SessionStore};
+use crate::store::{SessionState, SessionStore};
 use crate::sync::lock;
 use crate::wire::{JobState, Priority};
 use crate::worker::spawn_worker;
@@ -50,9 +50,7 @@ pub struct ServiceConfig {
     /// Pops a starving class waits before it is force-served (see
     /// [`JobQueue`]).
     pub starvation_limit: u64,
-    /// Opt-in switch for per-session precomputed commit tables, built once
-    /// at registration on the session's shard backend; every proof of the
-    /// session then commits and opens on them. Disabled by default.
+    /// Has no effect; kept so that existing struct literals compile.
     pub precompute: PrecomputeBudget,
     /// Deadline applied to jobs whose [`JobSpec`] does not carry one.
     /// Measured from acceptance; an expired job fails with
@@ -137,12 +135,6 @@ impl ServiceConfig {
     /// Overrides the anti-starvation limit.
     pub fn with_starvation_limit(mut self, limit: u64) -> Self {
         self.starvation_limit = limit;
-        self
-    }
-
-    /// Switches precomputed commit tables on or off (off by default).
-    pub fn with_precompute(mut self, precompute: PrecomputeBudget) -> Self {
-        self.precompute = precompute;
         self
     }
 
@@ -442,33 +434,14 @@ impl ProvingService {
         });
         let num_vars = circuit.num_vars();
         let backend = &*self.shared.shards[shard].ctx.backend;
-        let preprocess_started = Instant::now();
-        let (pk, vk) = try_preprocess(
-            circuit,
-            &self.shared.srs,
-            backend,
-            &self.shared.config.precompute,
-        )?;
-        let table_bytes = pk.commit_tables.as_ref().map_or(0, |t| t.size_in_bytes());
-        let build_ms = if table_bytes > 0 {
-            preprocess_started.elapsed().as_secs_f64() * 1e3
-        } else {
-            0.0
-        };
+        let (pk, vk) = try_preprocess(circuit, &self.shared.srs, backend)?;
         // Resident estimate: the eight circuit MLE tables (32-byte field
-        // elements over 2^μ rows each) plus any precomputed commit tables.
-        let resident_bytes = table_bytes + 8 * 32 * (1u64 << num_vars);
-        self.shared.store.insert_active(
-            digest,
-            Arc::new(pk),
-            Arc::new(vk),
-            shard,
-            resident_bytes,
-            PrecomputeRecord {
-                table_bytes,
-                build_ms,
-            },
-        );
+        // elements over 2^μ rows each).
+        let resident_bytes = 8 * 32 * (1u64 << num_vars);
+        let (pk, vk) = (Arc::new(pk), Arc::new(vk));
+        self.shared
+            .store
+            .insert_active(digest, pk, vk, shard, resident_bytes);
         Ok(digest)
     }
 

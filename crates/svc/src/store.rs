@@ -2,14 +2,14 @@
 //! a capacity/byte budget), and the owner of every session's metrics row.
 //!
 //! The store keeps the *provisioned* working set bounded: when a session
-//! is evicted it drops its proving key and commit tables but keeps the
+//! is evicted it drops its proving key but keeps the
 //! verifying key and digest, so a later `SubmitCircuit` of the same bytes
 //! transparently re-provisions it on the same shard. Jobs already queued
 //! keep proving — every queued job carries its own `Arc<ProvingKey>`, so
 //! eviction never races an in-flight wave.
 //!
 //! An entry is never removed, and it holds its session's submit→proof
-//! latency histogram and precompute record, so [`SessionStore::snapshot`]
+//! latency histogram, so [`SessionStore::snapshot`]
 //! is the whole per-session table that the metrics scrape and the wire
 //! `ListSessions` listing both read.
 
@@ -46,15 +46,6 @@ impl SessionState {
     }
 }
 
-/// What a registration's precomputed commit tables cost.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub(crate) struct PrecomputeRecord {
-    /// Bytes of the tables (0 when precomputation is off).
-    pub(crate) table_bytes: u64,
-    /// Wall time of the preprocess that built them (ms; 0 without tables).
-    pub(crate) build_ms: f64,
-}
-
 /// A provisioned session handed to the submit path. (The verifying key is
 /// fetched separately through [`SessionStore::verifying_key`] — it
 /// survives eviction, unlike this handle.)
@@ -75,8 +66,6 @@ struct SessionEntry {
     last_touch: u64,
     /// Submit→proof latency of every completed job of the session.
     latency: Histogram,
-    /// The latest registration's precompute record.
-    precompute: PrecomputeRecord,
 }
 
 impl SessionEntry {
@@ -158,7 +147,6 @@ impl SessionStore {
         vk: Arc<VerifyingKey>,
         shard: usize,
         resident_bytes: u64,
-        precompute: PrecomputeRecord,
     ) -> Vec<[u8; 32]> {
         let stamp = self.touch();
         let mut entries = lock(&self.entries);
@@ -176,7 +164,6 @@ impl SessionStore {
                 resident_bytes,
                 last_touch: stamp,
                 latency: previous.map(|e| e.latency).unwrap_or_default(),
-                precompute,
             },
         );
         self.evict_over_budget(&mut entries)
@@ -236,8 +223,6 @@ impl SessionStore {
                 p99_ms: e.latency.quantile(0.99),
                 max_ms: e.latency.max_ms(),
                 latency: e.latency.clone(),
-                precompute_table_bytes: e.precompute.table_bytes,
-                precompute_build_ms: e.precompute.build_ms,
             })
             .collect();
         rows.sort_unstable_by_key(|r| r.digest);
@@ -251,7 +236,7 @@ impl SessionStore {
 pub(crate) fn test_keys() -> (Arc<ProvingKey>, Arc<VerifyingKey>) {
     use std::sync::OnceLock;
     use zkspeed_hyperplonk::{try_preprocess, Circuit, GateSelectors};
-    use zkspeed_pcs::{PrecomputeBudget, Srs};
+    use zkspeed_pcs::Srs;
     use zkspeed_rt::pool::Serial;
     use zkspeed_rt::rngs::StdRng;
     use zkspeed_rt::SeedableRng;
@@ -261,8 +246,7 @@ pub(crate) fn test_keys() -> (Arc<ProvingKey>, Arc<VerifyingKey>) {
         let mut rng = StdRng::seed_from_u64(0x5707e);
         let srs = Srs::try_setup(1, &mut rng, &Serial).expect("tiny setup");
         let circuit = Circuit::with_identity_wiring(&vec![GateSelectors::addition(); 2]);
-        let (pk, vk) =
-            try_preprocess(circuit, &srs, &Serial, &PrecomputeBudget::disabled()).expect("fits");
+        let (pk, vk) = try_preprocess(circuit, &srs, &Serial).expect("fits");
         (Arc::new(pk), Arc::new(vk))
     })
     .clone()
@@ -272,18 +256,9 @@ pub(crate) fn test_keys() -> (Arc<ProvingKey>, Arc<VerifyingKey>) {
 mod tests {
     use super::*;
 
-    fn insert(
-        store: &SessionStore,
-        digest: u8,
-        bytes: u64,
-        precompute: PrecomputeRecord,
-    ) -> Vec<[u8; 32]> {
-        let (pk, vk) = test_keys();
-        store.insert_active([digest; 32], pk, vk, digest as usize % 2, bytes, precompute)
-    }
-
     fn store_with(store: &SessionStore, digest: u8, bytes: u64) -> Vec<[u8; 32]> {
-        insert(store, digest, bytes, PrecomputeRecord::default())
+        let (pk, vk) = test_keys();
+        store.insert_active([digest; 32], pk, vk, digest as usize % 2, bytes)
     }
 
     #[test]
@@ -346,42 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn precompute_accounting_is_reported_per_session() {
-        // Session 1 registers with tables and completes a job; session 2
-        // registers without tables and never proves anything — it still
-        // has a row, with zeroed latency fields.
-        let store = SessionStore::new(0, 0);
-        let tables = PrecomputeRecord {
-            table_bytes: 4096,
-            build_ms: 12.5,
-        };
-        insert(&store, 1, 64, tables);
-        store_with(&store, 2, 64);
-        store.record_latency(&[1u8; 32], 20.0);
-
-        let rows = store.snapshot();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].digest, [1u8; 32]);
-        assert_eq!(rows[0].precompute_table_bytes, 4096);
-        assert!((rows[0].precompute_build_ms - 12.5).abs() < 1e-9);
-        assert_eq!(rows[0].jobs_completed, 1);
-        assert_eq!(rows[1].digest, [2u8; 32]);
-        assert_eq!(rows[1].precompute_table_bytes, 0);
-        assert_eq!(rows[1].jobs_completed, 0);
-        assert_eq!(rows[1].p50_ms, 0.0);
-    }
-
-    #[test]
     fn evicted_sessions_keep_their_historical_rows() {
         // Session 1 proves once and is then evicted by session 5: its row
-        // keeps the latency and precompute history beside the lifecycle
-        // state, and re-provisioning carries the latency history over.
+        // keeps the latency history beside the lifecycle state, and
+        // re-provisioning carries it over.
         let store = SessionStore::new(1, 0);
-        let tables = PrecomputeRecord {
-            table_bytes: 2048,
-            build_ms: 3.0,
-        };
-        insert(&store, 1, 64, tables);
+        store_with(&store, 1, 64);
         store.record_latency(&[1u8; 32], 25.0);
         assert_eq!(store_with(&store, 5, 777), vec![[1u8; 32]]);
         let rows = store.snapshot();
@@ -391,14 +336,13 @@ mod tests {
         assert_eq!(rows[0].num_vars, 1);
         assert_eq!(rows[0].resident_bytes, 0);
         assert_eq!(rows[0].jobs_completed, 1);
-        assert_eq!(rows[0].precompute_table_bytes, 2048);
         let p50 = rows[0].p50_ms;
         assert!((25.0..=25.0 * 1.07).contains(&p50), "p50 {p50}");
         assert_eq!(rows[1].state, SessionState::Active);
         assert_eq!(rows[1].resident_bytes, 777);
         assert_eq!(store.evictions.load(Ordering::Relaxed), 1);
 
-        insert(&store, 1, 64, tables);
+        store_with(&store, 1, 64);
         store.record_latency(&[1u8; 32], 30.0);
         let row = &store.snapshot()[0];
         assert_eq!(row.state, SessionState::Active);

@@ -25,7 +25,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use zkspeed_hyperplonk::{prove_batch, Witness};
+use zkspeed_hyperplonk::{prove_batch, ProveError, Witness};
 use zkspeed_rt::faults::WaveFault;
 use zkspeed_rt::trace::digest_tag;
 
@@ -178,30 +178,33 @@ fn run_wave(shared: &ServiceShared, shard: &Shard, shard_idx: usize, mut wave: V
         ],
     );
     // Jobs whose deadline passed while queued fail without burning prover
-    // time, and witnesses that fail the circuit fail individually so one
-    // bad submission cannot poison its wave-mates.
+    // time. The prover checks each witness in its own job, so one that
+    // fails the circuit fails alone and cannot poison its wave-mates.
     let now = Instant::now();
     wave.retain(|job| {
-        let failure = if shared.jobs.is_overdue(job.id, now) {
-            Outcome::Expired
-        } else if let Err(e) = pk.circuit.check_witness(&job.witness) {
-            Outcome::Failed(e.to_string())
-        } else {
-            return true;
-        };
-        shared.jobs.settle(job.id, failure);
-        false
+        let overdue = shared.jobs.is_overdue(job.id, now);
+        if overdue {
+            shared.jobs.settle(job.id, Outcome::Expired);
+        }
+        !overdue
     });
     if wave.is_empty() {
         return;
     }
     shared.metrics.record_wave(wave.len());
-    let batch: Vec<(u64, Witness)> = wave
+    let batch: Vec<(u64, Arc<Witness>)> = wave
         .iter()
-        .map(|j| (j.id, j.witness.as_ref().clone()))
+        .map(|j| (j.id, Arc::clone(&j.witness)))
         .collect();
-    let proved = prove_batch(&pk, &batch, &shard.ctx).expect("wave witnesses were validated");
-    for (job, (proof, report)) in wave.iter().zip(proved) {
+    let proved = prove_batch(&pk, &batch, &shard.ctx);
+    for (job, proved) in wave.iter().zip(proved) {
+        let (proof, report) = match proved {
+            Ok(proved) => proved,
+            Err(ProveError::UnsatisfiedWitness(e)) => {
+                shared.jobs.settle(job.id, Outcome::Failed(e.to_string()));
+                continue;
+            }
+        };
         // The session row and the rollups first: a waiter woken by
         // `settle` may scrape them at once.
         let latency_ms = job.enqueued_at.elapsed().as_secs_f64() * 1e3;

@@ -141,7 +141,7 @@ pub mod prelude {
         VerifyingKey, Witness,
     };
     pub use zkspeed_net::{ClientConfig, NetClient, NetError, NetServer, ServerConfig};
-    pub use zkspeed_pcs::{PrecomputeBudget, Srs};
+    pub use zkspeed_pcs::Srs;
     pub use zkspeed_rt::pool::{Backend, Serial, ThreadPool};
     pub use zkspeed_rt::rngs::StdRng;
     pub use zkspeed_rt::{SeedableRng, ToJson};

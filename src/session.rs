@@ -32,9 +32,9 @@ use std::sync::Arc;
 
 use zkspeed_hyperplonk::{
     prove, prove_batch, prove_unchecked, try_preprocess, verify, Circuit, ExecCtx, Proof,
-    ProverReport, ProvingKey, VerifyingKey, Witness,
+    ProveError, ProverReport, ProvingKey, VerifyingKey, Witness,
 };
-use zkspeed_pcs::{PrecomputeBudget, Srs};
+use zkspeed_pcs::Srs;
 use zkspeed_rt::pool::{self, Backend};
 use zkspeed_svc::{ProvingService, ServiceConfig};
 
@@ -46,7 +46,6 @@ use crate::error::Error;
 pub struct ProofSystem {
     srs: Arc<Srs>,
     backend: Arc<dyn Backend>,
-    precompute: PrecomputeBudget,
 }
 
 impl ProofSystem {
@@ -63,7 +62,6 @@ impl ProofSystem {
         Self {
             srs: Arc::new(srs),
             backend,
-            precompute: PrecomputeBudget::default(),
         }
     }
 
@@ -71,23 +69,6 @@ impl ProofSystem {
     pub fn with_backend(mut self, backend: Arc<dyn Backend>) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Opts the session into precomputed multi-base commit tables: every
-    /// subsequent [`ProofSystem::preprocess`] builds, when `budget` is
-    /// enabled, window tables over the SRS levels of 32 to 2^12 Lagrange
-    /// bases and stores them on the proving key, and every commit and
-    /// opening at a covered level runs on them, with no window doublings.
-    /// Proof bytes are identical either way; only the operation schedule
-    /// changes.
-    pub fn with_precompute(mut self, budget: PrecomputeBudget) -> Self {
-        self.precompute = budget;
-        self
-    }
-
-    /// Whether preprocessing builds precomputed commit tables.
-    pub fn precompute(&self) -> PrecomputeBudget {
-        self.precompute
     }
 
     /// The universal SRS this session proves against.
@@ -103,9 +84,8 @@ impl ProofSystem {
     /// Starts a long-running [`ProvingService`] over this session's SRS:
     /// circuits register as sessions keyed by digest, jobs queue with
     /// priorities and backpressure, and shard workers pack them into
-    /// `prove_batch` waves (see [`zkspeed_svc`]). Everything else — the
-    /// per-shard backend pools and the commit-table budget among it — is
-    /// `config`'s.
+    /// `prove_batch` waves (see [`zkspeed_svc`]). Everything else, the
+    /// per-shard backend pools among it, is `config`'s.
     pub fn serve(&self, config: ServiceConfig) -> ProvingService {
         ProvingService::start(Arc::clone(&self.srs), config)
     }
@@ -119,7 +99,7 @@ impl ProofSystem {
     /// Returns [`Error::Preprocess`] if the circuit needs more variables
     /// than the SRS supports.
     pub fn preprocess(&self, circuit: Circuit) -> Result<(ProverHandle, VerifierHandle), Error> {
-        let (pk, vk) = try_preprocess(circuit, &self.srs, &*self.backend, &self.precompute)?;
+        let (pk, vk) = try_preprocess(circuit, &self.srs, &*self.backend)?;
         let ctx = ExecCtx {
             backend: Arc::clone(&self.backend),
             ..ExecCtx::default()
@@ -174,9 +154,18 @@ impl ProverHandle {
     /// Returns [`Error::Prove`] for the first invalid witness; no proving
     /// work starts in that case.
     pub fn prove_batch(&self, witnesses: &[Witness]) -> Result<Vec<Proof>, Error> {
-        let batch: Vec<(u64, Witness)> = (0..).zip(witnesses.iter().cloned()).collect();
-        let proved = prove_batch(&self.pk, &batch, &self.ctx)?;
-        Ok(proved.into_iter().map(|(proof, _)| proof).collect())
+        // The whole batch is checked before any proof starts, as documented;
+        // the prover's per-job check then passes.
+        for witness in witnesses {
+            self.pk
+                .circuit
+                .check_witness(witness)
+                .map_err(ProveError::UnsatisfiedWitness)?;
+        }
+        let batch: Vec<(u64, Arc<Witness>)> =
+            (0..).zip(witnesses.iter().cloned().map(Arc::new)).collect();
+        let proved = prove_batch(&self.pk, &batch, &self.ctx).into_iter();
+        proved.map(|p| Ok(p?.0)).collect()
     }
 
     /// Runs the prover without checking witness satisfiability first (used
@@ -275,40 +264,6 @@ mod tests {
         // Handles are cheap to clone and share state.
         let prover2 = prover.clone();
         assert_eq!(prover2.prove(&witness).expect("still proves"), proof);
-    }
-
-    #[test]
-    fn precompute_session_matches_default_proofs() {
-        let mut rng = StdRng::seed_from_u64(0x5e55_0004);
-        let srs = Srs::try_setup(6, &mut rng, &Serial).expect("small setup");
-        let (circuit, witness) = mock_circuit(6, SparsityProfile::paper_default(), &mut rng);
-
-        let plain = ProofSystem::setup_with_backend(srs.clone(), Arc::new(Serial));
-        let (plain_prover, _) = plain.preprocess(circuit.clone()).expect("fits");
-        assert!(plain_prover.proving_key().commit_tables.is_none());
-        let reference = plain_prover.prove(&witness).expect("valid witness");
-
-        let fast = ProofSystem::setup_with_backend(srs, Arc::new(ThreadPool::new(4)))
-            .with_precompute(PrecomputeBudget::unlimited());
-        assert!(fast.precompute().is_enabled());
-        let (prover, verifier) = fast.preprocess(circuit).expect("fits");
-        let tables = prover
-            .proving_key()
-            .commit_tables
-            .as_ref()
-            .expect("unlimited budget builds tables");
-        assert!(tables.size_in_bytes() > 0);
-        let (proof, report) = prover.prove_with_report(&witness).expect("valid witness");
-        assert_eq!(
-            proof, reference,
-            "proofs on the table engine must be byte-identical"
-        );
-        verifier.verify(&proof).expect("verifies");
-        // The tables were used: the φ/π commits computed no point images.
-        assert_eq!(report.wiring_msm.endomorphisms, 0);
-
-        let reverted = fast.with_precompute(PrecomputeBudget::disabled());
-        assert!(!reverted.precompute().is_enabled());
     }
 
     #[test]

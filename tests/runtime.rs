@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use zkspeed::prelude::*;
 use zkspeed_curve::{
-    msm, msm_precomputed, msm_with_config_on, naive_msm, sparse_msm, G1Affine, G1Projective,
-    MsmConfig, MsmStats, MultiBaseTable, MULTI_BASE_DEFAULT_WINDOW_BITS,
+    msm, msm_with_config_on, naive_msm, sparse_msm, G1Affine, G1Projective, MsmConfig, MsmStats,
 };
 use zkspeed_field::{measure_modmuls, Fr, ModmulCount};
 use zkspeed_hyperplonk::{
@@ -177,28 +176,6 @@ fn msm_inputs_take_their_paths_and_are_thread_count_invariant() {
     }
 }
 
-#[test]
-fn precomputed_msm_results_and_stats_are_thread_count_invariant() {
-    // The precomputed engine splits work over runs of windows, never over
-    // the backend width: result AND operation counters must be identical
-    // under Serial and any pool size.
-    let (points, scalars) = random_msm_instance(512, 0xD5EE_D015);
-    let expect = naive_msm(&points, &scalars);
-    let bases = Arc::new(points);
-    let table = Arc::new(MultiBaseTable::build(
-        &bases,
-        MULTI_BASE_DEFAULT_WINDOW_BITS,
-        &Serial,
-    ));
-    let serial = msm_precomputed(&Serial, &table, &scalars);
-    assert_eq!(serial.0, expect, "precomputed MSM computed a wrong result");
-    for threads in [1usize, 2, 8] {
-        let parallel = msm_precomputed(&ThreadPool::new(threads), &table, &scalars);
-        assert_eq!(parallel.0, serial.0, "{threads}-thread result drifted");
-        assert_eq!(parallel.1, serial.1, "{threads}-thread stats drifted");
-    }
-}
-
 /// Asserts that what `run` records, read on the calling thread, is the same
 /// on `Serial` as on an eight-thread pool, and is not nothing.
 fn assert_same_modmuls<T>(site: &str, run: impl Fn(&dyn Backend) -> T) {
@@ -226,8 +203,7 @@ fn modmul_counters_are_thread_count_invariant() {
         prove_zerocheck_on(&vp, &mut Transcript::new(b"counters"), backend)
     });
 
-    // Setup's level chunks, and preprocessing's eight key commitments and
-    // commit-table build.
+    // Setup's level chunks, and preprocessing's eight key commitments.
     let mu = 8;
     let setup = |backend: &dyn Backend| {
         let mut rng = StdRng::seed_from_u64(0xD5EE_D015);
@@ -238,13 +214,7 @@ fn modmul_counters_are_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(0xD5EE_D016);
     let (circuit, _) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
     assert_same_modmuls("preprocessing", |backend| {
-        try_preprocess(
-            circuit.clone(),
-            &srs,
-            backend,
-            &PrecomputeBudget::unlimited(),
-        )
-        .expect("circuit fits")
+        try_preprocess(circuit.clone(), &srs, backend).expect("circuit fits")
     });
 
     // Both MLE kernels at 2^15, where their 2^12-entry chunks fan out.
@@ -320,44 +290,39 @@ fn end_to_end_proof_is_identical_across_thread_counts() {
     assert_eq!(proof.to_bytes(), reference.to_bytes());
 }
 
-/// Proving keys of one seeded μ = 5 circuit, without and with every commit
-/// table an unlimited budget builds, and its witness.
-fn matrix_keys(seed: u64) -> ([ProvingKey; 2], VerifyingKey, Witness) {
+/// The proving and verifying key of one seeded μ = 5 circuit, and its
+/// witness.
+fn matrix_keys(seed: u64) -> (ProvingKey, VerifyingKey, Witness) {
     let mu = 5;
     let mut rng = StdRng::seed_from_u64(seed);
     let srs = Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits");
     let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
-    let keys = |budget| try_preprocess(circuit.clone(), &srs, &Serial, &budget);
-    let (plain, vk) = keys(PrecomputeBudget::disabled()).expect("circuit fits");
-    let (tabled, _) = keys(PrecomputeBudget::unlimited()).expect("circuit fits");
-    assert!(plain.commit_tables.is_none() && tabled.commit_tables.is_some());
-    ([plain, tabled], vk, witness)
+    let (pk, vk) = try_preprocess(circuit, &srs, &Serial).expect("circuit fits");
+    (pk, vk, witness)
 }
 
 #[test]
 fn backends_produce_identical_encodings_and_modmul_counters() {
-    // {Serial, ThreadPool(1), ThreadPool(8)} × {no tables, unlimited tables}
-    // × {trace off, trace on} × {prove, prove_batch of 3}: every proof is
-    // byte-identical to one reference (Serial, no tables, no trace), and
-    // every case spends exactly the modmuls the Serial untraced proof with
-    // the same keys does (the table engine multiplies differently, never
-    // anything else does).
+    // {Serial, ThreadPool(1), ThreadPool(8)} × {trace off, trace on} ×
+    // {prove, prove_batch of 3}: every proof is byte-identical to one
+    // reference (Serial, no trace), and every case spends exactly the
+    // modmuls the Serial untraced proof does.
     const BATCH: u64 = 3;
-    let (keys, vk, witness) = matrix_keys(0xD5EE_D031);
-    let single = |pk: &ProvingKey, ctx: &ExecCtx| {
-        let (proved, count) = measure_modmuls(|| prove(pk, &witness, ctx));
+    let (pk, vk, witness) = matrix_keys(0xD5EE_D031);
+    let single = |ctx: &ExecCtx| {
+        let (proved, count) = measure_modmuls(|| prove(&pk, &witness, ctx));
         (vec![proved.expect("valid witness")], count)
     };
-    let batch = |pk: &ProvingKey, ctx: &ExecCtx| {
-        let witnesses: Vec<(u64, Witness)> = (0..BATCH).map(|job| (job, witness.clone())).collect();
-        let (proved, count) = measure_modmuls(|| prove_batch(pk, &witnesses, ctx));
-        (proved.expect("valid witnesses"), count)
+    let shared = Arc::new(witness.clone());
+    let batch = |ctx: &ExecCtx| {
+        let witnesses: Vec<(u64, Arc<Witness>)> =
+            (0..BATCH).map(|job| (job, Arc::clone(&shared))).collect();
+        let (proved, count) = measure_modmuls(|| prove_batch(&pk, &witnesses, ctx));
+        let proved = proved.into_iter().map(|p| p.expect("valid witness"));
+        (proved.collect(), count)
     };
-    let serial: Vec<_> = keys
-        .iter()
-        .map(|pk| single(pk, &ExecCtx::default()))
-        .collect();
-    let reference = &serial[0].0[0].0;
+    let (serial, serial_count) = single(&ExecCtx::default());
+    let reference = &serial[0].0;
     zkspeed_hyperplonk::verify(&vk, reference).expect("the reference proof verifies");
     let reference = reference.to_bytes();
 
@@ -368,74 +333,34 @@ fn backends_produce_identical_encodings_and_modmul_counters() {
     ];
     let mut cases = 0;
     for (backend_name, backend) in &backends {
-        for (pk, (_, serial_count)) in keys.iter().zip(&serial) {
-            let tables = pk.commit_tables.is_some();
-            for trace in [TraceSink::disabled(), TraceSink::enabled()] {
-                let traced = trace.is_enabled();
-                let ctx = ExecCtx {
-                    backend: Arc::clone(backend),
-                    trace: trace.clone(),
-                    job: 7,
-                };
-                for (op, (proofs, count), times) in [
-                    ("prove", single(pk, &ctx), 1),
-                    ("prove_batch", batch(pk, &ctx), BATCH),
-                ] {
-                    let case = format!("{backend_name}, tables {tables}, trace {traced}, {op}");
-                    assert_eq!(proofs.len() as u64, times, "{case}");
-                    for (proof, report) in &proofs {
-                        assert_eq!(proof.to_bytes(), reference, "{case}: proof bytes drifted");
-                        // Tables present means tables used: the φ and π
-                        // commits compute no point images on the table engine.
-                        assert_eq!(report.wiring_msm.endomorphisms == 0, tables, "{case}");
-                    }
-                    let expect = ModmulCount {
-                        fr: serial_count.fr * times,
-                        fq: serial_count.fq * times,
-                    };
-                    assert_eq!(count, expect, "{case}: modmul counters drifted");
-                    assert_eq!(trace.event_count() > 0, traced, "{case}");
-                    cases += 1;
+        for trace in [TraceSink::disabled(), TraceSink::enabled()] {
+            let traced = trace.is_enabled();
+            let ctx = ExecCtx {
+                backend: Arc::clone(backend),
+                trace: trace.clone(),
+                job: 7,
+            };
+            for (op, (proofs, count), times) in [
+                ("prove", single(&ctx), 1),
+                ("prove_batch", batch(&ctx), BATCH),
+            ] {
+                let case = format!("{backend_name}, trace {traced}, {op}");
+                assert_eq!(proofs.len() as u64, times, "{case}");
+                for (proof, _) in &proofs {
+                    assert_eq!(proof.to_bytes(), reference, "{case}: proof bytes drifted");
                 }
+                let expect = ModmulCount {
+                    fr: serial_count.fr * times,
+                    fq: serial_count.fq * times,
+                };
+                assert_eq!(count, expect, "{case}: modmul counters drifted");
+                assert_eq!(trace.event_count() > 0, traced, "{case}");
+                cases += 1;
             }
         }
     }
-    println!("determinism matrix: {cases} of 24 cases identical");
-    assert_eq!(cases, 24, "the matrix shrank");
-}
-
-#[test]
-fn precomputed_sessions_reproduce_the_default_proof_bytes_on_every_backend() {
-    // Through the session API: a session with table precomputation enabled
-    // must serialize to exactly the bytes the table-free session produces,
-    // on Serial, ThreadPool(1) and ThreadPool(8) — the tables change how
-    // the commitments are computed, never what they are.
-    let mu = 5;
-    let seed = 0xD5EE_D034;
-    let session = |backend: Arc<dyn Backend>, budget| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let srs = Srs::try_setup(mu, &mut rng, &Serial).expect("setup fits");
-        let system = ProofSystem::setup_with_backend(srs, backend).with_precompute(budget);
-        let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut rng);
-        let (prover, verifier) = system.preprocess(circuit).expect("circuit fits");
-        let proof = prover.prove(&witness).expect("valid witness");
-        verifier.verify(&proof).expect("proof verifies");
-        proof.to_bytes()
-    };
-    let reference = session(Arc::new(Serial), PrecomputeBudget::disabled());
-    let backends: Vec<Arc<dyn Backend>> = vec![
-        Arc::new(Serial),
-        Arc::new(ThreadPool::new(1)),
-        Arc::new(ThreadPool::new(8)),
-    ];
-    for backend in backends {
-        let name = backend.name();
-        assert_eq!(
-            session(backend, PrecomputeBudget::unlimited()),
-            reference,
-            "{name}: precomputed proof drifted from the default encoding"
-        );
-    }
+    println!("determinism matrix: {cases} of 12 cases identical");
+    assert_eq!(cases, 12, "the matrix shrank");
 }
 
 #[test]

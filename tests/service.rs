@@ -325,71 +325,6 @@ fn wire_protocol_full_cycle() {
 }
 
 #[test]
-fn precompute_accounting_flows_through_the_metrics() {
-    // A budget on the service's own config, and nothing else, builds the
-    // session tables at registration — also when `ProofSystem::serve`
-    // starts the service — reports their footprint and build time, both in
-    // the in-process snapshot and over the wire Metrics frame, and the
-    // prover runs on them: the φ/π commits compute no point images and no
-    // window doublings, and the proof bytes are those of a service without
-    // tables.
-    let system = ProofSystem::setup_with_backend((*shared_srs()).clone(), Arc::new(Serial));
-    let on = system.serve(
-        ServiceConfig::default()
-            .with_shards(1)
-            .with_precompute(PrecomputeBudget::unlimited()),
-    );
-    let off = service(ServiceConfig::default().with_shards(1));
-    // A μ = 10 circuit: tables cover the SRS levels of 32 to 2^12 bases, so
-    // its φ/π commits run on one (the hash-chain workload circuit is μ = 14).
-    let mut rng = StdRng::seed_from_u64(0x7ab1e);
-    let (circuit, witness) = mock_circuit(10, SparsityProfile::paper_default(), &mut rng);
-    let proofs: Vec<_> = [&on, &off]
-        .iter()
-        .map(|svc| {
-            let digest = svc.register_circuit(circuit.clone()).expect("fits");
-            let job = svc
-                .submit(&digest, witness.clone(), Priority::Normal)
-                .expect("submit");
-            svc.wait(job).expect("completes")
-        })
-        .collect();
-    assert_eq!(proofs[0], proofs[1], "tables change no proof byte");
-
-    let metrics = on.metrics();
-    assert_eq!(metrics.sessions.len(), 1);
-    let session = &metrics.sessions[0];
-    assert!(
-        session.precompute_table_bytes > 0,
-        "tables were built at registration"
-    );
-    assert!(session.precompute_build_ms > 0.0);
-    let (tabled, plain) = (metrics.msm.wiring, off.metrics().msm.wiring);
-    assert_eq!(tabled.endomorphisms, 0, "the table engine ran");
-    assert!(plain.endomorphisms > 0 && plain.doublings > 0);
-    // What the table engine doubles is each job's aggregation multiplying
-    // its row term by the grid's row length, ⌈(w − 1)/2⌉ times.
-    let row_term = (zkspeed::curve::MULTI_BASE_DEFAULT_WINDOW_BITS as u64 - 1).div_ceil(2);
-    assert_eq!(tabled.doublings % row_term, 0);
-    assert!(tabled.doublings < plain.doublings);
-
-    match roundtrip(&on, &Request::Metrics) {
-        Response::Metrics { json } => {
-            assert!(json.contains("precompute_table_bytes"));
-            assert!(json.contains("precompute_build_ms"));
-        }
-        other => panic!("expected Metrics, got {other:?}"),
-    }
-
-    // The default budget is disabled: registration builds nothing and the
-    // per-session accounting stays zero.
-    let metrics = off.metrics();
-    assert_eq!(metrics.sessions.len(), 1);
-    assert_eq!(metrics.sessions[0].precompute_table_bytes, 0);
-    assert_eq!(metrics.sessions[0].precompute_build_ms, 0.0);
-}
-
-#[test]
 fn wire_protocol_rejects_garbage_and_unknowns() {
     let svc = service(ServiceConfig::default().with_shards(1));
 

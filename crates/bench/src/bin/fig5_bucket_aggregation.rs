@@ -2,7 +2,7 @@
 //! schedule versus zkSpeed's grouped schedule, for window sizes 7-10.
 
 use zkspeed_bench::banner;
-use zkspeed_hw::{aggregation_cycles, AggregationSchedule};
+use zkspeed_core::{aggregation_cycles, AggregationSchedule};
 
 fn main() {
     banner("Figure 5 reproduction: bucket aggregation latency (cycles)");

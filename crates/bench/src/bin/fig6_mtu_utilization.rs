@@ -3,7 +3,7 @@
 //! DFS/BFS traversal, and the multi-function sharing saves ~41.6% area.
 
 use zkspeed_bench::banner;
-use zkspeed_hw::MtuConfig;
+use zkspeed_core::MtuConfig;
 
 fn main() {
     banner("Figure 6 / Section 4.3 reproduction: Multifunction Tree unit");

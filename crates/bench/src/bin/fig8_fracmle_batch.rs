@@ -2,7 +2,7 @@
 //! function of the Montgomery-batching batch size (optimum at b = 64).
 
 use zkspeed_bench::banner;
-use zkspeed_hw::FracMleConfig;
+use zkspeed_core::FracMleConfig;
 
 fn main() {
     banner("Figure 8 reproduction: FracMLE batch-size optimization");

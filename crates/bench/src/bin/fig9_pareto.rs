@@ -14,7 +14,7 @@ fn main() {
     ));
     let workload = Workload::standard(num_vars);
     let mut all_points = Vec::new();
-    for &bw in &zkspeed_hw::params::DSE_BANDWIDTHS_GBPS {
+    for &bw in &zkspeed_core::params::DSE_BANDWIDTHS_GBPS {
         let space = DesignSpace::reduced_at_bandwidth(bw);
         let points = explore(&space, &workload);
         let frontier = pareto_frontier(&points);

@@ -3,11 +3,11 @@
 //! and multi-function sharing of the tree unit.
 
 use zkspeed_bench::banner;
-use zkspeed_hw::params::{
+use zkspeed_core::params::{
     MLE_COMBINE_MODMULS_SHARED, MLE_COMBINE_MODMULS_UNSHARED, MODMUL_255_MM2,
     SUMCHECK_PE_MODMULS_SHARED, SUMCHECK_PE_MODMULS_UNSHARED,
 };
-use zkspeed_hw::MtuConfig;
+use zkspeed_core::MtuConfig;
 
 fn main() {
     banner("Resource-sharing savings (Sections 4.1.4, 4.3.3, 4.5)");

@@ -9,8 +9,8 @@
 //! falls in.
 
 use zkspeed_bench::{banner, section};
+use zkspeed_core::params::{BYTES_PER_FR, BYTES_PER_POINT};
 use zkspeed_core::FIG12A_SHARES;
-use zkspeed_hw::params::{BYTES_PER_FR, BYTES_PER_POINT};
 use zkspeed_hyperplonk::{
     mock_circuit, prove, try_preprocess, ExecCtx, Kernel, ProverReport, SparsityProfile,
 };

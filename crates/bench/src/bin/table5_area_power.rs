@@ -1,32 +1,10 @@
 //! Regenerates Table 5: area and power breakdown of the highlighted 366 mm^2
 //! zkSpeed design.
-//!
-//! Pass `--json` to emit the configuration and both breakdowns as a stable
-//! machine-readable JSON document instead of the human-readable table.
 
 use zkspeed_bench::banner;
 use zkspeed_core::ChipConfig;
-use zkspeed_rt::{JsonValue, ToJson};
 
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        let chip = ChipConfig::table5_design();
-        let doc = JsonValue::Object(vec![
-            ("config".into(), chip.to_json()),
-            ("area_mm2".into(), chip.area().to_json()),
-            ("power_w".into(), chip.power().to_json()),
-            (
-                "total_area_mm2".into(),
-                JsonValue::Float(chip.area().total_mm2()),
-            ),
-            (
-                "total_power_w".into(),
-                JsonValue::Float(chip.power().total_w()),
-            ),
-        ]);
-        println!("{}", doc.pretty());
-        return;
-    }
     banner("Table 5 reproduction: area and power of the highlighted design");
     let chip = ChipConfig::table5_design();
     let a = chip.area();

@@ -2,11 +2,11 @@
 //! baseline (Figures 12 and 14, Table 3), PE/bandwidth scaling (Figure 11),
 //! and the cross-accelerator comparison (Table 4).
 
-use zkspeed_hw::{MsmUnitConfig, SumcheckUnitConfig};
-
 use crate::chip::{ChipConfig, ChipSimulation, Kernel};
 use crate::cpu_model::CpuModel;
+use crate::units::{MleUpdateUnitConfig, SumcheckUnitConfig};
 use crate::workload::Workload;
+use crate::MsmUnitConfig;
 
 /// Speedups of the accelerator over the CPU baseline, total and per kernel
 /// (the Figure 14 grouping).
@@ -96,7 +96,7 @@ pub fn scaling_study(
     .with_bandwidth(512.0);
     let sc_base_cfg = ChipConfig {
         sumcheck: SumcheckUnitConfig { pes: 1 },
-        mle_update: zkspeed_hw::MleUpdateUnitConfig {
+        mle_update: MleUpdateUnitConfig {
             pes: 1,
             modmuls_per_pe: 4,
         },
@@ -130,7 +130,7 @@ pub fn scaling_study(
 
             let sc_cfg = ChipConfig {
                 sumcheck: SumcheckUnitConfig { pes },
-                mle_update: zkspeed_hw::MleUpdateUnitConfig {
+                mle_update: MleUpdateUnitConfig {
                     pes: pes.min(11),
                     modmuls_per_pe: 4,
                 },

@@ -2,20 +2,18 @@
 //! the protocol scheduler that maps the five HyperPlonk steps onto the
 //! accelerator units under a bandwidth constraint (Section 5 of the paper).
 
-use zkspeed_hw::params::{power_density, CLOCK_HZ, INTERCONNECT_FRACTION};
-use zkspeed_hw::{
-    ConstructNdConfig, FracMleConfig, MemoryConfig, MleCombineConfig, MleUpdateUnitConfig,
-    MsmUnitConfig, MtuConfig, Sha3UnitConfig, SramModel, SumcheckUnitConfig,
-};
-
 use zkspeed_hyperplonk::{Kernel as Table1, ProtocolStep};
 
+use crate::memory::{MemoryConfig, SramModel};
+use crate::msm_unit::MsmUnitConfig;
+use crate::params::{
+    power_density, BYTES_PER_FR, BYTES_PER_POINT, CLOCK_HZ, INTERCONNECT_FRACTION,
+};
+use crate::units::{
+    ConstructNdConfig, FracMleConfig, MleCombineConfig, MleUpdateUnitConfig, MtuConfig,
+    Sha3UnitConfig, SumcheckUnitConfig,
+};
 use crate::workload::Workload;
-
-/// Bytes per 255-bit field element moved over HBM.
-const FR_BYTES: f64 = 32.0;
-/// Bytes per elliptic-curve point moved over HBM.
-const POINT_BYTES: f64 = 96.0;
 
 zkspeed_rt::table_enum! {
     /// The accelerator units, in the order used for utilization reporting
@@ -228,11 +226,7 @@ impl ChipConfig {
         for j in 0..3 {
             let (zeros, ones, dense) = workload.column_split(j);
             let compute = secs(self.msm.sparse_msm_cycles(zeros, ones, dense));
-            // The precomputed datapath reads one shifted table point per
-            // window for each dense scalar; ones still read a single base.
-            let traffic = (ones as f64 + dense as f64 * self.msm.points_read_per_scalar())
-                * POINT_BYTES
-                + dense as f64 * FR_BYTES;
+            let traffic = (ones + dense) as f64 * BYTES_PER_POINT + dense as f64 * BYTES_PER_FR;
             step1 += compute.max(mem(traffic));
             sim.busy[Unit::Msm] += compute;
         }
@@ -242,7 +236,7 @@ impl ChipConfig {
         // ---- Step 2: Gate Identity (Build MLE + ZeroCheck rounds) --------
         let build = secs(self.mtu.tree_pass_cycles(mu));
         sim.busy[Unit::MultifunctionTree] += build;
-        let step2_build = build.max(mem(n * FR_BYTES));
+        let step2_build = build.max(mem(n * BYTES_PER_FR));
         let zerocheck = step2_build + self.sumcheck_phase(mu, 9, true, &mut sim);
         sim.kernels[Kernel::ZeroCheck] = zerocheck;
         sim.step_seconds[ProtocolStep::GateIdentity] = zerocheck;
@@ -253,9 +247,9 @@ impl ChipConfig {
         let frac = secs(self.fracmle.fraction_cycles(n as usize));
         let prod = secs(self.mtu.tree_pass_cycles(mu));
         let msm_compute = secs(2.0 * self.msm.dense_msm_cycles(n as usize));
-        let msm_traffic = 2.0 * n * (self.msm.points_read_per_scalar() * POINT_BYTES + FR_BYTES);
+        let msm_traffic = 2.0 * n * (BYTES_PER_POINT + BYTES_PER_FR);
         let wiring_msm = msm_compute.max(mem(msm_traffic));
-        let stream_traffic = 8.0 * n * FR_BYTES;
+        let stream_traffic = 8.0 * n * BYTES_PER_FR;
         let phase_a = construct
             .max(frac)
             .max(prod)
@@ -269,7 +263,8 @@ impl ChipConfig {
         // PermCheck: Build MLE + ZeroCheck rounds over 11 tables.
         let build = secs(self.mtu.tree_pass_cycles(mu));
         sim.busy[Unit::MultifunctionTree] += build;
-        let permcheck = build.max(mem(n * FR_BYTES)) + self.sumcheck_phase(mu, 11, false, &mut sim);
+        let permcheck =
+            build.max(mem(n * BYTES_PER_FR)) + self.sumcheck_phase(mu, 11, false, &mut sim);
         sim.kernels[Kernel::PermCheck] = permcheck;
         sim.step_seconds[ProtocolStep::WireIdentity] = phase_a + permcheck;
 
@@ -278,7 +273,7 @@ impl ChipConfig {
         // off-chip (the compression of Section 4.6 keeps the rest on-chip).
         let evals_compute = secs(22.0 * self.mtu.tree_pass_cycles(mu));
         sim.busy[Unit::MultifunctionTree] += evals_compute;
-        let evals = evals_compute.max(mem(4.0 * n * FR_BYTES));
+        let evals = evals_compute.max(mem(4.0 * n * BYTES_PER_FR));
         sim.kernels[Kernel::FinalEval] = evals;
         sim.step_seconds[ProtocolStep::BatchEvaluation] = evals;
 
@@ -289,7 +284,7 @@ impl ChipConfig {
         sim.busy[Unit::MleCombine] += combine;
         sim.kernels[Kernel::FinalEval] += combine;
         sim.busy[Unit::MultifunctionTree] += build_k;
-        let phase_5a = combine.max(build_k).max(mem(8.0 * n * FR_BYTES));
+        let phase_5a = combine.max(build_k).max(mem(8.0 * n * BYTES_PER_FR));
         // OpenCheck rounds over 12 tables, after what of the k_i builds
         // outlasts MLE Combine.
         let opencheck = self.sumcheck_phase(mu, 12, false, &mut sim);
@@ -309,9 +304,7 @@ impl ChipConfig {
         }
         let halving_compute = secs(halving_cycles);
         sim.busy[Unit::Msm] += halving_compute;
-        let polyopen_msm = halving_compute.max(mem(
-            n * (self.msm.points_read_per_scalar() * POINT_BYTES + FR_BYTES)
-        ));
+        let polyopen_msm = halving_compute.max(mem(n * (BYTES_PER_POINT + BYTES_PER_FR)));
         sim.kernels[Kernel::PolyOpenMsm] = polyopen_msm;
         sim.step_seconds[ProtocolStep::PolynomialOpening] =
             phase_5a + opencheck + final_combine.max(polyopen_msm);
@@ -344,11 +337,11 @@ impl ChipConfig {
             let read = if round == 0 && first_round_on_chip {
                 // Inputs are decompressed from the global SRAM; only the eq
                 // table streams from HBM.
-                (entries as f64) * FR_BYTES
+                (entries as f64) * BYTES_PER_FR
             } else {
-                (tables * entries) as f64 * FR_BYTES
+                (tables * entries) as f64 * BYTES_PER_FR
             };
-            let write = (tables * entries / 2) as f64 * FR_BYTES;
+            let write = (tables * entries / 2) as f64 * BYTES_PER_FR;
             let traffic = self.memory.transfer_seconds(read + write);
             total += sc.max(upd).max(traffic);
             sim.busy[Unit::Sumcheck] += sc;
@@ -634,41 +627,3 @@ mod tests {
         );
     }
 }
-
-zkspeed_rt::impl_to_json_struct!(ChipConfig {
-    msm,
-    sumcheck,
-    mle_update,
-    fracmle,
-    mtu,
-    memory,
-    construct_nd,
-    mle_combine,
-    sha3,
-    max_num_vars,
-});
-zkspeed_rt::impl_to_json_struct!(AreaBreakdown {
-    msm,
-    sumcheck,
-    mle_update,
-    mtu,
-    construct_nd,
-    fracmle,
-    mle_combine,
-    sha3,
-    interconnect,
-    sram,
-    hbm_phy,
-});
-zkspeed_rt::impl_to_json_struct!(PowerBreakdown {
-    msm,
-    sumcheck,
-    mle_update,
-    mtu,
-    construct_nd,
-    fracmle,
-    mle_combine,
-    other,
-    sram,
-    memory,
-});

@@ -6,12 +6,11 @@
 //! the sweep, [`explore`] evaluates it against a workload, and
 //! [`pareto_frontier`] extracts the non-dominated points.
 
-use zkspeed_hw::{
-    AggregationSchedule, FracMleConfig, MleUpdateUnitConfig, MsmDatapath, MsmUnitConfig,
-    SumcheckUnitConfig,
-};
-
 use crate::chip::ChipConfig;
+use crate::memory::MemoryConfig;
+use crate::msm_unit::MsmUnitConfig;
+use crate::params::DSE_BANDWIDTHS_GBPS;
+use crate::units::{FracMleConfig, MleUpdateUnitConfig, SumcheckUnitConfig};
 use crate::workload::Workload;
 
 /// A parameter sweep over the zkSpeed design knobs (Table 2).
@@ -35,9 +34,6 @@ pub struct DesignSpace {
     pub mle_update_modmuls: Vec<usize>,
     /// Off-chip bandwidths in GB/s.
     pub bandwidths_gbps: Vec<f64>,
-    /// MSM bucket-accumulation datapaths to explore (the precomputed-table
-    /// variant trades HBM traffic and table memory for zero doublings).
-    pub msm_datapaths: Vec<MsmDatapath>,
 }
 
 impl DesignSpace {
@@ -52,18 +48,13 @@ impl DesignSpace {
             sumcheck_pes: vec![1, 2, 4, 8, 16],
             mle_update_pes: (1..=11).collect(),
             mle_update_modmuls: vec![1, 2, 4, 8, 16],
-            bandwidths_gbps: zkspeed_hw::params::DSE_BANDWIDTHS_GBPS.to_vec(),
-            // Table 2 sweeps the classic datapath only; the variants are
-            // explored by `reduced` and custom spaces.
-            msm_datapaths: vec![MsmDatapath::Unsigned],
+            bandwidths_gbps: DSE_BANDWIDTHS_GBPS.to_vec(),
         }
     }
 
-    /// A reduced sweep (same knobs, coarser grids) that keeps the Pareto
-    /// frontier shape while evaluating in a few seconds. Unlike
-    /// [`DesignSpace::paper`], it also explores the precomputed-table MSM
-    /// datapath so the frontier weighs table HBM traffic against the
-    /// eliminated doublings.
+    /// A reduced sweep (same knobs, coarser grids: each knob's values are a
+    /// subset of [`DesignSpace::paper`]'s) that keeps the Pareto frontier
+    /// shape while evaluating in a few seconds.
     pub fn reduced() -> Self {
         Self {
             msm_cores: vec![1, 2],
@@ -74,11 +65,7 @@ impl DesignSpace {
             sumcheck_pes: vec![1, 2, 4, 8, 16],
             mle_update_pes: vec![1, 3, 5, 7, 9, 11],
             mle_update_modmuls: vec![1, 4, 16],
-            bandwidths_gbps: zkspeed_hw::params::DSE_BANDWIDTHS_GBPS.to_vec(),
-            msm_datapaths: vec![
-                MsmDatapath::Unsigned,
-                MsmDatapath::Precomputed { batch_affine: true },
-            ],
+            bandwidths_gbps: DSE_BANDWIDTHS_GBPS.to_vec(),
         }
     }
 
@@ -101,7 +88,6 @@ impl DesignSpace {
             * self.mle_update_pes.len()
             * self.mle_update_modmuls.len()
             * self.bandwidths_gbps.len()
-            * self.msm_datapaths.len()
     }
 
     /// Returns `true` if the sweep is empty.
@@ -122,34 +108,27 @@ impl DesignSpace {
                                 for &upes in &self.mle_update_pes {
                                     for &umm in &self.mle_update_modmuls {
                                         for &bw in &self.bandwidths_gbps {
-                                            for &datapath in &self.msm_datapaths {
-                                                out.push(ChipConfig {
-                                                    msm: MsmUnitConfig {
-                                                        cores,
-                                                        pes_per_core: pes,
-                                                        window_bits: w,
-                                                        points_per_pe: pts,
-                                                        aggregation: AggregationSchedule::Grouped {
-                                                            group_size: 16,
-                                                        },
-                                                        datapath,
-                                                    },
-                                                    sumcheck: SumcheckUnitConfig { pes: scpes },
-                                                    mle_update: MleUpdateUnitConfig {
-                                                        pes: upes,
-                                                        modmuls_per_pe: umm,
-                                                    },
-                                                    fracmle: FracMleConfig {
-                                                        pes: fpes,
-                                                        batch_size: 64,
-                                                    },
-                                                    memory: zkspeed_hw::MemoryConfig {
-                                                        bandwidth_gbps: bw,
-                                                    },
-                                                    max_num_vars,
-                                                    ..ChipConfig::table5_design()
-                                                });
-                                            }
+                                            out.push(ChipConfig {
+                                                msm: MsmUnitConfig {
+                                                    cores,
+                                                    pes_per_core: pes,
+                                                    window_bits: w,
+                                                    points_per_pe: pts,
+                                                    ..MsmUnitConfig::default()
+                                                },
+                                                sumcheck: SumcheckUnitConfig { pes: scpes },
+                                                mle_update: MleUpdateUnitConfig {
+                                                    pes: upes,
+                                                    modmuls_per_pe: umm,
+                                                },
+                                                fracmle: FracMleConfig {
+                                                    pes: fpes,
+                                                    batch_size: 64,
+                                                },
+                                                memory: MemoryConfig { bandwidth_gbps: bw },
+                                                max_num_vars,
+                                                ..ChipConfig::table5_design()
+                                            });
                                         }
                                     }
                                 }
@@ -251,7 +230,6 @@ mod tests {
             mle_update_pes: vec![4, 11],
             mle_update_modmuls: vec![4],
             bandwidths_gbps: vec![512.0, 2048.0],
-            msm_datapaths: vec![MsmDatapath::Unsigned],
         }
     }
 
@@ -265,6 +243,53 @@ mod tests {
         assert!(DesignSpace::reduced().len() < DesignSpace::paper().len());
         let tiny = tiny_space();
         assert_eq!(tiny.configurations(18).len(), tiny.len());
+    }
+
+    #[test]
+    fn reduced_is_a_sub_grid_of_paper() {
+        // Destructured whole, so a knob added to the space must be listed
+        // here too.
+        let DesignSpace {
+            msm_cores,
+            msm_pes_per_core,
+            msm_window_bits,
+            msm_points_per_pe,
+            fracmle_pes,
+            sumcheck_pes,
+            mle_update_pes,
+            mle_update_modmuls,
+            bandwidths_gbps,
+        } = DesignSpace::reduced();
+        let paper = DesignSpace::paper();
+        fn within<T: PartialEq + std::fmt::Debug>(knob: &str, reduced: &[T], paper: &[T]) {
+            for v in reduced {
+                assert!(
+                    paper.contains(v),
+                    "{knob}: {v:?} is not in the paper's grid"
+                );
+            }
+        }
+        within("msm_cores", &msm_cores, &paper.msm_cores);
+        within(
+            "msm_pes_per_core",
+            &msm_pes_per_core,
+            &paper.msm_pes_per_core,
+        );
+        within("msm_window_bits", &msm_window_bits, &paper.msm_window_bits);
+        within(
+            "msm_points_per_pe",
+            &msm_points_per_pe,
+            &paper.msm_points_per_pe,
+        );
+        within("fracmle_pes", &fracmle_pes, &paper.fracmle_pes);
+        within("sumcheck_pes", &sumcheck_pes, &paper.sumcheck_pes);
+        within("mle_update_pes", &mle_update_pes, &paper.mle_update_pes);
+        within(
+            "mle_update_modmuls",
+            &mle_update_modmuls,
+            &paper.mle_update_modmuls,
+        );
+        within("bandwidths_gbps", &bandwidths_gbps, &paper.bandwidths_gbps);
     }
 
     #[test]

@@ -2,8 +2,15 @@
 //! paper *"Need for zkSpeed: Accelerating HyperPlonk for Zero-Knowledge
 //! Proofs"* (ISCA 2025), reproduced in Rust.
 //!
-//! The crate composes the per-unit hardware models of `zkspeed-hw` into a
-//! complete chip ([`ChipConfig`]) and provides:
+//! The crate models the eight accelerator units (Section 4 of the paper),
+//! the on-chip SRAM with MLE compression (Section 4.6) and the HBM/DDR
+//! memory system (Section 5). Each unit config ([`MsmUnitConfig`],
+//! [`SumcheckUnitConfig`], …) holds its Table 2 design knobs, an area model
+//! in mm² at 7 nm calibrated against Table 5, and a cycle model for the work
+//! it performs; the paper's per-unit numbers (94-multiplier SumCheck PEs, the
+//! 509-cycle BEEA inversion, the 14.9 / 29.6 mm² HBM PHYs, …) are the
+//! constants of [`params`]. It composes the units into a complete chip
+//! ([`ChipConfig`]) and provides:
 //!
 //! * [`ChipConfig::simulate`] — the protocol scheduler that maps HyperPlonk's
 //!   five steps onto the units under an off-chip bandwidth constraint,
@@ -40,6 +47,10 @@ mod analysis;
 mod chip;
 mod cpu_model;
 mod dse;
+mod memory;
+mod msm_unit;
+pub mod params;
+mod units;
 mod workload;
 
 pub use analysis::{
@@ -49,4 +60,10 @@ pub use analysis::{
 pub use chip::{AreaBreakdown, ChipConfig, ChipSimulation, Kernel, PowerBreakdown, Unit};
 pub use cpu_model::{CpuModel, FIG12A_SHARES};
 pub use dse::{explore, pareto_frontier, pick_iso_area, DesignPoint, DesignSpace};
+pub use memory::{MemoryConfig, MemoryTechnology, SramModel};
+pub use msm_unit::{aggregation_cycles, AggregationSchedule, MsmDatapath, MsmUnitConfig};
+pub use units::{
+    ConstructNdConfig, FracMleConfig, MleCombineConfig, MleUpdateUnitConfig, MtuConfig,
+    Sha3UnitConfig, SumcheckUnitConfig,
+};
 pub use workload::{ColumnSplit, Workload, WorkloadError};

@@ -205,7 +205,3 @@ mod tests {
         assert!(SramModel::power_w(100.0) > 10.0);
     }
 }
-
-zkspeed_rt::impl_to_json_enum!(MemoryTechnology { Ddr5, Hbm2, Hbm3 });
-zkspeed_rt::impl_to_json_struct!(MemoryConfig { bandwidth_gbps });
-zkspeed_rt::impl_to_json_struct!(SramModel {});

@@ -1,9 +1,8 @@
 //! The MSM unit model: Pippenger's algorithm on a pipelined point adder,
 //! with the Sparse-MSM tree mode, the two bucket-aggregation schedules
-//! compared in Figure 5 of the paper, and three datapath variants: the
-//! paper's, the one the functional layer runs (signed digits with
-//! batch-affine or projective buckets), and precomputed multi-base tables,
-//! which only the model prices.
+//! compared in Figure 5 of the paper, and two datapath variants: the
+//! paper's, and the one the functional layer runs (signed digits with
+//! batch-affine or projective buckets).
 //!
 //! Drift between model and software: the unit, like the paper's chip, runs
 //! Pippenger over 255-bit scalars, while the software MSM splits every
@@ -11,9 +10,7 @@
 //! and their images (`2n` terms, half the windows). The parity tests compare
 //! the two at the software's shape; no model constant changes for it.
 
-use crate::params::{
-    BEEA_LATENCY_CYCLES, BYTES_PER_POINT, MODMUL_381_MM2, PADD_FQ_MULS, PADD_LATENCY_CYCLES,
-};
+use crate::params::{BEEA_LATENCY_CYCLES, MODMUL_381_MM2, PADD_FQ_MULS, PADD_LATENCY_CYCLES};
 
 /// Scalar bit width of BLS12-381 Fr (the MSM scalars).
 const SCALAR_BITS: usize = 255;
@@ -44,9 +41,8 @@ pub enum AggregationSchedule {
 /// `Signed` prices the two bucket paths the functional engine
 /// (`zkspeed_curve::msm`) chooses between window by window — batch-affine
 /// buckets, or projective ones for a window piled onto a few buckets — at
-/// the `MsmStats` pricing. `Unsigned` is the paper's datapath and
-/// `Precomputed` a table datapath for the design-space sweep; the software
-/// runs neither, so they are model-only variants.
+/// the `MsmStats` pricing. `Unsigned` is the paper's datapath, which the
+/// software does not run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MsmDatapath {
     /// Classic unsigned Pippenger with full projective bucket additions —
@@ -60,15 +56,6 @@ pub enum MsmDatapath {
         /// Accumulate buckets with amortized batch-affine additions.
         batch_affine: bool,
     },
-    /// Precomputed multi-base tables: the shifted multiples `2^{w·j}·Bᵢ`
-    /// are read from memory, turning the MSM into a single flat
-    /// signed-digit bucket problem — zero doublings, one aggregation pass,
-    /// at the cost of reading `⌈255/w⌉ + 1` points per scalar
-    /// ([`MsmUnitConfig::table_bytes`] prices the table footprint).
-    Precomputed {
-        /// Accumulate buckets with amortized batch-affine additions.
-        batch_affine: bool,
-    },
 }
 
 impl MsmDatapath {
@@ -76,9 +63,7 @@ impl MsmDatapath {
     pub fn batch_affine(&self) -> bool {
         match self {
             MsmDatapath::Unsigned => false,
-            MsmDatapath::Signed { batch_affine } | MsmDatapath::Precomputed { batch_affine } => {
-                *batch_affine
-            }
+            MsmDatapath::Signed { batch_affine } => *batch_affine,
         }
     }
 
@@ -139,35 +124,12 @@ impl MsmUnitConfig {
         }
     }
 
-    /// Number of buckets per window (per bucket set for the flat
-    /// precomputed datapath). Signed digits halve the count to `2^{w−1}`.
+    /// Number of buckets per window. Signed digits halve the count to
+    /// `2^{w−1}`.
     pub fn num_buckets(&self) -> usize {
         match self.datapath {
             MsmDatapath::Unsigned => (1 << self.window_bits) - 1,
             _ => 1 << (self.window_bits - 1),
-        }
-    }
-
-    /// Bytes of precomputed multi-base tables an `n`-base MSM needs on this
-    /// datapath: `(⌈255/w⌉ + 1) · n` shifted points of
-    /// [`BYTES_PER_POINT`] each, 0 for the table-free datapaths. The DSE
-    /// weighs this HBM footprint against the eliminated doublings.
-    pub fn table_bytes(&self, n: usize) -> f64 {
-        match self.datapath {
-            MsmDatapath::Precomputed { .. } => {
-                self.num_windows() as f64 * n as f64 * BYTES_PER_POINT
-            }
-            _ => 0.0,
-        }
-    }
-
-    /// Points read from memory per dense scalar: the table-free datapaths
-    /// stream one base point, the precomputed datapath reads one shifted
-    /// table entry per window.
-    pub fn points_read_per_scalar(&self) -> f64 {
-        match self.datapath {
-            MsmDatapath::Precomputed { .. } => self.num_windows() as f64,
-            _ => 1.0,
         }
     }
 
@@ -220,25 +182,15 @@ impl MsmUnitConfig {
         } else {
             0.0
         };
-        match self.datapath {
-            MsmDatapath::Unsigned | MsmDatapath::Signed { .. } => {
-                // Each PE aggregates its own windows; windows are
-                // distributed over PEs, and each aggregation is a
-                // (partially) serial chain.
-                let aggregations_per_pe = (windows / pes).ceil();
-                let aggregation_cycles = aggregations_per_pe * self.aggregation_cycles();
-                // Final cross-window combination: w doublings + 1 addition
-                // per window, strictly serial (small).
-                let combine_cycles =
-                    windows * (self.window_bits as f64 + 1.0) * PADD_LATENCY_CYCLES as f64 / 8.0;
-                bucket_cycles + inversion_cycles + aggregation_cycles + combine_cycles
-            }
-            // The precomputed datapath has one flat bucket set: a single
-            // aggregation pass and no window-combination doublings at all.
-            MsmDatapath::Precomputed { .. } => {
-                bucket_cycles + inversion_cycles + self.aggregation_cycles()
-            }
-        }
+        // Each PE aggregates its own windows; windows are distributed over
+        // PEs, and each aggregation is a (partially) serial chain.
+        let aggregations_per_pe = (windows / pes).ceil();
+        let aggregation_cycles = aggregations_per_pe * self.aggregation_cycles();
+        // Final cross-window combination: w doublings + 1 addition per
+        // window, strictly serial (small).
+        let combine_cycles =
+            windows * (self.window_bits as f64 + 1.0) * PADD_LATENCY_CYCLES as f64 / 8.0;
+        bucket_cycles + inversion_cycles + aggregation_cycles + combine_cycles
     }
 
     /// Latency (cycles) of a sparse MSM with the paper's witness statistics:
@@ -275,10 +227,6 @@ impl MsmUnitConfig {
                 let combine =
                     windows * (self.window_bits as f64 * PDBL_FQ_MULS as f64 + PADD_FQ_MULS as f64);
                 fill + aggregation + combine
-            }
-            MsmDatapath::Precomputed { .. } => {
-                // One flat bucket set: a single aggregation, zero doublings.
-                fill + 2.0 * buckets * PADD_FQ_MULS as f64
             }
         }
     }
@@ -395,45 +343,13 @@ mod tests {
         // Cheaper fills and halved aggregation beat the extra window.
         let n = 1 << 16;
         assert!(signed.dense_msm_fq_muls(n) < unsigned.dense_msm_fq_muls(n));
-        assert_eq!(unsigned.table_bytes(n), 0.0);
-        assert_eq!(signed.table_bytes(n), 0.0);
-    }
-
-    #[test]
-    fn precomputed_datapath_trades_memory_for_doublings() {
-        let unsigned = MsmUnitConfig::default();
-        let pre = MsmUnitConfig {
-            datapath: MsmDatapath::Precomputed { batch_affine: true },
-            ..unsigned
-        };
-        let n = 1 << 16;
-        // Zero doublings and a single aggregation: far fewer multiplications
-        // and cycles than the classic datapath.
-        assert!(pre.dense_msm_fq_muls(n) < 0.75 * unsigned.dense_msm_fq_muls(n));
-        assert!(pre.dense_msm_cycles(n) < unsigned.dense_msm_cycles(n));
-        // …paid for in table memory and per-scalar point reads.
-        assert_eq!(pre.points_read_per_scalar(), pre.num_windows() as f64);
-        assert_eq!(unsigned.points_read_per_scalar(), 1.0);
-        assert!(pre.table_bytes(n) > 0.0);
-        // The table footprint is the chip's own layout: the `⌈255/w⌉ + 1`
-        // shifted bases of a whole scalar per point, at the HBM point layout
-        // of 96 bytes. (The software's table holds the windows of a GLV
-        // half and their images instead.)
-        let w = 12;
-        let pre12 = MsmUnitConfig {
-            window_bits: w,
-            ..pre
-        };
-        let points = (255usize.div_ceil(w) + 1) * 4096;
-        assert_eq!(pre12.table_bytes(4096), points as f64 * 96.0);
     }
 
     /// The model's count at the functional engine's shape. The software MSM
     /// runs Pippenger over the GLV endomorphism: `2n` terms (the points and
     /// their images) over the windows of a 128-bit scalar half. The model,
     /// like the chip, keeps 255-bit scalars; its per-window cost is taken at
-    /// `2n` points and charged for the half's windows instead. (Only the
-    /// table-free datapaths, whose every term is per window.)
+    /// `2n` points and charged for the half's windows instead.
     fn at_glv_shape(cfg: &MsmUnitConfig, n: usize) -> f64 {
         let carry_window = cfg.num_windows() - SCALAR_BITS.div_ceil(cfg.window_bits);
         let half_windows = 128usize.div_ceil(cfg.window_bits) + carry_window;
@@ -510,50 +426,3 @@ mod tests {
         }
     }
 }
-
-impl zkspeed_rt::ToJson for AggregationSchedule {
-    fn to_json(&self) -> zkspeed_rt::JsonValue {
-        use zkspeed_rt::JsonValue;
-        match self {
-            AggregationSchedule::SzkpSerial => JsonValue::Str("SzkpSerial".to_string()),
-            AggregationSchedule::Grouped { group_size } => JsonValue::Object(vec![(
-                "Grouped".to_string(),
-                JsonValue::Object(vec![(
-                    "group_size".to_string(),
-                    JsonValue::UInt(*group_size as u64),
-                )]),
-            )]),
-        }
-    }
-}
-
-impl zkspeed_rt::ToJson for MsmDatapath {
-    fn to_json(&self) -> zkspeed_rt::JsonValue {
-        use zkspeed_rt::JsonValue;
-        let with_batch_affine = |name: &str, batch_affine: bool| {
-            JsonValue::Object(vec![(
-                name.to_string(),
-                JsonValue::Object(vec![(
-                    "batch_affine".to_string(),
-                    JsonValue::Bool(batch_affine),
-                )]),
-            )])
-        };
-        match self {
-            MsmDatapath::Unsigned => JsonValue::Str("Unsigned".to_string()),
-            MsmDatapath::Signed { batch_affine } => with_batch_affine("Signed", *batch_affine),
-            MsmDatapath::Precomputed { batch_affine } => {
-                with_batch_affine("Precomputed", *batch_affine)
-            }
-        }
-    }
-}
-
-zkspeed_rt::impl_to_json_struct!(MsmUnitConfig {
-    cores,
-    pes_per_core,
-    window_bits,
-    points_per_pe,
-    aggregation,
-    datapath,
-});

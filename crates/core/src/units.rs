@@ -5,8 +5,9 @@
 //! Table 2 design knobs, an `area_mm2` model derived from its modular
 //! multiplier count (the paper's dominant area term), and a cycle model for
 //! the work it performs per protocol step. Memory-boundedness is handled by
-//! the chip-level scheduler in `zkspeed-core`, which takes the maximum of a
-//! unit's compute time and the HBM streaming time for its traffic.
+//! the chip-level scheduler ([`ChipConfig::simulate`](crate::ChipConfig::simulate)),
+//! which takes the maximum of a unit's compute time and the HBM streaming
+//! time for its traffic.
 
 use crate::params::{
     BEEA_LATENCY_CYCLES, MLE_COMBINE_MODMULS_SHARED, MODADD_255_MM2, MODMUL_255_MM2,
@@ -391,14 +392,3 @@ mod tests {
         assert!(cfg.fraction_cycles(1 << 20) >= (1 << 20) as f64);
     }
 }
-
-zkspeed_rt::impl_to_json_struct!(SumcheckUnitConfig { pes });
-zkspeed_rt::impl_to_json_struct!(MleUpdateUnitConfig {
-    pes,
-    modmuls_per_pe
-});
-zkspeed_rt::impl_to_json_struct!(MtuConfig { leaf_pes });
-zkspeed_rt::impl_to_json_struct!(FracMleConfig { pes, batch_size });
-zkspeed_rt::impl_to_json_struct!(ConstructNdConfig {});
-zkspeed_rt::impl_to_json_struct!(MleCombineConfig {});
-zkspeed_rt::impl_to_json_struct!(Sha3UnitConfig {});

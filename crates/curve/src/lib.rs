@@ -15,7 +15,7 @@
 //!   bucket accumulation and aggregation wherever a window's operations
 //!   fill the batches; [`MsmConfig`] sets only the window width. (The
 //!   chip's 255-bit unit and its grouped aggregation schedule, Fig. 5 of
-//!   the paper, are modelled in `zkspeed_hw`.)
+//!   the paper, are modelled in `zkspeed_core`.)
 //! * [`sparse_msm`] — the Sparse MSM used by the Witness Commit step;
 //! * [`MsmStats`] — per-addition-kind operation counters consumed by the
 //!   hardware cost model.

@@ -1,5 +1,5 @@
 //! The HyperPlonk proof system — the protocol that the zkSpeed accelerator
-//! (modeled in `zkspeed-core` / `zkspeed-hw`) accelerates.
+//! (modeled in `zkspeed-core`) accelerates.
 //!
 //! The crate provides the complete proving stack of Figure 2 of the paper:
 //!

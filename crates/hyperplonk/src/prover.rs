@@ -122,15 +122,16 @@ pub fn prove(
 
 /// Proves every witness of `batch` against the same proving key, fanning
 /// the independent proofs out across `ctx.backend`; each proof's spans
-/// carry the job id it is paired with (in place of `ctx.job`). The
-/// witnesses come behind an `Arc`, which the proof jobs share, not copy.
+/// carry the job id it is paired with (in place of `ctx.job`). The key
+/// and the witnesses come behind an `Arc`, which the proof jobs share, not
+/// copy.
 ///
 /// Returns one result per witness, in input order: what [`prove`] returns
 /// for it, bit-identical on any backend. Each witness is checked once, in
 /// its own job, and one that fails the circuit fails alone: the others are
 /// still proved.
 pub fn prove_batch(
-    pk: &ProvingKey,
+    pk: &Arc<ProvingKey>,
     batch: &[(u64, Arc<Witness>)],
     ctx: &ExecCtx,
 ) -> Vec<Result<(Proof, ProverReport), ProveError>> {
@@ -144,7 +145,7 @@ pub fn prove_batch(
     // One job per proof; each job still hands its inner MSM / SumCheck work
     // to the same pool, and the pool's helping scheduler keeps every thread
     // busy across proof boundaries.
-    let job_pk = pk.clone();
+    let job_pk = Arc::clone(pk);
     let jobs: Vec<(ExecCtx, Arc<Witness>)> = batch
         .iter()
         .map(|(job, w)| (job_ctx(*job), Arc::clone(w)))
@@ -545,6 +546,7 @@ mod tests {
     #[test]
     fn batch_proving_matches_individual_proofs() {
         let (pk, witness) = session(4);
+        let pk = Arc::new(pk);
         let shared = Arc::new(witness.clone());
         let batch: Vec<(u64, Arc<Witness>)> =
             (0..3).map(|job| (job, Arc::clone(&shared))).collect();
@@ -570,6 +572,7 @@ mod tests {
     #[test]
     fn tracing_produces_byte_identical_proofs() {
         let (pk, witness) = session(4);
+        let pk = Arc::new(pk);
         let witness = Arc::new(witness);
         let batch = vec![(41, Arc::clone(&witness)), (42, witness)];
         let proved = |ctx: &ExecCtx| -> Vec<_> {

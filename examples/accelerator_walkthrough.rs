@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example accelerator_walkthrough`
 
+use zkspeed_core::params::CLOCK_HZ;
 use zkspeed_core::{ChipConfig, Unit, Workload};
 use zkspeed_field::Fr;
-use zkspeed_hw::params::CLOCK_HZ;
 use zkspeed_poly::{fraction_mle, product_mle, MultilinearPoly};
 use zkspeed_rt::pool::Serial;
 use zkspeed_rt::rngs::StdRng;

@@ -26,8 +26,8 @@
 //!   polynomials;
 //! * [`transcript`] / [`sumcheck`] / [`pcs`] / [`hyperplonk`] — the
 //!   functional HyperPlonk prover and verifier;
-//! * [`hw`] / [`model`] — the zkSpeed accelerator's analytical hardware
-//!   model and design-space exploration;
+//! * [`model`] — the zkSpeed accelerator's analytical hardware model (its
+//!   units, memory and chip) and design-space exploration;
 //! * [`svc`] — the long-running proving service: priority job queue with
 //!   backpressure, shard-aware `prove_batch` wave scheduling, and the
 //!   framed wire protocol for circuits, witnesses and proofs (start one
@@ -120,7 +120,6 @@ pub use zkspeed_bench as bench;
 pub use zkspeed_core as model;
 pub use zkspeed_curve as curve;
 pub use zkspeed_field as field;
-pub use zkspeed_hw as hw;
 pub use zkspeed_hyperplonk as hyperplonk;
 pub use zkspeed_net as net;
 pub use zkspeed_pcs as pcs;

@@ -2,9 +2,9 @@
 //! layer and against the headline numbers of the paper.
 
 use zkspeed_core::{
-    explore, geomean, pareto_frontier, speedup_report, ChipConfig, CpuModel, DesignSpace, Workload,
+    explore, geomean, pareto_frontier, speedup_report, ChipConfig, CpuModel, DesignSpace,
+    SramModel, Workload,
 };
-use zkspeed_hw::{MsmDatapath, SramModel};
 
 #[test]
 fn table5_design_reproduces_headline_area_power_and_latency() {
@@ -59,7 +59,6 @@ fn pareto_frontier_prefers_high_bandwidth_for_high_performance() {
             mle_update_pes: vec![11],
             mle_update_modmuls: vec![4],
             bandwidths_gbps: vec![bw],
-            msm_datapaths: vec![MsmDatapath::Unsigned],
         };
         points.extend(explore(&space, &workload));
     }
@@ -67,43 +66,6 @@ fn pareto_frontier_prefers_high_bandwidth_for_high_performance() {
     // The fastest frontier point must use the higher bandwidth.
     let fastest = frontier.first().expect("non-empty frontier");
     assert_eq!(fastest.config.memory.bandwidth_gbps, 2048.0);
-}
-
-#[test]
-fn dse_explores_the_precomputed_datapath_without_panicking() {
-    let workload = Workload::standard(18);
-    let space = DesignSpace {
-        msm_cores: vec![1],
-        msm_pes_per_core: vec![4, 16],
-        msm_window_bits: vec![9, 12],
-        msm_points_per_pe: vec![2048],
-        fracmle_pes: vec![1],
-        sumcheck_pes: vec![4],
-        mle_update_pes: vec![11],
-        mle_update_modmuls: vec![4],
-        bandwidths_gbps: vec![1024.0],
-        msm_datapaths: vec![
-            MsmDatapath::Unsigned,
-            MsmDatapath::Precomputed { batch_affine: true },
-        ],
-    };
-    let points = explore(&space, &workload);
-    assert_eq!(points.len(), space.len());
-    let mut precomputed = 0usize;
-    for point in &points {
-        assert!(
-            point.runtime_seconds.is_finite() && point.runtime_seconds > 0.0,
-            "runtime {}",
-            point.runtime_seconds
-        );
-        assert!(point.area_mm2.is_finite() && point.area_mm2 > 0.0);
-        if matches!(point.config.msm.datapath, MsmDatapath::Precomputed { .. }) {
-            precomputed += 1;
-            // The table footprint the DSE budgets for is non-trivial.
-            assert!(point.config.msm.table_bytes(1 << 18) > 0.0);
-        }
-    }
-    assert_eq!(precomputed, points.len() / 2);
 }
 
 #[test]

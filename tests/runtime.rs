@@ -309,6 +309,7 @@ fn backends_produce_identical_encodings_and_modmul_counters() {
     // modmuls the Serial untraced proof does.
     const BATCH: u64 = 3;
     let (pk, vk, witness) = matrix_keys(0xD5EE_D031);
+    let pk = Arc::new(pk);
     let single = |ctx: &ExecCtx| {
         let (proved, count) = measure_modmuls(|| prove(&pk, &witness, ctx));
         (vec![proved.expect("valid witness")], count)

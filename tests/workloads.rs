@@ -8,7 +8,6 @@ use std::sync::OnceLock;
 use zkspeed::prelude::*;
 use zkspeed_core::ChipConfig;
 use zkspeed_field::Fr;
-use zkspeed_hw::MsmDatapath;
 use zkspeed_hyperplonk::gadgets::KeccakState;
 use zkspeed_hyperplonk::CircuitStats;
 use zkspeed_rt::rngs::StdRng;
@@ -130,39 +129,5 @@ fn measured_stats_drive_the_hardware_model_without_panicking() {
         let projected = workload.with_num_vars(20);
         let sim20 = chip.simulate(&projected);
         assert!(sim20.total_seconds() > sim.total_seconds());
-    }
-}
-
-#[test]
-fn precomputed_msm_datapath_simulates_all_measured_workloads() {
-    let mut rng = StdRng::seed_from_u64(46);
-    let baseline = ChipConfig::table5_design();
-    let mut chip = ChipConfig::table5_design();
-    chip.msm.datapath = MsmDatapath::Precomputed { batch_affine: true };
-    for spec in WorkloadSpec::test_suite() {
-        let (circuit, witness) = spec.build(&mut rng);
-        let stats = CircuitStats::measure(&circuit, &witness);
-        let workload = measured_workload(&stats).expect("measured fractions are valid");
-        let sim = chip.simulate(&workload);
-        assert!(
-            sim.total_seconds().is_finite() && sim.total_seconds() > 0.0,
-            "{}: precomputed datapath must simulate",
-            spec.name()
-        );
-        // The table-backed datapath removes every doubling from the commit
-        // MSMs; the MSM unit's busy (compute) time must not exceed the
-        // classic datapath's (the extra HBM traffic for table reads is
-        // accounted separately in the memory model).
-        let base = baseline.simulate(&workload);
-        assert!(
-            sim.busy[0] <= base.busy[0] * 1.01,
-            "{}: precomputed MSM busy {} vs baseline {}",
-            spec.name(),
-            sim.busy[0],
-            base.busy[0]
-        );
-        // The datapath reports a non-trivial table footprint at this size.
-        let n = 1usize << workload.num_vars;
-        assert!(chip.msm.table_bytes(n) > 0.0);
     }
 }

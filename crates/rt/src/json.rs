@@ -1,12 +1,11 @@
 //! Hand-rolled JSON emission with a stable field order.
 //!
-//! Two documents are rendered: the Table 5 chip configuration with its area
-//! and power breakdowns (`table5_area_power --json`) and the proving
-//! service's metrics, without a `serde` dependency. [`JsonValue`] is an
-//! owned JSON tree whose objects
-//! preserve insertion order, so the same struct always serializes to the
-//! same byte string; [`ToJson`] converts report types into it, usually via
-//! the [`impl_to_json_struct!`](crate::impl_to_json_struct) /
+//! It renders the proving service's metrics and the Chrome trace-event
+//! dumps, without a `serde` dependency. [`JsonValue`] is an owned JSON tree
+//! whose objects preserve insertion order, so the same struct always
+//! serializes to the same byte string; [`ToJson`] converts report types
+//! into it, usually via the
+//! [`impl_to_json_struct!`](crate::impl_to_json_struct) /
 //! [`impl_to_json_enum!`](crate::impl_to_json_enum) macros.
 
 use std::fmt;

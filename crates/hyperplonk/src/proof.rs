@@ -51,6 +51,20 @@ pub struct QueryGroup {
     pub labels: Vec<PolyLabel>,
 }
 
+/// The number of query groups (see [`query_groups`]).
+pub(crate) const QUERY_GROUPS: usize = 5;
+
+/// The labels of each query group, in group order (see [`query_groups`]).
+pub(crate) fn group_labels() -> [Vec<PolyLabel>; QUERY_GROUPS] {
+    [
+        GATE.labels(),
+        WIRING.labels(),
+        SHIFTED.to_vec(),
+        SHIFTED.to_vec(),
+        vec![PolyLabel::Pi],
+    ]
+}
+
 /// Builds the canonical list of query groups used by both the prover and the
 /// verifier, given the Gate Identity ZeroCheck point `a` and the Wiring
 /// Identity ZeroCheck point `s`.
@@ -65,14 +79,18 @@ pub struct QueryGroup {
 pub fn query_groups(gate_point: &[Fr], perm_point: &[Fr]) -> Vec<QueryGroup> {
     let mu = gate_point.len();
     assert_eq!(mu, perm_point.len(), "query_groups: point length mismatch");
-    let group = |point: Vec<Fr>, labels: Vec<PolyLabel>| QueryGroup { point, labels };
-    vec![
-        group(gate_point.to_vec(), GATE.labels()),
-        group(perm_point.to_vec(), WIRING.labels()),
-        group(shifted_point(perm_point, Fr::zero()), SHIFTED.to_vec()),
-        group(shifted_point(perm_point, Fr::one()), SHIFTED.to_vec()),
-        group(grand_product_point(mu), vec![PolyLabel::Pi]),
-    ]
+    let points = [
+        gate_point.to_vec(),
+        perm_point.to_vec(),
+        shifted_point(perm_point, Fr::zero()),
+        shifted_point(perm_point, Fr::one()),
+        grand_product_point(mu),
+    ];
+    points
+        .into_iter()
+        .zip(group_labels())
+        .map(|(point, labels)| QueryGroup { point, labels })
+        .collect()
 }
 
 /// The claimed evaluations of every query group, in group order.
@@ -96,8 +114,18 @@ impl BatchEvaluations {
 }
 
 /// A complete HyperPlonk proof.
+///
+/// It encodes (`serialize.rs`) to **`1 329 + 385·μ` bytes**: the 8-byte
+/// header, `μ` as a `u32`, five G1 points of 97 bytes (the three witness
+/// commitments, φ and π), the 21 batch evaluations and 5 combined
+/// evaluations of 32 bytes each, and per variable one row of each SumCheck
+/// (3 + 4 + 2 Fr) and one opening quotient. Every shape follows from `μ`,
+/// so no length is written.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proof {
+    /// The number of variables `μ` the proof is for; the verifier rejects
+    /// a proof whose `μ` is not its key's.
+    pub num_vars: usize,
     /// Commitments to the witness columns `w₁, w₂, w₃` (Witness Commit step).
     pub witness_commitments: [Commitment; 3],
     /// Gate Identity ZeroCheck round polynomials.

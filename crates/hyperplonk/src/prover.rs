@@ -381,6 +381,7 @@ pub fn prove_unchecked(pk: &ProvingKey, witness: &Witness, ctx: &ExecCtx) -> (Pr
 
     (
         Proof {
+            num_vars: mu,
             witness_commitments,
             gate_zerocheck: gate_out.proof,
             phi_commitment,

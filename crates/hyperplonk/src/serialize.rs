@@ -13,28 +13,31 @@
 //! inputs fail with a structured [`DecodeError`].
 
 use zkspeed_field::Fr;
-use zkspeed_pcs::{NumVars, Srs};
+use zkspeed_pcs::{NumVars, Quotients, Srs};
 use zkspeed_poly::MultilinearPoly;
-use zkspeed_rt::codec::{Decode, DecodeError, Encode, Kind, Reader, Via};
+use zkspeed_rt::codec::{Decode, DecodeError, Encode, Fixed, Kind, Reader, Via};
 use zkspeed_rt::Sha3_256;
+use zkspeed_sumcheck::Rows;
 
 use crate::circuit::{Circuit, Witness};
 use crate::keys::VerifyingKey;
-use crate::proof::{BatchEvaluations, Proof};
+use crate::proof::{group_labels, BatchEvaluations, Proof, QUERY_GROUPS};
+use crate::prover::{GATE_SUMCHECK_DEGREE, OPENCHECK_DEGREE, PERM_SUMCHECK_DEGREE};
 
+// A ZeroCheck row samples the cofactor `t_i`, one degree below the masked
+// round polynomial; an OpenCheck row samples `g_i` itself.
 zkspeed_rt::impl_codec_struct!(Proof: Kind::Proof {
+    num_vars: NumVars("proof num_vars", 1, 0),
     witness_commitments,
-    gate_zerocheck,
+    gate_zerocheck: Rows(num_vars, GATE_SUMCHECK_DEGREE - 1),
     phi_commitment,
     pi_commitment,
-    perm_zerocheck,
-    evaluations,
-    opencheck,
-    combined_evaluations,
-    gprime_opening,
+    perm_zerocheck: Rows(num_vars, PERM_SUMCHECK_DEGREE - 1),
+    evaluations: GroupShaped,
+    opencheck: Rows(num_vars, OPENCHECK_DEGREE),
+    combined_evaluations: Fixed(QUERY_GROUPS),
+    gprime_opening: Quotients(num_vars),
 });
-
-zkspeed_rt::impl_codec_struct!(BatchEvaluations { values });
 
 zkspeed_rt::impl_codec_struct!(VerifyingKey: Kind::VerifyingKey {
     num_vars: NumVars("verifying-key num_vars", 1, 0),
@@ -55,6 +58,28 @@ impl Circuit {
     /// byte-identical.
     pub fn digest(&self) -> [u8; 32] {
         Sha3_256::digest(&self.to_bytes())
+    }
+}
+
+/// The batch evaluations in [`query_groups`](crate::query_groups)' shape,
+/// back to back with no length prefixes.
+struct GroupShaped;
+
+impl Via<BatchEvaluations> for GroupShaped {
+    type Args = ();
+
+    fn encode(value: &BatchEvaluations, out: &mut Vec<u8>) {
+        for group in &value.values {
+            Fixed::encode(group, out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>, (): ()) -> Result<BatchEvaluations, DecodeError> {
+        let values = group_labels()
+            .iter()
+            .map(|labels| Fixed::decode(r, (labels.len(),)))
+            .collect::<Result<_, _>>()?;
+        Ok(BatchEvaluations { values })
     }
 }
 
@@ -192,6 +217,18 @@ mod tests {
     }
 
     #[test]
+    fn proof_size_is_the_documented_formula() {
+        for mu in 1..=8 {
+            let mut r = StdRng::seed_from_u64(0x5eed_0019 + mu as u64);
+            let srs = Srs::try_setup(mu, &mut r, &Serial).unwrap();
+            let (circuit, witness) = mock_circuit(mu, SparsityProfile::paper_default(), &mut r);
+            let (pk, _) = try_preprocess(circuit, &srs, &Serial).expect("circuit fits");
+            let (proof, _) = prove(&pk, &witness, &ExecCtx::default()).expect("valid witness");
+            assert_eq!(proof.to_bytes().len(), 1329 + 385 * mu, "μ = {mu}");
+        }
+    }
+
+    #[test]
     fn verifying_key_bytes_roundtrip() {
         let (proof, vk) = proof_and_vk();
         let bytes = vk.to_bytes();
@@ -214,11 +251,34 @@ mod tests {
             Err(DecodeError::BadMagic { .. })
         ));
 
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 0x7f;
+        // A version-5 proof wrote a length before every row, group of
+        // evaluations and the quotients: it fails as such, never misparsed.
+        for version in [5, 0x7f] {
+            let mut bad_version = bytes.clone();
+            bad_version[4] = version;
+            assert_eq!(
+                Proof::from_bytes(&bad_version),
+                Err(DecodeError::UnsupportedVersion {
+                    found: version.into()
+                })
+            );
+        }
+
+        // Rows of another μ read other bytes, and a μ past any SRS fails
+        // before a row is allocated.
+        for num_vars in [0u32, 3, 5, 20] {
+            let mut resized = bytes.clone();
+            resized[8..12].copy_from_slice(&num_vars.to_le_bytes());
+            assert!(Proof::from_bytes(&resized).is_err(), "μ = {num_vars}");
+        }
+        let mut huge = bytes.clone();
+        huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            Proof::from_bytes(&bad_version),
-            Err(DecodeError::UnsupportedVersion { found: 0x7f })
+            Proof::from_bytes(&huge),
+            Err(DecodeError::InvalidLength {
+                what: "proof num_vars",
+                ..
+            })
         ));
 
         // A verifying-key blob is not a proof.

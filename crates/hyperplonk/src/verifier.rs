@@ -43,6 +43,13 @@ pub enum VerifyError {
     OpeningFailed,
     /// The verifying key's `μ` is zero or larger than its SRS supports.
     MalformedKey,
+    /// The proof is for another number of variables than the key.
+    NumVarsMismatch {
+        /// The proof's `μ`.
+        proof: usize,
+        /// The key's `μ`.
+        key: usize,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -62,6 +69,9 @@ impl fmt::Display for VerifyError {
             VerifyError::MalformedKey => {
                 write!(f, "malformed verifying key: μ must be in 1..=the SRS's")
             }
+            VerifyError::NumVarsMismatch { proof, key } => {
+                write!(f, "proof is for μ = {proof}, the key for μ = {key}")
+            }
         }
     }
 }
@@ -77,6 +87,12 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
     let mu = vk.num_vars;
     if mu == 0 || mu > vk.srs.num_vars() {
         return Err(VerifyError::MalformedKey);
+    }
+    if proof.num_vars != mu {
+        return Err(VerifyError::NumVarsMismatch {
+            proof: proof.num_vars,
+            key: mu,
+        });
     }
     let mut transcript = Transcript::new(b"zkspeed-hyperplonk");
     vk.bind_to_transcript(&mut transcript);
@@ -323,7 +339,7 @@ mod tests {
 
         // Tamper with a zerocheck round polynomial.
         let mut p4 = proof.clone();
-        p4.perm_zerocheck.round_evaluations[0][0] += Fr::one();
+        p4.perm_zerocheck.rows[0][0] += Fr::one();
         assert!(verify(&vk, &p4).is_err());
 
         // Truncate the batch evaluations.

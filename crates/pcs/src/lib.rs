@@ -55,6 +55,6 @@ mod precompute;
 mod srs;
 
 pub use commit::{commit, commit_on, commit_sparse, commit_sparse_on, Commitment};
-pub use open::{open, open_on, verify_combined_opening, verify_opening, OpeningProof};
+pub use open::{open, open_on, verify_combined_opening, verify_opening, OpeningProof, Quotients};
 pub use precompute::PrecomputeBudget;
 pub use srs::{NumVars, SetupError, Srs, MAX_NUM_VARS};

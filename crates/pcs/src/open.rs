@@ -18,6 +18,7 @@ use std::sync::Arc;
 use zkspeed_curve::{msm, G1Projective, MsmStats};
 use zkspeed_field::Fr;
 use zkspeed_poly::MultilinearPoly;
+use zkspeed_rt::codec::{DecodeError, Fixed, Reader, Via};
 use zkspeed_rt::pool::{self, Backend, Serial};
 
 use crate::commit::{commit, Commitment};
@@ -30,7 +31,23 @@ pub struct OpeningProof {
     pub quotients: Vec<Commitment>,
 }
 
-zkspeed_rt::impl_codec_struct!(OpeningProof { quotients });
+/// An [`OpeningProof`]'s encoding: its `μ` quotient commitments back to
+/// back, with no length prefix. The enclosing format implies `μ`, which
+/// decoding takes.
+pub struct Quotients;
+
+impl Via<OpeningProof> for Quotients {
+    type Args = (usize,);
+
+    fn encode(value: &OpeningProof, out: &mut Vec<u8>) {
+        Fixed::encode(&value.quotients, out);
+    }
+
+    fn decode(r: &mut Reader<'_>, num_vars: (usize,)) -> Result<OpeningProof, DecodeError> {
+        let quotients = Fixed::decode(r, num_vars)?;
+        Ok(OpeningProof { quotients })
+    }
+}
 
 /// Opens `poly` at `point`, returning the evaluation, the proof, and the MSM
 /// operation counts of the halving commitments (for the hardware model).

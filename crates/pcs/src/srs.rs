@@ -434,14 +434,15 @@ mod tests {
         // SHA3-256 of `to_bytes()`, at μ = 6 taken before setup derived levels
         // 1…μ by additions, at μ = 10 (a full block) before level 0 went
         // through the batch-affine adder: the points are exact, so the bytes are.
+        // Re-pinned for codec version 6, which changed header bytes 4–5 only.
         for (mu, pinned) in [
             (
                 6,
-                "74eabf9d19d682549d19abdb9e8aa16ebf1ec9be73c4027e80a2329688f09f7c",
+                "0fe623cec36edd38adf3bb8b56cb4811eb4e233b0268fb7d4402345cecbecf10",
             ),
             (
                 10,
-                "0e73d34620dab056914749f34d258275b875a1cce68dc0c90641c8585125f5e1",
+                "b4571429c160845471393a36a8df7af1354c9a2e8b9a79c0a226b1dc744e4815",
             ),
         ] {
             let tau: Vec<Fr> = (0..mu as u64)
@@ -552,7 +553,7 @@ mod tests {
         let (value_full, proof_full, _) = open_on(&Serial, &full, &f, &point);
         let (value_view, proof_view, _) = open_on(&Serial, &view, &f, &point);
         assert_eq!(value_full, value_view);
-        assert_eq!(proof_full.to_bytes(), proof_view.to_bytes());
+        assert_eq!(proof_full, proof_view);
         // Proofs verify against either SRS.
         assert!(verify_opening(
             &view,

@@ -10,7 +10,7 @@
 //! | bytes | meaning |
 //! |---|---|
 //! | 0–3 | magic `b"zksp"` |
-//! | 4–5 | format version, little-endian `u16` (currently 5) |
+//! | 4–5 | format version, little-endian `u16` (currently 6) |
 //! | 6 | artifact kind tag ([`Kind`]) |
 //! | 7 | reserved, must be zero |
 //!
@@ -58,7 +58,13 @@ pub const MAGIC: [u8; 4] = *b"zksp";
 ///   carrying the server's Chrome trace-event JSON. Earlier versions
 ///   decode to a clean [`DecodeError::UnsupportedVersion`], never a
 ///   misparse.
-pub const VERSION: u16 = 5;
+/// * **6** — compact proofs: a proof writes `μ` once and every other shape
+///   follows from it, with no length prefixes; each SumCheck row carries
+///   only the values the verifier cannot derive (no `g(1)`, and in a
+///   ZeroCheck the cofactor `t_i` instead of the round polynomial). The
+///   Fiat–Shamir transcript is unchanged. Earlier versions decode to a
+///   clean [`DecodeError::UnsupportedVersion`], never a misparse.
+pub const VERSION: u16 = 6;
 
 /// The registry of artifact kind tags (byte 6 of the canonical header).
 ///

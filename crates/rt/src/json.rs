@@ -5,8 +5,7 @@
 //! whose objects preserve insertion order, so the same struct always
 //! serializes to the same byte string; [`ToJson`] converts report types
 //! into it, usually via the
-//! [`impl_to_json_struct!`](crate::impl_to_json_struct) /
-//! [`impl_to_json_enum!`](crate::impl_to_json_enum) macros.
+//! [`impl_to_json_struct!`](crate::impl_to_json_struct) macro.
 
 use std::fmt;
 
@@ -223,31 +222,6 @@ macro_rules! impl_to_json_struct {
     };
 }
 
-/// Implements [`ToJson`] for an enum of unit variants, emitting the variant
-/// name as a string.
-///
-/// ```
-/// #[derive(Clone, Copy)]
-/// enum Tech { Ddr5, Hbm3 }
-/// zkspeed_rt::impl_to_json_enum!(Tech { Ddr5, Hbm3 });
-///
-/// assert_eq!(zkspeed_rt::ToJson::to_json(&Tech::Hbm3).render(), r#""Hbm3""#);
-/// ```
-#[macro_export]
-macro_rules! impl_to_json_enum {
-    ($ty:ty { $($variant:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::JsonValue {
-                match self {
-                    $(<$ty>::$variant => $crate::JsonValue::Str(
-                        ::std::string::ToString::to_string(stringify!($variant)),
-                    ),)+
-                }
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,19 +275,13 @@ mod tests {
     }
 
     #[test]
-    fn derived_struct_and_enum_impls() {
+    fn derived_struct_impl() {
         struct S {
             x: u64,
             y: f64,
             name: String,
         }
         crate::impl_to_json_struct!(S { x, y, name });
-        #[derive(Clone, Copy)]
-        enum E {
-            A,
-            B,
-        }
-        crate::impl_to_json_enum!(E { A, B });
 
         let s = S {
             x: 3,
@@ -321,7 +289,5 @@ mod tests {
             name: "zk".into(),
         };
         assert_eq!(s.to_json().render(), r#"{"x":3,"y":0.25,"name":"zk"}"#);
-        assert_eq!(E::A.to_json().render(), r#""A""#);
-        assert_eq!(E::B.to_json().render(), r#""B""#);
     }
 }

@@ -12,20 +12,20 @@ pub enum SumcheckError {
         /// Rounds the verifier expected.
         expected: usize,
     },
-    /// A round polynomial has the wrong number of evaluations for the
-    /// declared degree.
+    /// A row has the wrong number of values for the declared degree.
     WrongRoundPolynomialSize {
         /// The offending round (0-based).
         round: usize,
-        /// Evaluations present.
+        /// Values present.
         got: usize,
-        /// Evaluations expected (`degree + 1`).
+        /// Values expected (the degree of the polynomial the row samples).
         expected: usize,
     },
-    /// A round polynomial is inconsistent with the running claim:
-    /// `g_i(0) + g_i(1) != claim_i`.
-    RoundClaimMismatch {
-        /// The offending round (0-based).
+    /// A ZeroCheck's Build-MLE coordinate `r_i` is zero (probability
+    /// `μ·2⁻²⁵⁵`): `eq(r_i, X)` vanishes at 1, so the row cannot be
+    /// rebuilt from the running claim.
+    ZeroBuildMleCoordinate {
+        /// The round of the zero coordinate (0-based).
         round: usize,
     },
     /// The final claimed evaluation does not match the oracle evaluation of
@@ -43,15 +43,9 @@ impl fmt::Display for SumcheckError {
                 round,
                 got,
                 expected,
-            } => write!(
-                f,
-                "round {round} polynomial has {got} evaluations, expected {expected}"
-            ),
-            SumcheckError::RoundClaimMismatch { round } => {
-                write!(
-                    f,
-                    "round {round} polynomial does not match the running claim"
-                )
+            } => write!(f, "round {round} row has {got} values, expected {expected}"),
+            SumcheckError::ZeroBuildMleCoordinate { round } => {
+                write!(f, "round {round} has a zero Build-MLE coordinate")
             }
             SumcheckError::FinalEvaluationMismatch => {
                 write!(f, "final evaluation does not match the oracle")
@@ -73,7 +67,7 @@ mod tests {
             expected: 4,
         };
         assert!(e.to_string().contains("3 rounds"));
-        let e = SumcheckError::RoundClaimMismatch { round: 2 };
+        let e = SumcheckError::ZeroBuildMleCoordinate { round: 2 };
         assert!(e.to_string().contains("round 2"));
         let e = SumcheckError::WrongRoundPolynomialSize {
             round: 1,

@@ -9,6 +9,8 @@
 //!   (mirroring the unified SumCheck PE of Section 4.1.4);
 //! * the ZeroCheck wrapper ([`prove_zerocheck`] / [`verify_zerocheck`]) that
 //!   masks the polynomial with the Build-MLE `eq(X, r)` factor;
+//! * proof rows that carry only what the verifier cannot derive, and the
+//!   [`Rows`] codec adapter that writes them with no length prefixes;
 //! * the per-round computation ([`round_polynomial`]) structured exactly as
 //!   the SumCheck Round PE of Figure 4 (per-MLE extensions, per-term
 //!   products, sum of products), which the hardware model costs out.
@@ -57,7 +59,7 @@ mod zerocheck;
 
 pub use error::SumcheckError;
 pub use prover::{
-    prove, prove_on, round_polynomial, round_polynomial_on, ProverOutput, SumcheckProof,
+    prove, prove_on, round_polynomial, round_polynomial_on, ProverOutput, Rows, SumcheckProof,
 };
 pub use verifier::{interpolate_uniform, verify, SubClaim};
 pub use zerocheck::{

@@ -22,33 +22,73 @@
 //! optional input is the half-size weight table `eq(r_{>i}, ·)`; `t_i`'s
 //! `d + 2`-th evaluation follows by finite differences and the two scalar
 //! factors multiply the round's evaluations once.
+//!
+//! Each round absorbs the round polynomial's evaluations at `0..=deg` into
+//! the transcript, but its proof row carries only what the verifier cannot
+//! derive from them (see [`crate::verify`]): the value at 1 follows from the
+//! running claim, and in a ZeroCheck the known factors `eq(r_{<i}, ρ_{<i})`
+//! and `eq(r_i, X)` and `t_i`'s last evaluation follow from `t_i` itself. A
+//! row is
+//!
+//! | SumCheck | row `i` | values |
+//! |---|---|---|
+//! | plain, degree `d` | `g_i(0), g_i(2), …, g_i(d)` | `d` |
+//! | ZeroCheck, masked degree `d + 1` | `t_i(0), t_i(2), …, t_i(d)` | `d` |
+//!
+//! The prover copies the row out of the values it already holds, before it
+//! scales them: a row costs no multiplication.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use zkspeed_field::{modmul_count, Fr};
 use zkspeed_poly::{MultilinearPoly, VirtualPolynomial};
+use zkspeed_rt::codec::{DecodeError, Fixed, Reader, Via};
 use zkspeed_rt::pool::{self, Backend};
 use zkspeed_rt::trace::TraceSink;
 use zkspeed_transcript::Transcript;
 
-/// A SumCheck proof: one univariate round polynomial per variable, each given
-/// by its evaluations at `0, 1, …, degree`.
+/// A SumCheck proof: one row per variable, each the values of its round
+/// polynomial the verifier cannot derive (the module docs list them).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SumcheckProof {
-    /// `round_evaluations[i]` holds the evaluations of the round-`i`
-    /// univariate polynomial at `0..=degree`.
-    pub round_evaluations: Vec<Vec<Fr>>,
+    /// `rows[i]` is what round `i` sends: a row of a degree-`d` polynomial
+    /// holds its evaluations at `0, 2, 3, …, d`, and the verifier rebuilds
+    /// the full evaluation vector from it.
+    pub rows: Vec<Vec<Fr>>,
 }
 
 impl SumcheckProof {
     /// Number of rounds (= number of variables of the proved polynomial).
     pub fn num_rounds(&self) -> usize {
-        self.round_evaluations.len()
+        self.rows.len()
     }
 }
 
-zkspeed_rt::impl_codec_struct!(SumcheckProof { round_evaluations });
+/// A [`SumcheckProof`]'s encoding: its rows back to back, with no length
+/// prefix. The proof format implies both shapes, so decoding takes the
+/// number of rounds and the values per row.
+pub struct Rows;
+
+impl Via<SumcheckProof> for Rows {
+    type Args = (usize, usize);
+
+    fn encode(value: &SumcheckProof, out: &mut Vec<u8>) {
+        for row in &value.rows {
+            Fixed::encode(row, out);
+        }
+    }
+
+    fn decode(
+        r: &mut Reader<'_>,
+        (num_rounds, width): (usize, usize),
+    ) -> Result<SumcheckProof, DecodeError> {
+        let rows = (0..num_rounds)
+            .map(|_| Fixed::decode(r, (width,)))
+            .collect::<Result<_, _>>()?;
+        Ok(SumcheckProof { rows })
+    }
+}
 
 /// Everything the prover produces: the proof, the verifier challenges bound
 /// into the transcript, and the per-MLE evaluations at the final point (which
@@ -145,7 +185,7 @@ pub(crate) fn prove_rounds(
         let suffix = MultilinearPoly::eq_mle(&r[1..], backend).shared_evaluations();
         (r, suffix, Fr::one())
     });
-    let mut round_evaluations = Vec::with_capacity(num_rounds);
+    let mut rows = Vec::with_capacity(num_rounds);
     let mut point = Vec::with_capacity(num_rounds);
     let mut update_modmuls = 0;
 
@@ -153,6 +193,9 @@ pub(crate) fn prove_rounds(
         let _round_span = trace.span_with(round_label, "sumcheck", &[("round", round as u64)]);
         let weights = eq.as_ref().map(|(_, suffix, _)| suffix);
         let mut evals = round_evaluations_on(&plan, &tables, weights, backend);
+        // The row skips the value at 1 and, in a ZeroCheck, `t_i`'s last.
+        let sent = evals.len() - usize::from(eq.is_some());
+        rows.push([&evals[..1], &evals[2..sent]].concat());
         if let Some((r, _, prefix)) = &eq {
             // `eq(r_i, X)` is linear in `X`: `1 − r_i` at 0, `r_i` at 1.
             let mut factor = Fr::one() - r[round];
@@ -178,11 +221,10 @@ pub(crate) fn prove_rounds(
             }
             suffix.truncate(suffix.len() / 2);
         }
-        round_evaluations.push(evals);
     }
 
     ProverOutput {
-        proof: SumcheckProof { round_evaluations },
+        proof: SumcheckProof { rows },
         point,
         // After fixing all variables every table is a single value.
         mle_evaluations: tables.iter().map(|t| t[0]).collect(),
@@ -374,7 +416,7 @@ fn round_partial(
 /// Extends the evaluations at `0, 1, …, n − 1` of a polynomial of degree
 /// below `n` to `total` points, by additions along the trailing edge of the
 /// forward-difference table (the `n`-th differences are zero).
-fn extrapolate(evals: &mut Vec<Fr>, total: usize) {
+pub(crate) fn extrapolate(evals: &mut Vec<Fr>, total: usize) {
     let n = evals.len();
     // edge[i] = Δ^{n−1−i} evals[i]
     let mut edge = evals.clone();
@@ -485,11 +527,7 @@ mod tests {
         assert_eq!(out.proof.num_rounds(), 5);
         assert_eq!(out.point.len(), 5);
         assert_eq!(out.mle_evaluations.len(), 3);
-        assert!(out
-            .proof
-            .round_evaluations
-            .iter()
-            .all(|round| round.len() == vp.degree() + 1));
+        assert!(out.proof.rows.iter().all(|row| row.len() == vp.degree()));
         // The recorded MLE evaluations really are the MLEs at the point.
         for (m, e) in vp.mles().iter().zip(out.mle_evaluations.iter()) {
             assert_eq!(m.evaluate(&out.point), *e);

@@ -1,19 +1,27 @@
 //! The SumCheck verifier.
 //!
-//! The verifier replays the prover's transcript interaction: each round it
-//! checks `gᵢ(0) + gᵢ(1)` against the running claim, derives the same
-//! challenge the prover saw, and folds the claim to `gᵢ(rᵢ)` by evaluating
-//! the round polynomial from its evaluations at `0..=d` (barycentric-style
-//! Lagrange interpolation over uniform nodes — the same fixed interpolation
-//! step the paper's SumCheck unit performs at the end of each round).
+//! The verifier replays the prover's transcript interaction. A proof row
+//! carries a round polynomial's evaluations at `0, 2, …, d` (see
+//! [`crate::prover`]); the verifier rebuilds the value at 1 as
+//! `gᵢ(1) = claimᵢ − gᵢ(0)`, absorbs the full vector `gᵢ(0..=d)` exactly as
+//! the prover did, derives the same challenge, and folds the claim to
+//! `gᵢ(rᵢ)` by evaluating the round polynomial from its evaluations
+//! (barycentric-style Lagrange interpolation over uniform nodes — the same
+//! fixed interpolation step the paper's SumCheck unit performs at the end of
+//! each round). Since the row cannot contradict the running claim, a false
+//! claim surfaces in the final sub-claim, which the caller checks against
+//! the oracle. The ZeroCheck verifier rebuilds its rows the same way from
+//! the cofactor `tᵢ` ([`crate::verify_zerocheck`]).
 
+use std::iter::successors;
 use std::sync::OnceLock;
 
 use zkspeed_field::{batch_invert, Fr};
+use zkspeed_poly::MultilinearPoly;
 use zkspeed_transcript::Transcript;
 
 use crate::error::SumcheckError;
-use crate::prover::SumcheckProof;
+use crate::prover::{extrapolate, SumcheckProof};
 
 /// What a successful SumCheck verification reduces the original claim to: the
 /// statement that the proved polynomial evaluates to `expected_evaluation` at
@@ -28,12 +36,12 @@ pub struct SubClaim {
 }
 
 /// Verifies a SumCheck proof of `claimed_sum` for a `num_vars`-variate
-/// polynomial of per-round degree at most `degree`.
+/// polynomial of per-round degree at most `degree`: each row holds `degree`
+/// values.
 ///
 /// # Errors
 ///
-/// Returns a [`SumcheckError`] if the proof shape is wrong or any round
-/// polynomial is inconsistent with the running claim.
+/// Returns a [`SumcheckError`] if the proof has the wrong shape.
 pub fn verify(
     claimed_sum: Fr,
     num_vars: usize,
@@ -41,33 +49,88 @@ pub fn verify(
     proof: &SumcheckProof,
     transcript: &mut Transcript,
 ) -> Result<SubClaim, SumcheckError> {
-    if proof.round_evaluations.len() != num_vars {
+    verify_rounds(claimed_sum, num_vars, degree, None, proof, transcript)
+}
+
+/// The round loop of [`verify`], and with the Build-MLE challenges `r` as
+/// `eq_point` the ZeroCheck verifier's. `degree` is that of the polynomial
+/// the rows sample: `g_i`, or in a ZeroCheck the cofactor `t_i`.
+///
+/// A ZeroCheck's round polynomial is `s_i(X) = P_i·eq(r_i, X)·t_i(X)` with
+/// `P_i = eq(r_{<i}, ρ_{<i})`, so the loop tracks `claim_i / P_i` instead of
+/// the claim: from it `t_i(1) = (claim_i/P_i − (1 − r_i)·t_i(0))·r_i⁻¹`
+/// (every `r_i` inverted in one batch), `t_i(degree + 1)` follows by finite
+/// differences, and the transcript absorbs `s_i(0..=degree + 1)`, the values
+/// the prover absorbed. The next claim over `P_{i+1}` is `t_i(ρ_i)`.
+pub(crate) fn verify_rounds(
+    claimed_sum: Fr,
+    num_vars: usize,
+    degree: usize,
+    eq_point: Option<&[Fr]>,
+    proof: &SumcheckProof,
+    transcript: &mut Transcript,
+) -> Result<SubClaim, SumcheckError> {
+    if proof.rows.len() != num_vars {
         return Err(SumcheckError::WrongNumberOfRounds {
-            got: proof.round_evaluations.len(),
+            got: proof.rows.len(),
             expected: num_vars,
         });
     }
-    let mut claim = claimed_sum;
+    if let Some(round) = proof.rows.iter().position(|row| row.len() != degree) {
+        return Err(SumcheckError::WrongRoundPolynomialSize {
+            round,
+            got: proof.rows[round].len(),
+            expected: degree,
+        });
+    }
+    let eq = match eq_point {
+        Some(r) => match r.iter().position(Fr::is_zero) {
+            Some(round) => return Err(SumcheckError::ZeroBuildMleCoordinate { round }),
+            None => {
+                let mut inverses = r.to_vec();
+                batch_invert(&mut inverses);
+                Some((r, inverses))
+            }
+        },
+        None => None,
+    };
+    let (mut claim, mut prefix) = (claimed_sum, Fr::one());
     let mut point = Vec::with_capacity(num_vars);
-    for (round, evals) in proof.round_evaluations.iter().enumerate() {
-        if evals.len() != degree + 1 {
-            return Err(SumcheckError::WrongRoundPolynomialSize {
-                round,
-                got: evals.len(),
-                expected: degree + 1,
-            });
-        }
-        if evals[0] + evals[1] != claim {
-            return Err(SumcheckError::RoundClaimMismatch { round });
-        }
-        transcript.append_scalars(b"sumcheck-round", evals);
-        let challenge = transcript.challenge_scalar(b"sumcheck-challenge");
-        claim = interpolate_uniform(evals, challenge);
+    let mut evals = vec![Fr::zero(); degree + 1];
+    for (round, row) in proof.rows.iter().enumerate() {
+        evals.truncate(degree + 1);
+        evals[0] = row[0];
+        evals[2..].copy_from_slice(&row[1..]);
+        let challenge = match &eq {
+            None => {
+                evals[1] = claim - row[0];
+                transcript.append_scalars(b"sumcheck-round", &evals);
+                transcript.challenge_scalar(b"sumcheck-challenge")
+            }
+            Some((r, inverses)) => {
+                let r_i = r[round];
+                evals[1] = (claim - (Fr::one() - r_i) * row[0]) * inverses[round];
+                extrapolate(&mut evals, degree + 2);
+                // `eq(r_i, X)` is linear in `X`: `1 − r_i` at 0, `r_i` at 1.
+                let step = r_i + r_i - Fr::one();
+                let factors = successors(Some(Fr::one() - r_i), |f| Some(*f + step));
+                let s: Vec<Fr> = evals
+                    .iter()
+                    .zip(factors)
+                    .map(|(t, f)| *t * (prefix * f))
+                    .collect();
+                transcript.append_scalars(b"sumcheck-round", &s);
+                let challenge = transcript.challenge_scalar(b"sumcheck-challenge");
+                prefix *= MultilinearPoly::eq_eval(&[r_i], &[challenge]);
+                challenge
+            }
+        };
+        claim = interpolate_uniform(&evals[..=degree], challenge);
         point.push(challenge);
     }
     Ok(SubClaim {
         point,
-        expected_evaluation: claim,
+        expected_evaluation: prefix * claim,
     })
 }
 
@@ -239,16 +302,24 @@ mod tests {
         }
     }
 
+    /// Whether the sub-claim of `proof` for `claim` holds at the oracle:
+    /// a row cannot contradict the running claim, so a false one surfaces
+    /// there.
+    fn holds(vp: &VirtualPolynomial, claim: Fr, proof: &SumcheckProof) -> bool {
+        let mut vt = Transcript::new(b"sumcheck");
+        let sub = verify(claim, vp.num_vars(), vp.degree(), proof, &mut vt).expect("well-shaped");
+        sub.expected_evaluation == vp.evaluate(&sub.point)
+    }
+
     #[test]
     fn wrong_claim_is_rejected() {
         let mut r = rng();
         let vp = example_poly(4, &mut r);
-        let claim = vp.sum_over_hypercube() + u(1);
+        let claim = vp.sum_over_hypercube();
         let mut pt = Transcript::new(b"sumcheck");
         let out = prove_on(&vp, &mut pt, &Serial);
-        let mut vt = Transcript::new(b"sumcheck");
-        let err = verify(claim, 4, vp.degree(), &out.proof, &mut vt).unwrap_err();
-        assert_eq!(err, SumcheckError::RoundClaimMismatch { round: 0 });
+        assert!(holds(&vp, claim, &out.proof));
+        assert!(!holds(&vp, claim + u(1), &out.proof));
     }
 
     #[test]
@@ -257,15 +328,14 @@ mod tests {
         let vp = example_poly(4, &mut r);
         let claim = vp.sum_over_hypercube();
         let mut pt = Transcript::new(b"sumcheck");
-        let mut out = prove_on(&vp, &mut pt, &Serial);
-        out.proof.round_evaluations[2][1] += u(1);
-        let mut vt = Transcript::new(b"sumcheck");
-        let err = verify(claim, 4, vp.degree(), &out.proof, &mut vt).unwrap_err();
-        // Either the tampered round itself or a later consistency check must
-        // fail; it can never verify.
-        match err {
-            SumcheckError::RoundClaimMismatch { round } => assert!(round >= 2),
-            other => panic!("unexpected error {other:?}"),
+        let out = prove_on(&vp, &mut pt, &Serial);
+        // Every value of every row, moved by one.
+        for round in 0..4 {
+            for k in 0..vp.degree() {
+                let mut tampered = out.proof.clone();
+                tampered.rows[round][k] += u(1);
+                assert!(!holds(&vp, claim, &tampered), "row {round}, value {k}");
+            }
         }
     }
 

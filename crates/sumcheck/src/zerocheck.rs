@@ -18,9 +18,10 @@ use zkspeed_transcript::Transcript;
 
 use crate::error::SumcheckError;
 use crate::prover::{prove_rounds, ProverOutput, SumcheckProof};
-use crate::verifier::{verify, SubClaim};
+use crate::verifier::verify_rounds;
 
-/// A ZeroCheck proof is a SumCheck proof over the `eq`-masked polynomial.
+/// A ZeroCheck proof is a SumCheck proof over the `eq`-masked polynomial,
+/// whose rows sample the cofactor `t_i` instead of the round polynomial.
 pub type ZerocheckProof = SumcheckProof;
 
 /// Output of the ZeroCheck prover.
@@ -130,11 +131,13 @@ pub fn prove_zerocheck_on(
 }
 
 /// Verifies a ZeroCheck proof for a `num_vars`-variate polynomial whose
-/// masked degree (original degree + 1 for the `eq` factor) is `masked_degree`.
+/// masked degree (original degree + 1 for the `eq` factor) is `masked_degree`:
+/// each row holds `masked_degree − 1` values of the cofactor `t_i`.
 ///
 /// # Errors
 ///
-/// Returns a [`SumcheckError`] if the proof is malformed or inconsistent.
+/// Returns a [`SumcheckError`] if the proof has the wrong shape or a
+/// Build-MLE coordinate is zero.
 pub fn verify_zerocheck(
     num_vars: usize,
     masked_degree: usize,
@@ -142,7 +145,15 @@ pub fn verify_zerocheck(
     transcript: &mut Transcript,
 ) -> Result<ZerocheckSubClaim, SumcheckError> {
     let challenges = transcript.challenge_scalars(b"zerocheck-r", num_vars);
-    let sub: SubClaim = verify(Fr::zero(), num_vars, masked_degree, proof, transcript)?;
+    let eq_point = Some(&challenges[..]);
+    let sub = verify_rounds(
+        Fr::zero(),
+        num_vars,
+        masked_degree - 1,
+        eq_point,
+        proof,
+        transcript,
+    )?;
     Ok(ZerocheckSubClaim {
         point: sub.point,
         expected_evaluation: sub.expected_evaluation,
@@ -221,6 +232,17 @@ mod tests {
         }
     }
 
+    /// Whether a ZeroCheck proof of `vp`'s vanishing verifies and its
+    /// sub-claim holds at the oracle: a row cannot contradict the running
+    /// claim, so a false one surfaces there.
+    fn holds(vp: &VirtualPolynomial, proof: &ZerocheckProof) -> bool {
+        let mut vt = Transcript::new(b"zerocheck");
+        let sub =
+            verify_zerocheck(vp.num_vars(), vp.degree() + 1, proof, &mut vt).expect("well-shaped");
+        let eq = MultilinearPoly::eq_eval(&sub.point, &sub.build_mle_challenges);
+        sub.expected_evaluation == vp.evaluate(&sub.point) * eq
+    }
+
     #[test]
     fn cheating_prover_is_caught() {
         let mut r = rng();
@@ -233,9 +255,10 @@ mod tests {
 
         let mut pt = Transcript::new(b"zerocheck");
         let out = prove_zerocheck_on(&vp, &mut pt, &Serial);
-        let mut vt = Transcript::new(b"zerocheck");
-        let result = verify_zerocheck(4, vp.degree() + 1, &out.sumcheck.proof, &mut vt);
-        assert!(result.is_err(), "non-vanishing polynomial must not verify");
+        assert!(
+            !holds(&vp, &out.sumcheck.proof),
+            "non-vanishing polynomial must not verify"
+        );
     }
 
     #[test]
@@ -243,9 +266,33 @@ mod tests {
         let mut r = rng();
         let vp = vanishing_poly(3, &mut r);
         let mut pt = Transcript::new(b"zerocheck");
-        let mut out = prove_zerocheck_on(&vp, &mut pt, &Serial);
-        out.sumcheck.proof.round_evaluations[0][0] += u(1);
-        let mut vt = Transcript::new(b"zerocheck");
-        assert!(verify_zerocheck(3, vp.degree() + 1, &out.sumcheck.proof, &mut vt).is_err());
+        let out = prove_zerocheck_on(&vp, &mut pt, &Serial);
+        assert!(holds(&vp, &out.sumcheck.proof));
+        // Every value of every row, moved by one.
+        for round in 0..3 {
+            for k in 0..vp.degree() {
+                let mut tampered = out.sumcheck.proof.clone();
+                tampered.rows[round][k] += u(1);
+                assert!(!holds(&vp, &tampered), "row {round}, value {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_build_mle_coordinate_is_an_error() {
+        let mut r = rng();
+        let vp = vanishing_poly(3, &mut r);
+        let mut pt = Transcript::new(b"zerocheck");
+        let out = prove_zerocheck_on(&vp, &mut pt, &Serial);
+        for round in 0..3 {
+            let mut challenges = out.build_mle_challenges.clone();
+            challenges[round] = Fr::zero();
+            let mut vt = Transcript::new(b"zerocheck");
+            let rows = &out.sumcheck.proof;
+            assert_eq!(
+                verify_rounds(Fr::zero(), 3, vp.degree(), Some(&challenges), rows, &mut vt),
+                Err(SumcheckError::ZeroBuildMleCoordinate { round })
+            );
+        }
     }
 }

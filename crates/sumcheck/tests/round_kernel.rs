@@ -206,19 +206,33 @@ fn check(name: &str, f: &VirtualPolynomial, backends: &[Arc<dyn Backend>]) {
         });
         counts.push(count);
 
-        let masked = mask_with_eq(f, &zero.build_mle_challenges);
+        // A row holds the values at 0, 2, 3, …: of the round polynomial in
+        // a SumCheck, of its cofactor `t_i` (the round polynomial over
+        // `eq(r_{<i}, ρ_{<i})·eq(r_i, X)`) in a ZeroCheck.
+        let sent = |d: usize| std::iter::once(0).chain(2..=d);
+        let (r, point) = (&zero.build_mle_challenges, &zero.sumcheck.point);
+        let masked = mask_with_eq(f, r);
         let mut fixed = masked.clone();
-        for (i, round) in zero.sumcheck.proof.round_evaluations.iter().enumerate() {
-            let expected = naive_round(&masked, &zero.sumcheck.point[..i]);
-            assert_eq!(round, &expected, "zerocheck round {i} of {context}");
+        for (i, row) in zero.sumcheck.proof.rows.iter().enumerate() {
+            let expected = naive_round(&masked, &point[..i]);
+            let prefix = MultilinearPoly::eq_eval(&r[..i], &point[..i]);
+            let scaled: Vec<Fr> = sent(f.degree())
+                .zip(row)
+                .map(|(k, t)| {
+                    *t * prefix * MultilinearPoly::eq_eval(&r[i..=i], &[Fr::from_u64(k as u64)])
+                })
+                .collect();
+            let unscaled: Vec<Fr> = sent(f.degree()).map(|k| expected[k]).collect();
+            assert_eq!(scaled, unscaled, "zerocheck round {i} of {context}");
             // The unweighted kernel, carrying `eq` as one more MLE.
             let carried = round_polynomial_on(&fixed, masked.degree(), backend);
             assert_eq!(carried, expected, "masked round {i} of {context}");
-            fixed = fixed.fix_first_variable(zero.sumcheck.point[i]);
+            fixed = fixed.fix_first_variable(point[i]);
         }
-        for (i, round) in sum.proof.round_evaluations.iter().enumerate() {
+        for (i, row) in sum.proof.rows.iter().enumerate() {
             let expected = naive_round(f, &sum.point[..i]);
-            assert_eq!(round, &expected, "sumcheck round {i} of {context}");
+            let sent: Vec<Fr> = sent(f.degree()).map(|k| expected[k]).collect();
+            assert_eq!(row, &sent, "sumcheck round {i} of {context}");
         }
         for out in [&zero.sumcheck, &sum] {
             let expected: Vec<Fr> = f.mles().iter().map(|m| m.evaluate(&out.point)).collect();

@@ -276,9 +276,10 @@ fn zero_variable_inputs_are_rejected_without_panicking() {
         Err(ServiceError::Preprocess(PreprocessError::NoVariables))
     ));
 
-    // A verifying key claiming μ = 0 fails to decode; held in memory it
-    // fails to verify, against an honest proof and against one with no
-    // rounds.
+    // A verifying key or a proof claiming μ = 0 fails to decode; held in
+    // memory the key fails to verify, against an honest proof and against
+    // one with no rounds, and the key of the proof's circuit rejects the
+    // proof of no rounds.
     let (circuit, witness) = tiny_instance();
     let (prover, verifier) = system.preprocess(circuit).expect("fits");
     let proof = prover.prove(&witness).expect("valid witness");
@@ -295,11 +296,17 @@ fn zero_variable_inputs_are_rejected_without_panicking() {
         ..verifier.verifying_key().clone()
     };
     let mut empty = proof.clone();
-    empty.gate_zerocheck.round_evaluations.clear();
-    empty.perm_zerocheck.round_evaluations.clear();
-    empty.opencheck.round_evaluations.clear();
+    empty.num_vars = 0;
+    empty.gate_zerocheck.rows.clear();
+    empty.perm_zerocheck.rows.clear();
+    empty.opencheck.rows.clear();
     empty.gprime_opening.quotients.clear();
-    let empty = Proof::from_bytes(&empty.to_bytes()).expect("zero rounds decode");
+    assert_eq!(
+        Proof::from_bytes(&empty.to_bytes()),
+        Err(DecodeError::InvalidValue {
+            what: "proof num_vars"
+        })
+    );
     for p in [&proof, &empty] {
         assert_eq!(verify(&zero, p), Err(VerifyError::MalformedKey));
     }

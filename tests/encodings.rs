@@ -128,18 +128,17 @@ fn responses(f: &Fixture) -> Vec<Response> {
     ]
 }
 
-/// The encodings of the proof's gate ZeroCheck (right after the header and
-/// the three witness commitments) and of its `g′` opening (the tail).
+/// The encodings of the proof's gate ZeroCheck (right after the header,
+/// `μ` and the three witness commitments: `μ` rows of three scalars) and of
+/// its `g′` opening (the tail: `μ` points).
 fn proof_parts(proof: &Proof) -> (Vec<u8>, Vec<u8>) {
-    const HEADER: usize = 8;
+    const HEADER: usize = 8 + 4;
     const POINT: usize = 97;
+    const ROW: usize = 3 * 32;
     let bytes = proof.to_bytes();
     let start = HEADER + 3 * POINT;
-    let rounds = &proof.gate_zerocheck.round_evaluations;
-    let len = 4 + rounds.iter().map(|r| 4 + 32 * r.len()).sum::<usize>();
-    let sumcheck = bytes[start..start + len].to_vec();
-    let opening_len = 4 + POINT * proof.gprime_opening.quotients.len();
-    let opening = bytes[bytes.len() - opening_len..].to_vec();
+    let sumcheck = bytes[start..start + MU * ROW].to_vec();
+    let opening = bytes[bytes.len() - MU * POINT..].to_vec();
     (sumcheck, opening)
 }
 
@@ -170,23 +169,23 @@ fn artifact_encodings_match_the_pinned_digests() {
     let pins = [
         (
             "verifying-key",
-            "0ea38be8287f75e3cbb1938d9901f4446851a6bcc006c03293dc33ff97ef88e9",
+            "981470ad3277e43b06c7983ee927085590da5c8d57ac33762981ad00b2c587ee",
         ),
         (
             "circuit",
-            "1b043558632b0a01a82da03621f10fbcd0fe4769e32d3c6b89ef6b9f82d81666",
+            "4196b5887fa586e4d6cbe7d88d4f1e349477ba1222e82b548d53f7c28c0f6efc",
         ),
         (
             "witness",
-            "9444235617d3539d9d26c771d3cddfc320bb3ff1b42cd9297ed78a0dd651e230",
+            "18bb74243f6554d69296e0c03084929c28c30230ba2954e216449ee0cc7915f5",
         ),
         (
             "sumcheck-proof",
-            "1869e35e018d9df54413efac3b1a404292d3ad144cad535eda9b58e83917101c",
+            "02efdad919533e1d032628216a48ddc2024caacd9107341fc9d3a536e94ba6a0",
         ),
         (
             "opening-proof",
-            "053399e7d8c4f84e1b5eed13ca91f421fbbf05097da8d9ea3bb9069f579c6310",
+            "0db5e400aacca1834215bb54055c407ef469f47968cc0860e689e7fc56f3339a",
         ),
     ];
     check(&pins, &actual);
@@ -212,79 +211,79 @@ fn wire_message_encodings_match_the_pinned_digests() {
     let pins: [(&str, &str); 19] = [
         (
             "request SubmitCircuit",
-            "f48139695301c1c5bcb00e3d1f2c2d6992e2b75c043ac9090d3c66b6fc07cc09",
+            "cb143fa7ed2706b378e06a576658a5b0bbe2e279c8f71456508074a3bda3489b",
         ),
         (
             "request SubmitJob",
-            "a395b1764ad2f33645c9bf91a664cc6c7293db684e4f3561d964d14bb896cea4",
+            "4cd5afe7bac62bb92a0c5203842e03acdff20832d865ea2b497bed114e390e9e",
         ),
         (
             "request JobStatus",
-            "773fcab5ca07b3efd68b5a10010cc05d540d5bb05f945cb44a335500280da7e9",
+            "85259d28a759ea83307d669d9082f332ceac354c9b0ac10983129bc385fd9749",
         ),
         (
             "request Metrics",
-            "4f9a30cad08a27db166ff9ed42cd5535953a736a9726c53ec703911cae838778",
+            "93c39ed66d64605635464520a98b8aa5226f9f0c1bd4a59bbaed579fa03ea9df",
         ),
         (
             "request Hello",
-            "cf39dd642e27a1241859e6e5da13118f85e48d97652ab4735557f4bcef752ee8",
+            "7760014d0636a0486967e088ba95cb791119e1798ad072d2a5d490b830c8c384",
         ),
         (
             "request Shutdown",
-            "9e79e5361e6f529f178302acb0e5c6c99523fac4e5e78624157c1131ea478111",
+            "130e6e6fb0494235ce8b56c8f54b9ffa6eee9d97ff96d3cdd7b095ff26750f23",
         ),
         (
             "request ListSessions",
-            "121111911bb450a42fa1049f2ed3455d29a11f0efafaf324d9a25464eaa9414d",
+            "c766eb18d0e4ae2324af77632c6edba42544a438f0d7a2b33ee238ccaea264e2",
         ),
         (
             "request GetTrace",
-            "3da8dedc2bc959b6ff76d669c0fe9e4b3fd8b2c2897aa7a070e1cbe9cadf3338",
+            "871dbd84bdae0e5417a0ec66adeba45db6aad1eb029773d603ba6f9961f6e954",
         ),
         (
             "response CircuitRegistered",
-            "0923f6fefd8f45a0305b87113a43579324a3831fd2257c414ed0e70f05a79016",
+            "c98034d9cd779a55daf0d83a46935974df607fd8939b24aa2cb63431ca3df908",
         ),
         (
             "response JobAccepted",
-            "cd29e43a3650726ca45dde7b1ec2df6f130eb361e8e073407bf5e17ec873b208",
+            "b86fb6b6c11db2c5b2a7fc39e02a7e27fec9771387501f9fe685ad0c06f00f03",
         ),
         (
             "response Rejected",
-            "840b86c4672362d4b20fb59e8548de8f0b9274819a1a6d8fd4a01720c05fe97e",
+            "167c05c1f5c271b68060384b038a79081e566404f76600d18938eee83d049f07",
         ),
         (
             "response Status",
-            "23bccb11b35a018b253bc9c66af9238dd909cc958617ea0ca1c7bdcaeb65977e",
+            "9299b4d62a4577d0e0e78997914ef4450cf4f88e0d1a8f639b657ab58e889dcc",
         ),
         (
             "response ProofReady",
-            "e06d0c3e4c21a130a1353c7fd674fbb1edf9f077576153dec4af2505071b7fc5",
+            "ffe1b28de96b1647db871d9fe4998f073adbd478ca90e906ae8f9570eed2f328",
         ),
         (
             "response Metrics",
-            "06fd3dba6667e877762eb3861d6f673c8ba239b7c9c262fedfb7c39aa87a43f4",
+            "69b4ffaa465411c98f4df3d0c06ffdb92b3b3d6107524b6c5cd9289dd334e0cf",
         ),
         (
             "response HelloOk",
-            "56b94166e66e4abe4bc45d9195f2af6d4b507b80fa45b70c1be5872244cd8666",
+            "b05bdfb659288f4f338718159b35a427684e1a52568917efe3a6536ac9994458",
         ),
         (
             "response ShuttingDown",
-            "5383b5a36127ac80c0ed963c3d4dd8612c102eece8c18ca1c76497eca6188c98",
+            "ce03d48fe0fe44fcf182bc63a87b220d1553e51e492b2a66510940f94533902a",
         ),
         (
             "response JobFailed",
-            "43fc8a88267836eeb7dd21c871eb7b637bf8fe19630b36d145e85f39347e03d3",
+            "bf34e3fe8e8e12a6b51edfaf1444fe03fc23a2a0c7b1b7c599934581cb2cbf03",
         ),
         (
             "response SessionList",
-            "4d41a4086ae1f9fb24d8efd25cf8dd9cddcd98837c68036660f44d967773a8d1",
+            "fbc541d3ada8291464a6a36d7de6d3278e3c6cbac279bf15c821931497709a96",
         ),
         (
             "response TraceDump",
-            "71f9b6aebdcc4a993e4391adf506ec11572530284f84e21e01ce34212d6b7f38",
+            "13d4f8de720a0ad0a4954c198f955be079a499b1a43b2a2c1135d2f29014e457",
         ),
     ];
     for ((name, _), (got, _)) in pins.iter().zip(&actual) {

@@ -94,33 +94,94 @@ fn proof_for_different_witness_does_not_transfer() {
     }
 }
 
+/// Every scalar a proof sends, in encoding order: the rows of the gate
+/// ZeroCheck, the PermCheck and the OpenCheck, value by value, the 21 batch
+/// evaluations, then the 5 combined evaluations.
+fn scalars(proof: &mut Proof) -> Vec<&mut Fr> {
+    let Proof {
+        gate_zerocheck,
+        perm_zerocheck,
+        opencheck,
+        evaluations,
+        combined_evaluations,
+        ..
+    } = proof;
+    [gate_zerocheck, perm_zerocheck, opencheck]
+        .into_iter()
+        .flat_map(|sumcheck| sumcheck.rows.iter_mut().flatten())
+        .chain(evaluations.values.iter_mut().flatten())
+        .chain(combined_evaluations)
+        .collect()
+}
+
+/// The low bit flipped, plus one, zero, and `other`: the same field of
+/// another valid proof.
+fn scalar_mutations(x: Fr, other: Fr) -> [(&'static str, Fr); 4] {
+    let flipped = if x.bit(0) {
+        x - Fr::one()
+    } else {
+        x + Fr::one()
+    };
+    [
+        ("low bit flipped", flipped),
+        ("+ 1", x + Fr::one()),
+        ("zero", Fr::zero()),
+        ("another proof's", other),
+    ]
+}
+
 #[test]
 fn every_proof_component_is_binding() {
-    let (prover, verifier, witness) = setup(4, 205);
-    let proof = prover.prove(&witness).expect("valid witness");
-    verifier.verify(&proof).expect("baseline proof verifies");
+    // Each scalar of a valid proof mutated four ways. A mutation that
+    // leaves the value as it was is counted apart: it is the valid proof.
+    // Round 0 of a ZeroCheck sends t₀(0) = 0 for any satisfied witness, and
+    // the mock circuits' constant q_O and π at the grand-product point read
+    // the same in every valid proof.
+    let (mut rejected, mut unchanged) = (0, 0);
+    let mut proofs = Vec::new();
+    for mu in [2, 3, 8] {
+        let (prover, verifier, witness) = setup(mu, 300 + mu as u64);
+        let (other_prover, _, other_witness) = setup(mu, 500 + mu as u64);
+        let vk = verifier.verifying_key();
+        let mut proof = prover.prove(&witness).expect("valid witness");
+        let mut other = other_prover.prove(&other_witness).expect("valid witness");
+        verify(vk, &proof).expect("baseline proof verifies");
+        let originals: Vec<Fr> = scalars(&mut proof).into_iter().map(|x| *x).collect();
+        let others: Vec<Fr> = scalars(&mut other).into_iter().map(|x| *x).collect();
+        assert_eq!(originals.len(), 9 * mu + 21 + 5, "μ = {mu}");
+        for (field, (&x, &y)) in originals.iter().zip(&others).enumerate() {
+            for (name, value) in scalar_mutations(x, y) {
+                if value == x {
+                    unchanged += 1;
+                    continue;
+                }
+                let mut tampered = proof.clone();
+                *scalars(&mut tampered)[field] = value;
+                assert!(
+                    verify(vk, &tampered).is_err(),
+                    "μ = {mu}, scalar {field}: {name} accepted"
+                );
+                rejected += 1;
+            }
+        }
+        proofs.push((mu, proof, vk.clone()));
+    }
+    println!("{rejected} scalar mutations rejected, {unchanged} left the value unchanged");
+    assert_eq!(rejected + unchanged, 4 * (9 * (2 + 3 + 8) + 3 * (21 + 5)));
 
-    // Zerocheck tampering.
-    let mut p = proof.clone();
-    p.gate_zerocheck.round_evaluations[1][2] += Fr::from_u64(3);
-    assert!(verifier.verify(&p).is_err());
-
-    // PermCheck tampering.
-    let mut p = proof.clone();
-    p.perm_zerocheck.round_evaluations[0][0] += Fr::from_u64(1);
-    assert!(verifier.verify(&p).is_err());
-
-    // OpenCheck tampering.
-    let mut p = proof.clone();
-    p.opencheck.round_evaluations[0][0] += Fr::from_u64(1);
-    assert!(verifier.verify(&p).is_err());
-
-    // Claimed evaluation tampering (grand product).
-    let mut p = proof.clone();
-    let last_group = p.evaluations.values.len() - 1;
-    p.evaluations.values[last_group][0] += Fr::from_u64(1);
-    assert!(verifier.verify(&p).is_err());
-    // Commitments and opening quotients: `every_g1_field_of_a_proof_is_binding`.
+    // A proof decoded from its bytes, checked against a key of another μ.
+    for (mu, proof, _) in &proofs {
+        let decoded = Proof::from_bytes(&proof.to_bytes()).expect("valid encoding");
+        for (key_mu, _, vk) in proofs.iter().filter(|(other, ..)| other != mu) {
+            assert_eq!(
+                verify(vk, &decoded),
+                Err(VerifyError::NumVarsMismatch {
+                    proof: *mu,
+                    key: *key_mu
+                })
+            );
+        }
+    }
 }
 
 /// The G1 element of `proof` numbered `field`: the three witness

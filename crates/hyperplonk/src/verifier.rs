@@ -152,9 +152,8 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
     };
 
     // The Gate and Wiring Identity sub-claims: each identity at the batch
-    // evaluations, the derived wiring columns by their rules at `s`, times
-    // `eq` at its ZeroCheck's point must be that ZeroCheck's expected
-    // evaluation.
+    // evaluations, the derived wiring columns by their rules at `s`, must
+    // be its ZeroCheck's expected evaluation (`eq` already divided out).
     let shifted = [2, 3].map(|g| SHIFTED.map(|label| eval_of(g, label)));
     let derived = derived_at(&perm_sub.point, beta, gamma, |l| eval_of(1, l), shifted);
     let claims = [
@@ -170,8 +169,7 @@ pub fn verify(vk: &VerifyingKey, proof: &Proof) -> Result<(), VerifyError> {
         ),
     ];
     for (value, sub, mismatch) in claims {
-        let eq = MultilinearPoly::eq_eval(&sub.point, &sub.build_mle_challenges);
-        if value * eq != sub.expected_evaluation {
+        if value != sub.expected_evaluation {
             return Err(mismatch);
         }
     }
@@ -384,7 +382,7 @@ mod tests {
             .contains("grand product"));
         assert!(VerifyError::OpeningFailed.to_string().contains("opening"));
         assert!(
-            VerifyError::GateZerocheck(SumcheckError::FinalEvaluationMismatch)
+            VerifyError::GateZerocheck(SumcheckError::ZeroBuildMleCoordinate { round: 0 })
                 .to_string()
                 .contains("gate identity")
         );

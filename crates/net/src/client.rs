@@ -14,31 +14,30 @@ use zkspeed_svc::{JobState, Priority, Request, Response, SessionRow};
 
 use crate::error::NetError;
 
+/// TCP connect timeout per attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Retries of a transient failure: a connect error, or a retryable
+/// `Rejected` code (queue or connection backpressure).
+const RETRIES: u32 = 3;
+
+/// Sleep before the first retry, doubled before each one after it.
+const RETRY_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Tuning knobs of a [`NetClient`].
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
     /// Read/write timeout per socket operation. Every request is answered
     /// at once except a `JobStatus`, which the server holds for at most
     /// 100 ms while the job is pending; so this needs to cover neither
     /// the proving latency nor a [`NetClient::wait`].
     pub io_timeout: Duration,
-    /// Bounded retry budget for transient failures: connect errors, I/O
-    /// timeouts and retryable `Rejected` codes (queue/connection
-    /// backpressure).
-    pub retries: u32,
-    /// Sleep between retry attempts (doubled each attempt).
-    pub retry_backoff: Duration,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            connect_timeout: Duration::from_secs(5),
             io_timeout: Duration::from_secs(10),
-            retries: 3,
-            retry_backoff: Duration::from_millis(50),
         }
     }
 }
@@ -61,7 +60,6 @@ impl ClientConfig {
 pub struct NetClient {
     reader: FrameReader<TcpStream>,
     writer: TcpStream,
-    config: ClientConfig,
     server: String,
     protocol: u16,
 }
@@ -77,7 +75,7 @@ impl std::fmt::Debug for NetClient {
 
 impl NetClient {
     /// Connects, authenticates with `token`, and returns the ready client.
-    /// Connect errors are retried within the config's budget (covering the
+    /// Connect errors are retried up to three times (covering the
     /// serve-process-still-binding race in multi-process setups).
     ///
     /// # Errors
@@ -90,12 +88,12 @@ impl NetClient {
         config: ClientConfig,
     ) -> Result<Self, NetError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let mut backoff = config.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut attempt = 0u32;
         loop {
             match Self::try_connect(&addrs, token, &config) {
                 Ok(client) => return Ok(client),
-                Err(e) if e.is_transient() && attempt < config.retries => {
+                Err(e) if e.is_transient() && attempt < RETRIES => {
                     attempt += 1;
                     std::thread::sleep(backoff);
                     backoff *= 2;
@@ -113,7 +111,7 @@ impl NetClient {
         let mut last_err: Option<std::io::Error> = None;
         let mut stream = None;
         for addr in addrs {
-            match TcpStream::connect_timeout(addr, config.connect_timeout) {
+            match TcpStream::connect_timeout(addr, CONNECT_TIMEOUT) {
                 Ok(s) => {
                     stream = Some(s);
                     break;
@@ -133,7 +131,6 @@ impl NetClient {
         let mut client = Self {
             reader: FrameReader::new(stream),
             writer,
-            config: config.clone(),
             server: String::new(),
             protocol: 0,
         };
@@ -180,14 +177,11 @@ impl NetClient {
     /// (queue-full / over-capacity backpressure). I/O errors are NOT
     /// retried here — the stream state is unknown after one.
     fn request_retrying(&mut self, request: &Request) -> Result<Response, NetError> {
-        let mut backoff = self.config.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut attempt = 0u32;
         loop {
             match self.request(request)? {
-                Response::Rejected { code, detail }
-                    if code.is_retryable() && attempt < self.config.retries =>
-                {
-                    let _ = (code, detail);
+                Response::Rejected { code, .. } if code.is_retryable() && attempt < RETRIES => {
                     attempt += 1;
                     std::thread::sleep(backoff);
                     backoff *= 2;
@@ -214,8 +208,7 @@ impl NetClient {
     }
 
     /// Submits canonical witness bytes against a registered circuit;
-    /// returns the job id. Queue backpressure is retried within the
-    /// config's budget.
+    /// returns the job id. Queue backpressure is retried up to three times.
     ///
     /// # Errors
     ///
@@ -231,7 +224,7 @@ impl NetClient {
     }
 
     /// [`NetClient::submit`] with a per-job deadline in milliseconds
-    /// (`0` = the server's configured default). A job whose deadline
+    /// (`0` = the server's default, two minutes). A job whose deadline
     /// passes before proving fails with `JobFailed` instead of a proof.
     ///
     /// # Errors

@@ -23,6 +23,12 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// Connect timeout of the loopback connection that wakes the accept loop.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// After the job backlog drains, how long shutdown keeps established
+/// connections open so clients can collect their remaining `ProofReady`
+/// responses before stragglers are force-closed. Shutdown moves on as soon
+/// as the last connection closes.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
 /// Tuning knobs of a [`NetServer`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -38,11 +44,6 @@ pub struct ServerConfig {
     /// Per-connection idle timeout: a connection with no complete frame for
     /// this long is closed.
     pub idle_timeout: Duration,
-    /// After the job backlog drains, how long shutdown keeps established
-    /// connections open so clients can collect their remaining
-    /// `ProofReady` responses before stragglers are force-closed. Shutdown
-    /// moves on as soon as the last connection closes.
-    pub drain_grace: Duration,
 }
 
 impl Default for ServerConfig {
@@ -52,7 +53,6 @@ impl Default for ServerConfig {
             auth_token: Vec::new(),
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
-            drain_grace: Duration::from_secs(5),
         }
     }
 }
@@ -81,12 +81,6 @@ impl ServerConfig {
     /// Overrides the idle timeout.
     pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// Overrides the drain grace window.
-    pub fn with_drain_grace(mut self, grace: Duration) -> Self {
-        self.drain_grace = grace;
         self
     }
 }
@@ -192,7 +186,7 @@ impl NetServer {
 
     /// Graceful drain: stop accepting, reject new submissions with
     /// `Rejected`/[`RejectCode::Draining`], finish every in-flight job,
-    /// keep connections open for [`ServerConfig::drain_grace`] so clients
+    /// keep connections open for up to five seconds so clients
     /// collect pending `ProofReady` responses, force-close stragglers, join
     /// every thread, and return the final metrics snapshot.
     pub fn shutdown(mut self) -> ServiceMetrics {
@@ -222,9 +216,7 @@ impl NetServer {
         let (mut conns, _) = self
             .shared
             .conn_closed
-            .wait_timeout_while(conns, self.shared.config.drain_grace, |conns| {
-                !conns.is_empty()
-            })
+            .wait_timeout_while(conns, DRAIN_GRACE, |conns| !conns.is_empty())
             .expect("conns lock poisoned");
         // Stragglers (idle clients, or peers that never read) are cut off;
         // their handler threads observe the closed socket and exit.

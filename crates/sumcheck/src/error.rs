@@ -28,9 +28,6 @@ pub enum SumcheckError {
         /// The round of the zero coordinate (0-based).
         round: usize,
     },
-    /// The final claimed evaluation does not match the oracle evaluation of
-    /// the underlying polynomial.
-    FinalEvaluationMismatch,
 }
 
 impl fmt::Display for SumcheckError {
@@ -46,9 +43,6 @@ impl fmt::Display for SumcheckError {
             } => write!(f, "round {round} row has {got} values, expected {expected}"),
             SumcheckError::ZeroBuildMleCoordinate { round } => {
                 write!(f, "round {round} has a zero Build-MLE coordinate")
-            }
-            SumcheckError::FinalEvaluationMismatch => {
-                write!(f, "final evaluation does not match the oracle")
             }
         }
     }
@@ -75,8 +69,5 @@ mod tests {
             expected: 5,
         };
         assert!(e.to_string().contains("expected 5"));
-        assert!(SumcheckError::FinalEvaluationMismatch
-            .to_string()
-            .contains("oracle"));
     }
 }

@@ -64,5 +64,5 @@ pub use prover::{
 pub use verifier::{interpolate_uniform, verify, SubClaim};
 pub use zerocheck::{
     mask_with_eq, prove_zerocheck, prove_zerocheck_on, verify_zerocheck, ZerocheckProof,
-    ZerocheckProverOutput, ZerocheckSubClaim,
+    ZerocheckProverOutput,
 };

@@ -25,8 +25,9 @@ use crate::prover::{extrapolate, SumcheckProof};
 
 /// What a successful SumCheck verification reduces the original claim to: the
 /// statement that the proved polynomial evaluates to `expected_evaluation` at
-/// `point`. The caller discharges this sub-claim with polynomial-commitment
-/// openings (or direct evaluation in tests).
+/// `point` (in a ZeroCheck of `f·eq(X, r)`, the polynomial `f`). The caller
+/// discharges this sub-claim with polynomial-commitment openings (or direct
+/// evaluation in tests).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubClaim {
     /// The challenge point accumulated over the rounds.
@@ -61,7 +62,9 @@ pub fn verify(
 /// the claim: from it `t_i(1) = (claim_i/P_i − (1 − r_i)·t_i(0))·r_i⁻¹`
 /// (every `r_i` inverted in one batch), `t_i(degree + 1)` follows by finite
 /// differences, and the transcript absorbs `s_i(0..=degree + 1)`, the values
-/// the prover absorbed. The next claim over `P_{i+1}` is `t_i(ρ_i)`.
+/// the prover absorbed. The next claim over `P_{i+1}` is `t_i(ρ_i)`; the
+/// last is `f(ρ)`, the claim with `eq(r, ρ)` divided out, and the sub-claim
+/// carries it.
 pub(crate) fn verify_rounds(
     claimed_sum: Fr,
     num_vars: usize,
@@ -130,7 +133,7 @@ pub(crate) fn verify_rounds(
     }
     Ok(SubClaim {
         point,
-        expected_evaluation: prefix * claim,
+        expected_evaluation: claim,
     })
 }
 

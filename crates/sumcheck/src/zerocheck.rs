@@ -18,7 +18,7 @@ use zkspeed_transcript::Transcript;
 
 use crate::error::SumcheckError;
 use crate::prover::{prove_rounds, ProverOutput, SumcheckProof};
-use crate::verifier::verify_rounds;
+use crate::verifier::{verify_rounds, SubClaim};
 
 /// A ZeroCheck proof is a SumCheck proof over the `eq`-masked polynomial,
 /// whose rows sample the cofactor `t_i` instead of the round polynomial.
@@ -29,36 +29,10 @@ pub type ZerocheckProof = SumcheckProof;
 pub struct ZerocheckProverOutput {
     /// The underlying SumCheck output: proof, point, and the evaluations of
     /// the polynomial's own MLEs at the point (`eq` is not one of them; the
-    /// verifier recomputes `eq(point, r)` itself).
+    /// verifier's rounds divide `eq(point, r)` out of the claim).
     pub sumcheck: ProverOutput,
     /// The Build-MLE challenges `r` used to construct `eq(X, r)`.
     pub build_mle_challenges: Vec<Fr>,
-}
-
-/// The sub-claim a verified ZeroCheck reduces to.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ZerocheckSubClaim {
-    /// The SumCheck challenge point.
-    pub point: Vec<Fr>,
-    /// The value `f(point)·eq(point, r)` must equal.
-    pub expected_evaluation: Fr,
-    /// The Build-MLE challenges `r`.
-    pub build_mle_challenges: Vec<Fr>,
-}
-
-impl ZerocheckSubClaim {
-    /// The value that `f(point)` itself must equal, i.e. the expected
-    /// evaluation divided by `eq(point, r)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in the (probability ≈ 0) event that `eq(point, r)` is zero.
-    pub fn expected_f_evaluation(&self) -> Fr {
-        let eq = MultilinearPoly::eq_eval(&self.point, &self.build_mle_challenges);
-        self.expected_evaluation
-            * eq.invert()
-                .expect("eq(point, r) is nonzero with overwhelming probability")
-    }
 }
 
 /// Builds the masked polynomial `f(X)·eq(X, r)` from `f` and the challenges:
@@ -130,9 +104,11 @@ pub fn prove_zerocheck_on(
     )
 }
 
-/// Verifies a ZeroCheck proof for a `num_vars`-variate polynomial whose
-/// masked degree (original degree + 1 for the `eq` factor) is `masked_degree`:
-/// each row holds `masked_degree − 1` values of the cofactor `t_i`.
+/// Verifies a ZeroCheck proof for a `num_vars`-variate polynomial `f`
+/// whose masked degree (original degree + 1 for the `eq` factor) is
+/// `masked_degree`: each row holds `masked_degree − 1` values of the
+/// cofactor `t_i`. The sub-claim is the value `f` itself must have at the
+/// point, the `eq(point, r)` factor divided out by the rounds.
 ///
 /// # Errors
 ///
@@ -143,22 +119,16 @@ pub fn verify_zerocheck(
     masked_degree: usize,
     proof: &ZerocheckProof,
     transcript: &mut Transcript,
-) -> Result<ZerocheckSubClaim, SumcheckError> {
+) -> Result<SubClaim, SumcheckError> {
     let challenges = transcript.challenge_scalars(b"zerocheck-r", num_vars);
-    let eq_point = Some(&challenges[..]);
-    let sub = verify_rounds(
+    verify_rounds(
         Fr::zero(),
         num_vars,
         masked_degree - 1,
-        eq_point,
+        Some(&challenges),
         proof,
         transcript,
-    )?;
-    Ok(ZerocheckSubClaim {
-        point: sub.point,
-        expected_evaluation: sub.expected_evaluation,
-        build_mle_challenges: challenges,
-    })
+    )
 }
 
 #[cfg(test)]
@@ -222,13 +192,9 @@ mod tests {
             let mut vt = Transcript::new(b"zerocheck");
             let sub = verify_zerocheck(num_vars, vp.degree() + 1, &out.sumcheck.proof, &mut vt)
                 .expect("honest zerocheck verifies");
-            assert_eq!(sub.build_mle_challenges, out.build_mle_challenges);
             assert_eq!(sub.point, out.sumcheck.point);
-            // The sub-claim is discharged by the real polynomial evaluations.
-            let f_eval = vp.evaluate(&sub.point);
-            let eq_eval = MultilinearPoly::eq_eval(&sub.point, &sub.build_mle_challenges);
-            assert_eq!(sub.expected_evaluation, f_eval * eq_eval);
-            assert_eq!(sub.expected_f_evaluation(), f_eval);
+            // The sub-claim is discharged by the real polynomial evaluation.
+            assert_eq!(sub.expected_evaluation, vp.evaluate(&sub.point));
         }
     }
 
@@ -239,8 +205,7 @@ mod tests {
         let mut vt = Transcript::new(b"zerocheck");
         let sub =
             verify_zerocheck(vp.num_vars(), vp.degree() + 1, proof, &mut vt).expect("well-shaped");
-        let eq = MultilinearPoly::eq_eval(&sub.point, &sub.build_mle_challenges);
-        sub.expected_evaluation == vp.evaluate(&sub.point) * eq
+        sub.expected_evaluation == vp.evaluate(&sub.point)
     }
 
     #[test]

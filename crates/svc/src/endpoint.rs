@@ -77,7 +77,7 @@ impl ProvingService {
                 if deadline_ms > 0 {
                     spec = spec.with_deadline(Duration::from_millis(deadline_ms));
                 }
-                match self.try_submit_spec(&circuit, witness, spec) {
+                match self.try_submit(&circuit, witness, spec) {
                     Ok(job) => Response::JobAccepted { job },
                     Err(e @ ServiceError::QueueFull) => reject(RejectCode::QueueFull, &e),
                     Err(e @ ServiceError::UnknownCircuit) => reject(RejectCode::UnknownCircuit, &e),

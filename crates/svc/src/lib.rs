@@ -13,8 +13,8 @@
 //! * [`ProvingService`] — session registration and job submission, also
 //!   served in-process through [`ProvingService::handle_frame`]. Each fact
 //!   has one owner: the session store holds every session (LRU eviction
-//!   over [`ServiceConfig::session_capacity`], transparent re-provisioning)
-//!   with its metrics row, and the job table gives every accepted job
+//!   over [`ServiceConfig::session_byte_budget`], transparent
+//!   re-provisioning) with its metrics row, and the job table gives every accepted job
 //!   exactly one outcome. Supervised shard workers pack queued jobs into
 //!   `prove_batch` waves on disjoint backend pools; a panicking wave fails
 //!   only its own jobs, and every job carries a deadline ([`JobSpec`]);

@@ -88,8 +88,7 @@ impl MsmRollup {
     }
 }
 
-/// Worker-supervision counters: how often shard workers panicked or died,
-/// and how much of the restart budget the service has consumed.
+/// Worker-supervision counters: how often shard workers panicked or died.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupervisionMetrics {
     /// Shard workers currently alive (equals `workers_configured` on a
@@ -103,9 +102,6 @@ pub struct SupervisionMetrics {
     /// Shard worker threads that died and were respawned by the
     /// supervisor.
     pub worker_restarts: u64,
-    /// Respawns each shard is allowed over the service lifetime; once
-    /// exhausted the shard goes dark and its backlog is failed.
-    pub restart_budget_per_shard: u32,
 }
 
 /// Transport-level connection counters, filled in by a socket transport
@@ -135,9 +131,7 @@ pub struct SessionLifecycleMetrics {
     pub active: usize,
     /// Sessions evicted but remembered (verifying key + digest retained).
     pub evicted: usize,
-    /// Configured active-session capacity (0 = unlimited).
-    pub capacity: usize,
-    /// Sessions evicted by the LRU capacity/byte budget (lifetime).
+    /// Sessions evicted by the LRU byte budget (lifetime).
     pub evictions: u64,
     /// Evicted sessions transparently re-provisioned by a resubmitted
     /// `SubmitCircuit` (lifetime).
@@ -151,7 +145,6 @@ zkspeed_rt::impl_to_json_struct!(SupervisionMetrics {
     workers_configured,
     wave_panics,
     worker_restarts,
-    restart_budget_per_shard,
 });
 zkspeed_rt::impl_to_json_struct!(ConnectionMetrics {
     open,
@@ -163,7 +156,6 @@ zkspeed_rt::impl_to_json_struct!(ConnectionMetrics {
 zkspeed_rt::impl_to_json_struct!(SessionLifecycleMetrics {
     active,
     evicted,
-    capacity,
     evictions,
     reprovisions,
     rejected_evicted,
@@ -470,7 +462,7 @@ mod tests {
             rec.record_completion(&report);
         }
         // The session rows come from the store, unchanged.
-        let store = SessionStore::new(0, 0);
+        let store = SessionStore::new(0);
         let (pk, vk) = test_keys();
         for digest in [[1u8; 32], [2u8; 32]] {
             let (pk, vk) = (Arc::clone(&pk), Arc::clone(&vk));
@@ -487,7 +479,6 @@ mod tests {
             supervision: SupervisionMetrics {
                 workers_alive: 2,
                 workers_configured: 2,
-                restart_budget_per_shard: 3,
                 ..SupervisionMetrics::default()
             },
             queue_depths: [1, 0, 0],
@@ -525,10 +516,10 @@ mod tests {
         uptime_seconds sessions_registered jobs jobs.submitted jobs.rejected_queue_full
         jobs.rejected_invalid jobs.rejected_draining jobs.completed jobs.failed jobs.failed_deadline
         supervision supervision.workers_alive supervision.workers_configured supervision.wave_panics
-        supervision.worker_restarts supervision.restart_budget_per_shard connections
+        supervision.worker_restarts connections
         connections.open connections.total connections.rejected_bad_auth
         connections.rejected_over_capacity connections.idle_timeouts session_lifecycle
-        session_lifecycle.active session_lifecycle.evicted session_lifecycle.capacity
+        session_lifecycle.active session_lifecycle.evicted
         session_lifecycle.evictions session_lifecycle.reprovisions
         session_lifecycle.rejected_evicted queue queue.depth_high queue.depth_normal queue.depth_low
         queue.peak_depth queue.capacity queue.wait_ms queue.wait_ms.high queue.wait_ms.high.count

@@ -12,11 +12,12 @@
 //!
 //! Strict priority order would let a steady high-priority stream starve
 //! lower classes forever. Every pop that passes over a non-empty class
-//! increments that class's age counter; once a counter reaches the
-//! starvation limit the next pop is forced from that class (most-starved
-//! first) and the counter resets. A low-priority wave is therefore served
-//! at least once every `starvation_limit + 1` waves while higher classes
-//! stay saturated — bounded latency instead of unbounded starvation.
+//! increments that class's age counter; once a counter reaches
+//! `STARVATION_LIMIT` (4) the next pop is forced from that class
+//! (most-starved first) and the counter resets. A low-priority wave is
+//! therefore served at least once every `STARVATION_LIMIT + 1` waves while
+//! higher classes stay saturated — bounded latency instead of unbounded
+//! starvation.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -27,6 +28,10 @@ use zkspeed_rt::trace::Histogram;
 
 use crate::sync::{lock, wait};
 use crate::wire::Priority;
+
+/// Pops a non-empty class may be passed over before it is served next
+/// regardless of priority.
+const STARVATION_LIMIT: u64 = 4;
 
 /// One queued proof job.
 #[derive(Clone, Debug)]
@@ -75,18 +80,15 @@ pub struct JobQueue {
     /// Signaled when capacity frees up.
     space: Condvar,
     capacity: usize,
-    starvation_limit: u64,
 }
 
 impl JobQueue {
     /// Creates a queue holding at most `capacity` jobs across all classes.
-    /// A class that has been passed over `starvation_limit` times is served
-    /// next regardless of priority.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, starvation_limit: u64) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(
             capacity >= 1,
             "job queue needs capacity for at least one job"
@@ -102,7 +104,6 @@ impl JobQueue {
             ready: Condvar::new(),
             space: Condvar::new(),
             capacity,
-            starvation_limit,
         }
     }
 
@@ -211,7 +212,7 @@ impl JobQueue {
     }
 
     /// Applies the priority-with-aging policy: the most urgent non-empty
-    /// class, unless some class has been passed over `starvation_limit`
+    /// class, unless some class has been passed over `STARVATION_LIMIT`
     /// times — then the most-starved such class is served instead.
     fn choose_class(&self, state: &mut QueueState) -> usize {
         let urgent = (0..3)
@@ -222,7 +223,7 @@ impl JobQueue {
         for i in 0..3 {
             if i != urgent
                 && !state.classes[i].is_empty()
-                && state.passed_over[i] >= self.starvation_limit
+                && state.passed_over[i] >= STARVATION_LIMIT
                 && state.passed_over[i] > worst_age
             {
                 worst_age = state.passed_over[i];
@@ -291,7 +292,7 @@ mod tests {
 
     #[test]
     fn waves_pack_same_session_same_class() {
-        let q = JobQueue::new(16, 8);
+        let q = JobQueue::new(16);
         q.try_push(job(0, 1, Priority::Normal)).unwrap();
         q.try_push(job(1, 2, Priority::Normal)).unwrap();
         q.try_push(job(2, 1, Priority::Normal)).unwrap();
@@ -308,7 +309,7 @@ mod tests {
 
     #[test]
     fn wave_size_is_bounded() {
-        let q = JobQueue::new(16, 8);
+        let q = JobQueue::new(16);
         for i in 0..6 {
             q.try_push(job(i, 1, Priority::Normal)).unwrap();
         }
@@ -323,7 +324,7 @@ mod tests {
 
     #[test]
     fn high_priority_wins_when_fresh() {
-        let q = JobQueue::new(16, 8);
+        let q = JobQueue::new(16);
         q.try_push(job(0, 1, Priority::Low)).unwrap();
         q.try_push(job(1, 1, Priority::High)).unwrap();
         q.try_push(job(2, 1, Priority::Normal)).unwrap();
@@ -334,7 +335,7 @@ mod tests {
 
     #[test]
     fn backpressure_rejects_and_parks() {
-        let q = Arc::new(JobQueue::new(2, 8));
+        let q = Arc::new(JobQueue::new(2));
         q.try_push(job(0, 1, Priority::Normal)).unwrap();
         q.try_push(job(1, 1, Priority::Normal)).unwrap();
         // Full: try_push hands the job back.
@@ -358,9 +359,8 @@ mod tests {
         // Regression test (ISSUE 5 satellite): one low-priority wave vs a
         // high-priority stream that keeps the high class non-empty forever.
         // Strict priority would never serve it; aging must serve it within
-        // starvation_limit + 1 pops.
-        let limit = 3u64;
-        let q = JobQueue::new(64, limit);
+        // STARVATION_LIMIT + 1 pops.
+        let q = JobQueue::new(64);
         q.try_push(job(1000, 9, Priority::Low)).unwrap();
         let mut next_high = 0u64;
         let mut pops_until_low = None;
@@ -378,12 +378,12 @@ mod tests {
         }
         let pops = pops_until_low.expect("low-priority job was starved");
         assert!(
-            pops <= limit,
-            "low job served after {pops} pops (limit {limit})"
+            pops <= STARVATION_LIMIT,
+            "low job served after {pops} pops (limit {STARVATION_LIMIT})"
         );
 
         // The same holds for Normal behind High, with Low also pending.
-        let q = JobQueue::new(64, limit);
+        let q = JobQueue::new(64);
         q.try_push(job(2000, 9, Priority::Normal)).unwrap();
         q.try_push(job(3000, 9, Priority::Low)).unwrap();
         let mut served = Vec::new();
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn queue_wait_is_recorded_per_class() {
-        let q = JobQueue::new(16, 8);
+        let q = JobQueue::new(16);
         q.try_push(job(0, 1, Priority::High)).unwrap();
         q.try_push(job(1, 1, Priority::Normal)).unwrap();
         q.try_push(job(2, 1, Priority::Normal)).unwrap();
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn drain_all_empties_every_class_and_frees_space() {
-        let q = JobQueue::new(4, 8);
+        let q = JobQueue::new(4);
         q.try_push(job(0, 1, Priority::High)).unwrap();
         q.try_push(job(1, 1, Priority::Normal)).unwrap();
         q.try_push(job(2, 1, Priority::Low)).unwrap();
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_stops() {
-        let q = JobQueue::new(4, 8);
+        let q = JobQueue::new(4);
         q.try_push(job(0, 1, Priority::Normal)).unwrap();
         q.close();
         // Producers are turned away immediately.

@@ -6,15 +6,17 @@
 //! and one shard per configured queue, each served by a supervised worker
 //! ([`crate::worker`]). The wire endpoint ([`crate::endpoint`]) serves the
 //! same handle. Every job carries a deadline ([`JobSpec`], defaulting to
-//! [`ServiceConfig::default_deadline`]): expired jobs fail without burning
-//! prover time, and `wait` / `drain` never block past it.
+//! two minutes): expired jobs fail without burning prover time, and
+//! `wait` / `drain` never block past it.
 
 use std::fmt;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use zkspeed_field::Fr;
 use zkspeed_hyperplonk::{
     try_preprocess, Circuit, ExecCtx, PreprocessError, VerifyingKey, Witness,
 };
@@ -47,29 +49,16 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum jobs packed into one `prove_batch` wave.
     pub wave_size: usize,
-    /// Pops a starving class waits before it is force-served (see
-    /// [`JobQueue`]).
-    pub starvation_limit: u64,
     /// Has no effect; kept so that existing struct literals compile.
     pub precompute: PrecomputeBudget,
-    /// Deadline applied to jobs whose [`JobSpec`] does not carry one.
-    /// Measured from acceptance; an expired job fails with
-    /// [`ServiceError::JobFailed`] instead of proving, and waiters give up
-    /// with [`ServiceError::Deadline`].
-    pub default_deadline: Duration,
-    /// How many times a dead shard worker is respawned before the shard is
-    /// written off (queue closed, backlog failed).
-    pub restart_budget: u32,
     /// Deterministic fault-injection plan consulted by the shard workers
     /// (and, through [`ProvingService::config`], by transport layers).
     /// Defaults to the `ZKSPEED_FAULTS` environment spec; inert when unset.
     pub faults: Arc<FaultPlan>,
-    /// Maximum **active** (provisioned) sessions; least-recently-used
-    /// sessions beyond it are evicted (proving key dropped, verifying key
-    /// retained). 0 = unlimited (the default).
-    pub session_capacity: usize,
-    /// Byte budget over the summed resident proving-key bytes of active
-    /// sessions; LRU eviction keeps the total under it. 0 = unlimited.
+    /// Byte budget over the summed resident proving-key bytes of **active**
+    /// (provisioned) sessions: least-recently-used sessions beyond it are
+    /// evicted (proving key dropped, verifying key retained), though never
+    /// the newest. 0 = unlimited (the default).
     pub session_byte_budget: u64,
     /// Has no effect; kept so that existing struct literals compile.
     pub proof_cache_bytes: u64,
@@ -93,12 +82,8 @@ impl Default for ServiceConfig {
             threads_per_shard: (threads / shards).max(1),
             queue_capacity: 64,
             wave_size: 4,
-            starvation_limit: 4,
             precompute: PrecomputeBudget::default(),
-            default_deadline: Duration::from_secs(120),
-            restart_budget: 3,
             faults: Arc::new(FaultPlan::from_env()),
-            session_capacity: 0,
             session_byte_budget: 0,
             proof_cache_bytes: 0,
             rebalance_interval: None,
@@ -132,28 +117,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the anti-starvation limit.
-    pub fn with_starvation_limit(mut self, limit: u64) -> Self {
-        self.starvation_limit = limit;
-        self
-    }
-
-    /// Overrides the per-shard worker restart budget.
-    pub fn with_restart_budget(mut self, budget: u32) -> Self {
-        self.restart_budget = budget;
-        self
-    }
-
     /// Installs an explicit fault-injection plan (tests;
     /// production configs inherit `ZKSPEED_FAULTS` via `Default`).
     pub fn with_faults(mut self, faults: Arc<FaultPlan>) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Bounds the number of active sessions (0 = unlimited).
-    pub fn with_session_capacity(mut self, capacity: usize) -> Self {
-        self.session_capacity = capacity;
         self
     }
 
@@ -171,8 +138,13 @@ impl ServiceConfig {
     }
 }
 
+/// The deadline of a job whose [`JobSpec`] carries none, measured from
+/// acceptance: an expired job fails with [`ServiceError::JobFailed`]
+/// instead of proving, and waiters give up with [`ServiceError::Deadline`].
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(120);
+
 /// Per-job submission parameters: scheduling class plus an optional
-/// deadline overriding [`ServiceConfig::default_deadline`].
+/// deadline overriding the default of two minutes.
 #[derive(Clone, Copy, Debug)]
 pub struct JobSpec {
     /// Scheduling class.
@@ -292,7 +264,8 @@ pub(crate) struct Shard {
     /// restart budget exhausted). Waiters consult it so they never block on
     /// a shard that can no longer make progress.
     pub(crate) alive: AtomicBool,
-    /// Worker deaths charged against [`ServiceConfig::restart_budget`].
+    /// Worker deaths charged against the restart budget
+    /// ([`crate::worker`]).
     pub(crate) restarts: AtomicU32,
 }
 
@@ -352,7 +325,7 @@ impl ProvingService {
     pub fn start(srs: Arc<Srs>, config: ServiceConfig) -> Self {
         let shards = (0..config.shards.max(1))
             .map(|_| Shard {
-                queue: JobQueue::new(config.queue_capacity, config.starvation_limit),
+                queue: JobQueue::new(config.queue_capacity),
                 ctx: ExecCtx {
                     backend: backend_with_threads(config.threads_per_shard),
                     trace: config.trace.clone(),
@@ -369,7 +342,7 @@ impl ProvingService {
             srs,
             config: config.clone(),
             shards,
-            store: SessionStore::new(config.session_capacity, config.session_byte_budget),
+            store: SessionStore::new(config.session_byte_budget),
             registration: Mutex::new(()),
             next_shard: AtomicU64::new(0),
             jobs: JobTable::new(retain),
@@ -432,12 +405,12 @@ impl ProvingService {
         let shard = self.shared.store.shard_of(&digest).unwrap_or_else(|| {
             (self.shared.next_shard.fetch_add(1, Ordering::Relaxed) as usize) % self.shard_count()
         });
-        let num_vars = circuit.num_vars();
         let backend = &*self.shared.shards[shard].ctx.backend;
         let (pk, vk) = try_preprocess(circuit, &self.shared.srs, backend)?;
-        // Resident estimate: the eight circuit MLE tables (32-byte field
-        // elements over 2^μ rows each).
-        let resident_bytes = 8 * 32 * (1u64 << num_vars);
+        // What the key keeps resident per gate: the circuit's five selector
+        // tables of `Fr` and its three σ columns of `usize`.
+        let row_bytes = 5 * size_of::<Fr>() + 3 * size_of::<usize>();
+        let resident_bytes = (row_bytes as u64) << pk.circuit.num_vars();
         let (pk, vk) = (Arc::new(pk), Arc::new(vk));
         self.shared
             .store
@@ -469,32 +442,19 @@ impl ProvingService {
         self.shared.store.verifying_key(digest)
     }
 
-    /// Submits a job, **rejecting** with [`ServiceError::QueueFull`] when
-    /// the session's shard queue is at capacity (the wire protocol's
+    /// Submits a job with a full [`JobSpec`] (priority plus an optional
+    /// per-job deadline), **rejecting** with [`ServiceError::QueueFull`]
+    /// when the session's shard queue is at capacity (the wire protocol's
     /// backpressure path).
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::UnknownCircuit`],
-    /// [`ServiceError::WitnessMismatch`] or [`ServiceError::QueueFull`].
-    pub fn try_submit(
-        &self,
-        digest: &[u8; 32],
-        witness: Witness,
-        priority: Priority,
-    ) -> Result<u64, ServiceError> {
-        self.try_submit_spec(digest, witness, JobSpec::new(priority))
-    }
-
-    /// [`ProvingService::try_submit`] with a full [`JobSpec`] (priority plus
-    /// an optional per-job deadline).
-    ///
-    /// # Errors
-    ///
-    /// As [`ProvingService::try_submit`]; additionally
+    /// [`ServiceError::SessionEvicted`], [`ServiceError::WitnessMismatch`],
+    /// [`ServiceError::QueueFull`], [`ServiceError::Draining`], or
     /// [`ServiceError::Shutdown`] when the session's shard has been written
     /// off (worker restart budget exhausted).
-    pub fn try_submit_spec(
+    pub fn try_submit(
         &self,
         digest: &[u8; 32],
         witness: Witness,
@@ -503,34 +463,21 @@ impl ProvingService {
         self.submit_inner(digest, witness, spec, false)
     }
 
-    /// Submits a job, **parking** the calling thread until queue capacity
-    /// frees up.
+    /// Submits a job with the default deadline, **parking** the calling
+    /// thread until queue capacity frees up.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::UnknownCircuit`],
-    /// [`ServiceError::WitnessMismatch`] or [`ServiceError::Shutdown`].
+    /// [`ServiceError::SessionEvicted`], [`ServiceError::WitnessMismatch`],
+    /// [`ServiceError::Draining`] or [`ServiceError::Shutdown`].
     pub fn submit(
         &self,
         digest: &[u8; 32],
         witness: Witness,
         priority: Priority,
     ) -> Result<u64, ServiceError> {
-        self.submit_spec(digest, witness, JobSpec::new(priority))
-    }
-
-    /// [`ProvingService::submit`] with a full [`JobSpec`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ProvingService::submit`].
-    pub fn submit_spec(
-        &self,
-        digest: &[u8; 32],
-        witness: Witness,
-        spec: JobSpec,
-    ) -> Result<u64, ServiceError> {
-        self.submit_inner(digest, witness, spec, true)
+        self.submit_inner(digest, witness, JobSpec::new(priority), true)
     }
 
     fn submit_inner(
@@ -566,7 +513,7 @@ impl ProvingService {
         let submitted = Instant::now();
         let deadline = spec
             .deadline
-            .unwrap_or(self.shared.config.default_deadline)
+            .unwrap_or(DEFAULT_DEADLINE)
             .max(Duration::from_millis(1));
         // The entry must exist before the worker can complete it.
         let id = self.shared.jobs.admit(session.shard, submitted + deadline);
@@ -667,13 +614,11 @@ impl ProvingService {
             supervision: SupervisionMetrics {
                 workers_alive: workers_alive.count(),
                 workers_configured: shards.len(),
-                restart_budget_per_shard: self.shared.config.restart_budget,
                 ..SupervisionMetrics::default()
             },
             lifecycle: SessionLifecycleMetrics {
                 active,
                 evicted: sessions.len() - active,
-                capacity: store.capacity(),
                 evictions: store.evictions.load(Ordering::Relaxed),
                 reprovisions: store.reprovisions.load(Ordering::Relaxed),
                 rejected_evicted: store.rejected_evicted.load(Ordering::Relaxed),

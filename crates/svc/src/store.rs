@@ -1,5 +1,5 @@
 //! Fleet-scale session lifecycle: the [`SessionStore`] (LRU eviction over
-//! a capacity/byte budget), and the owner of every session's metrics row.
+//! a byte budget), and the owner of every session's metrics row.
 //!
 //! The store keeps the *provisioned* working set bounded: when a session
 //! is evicted it drops its proving key but keeps the
@@ -77,14 +77,12 @@ impl SessionEntry {
     }
 }
 
-/// The bounded session registry. Counts and budgets apply to **active**
+/// The bounded session registry. The budget applies to **active**
 /// sessions only; evicted entries cost a verifying key each.
 #[derive(Default)]
 pub(crate) struct SessionStore {
     entries: Mutex<HashMap<[u8; 32], SessionEntry>>,
     clock: AtomicU64,
-    /// Maximum active sessions; 0 = unlimited.
-    capacity: usize,
     /// Maximum summed `resident_bytes` over active sessions; 0 = unlimited.
     byte_budget: u64,
     pub(crate) evictions: AtomicU64,
@@ -93,10 +91,9 @@ pub(crate) struct SessionStore {
 }
 
 impl SessionStore {
-    pub(crate) fn new(capacity: usize, byte_budget: u64) -> Self {
+    pub(crate) fn new(byte_budget: u64) -> Self {
         Self {
             clock: AtomicU64::new(1),
-            capacity,
             byte_budget,
             ..Self::default()
         }
@@ -176,19 +173,17 @@ impl SessionStore {
         }
     }
 
-    /// Evicts least-recently-used active sessions until both the capacity
-    /// and the byte budget hold. The most recently touched session is never
-    /// evicted, so a session that fits neither budget alone still serves
-    /// the jobs submitted right after its registration.
+    /// Evicts least-recently-used active sessions until the byte budget
+    /// holds. The most recently touched session is never evicted, so a
+    /// session over the whole budget alone still serves the jobs submitted
+    /// right after its registration.
     fn evict_over_budget(&self, entries: &mut HashMap<[u8; 32], SessionEntry>) -> Vec<[u8; 32]> {
         let mut evicted = Vec::new();
         loop {
             let active = entries.iter().filter(|(_, e)| e.pk.is_some());
             let count = active.clone().count();
             let bytes: u64 = active.clone().map(|(_, e)| e.resident_bytes).sum();
-            let over_count = self.capacity > 0 && count > self.capacity;
-            let over_bytes = self.byte_budget > 0 && bytes > self.byte_budget;
-            if count <= 1 || !(over_count || over_bytes) {
+            if count <= 1 || self.byte_budget == 0 || bytes <= self.byte_budget {
                 return evicted;
             }
             let (&lru, _) = active
@@ -200,11 +195,6 @@ impl SessionStore {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             evicted.push(lru);
         }
-    }
-
-    /// The configured capacity (0 = unlimited).
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The metrics row of every known session, ordered by digest.
@@ -263,7 +253,8 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_capacity_and_keeps_vk() {
-        let store = SessionStore::new(2, 0);
+        // A budget of two sessions' bytes holds two of them.
+        let store = SessionStore::new(200);
         assert!(store_with(&store, 1, 100).is_empty());
         assert!(store_with(&store, 2, 100).is_empty());
         // Touch session 1 so session 2 is the LRU candidate.
@@ -282,7 +273,7 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_but_never_the_newest() {
-        let store = SessionStore::new(0, 250);
+        let store = SessionStore::new(250);
         assert!(store_with(&store, 1, 200).is_empty());
         // 200 + 200 > 250: the older session goes.
         assert_eq!(store_with(&store, 2, 200), vec![[1u8; 32]]);
@@ -294,7 +285,7 @@ mod tests {
 
     #[test]
     fn reactivation_counts_and_keeps_shard() {
-        let store = SessionStore::new(1, 0);
+        let store = SessionStore::new(1);
         store_with(&store, 1, 10);
         store_with(&store, 2, 10); // evicts 1
         assert_eq!(store.state(&[1u8; 32]), Some(SessionState::Evicted));
@@ -307,7 +298,7 @@ mod tests {
 
     #[test]
     fn snapshot_orders_by_digest_and_reports_state() {
-        let store = SessionStore::new(1, 0);
+        let store = SessionStore::new(1);
         store_with(&store, 9, 64);
         store_with(&store, 3, 64); // evicts 9
         let rows = store.snapshot();
@@ -325,7 +316,7 @@ mod tests {
         // Session 1 proves once and is then evicted by session 5: its row
         // keeps the latency history beside the lifecycle state, and
         // re-provisioning carries it over.
-        let store = SessionStore::new(1, 0);
+        let store = SessionStore::new(1);
         store_with(&store, 1, 64);
         store.record_latency(&[1u8; 32], 25.0);
         assert_eq!(store_with(&store, 5, 777), vec![[1u8; 32]]);
@@ -355,7 +346,7 @@ mod tests {
         // A sliding window would cap each session's samples; the histogram
         // keeps an exact count (and bounded quantile error) however many
         // completions a long-running session accumulates.
-        let store = SessionStore::new(0, 0);
+        let store = SessionStore::new(0);
         store_with(&store, 9, 64);
         let n = 10_000u64;
         for i in 0..n {

@@ -16,8 +16,8 @@
 //! canonical bytes whatever the queue order, priority or wave packing. A
 //! panicking wave fails only its own jobs. A panic that escapes the wave
 //! guard kills the worker: its supervisor fails the in-flight jobs and
-//! respawns it within the restart budget, or closes the shard and fails its
-//! backlog once the budget is spent. Every outcome goes through
+//! respawns it up to [`RESTART_BUDGET`] times, then closes the shard and
+//! fails its backlog. Every outcome goes through
 //! [`JobTable::settle`](crate::jobs::JobTable::settle).
 
 use std::panic::AssertUnwindSafe;
@@ -34,6 +34,10 @@ use crate::metrics::bump;
 use crate::queue::QueuedJob;
 use crate::service::{ServiceShared, Shard};
 use crate::sync::lock;
+
+/// How many times a dead shard worker is respawned before the shard is
+/// written off (queue closed, backlog failed).
+const RESTART_BUDGET: u32 = 3;
 
 /// Spawns (or respawns) one shard's supervised worker thread and registers
 /// its join handle.
@@ -80,7 +84,7 @@ fn handle_worker_death(
     }
     let shard = &shared.shards[shard_idx];
     let deaths = shard.restarts.fetch_add(1, Ordering::SeqCst);
-    if !shard.queue.is_closed() && deaths < shared.config.restart_budget {
+    if !shard.queue.is_closed() && deaths < RESTART_BUDGET {
         bump(&shared.metrics.worker_restarts);
         spawn_worker(shared, shard_idx);
         return;

@@ -55,14 +55,14 @@ SUBCOMMANDS:
            Preprocess and verify offline; exits 0 iff the proof verifies.
 
   serve    --srs FILE [--addr HOST:PORT] [--auth-token T] [--ready-file FILE]
-           [--max-connections N] [--idle-timeout-ms N] [--drain-grace-ms N]
-           [--shards N] [--session-capacity N] [--session-byte-budget N]
-           [--metrics-out FILE] [--trace] [--trace-out FILE]
+           [--max-connections N] [--idle-timeout-ms N] [--shards N]
+           [--session-byte-budget N] [--metrics-out FILE] [--trace]
+           [--trace-out FILE]
            Host a ProvingService over TCP. With --addr 127.0.0.1:0 the bound
            address goes to --ready-file (and stdout). Runs until a client
            sends Shutdown, then drains gracefully and writes final metrics.
-           --session-capacity / --session-byte-budget bound the provisioned
-           session working set (LRU eviction; 0 = unlimited);
+           --session-byte-budget bounds the proving-key bytes of the
+           provisioned sessions (LRU eviction; 0 = unlimited);
            --trace records a structured span trace of every job (pull it
            live with `zkspeed trace`); --trace-out implies --trace and also
            writes the final Chrome trace-event JSON on shutdown.
@@ -150,8 +150,8 @@ const FLAGS: &[(&str, &str)] = &[
     ("verify", "srs circuit proof"),
     (
         "serve",
-        "srs addr auth-token ready-file max-connections idle-timeout-ms drain-grace-ms shards \
-         session-capacity session-byte-budget metrics-out trace trace-out",
+        "srs addr auth-token ready-file max-connections idle-timeout-ms shards \
+         session-byte-budget metrics-out trace trace-out",
     ),
     (
         "submit",
@@ -348,9 +348,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if flags.get("shards").is_some() {
         config = config.with_shards(flags.parse_num("shards", default_shards)?);
     }
-    config = config
-        .with_session_capacity(flags.parse_num("session-capacity", 0)?)
-        .with_session_byte_budget(flags.parse_num("session-byte-budget", 0)?);
+    config = config.with_session_byte_budget(flags.parse_num("session-byte-budget", 0)?);
     // Keep a handle on the sink so the final dump works after the server
     // (which owns the service) has shut down — TraceSink clones share state.
     let trace_sink = if flags.has("trace") || flags.has("trace-out") {
@@ -367,9 +365,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .with_max_connections(flags.parse_num("max-connections", 64)?)
         .with_idle_timeout(Duration::from_millis(
             flags.parse_num("idle-timeout-ms", 30_000)?,
-        ))
-        .with_drain_grace(Duration::from_millis(
-            flags.parse_num("drain-grace-ms", 5_000)?,
         ));
     let server = NetServer::bind(service, server_config).map_err(|e| e.to_string())?;
     let addr = server.local_addr();
@@ -555,13 +550,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serve_rejects_the_retired_cache_flag() {
-        let args = ["--srs", "s.bin", "--proof-cache-bytes", "1"].map(String::from);
-        let err = Flags::parse("serve", &args)
-            .err()
-            .expect("unknown flag must be an error");
-        assert!(err.contains("unknown flag `--proof-cache-bytes`"), "{err}");
-        assert!(err.contains("for serve"), "{err}");
+    fn serve_rejects_the_retired_flags() {
+        for name in ["proof-cache-bytes", "session-capacity", "drain-grace-ms"] {
+            let flag = format!("--{name}");
+            let args = ["--srs", "s.bin", &flag, "1"].map(String::from);
+            let err = Flags::parse("serve", &args)
+                .err()
+                .expect("unknown flag must be an error");
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+            assert!(err.contains("for serve"), "{err}");
+        }
     }
 
     /// Each subcommand's `USAGE` synopsis, as `(name, flags it lists)`.

@@ -215,19 +215,20 @@ fn trace_dump_survives_worker_kill_and_respawn() {
 #[test]
 fn restart_budget_exhaustion_fails_backlog_and_drain_stays_bounded() {
     let (circuit, witness) = instance(3);
-    // Budget 1: the first kill respawns the worker, the second writes the
-    // shard off.
-    let svc = faulty_service_with("worker-kill@1;worker-kill@2", |c| c.with_restart_budget(1));
+    // The restart budget is three: the first three kills respawn the
+    // worker, the fourth writes the shard off.
+    let svc = faulty_service("worker-kill@1;worker-kill@2;worker-kill@3;worker-kill@4");
     let digest = svc.register_circuit(circuit).expect("fits");
 
-    let a = svc
-        .submit(&digest, witness.clone(), Priority::Normal)
-        .expect("accepted");
-    let b = svc
-        .submit(&digest, witness.clone(), Priority::Normal)
-        .expect("accepted");
-    assert!(matches!(svc.wait(a), Err(ServiceError::JobFailed(_))));
-    assert!(matches!(svc.wait(b), Err(ServiceError::JobFailed(_))));
+    let jobs: Vec<u64> = (0..4)
+        .map(|_| {
+            svc.submit(&digest, witness.clone(), Priority::Normal)
+                .expect("accepted")
+        })
+        .collect();
+    for job in jobs {
+        assert!(matches!(svc.wait(job), Err(ServiceError::JobFailed(_))));
+    }
 
     // The shard is written off: its queue is closed, so new work bounces
     // with Shutdown (not QueueFull), and the supervision gauge shows no
@@ -241,7 +242,7 @@ fn restart_budget_exhaustion_fails_backlog_and_drain_stays_bounded() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(matches!(
-        svc.try_submit(&digest, witness, Priority::Normal),
+        svc.try_submit(&digest, witness, JobSpec::new(Priority::Normal)),
         Err(ServiceError::Shutdown)
     ));
 
@@ -258,12 +259,8 @@ fn restart_budget_exhaustion_fails_backlog_and_drain_stays_bounded() {
         .expect("drain blocked on a dead shard");
 
     let metrics = svc.metrics();
-    assert_eq!(metrics.supervision.worker_restarts, 1);
-    assert_eq!(
-        metrics.supervision.restart_budget_per_shard, 1,
-        "snapshot should surface the configured budget"
-    );
-    assert_eq!(metrics.failed, 2);
+    assert_eq!(metrics.supervision.worker_restarts, 3);
+    assert_eq!(metrics.failed, 4);
     assert_counters_balance(&metrics);
 }
 
@@ -279,7 +276,7 @@ fn deadlines_bound_waits_under_a_saturated_shard() {
         .submit(&digest, witness.clone(), Priority::Normal)
         .expect("accepted");
     let hurried = svc
-        .try_submit_spec(
+        .try_submit(
             &digest,
             witness,
             JobSpec::new(Priority::Normal).with_deadline(Duration::from_millis(50)),

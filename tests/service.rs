@@ -151,14 +151,14 @@ fn interleaved_concurrent_clients_across_sessions() {
 fn priority_completion_order_is_observable() {
     // Deterministic variant: one serial shard and a blocked worker; after
     // the warmup job drains, the two highs must finish strictly before the
-    // two lows even though the lows were queued first. We verify by
-    // waiting on the *lows* and asserting the highs are already done.
+    // two lows even though the lows were queued first (the lows age one
+    // pop, below the starvation limit). We verify by waiting on the *lows*
+    // and asserting the highs are already done.
     let svc = service(
         ServiceConfig::default()
             .with_shards(1)
             .with_threads_per_shard(1)
-            .with_wave_size(4)
-            .with_starvation_limit(100),
+            .with_wave_size(4),
     );
     let (circuit, witness) = workload_instances().swap_remove(0);
     let digest = svc.register_circuit(circuit).expect("fits");
@@ -220,7 +220,7 @@ fn bounded_queue_rejects_and_parks_when_full() {
     // Saturate: the worker takes jobs off the queue as we push, so push
     // until we have observed at least one backpressure rejection.
     for _ in 0..200 {
-        match svc.try_submit(&digest, witness.clone(), Priority::Normal) {
+        match svc.try_submit(&digest, witness.clone(), JobSpec::new(Priority::Normal)) {
             Ok(job) => accepted.push(job),
             Err(ServiceError::QueueFull) => {
                 bounced += 1;

@@ -1,6 +1,6 @@
 //! End-to-end tests of the fleet-scale session lifecycle: multi-μ
 //! sessions sharing one SRS through prefix views, LRU eviction under a
-//! session capacity below the fleet size, transparent re-provisioning, and
+//! byte budget below the fleet's keys, transparent re-provisioning, and
 //! the wire-visible session listing. Also pins that the two inert
 //! `ServiceConfig` fields kept for struct literals change nothing.
 
@@ -28,19 +28,27 @@ fn mock(num_vars: usize, seed: u64) -> (Circuit, Witness) {
     mock_circuit(num_vars, SparsityProfile::paper_default(), &mut rng)
 }
 
+/// The resident bytes of a μ-variable session's proving key on a 64-bit
+/// target: five `Fr` selector tables and three `usize` σ columns, 184 B a
+/// gate.
+fn key_bytes(num_vars: usize) -> u64 {
+    184 << num_vars
+}
+
 #[test]
 fn mixed_mu_fleet_shares_one_srs_with_eviction_below_fleet_size() {
-    // Four sessions at three different μ against ONE shared μ=8 SRS, with
-    // an active-session capacity of two — eviction is always live. Every
-    // session still proves, the evicted ones after a transparent
-    // re-registration, and re-provisioned proofs are byte-identical.
+    // Four sessions at four different μ against ONE shared μ=8 SRS, with
+    // a byte budget that holds the two largest keys — eviction is always
+    // live. Every session still proves, the evicted ones after a
+    // transparent re-registration, and re-provisioned proofs are
+    // byte-identical.
     let svc = ProvingService::start(
         shared_srs(),
         ServiceConfig::default()
             .with_shards(2)
             .with_threads_per_shard(1)
             .with_wave_size(2)
-            .with_session_capacity(2),
+            .with_session_byte_budget(key_bytes(6) + key_bytes(8)),
     );
     let instances = [mock(2, 1), mock(4, 2), mock(6, 3), mock(8, 4)];
     let mut digests = Vec::new();
@@ -49,10 +57,9 @@ fn mixed_mu_fleet_shares_one_srs_with_eviction_below_fleet_size() {
     }
     let m = svc.metrics();
     assert_eq!(m.sessions_registered, 4, "evicted sessions stay known");
-    assert_eq!(m.lifecycle.active, 2, "capacity bounds the active set");
+    assert_eq!(m.lifecycle.active, 2, "the budget bounds the active set");
     assert_eq!(m.lifecycle.evicted, 2);
     assert_eq!(m.lifecycle.evictions, 2);
-    assert_eq!(m.lifecycle.capacity, 2);
 
     // The two most recently registered sessions are active; the first two
     // were LRU-evicted. Active sessions prove directly.
@@ -94,6 +101,12 @@ fn mixed_mu_fleet_shares_one_srs_with_eviction_below_fleet_size() {
         m.lifecycle.evictions >= 3,
         "re-provision evicted an LRU peer"
     );
+    // Each active session is charged its key's real size.
+    let resident = |digest: [u8; 32]| {
+        let row = m.sessions.iter().find(|s| s.digest == digest);
+        row.map(|s| s.resident_bytes).expect("listed")
+    };
+    assert_eq!([resident(digests[0]), resident(digests[3])], [736, 47_104]);
 
     // Proofs of a re-provisioned session are byte-identical to pre-eviction
     // proofs: evict μ=8's session by touring the others, re-provision it,
@@ -131,7 +144,7 @@ fn evicted_session_rows_keep_their_history_in_metrics() {
         ServiceConfig::default()
             .with_shards(1)
             .with_threads_per_shard(1)
-            .with_session_capacity(1),
+            .with_session_byte_budget(1),
     );
     let (c1, w1) = mock(3, 10);
     let d1 = svc.register_circuit(c1.clone()).expect("fits");
@@ -191,7 +204,7 @@ fn eviction_lifecycle_is_wire_visible_and_recoverable() {
         ServiceConfig::default()
             .with_shards(1)
             .with_threads_per_shard(1)
-            .with_session_capacity(1),
+            .with_session_byte_budget(1),
     );
     let (c1, w1) = mock(3, 40);
     let (c2, _) = mock(4, 41);
@@ -235,7 +248,7 @@ fn eviction_lifecycle_is_wire_visible_and_recoverable() {
                 .iter()
                 .filter(|s| s.state == SessionState::Active)
                 .count();
-            assert_eq!(active, 1, "capacity 1 leaves one active");
+            assert_eq!(active, 1, "a budget of 1 leaves one active");
             let row = sessions.iter().find(|s| s.digest == d1).expect("listed");
             assert_eq!(row.state, SessionState::Active);
             assert_eq!(row.jobs_completed, 1);
